@@ -5,6 +5,16 @@ Training data is a weighted set of distinct neighborhood state vectors
 corner labels. Splitting maximizes total information gain measured in
 weighted-count units; recursion stops exactly at zero-entropy subsets, so a
 label-consistent training set is always classified perfectly.
+
+The exhaustive ring set made by ``augment_exhaustive`` holds all 3^16
+configurations implicitly: record r is configuration r, and no state matrix
+exists. Its labels and weights, viewed as tensors of shape (3,)*16, have
+tensor axis a for ring column 15 - a. A tree node's subset fixes the
+columns tested above it, so it is a strided slice of those tensors; its
+class counts per column value are axis marginals and its children are
+slices. Sets of explicit state rows (observed configurations, 48-offset
+sets) split by index arrays instead. Both kinds share one recursion and one
+split rule, so equal data gives equal trees.
 """
 
 from __future__ import annotations
@@ -29,20 +39,28 @@ class TrainingSet:
 
     ``states`` is (N, k) uint8 with column j holding the ternary state of
     offset ``offsets.index_base + j``; ``weights`` of None means unit weights.
+    ``states`` of None is the exhaustive ring set: N = 3^16 and record r is
+    ring configuration r, whose states are ``states_from_codes([r])[0]``.
     """
 
-    states: np.ndarray
+    states: np.ndarray | None
     labels: np.ndarray
     weights: np.ndarray | None
     offsets: OffsetTable
 
     def __post_init__(self):
-        if self.states.ndim != 2 or self.states.dtype != np.uint8:
-            raise ValueError("states must be a 2-d uint8 array")
-        if self.states.shape[1] != len(self.offsets):
-            raise ValueError(f"states have {self.states.shape[1]} columns for "
-                             f"{len(self.offsets)} offsets")
-        if self.labels.shape != (self.states.shape[0],):
+        if self.states is None:
+            if len(self.offsets) != N_RING:
+                raise ValueError("an exhaustive set spans the 16 ring offsets")
+            rows = N_CONFIGS
+        else:
+            if self.states.ndim != 2 or self.states.dtype != np.uint8:
+                raise ValueError("states must be a 2-d uint8 array")
+            if self.states.shape[1] != len(self.offsets):
+                raise ValueError(f"states have {self.states.shape[1]} columns for "
+                                 f"{len(self.offsets)} offsets")
+            rows = self.states.shape[0]
+        if self.labels.shape != (rows,):
             raise ValueError("labels shape mismatch")
         if self.weights is not None:
             if self.weights.shape != self.labels.shape:
@@ -52,48 +70,7 @@ class TrainingSet:
 
     @property
     def num_records(self) -> int:
-        return self.states.shape[0]
-
-    def weight_of(self, i: int) -> int:
-        return 1 if self.weights is None else int(self.weights[i])
-
-    def class_counts(self) -> tuple[float, float]:
-        """(corner weight c, non-corner weight cbar) over the whole set."""
-        if self.weights is None:
-            c = float(np.count_nonzero(self.labels))
-            return c, float(self.labels.size - c)
-        w = self.weights.astype(np.float64)
-        c = float(w[self.labels].sum())
-        return c, float(w.sum() - c)
-
-    def check_consistent(self) -> None:
-        """Raise if any duplicated state row carries both labels (test aid)."""
-        order = np.lexsort(self.states.T[::-1])
-        srt = self.states[order]
-        lab = self.labels[order]
-        same = (srt[1:] == srt[:-1]).all(axis=1)
-        if (same & (lab[1:] != lab[:-1])).any():
-            raise InconsistentLabelsError("conflicting labels for equal state rows")
-
-
-_FULL_STATES: np.ndarray | None = None
-
-
-def full_state_matrix() -> np.ndarray:
-    """(3^16, 16) uint8 matrix of every ring configuration, row r = config r.
-
-    Cached for the process lifetime (~690 MB); column-major so per-column
-    gathers during tree building stay contiguous.
-    """
-    global _FULL_STATES
-    if _FULL_STATES is None:
-        m = np.empty((N_CONFIGS, N_RING), dtype=np.uint8, order="F")
-        base = np.array([0, 1, 2], dtype=np.uint8)
-        for i in range(N_RING):
-            m[:, i] = np.tile(np.repeat(base, 3**i), 3 ** (N_RING - 1 - i))
-        m.setflags(write=False)
-        _FULL_STATES = m
-    return _FULL_STATES
+        return self.labels.shape[0]
 
 
 def states_from_codes(codes: np.ndarray) -> np.ndarray:
@@ -149,7 +126,11 @@ def extract_training_data(images, n: int, t: int,
 def augment_exhaustive(ts: TrainingSet, n: int, low_weight: int = 1) -> TrainingSet:
     """Add every one of the 3^16 configurations at ``low_weight``, folding in
     any existing records by weight. The result always covers the full space,
-    so the learned tree embodies the segment test exactly."""
+    so the learned tree embodies the segment test exactly.
+
+    The result is the exhaustive set (``states`` None): record r is ring
+    configuration r with label ``label_all_configs(n)[r]``. Its weights are
+    one int64 per configuration, or None when every weight is 1."""
     if low_weight < 1:
         raise ValueError("low_weight must be >= 1")
     if len(ts.offsets) != N_RING:
@@ -157,27 +138,18 @@ def augment_exhaustive(ts: TrainingSet, n: int, low_weight: int = 1) -> Training
     labels = label_all_configs(n)
     labels.setflags(write=False)
 
-    if ts.num_records and ts.states is full_state_matrix():
-        if not np.array_equal(ts.labels, labels):
-            raise InconsistentLabelsError(
-                "training labels disagree with the segment test; corrupted set")
-        weights = np.full(N_CONFIGS, low_weight, dtype=np.int64)
-        weights += ts.weights if ts.weights is not None else 1
-    elif ts.num_records:
-        codes = codes_from_states(ts.states)
-        if not np.array_equal(ts.labels, labels[codes]):
-            raise InconsistentLabelsError(
-                "training labels disagree with the segment test; corrupted set")
-        weights = np.full(N_CONFIGS, low_weight, dtype=np.int64)
-        add = ts.weights if ts.weights is not None else np.ones(len(codes), np.int64)
-        np.add.at(weights, codes, add)
-    elif low_weight == 1:
+    codes = slice(None) if ts.states is None else codes_from_states(ts.states)
+    if not np.array_equal(ts.labels, labels[codes]):
+        raise InconsistentLabelsError(
+            "training labels disagree with the segment test; corrupted set")
+    if ts.num_records == 0 and low_weight == 1:
         weights = None
     else:
         weights = np.full(N_CONFIGS, low_weight, dtype=np.int64)
+        np.add.at(weights, codes, 1 if ts.weights is None else ts.weights)
 
-    return TrainingSet(states=full_state_matrix(), labels=labels,
-                       weights=weights, offsets=ts.offsets)
+    return TrainingSet(states=None, labels=labels, weights=weights,
+                       offsets=ts.offsets)
 
 
 def entropy(c: float, cbar: float) -> float:
@@ -202,98 +174,181 @@ def _entropy_vec(c: np.ndarray, cbar: np.ndarray) -> np.ndarray:
     return xlogx(c + cbar) - xlogx(c) - xlogx(cbar)
 
 
-def _column(states: np.ndarray, subset, col: int) -> np.ndarray:
-    return states[:, col] if subset is None else states[subset, col]
+def _axis_marginals(t: np.ndarray) -> np.ndarray:
+    """(t.ndim, 3) int64: entry [a, v] is the sum of ``t`` over all entries
+    whose index on axis a is v. Every axis must have length 3.
+
+    Divide and conquer: summing out one half of the axes leaves a tensor of
+    the other half's marginals and vice versa, so the full tensor is read
+    twice whatever its rank.
+    """
+    k = t.ndim
+    if k == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    if k == 1:
+        return t.astype(np.int64)[None]
+    h = k // 2
+    return np.concatenate([
+        _axis_marginals(t.sum(axis=tuple(range(h, k)), dtype=np.int64)),
+        _axis_marginals(t.sum(axis=tuple(range(h)), dtype=np.int64)),
+    ])
 
 
-def _split_gains(states, labels, weights, subset) -> tuple[np.ndarray, float]:
-    """Information gain per state column on a subset; also returns H(subset)."""
-    lab = (labels if subset is None else labels[subset]).astype(np.uint8)
-    w = None if weights is None else (weights if subset is None else weights[subset])
-    combo_base = lab * np.uint8(3)
-    k = states.shape[1]
-    gains = np.empty(k, dtype=np.float64)
-    h_parent = None
-    for col in range(k):
-        combo = combo_base + _column(states, subset, col)
-        if w is None:
-            counts = np.bincount(combo, minlength=6).astype(np.float64)
+class _Rows:
+    """The records ``idx`` of a set of explicit state rows."""
+
+    def __init__(self, ts: TrainingSet, idx: np.ndarray):
+        self.ts, self.idx = ts, idx
+
+    def count_table(self) -> np.ndarray:
+        ts, idx = self.ts, self.idx
+        combo_base = ts.labels[idx].astype(np.uint8) * np.uint8(3)
+        w = None if ts.weights is None else ts.weights[idx]
+        table = np.empty((len(ts.offsets), 6))
+        for col in range(len(ts.offsets)):
+            table[col] = np.bincount(combo_base + ts.states[idx, col], weights=w,
+                                     minlength=6)
+        return table
+
+    def split(self, col: int) -> list[_Rows]:
+        column = self.ts.states[self.idx, col]
+        return [_Rows(self.ts, self.idx[column == v]) for v in range(3)]
+
+
+class _Slice:
+    """Configurations of an exhaustive set whose columns ``fixed[j] >= 0``
+    hold the value ``fixed[j]``.
+
+    ``corner`` and ``weight`` view the corner-weight and total-weight tensors
+    with one axis per free column, highest column first; ``weight`` None means
+    unit weights (``corner`` is then the boolean label tensor).
+    """
+
+    def __init__(self, corner: np.ndarray, weight: np.ndarray | None,
+                 fixed: tuple[int, ...]):
+        self.corner, self.weight, self.fixed = corner, weight, fixed
+
+    @classmethod
+    def root(cls, labels: np.ndarray, weights: np.ndarray | None,
+             k: int = N_RING) -> _Slice:
+        shape = (3,) * k
+        lab = labels.reshape(shape)
+        if weights is None:
+            return cls(lab, None, (-1,) * k)
+        w = weights.reshape(shape)
+        return cls(np.where(lab, w, 0), w, (-1,) * k)
+
+    def count_table(self) -> np.ndarray:
+        free = [j for j in reversed(range(len(self.fixed))) if self.fixed[j] < 0]
+        corner = _axis_marginals(self.corner)
+        if self.weight is None:
+            total = np.full_like(corner, self.corner.size // 3)
         else:
-            counts = np.bincount(combo, weights=w, minlength=6)
-        cbar_d, c_d = counts[:3], counts[3:]
-        if h_parent is None:
-            h_parent = entropy(float(c_d.sum()), float(cbar_d.sum()))
-        gains[col] = h_parent - _entropy_vec(c_d, cbar_d).sum()
-    return gains, float(h_parent)
+            total = _axis_marginals(self.weight)
+        if free:
+            c, w = corner[0].sum(), total[0].sum()
+        else:
+            c = int(self.corner)
+            w = 1 if self.weight is None else int(self.weight)
+        table = np.zeros((len(self.fixed), 6))
+        table[free, :3] = total - corner
+        table[free, 3:] = corner
+        # A fixed column is constant on the subset: all weight in its one slot,
+        # exactly as a row set counts it.
+        for j, v in enumerate(self.fixed):
+            if v >= 0:
+                table[j, v], table[j, 3 + v] = w - c, c
+        return table
+
+    def split(self, col: int) -> list[_Slice]:
+        axis = sum(1 for j in self.fixed[col + 1:] if j < 0)
+        lead = (slice(None),) * axis
+        kids = []
+        for v in range(3):
+            fixed = self.fixed[:col] + (v,) + self.fixed[col + 1:]
+            kids.append(_Slice(
+                self.corner[lead + (v,)],
+                None if self.weight is None else self.weight[lead + (v,)], fixed))
+        return kids
+
+
+def _root_subset(ts: TrainingSet) -> _Rows | _Slice:
+    if ts.states is None:
+        return _Slice.root(ts.labels, ts.weights)
+    return _Rows(ts, np.arange(ts.num_records))
+
+
+def _split_gains(table: np.ndarray) -> np.ndarray:
+    """Information gain per column from a (k, 6) count table whose row j
+    holds the non-corner then the corner weight for states 0, 1, 2 of column
+    j."""
+    cbar, c = table[:, :3], table[:, 3:]
+    h_parent = entropy(float(c[0].sum()), float(cbar[0].sum()))
+    return h_parent - _entropy_vec(c, cbar).sum(axis=1)
+
+
+def _pure_leaf(table: np.ndarray) -> Leaf | None:
+    """The leaf for a subset of one class, else None."""
+    cbar, c = table[0, :3].sum(), table[0, 3:].sum()
+    if c == 0.0:
+        return LEAF0  # for a zero-weight subset the class is arbitrary
+    if cbar == 0.0:
+        return LEAF1
+    return None
 
 
 def best_split(ts: TrainingSet, subset: np.ndarray | None = None) -> int:
     """Offset index with maximal information gain; ties break to the lowest
     index. Raises on a pure subset (nothing to split) and on the degenerate
     all-identical-rows case, which signals conflicting labels."""
-    gains, h = _split_gains(ts.states, ts.labels, ts.weights, subset)
-    if h == 0.0:
+    table = (_root_subset(ts) if subset is None else _Rows(ts, subset)).count_table()
+    if _pure_leaf(table) is not None:
         raise ValueError("subset is pure; nothing to split")
-    return ts.offsets.index_base + _pick_column(ts.states, subset, gains)
+    return ts.offsets.index_base + _pick_column(table)
 
 
-def _pick_column(states, subset, gains: np.ndarray) -> int:
+def _pick_column(table: np.ndarray) -> int:
+    gains = _split_gains(table)
     best_val = float(gains.max())
     if best_val > 1e-9:
         # Ties (within float tolerance) break to the lowest offset index.
         tol = 1e-9 * max(1.0, abs(best_val))
         return int(np.flatnonzero(gains >= best_val - tol)[0])
     # No useful gain. If every column is constant the subset consists of one
-    # repeated state row with mixed labels; otherwise split on the first
+    # repeated state with mixed labels; otherwise split on the first
     # non-constant column so recursion still makes progress.
-    for col in range(states.shape[1]):
-        column = _column(states, subset, col)
-        if column.size and column.min() != column.max():
-            return col
+    present = (table[:, :3] + table[:, 3:]) > 0
+    varying = np.flatnonzero(present.sum(axis=1) > 1)
+    if varying.size:
+        return int(varying[0])
     raise InconsistentLabelsError(
         "zero gain everywhere with nonzero entropy: conflicting labels")
 
 
+def _grow(subset: _Rows | _Slice, base: int) -> TernaryTree:
+    """Unmerged ID3 tree over a subset; children are built d, s, b."""
+    table = subset.count_table()
+    leaf = _pure_leaf(table)
+    if leaf is not None:
+        return leaf
+    col = _pick_column(table)
+    d_sub, s_sub, b_sub = subset.split(col)
+    d_child = _grow(d_sub, base)
+    s_child = _grow(s_sub, base)
+    b_child = _grow(b_sub, base)
+    return Node(base + col, b=b_child, s=s_child, d=d_child)
+
+
 def build_tree(ts: TrainingSet, merge: bool = True) -> TernaryTree:
     """Grow the ID3 tree; every training record ends at a leaf of its own
-    label. With ``merge`` (default) structurally equal subtrees are shared."""
-    states, labels = ts.states, ts.labels
-    weights = ts.weights
-    base = ts.offsets.index_base
+    label. With ``merge`` (default) structurally equal subtrees are shared.
 
-    def counts_of(subset) -> tuple[float, float]:
-        lab = labels if subset is None else labels[subset]
-        if weights is None:
-            c = float(np.count_nonzero(lab))
-            return c, float(lab.size - c)
-        w = weights if subset is None else weights[subset]
-        c = float(w[lab].sum(dtype=np.float64))
-        return c, float(w.sum(dtype=np.float64) - c)
-
-    def rec(subset) -> TernaryTree:
-        c, cbar = counts_of(subset)
-        if c == 0.0 and cbar == 0.0:
-            return LEAF0  # zero-weight subset; class is arbitrary
-        if cbar == 0.0:
-            return LEAF1
-        if c == 0.0:
-            return LEAF0
-        gains, _ = _split_gains(states, labels, weights, subset)
-        col = _pick_column(states, subset, gains)
-        column = _column(states, subset, col)
-        kids = []
-        for v in range(3):
-            sel = np.flatnonzero(column == v).astype(np.int32)
-            kids.append(sel if subset is None else subset[sel])
-        del column, subset
-        d_child = rec(kids[0])
-        s_child = rec(kids[1])
-        b_child = rec(kids[2])
-        return Node(base + col, b=b_child, s=s_child, d=d_child)
-
+    On the exhaustive set (``states`` None) the subsets are slices of the
+    (3,)*16 label and weight tensors; otherwise they are row index arrays.
+    The split choices, and so the tree, are the same either way."""
     if ts.num_records == 0:
         raise ValueError("empty training set")
-    tree = rec(None)
+    tree = _grow(_root_subset(ts), ts.offsets.index_base)
     return merge_tree(tree) if merge else tree
 
 
@@ -334,58 +389,28 @@ def force_shared_second_test(tree: TernaryTree, ts: TrainingSet) -> TernaryTree:
     if len(second) <= 1:
         return tree
 
-    states, labels, weights = ts.states, ts.labels, ts.weights
     base = ts.offsets.index_base
     root_col = tree.offset - base
-    column = _column(states, None, root_col)
-    subsets = [np.flatnonzero(column == v).astype(np.int32) for v in range(3)]
+    subsets = _root_subset(ts).split(root_col)
+    tables = [sub.count_table() for sub in subsets]
 
-    def pure_class(subset) -> int | None:
-        lab = labels[subset]
-        if weights is None:
-            c = int(np.count_nonzero(lab))
-            cbar = lab.size - c
-        else:
-            w = weights[subset]
-            c = float(w[lab].sum())
-            cbar = float(w.sum()) - c
-        if cbar == 0:
-            return 1
-        if c == 0:
-            return 0
-        return None
-
-    total = np.zeros(states.shape[1], dtype=np.float64)
-    for sub in subsets:
-        if pure_class(sub) is None:
-            gains, _ = _split_gains(states, labels, weights, sub)
-            total += gains
+    total = np.zeros(len(ts.offsets), dtype=np.float64)
+    for table in tables:
+        if _pure_leaf(table) is None:
+            total += _split_gains(table)
     shared_col = int(np.argmax(total))
     if total[shared_col] <= 0:
         shared_col = root_col  # degenerate; keep something valid
 
-    def rebuild(subset) -> TernaryTree:
-        cls = pure_class(subset)
-        if cls is not None:
-            return LEAF1 if cls else LEAF0
-        col2 = _column(states, subset, shared_col)
-        kids = []
-        for v in range(3):
-            sel = subset[np.flatnonzero(col2 == v).astype(np.int32)]
-            kids.append(_subtree(sel))
-        return Node(base + shared_col, b=kids[2], s=kids[1], d=kids[0])
+    def rebuild(subset, table) -> TernaryTree:
+        leaf = _pure_leaf(table)
+        if leaf is not None:
+            return leaf
+        d, s, b = (_grow(sub, base) for sub in subset.split(shared_col))
+        return Node(base + shared_col, b=b, s=s, d=d)
 
-    def _subtree(subset) -> TernaryTree:
-        cls = pure_class(subset)
-        if cls is not None:
-            return LEAF1 if cls else LEAF0
-        sub_ts = TrainingSet(states=states[subset], labels=labels[subset],
-                             weights=None if weights is None else weights[subset],
-                             offsets=ts.offsets)
-        return build_tree(sub_ts, merge=False)
-
-    out = Node(tree.offset, b=rebuild(subsets[2]), s=rebuild(subsets[1]),
-               d=rebuild(subsets[0]))
+    out = Node(tree.offset, b=rebuild(subsets[2], tables[2]),
+               s=rebuild(subsets[1], tables[1]), d=rebuild(subsets[0], tables[0]))
     return merge_tree(out)
 
 

@@ -195,7 +195,7 @@ def area_under_curve(curve) -> float:
     grid = np.unique(np.concatenate([xs.clip(0, CURVE_MAX_COUNT),
                                      [0.0, float(CURVE_MAX_COUNT)]]))
     vals = np.interp(grid, xs, rs)
-    return float(np.trapz(vals, grid))
+    return float(np.trapezoid(vals, grid))
 
 
 def noise_sweep(frames, warps, detector, n_features: int, sigmas,

@@ -130,3 +130,21 @@ def match_oracle(queries, targets, eps: float):
     for qx, qy in queries:
         out.append(any((qx - tx) ** 2 + (qy - ty) ** 2 <= e2 for tx, ty in targets))
     return out
+
+
+def exhaustive_count_table(labels, weights, k: int, fixed):
+    """Class weights per column state over the codes 0 .. 3^k - 1.
+
+    Digit j of a code (base 3, least significant first) is the state of
+    column j. Only codes whose column j equals ``fixed[j]`` for every key of
+    ``fixed`` count. Row j of the returned k x 6 list holds the non-corner
+    weight of states 0, 1, 2 of column j, then the corner weight of each.
+    """
+    table = [[0] * 6 for _ in range(k)]
+    for code in range(3**k):
+        digits = [(code // 3**j) % 3 for j in range(k)]
+        if any(digits[j] != v for j, v in fixed.items()):
+            continue
+        for j in range(k):
+            table[j][3 * int(labels[code]) + digits[j]] += int(weights[code])
+    return table

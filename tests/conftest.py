@@ -3,7 +3,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cornerforge import learn
-from cornerforge.datasets import make_dataset, synthetic_base_image
 from cornerforge.image import GrayImage
 
 settings.register_profile(
@@ -21,27 +20,3 @@ def fast9_tree():
     """Exhaustively augmented FAST-9 tree: exactly the segment test."""
     ts = learn.augment_exhaustive(learn.empty_training_set(), 9)
     return learn.build_tree(ts)
-
-
-@pytest.fixture(scope="session")
-def fast12_tree():
-    ts = learn.augment_exhaustive(learn.empty_training_set(), 12)
-    return learn.build_tree(ts)
-
-
-@pytest.fixture(scope="session")
-def bench_tree():
-    """FAST-9 tree trained on frames plus exhaustive padding, second test
-    shared: exact, and fast on natural images."""
-    train = [synthetic_base_image(320, 240, s) for s in (1, 2, 3)]
-    ts = learn.extract_training_data(train, 9, 35, weight_scale=256)
-    ts = learn.augment_exhaustive(ts, 9, low_weight=1)
-    tree = learn.build_tree(ts)
-    return learn.force_shared_second_test(tree, ts)
-
-
-@pytest.fixture(scope="session")
-def bench_dataset():
-    """640x480 four-frame warped + noised sequence with exact pairwise warps."""
-    base = synthetic_base_image(640, 480, 123)
-    return make_dataset(base, 4, 1.0, 2.0, 123)

@@ -6,8 +6,10 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from _oracles import brute_best_split, segment_label
+from _oracles import brute_best_split, exhaustive_count_table, segment_label
 from cornerforge import learn, segment as sg
 from cornerforge.image import GrayImage, make_test_square
 from cornerforge.trees import (Leaf, Node, RING16, merge_tree, tree_depth,
@@ -79,7 +81,7 @@ class TestBestSplit:
         rng = np.random.default_rng(3)
         for _ in range(30):
             ts = random_training_set(rng)
-            gains, _ = learn._split_gains(ts.states, ts.labels, ts.weights, None)
+            gains = learn._split_gains(learn._root_subset(ts).count_table())
             assert (gains >= -1e-9).all()
 
 
@@ -162,7 +164,7 @@ class TestAugment:
         ts = learn.augment_exhaustive(learn.empty_training_set(), 9)
         rng = np.random.default_rng(8)
         for code in rng.integers(0, sg.N_CONFIGS, 200):
-            states = [int(v) for v in ts.states[code]]
+            states = [int(v) for v in learn.states_from_codes([code])[0]]
             assert bool(ts.labels[code]) == segment_label(states, 9)
 
     def test_observed_weights_fold_in(self):
@@ -193,6 +195,49 @@ class TestAugment:
     def test_low_weight_validated(self):
         with pytest.raises(ValueError):
             learn.augment_exhaustive(learn.empty_training_set(), 9, low_weight=0)
+
+
+def segment_test_sample(rng):
+    """Every FAST-9 corner code plus 10^5 random codes."""
+    corners = np.flatnonzero(sg.label_all_configs(9))
+    assert corners.size == 46_658
+    return np.concatenate([corners, rng.integers(0, sg.N_CONFIGS, 100_000)])
+
+
+class TestExhaustiveSet:
+    @given(data=st.data(), k=st.integers(1, 6),
+           scale=st.sampled_from([None, 1, 2**33]))
+    def test_count_table_matches_oracle(self, data, k, scale):
+        # scale None: unit weights; 2**33: sums that only int64 holds
+        shape = (3**k,)
+        labels = data.draw(arrays(np.bool_, shape))
+        unit = scale is None
+        weights = (None if unit else scale * data.draw(
+            arrays(np.int64, shape, elements=st.integers(0, 1000))))
+        fixed = data.draw(st.dictionaries(st.integers(0, k - 1),
+                                          st.integers(0, 2)))
+        sub = learn._Slice.root(labels, weights, k)
+        for col, v in fixed.items():
+            sub = sub.split(col)[v]
+        want = exhaustive_count_table(
+            labels, np.ones(shape, np.int64) if unit else weights, k, fixed)
+        assert sub.count_table().tolist() == want
+
+    def test_tree_equals_segment_test(self, fast9_tree):
+        codes = segment_test_sample(np.random.default_rng(12))
+        got = learn.classify_states(fast9_tree, learn.states_from_codes(codes), 1)
+        assert np.array_equal(got, sg.config_labels(codes, 9))
+
+    def test_shared_second_stays_exact(self, fast9_tree):
+        ts = learn.augment_exhaustive(learn.empty_training_set(), 9)
+        forced = learn.force_shared_second_test(fast9_tree, ts)
+        assert forced != fast9_tree
+        offsets = {c.offset for c in (forced.b, forced.s, forced.d)
+                   if isinstance(c, Node)}
+        assert len(offsets) == 1
+        codes = segment_test_sample(np.random.default_rng(13))
+        got = learn.classify_states(forced, learn.states_from_codes(codes), 1)
+        assert np.array_equal(got, sg.config_labels(codes, 9))
 
 
 class TestSharedSecondTest:
@@ -228,6 +273,22 @@ class TestSharedSecondTest:
         ts = self._image_ts()
         with pytest.raises(ValueError):
             learn.force_shared_second_test(Leaf(0), ts)
+
+    def test_empty_subset_is_non_corner(self):
+        # column 0 is never "similar", so the root's s subset is empty and,
+        # as in build_tree, becomes a non-corner leaf
+        rng = np.random.default_rng(14)
+        states = rng.integers(0, 3, (200, 16)).astype(np.uint8)
+        states[:, 0] = np.where(states[:, 0] == 1, 0, states[:, 0])
+        states = np.unique(states, axis=0)
+        ts = learn.TrainingSet(states=states, labels=states[:, 1] == states[:, 2],
+                               weights=None, offsets=RING16)
+        sub = lambda off: Node(off, b=Leaf(1), s=Leaf(0), d=Leaf(0))
+        forced = learn.force_shared_second_test(
+            Node(1, b=sub(2), s=sub(3), d=sub(2)), ts)
+        assert forced.s == Leaf(0)
+        assert np.array_equal(learn.classify_states(forced, ts.states, 1),
+                              ts.labels)
 
     def test_first_two_tests_read_two_pixels(self):
         ts = self._image_ts()
