@@ -18,7 +18,8 @@ import numpy as np
 
 from .image import GrayImage
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
-from .runtime import _classify_flat
+from .repeatability import _any_within, _row_prefix, make_pairs
+from .runtime import _classify_flat, _interior_flat_positions
 from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
                     tree_size)
 from .warp import project_points
@@ -79,12 +80,6 @@ def _variants(ct: CompiledTree):
     return out
 
 
-def _interior_flat(img: GrayImage, margin: int) -> np.ndarray:
-    xs = np.arange(margin, img.width - margin, dtype=np.int64)
-    ys = np.arange(margin, img.height - margin, dtype=np.int64)
-    return (ys[:, None] * img.width + xs[None, :]).ravel()
-
-
 def _sixteenfold_on_positions(variants, img: GrayImage, pos: np.ndarray,
                               t) -> np.ndarray:
     """OR of the 16 applications at flat positions; later variants only
@@ -110,7 +105,7 @@ def apply_sixteenfold(tree: TernaryTree, img: GrayImage, t: int,
     if img.height <= 2 * margin or img.width <= 2 * margin:
         return field
     ct = CompiledTree(tree, table)
-    pos = _interior_flat(img, margin)
+    pos = _interior_flat_positions(img, margin, margin, img.height - margin)
     hit = _sixteenfold_on_positions(_variants(ct), img, pos, t)
     field.ravel()[pos[hit]] = True
     return field
@@ -226,8 +221,8 @@ def _replace(tree: TernaryTree, path: tuple, new: TernaryTree) -> TernaryTree:
 _SLOTS = ("b", "s", "d")
 
 
-def mutate(tree: TernaryTree, rng: np.random.Generator, table: OffsetTable,
-           with_info: bool = False):
+def mutate(tree: TernaryTree, rng: np.random.Generator,
+           table: OffsetTable) -> TernaryTree:
     """One random structural mutation, preserving the s-leaf constraint.
 
     A uniformly chosen position is mutated: a leaf either grows into a random
@@ -241,18 +236,17 @@ def mutate(tree: TernaryTree, rng: np.random.Generator, table: OffsetTable,
 
     if isinstance(target, Leaf):
         if on_s or int(rng.integers(0, 2)) == 0:
-            new, what = random_depth1_tree(rng, table), "grow"
+            new = random_depth1_tree(rng, table)
         else:
-            new, what = Leaf(1 - target.cls), "flip"
+            new = Leaf(1 - target.cls)
     else:
         choice = int(rng.integers(0, 3))
         if choice == 0:
             idx = table.index_base + int(rng.integers(0, len(table)))
             new = Node(idx, b=target.b, s=target.s, d=target.d)
-            what = "offset"
         elif choice == 1:
             cls = 0 if on_s else int(rng.integers(0, 2))
-            new, what = Leaf(cls), "collapse"
+            new = Leaf(cls)
         else:
             pairs = [
                 (src, dst)
@@ -264,67 +258,19 @@ def mutate(tree: TernaryTree, rng: np.random.Generator, table: OffsetTable,
             src, dst = pairs[int(rng.integers(0, len(pairs)))]
             kwargs = {slot: getattr(target, slot) for slot in _SLOTS}
             kwargs[dst] = kwargs[src]
-            new, what = Node(target.offset, **kwargs), "copy"
+            new = Node(target.offset, **kwargs)
 
-    mutated = _replace(tree, path, new)
-    if with_info:
-        return mutated, {"kind": "leaf" if isinstance(target, Leaf) else "node",
-                         "what": what, "path": path}
-    return mutated
-
-
-class _PairMatch:
-    """Precomputed matching geometry for one ordered frame pair.
-
-    For every interior pixel of the source frame with a valid projection,
-    stores the flat indices of all integer target positions within epsilon of
-    the projection. Matching a candidate detector is then two gathers and a
-    segment reduction, exact against brute-force nearest neighbor.
-    """
-
-    __slots__ = ("src_flat", "cand_ptr", "cand_flat")
-
-    def __init__(self, frame_i: GrayImage, frame_j: GrayImage, warp,
-                 margin: int, epsilon: float):
-        xs = np.arange(margin, frame_i.width - margin, dtype=np.int64)
-        ys = np.arange(margin, frame_i.height - margin, dtype=np.int64)
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()]).astype(np.float64)
-        proj, valid = project_points(warp, pts)
-        self.src_flat = (pts[valid, 1].astype(np.int64) * frame_i.width
-                         + pts[valid, 0].astype(np.int64))
-        pv = proj[valid]
-        c = int(math.ceil(epsilon))
-        eps2 = float(epsilon) ** 2
-        bx = np.floor(pv[:, 0]).astype(np.int64)
-        by = np.floor(pv[:, 1]).astype(np.int64)
-        wj, hj = frame_j.width, frame_j.height
-        cand_masks = []
-        cand_flats = []
-        for ox in range(-c, c + 2):
-            for oy in range(-c, c + 2):
-                cx = bx + ox
-                cy = by + oy
-                d2 = (cx - pv[:, 0]) ** 2 + (cy - pv[:, 1]) ** 2
-                ok = (d2 <= eps2) & (cx >= 0) & (cx < wj) & (cy >= 0) & (cy < hj)
-                cand_masks.append(ok)
-                cand_flats.append(cy * wj + cx)
-        masks = np.stack(cand_masks, axis=1)  # (S, D)
-        flats = np.stack(cand_flats, axis=1)
-        counts = masks.sum(axis=1)
-        self.cand_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.cand_flat = flats[masks]
-
-    def counts(self, det_i_flat: np.ndarray, det_j_flat: np.ndarray) -> tuple[int, int]:
-        useful = det_i_flat[self.src_flat]
-        hits = det_j_flat[self.cand_flat]
-        cs = np.concatenate([[0], np.cumsum(hits)])
-        seg_any = (cs[self.cand_ptr[1:]] - cs[self.cand_ptr[:-1]]) > 0
-        return int(useful.sum()), int((useful & seg_any).sum())
+    return _replace(tree, path, new)
 
 
 class CostEvaluator:
-    """Evaluates Eq-style detector cost on fixed training frames and warps."""
+    """Evaluates Eq-style detector cost on fixed training frames and warps.
+
+    Per ordered pair it keeps the interior source pixels whose projection
+    lands inside frame j, and their projected coordinates. An evaluation
+    matches the detected ones among them against frame j's detections with
+    the repeatability kernel.
+    """
 
     def __init__(self, frames, warps, weights: CostWeights,
                  table: OffsetTable, pairs):
@@ -334,15 +280,18 @@ class CostEvaluator:
         self.weights = weights
         self.table = table
         margin = table.margin
-        self.positions = [_interior_flat(f, margin) for f in self.frames]
-        self.pairs = list(pairs)
-        self.matchers = {}
-        for i, j in self.pairs:
+        self.positions = [
+            _interior_flat_positions(f, margin, margin, f.height - margin)
+            for f in self.frames]
+        self.projections = {}
+        for i, j in pairs:
             if (i, j) not in warps:
                 raise KeyError(f"no warp for training pair ({i}, {j})")
-            self.matchers[(i, j)] = _PairMatch(
-                self.frames[i], self.frames[j], warps[(i, j)], margin,
-                weights.epsilon)
+            pos, w = self.positions[i], self.frames[i].width
+            pts = np.column_stack([pos % w, pos // w]).astype(np.float64)
+            proj, valid = project_points(warps[(i, j)], pts)
+            self.projections[(i, j)] = (pos[valid], proj[valid, 0],
+                                        proj[valid, 1])
 
     def detect_fields(self, tree: TernaryTree) -> list[np.ndarray]:
         ct = CompiledTree(tree, self.table)
@@ -360,26 +309,16 @@ class CostEvaluator:
         counted before any suppression."""
         fields = self.detect_fields(tree)
         d_counts = [int(f.sum()) for f in fields]
+        prefixes = [_row_prefix(f.reshape(frame.height, frame.width))
+                    for f, frame in zip(fields, self.frames)]
         tot_useful = tot_rep = 0
-        for (i, j), matcher in self.matchers.items():
-            useful, rep = matcher.counts(fields[i], fields[j])
-            tot_useful += useful
-            tot_rep += rep
+        for (i, j), (src, px, py) in self.projections.items():
+            useful = fields[i][src]
+            tot_useful += int(useful.sum())
+            tot_rep += int(_any_within(px[useful], py[useful], prefixes[j],
+                                       self.weights.epsilon).sum())
         r = tot_rep / tot_useful if tot_useful else 0.0
         return cost_from_parts(r, d_counts, tree_size(tree), self.weights), r, d_counts
-
-
-@dataclass
-class AnnealState:
-    """Mutable optimizer state; ``best_cost`` never exceeds any accepted cost."""
-
-    tree: TernaryTree
-    cost: float
-    best_tree: TernaryTree
-    best_cost: float
-    iteration: int
-    temperature: float
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -399,8 +338,6 @@ def anneal(frames, warps, weights: CostWeights, seed: int,
     and accepts with probability min(1, exp((k_cur - k_new) / T)) under the
     exponential temperature schedule. Deterministic for a fixed seed.
     """
-    from .repeatability import make_pairs
-
     table = table or default_offsets_48()
     frames = list(frames)
     if pairs is None:
@@ -408,33 +345,28 @@ def anneal(frames, warps, weights: CostWeights, seed: int,
     ev = CostEvaluator(frames, warps, weights, table, pairs)
     rng = np.random.default_rng(seed)
 
-    tree = random_depth1_tree(rng, table)
+    tree = best_tree = random_depth1_tree(rng, table)
     k_cur, _, _ = ev.evaluate(tree)
-    state = AnnealState(tree=tree, cost=k_cur, best_tree=tree, best_cost=k_cur,
-                        iteration=0, temperature=weights.beta, rng=rng)
+    best_cost = k_cur
     trace = [(0.0, k_cur, k_cur, weights.beta)]
 
     for it in range(1, weights.i_max + 1):
         temp = temperature(it, weights)
-        candidate = mutate(state.tree, rng, table)
+        candidate = mutate(tree, rng, table)
         k_new, _, _ = ev.evaluate(candidate)
-        if k_new <= state.cost:
+        if k_new <= k_cur:
             accept = True
         else:
-            arg = (state.cost - k_new) / temp
+            arg = (k_cur - k_new) / temp
             p = math.exp(arg) if arg > -745.0 else 0.0
             accept = rng.random() < p
         if accept:
-            state.tree = candidate
-            state.cost = k_new
-            if k_new < state.best_cost:
-                state.best_tree = candidate
-                state.best_cost = k_new
-        state.iteration = it
-        state.temperature = temp
-        trace.append((float(it), state.cost, state.best_cost, temp))
+            tree, k_cur = candidate, k_new
+            if k_new < best_cost:
+                best_tree, best_cost = candidate, k_new
+        trace.append((float(it), k_cur, best_cost, temp))
 
-    return AnnealResult(best_tree=state.best_tree, best_cost=state.best_cost,
+    return AnnealResult(best_tree=best_tree, best_cost=best_cost,
                         trace=np.asarray(trace, dtype=np.float64), seed=seed)
 
 

@@ -5,10 +5,16 @@ visibly inside frame j; it is repeated when some detection of frame j lies
 within epsilon (Euclidean) of that projection. Several features may match a
 single target detection. The sequence score pools counts over all evaluated
 pairs, which equals the useful-weighted mean of per-pair ratios.
+
+Detections are integer pixels, so one exact kernel does all matching, here
+and in annealing's cost: the targets become a boolean raster with row prefix
+sums, and the cells within epsilon of a query form one run of columns per
+lattice row, so a query costs 2*ceil(epsilon) + 1 pairs of lookups.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +24,6 @@ from .warp import WarpModel, project_points
 
 CURVE_MAX_COUNT = 2000  # aggregate score integrates R over 0..2000 features
 DEFAULT_COUNT_STEP = 25
-BRUTE_FORCE_LIMIT = 10_000  # above this many points, matching uses grid buckets
 
 
 class MissingWarpError(KeyError):
@@ -45,68 +50,80 @@ def _keypoints_xy(points) -> np.ndarray:
     return np.array([(kp.x, kp.y) for kp in points], dtype=np.float64).reshape(-1, 2)
 
 
-def match_within(queries: np.ndarray, targets: np.ndarray, epsilon: float,
-                 method: str = "auto") -> np.ndarray:
+def _row_prefix(raster: np.ndarray) -> np.ndarray:
+    """Row prefix sums of an (h, w) boolean raster, shape (h + 1, w + 1).
+
+    Entry [y, x] counts the set cells of row y left of column x; row h is
+    all zero, so row indices -1 and h both read an empty row.
+    """
+    h, w = raster.shape
+    prefix = np.zeros((h + 1, w + 1), dtype=np.int32)
+    np.cumsum(raster, axis=1, dtype=np.int32, out=prefix[:h, 1:])
+    return prefix
+
+
+def _any_within(qx: np.ndarray, qy: np.ndarray, prefix: np.ndarray,
+                epsilon: float, x0: int = 0, y0: int = 0) -> np.ndarray:
+    """For each query (qx, qy), is a set cell within Euclidean epsilon.
+
+    ``prefix`` is ``_row_prefix`` of a raster whose cell [0, 0] sits at the
+    integer point (x0, y0). The test is ``(cx-qx)**2 + (cy-qy)**2 <=
+    epsilon**2`` in float64 on unshifted coordinates; only integer cells are
+    shifted into the raster. Rows cy = floor(qy) - c .. floor(qy) + c, with
+    c = ceil(epsilon), hold every cell within epsilon. In each row the test
+    holds on one run of columns [lo, hi], because the rounded d2 only grows
+    with |cx - qx|. The run ends come from sqrt, widened by a slack larger
+    than any rounding error and smaller than one cell; one exact d2 test per
+    end then moves each end inward by at most one. A hit is a run whose
+    prefix-sum difference is positive.
+    """
+    c = math.ceil(epsilon)
+    eps2 = float(epsilon) ** 2
+    slack = 1e-6 * (1.0 + epsilon)
+    h, w = prefix.shape[0] - 1, prefix.shape[1] - 1
+    qx = np.asarray(qx, dtype=np.float64)[:, None]
+    qy = np.asarray(qy, dtype=np.float64)[:, None]
+    cy = np.floor(qy).astype(np.int64) + np.arange(-c, c + 1)
+    dy2 = (cy - qy) ** 2
+    r = np.sqrt(np.maximum(eps2 - dy2, 0.0))
+    lo = np.ceil(qx - r - slack).astype(np.int64)
+    lo += (lo - qx) ** 2 + dy2 > eps2
+    hi = np.floor(qx + r + slack).astype(np.int64)
+    hi -= (hi - qx) ** 2 + dy2 > eps2
+    base = np.clip(cy - y0, -1, h) * (w + 1)
+    flat = prefix.ravel()
+    count = (flat[base + np.clip(hi + 1 - x0, 0, w)]
+             - flat[base + np.clip(lo - x0, 0, w)])
+    return (count > 0).any(axis=1)
+
+
+def match_within(queries: np.ndarray, targets: np.ndarray,
+                 epsilon: float) -> np.ndarray:
     """For each query point, is any target within Euclidean distance epsilon.
 
-    "brute" compares all pairs; "grid" buckets targets into epsilon-sized
-    cells and scans the 3x3 cell neighborhood. Both are exact and give
-    identical results; "auto" switches to the grid above 10^4 points.
+    Targets are integer pixel positions (``ValueError`` otherwise). They are
+    rasterised over their bounding box and ``_any_within`` checks each query
+    against it: 2*ceil(epsilon) + 1 lattice rows, one prefix-sum lookup per
+    row end. The result equals comparing every query with every target.
     """
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
-    nq, nt = len(queries), len(targets)
-    if nq == 0 or nt == 0:
-        return np.zeros(nq, dtype=bool)
-    if method == "auto":
-        method = "grid" if max(nq, nt) > BRUTE_FORCE_LIMIT else "brute"
-    eps2 = float(epsilon) ** 2
-
-    if method == "brute":
-        out = np.zeros(nq, dtype=bool)
-        chunk = max(1, 2_000_000 // nt)
-        for s in range(0, nq, chunk):
-            q = queries[s : s + chunk]
-            d2 = ((q[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2)
-            out[s : s + chunk] = (d2 <= eps2).any(axis=1)
-        return out
-    if method != "grid":
-        raise ValueError(f"unknown matching method {method!r}")
-
-    cell = float(epsilon)
-    tcell = np.floor(targets / cell).astype(np.int64)
-    shift = tcell.min(axis=0)
-    tcell -= shift
-    span = int(tcell[:, 1].max()) + 3
-    tkey = tcell[:, 0] * span + tcell[:, 1]
-    order = np.argsort(tkey, kind="stable")
-    tkey_sorted = tkey[order]
-    t_sorted = targets[order]
-
-    qcell = np.floor(queries / cell).astype(np.int64) - shift
-    out = np.zeros(nq, dtype=bool)
-    for ox in (-1, 0, 1):
-        for oy in (-1, 0, 1):
-            key = (qcell[:, 0] + ox) * span + (qcell[:, 1] + oy)
-            lo = np.searchsorted(tkey_sorted, key, side="left")
-            hi = np.searchsorted(tkey_sorted, key, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            rep_q = np.repeat(np.arange(nq), counts)
-            starts = np.repeat(lo, counts)
-            within_seg = np.arange(total) - np.repeat(
-                np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-            tidx = starts + within_seg
-            d2 = ((queries[rep_q] - t_sorted[tidx]) ** 2).sum(axis=1)
-            hit = d2 <= eps2
-            np.logical_or.at(out, rep_q[hit], True)
-    return out
+    if not (np.isfinite(targets).all()
+            and np.array_equal(np.round(targets), targets)):
+        raise ValueError("match targets must be integer pixel positions")
+    cells = targets.astype(np.int64)
+    if len(queries) == 0 or len(targets) == 0:
+        return np.zeros(len(queries), dtype=bool)
+    x0, y0 = cells.min(axis=0)
+    x1, y1 = cells.max(axis=0)
+    raster = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+    raster[cells[:, 1] - y0, cells[:, 0] - x0] = True
+    return _any_within(queries[:, 0], queries[:, 1], _row_prefix(raster),
+                       epsilon, x0, y0)
 
 
-def pair_repeatability(det_i, det_j, warp: WarpModel, epsilon: float,
-                       method: str = "auto") -> RepeatSample:
+def pair_repeatability(det_i, det_j, warp: WarpModel,
+                       epsilon: float) -> RepeatSample:
     """Useful/repeated counts for one ordered image pair."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
@@ -118,7 +135,7 @@ def pair_repeatability(det_i, det_j, warp: WarpModel, epsilon: float,
     if n_useful == 0:
         return RepeatSample(0, 0)
     pts_j = _keypoints_xy(det_j)
-    matched = match_within(proj[valid], pts_j, epsilon, method)
+    matched = match_within(proj[valid], pts_j, epsilon)
     return RepeatSample(n_useful, int(matched.sum()))
 
 
@@ -139,8 +156,7 @@ def _detect_all(frames, detector, n_features):
 
 
 def sequence_repeatability(frames, warps, detector, n_features: int,
-                           epsilon: float, pairs=None,
-                           method: str = "auto") -> float:
+                           epsilon: float, pairs=None) -> float:
     """Pooled repeated/useful ratio over all evaluated ordered pairs.
 
     ``warps`` maps ordered pairs (i, j) to WarpModels; every evaluated pair
@@ -155,7 +171,7 @@ def sequence_repeatability(frames, warps, detector, n_features: int,
         if (i, j) not in warps:
             raise MissingWarpError(f"no warp for frame pair ({i}, {j})")
         sample = pair_repeatability(detections[i], detections[j],
-                                    warps[(i, j)], epsilon, method)
+                                    warps[(i, j)], epsilon)
         tot_useful += sample.n_useful
         tot_rep += sample.n_repeated
     return tot_rep / tot_useful if tot_useful else 0.0

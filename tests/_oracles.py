@@ -123,12 +123,17 @@ def nms_oracle(points):
     return sorted(kept, key=lambda p: (p.y, p.x))
 
 
-def match_oracle(queries, targets, eps: float):
-    """Per-query: any target within Euclidean eps (plain loops)."""
+def any_within(queries, targets, eps: float):
+    """Per-query: any target within Euclidean eps (plain loops).
+
+    Squares are products, rounded once as in NumPy; Python's ``x ** 2``
+    calls the C library's pow, which may be one unit in the last place off.
+    """
     out = []
     e2 = eps * eps
     for qx, qy in queries:
-        out.append(any((qx - tx) ** 2 + (qy - ty) ** 2 <= e2 for tx, ty in targets))
+        out.append(any((qx - tx) * (qx - tx) + (qy - ty) * (qy - ty) <= e2
+                       for tx, ty in targets))
     return out
 
 

@@ -1,0 +1,145 @@
+import numpy as np
+import pytest
+
+from _oracles import any_within
+from conftest import random_image
+from cornerforge import annealing as an
+from cornerforge.datasets import make_dataset, synthetic_base_image
+from cornerforge.image import GrayImage
+from cornerforge.repeatability import make_pairs
+from cornerforge.trees import LEAF0, Leaf, Node, tree_size
+from cornerforge.warp import project_points
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    """48x40, 3 frames, like `make-dataset --synthetic 48x40 --frames 3`."""
+    frames, warps, _ = make_dataset(synthetic_base_image(48, 40, 1), 3,
+                                    1.0, 2.0, 1)
+    return frames, warps
+
+
+def random_tree(seed: int, mutations: int = 6):
+    rng = np.random.default_rng(seed)
+    table = an.default_offsets_48()
+    tree = an.random_depth1_tree(rng, table)
+    for _ in range(mutations):
+        tree = an.mutate(tree, rng, table)
+    return tree
+
+
+def conjunction_tree(seed: int, k: int):
+    """Corner iff k random offsets each have one required state (brighter
+    or darker): a selective detector, unlike most small random trees."""
+    rng = np.random.default_rng(seed)
+    tree = Leaf(1)
+    for _ in range(k):
+        offset, bright = int(rng.integers(0, 48)), bool(rng.integers(0, 2))
+        tree = Node(offset, b=tree if bright else LEAF0, s=LEAF0,
+                    d=LEAF0 if bright else tree)
+    return tree
+
+
+TREES = [conjunction_tree(seed, 2 + seed % 3) for seed in range(4)] + [
+    random_tree(0), random_tree(1)]
+
+
+def oracle_repeatability(frames, warps, fields, pairs, eps) -> tuple[int, int]:
+    """Useful/repeated totals: project every detected pixel, then compare it
+    with every detection of the other frame in plain Python."""
+    useful = repeated = 0
+    for i, j in pairs:
+        wi, wj = frames[i].width, frames[j].width
+        src = np.flatnonzero(fields[i])
+        proj, valid = project_points(
+            warps[(i, j)], np.column_stack([src % wi, src // wi]))
+        targets = [(int(p % wj), int(p // wj)) for p in np.flatnonzero(fields[j])]
+        queries = proj[valid].tolist()
+        useful += len(queries)
+        repeated += sum(any_within(queries, targets, eps))
+    return useful, repeated
+
+
+class TestCostEvaluator:
+    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("eps", [1.5, 5.0])
+    def test_counts_match_oracle(self, dataset, tree, eps):
+        frames, warps = dataset
+        weights = an.CostWeights(epsilon=eps)
+        pairs = make_pairs(len(frames))
+        ev = an.CostEvaluator(frames, warps, weights, an.default_offsets_48(),
+                              pairs)
+        fields = ev.detect_fields(tree)
+        useful, repeated = oracle_repeatability(frames, warps, fields, pairs, eps)
+        cost, r, d_counts = ev.evaluate(tree)
+        assert d_counts == [int(f.sum()) for f in fields]
+        assert r == (repeated / useful if useful else 0.0)
+        assert cost == an.cost_from_parts(r, d_counts, tree_size(tree), weights)
+
+    def test_oracle_sees_partial_matches(self, dataset):
+        # The trees above are not all trivial: some have both useful
+        # features that repeat and useful features that do not.
+        frames, warps = dataset
+        pairs = make_pairs(len(frames))
+        ev = an.CostEvaluator(frames, warps, an.CostWeights(),
+                              an.default_offsets_48(), pairs)
+        fields = ev.detect_fields(TREES[0])
+        useful, repeated = oracle_repeatability(frames, warps, fields, pairs, 5.0)
+        assert 0 < repeated < useful
+
+
+class TestAnneal:
+    def test_deterministic_per_seed(self, dataset):
+        frames, warps = dataset
+        weights = an.CostWeights(i_max=8)
+        a = an.anneal(frames, warps, weights, seed=3)
+        b = an.anneal(frames, warps, weights, seed=3)
+        assert np.array_equal(a.trace, b.trace)
+        assert a.best_tree == b.best_tree and a.best_cost == b.best_cost
+
+    def test_trace_rows_and_running_minimum(self, dataset):
+        frames, warps = dataset
+        weights = an.CostWeights(i_max=8)
+        res = an.anneal(frames, warps, weights, seed=4)
+        trace = res.trace
+        assert trace.shape == (weights.i_max + 1, 4)
+        assert trace[:, 0].tolist() == list(range(weights.i_max + 1))
+        assert np.array_equal(trace[:, 2], np.minimum.accumulate(trace[:, 1]))
+        assert res.best_cost == trace[-1, 2]
+        ev = an.CostEvaluator(frames, warps, weights, an.default_offsets_48(),
+                              make_pairs(len(frames)))
+        assert ev.evaluate(res.best_tree)[0] == res.best_cost
+
+    def test_multi_run_same_for_any_jobs(self, dataset):
+        frames, warps = dataset
+        weights = an.CostWeights(i_max=4)
+        runs = [an.multi_run(frames, warps, weights, 2, base_seed=5, jobs=jobs)
+                for jobs in (1, 2)]
+        (best1, all1), (best2, all2) = runs
+        assert best1.seed == best2.seed and best1.best_tree == best2.best_tree
+        assert [r.seed for r in all1] == [r.seed for r in all2] == [5, 6]
+        for r1, r2 in zip(all1, all2):
+            assert np.array_equal(r1.trace, r2.trace)
+
+
+TRANSFORMS = {
+    "transpose": (lambda a: a.T, lambda f: f.T),
+    "flip-x": (lambda a: a[:, ::-1], lambda f: f[:, ::-1]),
+    "flip-y": (lambda a: a[::-1], lambda f: f[::-1]),
+    "invert": (lambda a: 255 - a, lambda f: f),
+}
+
+
+class TestSixteenfoldSymmetry:
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_transformed_image_gives_transformed_field(self, name, seed):
+        on_image, on_field = TRANSFORMS[name]
+        rng = np.random.default_rng(seed)
+        img = random_image(rng) if seed else synthetic_base_image(48, 40, 2)
+        tree = conjunction_tree(seed + 10, 3)
+        field = an.apply_sixteenfold(tree, img, 35)
+        assert 0 < field.sum() < field.size // 3
+        moved = GrayImage(np.ascontiguousarray(on_image(img.pixels)))
+        assert np.array_equal(an.apply_sixteenfold(tree, moved, 35),
+                              on_field(field))

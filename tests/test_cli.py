@@ -1,9 +1,71 @@
 import numpy as np
+import pytest
 
 from cornerforge import learn, segment as sg
+from cornerforge.annealing import apply_sixteenfold
 from cornerforge.cli import EXIT_OK, main
-from cornerforge.image import GrayImage, save_pgm
+from cornerforge.image import GrayImage, load_image, save_pgm
+from cornerforge.runtime import detect, read_keypoints
 from cornerforge.trees import deserialize_tree
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    data = tmp_path_factory.mktemp("cli") / "data"
+    assert main(["make-dataset", "--synthetic", "48x40", "--frames", "3",
+                 "--seed", "1", "--out", str(data)]) == EXIT_OK
+    return data
+
+
+def csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+def test_detect_writes_parseable_keypoints(small_dataset, tmp_path):
+    frame = small_dataset / "frame_000.pgm"
+    out = tmp_path / "kp.txt"
+    assert main(["detect", str(frame), "--out", str(out)]) == EXIT_OK
+    with open(out) as f:
+        kps = read_keypoints(f)
+    img = load_image(frame)
+    assert kps
+    assert all(3 <= kp.x < img.width - 3 and 3 <= kp.y < img.height - 3
+               and 35 <= kp.score <= 255 for kp in kps)
+
+
+def test_bench_writes_one_row(small_dataset, tmp_path):
+    out = tmp_path / "bench.csv"
+    frames = sorted(str(p) for p in small_dataset.glob("frame_*.pgm"))
+    assert main(["bench", *frames, "--repeats", "1", "--warmup", "0",
+                 "--out", str(out)]) == EXIT_OK
+    rows = csv_rows(out)
+    assert rows[0] == ["algo", "mpix_per_s", "median_seconds", "total_pixels"]
+    assert len(rows) == 2 and rows[1][0] == "fast-ref-9"
+    assert float(rows[1][1]) > 0 and int(rows[1][3]) == 3 * 48 * 40
+
+
+def test_anneal_then_distill(small_dataset, tmp_path):
+    prefix = str(tmp_path / "a_")
+    assert main(["anneal", "--dataset", str(small_dataset), "--imax", "3",
+                 "--runs", "1", "--out", prefix]) == EXIT_OK
+    best = tmp_path / "a_best.tree"
+    _, table = deserialize_tree(best.read_bytes())
+    assert len(table) == 48
+    run = csv_rows(tmp_path / "a_run0.csv")
+    assert run[0] == ["iteration", "cost", "best_cost", "temperature"]
+    assert [int(r[0]) for r in run[1:]] == [0, 1, 2, 3]
+    out = tmp_path / "single.tree"
+    assert main(["distill", "--tree", str(best), "--dataset", str(small_dataset),
+                 "--out", str(out)]) == EXIT_OK
+    single, table = deserialize_tree(out.read_bytes())
+    assert len(table) == 48
+    tree, _ = deserialize_tree(best.read_bytes())
+    for frame in sorted(small_dataset.glob("frame_*.pgm")):
+        img = load_image(frame)
+        ys, xs = np.nonzero(apply_sixteenfold(tree, img, 35, table))
+        want = np.column_stack([xs, ys])
+        assert np.array_equal(detect(single, img, 35, table), want)
 
 
 def test_eval_repeat_writes_curves_and_auc(tmp_path):
