@@ -137,12 +137,11 @@ class CostWeights:
     beta: float = 100.0
     t: int = 35
     i_max: int = 100_000
-    runs: int = 100
     epsilon: float = 5.0
 
     def __post_init__(self):
         for name in ("w_r", "w_n", "w_s", "alpha", "beta", "t", "i_max",
-                     "runs", "epsilon"):
+                     "epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -1,7 +1,9 @@
 """Comparison detectors: Harris, Shi-Tomasi, and a random scatter baseline.
 
-Gradients are central differences on an edge-replicated border; the structure
-tensor is smoothed with a Gaussian truncated at 3 sigma and renormalized.
+Like the segment-test detectors they return keypoint rows: (N, 3) float64
+arrays of x, y, score. Gradients are central differences on an
+edge-replicated border; the structure tensor is smoothed with a Gaussian
+truncated at 3 sigma and renormalized.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage
-from .runtime import Keypoint, _nms_keep_field, top_n_by_score
+from .runtime import keypoint_rows, suppress_scored_arrays
 
 HARRIS_K = 0.04  # standard free parameter for the det - k*trace^2 response
 
@@ -86,29 +88,28 @@ def shi_tomasi_response(tensor: StructureTensor) -> np.ndarray:
     return half_tr - np.sqrt(half_diff**2 + tensor.axy**2)
 
 
-def detect_response(field: np.ndarray, n_features: int,
-                    margin: int = 0) -> list[Keypoint]:
-    """3x3 NMS over a response field, then the top n by response.
+def detect_response(field: np.ndarray, margin: int = 0) -> np.ndarray:
+    """Keypoint rows of a response field: 3x3 non-maximal suppression of its
+    positive cells, then only rows at least ``margin`` from the border.
 
     Only strictly positive responses are candidates (feature-count control is
-    equivalent to thresholding on the response). Non-maximal suppression uses
-    the shared keep rule: survive iff no 8-neighbor is strictly greater and no
-    raster-earlier neighbor is equal.
+    equivalent to thresholding on the response). A positive cell is never
+    suppressed by a non-positive neighbor, so suppressing among the positive
+    cells alone keeps what suppressing the whole field would. Rows are in
+    raster order.
     """
-    keep = _nms_keep_field(field) & (field > 0)
-    if margin:
-        inner = np.zeros_like(keep)
-        if field.shape[0] > 2 * margin and field.shape[1] > 2 * margin:
-            inner[margin:-margin, margin:-margin] = True
-        keep &= inner
-    ys, xs = np.nonzero(keep)
-    kps = [Keypoint(int(x), int(y), float(field[y, x])) for x, y in zip(xs, ys)]
-    return top_n_by_score(kps, n_features, split_ties=True)
+    ys, xs = np.nonzero(field > 0)
+    kxs, kys, ks = suppress_scored_arrays(xs, ys, field[ys, xs], field.shape)
+    h, w = field.shape
+    inner = ((kxs >= margin) & (kxs < w - margin)
+             & (kys >= margin) & (kys < h - margin))
+    return keypoint_rows(kxs[inner], kys[inner], ks[inner])
 
 
 def detect_random(img: GrayImage, n_features: int, seed,
-                  margin: int = 3) -> list[Keypoint]:
-    """n distinct uniform interior positions, deterministic per seed.
+                  margin: int = 3) -> np.ndarray:
+    """Rows of n distinct uniform interior positions in raster order,
+    deterministic per seed.
 
     Positions are independent of pixel content; all scores are 1.
     """
@@ -119,11 +120,8 @@ def detect_random(img: GrayImage, n_features: int, seed,
     total = iw * ih
     if n_features > total:
         raise ValueError(f"requested {n_features} features from {total} interior pixels")
-    if n_features <= 0:
-        return []
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(total, size=n_features, replace=False)
+    flat = np.random.default_rng(seed).choice(total, size=max(n_features, 0),
+                                              replace=False)
     flat.sort()
-    xs = flat % iw + margin
-    ys = flat // iw + margin
-    return [Keypoint(int(x), int(y), 1.0) for x, y in zip(xs, ys)]
+    return keypoint_rows(flat % iw + margin, flat // iw + margin,
+                         np.ones(len(flat)))

@@ -293,8 +293,7 @@ def cmd_anneal(args) -> int:
     warps = _load_warps(d, frames, pairs)
     weights = CostWeights(w_r=args.wr, w_n=args.wn, w_s=args.ws,
                           alpha=args.alpha, beta=args.beta, t=args.t,
-                          i_max=args.imax, runs=args.runs,
-                          epsilon=args.epsilon)
+                          i_max=args.imax, epsilon=args.epsilon)
     seeds = [args.seed + k for k in range(args.runs)]
     best, results = multi_run(frames, warps, weights, args.runs, seeds=seeds,
                               jobs=args.jobs)

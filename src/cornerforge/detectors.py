@@ -1,12 +1,16 @@
 """Uniform detector interface for evaluation and the CLI.
 
-A detector produces a scored, suppressed keypoint list per image (cached per
-frame) and controls the feature count through ``top_n_by_score``; detectors
-with discrete scores return the closest achievable count instead of splitting
-score ties.
+A detector turns an image into keypoint rows: an (N, 3) float64 array of
+x, y, score after 3x3 non-maximal suppression. Each frame's rows are ranked
+once by (-score, y, x) and cached, and ``detect(img, n)`` is a prefix of
+that ranking (``top_n_by_score``). Detectors with discrete scores return the
+closest achievable count instead of splitting score ties; Harris and
+Shi-Tomasi split ties in raster order.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -15,42 +19,42 @@ from .annealing import (apply_sixteenfold, default_offsets_48,
 from .baselines import (detect_random, detect_response, harris_response,
                         shi_tomasi_response, structure_tensor)
 from .image import GrayImage
-from .runtime import (Keypoint, compile_tree, nonmax_suppress,
-                      scored_keypoints, suppress_scored_arrays, top_n_by_score)
+from .runtime import (classify_positions, compile_tree, detect, keypoint_rows,
+                      rank_by_score, score_positions_bisect,
+                      suppress_scored_arrays, top_n_by_score)
 from .segment import segment_score_field
 from .trees import OffsetTable, RING16, TernaryTree
 
 
 class FeatureDetector:
-    """Base: cached scored keypoints + count-controlled detection."""
+    """Base: cached ranked keypoint rows + count-controlled detection."""
 
     name = "base"
     split_ties = False
 
     def __init__(self):
-        self._cache: dict[int, tuple[GrayImage, list[Keypoint]]] = {}
+        self._cache: dict[int, tuple[GrayImage, np.ndarray]] = {}
 
-    def scored_keypoints(self, img: GrayImage) -> list[Keypoint]:
+    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
+        """Suppressed keypoint rows of one image, in any order."""
         raise NotImplementedError
 
     def clear_cache(self) -> None:
         self._cache.clear()
 
-    def _cached(self, img: GrayImage) -> list[Keypoint]:
+    def all_keypoints(self, img: GrayImage) -> np.ndarray:
+        """Every suppressed keypoint of the image, ranked by (-score, y, x);
+        cached per frame and read-only."""
         entry = self._cache.get(id(img))
-        if entry is not None and entry[0] is img:
-            return entry[1]
-        kps = self.scored_keypoints(img)
-        self._cache[id(img)] = (img, kps)
-        return kps
-
-    def all_keypoints(self, img: GrayImage) -> list[Keypoint]:
-        """Full scored, suppressed keypoint list (cached per frame)."""
-        return self._cached(img)
+        if entry is None or entry[0] is not img:
+            ranked = rank_by_score(self.scored_keypoints(img))
+            ranked.flags.writeable = False
+            entry = self._cache[id(img)] = (img, ranked)
+        return entry[1]
 
     def detect(self, img: GrayImage, n_features: int,
-               frame_key=None) -> list[Keypoint]:
-        return top_n_by_score(self._cached(img), n_features,
+               frame_key=None) -> np.ndarray:
+        return top_n_by_score(self.all_keypoints(img), n_features,
                               split_ties=self.split_ties)
 
 
@@ -63,29 +67,30 @@ class FastRefDetector(FeatureDetector):
         self.t_min = t_min
         self.name = f"fast-ref-{n}"
 
-    def scored_keypoints(self, img: GrayImage) -> list[Keypoint]:
+    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
         field = segment_score_field(img, self.n)
         ys, xs = np.nonzero(field >= self.t_min)
-        kxs, kys, ks = suppress_scored_arrays(xs, ys, field[ys, xs], field.shape)
-        return [Keypoint(int(x), int(y), int(s)) for x, y, s in zip(kxs, kys, ks)]
+        return keypoint_rows(*suppress_scored_arrays(xs, ys, field[ys, xs],
+                                                     field.shape))
 
 
 class TreeDetector(FeatureDetector):
     """Learned single-tree detector; scores by bisection."""
 
     def __init__(self, tree: TernaryTree, table: OffsetTable = RING16,
-                 t_min: int = 1, strips: int = 1):
+                 t_min: int = 1):
         super().__init__()
         self.tree = tree
         self.table = table
         self.compiled = compile_tree(tree, table)
         self.t_min = t_min
-        self.strips = strips
         self.name = "fast-tree"
 
-    def scored_keypoints(self, img: GrayImage) -> list[Keypoint]:
-        return scored_keypoints(self.compiled, img, self.t_min, self.table,
-                                strips=self.strips)
+    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
+        xs, ys = detect(self.compiled, img, self.t_min).T
+        scores = score_positions_bisect(
+            partial(classify_positions, self.compiled, img), xs, ys, self.t_min)
+        return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
 
 
 class SixteenFoldDetector(FeatureDetector):
@@ -99,24 +104,13 @@ class SixteenFoldDetector(FeatureDetector):
         self.t_min = t_min
         self.name = "faster"
 
-    def scored_keypoints(self, img: GrayImage) -> list[Keypoint]:
-        field = apply_sixteenfold(self.tree, img, self.t_min, self.table)
-        ys, xs = np.nonzero(field)
-        if not len(xs):
-            return []
-        lo = np.full(xs.shape, self.t_min, dtype=np.int16)
-        hi = np.full(xs.shape, 255, dtype=np.int16)
-        while True:
-            active = np.flatnonzero(lo < hi)
-            if not active.size:
-                break
-            mid = (lo[active] + hi[active] + 1) // 2
-            res = sixteenfold_classify_positions(
-                self.tree, img, xs[active], ys[active], mid, self.table)
-            lo[active[res]] = mid[res]
-            hi[active[~res]] = mid[~res] - 1
-        kps = [Keypoint(int(x), int(y), int(s)) for x, y, s in zip(xs, ys, lo)]
-        return nonmax_suppress(kps)
+    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
+        ys, xs = np.nonzero(apply_sixteenfold(self.tree, img, self.t_min,
+                                              self.table))
+        scores = score_positions_bisect(
+            partial(sixteenfold_classify_positions, self.tree, img,
+                    table=self.table), xs, ys, self.t_min)
+        return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
 
 
 class HarrisDetector(FeatureDetector):
@@ -132,9 +126,8 @@ class HarrisDetector(FeatureDetector):
     def _response(self, img: GrayImage) -> np.ndarray:
         return harris_response(structure_tensor(img, self.sigma), self.k)
 
-    def scored_keypoints(self, img: GrayImage) -> list[Keypoint]:
-        field = self._response(img)
-        return detect_response(field, field.size, margin=self.margin)
+    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
+        return detect_response(self._response(img), margin=self.margin)
 
 
 class ShiTomasiDetector(HarrisDetector):
@@ -159,11 +152,11 @@ class RandomDetector(FeatureDetector):
         self.margin = margin
         self.name = "random"
 
-    def scored_keypoints(self, img: GrayImage) -> list[Keypoint]:
+    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
         raise NotImplementedError("random baseline has no response to score")
 
     def detect(self, img: GrayImage, n_features: int,
-               frame_key=None) -> list[Keypoint]:
+               frame_key=None) -> np.ndarray:
         derived = int(np.random.SeedSequence(
             (self.seed, 0 if frame_key is None else int(frame_key))
         ).generate_state(1)[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import GrayImage, add_gaussian_noise
-from .warp import WarpModel, project_points
+from .warp import Homography, project_points
 
 CURVE_MAX_COUNT = 2000  # aggregate score integrates R over 0..2000 features
 DEFAULT_COUNT_STEP = 25
@@ -42,12 +42,6 @@ class RepeatSample:
     @property
     def ratio(self) -> float:
         return self.n_repeated / self.n_useful if self.n_useful else 0.0
-
-
-def _keypoints_xy(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return points.reshape(-1, 2).astype(np.float64)
-    return np.array([(kp.x, kp.y) for kp in points], dtype=np.float64).reshape(-1, 2)
 
 
 def _row_prefix(raster: np.ndarray) -> np.ndarray:
@@ -122,20 +116,18 @@ def match_within(queries: np.ndarray, targets: np.ndarray,
                        epsilon, x0, y0)
 
 
-def pair_repeatability(det_i, det_j, warp: WarpModel,
+def pair_repeatability(det_i: np.ndarray, det_j: np.ndarray, warp: Homography,
                        epsilon: float) -> RepeatSample:
-    """Useful/repeated counts for one ordered image pair."""
+    """Useful/repeated counts for one ordered image pair of keypoint rows."""
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    pts_i = _keypoints_xy(det_i)
-    if len(pts_i) == 0:
+    if len(det_i) == 0:
         return RepeatSample(0, 0)
-    proj, valid = project_points(warp, pts_i)
+    proj, valid = project_points(warp, det_i[:, :2])
     n_useful = int(valid.sum())
     if n_useful == 0:
         return RepeatSample(0, 0)
-    pts_j = _keypoints_xy(det_j)
-    matched = match_within(proj[valid], pts_j, epsilon)
+    matched = match_within(proj[valid], det_j[:, :2], epsilon)
     return RepeatSample(n_useful, int(matched.sum()))
 
 
@@ -159,7 +151,7 @@ def sequence_repeatability(frames, warps, detector, n_features: int,
                            epsilon: float, pairs=None) -> float:
     """Pooled repeated/useful ratio over all evaluated ordered pairs.
 
-    ``warps`` maps ordered pairs (i, j) to WarpModels; every evaluated pair
+    ``warps`` maps ordered pairs (i, j) to homographies; every evaluated pair
     must be present.
     """
     frames = list(frames)

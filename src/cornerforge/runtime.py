@@ -1,61 +1,24 @@
-"""Applying decision trees to images: detection, corner scores, suppression.
+"""Applying decision trees to images: detection, corner scores, suppression,
+feature-count control and the keypoint file.
 
-The corner score of a pixel is the largest threshold at which it still
-classifies as a corner; scores drive 3x3 non-maximal suppression and
-feature-count control.
+A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
+Positions and the integer scores of segment-test detectors are exact in
+float64; response detectors keep their float scores. The corner score of a
+pixel is the largest threshold at which it still classifies as a corner.
+Scores drive 3x3 non-maximal suppression and feature-count control; the top
+n keypoints are a prefix of the rows ranked by (-score, y, x).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .image import GrayImage
-from .segment import pixel_state
-from .trees import CompiledTree, Leaf, Node, OffsetTable, RING16, TernaryTree
-
-
-class NotACornerError(ValueError):
-    """Scored pixel does not classify as a corner at the minimum threshold."""
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    """Detected corner: integer position plus score.
-
-    Segment-test detectors produce integer scores in [1, 255] (threshold
-    units); response-based detectors produce float scores.
-    """
-
-    x: int
-    y: int
-    score: float
-
-
-def _raster_key(kp: Keypoint):
-    return (kp.y, kp.x)
+from .trees import CompiledTree, OffsetTable, RING16, TernaryTree
 
 
 def compile_tree(tree: TernaryTree, table: OffsetTable = RING16) -> CompiledTree:
     return CompiledTree(tree, table)
-
-
-def classify_pixel(tree: TernaryTree, img: GrayImage, p: tuple[int, int],
-                   t: int, table: OffsetTable = RING16) -> bool:
-    """Walk the tree at one pixel: each node reads its offset pixel and
-    branches on the darker/similar/brighter state."""
-    x, y = p
-    margin = table.margin
-    if not (margin <= x < img.width - margin and margin <= y < img.height - margin):
-        raise ValueError(f"({x},{y}) is within {margin} pixels of an edge")
-    c = img.at(x, y)
-    node = tree
-    while isinstance(node, Node):
-        dx, dy = table.xy(node.offset)
-        st = pixel_state(c, img.at(x + dx, y + dy), t)
-        node = (node.d, node.s, node.b)[int(st)]
-    return bool(node.cls)
 
 
 def _classify_flat(ct: CompiledTree, flat: np.ndarray, width: int,
@@ -124,36 +87,6 @@ def _shared_first_two(ct: CompiledTree):
     return int(ct.dx[root]), int(ct.dy[root]), dx2, dy2, lut
 
 
-def _detect_block(ct: CompiledTree, img: GrayImage, t: int, margin: int,
-                  y0: int, y1: int, plan) -> np.ndarray:
-    """Raster-sorted flat hit positions for interior rows [y0, y1)."""
-    flat = img.pixels.ravel()
-    w = img.width
-    pos = _interior_flat_positions(img, margin, y0, y1)
-    if plan is None:
-        res = _classify_flat(ct, flat, w, pos, t)
-        return pos[res]
-
-    dx1, dy1, dx2, dy2, lut = plan
-    a = img.pixels
-    x1 = w - margin
-    c = a[y0:y1, margin:x1].astype(np.int16)
-    hi = c + t
-    lo = c - t
-    r1 = a[y0 + dy1 : y1 + dy1, margin + dx1 : x1 + dx1]
-    st1 = (r1 >= hi).view(np.int8) - (r1 <= lo).view(np.int8)
-    r2 = a[y0 + dy2 : y1 + dy2, margin + dx2 : x1 + dx2]
-    st2 = (r2 >= hi).view(np.int8) - (r2 <= lo).view(np.int8)
-    cur = lut[(st1 * np.int8(3) + st2 + np.int8(4)).ravel()]
-    hits = [pos[cur == -2]]
-    live = cur >= 0
-    if live.any():
-        pos_live = pos[live]
-        res = _classify_flat(ct, flat, w, pos_live, t, start=cur[live])
-        hits.append(pos_live[res])
-    return np.sort(np.concatenate(hits))
-
-
 def classify_positions(tree: TernaryTree, img: GrayImage, xs, ys, t,
                        table: OffsetTable = RING16) -> np.ndarray:
     """Vectorized classification at explicit positions; ``t`` may be an array."""
@@ -172,114 +105,66 @@ def _interior_flat_positions(img: GrayImage, margin: int,
 
 
 def detect(tree: TernaryTree, img: GrayImage, t: int,
-           table: OffsetTable = RING16, strategy: str = "batch",
-           strips: int = 1) -> np.ndarray:
-    """All interior positions the tree classifies as corners, raster order.
+           table: OffsetTable = RING16) -> np.ndarray:
+    """All interior positions the tree classifies as corners at threshold t,
+    as (M, 2) int32 [x, y] rows in raster order.
 
-    ``strategy`` "batch" evaluates the tree level-wise over whole pixel blocks;
-    "naive" walks the tree pixel by pixel. Both give identical output, as does
-    any horizontal ``strips`` count (strip results concatenate in raster
-    order).
+    The tree is evaluated level-wise over the whole interior. When the
+    root's children share one offset, the first two levels are two
+    whole-array comparisons (``_shared_first_two``).
     """
     if t < 1:
         raise ValueError("threshold must be >= 1")
-    if isinstance(tree, CompiledTree):
-        table = tree.table
-    margin = table.margin
+    ct = tree if isinstance(tree, CompiledTree) else compile_tree(tree, table)
+    margin = ct.margin
     h, w = img.height, img.width
     if h <= 2 * margin or w <= 2 * margin:
         return np.zeros((0, 2), dtype=np.int32)
-
-    if strategy == "naive":
-        if isinstance(tree, CompiledTree):
-            raise ValueError("naive strategy walks the node tree, not a compiled one")
-        hits = [(x, y)
-                for y in range(margin, h - margin)
-                for x in range(margin, w - margin)
-                if classify_pixel(tree, img, (x, y), t, table)]
-        return np.asarray(hits, dtype=np.int32).reshape(-1, 2)
-    if strategy != "batch":
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    ct = tree if isinstance(tree, CompiledTree) else compile_tree(tree, table)
+    flat = img.pixels.ravel()
+    pos = _interior_flat_positions(img, margin, margin, h - margin)
     plan = _shared_first_two(ct)
-    rows = np.linspace(margin, h - margin, max(1, strips) + 1).astype(int)
-    found = [_detect_block(ct, img, t, margin, y0, y1, plan)
-             for y0, y1 in zip(rows[:-1], rows[1:]) if y0 < y1]
-    if not found:
-        return np.zeros((0, 2), dtype=np.int32)
-    hit = np.concatenate(found)
+    if plan is None:
+        fired = _classify_flat(ct, flat, w, pos, t)
+    else:
+        dx1, dy1, dx2, dy2, lut = plan
+        a = img.pixels
+        c = a[margin : h - margin, margin : w - margin].astype(np.int16)
+        hi = c + t
+        lo = c - t
+
+        def states(dx, dy):
+            r = a[margin + dy : h - margin + dy, margin + dx : w - margin + dx]
+            return (r >= hi).view(np.int8) - (r <= lo).view(np.int8)
+
+        cur = lut[(states(dx1, dy1) * np.int8(3) + states(dx2, dy2)
+                   + np.int8(4)).ravel()]
+        fired = cur == -2
+        live = cur >= 0
+        fired[live] = _classify_flat(ct, flat, w, pos[live], t, start=cur[live])
+    hit = pos[fired]
     return np.column_stack([hit % w, hit // w]).astype(np.int32)
 
 
-def corner_score_bisect(tree: TernaryTree, img: GrayImage, p: tuple[int, int],
-                        table: OffsetTable = RING16) -> int:
-    """Largest t in [1, 255] at which the pixel classifies as a corner,
-    found by binary search on the (monotone) classification."""
-    if not classify_pixel(tree, img, p, 1, table):
-        raise NotACornerError(f"{p} is not a corner at t=1")
-    lo, hi = 1, 255
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if classify_pixel(tree, img, p, mid, table):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def score_positions_bisect(classify, xs, ys, known_true_t: int = 1) -> np.ndarray:
+    """Corner scores of positions that fire at ``known_true_t``: the largest
+    t in [known_true_t, 255] at which they still classify as corners.
 
-
-def score_positions_bisect(tree: TernaryTree, img: GrayImage, xs, ys,
-                           known_true_t: int = 1,
-                           table: OffsetTable = RING16) -> np.ndarray:
-    """Vectorized bisection scores for positions already known to classify
-    true at ``known_true_t``."""
-    ct = tree if isinstance(tree, CompiledTree) else compile_tree(tree, table)
-    flat = img.pixels.ravel()
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    pos = ys * img.width + xs
-    lo = np.full(pos.shape, known_true_t, dtype=np.int16)
-    hi = np.full(pos.shape, 255, dtype=np.int16)
+    ``classify(xs, ys, t)`` classifies positions at per-position thresholds,
+    e.g. ``partial(classify_positions, tree, img)``. The search bisects, so
+    it assumes classification is monotone in t. Returns int32 scores.
+    """
+    xs = np.asarray(xs)
+    ys = np.asarray(ys)
+    lo = np.full(xs.shape, known_true_t, dtype=np.int16)
+    hi = np.full(xs.shape, 255, dtype=np.int16)
     while True:
         active = np.flatnonzero(lo < hi)
         if not active.size:
-            break
+            return lo.astype(np.int32)
         mid = (lo[active] + hi[active] + 1) // 2
-        res = _classify_flat(ct, flat, img.width, pos[active], mid)
+        res = classify(xs[active], ys[active], mid)
         lo[active[res]] = mid[res]
         hi[active[~res]] = mid[~res] - 1
-    return lo.astype(np.int32)
-
-
-def corner_score_iterate(tree: TernaryTree, img: GrayImage, p: tuple[int, int],
-                         table: OffsetTable = RING16) -> int:
-    """Score by repeatedly raising t just past the weakest passing ring pixel.
-
-    A ring pixel passes at threshold t when it differs from the centre by at
-    least t; raising t by the minimum pass margin plus one forces a different
-    path through the tree. Valid for segment-test trees over the 16-ring,
-    where states are a pure function of the ring differences.
-    """
-    if table is not RING16 and len(table) != 16:
-        raise ValueError("iteration scoring is defined for the 16-ring only")
-    x, y = p
-    if not classify_pixel(tree, img, p, 1, table):
-        raise NotACornerError(f"{p} is not a corner at t=1")
-    c = img.at(x, y)
-    diffs = [abs(img.at(x + dx, y + dy) - c) for dx, dy in
-             (table.xy(i) for i in table.indices())]
-    t = 1
-    while True:
-        margins = [d - t for d in diffs if d >= t]
-        if not margins:
-            # Tree claims corner with an all-similar ring; not a segment tree.
-            raise NotACornerError(f"{p}: no passing ring pixel at t={t}")
-        best = min(t + min(margins), 255)
-        if best >= 255:
-            return 255
-        t = best + 1
-        if not classify_pixel(tree, img, p, t, table):
-            return best
 
 
 def _nms_keep_field(field: np.ndarray) -> np.ndarray:
@@ -309,50 +194,36 @@ def _nms_keep_field(field: np.ndarray) -> np.ndarray:
     return keep
 
 
-def nonmax_suppress(points) -> list[Keypoint]:
-    """3x3 non-maximal suppression over scored keypoints.
+def suppress_scored_arrays(xs, ys, scores, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """3x3 non-maximal suppression of detections with positive scores.
 
-    Keeps a point iff no 8-neighbor keypoint has a strictly greater score and,
-    among equal-score neighbors, it is the raster-first. Output in raster
-    order.
+    A detection survives iff no 8-neighbor detection scores strictly greater
+    and no raster-earlier neighbor scores equal. The score grid over
+    ``shape`` takes the dtype of ``scores`` and holds 0 where nothing was
+    detected, which no positive score loses to. Returns the surviving
+    (xs, ys, scores) in raster order.
     """
-    pts = list(points)
-    if not pts:
-        return []
-    xs = np.array([kp.x for kp in pts])
-    ys = np.array([kp.y for kp in pts])
-    x0, y0 = int(xs.min()), int(ys.min())
-    bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
-    if bw * bh <= 4 * len(pts) + 10_000_000:
-        grid = np.full((bh, bw), -np.inf)
-        grid[ys - y0, xs - x0] = [kp.score for kp in pts]
-        keep = _nms_keep_field(grid)
-        kept = [kp for kp in pts if keep[kp.y - y0, kp.x - x0]]
-        return sorted(kept, key=_raster_key)
-
-    scores = {(kp.x, kp.y): kp.score for kp in pts}
-    out = []
-    for kp in pts:
-        ok = True
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dx == 0 and dy == 0:
-                    continue
-                s = scores.get((kp.x + dx, kp.y + dy))
-                if s is None:
-                    continue
-                if s > kp.score or (s == kp.score and (dy, dx) < (0, 0)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(kp)
-    return sorted(out, key=_raster_key)
+    scores = np.asarray(scores)
+    grid = np.zeros(shape, dtype=scores.dtype)
+    grid[ys, xs] = scores
+    keep = _nms_keep_field(grid) & (grid > 0)
+    kys, kxs = np.nonzero(keep)
+    return kxs.astype(np.int32), kys.astype(np.int32), grid[kys, kxs]
 
 
-def top_n_by_score(points, n: int, split_ties: bool = False) -> list[Keypoint]:
-    """The n highest-score keypoints, score-descending (raster within ties).
+def keypoint_rows(xs, ys, scores) -> np.ndarray:
+    """(N, 3) float64 keypoint rows from position and score arrays."""
+    return np.column_stack([xs, ys, scores]).astype(np.float64)
+
+
+def rank_by_score(rows: np.ndarray) -> np.ndarray:
+    """Keypoint rows ordered by descending score, raster order within ties."""
+    return rows[np.lexsort((rows[:, 0], rows[:, 1], -rows[:, 2]))]
+
+
+def top_n_by_score(ranked: np.ndarray, n: int, split_ties: bool = False) -> np.ndarray:
+    """The n highest-score keypoints: a prefix of rows in ``rank_by_score``
+    order.
 
     By default the cut never splits a score tie class: the returned count is
     the achievable count closest to n (ties between equally-close counts go to
@@ -360,69 +231,33 @@ def top_n_by_score(points, n: int, split_ties: bool = False) -> list[Keypoint]:
     count cannot be chosen arbitrarily. With ``split_ties`` the cut is exact
     and ties at the boundary break by raster order.
     """
-    pts = sorted(points, key=lambda kp: (-kp.score, kp.y, kp.x))
     if n <= 0:
-        return []
-    if n >= len(pts):
-        return pts
-    if split_ties:
-        return pts[:n]
-    boundaries = [0]
-    for i in range(1, len(pts)):
-        if pts[i].score != pts[i - 1].score:
-            boundaries.append(i)
-    boundaries.append(len(pts))
-    best = min(boundaries, key=lambda b: (abs(b - n), b))
-    return pts[:best]
-
-
-def suppress_scored_arrays(xs, ys, scores, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array-native 3x3 NMS for positive integer-scored detections.
-
-    Same keep rule as ``nonmax_suppress``; returns surviving (xs, ys, scores)
-    in raster order.
-    """
-    grid = np.zeros(shape, dtype=np.int32)
-    grid[ys, xs] = scores
-    keep = _nms_keep_field(grid) & (grid > 0)
-    kys, kxs = np.nonzero(keep)
-    return kxs.astype(np.int32), kys.astype(np.int32), grid[kys, kxs]
-
-
-def scored_keypoint_arrays(tree: TernaryTree, img: GrayImage, t: int = 1,
-                           table: OffsetTable = RING16,
-                           strips: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Detect at threshold t, score by bisection, suppress; array form."""
-    ct = tree if isinstance(tree, CompiledTree) else compile_tree(tree, table)
-    pos = detect(ct, img, t, strips=strips)
-    if not len(pos):
-        empty = np.zeros(0, dtype=np.int32)
-        return empty, empty, empty
-    scores = score_positions_bisect(ct, img, pos[:, 0], pos[:, 1], known_true_t=t)
-    return suppress_scored_arrays(pos[:, 0], pos[:, 1], scores, img.shape)
-
-
-def scored_keypoints(tree: TernaryTree, img: GrayImage, t: int = 1,
-                     table: OffsetTable = RING16, strips: int = 1) -> list[Keypoint]:
-    """Detect at threshold t, score by bisection, then suppress non-maxima."""
-    xs, ys, scores = scored_keypoint_arrays(tree, img, t, table, strips)
-    return [Keypoint(int(x), int(y), int(s)) for x, y, s in zip(xs, ys, scores)]
+        return ranked[:0]
+    if split_ties or n >= len(ranked):
+        return ranked[:n]
+    scores = ranked[:, 2]
+    bounds = np.flatnonzero(scores[1:] != scores[:-1]) + 1
+    i = int(np.searchsorted(bounds, n))  # bounds[i - 1] < n <= bounds[i]
+    below = int(bounds[i - 1]) if i else 0
+    above = int(bounds[i]) if i < len(bounds) else len(ranked)
+    return ranked[:below if n - below <= above - n else above]
 
 
 def format_score(score: float) -> str:
     return str(int(score)) if float(score).is_integer() else repr(float(score))
 
 
-def write_keypoints(f, points, header_lines=()) -> None:
+def write_keypoints(f, rows: np.ndarray, header_lines=()) -> None:
     """Write "x y score" lines in raster order; header lines are '#'-prefixed."""
     for line in header_lines:
         f.write(f"# {line}\n")
-    for kp in sorted(points, key=_raster_key):
-        f.write(f"{kp.x} {kp.y} {format_score(kp.score)}\n")
+    for x, y, score in rows[np.lexsort((rows[:, 0], rows[:, 1]))].tolist():
+        f.write(f"{int(x)} {int(y)} {format_score(score)}\n")
 
 
-def read_keypoints(f) -> list[Keypoint]:
-    out = []
+def read_keypoints(f) -> np.ndarray:
+    """Keypoint rows of an "x y score" file; '#' lines and blanks are skipped."""
+    rows = []
     for lineno, line in enumerate(f, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -430,5 +265,5 @@ def read_keypoints(f) -> list[Keypoint]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'x y score', got {line!r}")
-        out.append(Keypoint(int(parts[0]), int(parts[1]), float(parts[2])))
-    return out
+        rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)

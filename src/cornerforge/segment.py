@@ -209,24 +209,6 @@ def detect_fast_n(img: GrayImage, n: int, t: int) -> np.ndarray:
     return np.column_stack([xs + RING_MARGIN, ys + RING_MARGIN]).astype(np.int32)
 
 
-def classify_segment_at(img: GrayImage, xs, ys, t, n: int) -> np.ndarray:
-    """Vectorized segment test at explicit positions; ``t`` may be an array."""
-    a = img.pixels.astype(np.int16)
-    xs = np.asarray(xs, dtype=np.intp)
-    ys = np.asarray(ys, dtype=np.intp)
-    c = a[ys, xs]
-    hi = c + t
-    lo = c - t
-    bright = np.zeros(xs.shape, dtype=np.uint16)
-    dark = np.zeros(xs.shape, dtype=np.uint16)
-    for i, (dx, dy) in enumerate(RING_OFFSETS):
-        r = a[ys + dy, xs + dx]
-        bright |= (r >= hi).astype(np.uint16) << np.uint16(i)
-        dark |= (r <= lo).astype(np.uint16) << np.uint16(i)
-    tbl = _circular_run_table()
-    return (tbl[bright] >= n) | (tbl[dark] >= n)
-
-
 def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
     """Per-pixel maximum threshold at which the segment test still fires.
 
@@ -260,26 +242,3 @@ def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
     out[RING_MARGIN : h - RING_MARGIN, RING_MARGIN : w - RING_MARGIN] = \
         np.maximum(score, 0)
     return out
-
-
-def high_speed_reject(img: GrayImage, p: tuple[int, int], t: int) -> bool:
-    """Fast non-corner rejection for the n=12 test using ring pixels 1, 9, 5, 13.
-
-    True means "safe to reject": first, pixels 1 and 9 both similar; otherwise
-    fewer than 3 of the four are all brighter or all darker. Never rejects a
-    pixel the full n=12 test would accept.
-    """
-    x, y = p
-    c = img.at(x, y)
-
-    def state(idx: int) -> PixelState:
-        dx, dy = RING_OFFSETS[idx - 1]
-        return pixel_state(c, img.at(x + dx, y + dy), t)
-
-    s1, s9 = state(1), state(9)
-    if s1 == PixelState.SIMILAR and s9 == PixelState.SIMILAR:
-        return True
-    four = (s1, s9, state(5), state(13))
-    n_bright = sum(1 for s in four if s == PixelState.BRIGHTER)
-    n_dark = sum(1 for s in four if s == PixelState.DARKER)
-    return max(n_bright, n_dark) < 3

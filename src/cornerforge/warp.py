@@ -1,8 +1,7 @@
-"""Ground-truth point transfer between frames: homographies and dense maps.
+"""Ground-truth point transfer between frames: homographies.
 
 A warp carries the target frame size so projections can be marked invalid
-when they land outside it. Dense maps additionally carry per-pixel visibility
-so occlusions from true 3-d ground truth can be ingested.
+when they land outside it.
 """
 
 from __future__ import annotations
@@ -35,61 +34,23 @@ class Homography:
         return Homography(np.linalg.inv(self.matrix), target_size)
 
 
-@dataclass(frozen=True)
-class DenseMap:
-    """Per-source-pixel target coordinates and visibility flags."""
-
-    tx: np.ndarray
-    ty: np.ndarray
-    visible: np.ndarray
-    target_size: tuple[int, int]
-
-    def __post_init__(self):
-        if not (self.tx.shape == self.ty.shape == self.visible.shape):
-            raise ValueError("dense map component shapes differ")
-
-
-WarpModel = Homography | DenseMap
-
-
-def project_points(warp: WarpModel, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def project_points(warp: Homography, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map (N, 2) source positions; returns (coords, valid).
 
-    Valid means visible and inside the target frame's pixel-center box
-    [0, w-1] x [0, h-1].
+    Valid means not sent to infinity and inside the target frame's
+    pixel-center box [0, w-1] x [0, h-1].
     """
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
     w, h = warp.target_size
-    if isinstance(warp, Homography):
-        ones = np.ones((pts.shape[0], 1))
-        hom = np.hstack([pts, ones]) @ warp.matrix.T
-        zs = hom[:, 2]
-        ok = np.abs(zs) > 1e-12
-        coords = np.zeros((pts.shape[0], 2))
-        coords[ok] = hom[ok, :2] / zs[ok, None]
-        valid = ok.copy()
-    else:
-        xi = pts[:, 0].astype(np.intp)
-        yi = pts[:, 1].astype(np.intp)
-        if not (np.all(pts[:, 0] == xi) and np.all(pts[:, 1] == yi)):
-            raise ValueError("dense map lookup needs integer source positions")
-        mh, mw = warp.tx.shape
-        inside = (xi >= 0) & (xi < mw) & (yi >= 0) & (yi < mh)
-        if not inside.all():
-            raise ValueError("source position outside the dense map")
-        coords = np.column_stack([warp.tx[yi, xi], warp.ty[yi, xi]]).astype(np.float64)
-        valid = warp.visible[yi, xi].astype(bool).copy()
+    ones = np.ones((pts.shape[0], 1))
+    hom = np.hstack([pts, ones]) @ warp.matrix.T
+    zs = hom[:, 2]
+    valid = np.abs(zs) > 1e-12
+    coords = np.zeros((pts.shape[0], 2))
+    coords[valid] = hom[valid, :2] / zs[valid, None]
     valid &= ((coords[:, 0] >= 0) & (coords[:, 0] <= w - 1)
               & (coords[:, 1] >= 0) & (coords[:, 1] <= h - 1))
     return coords, valid
-
-
-def project(warp: WarpModel, p: tuple[float, float]):
-    """Single-point transfer; None when occluded or outside the target frame."""
-    coords, valid = project_points(warp, np.array([p], dtype=np.float64))
-    if not valid[0]:
-        return None
-    return float(coords[0, 0]), float(coords[0, 1])
 
 
 def save_homography(f, matrix: np.ndarray, header_lines=()) -> None:
@@ -113,55 +74,3 @@ def load_homography(f, target_size: tuple[int, int]) -> Homography:
     if len(vals) != 9:
         raise ValueError(f"homography file needs 9 reals, got {len(vals)}")
     return Homography(np.array(vals).reshape(3, 3), target_size)
-
-
-_DENSE_DTYPE = np.dtype([("tx", "<f4"), ("ty", "<f4"), ("vis", "u1")])
-
-
-def save_dense_map(f, dm: DenseMap) -> None:
-    """Binary format: ASCII header "WARP v1 w h\\n" then per-pixel records of
-    little-endian float32 tx, float32 ty, uint8 visibility, raster order."""
-    h, w = dm.tx.shape
-    f.write(f"WARP v1 {w} {h}\n".encode())
-    rec = np.empty(h * w, dtype=_DENSE_DTYPE)
-    rec["tx"] = dm.tx.astype(np.float32).ravel()
-    rec["ty"] = dm.ty.astype(np.float32).ravel()
-    rec["vis"] = dm.visible.astype(np.uint8).ravel()
-    f.write(rec.tobytes())
-
-
-def load_dense_map(f, target_size: tuple[int, int]) -> DenseMap:
-    header = bytearray()
-    while True:
-        ch = f.read(1)
-        if not ch:
-            raise ValueError("truncated dense map header")
-        if ch == b"\n":
-            break
-        header += ch
-    parts = header.decode().split()
-    if len(parts) != 4 or parts[0] != "WARP" or parts[1] != "v1":
-        raise ValueError(f"bad dense map header {header!r}")
-    w, h = int(parts[2]), int(parts[3])
-    body = f.read(w * h * _DENSE_DTYPE.itemsize)
-    if len(body) != w * h * _DENSE_DTYPE.itemsize:
-        raise ValueError("truncated dense map payload")
-    rec = np.frombuffer(body, dtype=_DENSE_DTYPE)
-    return DenseMap(
-        tx=rec["tx"].reshape(h, w).astype(np.float32),
-        ty=rec["ty"].reshape(h, w).astype(np.float32),
-        visible=rec["vis"].reshape(h, w).astype(bool),
-        target_size=target_size,
-    )
-
-
-def identity_homography(target_size: tuple[int, int]) -> Homography:
-    return Homography(np.eye(3), target_size)
-
-
-def translation_homography(tx: float, ty: float,
-                           target_size: tuple[int, int]) -> Homography:
-    m = np.eye(3)
-    m[0, 2] = tx
-    m[1, 2] = ty
-    return Homography(m, target_size)

@@ -2,7 +2,11 @@
 
 Everything here is deliberately written from scratch (plain Python, no reuse
 of package internals) so a bug in the implementation cannot hide in its own
-test.
+test. The scalar reference paths (pixel-by-pixel tree walk and detection,
+bisection and iteration scores, the high-speed rejection test) live here:
+only tests use them. They read trees, images and offset tables through
+their attributes (``offset``/``b``/``s``/``d``/``cls``, ``at``,
+``xy``/``margin``).
 """
 
 from __future__ import annotations
@@ -99,28 +103,135 @@ def brute_best_split(rows, labels, weights, index_base: int = 1):
     raise AssertionError("unreachable")
 
 
-def nms_oracle(points):
-    """3x3 suppression rule, restated: drop a point when some 8-neighbor
-    point scores higher, or an equal-scoring neighbor precedes it in raster
+def nms_oracle(rows):
+    """3x3 suppression rule, restated over (x, y, score) rows: drop a point
+    when some 8-neighbor point scores higher, or an equal-scoring neighbor
+    precedes it in raster order. Returns kept (x, y, score) tuples in raster
     order."""
-    by_pos = {(p.x, p.y): p.score for p in points}
+    pts = [(int(x), int(y), s) for x, y, s in rows]
+    by_pos = {(x, y): s for x, y, s in pts}
     kept = []
-    for p in points:
+    for x, y, score in pts:
         suppressed = False
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
                 if (dx, dy) == (0, 0):
                     continue
-                s = by_pos.get((p.x + dx, p.y + dy))
+                s = by_pos.get((x + dx, y + dy))
                 if s is None:
                     continue
-                if s > p.score:
+                if s > score:
                     suppressed = True
-                if s == p.score and (dy, dx) < (0, 0):
+                if s == score and (dy, dx) < (0, 0):
                     suppressed = True
         if not suppressed:
-            kept.append(p)
-    return sorted(kept, key=lambda p: (p.y, p.x))
+            kept.append((x, y, score))
+    return sorted(kept, key=lambda p: (p[1], p[0]))
+
+
+class NotACornerError(ValueError):
+    """Scored pixel does not classify as a corner at the minimum threshold."""
+
+
+def pixel_state(centre: int, ring: int, t: int) -> int:
+    """0 darker (ring <= centre - t), 2 brighter (ring >= centre + t), else
+    1 similar."""
+    if ring <= centre - t:
+        return 0
+    if ring >= centre + t:
+        return 2
+    return 1
+
+
+def classify_pixel(tree, img, p, t: int, table) -> bool:
+    """Walk a node tree at one pixel: each node reads its offset pixel and
+    branches on the darker/similar/brighter state."""
+    x, y = p
+    margin = table.margin
+    if not (margin <= x < img.width - margin and margin <= y < img.height - margin):
+        raise ValueError(f"({x},{y}) is within {margin} pixels of an edge")
+    c = img.at(x, y)
+    node = tree
+    while hasattr(node, "offset"):
+        dx, dy = table.xy(node.offset)
+        node = (node.d, node.s, node.b)[pixel_state(c, img.at(x + dx, y + dy), t)]
+    return bool(node.cls)
+
+
+def detect_naive(tree, img, t: int, table) -> list[tuple[int, int]]:
+    """Every interior (x, y) the tree classifies as a corner, pixel by pixel
+    in raster order."""
+    m = table.margin
+    return [(x, y) for y in range(m, img.height - m)
+            for x in range(m, img.width - m)
+            if classify_pixel(tree, img, (x, y), t, table)]
+
+
+def corner_score_bisect(tree, img, p, table) -> int:
+    """Largest t in [1, 255] at which the pixel classifies as a corner,
+    found by binary search on the (monotone) classification."""
+    if not classify_pixel(tree, img, p, 1, table):
+        raise NotACornerError(f"{p} is not a corner at t=1")
+    lo, hi = 1, 255
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if classify_pixel(tree, img, p, mid, table):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def corner_score_iterate(tree, img, p, table) -> int:
+    """Score by repeatedly raising t just past the weakest passing ring pixel.
+
+    A ring pixel passes at threshold t when it differs from the centre by at
+    least t; raising t by the minimum pass margin plus one forces a different
+    path through the tree. Valid for segment-test trees over the 16-ring,
+    where states are a pure function of the ring differences.
+    """
+    if len(table) != 16:
+        raise ValueError("iteration scoring is defined for the 16-ring only")
+    x, y = p
+    if not classify_pixel(tree, img, p, 1, table):
+        raise NotACornerError(f"{p} is not a corner at t=1")
+    c = img.at(x, y)
+    diffs = [abs(img.at(x + dx, y + dy) - c) for dx, dy in
+             (table.xy(i) for i in table.indices())]
+    t = 1
+    while True:
+        margins = [d - t for d in diffs if d >= t]
+        if not margins:
+            # Tree claims corner with an all-similar ring; not a segment tree.
+            raise NotACornerError(f"{p}: no passing ring pixel at t={t}")
+        best = min(t + min(margins), 255)
+        if best >= 255:
+            return 255
+        t = best + 1
+        if not classify_pixel(tree, img, p, t, table):
+            return best
+
+
+def high_speed_reject(img, p, t: int, ring) -> bool:
+    """Fast non-corner rejection for the n=12 test using ring pixels 1, 9, 5, 13.
+
+    ``ring`` lists the 16 ring offsets in order. True means "safe to
+    reject": first, pixels 1 and 9 both similar; otherwise fewer than 3 of
+    the four are all brighter or all darker. Never rejects a pixel the full
+    n=12 test would accept.
+    """
+    x, y = p
+    c = img.at(x, y)
+
+    def state(idx: int) -> int:
+        dx, dy = ring[idx - 1]
+        return pixel_state(c, img.at(x + dx, y + dy), t)
+
+    s1, s9 = state(1), state(9)
+    if s1 == 1 and s9 == 1:
+        return True
+    four = (s1, s9, state(5), state(13))
+    return max(four.count(2), four.count(0)) < 3
 
 
 def any_within(queries, targets, eps: float):

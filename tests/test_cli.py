@@ -3,7 +3,7 @@ import pytest
 
 from cornerforge import learn, segment as sg
 from cornerforge.annealing import apply_sixteenfold
-from cornerforge.cli import EXIT_OK, main
+from cornerforge.cli import EXIT_DATA, EXIT_OK, main
 from cornerforge.image import GrayImage, load_image, save_pgm
 from cornerforge.runtime import detect, read_keypoints
 from cornerforge.trees import deserialize_tree
@@ -27,11 +27,11 @@ def test_detect_writes_parseable_keypoints(small_dataset, tmp_path):
     out = tmp_path / "kp.txt"
     assert main(["detect", str(frame), "--out", str(out)]) == EXIT_OK
     with open(out) as f:
-        kps = read_keypoints(f)
+        xs, ys, scores = read_keypoints(f).T
     img = load_image(frame)
-    assert kps
-    assert all(3 <= kp.x < img.width - 3 and 3 <= kp.y < img.height - 3
-               and 35 <= kp.score <= 255 for kp in kps)
+    assert len(xs)
+    assert ((xs >= 3) & (xs < img.width - 3) & (ys >= 3) & (ys < img.height - 3)
+            & (scores >= 35) & (scores <= 255)).all()
 
 
 def test_bench_writes_one_row(small_dataset, tmp_path):
@@ -66,6 +66,12 @@ def test_anneal_then_distill(small_dataset, tmp_path):
         ys, xs = np.nonzero(apply_sixteenfold(tree, img, 35, table))
         want = np.column_stack([xs, ys])
         assert np.array_equal(detect(single, img, 35, table), want)
+
+
+def test_anneal_without_runs_is_a_data_error(small_dataset, tmp_path):
+    assert main(["anneal", "--dataset", str(small_dataset), "--imax", "1",
+                 "--runs", "0", "--out", str(tmp_path / "a_")]) == EXIT_DATA
+    assert not list(tmp_path.iterdir())
 
 
 def test_eval_repeat_writes_curves_and_auc(tmp_path):

@@ -1,0 +1,149 @@
+"""The detector interface and the comparison baselines: keypoint rows,
+count control as a prefix of one ranking, agreement of the three FAST-9
+detectors, and the Harris and random baselines."""
+
+import numpy as np
+import pytest
+
+from _oracles import nms_oracle
+from cornerforge.baselines import harris_response, structure_tensor
+from cornerforge.datasets import synthetic_base_image
+from cornerforge.detectors import (FastRefDetector, HarrisDetector,
+                                   RandomDetector, ShiTomasiDetector,
+                                   SixteenFoldDetector, TreeDetector)
+from cornerforge.image import add_gaussian_noise
+
+
+@pytest.fixture(scope="module")
+def frame():
+    return add_gaussian_noise(synthetic_base_image(64, 48, 5), 2.0, 9)
+
+
+@pytest.fixture(scope="module")
+def scored_detectors(fast9_tree, fast9_grid48):
+    wide, grid = fast9_grid48
+    return [FastRefDetector(n=9), TreeDetector(fast9_tree),
+            SixteenFoldDetector(wide, grid), HarrisDetector(),
+            ShiTomasiDetector()]
+
+
+def is_rows(a):
+    return a.dtype == np.float64 and a.ndim == 2 and a.shape[1] == 3
+
+
+def ranked_oracle(rows):
+    return sorted(map(tuple, rows.tolist()), key=lambda r: (-r[2], r[1], r[0]))
+
+
+def prefix_length(ranked, n, split_ties):
+    """Top-n cut over a ranked list: exact with split ties, otherwise the
+    tie-class boundary closest to n (the smaller on a draw)."""
+    if n <= 0:
+        return 0
+    if split_ties or n >= len(ranked):
+        return min(n, len(ranked))
+    bounds = [0] + [i for i in range(1, len(ranked))
+                    if ranked[i][2] != ranked[i - 1][2]] + [len(ranked)]
+    return min(bounds, key=lambda b: (abs(b - n), b))
+
+
+class TestRows:
+    def test_every_detector_returns_rows(self, frame, scored_detectors):
+        for det in scored_detectors + [RandomDetector(seed=3)]:
+            got = det.detect(frame, 40, frame_key=0)
+            assert is_rows(got) and len(got) > 0, det.name
+            if not isinstance(det, RandomDetector):
+                assert is_rows(det.all_keypoints(frame))
+
+    def test_all_keypoints_cached_and_read_only(self, frame, scored_detectors):
+        det = scored_detectors[0]
+        det.clear_cache()
+        first = det.all_keypoints(frame)
+        assert det.all_keypoints(frame) is first
+        with pytest.raises(ValueError):
+            first[0, 2] = 0
+        det.clear_cache()
+        again = det.all_keypoints(frame)
+        assert again is not first and np.array_equal(again, first)
+
+    def test_no_features(self, frame, scored_detectors):
+        for det in scored_detectors + [RandomDetector()]:
+            assert det.detect(frame, 0).shape == (0, 3)
+
+
+class TestCountControl:
+    @pytest.mark.parametrize("n", [1, 7, 25, 60, 10_000])
+    def test_detect_is_prefix_of_ranking(self, frame, scored_detectors, n):
+        for det in scored_detectors:
+            every = det.all_keypoints(frame)
+            ranked = ranked_oracle(every)
+            assert every.tolist() == [list(r) for r in ranked], det.name
+            split = isinstance(det, HarrisDetector)
+            assert det.split_ties == split
+            want = ranked[:prefix_length(ranked, n, split)]
+            assert det.detect(frame, n).tolist() == [list(r) for r in want]
+
+    def test_tie_rule_follows_detector(self, frame):
+        tied = np.array([[x, 5, 2.5] for x in range(10)])
+        for base, want in ((HarrisDetector, 4), (FastRefDetector, 0)):
+            det = type("Tied", (base,), {"scored_keypoints": lambda s, img: tied})()
+            assert len(det.detect(frame, 4)) == want, base.__name__
+
+    def test_fast_cut_keeps_tie_classes_whole(self, frame, scored_detectors):
+        scores = scored_detectors[0].all_keypoints(frame)[:, 2]
+        for n in range(1, len(scores)):
+            top = scored_detectors[0].detect(frame, n)
+            k = len(top)
+            assert k in (0, len(scores)) or scores[k - 1] != scores[k]
+
+
+class TestFastAgreement:
+    @pytest.mark.parametrize("t", [1, 35])
+    def test_tree_and_sixteenfold_equal_reference(self, frame, fast9_tree,
+                                                  fast9_grid48, t):
+        wide, grid = fast9_grid48
+        ref = FastRefDetector(n=9, t_min=t).all_keypoints(frame)
+        assert len(ref) > 10
+        assert (ref[:, 2] >= t).all()
+        for det in (TreeDetector(fast9_tree, t_min=t),
+                    SixteenFoldDetector(wide, grid, t_min=t)):
+            assert np.array_equal(det.all_keypoints(frame), ref), det.name
+            assert np.array_equal(det.detect(frame, 30), FastRefDetector(
+                n=9, t_min=t).detect(frame, 30)), det.name
+
+
+class TestBaselines:
+    def test_random_deterministic_per_seed_and_frame(self, frame):
+        det = RandomDetector(seed=4, margin=5)
+        a = det.detect(frame, 50, frame_key=1)
+        assert np.array_equal(a, RandomDetector(seed=4, margin=5).detect(
+            frame, 50, frame_key=1))
+        assert not np.array_equal(a, det.detect(frame, 50, frame_key=2))
+        assert not np.array_equal(a, RandomDetector(seed=5, margin=5).detect(
+            frame, 50, frame_key=1))
+
+    def test_random_inside_margin(self, frame):
+        got = RandomDetector(seed=1, margin=5).detect(frame, 500, frame_key=0)
+        xs, ys, scores = got.T
+        assert len({(x, y) for x, y in zip(xs, ys)}) == 500
+        assert ((xs >= 5) & (xs < frame.width - 5)
+                & (ys >= 5) & (ys < frame.height - 5)).all()
+        assert (scores == 1).all()
+        keys = ys * frame.width + xs
+        assert (np.diff(keys) > 0).all()
+
+    def test_random_rejects_too_many(self, frame):
+        with pytest.raises(ValueError):
+            RandomDetector(margin=3).detect(frame, 58 * 42 + 1)
+
+    @pytest.mark.parametrize("margin", [0, 3, 9])
+    def test_harris_keeps_positive_maxima_outside_margin(self, frame, margin):
+        det = HarrisDetector(sigma=1.5, margin=margin)
+        field = harris_response(structure_tensor(frame, 1.5), det.k)
+        got = det.scored_keypoints(frame)
+        h, w = field.shape
+        cells = [(x, y, float(field[y, x])) for y in range(h) for x in range(w)]
+        want = [(x, y, s) for x, y, s in nms_oracle(cells)
+                if s > 0 and margin <= x < w - margin and margin <= y < h - margin]
+        assert len(want) > 10
+        assert [tuple(r) for r in got.tolist()] == want

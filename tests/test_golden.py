@@ -1,0 +1,95 @@
+"""Golden CLI outputs: `detect` and `eval-repeat` for all six detectors on a
+small synthetic dataset, compared by sha256 (first 16 hex digits) of each
+output file without its '#' provenance lines.
+
+The digests were recorded before keypoints became arrays; a refactor that
+changes any of them changes what the CLI writes. Regenerate them only for an
+intended output change, and say why where the change is described.
+"""
+
+import hashlib
+
+from cornerforge.cli import ALGOS, EXIT_OK, EXIT_USAGE, main
+from cornerforge.trees import RING16, serialize_tree
+
+GOLDEN = {
+    "detect-fast-ref-t1": "2d86ce7a8e3a31f6",
+    "detect-fast-ref-t1-n10": "e8189d105cf6bfdb",
+    "detect-fast-ref-t35": "827077a780d81620",
+    "detect-fast-ref-t35-n10": "e8189d105cf6bfdb",
+    "eval-repeat-fast-ref-curve": "b8c0ffa55bf6fe4e",
+    "eval-repeat-fast-ref-auc": "accff503015d8a1e",
+    "detect-fast-tree-t1": "2d86ce7a8e3a31f6",
+    "detect-fast-tree-t1-n10": "e8189d105cf6bfdb",
+    "detect-fast-tree-t35": "827077a780d81620",
+    "detect-fast-tree-t35-n10": "e8189d105cf6bfdb",
+    "eval-repeat-fast-tree-curve": "b8c0ffa55bf6fe4e",
+    "eval-repeat-fast-tree-auc": "685390d65a3bff04",
+    "detect-faster-t1": "2d86ce7a8e3a31f6",
+    "detect-faster-t1-n10": "e8189d105cf6bfdb",
+    "detect-faster-t35": "827077a780d81620",
+    "detect-faster-t35-n10": "e8189d105cf6bfdb",
+    "eval-repeat-faster-curve": "b8c0ffa55bf6fe4e",
+    "eval-repeat-faster-auc": "406739e6254a4d43",
+    "detect-harris-t1": "4646bd15dcf30ec4",
+    "detect-harris-t1-n10": "9da8e3df1ec853bd",
+    "detect-harris-t35": "4646bd15dcf30ec4",
+    "detect-harris-t35-n10": "9da8e3df1ec853bd",
+    "eval-repeat-harris-curve": "15660e61a16b1cb4",
+    "eval-repeat-harris-auc": "36d889875af032a2",
+    "detect-shi-tomasi-t1": "1039ccea7804c7d8",
+    "detect-shi-tomasi-t1-n10": "bc4a09e1f761e853",
+    "detect-shi-tomasi-t35": "1039ccea7804c7d8",
+    "detect-shi-tomasi-t35-n10": "bc4a09e1f761e853",
+    "eval-repeat-shi-tomasi-curve": "723cea0b1cdc5226",
+    "eval-repeat-shi-tomasi-auc": "edb69db4a175bfcf",
+    "detect-random-t1-n10": "8b9356af44093700",
+    "detect-random-t35-n10": "8b9356af44093700",
+    "eval-repeat-random-curve": "02c518d3d0513bad",
+    "eval-repeat-random-auc": "9311c8286e0beace",
+}
+
+
+def digest(path) -> str:
+    lines = path.read_text().splitlines(keepends=True)
+    body = "".join(line for line in lines if not line.startswith("#"))
+    return hashlib.sha256(body.encode()).hexdigest()[:16]
+
+
+def cli_digests(tmp_path, ring_tree, wide_tree) -> dict[str, str]:
+    """Run the golden commands under ``tmp_path``; output name -> digest.
+    ``ring_tree`` and ``wide_tree`` are (tree, offset table) pairs."""
+    data = tmp_path / "data"
+    assert main(["make-dataset", "--synthetic", "64x48", "--frames", "3",
+                 "--noise", "2", "--seed", "7", "--out", str(data)]) == EXIT_OK
+    tree_args = {}
+    for algo, (tree, table) in (("fast-tree", ring_tree), ("faster", wide_tree)):
+        path = tmp_path / f"{algo}.tree"
+        path.write_bytes(serialize_tree(tree, table))
+        tree_args[algo] = ["--tree", str(path)]
+    frame = str(data / "frame_000.pgm")
+    out = {}
+    for algo in ALGOS:
+        extra = tree_args.get(algo, [])
+        for t in (1, 35):
+            for n in (None, 10):
+                name = f"detect-{algo}-t{t}" + (f"-n{n}" if n else "")
+                path = tmp_path / f"{name}.txt"
+                args = ["detect", frame, "--algo", algo, "--t", str(t),
+                        *extra, "--out", str(path)]
+                if n is None and algo == "random":
+                    assert main(args) == EXIT_USAGE  # random needs a count
+                    continue
+                assert main(args + (["--n-features", str(n)] if n else [])) == EXIT_OK
+                out[name] = digest(path)
+        prefix = tmp_path / f"repeat-{algo}_"
+        assert main(["eval-repeat", "--dataset", str(data), "--algo", algo,
+                     *extra, "--out", str(prefix)]) == EXIT_OK
+        out[f"eval-repeat-{algo}-curve"] = digest(tmp_path / f"repeat-{algo}_{algo}.csv")
+        out[f"eval-repeat-{algo}-auc"] = digest(tmp_path / f"repeat-{algo}_auc.csv")
+    return out
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, fast9_tree, fast9_grid48):
+    got = cli_digests(tmp_path, (fast9_tree, RING16), fast9_grid48)
+    assert got == GOLDEN

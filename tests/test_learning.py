@@ -352,7 +352,7 @@ class TestCompiledEmission:
             lib.classify.restype = ctypes.c_int
             lib.classify.argtypes = [ctypes.POINTER(ctypes.c_ubyte),
                                      ctypes.c_int, ctypes.c_int]
-            from cornerforge.runtime import classify_pixel
+            from _oracles import classify_pixel
 
             img = imgs[0]
             flat = np.ascontiguousarray(img.pixels).ravel()
@@ -365,6 +365,6 @@ class TestCompiledEmission:
                             ctypes.addressof(buf.contents) + y * img.width + x,
                             ctypes.POINTER(ctypes.c_ubyte))
                         got = bool(lib.classify(ptr, img.width, t))
-                        assert got == classify_pixel(tree, img, (x, y), t)
+                        assert got == classify_pixel(tree, img, (x, y), t, RING16)
                         checked += 1
             assert checked > 3000

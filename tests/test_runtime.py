@@ -1,12 +1,13 @@
 import io
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import nms_oracle
+import _oracles as orc
 from cornerforge import runtime as rt
-from cornerforge.image import GrayImage, make_test_square
+from cornerforge.image import GrayImage
 from cornerforge.trees import LEAF0, LEAF1, Leaf, Node, RING16
 
 # Handcrafted monotone trees with closed-form scores: classification depends
@@ -34,24 +35,37 @@ def rand_img(seed, w=40, h=34):
     return GrayImage(rng.integers(0, 256, (h, w)).astype(np.uint8))
 
 
+def classify_pixel(tree, img, p, t):
+    return orc.classify_pixel(tree, img, p, t, RING16)
+
+
+def bisect_scores(tree, img, xs, ys):
+    return rt.score_positions_bisect(partial(rt.classify_positions, tree, img),
+                                     xs, ys)
+
+
+def rows(*points):
+    return np.array(points, dtype=np.float64).reshape(-1, 3)
+
+
 class TestClassify:
     def test_leaf_only_true_everywhere(self):
         img = rand_img(0)
-        assert rt.classify_pixel(Leaf(1), img, (10, 10), 5)
+        assert classify_pixel(Leaf(1), img, (10, 10), 5)
         got = rt.classify_positions(Leaf(1), img, [4, 5], [6, 7], 5)
         assert got.all()
 
     def test_margin_enforced(self):
         img = rand_img(1)
         with pytest.raises(ValueError):
-            rt.classify_pixel(ONE_OFFSET, img, (2, 10), 5)
+            classify_pixel(ONE_OFFSET, img, (2, 10), 5)
 
     def test_matches_semantics(self):
         img = rand_img(2)
         for (x, y) in [(5, 5), (10, 20), (30, 8)]:
             for t in (5, 30, 120):
                 want = one_offset_score(img, x, y) >= t
-                assert rt.classify_pixel(ONE_OFFSET, img, (x, y), t) == want
+                assert classify_pixel(ONE_OFFSET, img, (x, y), t) == want
 
     def test_batch_matches_scalar(self):
         img = rand_img(3)
@@ -60,7 +74,7 @@ class TestClassify:
         ys = rng.integers(3, img.height - 3, 200)
         for tree in (ONE_OFFSET, TWO_OFFSET):
             got = rt.classify_positions(tree, img, xs, ys, 20)
-            want = [rt.classify_pixel(tree, img, (int(x), int(y)), 20)
+            want = [classify_pixel(tree, img, (int(x), int(y)), 20)
                     for x, y in zip(xs, ys)]
             assert got.tolist() == want
 
@@ -80,17 +94,13 @@ class TestDetect:
         assert len(rt.detect(ONE_OFFSET, GrayImage.constant(32, 32, 7), 10)) == 0
 
     def test_batch_equals_naive(self):
+        # TWO_OFFSET's root children share offset 2: the two-level dense plan
         for seed, tree in [(5, ONE_OFFSET), (6, TWO_OFFSET)]:
             img = rand_img(seed, w=26, h=22)
-            a = rt.detect(tree, img, 30, strategy="batch")
-            b = rt.detect(tree, img, 30, strategy="naive")
-            assert np.array_equal(a, b)
-
-    def test_strips_equal_sequential(self):
-        img = rand_img(7)
-        base = rt.detect(TWO_OFFSET, img, 25)
-        for strips in (2, 3, 8, 40):
-            assert np.array_equal(base, rt.detect(TWO_OFFSET, img, 25, strips=strips))
+            got = rt.detect(tree, img, 30)
+            assert got.dtype == np.int32
+            assert got.tolist() == [list(p) for p in
+                                    orc.detect_naive(tree, img, 30, RING16)]
 
     def test_raster_order(self):
         img = rand_img(8)
@@ -98,25 +108,22 @@ class TestDetect:
         keys = pts[:, 1].astype(np.int64) * img.width + pts[:, 0]
         assert (np.diff(keys) > 0).all()
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            rt.detect(ONE_OFFSET, rand_img(9), 10, strategy="warp")
-
 
 class TestScores:
     def test_constructed_boundary(self):
         a = np.full((16, 16), 100, dtype=np.uint8)
         a[5, 8] = 120  # ring index 1 of (8, 8)
         img = GrayImage(a)
-        assert rt.corner_score_bisect(ONE_OFFSET, img, (8, 8)) == 20
-        assert rt.corner_score_iterate(ONE_OFFSET, img, (8, 8)) == 20
+        assert orc.corner_score_bisect(ONE_OFFSET, img, (8, 8), RING16) == 20
+        assert orc.corner_score_iterate(ONE_OFFSET, img, (8, 8), RING16) == 20
+        assert bisect_scores(ONE_OFFSET, img, [8], [8]).tolist() == [20]
 
     def test_not_a_corner(self):
         img = GrayImage.constant(16, 16, 50)
-        with pytest.raises(rt.NotACornerError):
-            rt.corner_score_bisect(ONE_OFFSET, img, (8, 8))
-        with pytest.raises(rt.NotACornerError):
-            rt.corner_score_iterate(ONE_OFFSET, img, (8, 8))
+        with pytest.raises(orc.NotACornerError):
+            orc.corner_score_bisect(ONE_OFFSET, img, (8, 8), RING16)
+        with pytest.raises(orc.NotACornerError):
+            orc.corner_score_iterate(ONE_OFFSET, img, (8, 8), RING16)
 
     def test_triple_agreement_with_analytic_oracle(self):
         for seed in range(4):
@@ -125,151 +132,196 @@ class TestScores:
                                  (TWO_OFFSET, two_offset_score)):
                 pos = rt.detect(tree, img, 1)
                 xs, ys = pos[:, 0], pos[:, 1]
-                batch = rt.score_positions_bisect(tree, img, xs, ys)
+                batch = bisect_scores(tree, img, xs, ys)
+                assert batch.dtype == np.int32 and len(batch) == len(pos)
                 for (x, y), s in list(zip(pos, batch))[:60]:
                     x, y = int(x), int(y)
                     want = min(oracle(img, x, y), 255)
                     assert s == want
-                    assert rt.corner_score_bisect(tree, img, (x, y)) == want
-                    assert rt.corner_score_iterate(tree, img, (x, y)) == want
+                    assert orc.corner_score_bisect(tree, img, (x, y), RING16) == want
+                    assert orc.corner_score_iterate(tree, img, (x, y), RING16) == want
 
     def test_linear_scan_oracle(self):
         img = rand_img(31)
         pos = rt.detect(TWO_OFFSET, img, 1)[:40]
-        for x, y in pos:
+        batch = bisect_scores(TWO_OFFSET, img, pos[:, 0], pos[:, 1])
+        for (x, y), s in zip(pos, batch):
             x, y = int(x), int(y)
             linear = max(t for t in range(1, 256)
-                         if rt.classify_pixel(TWO_OFFSET, img, (x, y), t))
-            assert rt.corner_score_bisect(TWO_OFFSET, img, (x, y)) == linear
+                         if classify_pixel(TWO_OFFSET, img, (x, y), t))
+            assert s == linear
+            assert orc.corner_score_bisect(TWO_OFFSET, img, (x, y), RING16) == linear
 
     def test_max_score_single_iteration(self):
         a = np.zeros((16, 16), dtype=np.uint8)
         for dx, dy in RING16.offsets:
             a[8 + dy, 8 + dx] = 255
         img = GrayImage(a)
-        assert rt.corner_score_iterate(ONE_OFFSET, img, (8, 8)) == 255
-        assert rt.corner_score_bisect(ONE_OFFSET, img, (8, 8)) == 255
+        assert orc.corner_score_iterate(ONE_OFFSET, img, (8, 8), RING16) == 255
+        assert orc.corner_score_bisect(ONE_OFFSET, img, (8, 8), RING16) == 255
+        assert bisect_scores(ONE_OFFSET, img, [8], [8]).tolist() == [255]
 
     def test_iterate_requires_passing_pixels(self):
         img = GrayImage.constant(16, 16, 90)
-        with pytest.raises(rt.NotACornerError):
-            rt.corner_score_iterate(Leaf(1), img, (8, 8))
+        with pytest.raises(orc.NotACornerError):
+            orc.corner_score_iterate(Leaf(1), img, (8, 8), RING16)
 
     def test_iterate_requires_ring16(self):
         from cornerforge.annealing import default_offsets_48
         with pytest.raises(ValueError):
-            rt.corner_score_iterate(Leaf(1), rand_img(1), (8, 8),
-                                    table=default_offsets_48())
+            orc.corner_score_iterate(Leaf(1), rand_img(1), (8, 8),
+                                     default_offsets_48())
 
 
-def kp(x, y, s):
-    return rt.Keypoint(x, y, s)
+def point_sets(score_strategy):
+    return st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
+                              score_strategy),
+                    max_size=40, unique_by=lambda p: (p[0], p[1]))
 
 
 class TestNonmaxSuppress:
+    @staticmethod
+    def nms(points, dtype=np.int32, shape=(13, 13)):
+        """suppress_scored_arrays over (x, y, score) tuples, as tuples."""
+        xs = np.array([p[0] for p in points], dtype=np.int64)
+        ys = np.array([p[1] for p in points], dtype=np.int64)
+        scores = np.array([p[2] for p in points], dtype=dtype)
+        kxs, kys, ks = rt.suppress_scored_arrays(xs, ys, scores, shape)
+        assert ks.dtype == dtype
+        return list(zip(kxs.tolist(), kys.tolist(), ks.tolist()))
+
     def test_isolated_kept(self):
-        assert rt.nonmax_suppress([kp(5, 5, 9)]) == [kp(5, 5, 9)]
+        assert self.nms([(5, 5, 9)]) == [(5, 5, 9)]
 
     def test_adjacent_lower_suppressed(self):
-        out = rt.nonmax_suppress([kp(5, 5, 10), kp(6, 5, 20)])
-        assert out == [kp(6, 5, 20)]
+        assert self.nms([(5, 5, 10), (6, 5, 20)]) == [(6, 5, 20)]
 
     def test_plateau_keeps_raster_first(self):
-        out = rt.nonmax_suppress([kp(5, 5, 7), kp(6, 5, 7), kp(7, 5, 7)])
-        assert out == [kp(5, 5, 7)]
+        assert self.nms([(5, 5, 7), (6, 5, 7), (7, 5, 7)]) == [(5, 5, 7)]
 
     def test_empty(self):
-        assert rt.nonmax_suppress([]) == []
+        assert self.nms([]) == []
 
-    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
-                              st.integers(1, 5)),
-                    max_size=40, unique_by=lambda p: (p[0], p[1])))
+    def test_float_scores_not_truncated(self):
+        # as integers both would be 2 and the plateau rule would keep (5, 5)
+        assert self.nms([(5, 5, 2.25), (6, 5, 2.5)], np.float64) == [(6, 5, 2.5)]
+
+    @given(point_sets(st.integers(1, 5)))
     def test_matches_oracle_and_contract(self, raw):
-        pts = [kp(x, y, s) for x, y, s in raw]
-        out = rt.nonmax_suppress(pts)
-        assert out == nms_oracle(pts)
+        self.check_oracle_and_contract(raw, np.int32)
+
+    @given(point_sets(st.sampled_from([0.5, 1.0, 1.25, 1.5, 3.75, 1e-3, 2e5])))
+    def test_float_scores_match_oracle_and_contract(self, raw):
+        self.check_oracle_and_contract(raw, np.float64)
+
+    def check_oracle_and_contract(self, raw, dtype):
+        out = self.nms(raw, dtype)
+        assert out == orc.nms_oracle(raw)
         # contract: no two survivors within Chebyshev distance 1
         for i, p in enumerate(out):
             for q in out[i + 1:]:
-                assert max(abs(p.x - q.x), abs(p.y - q.y)) > 1
+                assert max(abs(p[0] - q[0]), abs(p[1] - q[1])) > 1
         # every suppressed point has a >=-score 8-neighbor (tie-aware)
-        surv = {(p.x, p.y) for p in out}
-        by_pos = {(p.x, p.y): p.score for p in pts}
-        for p in pts:
-            if (p.x, p.y) in surv:
+        surv = {(x, y) for x, y, _ in out}
+        by_pos = {(x, y): s for x, y, s in raw}
+        for x, y, s in raw:
+            if (x, y) in surv:
                 continue
             assert any(
-                by_pos.get((p.x + dx, p.y + dy)) is not None
-                and (by_pos[(p.x + dx, p.y + dy)] > p.score
-                     or (by_pos[(p.x + dx, p.y + dy)] == p.score
-                         and (dy, dx) < (0, 0)))
+                by_pos.get((x + dx, y + dy)) is not None
+                and (by_pos[(x + dx, y + dy)] > s
+                     or (by_pos[(x + dx, y + dy)] == s and (dy, dx) < (0, 0)))
                 for dy in (-1, 0, 1) for dx in (-1, 0, 1)
                 if (dx, dy) != (0, 0))
 
     def test_array_path_equals_object_path(self):
+        # 300 random points on a 50x40 grid, against the plain-Python oracle
         rng = np.random.default_rng(12)
-        xs = rng.integers(0, 50, 300)
-        ys = rng.integers(0, 40, 300)
-        seen = set()
-        pts = []
-        for x, y in zip(xs, ys):
-            if (x, y) not in seen:
-                seen.add((x, y))
-                pts.append(kp(int(x), int(y), int(rng.integers(1, 200))))
-        kxs, kys, ks = rt.suppress_scored_arrays(
-            np.array([p.x for p in pts]), np.array([p.y for p in pts]),
-            np.array([p.score for p in pts], dtype=np.int32), (40, 50))
-        got = [kp(int(x), int(y), int(s)) for x, y, s in zip(kxs, kys, ks)]
-        assert got == rt.nonmax_suppress(pts)
+        seen = {}
+        for x, y in zip(rng.integers(0, 50, 300), rng.integers(0, 40, 300)):
+            seen.setdefault((int(x), int(y)), int(rng.integers(1, 200)))
+        pts = [(x, y, s) for (x, y), s in seen.items()]
+        assert self.nms(pts, np.int32, (40, 50)) == orc.nms_oracle(pts)
 
 
 class TestTopN:
-    PTS = [kp(0, 0, 9), kp(1, 0, 9), kp(2, 0, 5), kp(3, 0, 5), kp(4, 0, 5),
-           kp(5, 0, 3)]
+    PTS = rows((0, 0, 9), (1, 0, 9), (2, 0, 5), (3, 0, 5), (4, 0, 5), (5, 0, 3))
+
+    def top(self, pts, n, split_ties=False):
+        return rt.top_n_by_score(rt.rank_by_score(pts), n, split_ties)
 
     def test_zero(self):
-        assert rt.top_n_by_score(self.PTS, 0) == []
+        got = self.top(self.PTS, 0)
+        assert got.shape == (0, 3)
 
     def test_all_when_n_large(self):
-        assert len(rt.top_n_by_score(self.PTS, 99)) == 6
+        assert len(self.top(self.PTS, 99)) == 6
 
     def test_tie_class_not_split(self):
         # boundary counts are 0, 2, 5, 6; the closest to 4 is 5
-        assert len(rt.top_n_by_score(self.PTS, 4)) == 5
+        assert len(self.top(self.PTS, 4)) == 5
 
     def test_equidistant_tie_takes_smaller(self):
-        pts = [kp(0, 0, 9), kp(1, 0, 9), kp(2, 0, 5), kp(3, 0, 5),
-               kp(4, 0, 5), kp(5, 0, 5)]
+        pts = rows((0, 0, 9), (1, 0, 9), (2, 0, 5), (3, 0, 5), (4, 0, 5),
+                   (5, 0, 5))
         # boundaries 0, 2, 6; n=4 is equidistant; smaller wins
-        assert len(rt.top_n_by_score(pts, 4)) == 2
+        assert len(self.top(pts, 4)) == 2
 
     def test_split_ties_exact_with_raster_order(self):
-        got = rt.top_n_by_score(self.PTS, 4, split_ties=True)
+        got = self.top(self.PTS, 4, split_ties=True)
         assert len(got) == 4
-        assert got == [kp(0, 0, 9), kp(1, 0, 9), kp(2, 0, 5), kp(3, 0, 5)]
+        assert got.tolist() == [[0, 0, 9], [1, 0, 9], [2, 0, 5], [3, 0, 5]]
 
     def test_descending_scores(self):
-        got = rt.top_n_by_score(self.PTS, 6)
-        assert [p.score for p in got] == sorted(
-            [p.score for p in self.PTS], reverse=True)
+        got = self.top(self.PTS, 6)
+        assert got[:, 2].tolist() == sorted(self.PTS[:, 2].tolist(), reverse=True)
+
+    def test_ranking_breaks_ties_by_raster_order(self):
+        pts = rows((4, 1, 5), (9, 0, 5), (2, 1, 5), (7, 3, 8))
+        assert rt.rank_by_score(pts).tolist() == [
+            [7, 3, 8], [9, 0, 5], [2, 1, 5], [4, 1, 5]]
+
+    @given(st.lists(st.integers(1, 6), max_size=30), st.integers(-2, 35),
+           st.booleans())
+    def test_cut_matches_oracle(self, scores, n, split_ties):
+        pts = rows(*[(x, 0, s) for x, s in enumerate(scores)])
+        ranked = rt.rank_by_score(pts)
+        got = rt.top_n_by_score(ranked, n, split_ties)
+        # oracle: every count at which no tie class is split, closest to n
+        cuts = [b for b in range(len(scores) + 1)
+                if b in (0, len(scores)) or ranked[b - 1, 2] != ranked[b, 2]]
+        if n <= 0:
+            want = 0
+        elif split_ties:
+            want = min(n, len(scores))
+        else:
+            want = min(cuts, key=lambda b: (abs(b - n), b))
+        assert np.array_equal(got, ranked[:want])
 
 
 class TestKeypointIO:
     def test_round_trip_with_header(self):
-        pts = [kp(3, 1, 20), kp(1, 2, 7.5)]
+        pts = rows((3, 1, 20), (1, 2, 7.5))
         buf = io.StringIO()
         rt.write_keypoints(buf, pts, header_lines=["tool x", "config {}"])
         text = buf.getvalue()
         assert text.startswith("# tool x\n# config {}\n")
         assert "3 1 20\n" in text
         back = rt.read_keypoints(io.StringIO(text))
-        assert back == sorted(pts, key=lambda p: (p.y, p.x))
+        assert back.dtype == np.float64
+        assert back.tolist() == [[3, 1, 20], [1, 2, 7.5]]
 
     def test_raster_order_in_file(self):
         buf = io.StringIO()
-        rt.write_keypoints(buf, [kp(9, 9, 1), kp(0, 0, 2)])
+        rt.write_keypoints(buf, rows((9, 9, 1), (0, 0, 2)))
         lines = [l for l in buf.getvalue().splitlines() if l]
         assert lines == ["0 0 2", "9 9 1"]
+
+    def test_empty_file(self):
+        buf = io.StringIO()
+        rt.write_keypoints(buf, rows(), header_lines=["h"])
+        assert buf.getvalue() == "# h\n"
+        assert rt.read_keypoints(io.StringIO(buf.getvalue())).shape == (0, 3)
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):

