@@ -24,34 +24,17 @@ from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
                     tree_size)
 from .warp import project_points
 
-PINNED_FIRST_OFFSET = (-1, 4)  # index 0 whenever the configured table has it
-
-
 def default_offsets_48() -> OffsetTable:
     """Shipped default: the 48 cells of the 7x7 neighborhood minus the centre,
     raster order, indexed 0..47.
 
-    This table does not contain the conventional first offset (-1, 4); when a
-    configured table does, ``offset_table_48`` remaps it to index 0. The 7x7
-    box is closed under rotations and reflections, which makes the sixteen-fold
-    detector an exact function of the 48 pixel states (distillation relies on
-    this).
+    The 7x7 box is closed under rotations and reflections, which makes the
+    sixteen-fold detector an exact function of the 48 pixel states
+    (distillation relies on this).
     """
     cells = [(dx, dy) for dy in range(-3, 4) for dx in range(-3, 4)
              if (dx, dy) != (0, 0)]
     return OffsetTable("grid48", tuple(cells), index_base=0)
-
-
-def offset_table_48(pairs) -> OffsetTable:
-    """Build a 48-offset table from configuration, pinning (-1, 4) to index 0
-    whenever present."""
-    cells = [(int(dx), int(dy)) for dx, dy in pairs]
-    if len(cells) != 48:
-        raise ValueError(f"need exactly 48 offsets, got {len(cells)}")
-    if PINNED_FIRST_OFFSET in cells and cells[0] != PINNED_FIRST_OFFSET:
-        cells.remove(PINNED_FIRST_OFFSET)
-        cells.insert(0, PINNED_FIRST_OFFSET)
-    return OffsetTable("custom48", tuple(cells), index_base=0)
 
 
 # The eight dihedral maps (dx, dy) -> (a*dx + b*dy, c*dx + d*dy).
@@ -81,7 +64,7 @@ def _variants(ct: CompiledTree):
 
 
 def _sixteenfold_on_positions(variants, img: GrayImage, pos: np.ndarray,
-                              t) -> np.ndarray:
+                              t: int) -> np.ndarray:
     """OR of the 16 applications at flat positions; later variants only
     evaluate pixels still undetected."""
     flat = img.pixels.ravel()
@@ -90,8 +73,7 @@ def _sixteenfold_on_positions(variants, img: GrayImage, pos: np.ndarray,
         active = np.flatnonzero(~detected)
         if not active.size:
             break
-        tv = t if np.isscalar(t) else t[active]
-        res = _classify_flat(var, flat, img.width, pos[active], tv)
+        res = _classify_flat(var, flat, img.width, pos[active], t)
         detected[active[res]] = True
     return detected
 
@@ -109,16 +91,6 @@ def apply_sixteenfold(tree: TernaryTree, img: GrayImage, t: int,
     hit = _sixteenfold_on_positions(_variants(ct), img, pos, t)
     field.ravel()[pos[hit]] = True
     return field
-
-
-def sixteenfold_classify_positions(tree: TernaryTree, img: GrayImage, xs, ys,
-                                   t, table: OffsetTable | None = None) -> np.ndarray:
-    table = table or default_offsets_48()
-    ct = CompiledTree(tree, table)
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    return _sixteenfold_on_positions(_variants(ct), img,
-                                     ys * img.width + xs, t)
 
 
 @dataclass(frozen=True)
@@ -168,18 +140,6 @@ def cost(tree: TernaryTree, repeatability: float, per_frame_counts,
 def temperature(iteration: int, weights: CostWeights) -> float:
     """Exponential schedule beta * exp(-alpha * I / I_max)."""
     return weights.beta * math.exp(-weights.alpha * iteration / weights.i_max)
-
-
-def check_s_constraint(tree: TernaryTree) -> bool:
-    """Every leaf hanging on an s branch of its direct parent has class 0."""
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Node):
-            if isinstance(t.s, Leaf) and t.s.cls != 0:
-                return False
-            stack.extend((t.b, t.s, t.d))
-    return True
 
 
 def random_depth1_tree(rng: np.random.Generator, table: OffsetTable) -> Node:

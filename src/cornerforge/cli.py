@@ -89,13 +89,22 @@ def _build_detector(args, spec: str | None = None):
     else:
         name = args.algo
 
-    def p(key, default, cast):
+    def p(key, default, cast, valid=lambda v: True):
         if key in params:
-            return cast(params[key])
-        return getattr(args, key.replace("-", "_"), None) or default
+            val = cast(params[key])
+        else:
+            val = getattr(args, key.replace("-", "_"), None)
+            val = default if val is None else cast(val)
+        if not valid(val):
+            raise UsageError(f"detector parameter {key}={val} is out of range")
+        return val
+
+    def t_min():
+        return p("t", 1, int, lambda v: v >= 1)
 
     if name == "fast-ref":
-        return FastRefDetector(n=int(p("n", 9, int)), t_min=int(p("t", 1, int)))
+        return FastRefDetector(n=p("n", 9, int, lambda v: 9 <= v <= 16),
+                               t_min=t_min())
     if name == "fast-tree":
         tree_path = params.get("tree") or args.tree
         if not tree_path:
@@ -103,7 +112,7 @@ def _build_detector(args, spec: str | None = None):
         tree, table = _load_tree(tree_path)
         if len(table) != 16:
             raise UsageError(f"{tree_path}: fast-tree expects a 16-offset tree")
-        return TreeDetector(tree, table, t_min=int(p("t", 1, int)))
+        return TreeDetector(tree, table, t_min=t_min())
     if name == "faster":
         tree_path = params.get("tree") or args.tree
         if not tree_path:
@@ -111,13 +120,13 @@ def _build_detector(args, spec: str | None = None):
         tree, table = _load_tree(tree_path)
         if len(table) != 48:
             raise UsageError(f"{tree_path}: faster expects a 48-offset tree")
-        return SixteenFoldDetector(tree, table, t_min=int(p("t", 1, int)))
+        return SixteenFoldDetector(tree, table, t_min=t_min())
     if name == "harris":
-        return HarrisDetector(sigma=float(p("sigma", 2.5, float)))
+        return HarrisDetector(sigma=p("sigma", 2.5, float, lambda v: v > 0))
     if name == "shi-tomasi":
-        return ShiTomasiDetector(sigma=float(p("sigma", 2.5, float)))
+        return ShiTomasiDetector(sigma=p("sigma", 2.5, float, lambda v: v > 0))
     if name == "random":
-        return RandomDetector(seed=int(p("seed", 0, int)))
+        return RandomDetector(seed=p("seed", 0, int))
     raise UsageError(f"unknown algo {name!r}; choose from {', '.join(ALGOS)}")
 
 

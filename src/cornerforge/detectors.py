@@ -10,20 +10,16 @@ Shi-Tomasi split ties in raster order.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from .annealing import (apply_sixteenfold, default_offsets_48,
-                        sixteenfold_classify_positions)
+from .annealing import _variants, apply_sixteenfold, default_offsets_48
 from .baselines import (detect_random, detect_response, harris_response,
                         shi_tomasi_response, structure_tensor)
 from .image import GrayImage
-from .runtime import (classify_positions, compile_tree, detect, keypoint_rows,
-                      rank_by_score, score_positions_bisect,
+from .runtime import (detect, keypoint_rows, rank_by_score, score_positions,
                       suppress_scored_arrays, top_n_by_score)
 from .segment import segment_score_field
-from .trees import OffsetTable, RING16, TernaryTree
+from .trees import CompiledTree, OffsetTable, RING16, TernaryTree
 
 
 class FeatureDetector:
@@ -75,41 +71,41 @@ class FastRefDetector(FeatureDetector):
 
 
 class TreeDetector(FeatureDetector):
-    """Learned single-tree detector; scores by bisection."""
+    """Learned single-tree detector; scores are exact for any tree
+    (``score_positions``)."""
 
     def __init__(self, tree: TernaryTree, table: OffsetTable = RING16,
                  t_min: int = 1):
         super().__init__()
         self.tree = tree
         self.table = table
-        self.compiled = compile_tree(tree, table)
+        self.compiled = CompiledTree(tree, table)
         self.t_min = t_min
         self.name = "fast-tree"
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
         xs, ys = detect(self.compiled, img, self.t_min).T
-        scores = score_positions_bisect(
-            partial(classify_positions, self.compiled, img), xs, ys, self.t_min)
+        scores = score_positions([self.compiled], img, xs, ys, self.t_min)
         return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
 
 
 class SixteenFoldDetector(FeatureDetector):
-    """Symmetrized wide-offset detector; scores by bisection on the OR."""
+    """Symmetrized wide-offset detector: the OR of a tree's 16 variants,
+    compiled once. A position's score is the largest over the variants."""
 
     def __init__(self, tree: TernaryTree, table: OffsetTable | None = None,
                  t_min: int = 1):
         super().__init__()
         self.tree = tree
         self.table = table or default_offsets_48()
+        self.variants = _variants(CompiledTree(tree, self.table))
         self.t_min = t_min
         self.name = "faster"
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
         ys, xs = np.nonzero(apply_sixteenfold(self.tree, img, self.t_min,
                                               self.table))
-        scores = score_positions_bisect(
-            partial(sixteenfold_classify_positions, self.tree, img,
-                    table=self.table), xs, ys, self.t_min)
+        scores = score_positions(self.variants, img, xs, ys, self.t_min)
         return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
 
 

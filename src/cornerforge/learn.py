@@ -414,43 +414,22 @@ def force_shared_second_test(tree: TernaryTree, ts: TrainingSet) -> TernaryTree:
     return merge_tree(out)
 
 
-_DIALECTS = {
-    "c": {
-        "signature": "static int {name}(const unsigned char *p, int stride, int t)",
-        "pixel": "p[{idx}]",
-        "centre": "p[0]",
-    },
-    "js": {
-        "signature": "function {name}(p, base, stride, t)",
-        "pixel": "p[base + ({idx})]",
-        "centre": "p[base]",
-    },
-}
-
-
 def emit_source(tree: TernaryTree, table: OffsetTable, *,
-                function_name: str = "is_corner", dialect: str = "c") -> str:
-    """Emit the tree as a self-contained curly-brace function.
+                function_name: str = "is_corner") -> str:
+    """Emit the tree as a self-contained C function.
 
     One conditional chain per decision node with the two boundary-inclusive
     comparisons of the ternary partition; leaves return 0/1. The emitted logic
     is classification-equivalent to interpreting the tree.
     """
-    try:
-        d = _DIALECTS[dialect]
-    except KeyError:
-        raise ValueError(f"unknown dialect {dialect!r}; have {sorted(_DIALECTS)}") from None
-
-    lines = [d["signature"].format(name=function_name), "{"]
-    centre = d["centre"]
-    lines.append(f"    const int cb = {centre} + t;" if dialect == "c"
-                 else f"    var cb = {centre} + t;")
-    lines.append(f"    const int c_b = {centre} - t;" if dialect == "c"
-                 else f"    var c_b = {centre} - t;")
+    lines = [f"static int {function_name}(const unsigned char *p, int stride, int t)",
+             "{",
+             "    const int cb = p[0] + t;",
+             "    const int c_b = p[0] - t;"]
 
     def pixel_expr(offset_index: int) -> str:
         dx, dy = table.xy(offset_index)
-        return d["pixel"].format(idx=f"{dx} + {dy} * stride")
+        return f"p[{dx} + {dy} * stride]"
 
     def rec(t: TernaryTree, indent: int) -> None:
         pad = "    " * indent

@@ -4,7 +4,10 @@ feature-count control and the keypoint file.
 A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
 Positions and the integer scores of segment-test detectors are exact in
 float64; response detectors keep their float scores. The corner score of a
-pixel is the largest threshold at which it still classifies as a corner.
+pixel is the largest threshold at which it still classifies as a corner;
+``score_positions`` computes it exactly for any tree, or OR of trees, by
+walking each tree once per position with the interval of thresholds that
+reach each node. Classification need not be monotone in the threshold.
 Scores drive 3x3 non-maximal suppression and feature-count control; the top
 n keypoints are a prefix of the rows ranked by (-score, y, x).
 """
@@ -17,19 +20,15 @@ from .image import GrayImage
 from .trees import CompiledTree, OffsetTable, RING16, TernaryTree
 
 
-def compile_tree(tree: TernaryTree, table: OffsetTable = RING16) -> CompiledTree:
-    return CompiledTree(tree, table)
-
-
 def _classify_flat(ct: CompiledTree, flat: np.ndarray, width: int,
-                   pos: np.ndarray, t, start: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized tree walk over flattened pixel positions.
+                   pos: np.ndarray, t: int, start: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized tree walk over flattened pixel positions at threshold t.
 
-    ``t`` may be a scalar or a per-position array. The walk is
-    level-synchronous: every still-active position advances one tree level per
-    pass (so the shared first tests run batched over the whole block), and
-    positions reaching a leaf drop out of the working set. ``start`` can seed
-    per-position node ids (negative = already-decided leaf codes).
+    The walk is level-synchronous: every still-active position advances one
+    tree level per pass (so the shared first tests run batched over the whole
+    block), and positions reaching a leaf drop out of the working set.
+    ``start`` can seed per-position node ids (negative = already-decided leaf
+    codes).
     """
     n = pos.shape[0]
     out = np.empty(n, dtype=bool)
@@ -87,16 +86,6 @@ def _shared_first_two(ct: CompiledTree):
     return int(ct.dx[root]), int(ct.dy[root]), dx2, dy2, lut
 
 
-def classify_positions(tree: TernaryTree, img: GrayImage, xs, ys, t,
-                       table: OffsetTable = RING16) -> np.ndarray:
-    """Vectorized classification at explicit positions; ``t`` may be an array."""
-    ct = tree if isinstance(tree, CompiledTree) else compile_tree(tree, table)
-    flat = img.pixels.ravel()
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    return _classify_flat(ct, flat, img.width, ys * img.width + xs, t)
-
-
 def _interior_flat_positions(img: GrayImage, margin: int,
                              y0: int, y1: int) -> np.ndarray:
     xs = np.arange(margin, img.width - margin, dtype=np.int64)
@@ -115,7 +104,7 @@ def detect(tree: TernaryTree, img: GrayImage, t: int,
     """
     if t < 1:
         raise ValueError("threshold must be >= 1")
-    ct = tree if isinstance(tree, CompiledTree) else compile_tree(tree, table)
+    ct = tree if isinstance(tree, CompiledTree) else CompiledTree(tree, table)
     margin = ct.margin
     h, w = img.height, img.width
     if h <= 2 * margin or w <= 2 * margin:
@@ -145,26 +134,71 @@ def detect(tree: TernaryTree, img: GrayImage, t: int,
     return np.column_stack([hit % w, hit // w]).astype(np.int32)
 
 
-def score_positions_bisect(classify, xs, ys, known_true_t: int = 1) -> np.ndarray:
-    """Corner scores of positions that fire at ``known_true_t``: the largest
-    t in [known_true_t, 255] at which they still classify as corners.
+def score_positions(trees, img: GrayImage, xs, ys, t_min: int) -> np.ndarray:
+    """Corner scores at explicit positions: the largest t in [t_min, 255] at
+    which any of the compiled ``trees`` classifies the position as a corner.
 
-    ``classify(xs, ys, t)`` classifies positions at per-position thresholds,
-    e.g. ``partial(classify_positions, tree, img)``. The search bisects, so
-    it assumes classification is monotone in t. Returns int32 scores.
+    Exact for any tree, monotone in t or not: each tree is walked once per
+    position with the interval of thresholds that reach the current node
+    (``_score_walk``). The score of an OR of trees is the largest of their
+    scores; the trees are walked in turn, and each walk only looks above the
+    best score found so far. Positions that fire at no t in range get
+    t_min - 1. Returns int32 scores.
     """
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    lo = np.full(xs.shape, known_true_t, dtype=np.int16)
-    hi = np.full(xs.shape, 255, dtype=np.int16)
-    while True:
-        active = np.flatnonzero(lo < hi)
-        if not active.size:
-            return lo.astype(np.int32)
-        mid = (lo[active] + hi[active] + 1) // 2
-        res = classify(xs[active], ys[active], mid)
-        lo[active[res]] = mid[res]
-        hi[active[~res]] = mid[~res] - 1
+    if t_min < 1:
+        raise ValueError("threshold must be >= 1")
+    flat = img.pixels.ravel()
+    pos = np.asarray(ys, dtype=np.int64) * img.width + np.asarray(xs, dtype=np.int64)
+    centre = flat[pos].astype(np.int16)
+    best = np.full(pos.shape, t_min - 1, dtype=np.int16)
+    for ct in trees:
+        _score_walk(ct, flat, img.width, pos, centre, best)
+    return best.astype(np.int32)
+
+
+def _score_walk(ct, flat: np.ndarray, width: int, pos: np.ndarray,
+                centre: np.ndarray, best: np.ndarray) -> None:
+    """Raise ``best`` to each position's largest firing t under one tree.
+
+    A work item is (position, node, [a, b]), starting at [best + 1, 255].
+    With d = ring - centre, thresholds up to |d| see the brighter (d > 0) or
+    darker (d < 0) state and higher ones the similar state. So the item moves
+    to the brighter or darker child with [a, min(b, |d|)] when that is
+    non-empty, and otherwise to the similar child, keeping [a, b]; an item
+    whose interval covers both appends a copy for the similar child with
+    [|d| + 1, b]. A corner leaf offers b. Each level raises a past the
+    position's best so far and drops empty intervals.
+    """
+    if ct.root < 0:
+        if ct.root == -2:
+            np.maximum(best, 255, out=best)
+        return
+    deltas = ct.dy.astype(np.int64) * width + ct.dx
+    children = np.ascontiguousarray(ct.children).ravel()
+    item = np.flatnonzero(best < 255)
+    cur = np.full(item.shape, ct.root, dtype=np.intp)
+    a = best[item] + np.int16(1)
+    b = np.full(item.shape, 255, dtype=np.int16)
+    while item.size:
+        d = flat[pos[item] + deltas[cur]].astype(np.int16) - centre[item]
+        ad = np.abs(d)
+        differ = a <= ad  # [a, min(b, |d|)] is non-empty
+        split = differ & (ad < b)
+        kids = cur * 3
+        cur = children[kids + np.where(differ, np.sign(d) + 1, 1)]
+        top = b
+        b = np.where(differ, np.minimum(b, ad), b)
+        if split.any():
+            item = np.concatenate([item, item[split]])
+            cur = np.concatenate([cur, children[kids[split] + 1]])
+            a = np.concatenate([a, ad[split] + 1])
+            b = np.concatenate([b, top[split]])
+        corner = cur == -2
+        if corner.any():
+            np.maximum.at(best, item[corner], b[corner])
+        a = np.maximum(a, best[item] + np.int16(1))
+        keep = (cur >= 0) & (a <= b)
+        item, cur, a, b = item[keep], cur[keep], a[keep], b[keep]
 
 
 def _nms_keep_field(field: np.ndarray) -> np.ndarray:

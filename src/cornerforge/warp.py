@@ -25,6 +25,8 @@ class Homography:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64).reshape(3, 3)
+        if not np.isfinite(m).all():
+            raise SingularHomographyError("matrix has non-finite entries")
         if abs(np.linalg.det(m)) <= 1e-12:
             raise SingularHomographyError(f"|det|={abs(np.linalg.det(m)):.3e}")
         m.setflags(write=False)

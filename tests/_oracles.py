@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch (plain Python, no reuse
 of package internals) so a bug in the implementation cannot hide in its own
 test. The scalar reference paths (pixel-by-pixel tree walk and detection,
-bisection and iteration scores, the high-speed rejection test) live here:
-only tests use them. They read trees, images and offset tables through
+the sixteen-fold OR, bisection, iteration and linear-scan scores, the
+high-speed rejection test) live here: only tests use them. They read trees, images and offset tables through
 their attributes (``offset``/``b``/``s``/``d``/``cls``, ``at``,
 ``xy``/``margin``).
 """
@@ -264,3 +264,63 @@ def exhaustive_count_table(labels, weights, k: int, fixed):
         for j in range(k):
             table[j][3 * int(labels[code]) + digits[j]] += int(weights[code])
     return table
+
+
+class _MappedTable:
+    """An offset table seen through (dx, dy) -> (sx * u, sy * v), where
+    (u, v) is (dx, dy), or (dy, dx) when ``swap``."""
+
+    def __init__(self, table, swap: bool, sx: int, sy: int):
+        self.table, self.swap, self.sx, self.sy = table, swap, sx, sy
+        self.margin = table.margin
+
+    def xy(self, index):
+        dx, dy = self.table.xy(index)
+        u, v = (dy, dx) if self.swap else (dx, dy)
+        return self.sx * u, self.sy * v
+
+
+class _Inverted:
+    """An image with every value v read as 255 - v."""
+
+    def __init__(self, img):
+        self.img, self.width, self.height = img, img.width, img.height
+
+    def at(self, x, y):
+        return 255 - self.img.at(x, y)
+
+
+def dihedral_tables(table):
+    """The offset table under each of the 8 rotations and reflections."""
+    return [_MappedTable(table, swap, sx, sy) for swap in (False, True)
+            for sx in (1, -1) for sy in (1, -1)]
+
+
+def classify_sixteenfold(tree, img, p, t: int, table) -> bool:
+    """OR of the tree over the 8 dihedral maps of its offset table, on the
+    image and on its intensity inversion."""
+    return any(classify_pixel(tree, view, p, t, mapped)
+               for mapped in dihedral_tables(table)
+               for view in (img, _Inverted(img)))
+
+
+def linear_scan_score(fires, img, p, table, t_min: int):
+    """Largest t in [t_min, 255] with ``fires(t)``, or None.
+
+    A pixel's state at offset k changes with t only between |ring_k - centre|
+    and the next integer, so classification is constant on each run of
+    thresholds ending at such a breakpoint or at 255. Scanning those ends
+    from the top (breakpoints of every dihedral map of the table) finds the
+    largest firing t, whether or not classification is monotone in t.
+    """
+    x, y = p
+    c = img.at(x, y)
+    ends = {255}
+    for mapped in dihedral_tables(table):
+        for idx in table.indices():
+            dx, dy = mapped.xy(idx)
+            ends.add(abs(img.at(x + dx, y + dy) - c))
+    for t in sorted((e for e in ends if t_min <= e <= 255), reverse=True):
+        if fires(t):
+            return t
+    return None

@@ -7,7 +7,8 @@ from cornerforge import annealing as an
 from cornerforge.datasets import make_dataset, synthetic_base_image
 from cornerforge.image import GrayImage
 from cornerforge.repeatability import make_pairs
-from cornerforge.trees import LEAF0, Leaf, Node, tree_size
+from cornerforge.runtime import score_positions
+from cornerforge.trees import LEAF0, CompiledTree, Leaf, Node, tree_size
 from cornerforge.warp import project_points
 
 
@@ -130,16 +131,38 @@ TRANSFORMS = {
 }
 
 
+def score_field(tree, img: GrayImage, t: int) -> np.ndarray:
+    """Pre-suppression sixteen-fold scores, 0 where nothing fires at t."""
+    ys, xs = np.nonzero(an.apply_sixteenfold(tree, img, t))
+    variants = an._variants(CompiledTree(tree, an.default_offsets_48()))
+    field = np.zeros((img.height, img.width), dtype=np.int32)
+    field[ys, xs] = score_positions(variants, img, xs, ys, t)
+    return field
+
+
 class TestSixteenfoldSymmetry:
+    @staticmethod
+    def check(field_of, img, name):
+        on_image, on_field = TRANSFORMS[name]
+        moved = GrayImage(np.ascontiguousarray(on_image(img.pixels)))
+        assert np.array_equal(field_of(moved), on_field(field_of(img)))
+
     @pytest.mark.parametrize("name", sorted(TRANSFORMS))
     @pytest.mark.parametrize("seed", range(3))
     def test_transformed_image_gives_transformed_field(self, name, seed):
-        on_image, on_field = TRANSFORMS[name]
         rng = np.random.default_rng(seed)
         img = random_image(rng) if seed else synthetic_base_image(48, 40, 2)
         tree = conjunction_tree(seed + 10, 3)
         field = an.apply_sixteenfold(tree, img, 35)
         assert 0 < field.sum() < field.size // 3
-        moved = GrayImage(np.ascontiguousarray(on_image(img.pixels)))
-        assert np.array_equal(an.apply_sixteenfold(tree, moved, 35),
-                              on_field(field))
+        self.check(lambda im: an.apply_sixteenfold(tree, im, 35), img, name)
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_transformed_image_gives_transformed_scores(self, name, seed):
+        rng = np.random.default_rng(seed)
+        img = random_image(rng) if seed else synthetic_base_image(48, 40, 2)
+        tree = random_tree(seed + 20)
+        scores = score_field(tree, img, 5)
+        assert len(np.unique(scores)) > 10
+        self.check(lambda im: score_field(tree, im, 5), img, name)

@@ -3,7 +3,7 @@ import pytest
 
 from cornerforge import learn, segment as sg
 from cornerforge.annealing import apply_sixteenfold
-from cornerforge.cli import EXIT_DATA, EXIT_OK, main
+from cornerforge.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cornerforge.image import GrayImage, load_image, save_pgm
 from cornerforge.runtime import detect, read_keypoints
 from cornerforge.trees import deserialize_tree
@@ -32,6 +32,28 @@ def test_detect_writes_parseable_keypoints(small_dataset, tmp_path):
     assert len(xs)
     assert ((xs >= 3) & (xs < img.width - 3) & (ys >= 3) & (ys < img.height - 3)
             & (scores >= 35) & (scores <= 255)).all()
+
+
+@pytest.mark.parametrize("flags", [["--t", "0"], ["--t", "-3"], ["--n", "0"],
+                                   ["--n", "17"],
+                                   ["--algo", "harris", "--sigma", "0"],
+                                   ["--algo", "shi-tomasi", "--sigma", "-1"]],
+                         ids=["t=0", "t=-3", "n=0", "n=17", "harris-sigma=0",
+                              "shi-tomasi-sigma=-1"])
+def test_detect_rejects_out_of_range_parameters(small_dataset, tmp_path, flags):
+    out = tmp_path / "kp.txt"
+    assert main(["detect", str(small_dataset / "frame_000.pgm"), *flags,
+                 "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["fast-ref:t=0", "fast-ref:n=8",
+                                  "harris:sigma=0"])
+def test_eval_repeat_rejects_out_of_range_spec(small_dataset, tmp_path, spec):
+    assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo", spec,
+                 "--counts", "0:100:100", "--out",
+                 str(tmp_path / "r_")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_writes_one_row(small_dataset, tmp_path):

@@ -318,15 +318,6 @@ class TestEmitSource:
         src = learn.emit_source(tree, RING16)
         assert "p[0 + -3 * stride]" in src
 
-    def test_js_dialect(self):
-        tree = Node(5, b=Leaf(1), s=Leaf(0), d=Leaf(0))
-        src = learn.emit_source(tree, RING16, function_name="fk", dialect="js")
-        assert src.startswith("function fk(p, base, stride, t)")
-
-    def test_unknown_dialect(self):
-        with pytest.raises(ValueError):
-            learn.emit_source(Leaf(0), RING16, dialect="cobol")
-
 
 @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
                     reason="no C compiler")

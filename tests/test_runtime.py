@@ -1,5 +1,4 @@
 import io
-from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +6,9 @@ from hypothesis import given, strategies as st
 
 import _oracles as orc
 from cornerforge import runtime as rt
+from cornerforge.annealing import _variants, apply_sixteenfold, default_offsets_48
 from cornerforge.image import GrayImage
-from cornerforge.trees import LEAF0, LEAF1, Leaf, Node, RING16
+from cornerforge.trees import LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16
 
 # Handcrafted monotone trees with closed-form scores: classification depends
 # only on |ring - centre| >= t, so max-t is analytic.
@@ -39,9 +39,15 @@ def classify_pixel(tree, img, p, t):
     return orc.classify_pixel(tree, img, p, t, RING16)
 
 
-def bisect_scores(tree, img, xs, ys):
-    return rt.score_positions_bisect(partial(rt.classify_positions, tree, img),
-                                     xs, ys)
+def classify_at(tree, img, xs, ys, t):
+    """The level-synchronous walk at explicit (x, y) positions."""
+    pos = np.asarray(ys, dtype=np.int64) * img.width + np.asarray(xs)
+    return rt._classify_flat(CompiledTree(tree, RING16), img.pixels.ravel(),
+                             img.width, pos, t)
+
+
+def walk_scores(tree, img, xs, ys, t_min=1):
+    return rt.score_positions([CompiledTree(tree, RING16)], img, xs, ys, t_min)
 
 
 def rows(*points):
@@ -52,8 +58,8 @@ class TestClassify:
     def test_leaf_only_true_everywhere(self):
         img = rand_img(0)
         assert classify_pixel(Leaf(1), img, (10, 10), 5)
-        got = rt.classify_positions(Leaf(1), img, [4, 5], [6, 7], 5)
-        assert got.all()
+        assert classify_at(Leaf(1), img, [4, 5], [6, 7], 5).all()
+        assert walk_scores(Leaf(1), img, [4, 5], [6, 7], 5).tolist() == [255, 255]
 
     def test_margin_enforced(self):
         img = rand_img(1)
@@ -73,20 +79,21 @@ class TestClassify:
         xs = rng.integers(3, img.width - 3, 200)
         ys = rng.integers(3, img.height - 3, 200)
         for tree in (ONE_OFFSET, TWO_OFFSET):
-            got = rt.classify_positions(tree, img, xs, ys, 20)
+            got = classify_at(tree, img, xs, ys, 20)
             want = [classify_pixel(tree, img, (int(x), int(y)), 20)
                     for x, y in zip(xs, ys)]
             assert got.tolist() == want
 
     def test_per_element_thresholds(self):
+        # each position's score is its own largest firing threshold; a
+        # position that does not fire at t_min gets t_min - 1
         img = rand_img(4)
-        xs = np.array([10, 11, 12])
-        ys = np.array([10, 10, 10])
-        ts = np.array([1, 50, 200], dtype=np.int16)
-        got = rt.classify_positions(ONE_OFFSET, img, xs, ys, ts)
-        want = [one_offset_score(img, int(x), int(y)) >= int(t)
-                for x, y, t in zip(xs, ys, ts)]
-        assert got.tolist() == want
+        xs = np.arange(5, 35)
+        ys = np.full(30, 10)
+        want = [one_offset_score(img, int(x), 10) for x in xs]
+        for t_min in (1, 50, 200):
+            got = walk_scores(ONE_OFFSET, img, xs, ys, t_min)
+            assert got.tolist() == [w if w >= t_min else t_min - 1 for w in want]
 
 
 class TestDetect:
@@ -116,7 +123,7 @@ class TestScores:
         img = GrayImage(a)
         assert orc.corner_score_bisect(ONE_OFFSET, img, (8, 8), RING16) == 20
         assert orc.corner_score_iterate(ONE_OFFSET, img, (8, 8), RING16) == 20
-        assert bisect_scores(ONE_OFFSET, img, [8], [8]).tolist() == [20]
+        assert walk_scores(ONE_OFFSET, img, [8], [8]).tolist() == [20]
 
     def test_not_a_corner(self):
         img = GrayImage.constant(16, 16, 50)
@@ -132,7 +139,7 @@ class TestScores:
                                  (TWO_OFFSET, two_offset_score)):
                 pos = rt.detect(tree, img, 1)
                 xs, ys = pos[:, 0], pos[:, 1]
-                batch = bisect_scores(tree, img, xs, ys)
+                batch = walk_scores(tree, img, xs, ys)
                 assert batch.dtype == np.int32 and len(batch) == len(pos)
                 for (x, y), s in list(zip(pos, batch))[:60]:
                     x, y = int(x), int(y)
@@ -144,7 +151,7 @@ class TestScores:
     def test_linear_scan_oracle(self):
         img = rand_img(31)
         pos = rt.detect(TWO_OFFSET, img, 1)[:40]
-        batch = bisect_scores(TWO_OFFSET, img, pos[:, 0], pos[:, 1])
+        batch = walk_scores(TWO_OFFSET, img, pos[:, 0], pos[:, 1])
         for (x, y), s in zip(pos, batch):
             x, y = int(x), int(y)
             linear = max(t for t in range(1, 256)
@@ -159,7 +166,7 @@ class TestScores:
         img = GrayImage(a)
         assert orc.corner_score_iterate(ONE_OFFSET, img, (8, 8), RING16) == 255
         assert orc.corner_score_bisect(ONE_OFFSET, img, (8, 8), RING16) == 255
-        assert bisect_scores(ONE_OFFSET, img, [8], [8]).tolist() == [255]
+        assert walk_scores(ONE_OFFSET, img, [8], [8]).tolist() == [255]
 
     def test_iterate_requires_passing_pixels(self):
         img = GrayImage.constant(16, 16, 90)
@@ -171,6 +178,54 @@ class TestScores:
         with pytest.raises(ValueError):
             orc.corner_score_iterate(Leaf(1), rand_img(1), (8, 8),
                                      default_offsets_48())
+
+
+def trees_over(table, max_leaves=24):
+    """Random trees over a table's offsets; leaf 1 may sit anywhere, so
+    classification is in general not monotone in t."""
+    return st.recursive(
+        st.sampled_from([LEAF0, LEAF1]),
+        lambda kids: st.builds(Node, st.sampled_from(list(table.indices())),
+                               kids, kids, kids),
+        max_leaves=max_leaves)
+
+
+class TestExactScores:
+    """``score_positions`` against the linear-scan oracle on any tree."""
+
+    @pytest.mark.parametrize("sixteenfold", [False, True])
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
+                             ids=["ring16", "grid48"])
+    @given(data=st.data())
+    def test_matches_linear_scan(self, table, sixteenfold, data):
+        tree = data.draw(trees_over(table))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        contrast = data.draw(st.sampled_from([12, 60, 256]))
+        t_min = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(seed)
+        base = int(rng.integers(0, 257 - contrast))
+        img = GrayImage((base + rng.integers(0, contrast, (14, 15)))
+                        .astype(np.uint8))
+        if sixteenfold:
+            ys, xs = np.nonzero(apply_sixteenfold(tree, img, t_min, table))
+            trees = _variants(CompiledTree(tree, table))
+
+            def fires(p, t):
+                return orc.classify_sixteenfold(tree, img, p, t, table)
+        else:
+            xs, ys = rt.detect(tree, img, t_min, table).T
+            trees = [CompiledTree(tree, table)]
+
+            def fires(p, t):
+                return orc.classify_pixel(tree, img, p, t, table)
+        pick = rng.permutation(len(xs))[:12]
+        xs, ys = xs[pick], ys[pick]
+        got = rt.score_positions(trees, img, xs, ys, t_min)
+        assert got.dtype == np.int32
+        for x, y, score in zip(xs.tolist(), ys.tolist(), got.tolist()):
+            want = orc.linear_scan_score(lambda t: fires((x, y), t), img,
+                                         (x, y), table, t_min)
+            assert score == want
 
 
 def point_sets(score_strategy):
