@@ -6,6 +6,11 @@ OR-ed together) so the detector is symmetric by construction. Candidate trees
 are scored by a multiplicative cost combining repeatability on training
 frames, per-frame corner density, and tree size; proposals are accepted by
 the Boltzmann criterion under an exponentially decaying temperature.
+
+The threshold and the training frames are fixed for a whole run, so the
+cost evaluator computes the frames' ternary state planes once and each
+evaluation only walks the candidate's sixteen variants over them
+(``runtime.PlaneWalk``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .image import GrayImage
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
 from .repeatability import _any_within, _row_prefix, make_pairs
-from .runtime import _classify_flat, _interior_flat_positions
+from .runtime import PlaneWalk, _interior_flat_positions, ternary_planes
 from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
                     tree_size)
 from .warp import project_points
@@ -63,33 +68,14 @@ def _variants(ct: CompiledTree):
     return out
 
 
-def _sixteenfold_on_positions(variants, img: GrayImage, pos: np.ndarray,
-                              t: int) -> np.ndarray:
-    """OR of the 16 applications at flat positions; later variants only
-    evaluate pixels still undetected."""
-    flat = img.pixels.ravel()
-    detected = np.zeros(pos.shape[0], dtype=bool)
-    for var in variants:
-        active = np.flatnonzero(~detected)
-        if not active.size:
-            break
-        res = _classify_flat(var, flat, img.width, pos[active], t)
-        detected[active[res]] = True
-    return detected
-
-
 def apply_sixteenfold(tree: TernaryTree, img: GrayImage, t: int,
                       table: OffsetTable | None = None) -> np.ndarray:
     """Boolean corner field of the symmetrized detector (borders False)."""
     table = table or default_offsets_48()
-    margin = table.margin
     field = np.zeros((img.height, img.width), dtype=bool)
-    if img.height <= 2 * margin or img.width <= 2 * margin:
-        return field
-    ct = CompiledTree(tree, table)
-    pos = _interior_flat_positions(img, margin, margin, img.height - margin)
-    hit = _sixteenfold_on_positions(_variants(ct), img, pos, t)
-    field.ravel()[pos[hit]] = True
+    xs, ys = PlaneWalk(_variants(CompiledTree(tree, table))).detect(
+        img, t, table.margin).T
+    field[ys, xs] = True
     return field
 
 
@@ -225,10 +211,13 @@ def mutate(tree: TernaryTree, rng: np.random.Generator,
 class CostEvaluator:
     """Evaluates Eq-style detector cost on fixed training frames and warps.
 
-    Per ordered pair it keeps the interior source pixels whose projection
-    lands inside frame j, and their projected coordinates. An evaluation
-    matches the detected ones among them against frame j's detections with
-    the repeatability kernel.
+    The ternary state planes of all training frames at ``weights.t`` are
+    built once, over the offsets of the table under the eight dihedral maps,
+    so every variant of every candidate tree walks the same planes. Per
+    ordered pair it keeps the interior source pixels whose projection lands
+    inside frame j, and their projected coordinates. An evaluation matches
+    the detected ones among them against frame j's detections with the
+    repeatability kernel.
     """
 
     def __init__(self, frames, warps, weights: CostWeights,
@@ -242,6 +231,11 @@ class CostEvaluator:
         self.positions = [
             _interior_flat_positions(f, margin, margin, f.height - margin)
             for f in self.frames]
+        self.offsets = sorted({(a * dx + b * dy, c * dx + d * dy)
+                               for a, b, c, d in _DIHEDRAL
+                               for dx, dy in table.offsets})
+        self.planes = ternary_planes(self.frames, self.offsets, weights.t,
+                                     margin)
         self.projections = {}
         for i, j in pairs:
             if (i, j) not in warps:
@@ -253,13 +247,16 @@ class CostEvaluator:
                                         proj[valid, 1])
 
     def detect_fields(self, tree: TernaryTree) -> list[np.ndarray]:
-        ct = CompiledTree(tree, self.table)
-        variants = _variants(ct)
+        """Per frame, the flat boolean corner field of the symmetrized
+        detector: one plane walk of the 16 variants over all frames."""
+        walk = PlaneWalk(_variants(CompiledTree(tree, self.table)), self.offsets)
+        hit = walk.fired(self.planes)
         fields = []
+        col = 0
         for frame, pos in zip(self.frames, self.positions):
-            hit = _sixteenfold_on_positions(variants, frame, pos, self.weights.t)
             field = np.zeros(frame.height * frame.width, dtype=bool)
-            field[pos[hit]] = True
+            field[pos] = hit[col : col + pos.size]
+            col += pos.size
             fields.append(field)
         return fields
 
@@ -366,31 +363,13 @@ def distill(tree: TernaryTree, images, t: int = 35,
     otherwise labels need not be a function of the states.
     """
     table = table or default_offsets_48()
-    margin = table.margin
-    state_blocks = []
-    label_blocks = []
-    for img in images:
-        h, w = img.height, img.width
-        if h <= 2 * margin or w <= 2 * margin:
-            continue
-        field = apply_sixteenfold(tree, img, t, table)
-        a = img.pixels.astype(np.int16)
-        centre = a[margin : h - margin, margin : w - margin]
-        hi = centre + t
-        lo = centre - t
-        n = centre.size
-        states = np.empty((n, len(table)), dtype=np.uint8)
-        for col, (dx, dy) in enumerate(table.offsets):
-            r = a[margin + dy : h - margin + dy, margin + dx : w - margin + dx]
-            st = 1 + (r >= hi).view(np.int8) - (r <= lo).view(np.int8)
-            states[:, col] = st.ravel().astype(np.uint8)
-        state_blocks.append(states)
-        label_blocks.append(field[margin : h - margin, margin : w - margin].ravel())
-    if not state_blocks:
+    images = list(images)
+    walk = PlaneWalk(_variants(CompiledTree(tree, table)))
+    labels = walk.fired(ternary_planes(images, walk.offsets, t, table.margin))
+    states = ternary_planes(images, table.offsets, t, table.margin).T
+    if not states.size:
         raise ValueError("no interior pixels to distill from")
 
-    states = np.concatenate(state_blocks)
-    labels = np.concatenate(label_blocks)
     key = np.ascontiguousarray(states).view(
         np.dtype((np.void, states.shape[1])))[:, 0]
     uniq, first, inverse, counts = np.unique(

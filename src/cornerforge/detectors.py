@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .annealing import _variants, apply_sixteenfold, default_offsets_48
+from .annealing import _variants, default_offsets_48
 from .baselines import (detect_random, detect_response, harris_response,
                         shi_tomasi_response, structure_tensor)
 from .image import GrayImage
-from .runtime import (detect, keypoint_rows, rank_by_score, score_positions,
-                      suppress_scored_arrays, top_n_by_score)
+from .runtime import (PlaneWalk, detect, keypoint_rows, rank_by_score,
+                      score_positions, suppress_scored_arrays, top_n_by_score)
 from .segment import segment_score_field
 from .trees import CompiledTree, OffsetTable, RING16, TernaryTree
 
@@ -91,7 +91,8 @@ class TreeDetector(FeatureDetector):
 
 class SixteenFoldDetector(FeatureDetector):
     """Symmetrized wide-offset detector: the OR of a tree's 16 variants,
-    compiled once. A position's score is the largest over the variants."""
+    compiled once with their plane rows. A position's score is the largest
+    over the variants."""
 
     def __init__(self, tree: TernaryTree, table: OffsetTable | None = None,
                  t_min: int = 1):
@@ -99,12 +100,12 @@ class SixteenFoldDetector(FeatureDetector):
         self.tree = tree
         self.table = table or default_offsets_48()
         self.variants = _variants(CompiledTree(tree, self.table))
+        self.walk = PlaneWalk(self.variants)
         self.t_min = t_min
         self.name = "faster"
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
-        ys, xs = np.nonzero(apply_sixteenfold(self.tree, img, self.t_min,
-                                              self.table))
+        xs, ys = self.walk.detect(img, self.t_min, self.table.margin).T
         scores = score_positions(self.variants, img, xs, ys, self.t_min)
         return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
 

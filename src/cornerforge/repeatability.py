@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage, add_gaussian_noise
 from .warp import Homography, project_points
 
 CURVE_MAX_COUNT = 2000  # aggregate score integrates R over 0..2000 features
@@ -205,23 +204,3 @@ def area_under_curve(curve) -> float:
     vals = np.interp(grid, xs, rs)
     return float(np.trapezoid(vals, grid))
 
-
-def noise_sweep(frames, warps, detector, n_features: int, sigmas,
-                seed: int, epsilon: float = 5.0, pairs=None) -> list[tuple[float, float]]:
-    """Repeatability at a fixed feature count as per-frame Gaussian noise
-    grows; noise is drawn independently per frame and per sigma."""
-    frames = list(frames)
-    out = []
-    for si, sigma in enumerate(sigmas):
-        noised = [
-            add_gaussian_noise(
-                frame, sigma,
-                int(np.random.SeedSequence((seed, si, k)).generate_state(1)[0]))
-            for k, frame in enumerate(frames)
-        ]
-        clear = getattr(detector, "clear_cache", None)
-        if clear:
-            clear()
-        out.append((float(sigma), sequence_repeatability(
-            noised, warps, detector, n_features, epsilon, pairs)))
-    return out

@@ -1,6 +1,11 @@
 """Applying decision trees to images: detection, corner scores, suppression,
 feature-count control and the keypoint file.
 
+Detection works on ternary state planes: ``ternary_planes`` computes the
+darker/similar/brighter state of every interior pixel at each offset once
+per image and threshold, and ``PlaneWalk`` walks one or more compiled trees
+(a tree, or the sixteen variants of a symmetrized one, OR-ed) over those
+planes, level by level and only for the columns still undecided.
 A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
 Positions and the integer scores of segment-test detectors are exact in
 float64; response detectors keep their float scores. The corner score of a
@@ -20,70 +25,129 @@ from .image import GrayImage
 from .trees import CompiledTree, OffsetTable, RING16, TernaryTree
 
 
-def _classify_flat(ct: CompiledTree, flat: np.ndarray, width: int,
-                   pos: np.ndarray, t: int, start: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized tree walk over flattened pixel positions at threshold t.
+def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
+    """Pixel states at each offset, as uint8 planes of shape
+    (len(offsets), interior pixels).
 
-    The walk is level-synchronous: every still-active position advances one
-    tree level per pass (so the shared first tests run batched over the whole
-    block), and positions reaching a leaf drop out of the working set.
-    ``start`` can seed per-position node ids (negative = already-decided leaf
-    codes).
+    Entry [k, col] is 0 (darker: ring <= centre - t), 1 (similar) or 2
+    (brighter: ring >= centre + t) for offset k, the order of
+    ``CompiledTree.children``. The columns are the pixels at least ``margin``
+    from every edge of each image in turn, in raster order.
     """
-    n = pos.shape[0]
-    out = np.empty(n, dtype=bool)
-    if n == 0:
-        return out
-    if start is None:
+    if t < 1:
+        raise ValueError("threshold must be >= 1")
+    offsets = [(int(dx), int(dy)) for dx, dy in offsets]
+    if any(max(abs(dx), abs(dy)) > margin for dx, dy in offsets):
+        raise ValueError(f"an offset reaches beyond the margin {margin}")
+    shapes = [(img.height - 2 * margin, img.width - 2 * margin) for img in images]
+    sizes = [h * w if h > 0 and w > 0 else 0 for h, w in shapes]
+    planes = np.empty((len(offsets), sum(sizes)), dtype=np.uint8)
+    col = 0
+    for img, shape, n in zip(images, shapes, sizes):
+        if not n:
+            continue
+        a = img.pixels
+        h, w = a.shape
+        c = a[margin : h - margin, margin : w - margin].astype(np.int16)
+        # brighter iff ring > centre + t - 1, darker iff ring < centre - t + 1,
+        # with the bounds clipped to uint8 so the comparisons stay uint8
+        above = np.minimum(c + (t - 1), 255).astype(np.uint8)
+        below = np.maximum(c - (t - 1), 0).astype(np.uint8)
+        for k, (dx, dy) in enumerate(offsets):
+            r = a[margin + dy : h - margin + dy, margin + dx : w - margin + dx]
+            out = planes[k, col : col + n].reshape(shape)
+            np.add(r > above, np.uint8(1), out=out)
+            np.subtract(out, r < below, out=out)
+        col += n
+    return planes
+
+
+class PlaneWalk:
+    """Compiled trees prepared to walk ternary planes.
+
+    ``offsets`` is an (R, 2) array of distinct (dx, dy): by default those
+    the trees' nodes test, sorted; otherwise the given offsets in their
+    order, which must hold every node's. Planes for the walk are built over
+    it, and node k of tree i reads plane row ``rows[i][k]``. The first levels of each tree become one
+    lookup on whole plane rows: a 3-entry table on the root's row, or a
+    9-entry table on two rows when the root's non-leaf children all test one
+    offset (the forced-shared-second-test shape).
+    """
+
+    def __init__(self, trees, offsets=None):
+        self.trees = list(trees)
+        nodes = [np.column_stack([ct.dx, ct.dy]) for ct in self.trees]
+        given = [] if offsets is None else [np.asarray(offsets).reshape(-1, 2)]
+        xy = np.concatenate(given + nodes).astype(np.int64)
+        # (dx, dy) as one integer key, in the lexicographic order
+        _, first, inverse = np.unique(xy[:, 0] * 2**32 + xy[:, 1],
+                                      return_index=True, return_inverse=True)
+        self.offsets = xy[first]
+        if given:
+            if len(first) != len(given[0]):
+                raise ValueError("the given offsets must be distinct and hold "
+                                 "every node's offset")
+            self.offsets = given[0]
+            order = np.empty(len(first), dtype=np.intp)
+            order[inverse[:len(first)]] = np.arange(len(first))
+            inverse = order[inverse]
+        bounds = np.cumsum([len(block) for block in given + nodes])
+        self.rows = np.split(inverse, bounds)[len(given):-1]
+        self.heads = [self._head(ct, row) for ct, row in zip(self.trees, self.rows)]
+
+    @staticmethod
+    def _head(ct: CompiledTree, row: np.ndarray):
+        """(plane rows, lookup) for the first one or two levels; the lookup
+        maps the rows' states, base 3, to a node id or leaf code."""
         if ct.root < 0:
-            out[:] = ct.root == -2
-            return out
-        cur = np.full(n, ct.root, dtype=np.int32)
-    else:
-        cur = start.astype(np.int32, copy=True)
-    centre = flat[pos].astype(np.int16)
-    hi = centre + t
-    lo = centre - t
-    deltas = ct.dy.astype(np.int64) * width + ct.dx
-    children = np.ascontiguousarray(ct.children)
+            return (), None
+        kids = ct.children[ct.root]
+        second = {int(row[k]) for k in kids if k >= 0}
+        if len(second) != 1:
+            return (int(row[ct.root]),), kids.copy()
+        lut = np.array([k if k < 0 else ct.children[k, s2]
+                        for k in kids.tolist() for s2 in range(3)], dtype=np.int32)
+        return (int(row[ct.root]), second.pop()), lut
 
-    active = np.arange(n, dtype=np.intp)
-    pos_a, hi_a, lo_a = pos, hi, lo
-    while True:
-        done = cur < 0
-        if done.any():
-            out[active[done]] = cur[done] == -2
-            keep = ~done
-            active = active[keep]
-            cur = cur[keep]
-            pos_a = pos_a[keep]
-            hi_a = hi_a[keep]
-            lo_a = lo_a[keep]
-        if not active.size:
-            return out
-        ring = flat[pos_a + deltas[cur]].astype(np.int16)
-        st = (ring >= hi_a).view(np.int8) - (ring <= lo_a).view(np.int8)
-        cur = children[cur, st.astype(np.intp) + 1]
+    def fired(self, planes: np.ndarray) -> np.ndarray:
+        """Columns of ``planes`` that any of the trees classifies as a
+        corner. Later trees skip columns already fired; below the head
+        lookup, each level gathers states for the live columns only."""
+        n = planes.shape[1]
+        fired = np.zeros(n, dtype=bool)
+        flat = planes.ravel()
+        for ct, row, (head_rows, lut) in zip(self.trees, self.rows, self.heads):
+            if lut is None:
+                if ct.root == -2:
+                    fired[:] = True
+                    break
+                continue
+            idx = planes[head_rows[0]]
+            if len(head_rows) == 2:
+                idx = idx * np.uint8(3) + planes[head_rows[1]]
+            cur = lut.take(idx)
+            live = np.flatnonzero((cur >= 0) & ~fired)
+            fired |= cur == -2
+            cur = cur[live]
+            children = ct.children.ravel()
+            start = row.astype(np.intp) * n  # node -> its row's start in flat
+            while live.size:
+                cur = children.take(cur * 3 + flat.take(start.take(cur) + live))
+                fired[live[cur == -2]] = True
+                keep = cur >= 0
+                live, cur = live[keep], cur[keep]
+        return fired
 
-
-def _shared_first_two(ct: CompiledTree):
-    """Dense-evaluation plan when the root's non-leaf children all test one
-    offset (the forced-shared-second-test shape): the first two levels then
-    reduce to two whole-array comparisons and a 9-entry routing table."""
-    if ct.root < 0:
-        return None
-    root = ct.root
-    kids = ct.children[root]
-    second = {(int(ct.dx[k]), int(ct.dy[k])) for k in kids if k >= 0}
-    if len(second) != 1:
-        return None
-    (dx2, dy2), = second
-    lut = np.empty(9, dtype=np.int32)
-    for s1 in range(3):
-        k = int(kids[s1])
-        for s2 in range(3):
-            lut[s1 * 3 + s2] = k if k < 0 else int(ct.children[k, s2])
-    return int(ct.dx[root]), int(ct.dy[root]), dx2, dy2, lut
+    def detect(self, img: GrayImage, t: int, margin: int) -> np.ndarray:
+        """Positions at least ``margin`` from every edge that fire at
+        threshold t, as (M, 2) int32 [x, y] rows in raster order."""
+        iw = img.width - 2 * margin
+        if img.height <= 2 * margin or iw <= 0:
+            return np.zeros((0, 2), dtype=np.int32)
+        hit = np.flatnonzero(self.fired(ternary_planes([img], self.offsets, t,
+                                                      margin)))
+        return np.column_stack([hit % iw + margin,
+                                hit // iw + margin]).astype(np.int32)
 
 
 def _interior_flat_positions(img: GrayImage, margin: int,
@@ -96,42 +160,11 @@ def _interior_flat_positions(img: GrayImage, margin: int,
 def detect(tree: TernaryTree, img: GrayImage, t: int,
            table: OffsetTable = RING16) -> np.ndarray:
     """All interior positions the tree classifies as corners at threshold t,
-    as (M, 2) int32 [x, y] rows in raster order.
-
-    The tree is evaluated level-wise over the whole interior. When the
-    root's children share one offset, the first two levels are two
-    whole-array comparisons (``_shared_first_two``).
-    """
+    as (M, 2) int32 [x, y] rows in raster order (``PlaneWalk``)."""
     if t < 1:
         raise ValueError("threshold must be >= 1")
     ct = tree if isinstance(tree, CompiledTree) else CompiledTree(tree, table)
-    margin = ct.margin
-    h, w = img.height, img.width
-    if h <= 2 * margin or w <= 2 * margin:
-        return np.zeros((0, 2), dtype=np.int32)
-    flat = img.pixels.ravel()
-    pos = _interior_flat_positions(img, margin, margin, h - margin)
-    plan = _shared_first_two(ct)
-    if plan is None:
-        fired = _classify_flat(ct, flat, w, pos, t)
-    else:
-        dx1, dy1, dx2, dy2, lut = plan
-        a = img.pixels
-        c = a[margin : h - margin, margin : w - margin].astype(np.int16)
-        hi = c + t
-        lo = c - t
-
-        def states(dx, dy):
-            r = a[margin + dy : h - margin + dy, margin + dx : w - margin + dx]
-            return (r >= hi).view(np.int8) - (r <= lo).view(np.int8)
-
-        cur = lut[(states(dx1, dy1) * np.int8(3) + states(dx2, dy2)
-                   + np.int8(4)).ravel()]
-        fired = cur == -2
-        live = cur >= 0
-        fired[live] = _classify_flat(ct, flat, w, pos[live], t, start=cur[live])
-    hit = pos[fired]
-    return np.column_stack([hit % w, hit // w]).astype(np.int32)
+    return PlaneWalk([ct]).detect(img, t, ct.margin)
 
 
 def score_positions(trees, img: GrayImage, xs, ys, t_min: int) -> np.ndarray:

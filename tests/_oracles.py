@@ -4,15 +4,20 @@ Everything here is deliberately written from scratch (plain Python, no reuse
 of package internals) so a bug in the implementation cannot hide in its own
 test. The scalar reference paths (pixel-by-pixel tree walk and detection,
 the sixteen-fold OR, bisection, iteration and linear-scan scores, the
-high-speed rejection test) live here: only tests use them. They read trees, images and offset tables through
-their attributes (``offset``/``b``/``s``/``d``/``cls``, ``at``,
-``xy``/``margin``).
+high-speed rejection test) live here: only tests use them, as does
+``classify_flat``, the numpy walk over raw pixels that detection used
+before it moved onto ternary state planes. They read trees, images and
+offset tables through their attributes (``offset``/``b``/``s``/``d``/``cls``,
+``at``, ``xy``/``margin``), and compiled trees through
+``root``/``dx``/``dy``/``children``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
 
 
 def midpoint_circle_r3() -> set[tuple[int, int]]:
@@ -156,6 +161,30 @@ def classify_pixel(tree, img, p, t: int, table) -> bool:
         dx, dy = table.xy(node.offset)
         node = (node.d, node.s, node.b)[pixel_state(c, img.at(x + dx, y + dy), t)]
     return bool(node.cls)
+
+
+def classify_flat(ct, flat, width: int, pos, t: int):
+    """Walk a compiled tree at flat pixel positions of a raveled image, level
+    by level from the raw pixels: each position compares its node's offset
+    pixel with its own centre +- t at every step."""
+    n = pos.shape[0]
+    out = np.empty(n, dtype=bool)
+    if ct.root < 0:
+        out[:] = ct.root == -2
+        return out
+    cur = np.full(n, ct.root, dtype=np.int32)
+    centre = flat[pos].astype(np.int16)
+    deltas = ct.dy.astype(np.int64) * width + ct.dx
+    active = np.arange(n)
+    while active.size:
+        ring = flat[pos[active] + deltas[cur]].astype(np.int16)
+        state = 1 + (ring >= centre[active] + t).view(np.int8) \
+            - (ring <= centre[active] - t).view(np.int8)
+        cur = ct.children[cur, state]
+        done = cur < 0
+        out[active[done]] = cur[done] == -2
+        active, cur = active[~done], cur[~done]
+    return out
 
 
 def detect_naive(tree, img, t: int, table) -> list[tuple[int, int]]:

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from _oracles import any_within
+from _oracles import any_within, classify_sixteenfold
 from conftest import random_image
 from cornerforge import annealing as an
 from cornerforge.datasets import make_dataset, synthetic_base_image
 from cornerforge.image import GrayImage
 from cornerforge.repeatability import make_pairs
 from cornerforge.runtime import score_positions
-from cornerforge.trees import LEAF0, CompiledTree, Leaf, Node, tree_size
+from cornerforge.trees import (LEAF0, CompiledTree, Leaf, Node, OffsetTable,
+                               tree_size)
 from cornerforge.warp import project_points
 
 
@@ -76,6 +77,35 @@ class TestCostEvaluator:
         assert d_counts == [int(f.sum()) for f in fields]
         assert r == (repeated / useful if useful else 0.0)
         assert cost == an.cost_from_parts(r, d_counts, tree_size(tree), weights)
+
+    def test_table_not_closed_under_dihedral_maps(self, dataset):
+        # 48 cells of the 9x9 box: the evaluator's planes cover their 8
+        # dihedral images, which the table itself does not hold
+        cells = [(dx, dy) for dy in range(-4, 5) for dx in range(-4, 5)
+                 if (dx, dy) != (0, 0)]
+        pick = np.random.default_rng(5).permutation(len(cells))[:48]
+        table = OffsetTable("box9-48", tuple(cells[k] for k in pick), 0)
+        assert {(-dx, dy) for dx, dy in table.offsets} != set(table.offsets)
+        frames, warps = dataset
+        weights = an.CostWeights(t=20)
+        pairs = make_pairs(len(frames))
+        ev = an.CostEvaluator(frames, warps, weights, table, pairs)
+        rng = np.random.default_rng(6)
+        tree = conjunction_tree(0, 3)
+        for _ in range(2):
+            tree = an.mutate(tree, rng, table)
+        fields = ev.detect_fields(tree)
+        for frame, field in zip(frames, fields):
+            want = np.zeros((frame.height, frame.width), dtype=bool)
+            for y in range(4, frame.height - 4):
+                for x in range(4, frame.width - 4):
+                    want[y, x] = classify_sixteenfold(tree, frame, (x, y), 20, table)
+            assert np.array_equal(field.reshape(want.shape), want)
+        useful, repeated = oracle_repeatability(frames, warps, fields, pairs, 5.0)
+        assert 0 < repeated < useful
+        _, r, d_counts = ev.evaluate(tree)
+        assert d_counts == [int(f.sum()) for f in fields]
+        assert r == repeated / useful
 
     def test_oracle_sees_partial_matches(self, dataset):
         # The trees above are not all trivial: some have both useful

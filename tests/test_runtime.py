@@ -8,6 +8,7 @@ import _oracles as orc
 from cornerforge import runtime as rt
 from cornerforge.annealing import _variants, apply_sixteenfold, default_offsets_48
 from cornerforge.image import GrayImage
+from cornerforge.segment import pixel_state
 from cornerforge.trees import LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16
 
 # Handcrafted monotone trees with closed-form scores: classification depends
@@ -40,9 +41,9 @@ def classify_pixel(tree, img, p, t):
 
 
 def classify_at(tree, img, xs, ys, t):
-    """The level-synchronous walk at explicit (x, y) positions."""
+    """The level-synchronous pixel walk at explicit (x, y) positions."""
     pos = np.asarray(ys, dtype=np.int64) * img.width + np.asarray(xs)
-    return rt._classify_flat(CompiledTree(tree, RING16), img.pixels.ravel(),
+    return orc.classify_flat(CompiledTree(tree, RING16), img.pixels.ravel(),
                              img.width, pos, t)
 
 
@@ -226,6 +227,123 @@ class TestExactScores:
             want = orc.linear_scan_score(lambda t: fires((x, y), t), img,
                                          (x, y), table, t_min)
             assert score == want
+
+
+def edge_image(rng, t: int, h: int, w: int) -> GrayImage:
+    """Pixels from 0, 255 and a base value v with v +- t and v +- (t - 1),
+    so that many ring - centre differences sit on a state boundary."""
+    v = int(rng.integers(0, 256))
+    palette = np.clip([0, 255, v, v + t, v - t, v + t - 1, v - t + 1], 0, 255)
+    return GrayImage(rng.choice(palette, (h, w)).astype(np.uint8))
+
+
+def shared_second_trees(table):
+    """Trees whose root's non-leaf children all test one offset."""
+    index = st.sampled_from(list(table.indices()))
+
+    def build(first, second, parts):
+        return Node(first, *[p if isinstance(p, Leaf) else Node(second, p.b, p.s, p.d)
+                             for p in parts])
+
+    return st.builds(build, index, index,
+                     st.lists(trees_over(table, 12), min_size=3, max_size=3))
+
+
+class TestTernaryPlanes:
+    @pytest.mark.parametrize("t", [1, 2, 35, 128, 254, 255])
+    def test_matches_pixel_state(self, t):
+        # two images of different sizes, one block of columns each
+        table = default_offsets_48()
+        rng = np.random.default_rng(t)
+        images = [edge_image(rng, t, 9, 11), edge_image(rng, t, 13, 8)]
+        offsets = [table.offsets[k] for k in rng.permutation(48)[:20]]
+        planes = rt.ternary_planes(images, offsets, t, 3)
+        assert planes.dtype == np.uint8 and planes.shape == (20, 5 * 3 + 2 * 7)
+        want = [[int(pixel_state(img.at(x, y), img.at(x + dx, y + dy), t))
+                 for img in images for y in range(3, img.height - 3)
+                 for x in range(3, img.width - 3)] for dx, dy in offsets]
+        assert planes.tolist() == want
+
+    def test_no_interior_and_bad_arguments(self):
+        planes = rt.ternary_planes([rand_img(0, w=6, h=20)], RING16.offsets, 9, 3)
+        assert planes.shape == (16, 0)
+        with pytest.raises(ValueError):
+            rt.ternary_planes([rand_img(0)], RING16.offsets, 0, 3)
+        with pytest.raises(ValueError):
+            rt.ternary_planes([rand_img(0)], [(4, 0)], 9, 3)
+
+
+class TestPlaneWalk:
+    """Detection through ``PlaneWalk`` against the pixel-by-pixel oracles."""
+
+    @pytest.mark.parametrize("sixteenfold", [False, True])
+    @pytest.mark.parametrize("shared", [False, True], ids=["any", "shared2"])
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
+                             ids=["ring16", "grid48"])
+    @given(data=st.data())
+    def test_matches_pixel_walk(self, table, shared, sixteenfold, data):
+        tree = data.draw(shared_second_trees(table) if shared else trees_over(table))
+        t = data.draw(st.one_of(st.sampled_from([1, 255]), st.integers(1, 255)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        m = table.margin
+        w, h = (data.draw(st.integers(2 * m + 1, 2 * m + 6)) for _ in range(2))
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans()):
+            img = edge_image(rng, t, h, w)
+        else:
+            a = rng.integers(0, 256, (h, w)).astype(np.uint8)
+            a.ravel()[rng.permutation(a.size)[:2]] = (0, 255)
+            img = GrayImage(a)
+        interior = [(x, y) for y in range(m, h - m) for x in range(m, w - m)]
+        if sixteenfold:
+            got = apply_sixteenfold(tree, img, t, table)
+            want = np.zeros((h, w), dtype=bool)
+            for x, y in interior:
+                want[y, x] = orc.classify_sixteenfold(tree, img, (x, y), t, table)
+            assert np.array_equal(got, want)
+        else:
+            got = rt.detect(tree, img, t, table)
+            assert got.dtype == np.int32 and got.shape[1] == 2
+            assert got.tolist() == [list(p) for p in interior
+                                    if orc.classify_pixel(tree, img, p, t, table)]
+
+    @pytest.mark.parametrize("cls", [0, 1])
+    def test_leaf_only_root(self, cls):
+        img = rand_img(9, w=12, h=10)
+        assert len(rt.detect(Leaf(cls), img, 7)) == cls * 6 * 4
+        assert apply_sixteenfold(Leaf(cls), img, 7).sum() == cls * 6 * 4
+
+    def test_one_interior_column_and_row(self):
+        # images exactly 2 * margin + 1 wide or high
+        grid = default_offsets_48()
+        tree = Node(8, b=Node(20, LEAF1, LEAF0, LEAF1), s=LEAF0, d=LEAF1)
+        for w, h in ((7, 12), (12, 7), (7, 7)):
+            img = rand_img(w * h, w=w, h=h)
+            for t in (1, 30):
+                assert rt.detect(TWO_OFFSET, img, t).tolist() == [
+                    list(p) for p in orc.detect_naive(TWO_OFFSET, img, t, RING16)]
+                want = [[3 <= x < w - 3 and 3 <= y < h - 3
+                         and orc.classify_sixteenfold(tree, img, (x, y), t, grid)
+                         for x in range(w)] for y in range(h)]
+                assert apply_sixteenfold(tree, img, t).tolist() == want
+
+    def test_or_of_complementary_trees(self):
+        # the second tree fires exactly where the first does not
+        img = rand_img(10)
+        trees = [CompiledTree(t, RING16)
+                 for t in (ONE_OFFSET, Node(1, b=LEAF0, s=LEAF1, d=LEAF0))]
+        walk = rt.PlaneWalk(trees)
+        planes = rt.ternary_planes([img], walk.offsets, 20, 3)
+        assert 0 < rt.PlaneWalk(trees[:1]).fired(planes).sum() < planes.shape[1]
+        assert walk.fired(planes).all()
+
+    def test_given_offsets_must_cover_nodes(self):
+        ct = CompiledTree(ONE_OFFSET, RING16)
+        walk = rt.PlaneWalk([ct], RING16.offsets)
+        assert [tuple(o) for o in walk.offsets] == list(RING16.offsets)
+        assert walk.rows[0].tolist() == [0]  # ring index 1 is (0, -3)
+        with pytest.raises(ValueError):
+            rt.PlaneWalk([ct], [(1, -3)])
 
 
 def point_sets(score_strategy):
