@@ -21,7 +21,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .image import GrayImage
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
 from .repeatability import _any_within, _row_prefix, make_pairs
 from .runtime import PlaneWalk, _interior_flat_positions, ternary_planes
@@ -66,17 +65,6 @@ def _variants(ct: CompiledTree):
             kids = ct.children[:, ::-1] if invert else ct.children
             out.append(SimpleNamespace(root=ct.root, dx=dx, dy=dy, children=kids))
     return out
-
-
-def apply_sixteenfold(tree: TernaryTree, img: GrayImage, t: int,
-                      table: OffsetTable | None = None) -> np.ndarray:
-    """Boolean corner field of the symmetrized detector (borders False)."""
-    table = table or default_offsets_48()
-    field = np.zeros((img.height, img.width), dtype=bool)
-    xs, ys = PlaneWalk(_variants(CompiledTree(tree, table))).detect(
-        img, t, table.margin).T
-    field[ys, xs] = True
-    return field
 
 
 @dataclass(frozen=True)
@@ -330,7 +318,8 @@ def multi_run(frames, warps, weights: CostWeights, n_runs: int,
               seeds=None, base_seed: int = 0, jobs: int = 1,
               table: OffsetTable | None = None) -> tuple[AnnealResult, list[AnnealResult]]:
     """Independent annealing runs over different seeds; returns the
-    minimum-cost result plus every run (traces included)."""
+    minimum-cost result plus every run (traces included). With ``jobs`` > 1
+    the runs go to at most min(jobs, n_runs) worker processes."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if seeds is None:
@@ -342,7 +331,8 @@ def multi_run(frames, warps, weights: CostWeights, n_runs: int,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at the first submit; start no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
             futures = [pool.submit(anneal, frames, warps, weights, s, table)
                        for s in seeds]
             results = [f.result() for f in futures]

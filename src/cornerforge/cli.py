@@ -135,6 +135,8 @@ def _open_out(path):
 
 
 def cmd_detect(args) -> int:
+    if args.n_features is not None and args.n_features < 0:
+        raise UsageError("--n-features must be >= 0")
     img = load_image(args.image)
     detector = _build_detector(args)
     if args.n_features is not None:
@@ -171,13 +173,23 @@ def cmd_learn_tree(args) -> int:
 
 
 def _parse_counts(spec: str) -> list[int]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
+    """Feature counts from "start:stop:step" (stop included) or "a,b,...":
+    integers in strictly ascending order."""
+    ranged = ":" in spec
+    try:
+        counts = [int(v) for v in spec.split(":" if ranged else ",")]
+    except ValueError:
+        raise UsageError(f"counts spec {spec!r} holds a non-integer") from None
+    if ranged:
+        if len(counts) != 3:
             raise UsageError(f"counts spec {spec!r} must be start:stop:step")
-        start, stop, step = (int(v) for v in parts)
-        return list(range(start, stop + 1, step))
-    return [int(v) for v in spec.split(",")]
+        start, stop, step = counts
+        if step < 1:
+            raise UsageError(f"counts spec {spec!r} needs a step >= 1")
+        counts = list(range(start, stop + 1, step))
+    if any(b <= a for a, b in zip(counts, counts[1:])):
+        raise UsageError(f"counts in {spec!r} must be strictly ascending")
+    return counts
 
 
 def _load_dataset(dirpath):
@@ -239,6 +251,9 @@ def cmd_eval_repeat(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1 or args.warmup < 0 or args.n_features < 0:
+        raise UsageError("bench needs --repeats >= 1, --warmup >= 0 and "
+                         "--n-features >= 0")
     paths = _expand_images(args.images)
     images = [load_image(p) for p in paths]
     out = _open_out(args.out)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage
-from .segment import N_CONFIGS, N_RING, config_field, config_labels, label_all_configs
+from .runtime import ternary_planes
+from .segment import N_CONFIGS, N_RING, config_labels, label_all_configs
 from .trees import (LEAF0, LEAF1, Leaf, Node, OffsetTable, RING16, TernaryTree,
                     merge_tree, tree_depth)
 
@@ -103,7 +103,8 @@ def empty_training_set(offsets: OffsetTable = RING16) -> TrainingSet:
 
 def extract_training_data(images, n: int, t: int,
                           weight_scale: int = 256) -> TrainingSet:
-    """One weighted record per distinct ring configuration observed.
+    """One weighted record per distinct ring configuration observed at the
+    interior pixels of the images, in ascending code order.
 
     Labels come from the segment test for the given arc length; weights are
     occurrence counts scaled by ``weight_scale`` so that observed data
@@ -112,9 +113,8 @@ def extract_training_data(images, n: int, t: int,
     images = list(images)
     if not images:
         raise ValueError("need at least one image")
-    all_codes = [config_field(img, t).ravel() for img in images]
-    codes = np.concatenate(all_codes) if all_codes else np.zeros(0, np.int64)
-    uniq, counts = np.unique(codes, return_counts=True)
+    planes = ternary_planes(images, RING16.offsets, t, RING16.margin)
+    uniq, counts = np.unique(codes_from_states(planes.T), return_counts=True)
     return TrainingSet(
         states=states_from_codes(uniq),
         labels=config_labels(uniq, n),
@@ -152,19 +152,11 @@ def augment_exhaustive(ts: TrainingSet, n: int, low_weight: int = 1) -> Training
                        offsets=ts.offsets)
 
 
-def entropy(c: float, cbar: float) -> float:
-    """Total (un-normalized) binary entropy in weighted-count units:
-    (c+cbar)*log2(c+cbar) - c*log2(c) - cbar*log2(cbar), with 0*log2(0) = 0."""
-    if c < 0 or cbar < 0:
-        raise ValueError("counts must be >= 0")
-
-    def xlogx(v: float) -> float:
-        return v * np.log2(v) if v > 0 else 0.0
-
-    return xlogx(c + cbar) - xlogx(c) - xlogx(cbar)
-
-
 def _entropy_vec(c: np.ndarray, cbar: np.ndarray) -> np.ndarray:
+    """Total (un-normalized) binary entropy in weighted-count units, per
+    element: (c+cbar)*log2(c+cbar) - c*log2(c) - cbar*log2(cbar), with
+    0*log2(0) = 0."""
+
     def xlogx(v):
         out = np.zeros_like(v, dtype=np.float64)
         nz = v > 0
@@ -283,7 +275,7 @@ def _split_gains(table: np.ndarray) -> np.ndarray:
     holds the non-corner then the corner weight for states 0, 1, 2 of column
     j."""
     cbar, c = table[:, :3], table[:, 3:]
-    h_parent = entropy(float(c[0].sum()), float(cbar[0].sum()))
+    h_parent = _entropy_vec(c[:1].sum(axis=1), cbar[:1].sum(axis=1))
     return h_parent - _entropy_vec(c, cbar).sum(axis=1)
 
 
@@ -297,17 +289,9 @@ def _pure_leaf(table: np.ndarray) -> Leaf | None:
     return None
 
 
-def best_split(ts: TrainingSet, subset: np.ndarray | None = None) -> int:
-    """Offset index with maximal information gain; ties break to the lowest
-    index. Raises on a pure subset (nothing to split) and on the degenerate
-    all-identical-rows case, which signals conflicting labels."""
-    table = (_root_subset(ts) if subset is None else _Rows(ts, subset)).count_table()
-    if _pure_leaf(table) is not None:
-        raise ValueError("subset is pure; nothing to split")
-    return ts.offsets.index_base + _pick_column(table)
-
-
 def _pick_column(table: np.ndarray) -> int:
+    """Column of maximal information gain for an impure subset's count
+    table; ties break to the lowest column."""
     gains = _split_gains(table)
     best_val = float(gains.max())
     if best_val > 1e-9:
@@ -350,29 +334,6 @@ def build_tree(ts: TrainingSet, merge: bool = True) -> TernaryTree:
         raise ValueError("empty training set")
     tree = _grow(_root_subset(ts), ts.offsets.index_base)
     return merge_tree(tree) if merge else tree
-
-
-def classify_states(tree: TernaryTree, states: np.ndarray,
-                    index_base: int) -> np.ndarray:
-    """Route every state row through the tree; returns bool predictions."""
-    n = states.shape[0]
-    out = np.empty(n, dtype=bool)
-    stack: list[tuple[TernaryTree, np.ndarray | None]] = [(tree, None)]
-    while stack:
-        t, idx = stack.pop()
-        if isinstance(t, Leaf):
-            if idx is None:
-                out[:] = bool(t.cls)
-            else:
-                out[idx] = bool(t.cls)
-            continue
-        col = t.offset - index_base
-        column = states[:, col] if idx is None else states[idx, col]
-        for v, child in ((0, t.d), (1, t.s), (2, t.b)):
-            sel = np.flatnonzero(column == v).astype(np.int32)
-            if sel.size:
-                stack.append((child, sel if idx is None else idx[sel]))
-    return out
 
 
 def force_shared_second_test(tree: TernaryTree, ts: TrainingSet) -> TernaryTree:

@@ -1,15 +1,18 @@
-"""Reference FAST-n segment test over the 16-pixel ring.
+"""The FAST-n segment test over the 16-pixel ring, as labels of ring
+configurations and as a per-pixel score field.
 
-This module is the ground truth that everything learned is checked against.
 A ring configuration is the ordered 16-tuple of ternary pixel states
-(darker / similar / brighter); it is canonically encoded as a base-3 integer
-in [0, 3^16) with digit i holding the state of ring index i+1
-(darker=0, similar=1, brighter=2).
+(darker=0 / similar=1 / brighter=2, as ``runtime.ternary_planes`` computes
+them); its code is the base-3 integer in [0, 3^16) whose digit i holds the
+state of ring index i+1 (``learn.codes_from_states``). ``config_labels``
+labels given codes and ``label_all_configs`` the whole space, both from one
+table of the longest circular run in a 16-bit mask; ID3 learns its trees
+from these labels, and they are the ground truth every learned tree is
+checked against. ``segment_score_field`` is the reference detector: the
+largest threshold at which each pixel still passes the test.
 """
 
 from __future__ import annotations
-
-from enum import IntEnum
 
 import numpy as np
 
@@ -17,54 +20,6 @@ from .image import RING_MARGIN, RING_OFFSETS, GrayImage
 
 N_RING = 16
 N_CONFIGS = 3**N_RING  # 43,046,721
-
-DARKER, SIMILAR, BRIGHTER = 0, 1, 2
-
-
-class PixelState(IntEnum):
-    DARKER = 0
-    SIMILAR = 1
-    BRIGHTER = 2
-
-
-def pixel_state(center: int, ring_pixel: int, t: int) -> PixelState:
-    """Three-way partition of a ring pixel against the nucleus.
-
-    Darker iff ring <= center - t; brighter iff ring >= center + t
-    (boundary inclusive); similar otherwise. Requires t >= 1.
-    """
-    if t < 1:
-        raise ValueError("threshold must be >= 1")
-    if ring_pixel <= center - t:
-        return PixelState.DARKER
-    if ring_pixel >= center + t:
-        return PixelState.BRIGHTER
-    return PixelState.SIMILAR
-
-
-def encode_ring_config(states) -> int:
-    """Pack 16 ternary states (ring indices 1..16) into the canonical code."""
-    states = list(states)
-    if len(states) != N_RING:
-        raise ValueError(f"expected {N_RING} states, got {len(states)}")
-    code = 0
-    for i in range(N_RING - 1, -1, -1):
-        s = int(states[i])
-        if not 0 <= s <= 2:
-            raise ValueError(f"bad state {states[i]}")
-        code = code * 3 + s
-    return code
-
-
-def decode_ring_config(code: int) -> tuple[PixelState, ...]:
-    if not 0 <= code < N_CONFIGS:
-        raise ValueError(f"config code {code} out of range")
-    out = []
-    for _ in range(N_RING):
-        out.append(PixelState(code % 3))
-        code //= 3
-    return tuple(out)
-
 
 _RUN_TABLE: np.ndarray | None = None
 _LABEL_CACHE: dict[int, np.ndarray] = {}
@@ -99,18 +54,9 @@ def _config_bitmasks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bright, dark
 
 
-def is_corner_config(code: int, n: int) -> bool:
-    """True iff the configuration has >= n circularly contiguous positions
-    all brighter or all darker (wrap-around counts). Supports 9 <= n <= 16."""
-    if not 9 <= n <= 16:
-        raise ValueError(f"arc length n={n} unsupported (need 9..16)")
-    tbl = _circular_run_table()
-    bright, dark = _config_bitmasks(np.array([code]))
-    return bool(tbl[bright[0]] >= n or tbl[dark[0]] >= n)
-
-
 def config_labels(codes: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized is_corner_config over an array of config codes."""
+    """True where a config code has >= n circularly contiguous ring
+    positions all brighter or all darker (wrap-around counts); 9 <= n <= 16."""
     if not 9 <= n <= 16:
         raise ValueError(f"arc length n={n} unsupported (need 9..16)")
     tbl = _circular_run_table()
@@ -138,77 +84,6 @@ def label_all_configs(n: int) -> np.ndarray:
     return _LABEL_CACHE[n]
 
 
-def _interior_shifts(pixels: np.ndarray, margin: int):
-    """Views of each ring neighbor aligned with the interior block."""
-    h, w = pixels.shape
-    centre = pixels[margin : h - margin, margin : w - margin]
-    shifted = [
-        pixels[margin + dy : h - margin + dy, margin + dx : w - margin + dx]
-        for dx, dy in RING_OFFSETS
-    ]
-    return centre, shifted
-
-
-def ring_state_masks(img: GrayImage, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interior-pixel 16-bit masks of brighter / darker ring positions.
-
-    Returned arrays have shape (h - 6, w - 6), aligned to interior pixel
-    (x, y) = (mask_x + 3, mask_y + 3).
-    """
-    if t < 1:
-        raise ValueError("threshold must be >= 1")
-    a = img.pixels.astype(np.int16)
-    if img.height <= 2 * RING_MARGIN or img.width <= 2 * RING_MARGIN:
-        empty = np.zeros((0, 0), dtype=np.uint16)
-        return empty, empty
-    centre, shifted = _interior_shifts(a, RING_MARGIN)
-    hi = centre + t
-    lo = centre - t
-    bright = np.zeros(centre.shape, dtype=np.uint16)
-    dark = np.zeros(centre.shape, dtype=np.uint16)
-    for i, r in enumerate(shifted):
-        bright |= (r >= hi).astype(np.uint16) << np.uint16(i)
-        dark |= (r <= lo).astype(np.uint16) << np.uint16(i)
-    return bright, dark
-
-
-def ring_config_at(img: GrayImage, x: int, y: int, t: int) -> int:
-    """Canonical config code of the ring around (x, y)."""
-    if not (RING_MARGIN <= x < img.width - RING_MARGIN
-            and RING_MARGIN <= y < img.height - RING_MARGIN):
-        raise ValueError(f"({x},{y}) is within {RING_MARGIN} pixels of an edge")
-    c = img.at(x, y)
-    states = [pixel_state(c, img.at(x + dx, y + dy), t) for dx, dy in RING_OFFSETS]
-    return encode_ring_config(states)
-
-
-def config_field(img: GrayImage, t: int) -> np.ndarray:
-    """Config codes for every interior pixel, shape (h - 6, w - 6) int64."""
-    bright, dark = ring_state_masks(img, t)
-    codes = np.zeros(bright.shape, dtype=np.int64)
-    for i in range(N_RING):
-        bit = np.uint16(1 << i)
-        state = 1 + ((bright & bit) != 0).astype(np.int64) - ((dark & bit) != 0)
-        codes += state * 3**i
-    return codes
-
-
-def detect_fast_n(img: GrayImage, n: int, t: int) -> np.ndarray:
-    """All interior positions passing the segment test, raster order.
-
-    Returns an (M, 2) int32 array of [x, y]. No non-maximal suppression.
-    """
-    if not 9 <= n <= 16:
-        raise ValueError(f"arc length n={n} unsupported (need 9..16)")
-    bright, dark = ring_state_masks(img, t)
-    if bright.size == 0:
-        return np.zeros((0, 2), dtype=np.int32)
-    tbl = _circular_run_table()
-    hit = (tbl[bright] >= n) | (tbl[dark] >= n)
-    ys, xs = np.nonzero(hit)
-    return np.column_stack([xs + RING_MARGIN, ys + RING_MARGIN]).astype(np.int32)
-
-
 def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
     """Per-pixel maximum threshold at which the segment test still fires.
 
@@ -225,8 +100,10 @@ def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
     out = np.zeros((h, w), dtype=np.int16)
     if h <= 2 * RING_MARGIN or w <= 2 * RING_MARGIN:
         return out
-    centre, shifted = _interior_shifts(a, RING_MARGIN)
-    diffs = np.stack([r - centre for r in shifted])  # (16, h', w')
+    b = RING_MARGIN
+    centre = a[b : h - b, b : w - b]
+    diffs = np.stack([a[b + dy : h - b + dy, b + dx : w - b + dx] - centre
+                      for dx, dy in RING_OFFSETS])  # (16, h', w')
 
     def window_min(stack: np.ndarray) -> np.ndarray:
         m = stack
@@ -239,6 +116,5 @@ def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
         return m.max(axis=0)
 
     score = np.maximum(window_min(diffs), window_min(-diffs))
-    out[RING_MARGIN : h - RING_MARGIN, RING_MARGIN : w - RING_MARGIN] = \
-        np.maximum(score, 0)
+    out[b : h - b, b : w - b] = np.maximum(score, 0)
     return out

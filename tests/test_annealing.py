@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import any_within, classify_sixteenfold
-from conftest import random_image
+from conftest import random_image, sixteenfold_field
 from cornerforge import annealing as an
 from cornerforge.datasets import make_dataset, synthetic_base_image
 from cornerforge.image import GrayImage
@@ -152,6 +152,42 @@ class TestAnneal:
         for r1, r2 in zip(all1, all2):
             assert np.array_equal(r1.trace, r2.trace)
 
+    @pytest.mark.parametrize("jobs, runs, workers",
+                             [(32, 3, 3), (2, 3, 2), (3, 3, 3)])
+    def test_multi_run_starts_at_most_one_worker_per_run(
+            self, dataset, monkeypatch, jobs, runs, workers):
+        # an executor that runs each job inline when submitted: no process
+        # starts, and the pool size multi_run asks for is recorded
+        import concurrent.futures
+
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlineExecutor)
+        frames, warps = dataset
+        weights = an.CostWeights(i_max=2)
+        results = an.multi_run(frames, warps, weights, runs, jobs=jobs)[1]
+        assert sizes == [workers]
+        serial = an.multi_run(frames, warps, weights, runs, jobs=1)[1]
+        assert sizes == [workers]  # one job runs in this process
+        for got, want in zip(results, serial, strict=True):
+            assert np.array_equal(got.trace, want.trace)
+
 
 TRANSFORMS = {
     "transpose": (lambda a: a.T, lambda f: f.T),
@@ -163,7 +199,7 @@ TRANSFORMS = {
 
 def score_field(tree, img: GrayImage, t: int) -> np.ndarray:
     """Pre-suppression sixteen-fold scores, 0 where nothing fires at t."""
-    ys, xs = np.nonzero(an.apply_sixteenfold(tree, img, t))
+    ys, xs = np.nonzero(sixteenfold_field(tree, img, t))
     variants = an._variants(CompiledTree(tree, an.default_offsets_48()))
     field = np.zeros((img.height, img.width), dtype=np.int32)
     field[ys, xs] = score_positions(variants, img, xs, ys, t)
@@ -183,9 +219,9 @@ class TestSixteenfoldSymmetry:
         rng = np.random.default_rng(seed)
         img = random_image(rng) if seed else synthetic_base_image(48, 40, 2)
         tree = conjunction_tree(seed + 10, 3)
-        field = an.apply_sixteenfold(tree, img, 35)
+        field = sixteenfold_field(tree, img, 35)
         assert 0 < field.sum() < field.size // 3
-        self.check(lambda im: an.apply_sixteenfold(tree, im, 35), img, name)
+        self.check(lambda im: sixteenfold_field(tree, im, 35), img, name)
 
     @pytest.mark.parametrize("name", sorted(TRANSFORMS))
     @pytest.mark.parametrize("seed", range(3))

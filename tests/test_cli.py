@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import classify_rows, sixteenfold_field
 from cornerforge import learn, segment as sg
-from cornerforge.annealing import apply_sixteenfold
 from cornerforge.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cornerforge.image import GrayImage, load_image, save_pgm
 from cornerforge.runtime import detect, read_keypoints
@@ -37,9 +37,10 @@ def test_detect_writes_parseable_keypoints(small_dataset, tmp_path):
 @pytest.mark.parametrize("flags", [["--t", "0"], ["--t", "-3"], ["--n", "0"],
                                    ["--n", "17"],
                                    ["--algo", "harris", "--sigma", "0"],
-                                   ["--algo", "shi-tomasi", "--sigma", "-1"]],
+                                   ["--algo", "shi-tomasi", "--sigma", "-1"],
+                                   ["--n-features", "-1"]],
                          ids=["t=0", "t=-3", "n=0", "n=17", "harris-sigma=0",
-                              "shi-tomasi-sigma=-1"])
+                              "shi-tomasi-sigma=-1", "n-features=-1"])
 def test_detect_rejects_out_of_range_parameters(small_dataset, tmp_path, flags):
     out = tmp_path / "kp.txt"
     assert main(["detect", str(small_dataset / "frame_000.pgm"), *flags,
@@ -54,6 +55,25 @@ def test_eval_repeat_rejects_out_of_range_spec(small_dataset, tmp_path, spec):
                  "--counts", "0:100:100", "--out",
                  str(tmp_path / "r_")]) == EXIT_USAGE
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("counts", ["0:2000:0", "0:100:-25", "0:100", "0,x",
+                                    "0:1e3:25", "0,100,100", "100,0"])
+def test_eval_repeat_rejects_bad_counts(small_dataset, tmp_path, counts):
+    assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo",
+                 "fast-ref", "--counts", counts, "--out",
+                 str(tmp_path / "r_")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags", [["--repeats", "0"], ["--warmup", "-1"],
+                                   ["--n-features", "-1"]],
+                         ids=["repeats=0", "warmup=-1", "n-features=-1"])
+def test_bench_rejects_out_of_range_parameters(small_dataset, capsys, flags):
+    # the header goes to stdout first when the parameters are valid
+    assert main(["bench", str(small_dataset / "frame_000.pgm"),
+                 *flags]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_bench_writes_one_row(small_dataset, tmp_path):
@@ -85,7 +105,7 @@ def test_anneal_then_distill(small_dataset, tmp_path):
     tree, _ = deserialize_tree(best.read_bytes())
     for frame in sorted(small_dataset.glob("frame_*.pgm")):
         img = load_image(frame)
-        ys, xs = np.nonzero(apply_sixteenfold(tree, img, 35, table))
+        ys, xs = np.nonzero(sixteenfold_field(tree, img, 35, table))
         want = np.column_stack([xs, ys])
         assert np.array_equal(detect(single, img, 35, table), want)
 
@@ -129,5 +149,5 @@ def test_learn_tree_exhaustive_shared_second(tmp_path):
     tree, _ = deserialize_tree(out.read_bytes())
     codes = np.concatenate([np.flatnonzero(sg.label_all_configs(9))[::7],
                             rng.integers(0, sg.N_CONFIGS, 50_000)])
-    got = learn.classify_states(tree, learn.states_from_codes(codes), 1)
+    got = classify_rows(tree, learn.states_from_codes(codes))
     assert np.array_equal(got, sg.config_labels(codes, 9))

@@ -1,14 +1,20 @@
-"""Golden CLI outputs: `detect` and `eval-repeat` for all six detectors on a
-small synthetic dataset, compared by sha256 (first 16 hex digits) of each
-output file without its '#' provenance lines.
+"""Golden CLI outputs: `detect` and `eval-repeat` for all six detectors, and
+the trees that `learn-tree` and `distill` write, on a small synthetic dataset,
+compared by sha256 (first 16 hex digits) of each output file without its '#'
+provenance lines.
 
-The digests were recorded before keypoints became arrays; a refactor that
-changes any of them changes what the CLI writes. Regenerate them only for an
-intended output change, and say why where the change is described.
+The detection digests were recorded before keypoints became arrays, and the
+learning digests before `learn-tree` took its ring states from
+`runtime.ternary_planes`; a refactor that changes any of them changes what
+the CLI writes. Regenerate them only for an intended output change, and say
+why where the change is described.
 """
 
 import hashlib
 
+import numpy as np
+
+from cornerforge.annealing import default_offsets_48, mutate, random_depth1_tree
 from cornerforge.cli import ALGOS, EXIT_OK, EXIT_USAGE, main
 from cornerforge.trees import RING16, serialize_tree
 
@@ -49,6 +55,12 @@ GOLDEN = {
     "eval-repeat-random-auc": "9311c8286e0beace",
 }
 
+GOLDEN_LEARN = {
+    "learn-tree-n9-t30": "aefd680704819892",
+    "learn-tree-n9-t30-exhaustive-shared-second": "56e544a40edf67cc",
+    "distill-t20": "3e58f9010ae12400",
+}
+
 
 def digest(path) -> str:
     lines = path.read_text().splitlines(keepends=True)
@@ -56,12 +68,16 @@ def digest(path) -> str:
     return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
+def golden_dataset(path):
+    assert main(["make-dataset", "--synthetic", "64x48", "--frames", "3",
+                 "--noise", "2", "--seed", "7", "--out", str(path)]) == EXIT_OK
+    return path
+
+
 def cli_digests(tmp_path, ring_tree, wide_tree) -> dict[str, str]:
     """Run the golden commands under ``tmp_path``; output name -> digest.
     ``ring_tree`` and ``wide_tree`` are (tree, offset table) pairs."""
-    data = tmp_path / "data"
-    assert main(["make-dataset", "--synthetic", "64x48", "--frames", "3",
-                 "--noise", "2", "--seed", "7", "--out", str(data)]) == EXIT_OK
+    data = golden_dataset(tmp_path / "data")
     tree_args = {}
     for algo, (tree, table) in (("fast-tree", ring_tree), ("faster", wide_tree)):
         path = tmp_path / f"{algo}.tree"
@@ -93,3 +109,39 @@ def cli_digests(tmp_path, ring_tree, wide_tree) -> dict[str, str]:
 def test_cli_outputs_match_golden_digests(tmp_path, fast9_tree, fast9_grid48):
     got = cli_digests(tmp_path, (fast9_tree, RING16), fast9_grid48)
     assert got == GOLDEN
+
+
+def mutated_tree(seed: int, mutations: int):
+    """A random 48-offset tree: a depth-1 tree mutated ``mutations`` times."""
+    rng = np.random.default_rng(seed)
+    table = default_offsets_48()
+    tree = random_depth1_tree(rng, table)
+    for _ in range(mutations):
+        tree = mutate(tree, rng, table)
+    return tree, table
+
+
+def learn_digests(tmp_path) -> dict[str, str]:
+    """`learn-tree` from the golden frames, observed-only and exhaustive with
+    a shared second test, and `distill` of a fixed mutated 48-offset tree."""
+    data = golden_dataset(tmp_path / "data")
+    frames = sorted(str(p) for p in data.glob("frame_*.pgm"))
+    out = {}
+    for name, flags in (("learn-tree-n9-t30", []),
+                        ("learn-tree-n9-t30-exhaustive-shared-second",
+                         ["--exhaustive", "--shared-second"])):
+        path = tmp_path / f"{name}.tree"
+        assert main(["learn-tree", *frames, "--n", "9", "--t", "30", *flags,
+                     "--out", str(path)]) == EXIT_OK
+        out[name] = digest(path)
+    source = tmp_path / "mutated.tree"
+    source.write_bytes(serialize_tree(*mutated_tree(10, 25)))
+    path = tmp_path / "distill-t20.tree"
+    assert main(["distill", "--tree", str(source), "--dataset", str(data),
+                 "--t", "20", "--out", str(path)]) == EXIT_OK
+    out["distill-t20"] = digest(path)
+    return out
+
+
+def test_learned_trees_match_golden_digests(tmp_path):
+    assert learn_digests(tmp_path) == GOLDEN_LEARN

@@ -3,13 +3,16 @@ import os
 import shutil
 import subprocess
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import brute_best_split, exhaustive_count_table, segment_label
+from _oracles import (brute_best_split, exhaustive_count_table, pixel_state,
+                      segment_label)
+from conftest import classify_rows, edge_image
 from cornerforge import learn, segment as sg
 from cornerforge.image import GrayImage, make_test_square
 from cornerforge.trees import (Leaf, Node, RING16, merge_tree, tree_depth,
@@ -26,22 +29,29 @@ def random_training_set(rng, n_records=40, k=16, weighted=True):
                              weights=weights, offsets=RING16)
 
 
+def entropy(c: float, cbar: float) -> float:
+    return float(learn._entropy_vec(np.array([c], float),
+                                    np.array([cbar], float))[0])
+
+
+def best_split(ts) -> int:
+    """Offset index of the root split that ``build_tree`` makes."""
+    return ts.offsets.index_base + learn._pick_column(
+        learn._root_subset(ts).count_table())
+
+
 class TestEntropy:
     def test_pure_subset_zero(self):
-        assert learn.entropy(5, 0) == 0.0
-        assert learn.entropy(0, 3) == 0.0
+        assert entropy(5, 0) == 0.0
+        assert entropy(0, 3) == 0.0
 
     def test_one_one(self):
-        assert learn.entropy(1, 1) == pytest.approx(2.0, abs=1e-12)
+        assert entropy(1, 1) == pytest.approx(2.0, abs=1e-12)
 
     def test_three_one(self):
         want = 8.0 - 3.0 * math.log2(3.0)
-        assert learn.entropy(3, 1) == pytest.approx(want, abs=1e-12)
-        assert learn.entropy(3, 1) == pytest.approx(3.2451, abs=1e-4)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            learn.entropy(-1, 2)
+        assert entropy(3, 1) == pytest.approx(want, abs=1e-12)
+        assert entropy(3, 1) == pytest.approx(3.2451, abs=1e-4)
 
 
 class TestBestSplit:
@@ -53,15 +63,16 @@ class TestBestSplit:
         labels = states[:, 6] == 2
         ts = learn.TrainingSet(states=states, labels=labels, weights=None,
                                offsets=RING16)
-        assert learn.best_split(ts) == 7
+        assert best_split(ts) == 7
+        assert learn.build_tree(ts).offset == 7
 
-    def test_pure_subset_rejected(self):
+    def test_pure_subset_is_a_leaf(self):
         ts = random_training_set(np.random.default_rng(1))
-        pure = learn.TrainingSet(states=ts.states,
-                                 labels=np.zeros(ts.num_records, bool),
-                                 weights=ts.weights, offsets=RING16)
-        with pytest.raises(ValueError, match="pure"):
-            learn.best_split(pure)
+        for cls in (0, 1):
+            pure = learn.TrainingSet(states=ts.states,
+                                     labels=np.full(ts.num_records, bool(cls)),
+                                     weights=ts.weights, offsets=RING16)
+            assert learn.build_tree(pure) == Leaf(cls)
 
     def test_matches_brute_force_scan(self):
         # acceptance criterion at unit scale: 100 random sets, exact match
@@ -75,7 +86,7 @@ class TestBestSplit:
             weights = (ts.weights if ts.weights is not None
                        else np.ones(len(rows), np.int64))
             want = brute_best_split(rows, list(ts.labels), list(weights))
-            assert learn.best_split(ts) == want
+            assert best_split(ts) == want
 
     def test_gain_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -97,7 +108,7 @@ class TestBuildTree:
         for _ in range(15):
             ts = random_training_set(rng, n_records=80)
             tree = learn.build_tree(ts)
-            got = learn.classify_states(tree, ts.states, 1)
+            got = classify_rows(tree, ts.states)
             assert np.array_equal(got, ts.labels)
 
     def test_deterministic(self):
@@ -111,8 +122,8 @@ class TestBuildTree:
         merged = learn.build_tree(ts, merge=True)
         plain = learn.build_tree(ts, merge=False)
         states = rng.integers(0, 3, (2000, 16)).astype(np.uint8)
-        assert np.array_equal(learn.classify_states(merged, states, 1),
-                              learn.classify_states(plain, states, 1))
+        assert np.array_equal(classify_rows(merged, states),
+                              classify_rows(plain, states))
         assert merged == plain  # merging only re-shares structure
 
     def test_conflicting_labels_raise(self):
@@ -151,6 +162,24 @@ class TestExtract:
     def test_no_images_rejected(self):
         with pytest.raises(ValueError):
             learn.extract_training_data([], 9, 20)
+
+    @pytest.mark.parametrize("t", [1, 35, 255])
+    def test_states_and_weights_match_pixel_oracle(self, t):
+        # the 6-pixel-high image has no interior pixel and adds no record
+        rng = np.random.default_rng(t)
+        images = [edge_image(rng, t, 6, 30), edge_image(rng, t, 13, 17)]
+        counts = Counter(
+            tuple(pixel_state(img.at(x, y), img.at(x + dx, y + dy), t)
+                  for dx, dy in RING16.offsets)
+            for img in images for y in range(3, img.height - 3)
+            for x in range(3, img.width - 3))
+        ts = learn.extract_training_data(images, 9, t, weight_scale=7)
+        rows = [tuple(row) for row in ts.states.tolist()]
+        assert dict(zip(rows, ts.weights.tolist())) == {
+            row: 7 * k for row, k in counts.items()}
+        assert len(rows) == len(counts)
+        assert ts.labels.tolist() == [segment_label(row, 9) for row in rows]
+        assert (np.diff(learn.codes_from_states(ts.states)) > 0).all()
 
 
 class TestAugment:
@@ -225,7 +254,7 @@ class TestExhaustiveSet:
 
     def test_tree_equals_segment_test(self, fast9_tree):
         codes = segment_test_sample(np.random.default_rng(12))
-        got = learn.classify_states(fast9_tree, learn.states_from_codes(codes), 1)
+        got = classify_rows(fast9_tree, learn.states_from_codes(codes))
         assert np.array_equal(got, sg.config_labels(codes, 9))
 
     def test_shared_second_stays_exact(self, fast9_tree):
@@ -236,7 +265,7 @@ class TestExhaustiveSet:
                    if isinstance(c, Node)}
         assert len(offsets) == 1
         codes = segment_test_sample(np.random.default_rng(13))
-        got = learn.classify_states(forced, learn.states_from_codes(codes), 1)
+        got = classify_rows(forced, learn.states_from_codes(codes))
         assert np.array_equal(got, sg.config_labels(codes, 9))
 
 
@@ -260,7 +289,7 @@ class TestSharedSecondTest:
         ts = self._image_ts()
         tree = learn.build_tree(ts)
         forced = learn.force_shared_second_test(tree, ts)
-        assert np.array_equal(learn.classify_states(forced, ts.states, 1),
+        assert np.array_equal(classify_rows(forced, ts.states),
                               ts.labels)
 
     def test_already_shared_unchanged(self):
@@ -287,7 +316,7 @@ class TestSharedSecondTest:
         forced = learn.force_shared_second_test(
             Node(1, b=sub(2), s=sub(3), d=sub(2)), ts)
         assert forced.s == Leaf(0)
-        assert np.array_equal(learn.classify_states(forced, ts.states, 1),
+        assert np.array_equal(classify_rows(forced, ts.states),
                               ts.labels)
 
     def test_first_two_tests_read_two_pixels(self):

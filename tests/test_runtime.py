@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracles as orc
+from conftest import edge_image, sixteenfold_field
 from cornerforge import runtime as rt
-from cornerforge.annealing import _variants, apply_sixteenfold, default_offsets_48
+from cornerforge.annealing import _variants, default_offsets_48
 from cornerforge.image import GrayImage
-from cornerforge.segment import pixel_state
 from cornerforge.trees import LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16
 
 # Handcrafted monotone trees with closed-form scores: classification depends
@@ -208,7 +208,7 @@ class TestExactScores:
         img = GrayImage((base + rng.integers(0, contrast, (14, 15)))
                         .astype(np.uint8))
         if sixteenfold:
-            ys, xs = np.nonzero(apply_sixteenfold(tree, img, t_min, table))
+            ys, xs = np.nonzero(sixteenfold_field(tree, img, t_min, table))
             trees = _variants(CompiledTree(tree, table))
 
             def fires(p, t):
@@ -227,14 +227,6 @@ class TestExactScores:
             want = orc.linear_scan_score(lambda t: fires((x, y), t), img,
                                          (x, y), table, t_min)
             assert score == want
-
-
-def edge_image(rng, t: int, h: int, w: int) -> GrayImage:
-    """Pixels from 0, 255 and a base value v with v +- t and v +- (t - 1),
-    so that many ring - centre differences sit on a state boundary."""
-    v = int(rng.integers(0, 256))
-    palette = np.clip([0, 255, v, v + t, v - t, v + t - 1, v - t + 1], 0, 255)
-    return GrayImage(rng.choice(palette, (h, w)).astype(np.uint8))
 
 
 def shared_second_trees(table):
@@ -259,7 +251,7 @@ class TestTernaryPlanes:
         offsets = [table.offsets[k] for k in rng.permutation(48)[:20]]
         planes = rt.ternary_planes(images, offsets, t, 3)
         assert planes.dtype == np.uint8 and planes.shape == (20, 5 * 3 + 2 * 7)
-        want = [[int(pixel_state(img.at(x, y), img.at(x + dx, y + dy), t))
+        want = [[orc.pixel_state(img.at(x, y), img.at(x + dx, y + dy), t)
                  for img in images for y in range(3, img.height - 3)
                  for x in range(3, img.width - 3)] for dx, dy in offsets]
         assert planes.tolist() == want
@@ -296,7 +288,7 @@ class TestPlaneWalk:
             img = GrayImage(a)
         interior = [(x, y) for y in range(m, h - m) for x in range(m, w - m)]
         if sixteenfold:
-            got = apply_sixteenfold(tree, img, t, table)
+            got = sixteenfold_field(tree, img, t, table)
             want = np.zeros((h, w), dtype=bool)
             for x, y in interior:
                 want[y, x] = orc.classify_sixteenfold(tree, img, (x, y), t, table)
@@ -311,7 +303,7 @@ class TestPlaneWalk:
     def test_leaf_only_root(self, cls):
         img = rand_img(9, w=12, h=10)
         assert len(rt.detect(Leaf(cls), img, 7)) == cls * 6 * 4
-        assert apply_sixteenfold(Leaf(cls), img, 7).sum() == cls * 6 * 4
+        assert sixteenfold_field(Leaf(cls), img, 7).sum() == cls * 6 * 4
 
     def test_one_interior_column_and_row(self):
         # images exactly 2 * margin + 1 wide or high
@@ -325,7 +317,7 @@ class TestPlaneWalk:
                 want = [[3 <= x < w - 3 and 3 <= y < h - 3
                          and orc.classify_sixteenfold(tree, img, (x, y), t, grid)
                          for x in range(w)] for y in range(h)]
-                assert apply_sixteenfold(tree, img, t).tolist() == want
+                assert sixteenfold_field(tree, img, t).tolist() == want
 
     def test_or_of_complementary_trees(self):
         # the second tree fires exactly where the first does not

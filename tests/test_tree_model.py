@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import classify_rows
 from cornerforge.annealing import default_offsets_48
-from cornerforge.learn import classify_states
 from cornerforge.trees import (CompiledTree, LEAF0, LEAF1, Leaf, Node,
                                OffsetTable, RING16, TreeFormatError,
                                deserialize_tree, iter_nodes, merge_tree,
@@ -72,8 +72,8 @@ class TestMerge:
             tree = random_tree(rng)
             merged = merge_tree(tree)
             states = rng.integers(0, 3, (500, 16)).astype(np.uint8)
-            assert np.array_equal(classify_states(tree, states, 1),
-                                  classify_states(merged, states, 1))
+            assert np.array_equal(classify_rows(tree, states),
+                                  classify_rows(merged, states))
             assert merged == tree  # structural equality is preserved too
 
 
