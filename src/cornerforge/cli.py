@@ -27,8 +27,8 @@ from .image import (GrayImage, PgmError, load_image, save_pgm)
 from .learn import (InconsistentLabelsError, augment_exhaustive, build_tree,
                     empty_training_set, extract_training_data,
                     force_shared_second_test)
-from .repeatability import (MissingWarpError, area_under_curve, make_pairs,
-                            repeatability_curve)
+from .repeatability import (CURVE_MAX_COUNT, MissingWarpError,
+                            area_under_curve, make_pairs, repeatability_curve)
 from .runtime import write_keypoints
 from .trees import RING16, TreeFormatError, deserialize_tree, serialize_tree
 from .warp import SingularHomographyError, load_homography, save_homography
@@ -155,6 +155,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_learn_tree(args) -> int:
+    if args.t < 1 or not 9 <= args.n <= 16:
+        raise UsageError("learn-tree needs --t >= 1 and --n in 9..16")
+    if args.weight_scale < 0 or args.low_weight < 1:
+        raise UsageError("learn-tree needs --weight-scale >= 0 and "
+                         "--low-weight >= 1")
     images = [load_image(p) for p in _expand_images(args.images)]
     if images:
         ts = extract_training_data(images, args.n, args.t,
@@ -174,7 +179,8 @@ def cmd_learn_tree(args) -> int:
 
 def _parse_counts(spec: str) -> list[int]:
     """Feature counts from "start:stop:step" (stop included) or "a,b,...":
-    integers in strictly ascending order."""
+    integers in strictly ascending order, from 0 to at least
+    ``CURVE_MAX_COUNT``, the span the area under the curve covers."""
     ranged = ":" in spec
     try:
         counts = [int(v) for v in spec.split(":" if ranged else ",")]
@@ -189,6 +195,9 @@ def _parse_counts(spec: str) -> list[int]:
         counts = list(range(start, stop + 1, step))
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise UsageError(f"counts in {spec!r} must be strictly ascending")
+    if not counts or counts[0] != 0 or counts[-1] < CURVE_MAX_COUNT:
+        raise UsageError(f"counts in {spec!r} must run from 0 to at least "
+                         f"{CURVE_MAX_COUNT}")
     return counts
 
 
@@ -215,13 +224,13 @@ def _load_warps(d: Path, frames, pairs):
 
 
 def cmd_eval_repeat(args) -> int:
+    counts = _parse_counts(args.counts)
     d, frames = _load_dataset(args.dataset)
     sizes = {(f.width, f.height) for f in frames}
     if len(sizes) != 1:
         raise ValueError(f"mismatched frame sizes in {args.dataset}: {sorted(sizes)}")
     pairs = make_pairs(len(frames), args.pairs)
     warps = _load_warps(d, frames, pairs)
-    counts = _parse_counts(args.counts)
     header = _provenance("eval-repeat", args)
     prefix = args.out
     auc_rows = []

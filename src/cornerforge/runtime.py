@@ -111,8 +111,16 @@ class PlaneWalk:
 
     def fired(self, planes: np.ndarray) -> np.ndarray:
         """Columns of ``planes`` that any of the trees classifies as a
-        corner. Later trees skip columns already fired; below the head
-        lookup, each level gathers states for the live columns only."""
+        corner. Later trees skip columns already fired.
+
+        Below the head lookup, each tree walks a work list of live columns
+        and their int32 nodes. A level reads flat[row * n + column] for the
+        node's plane row; columns stay intp like that offset, which can pass
+        2^31 (rows times columns), and the offset is summed in place. The
+        list is compacted with boolean masks: on smooth images (t=35, as in
+        annealing) the masks come in long runs, where masking two arrays
+        costs less than ``flatnonzero`` plus two ``take`` calls.
+        """
         n = planes.shape[1]
         fired = np.zeros(n, dtype=bool)
         flat = planes.ravel()
@@ -128,11 +136,15 @@ class PlaneWalk:
             cur = lut.take(idx)
             live = np.flatnonzero((cur >= 0) & ~fired)
             fired |= cur == -2
-            cur = cur[live]
+            cur = cur.take(live)
             children = ct.children.ravel()
             start = row.astype(np.intp) * n  # node -> its row's start in flat
             while live.size:
-                cur = children.take(cur * 3 + flat.take(start.take(cur) + live))
+                at = start.take(cur)
+                at += live
+                cur *= 3
+                cur += flat.take(at)
+                cur = children.take(cur)
                 fired[live[cur == -2]] = True
                 keep = cur >= 0
                 live, cur = live[keep], cur[keep]
@@ -181,8 +193,10 @@ def score_positions(trees, img: GrayImage, xs, ys, t_min: int) -> np.ndarray:
     if t_min < 1:
         raise ValueError("threshold must be >= 1")
     flat = img.pixels.ravel()
-    pos = np.asarray(ys, dtype=np.int64) * img.width + np.asarray(xs, dtype=np.int64)
-    centre = flat[pos].astype(np.int16)
+    index = np.int32 if flat.size < 2**31 else np.intp
+    pos = (np.asarray(ys, dtype=np.intp) * img.width
+           + np.asarray(xs, dtype=np.intp)).astype(index)
+    centre = flat.take(pos).astype(np.int16)
     best = np.full(pos.shape, t_min - 1, dtype=np.int16)
     for ct in trees:
         _score_walk(ct, flat, img.width, pos, centre, best)
@@ -199,39 +213,54 @@ def _score_walk(ct, flat: np.ndarray, width: int, pos: np.ndarray,
     to the brighter or darker child with [a, min(b, |d|)] when that is
     non-empty, and otherwise to the similar child, keeping [a, b]; an item
     whose interval covers both appends a copy for the similar child with
-    [|d| + 1, b]. A corner leaf offers b. Each level raises a past the
-    position's best so far and drops empty intervals.
+    [|d| + 1, b]. A corner leaf offers b, and items that reach a leaf or an
+    empty interval are dropped.
+
+    The work list is parallel arrays, compacted after each level with
+    ``flatnonzero`` and ``take``: the item's position index, its flat pixel
+    index p and centre value c (carried, so no level gathers them again),
+    its node and its interval. Indices and nodes take ``pos``'s dtype (int32
+    below 2^31 pixels, intp otherwise); values and bounds are int16. The
+    bound a is raised to the position's best + 1 only after a level on which
+    some item reached a corner: ``best`` changes nowhere else, and a split
+    copy starts at |d| + 1 > a > best, so every item keeps a > best.
     """
     if ct.root < 0:
         if ct.root == -2:
             np.maximum(best, 255, out=best)
         return
-    deltas = ct.dy.astype(np.int64) * width + ct.dx
-    children = np.ascontiguousarray(ct.children).ravel()
-    item = np.flatnonzero(best < 255)
-    cur = np.full(item.shape, ct.root, dtype=np.intp)
-    a = best[item] + np.int16(1)
+    index = pos.dtype
+    deltas = (ct.dy.astype(np.intp) * width + ct.dx).astype(index)
+    children = np.ascontiguousarray(ct.children, dtype=index).ravel()
+    item = np.flatnonzero(best < 255).astype(index)
+    p = pos.take(item)
+    c = centre.take(item)
+    cur = np.full(item.shape, ct.root, dtype=index)
+    a = best.take(item) + np.int16(1)
     b = np.full(item.shape, 255, dtype=np.int16)
     while item.size:
-        d = flat[pos[item] + deltas[cur]].astype(np.int16) - centre[item]
+        d = flat.take(p + deltas.take(cur)).astype(np.int16) - c
         ad = np.abs(d)
         differ = a <= ad  # [a, min(b, |d|)] is non-empty
-        split = differ & (ad < b)
+        split = np.flatnonzero(differ & (ad < b))
         kids = cur * 3
-        cur = children[kids + np.where(differ, np.sign(d) + 1, 1)]
-        top = b
-        b = np.where(differ, np.minimum(b, ad), b)
-        if split.any():
-            item = np.concatenate([item, item[split]])
-            cur = np.concatenate([cur, children[kids[split] + 1]])
-            a = np.concatenate([a, ad[split] + 1])
-            b = np.concatenate([b, top[split]])
-        corner = cur == -2
-        if corner.any():
-            np.maximum.at(best, item[corner], b[corner])
-        a = np.maximum(a, best[item] + np.int16(1))
-        keep = (cur >= 0) & (a <= b)
-        item, cur, a, b = item[keep], cur[keep], a[keep], b[keep]
+        cur = children.take(kids + 1 + np.sign(d) * differ)
+        top = b.take(split)
+        np.minimum(b, ad, out=b, where=differ)
+        if split.size:
+            item = np.concatenate([item, item.take(split)])
+            p = np.concatenate([p, p.take(split)])
+            c = np.concatenate([c, c.take(split)])
+            cur = np.concatenate([cur, children.take(kids.take(split) + 1)])
+            a = np.concatenate([a, ad.take(split) + np.int16(1)])
+            b = np.concatenate([b, top])
+        corner = np.flatnonzero(cur == -2)
+        if corner.size:
+            np.maximum.at(best, item.take(corner), b.take(corner))
+            np.maximum(a, best.take(item) + np.int16(1), out=a)
+        keep = np.flatnonzero((cur >= 0) & (a <= b))
+        item, p, c, cur = item.take(keep), p.take(keep), c.take(keep), cur.take(keep)
+        a, b = a.take(keep), b.take(keep)
 
 
 def _nms_keep_field(field: np.ndarray) -> np.ndarray:

@@ -52,16 +52,20 @@ def test_detect_rejects_out_of_range_parameters(small_dataset, tmp_path, flags):
                                   "harris:sigma=0"])
 def test_eval_repeat_rejects_out_of_range_spec(small_dataset, tmp_path, spec):
     assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo", spec,
-                 "--counts", "0:100:100", "--out",
+                 "--counts", "0:2000:1000", "--out",
                  str(tmp_path / "r_")]) == EXIT_USAGE
     assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("counts", ["0:2000:0", "0:100:-25", "0:100", "0,x",
-                                    "0:1e3:25", "0,100,100", "100,0"])
+                                    "0:1e3:25", "0,100,100", "100,0",
+                                    "100:0:5", "", "-50,0,2000", "-50:2000:50",
+                                    "0,1000", "0:1999:1", "25:2000:25"])
 def test_eval_repeat_rejects_bad_counts(small_dataset, tmp_path, counts):
+    # empty, negative, or not spanning [0, 2000]: rejected before any
+    # detector runs or any CSV is written
     assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo",
-                 "fast-ref", "--counts", counts, "--out",
+                 "fast-ref", f"--counts={counts}", "--out",
                  str(tmp_path / "r_")]) == EXIT_USAGE
     assert not list(tmp_path.iterdir())
 
@@ -136,6 +140,20 @@ def test_eval_repeat_writes_curves_and_auc(tmp_path):
     curve = rows("r_fast-ref.csv")
     assert curve[0] == ["count", "repeatability"]
     assert [int(r[0]) for r in curve[1:]] == [0, 1000, 2000]
+
+
+@pytest.mark.parametrize("flags", [["--t", "0"], ["--n", "8"], ["--n", "17"],
+                                   ["--weight-scale", "-1"],
+                                   ["--exhaustive", "--low-weight", "-1"],
+                                   ["--exhaustive", "--low-weight", "0"]],
+                         ids=["t=0", "n=8", "n=17", "weight-scale=-1",
+                              "low-weight=-1", "low-weight=0"])
+def test_learn_tree_rejects_out_of_range_parameters(tmp_path, flags):
+    # usage errors come before any image is read: the image does not exist
+    out = tmp_path / "t.tree"
+    assert main(["learn-tree", str(tmp_path / "missing.pgm"), *flags,
+                 "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_learn_tree_exhaustive_shared_second(tmp_path):

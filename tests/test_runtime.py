@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracles as orc
-from conftest import edge_image, sixteenfold_field
+from conftest import edge_image, random_image, sixteenfold_field
 from cornerforge import runtime as rt
 from cornerforge.annealing import _variants, default_offsets_48
 from cornerforge.image import GrayImage
@@ -227,6 +227,62 @@ class TestExactScores:
             want = orc.linear_scan_score(lambda t: fires((x, y), t), img,
                                          (x, y), table, t_min)
             assert score == want
+
+    @staticmethod
+    def walks(tree, table, sixteenfold):
+        """The compiled trees to score with and their ``PlaneWalk``."""
+        ct = CompiledTree(tree, table)
+        trees = _variants(ct) if sixteenfold else [ct]
+        return trees, rt.PlaneWalk(trees)
+
+    @pytest.mark.parametrize("sixteenfold", [False, True])
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
+                             ids=["ring16", "grid48"])
+    @given(data=st.data())
+    def test_batch_independent(self, table, sixteenfold, data):
+        # a shuffled list with duplicates scores as each position alone
+        tree = data.draw(trees_over(table))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        t_min = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(seed)
+        m, h, w = table.margin, 15, 16
+        img = (edge_image(rng, t_min, h, w) if data.draw(st.booleans())
+               else random_image(rng, w, h))
+        trees, _ = self.walks(tree, table, sixteenfold)
+        k = data.draw(st.integers(1, 24))
+        xs = rng.integers(m, w - m, k)
+        ys = rng.integers(m, h - m, k)
+        dup = rng.integers(0, k, data.draw(st.integers(1, 8)))
+        order = rng.permutation(k + len(dup))
+        xs = np.concatenate([xs, xs[dup]])[order]
+        ys = np.concatenate([ys, ys[dup]])[order]
+        got = rt.score_positions(trees, img, xs, ys, t_min)
+        assert got.dtype == np.int32 and got.shape == xs.shape
+        alone = [rt.score_positions(trees, img, xs[i:i + 1], ys[i:i + 1], t_min)
+                 for i in range(len(xs))]
+        assert got.tolist() == [int(s[0]) for s in alone]
+        empty = rt.score_positions(trees, img, xs[:0], ys[:0], t_min)
+        assert empty.dtype == np.int32 and empty.shape == (0,)
+
+    @pytest.mark.parametrize("sixteenfold", [False, True])
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
+                             ids=["ring16", "grid48"])
+    @given(data=st.data())
+    def test_detections_score_at_least_t_min(self, table, sixteenfold, data):
+        # the two walks agree: every position the plane walk detects at t_min
+        # scores >= t_min, and is detected again at its own score
+        tree = data.draw(trees_over(table))
+        t_min = data.draw(st.one_of(st.sampled_from([1, 255]),
+                                    st.integers(1, 255)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        img = edge_image(rng, t_min, 20, 24)
+        trees, walk = self.walks(tree, table, sixteenfold)
+        found = walk.detect(img, t_min, table.margin)
+        scores = rt.score_positions(trees, img, found[:, 0], found[:, 1], t_min)
+        assert (scores >= t_min).all()
+        for s in np.unique(scores).tolist():
+            again = {tuple(p) for p in walk.detect(img, s, table.margin).tolist()}
+            assert {tuple(p) for p in found[scores == s].tolist()} <= again
 
 
 def shared_second_trees(table):

@@ -56,7 +56,7 @@ def test_eval_repeat_rejects_nan_homography(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["eval-repeat", "--dataset", str(data), "--algo",
-                     "fast-ref", "--counts", "0:100:100",
+                     "fast-ref", "--counts", "0:2000:2000",
                      "--out", str(tmp_path / "r_")])
     assert code == EXIT_DATA
     assert not list(tmp_path.glob("r_*"))
