@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
-from .repeatability import _any_within, _row_prefix, make_pairs
+from .repeatability import _any_within, _row_prefix, check_epsilon, make_pairs
 from .runtime import PlaneWalk, _interior_flat_positions, ternary_planes
 from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
                     tree_size)
@@ -86,10 +86,10 @@ class CostWeights:
     epsilon: float = 5.0
 
     def __post_init__(self):
-        for name in ("w_r", "w_n", "w_s", "alpha", "beta", "t", "i_max",
-                     "epsilon"):
-            if getattr(self, name) <= 0:
+        for name in ("w_r", "w_n", "w_s", "alpha", "beta", "t", "i_max"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+        check_epsilon(self.epsilon)
 
 
 def cost_from_parts(repeatability: float, per_frame_counts, size: int,
@@ -103,12 +103,6 @@ def cost_from_parts(repeatability: float, per_frame_counts, size: int,
     f_count = 1.0 + float(np.mean((d / weights.w_n) ** 2)) if d.size else 1.0
     f_size = 1.0 + (size / weights.w_s) ** 2
     return f_rep * f_count * f_size
-
-
-def cost(tree: TernaryTree, repeatability: float, per_frame_counts,
-         weights: CostWeights) -> float:
-    return cost_from_parts(repeatability, per_frame_counts, tree_size(tree),
-                           weights)
 
 
 def temperature(iteration: int, weights: CostWeights) -> float:

@@ -28,7 +28,8 @@ from .learn import (InconsistentLabelsError, augment_exhaustive, build_tree,
                     empty_training_set, extract_training_data,
                     force_shared_second_test)
 from .repeatability import (CURVE_MAX_COUNT, MissingWarpError,
-                            area_under_curve, make_pairs, repeatability_curve)
+                            area_under_curve, check_epsilon, make_pairs,
+                            repeatability_curve)
 from .runtime import write_keypoints
 from .trees import RING16, TreeFormatError, deserialize_tree, serialize_tree
 from .warp import SingularHomographyError, load_homography, save_homography
@@ -160,6 +161,9 @@ def cmd_learn_tree(args) -> int:
     if args.weight_scale < 0 or args.low_weight < 1:
         raise UsageError("learn-tree needs --weight-scale >= 0 and "
                          "--low-weight >= 1")
+    if args.weight_scale == 0 and not args.exhaustive:
+        # every observed configuration would weigh 0: a tree that never fires
+        raise UsageError("learn-tree --weight-scale 0 needs --exhaustive")
     images = [load_image(p) for p in _expand_images(args.images)]
     if images:
         ts = extract_training_data(images, args.n, args.t,
@@ -223,8 +227,18 @@ def _load_warps(d: Path, frames, pairs):
     return warps
 
 
+def _usage_checked(check, *args, **kwargs):
+    """Run a library argument check; its ``ValueError`` is a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_eval_repeat(args) -> int:
     counts = _parse_counts(args.counts)
+    _usage_checked(check_epsilon, args.epsilon)
+    detectors = [(spec, _build_detector(args, spec)) for spec in args.algo]
     d, frames = _load_dataset(args.dataset)
     sizes = {(f.width, f.height) for f in frames}
     if len(sizes) != 1:
@@ -235,8 +249,7 @@ def cmd_eval_repeat(args) -> int:
     prefix = args.out
     auc_rows = []
     curves = []
-    for spec in args.algo:
-        detector = _build_detector(args, spec)
+    for spec, detector in detectors:
         curve = repeatability_curve(frames, warps, detector, counts,
                                     args.epsilon, pairs)
         label = spec.replace(":", "_").replace("/", "_").replace(",", "_")
@@ -294,6 +307,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_make_dataset(args) -> int:
+    if args.frames < 1:
+        raise UsageError("make-dataset needs --frames >= 1")
     if args.base:
         base = load_image(args.base)
     else:
@@ -321,12 +336,12 @@ def cmd_make_dataset(args) -> int:
 
 
 def cmd_anneal(args) -> int:
+    weights = _usage_checked(CostWeights, w_r=args.wr, w_n=args.wn,
+                             w_s=args.ws, alpha=args.alpha, beta=args.beta,
+                             t=args.t, i_max=args.imax, epsilon=args.epsilon)
     d, frames = _load_dataset(args.dataset)
     pairs = make_pairs(len(frames), "adjacent2")
     warps = _load_warps(d, frames, pairs)
-    weights = CostWeights(w_r=args.wr, w_n=args.wn, w_s=args.ws,
-                          alpha=args.alpha, beta=args.beta, t=args.t,
-                          i_max=args.imax, epsilon=args.epsilon)
     seeds = [args.seed + k for k in range(args.runs)]
     best, results = multi_run(frames, warps, weights, args.runs, seeds=seeds,
                               jobs=args.jobs)
@@ -351,6 +366,8 @@ def cmd_anneal(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    if args.t < 1:
+        raise UsageError("distill needs --t >= 1")
     tree, table = _load_tree(args.tree)
     if len(table) != 48:
         raise UsageError(f"{args.tree}: distill expects a 48-offset tree")

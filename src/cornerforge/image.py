@@ -65,10 +65,6 @@ class GrayImage:
         return int(self.pixels[y, x])
 
     @classmethod
-    def from_array(cls, a) -> "GrayImage":
-        return cls(np.asarray(a, dtype=np.uint8))
-
-    @classmethod
     def constant(cls, width: int, height: int, value: int = 0) -> "GrayImage":
         return cls(np.full((height, width), value, dtype=np.uint8))
 

@@ -6,10 +6,15 @@ within epsilon (Euclidean) of that projection. Several features may match a
 single target detection. The sequence score pools counts over all evaluated
 pairs, which equals the useful-weighted mean of per-pair ratios.
 
-Detections are integer pixels, so one exact kernel does all matching, here
-and in annealing's cost: the targets become a boolean raster with row prefix
-sums, and the cells within epsilon of a query form one run of columns per
-lattice row, so a query costs 2*ceil(epsilon) + 1 pairs of lookups.
+Detections are integer pixels, and the cells within epsilon of a query form
+one run of columns in each of 2*ceil(epsilon) + 1 lattice rows
+(``_row_runs``). Two kernels read those runs. Annealing's cost asks whether
+a run holds a detection, through row prefix sums of a boolean raster
+(``_any_within``). The curve asks for the best-ranked detection in the runs,
+through a raster of ranks (``_min_rank_within``). Each frame's detections at
+the largest count are ranked once, and the detections at a smaller count
+are a prefix of them, so one projection and one min-rank match per ordered
+pair give the useful and repeated counts at every count.
 """
 
 from __future__ import annotations
@@ -43,6 +48,42 @@ class RepeatSample:
         return self.n_repeated / self.n_useful if self.n_useful else 0.0
 
 
+def check_epsilon(epsilon: float) -> None:
+    """``ValueError`` unless the matching radius is finite and positive."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
+def _row_runs(qx: np.ndarray, qy: np.ndarray, epsilon: float):
+    """The lattice cells within Euclidean epsilon of each query (qx, qy), as
+    rows ``cy`` and inclusive column runs ``[lo, hi]``, each (N, 2c + 1)
+    int64 with c = ceil(epsilon); a run with lo > hi is empty.
+
+    The test is ``(cx-qx)**2 + (cy-qy)**2 <= epsilon**2`` in float64 on the
+    queries' own coordinates. Rows cy = floor(qy) - c .. floor(qy) + c hold
+    every cell within epsilon. In each row the test holds on one run of
+    columns, because the rounded d2 only grows with |cx - qx|, and the run
+    lies inside floor(qx) - c .. floor(qx) + c. The run ends come from sqrt,
+    widened by a slack larger than any rounding error and smaller than one
+    cell; one exact d2 test per end then moves each end inward by at most
+    one.
+    """
+    check_epsilon(epsilon)
+    c = math.ceil(epsilon)
+    eps2 = float(epsilon) ** 2
+    slack = 1e-6 * (1.0 + epsilon)
+    qx = np.asarray(qx, dtype=np.float64)[:, None]
+    qy = np.asarray(qy, dtype=np.float64)[:, None]
+    cy = np.floor(qy).astype(np.int64) + np.arange(-c, c + 1)
+    dy2 = (cy - qy) ** 2
+    r = np.sqrt(np.maximum(eps2 - dy2, 0.0))
+    lo = np.ceil(qx - r - slack).astype(np.int64)
+    lo += (lo - qx) ** 2 + dy2 > eps2
+    hi = np.floor(qx + r + slack).astype(np.int64)
+    hi -= (hi - qx) ** 2 + dy2 > eps2
+    return cy, lo, hi
+
+
 def _row_prefix(raster: np.ndarray) -> np.ndarray:
     """Row prefix sums of an (h, w) boolean raster, shape (h + 1, w + 1).
 
@@ -60,29 +101,12 @@ def _any_within(qx: np.ndarray, qy: np.ndarray, prefix: np.ndarray,
     """For each query (qx, qy), is a set cell within Euclidean epsilon.
 
     ``prefix`` is ``_row_prefix`` of a raster whose cell [0, 0] sits at the
-    integer point (x0, y0). The test is ``(cx-qx)**2 + (cy-qy)**2 <=
-    epsilon**2`` in float64 on unshifted coordinates; only integer cells are
-    shifted into the raster. Rows cy = floor(qy) - c .. floor(qy) + c, with
-    c = ceil(epsilon), hold every cell within epsilon. In each row the test
-    holds on one run of columns [lo, hi], because the rounded d2 only grows
-    with |cx - qx|. The run ends come from sqrt, widened by a slack larger
-    than any rounding error and smaller than one cell; one exact d2 test per
-    end then moves each end inward by at most one. A hit is a run whose
-    prefix-sum difference is positive.
+    integer point (x0, y0); only integer cells are shifted into the raster.
+    A hit is a run of ``_row_runs`` whose prefix-sum difference is positive,
+    so a query costs 2*ceil(epsilon) + 1 pairs of lookups.
     """
-    c = math.ceil(epsilon)
-    eps2 = float(epsilon) ** 2
-    slack = 1e-6 * (1.0 + epsilon)
+    cy, lo, hi = _row_runs(qx, qy, epsilon)
     h, w = prefix.shape[0] - 1, prefix.shape[1] - 1
-    qx = np.asarray(qx, dtype=np.float64)[:, None]
-    qy = np.asarray(qy, dtype=np.float64)[:, None]
-    cy = np.floor(qy).astype(np.int64) + np.arange(-c, c + 1)
-    dy2 = (cy - qy) ** 2
-    r = np.sqrt(np.maximum(eps2 - dy2, 0.0))
-    lo = np.ceil(qx - r - slack).astype(np.int64)
-    lo += (lo - qx) ** 2 + dy2 > eps2
-    hi = np.floor(qx + r + slack).astype(np.int64)
-    hi -= (hi - qx) ** 2 + dy2 > eps2
     base = np.clip(cy - y0, -1, h) * (w + 1)
     flat = prefix.ravel()
     count = (flat[base + np.clip(hi + 1 - x0, 0, w)]
@@ -90,44 +114,96 @@ def _any_within(qx: np.ndarray, qy: np.ndarray, prefix: np.ndarray,
     return (count > 0).any(axis=1)
 
 
-def match_within(queries: np.ndarray, targets: np.ndarray,
-                 epsilon: float) -> np.ndarray:
-    """For each query point, is any target within Euclidean distance epsilon.
-
-    Targets are integer pixel positions (``ValueError`` otherwise). They are
-    rasterised over their bounding box and ``_any_within`` checks each query
-    against it: 2*ceil(epsilon) + 1 lattice rows, one prefix-sum lookup per
-    row end. The result equals comparing every query with every target.
-    """
-    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+def _rank_raster(targets: np.ndarray):
+    """(ranks, x0, y0): row k of the (N, 2) integer pixel positions
+    ``targets`` has rank k, written at its cell of an int32 raster over the
+    targets' bounding box, whose cell [0, 0] sits at (x0, y0). The raster has
+    one extra row and column, and every cell without a target reads N.
+    ``ValueError`` for positions that are not integers."""
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
     if not (np.isfinite(targets).all()
             and np.array_equal(np.round(targets), targets)):
         raise ValueError("match targets must be integer pixel positions")
     cells = targets.astype(np.int64)
-    if len(queries) == 0 or len(targets) == 0:
-        return np.zeros(len(queries), dtype=bool)
+    if not len(cells):
+        return np.zeros((1, 1), dtype=np.int32), 0, 0
     x0, y0 = cells.min(axis=0)
     x1, y1 = cells.max(axis=0)
-    raster = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
-    raster[cells[:, 1] - y0, cells[:, 0] - x0] = True
-    return _any_within(queries[:, 0], queries[:, 1], _row_prefix(raster),
-                       epsilon, x0, y0)
+    ranks = np.full((y1 - y0 + 2, x1 - x0 + 2), len(cells), dtype=np.int32)
+    # Reversed, so the lowest rank wins where two targets share a cell.
+    ranks[cells[::-1, 1] - y0, cells[::-1, 0] - x0] = np.arange(
+        len(cells) - 1, -1, -1, dtype=np.int32)
+    return ranks, int(x0), int(y0)
+
+
+def _min_rank_within(qx: np.ndarray, qy: np.ndarray, ranks: np.ndarray,
+                     epsilon: float, x0: int = 0, y0: int = 0) -> np.ndarray:
+    """For each query (qx, qy), the lowest rank of ``_rank_raster`` within
+    Euclidean epsilon; the raster's empty value where there is none.
+
+    Each query gathers the (2c + 1)^2 cells around (floor(qx), floor(qy)),
+    one column offset at a time; cells off its runs of ``_row_runs`` or off
+    the raster read the empty extra row.
+    """
+    cy, lo, hi = _row_runs(qx, qy, epsilon)
+    h, w = ranks.shape[0] - 1, ranks.shape[1] - 1
+    c = cy.shape[1] // 2
+    ry = cy - y0
+    row = np.where((ry >= 0) & (ry < h), ry, h) * (w + 1)
+    fx = np.floor(np.asarray(qx, dtype=np.float64)).astype(np.int64)[:, None]
+    flat = ranks.ravel()
+    best = np.full(len(row), flat[-1])
+    for dx in range(-c, c + 1):
+        cx = fx + dx
+        col = np.where((cx >= x0) & (cx < x0 + w), cx - x0, w)
+        cell = np.where((lo <= cx) & (cx <= hi), row + col, h * (w + 1))
+        np.minimum(best, flat[cell].min(axis=1), out=best)
+    return best
+
+
+def match_within(queries: np.ndarray, targets: np.ndarray,
+                 epsilon: float) -> np.ndarray:
+    """For each query point, is any target within Euclidean distance epsilon.
+
+    Targets are integer pixel positions (``ValueError`` otherwise). The
+    result equals comparing every query with every target.
+    """
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
+    ranks, x0, y0 = _rank_raster(targets)
+    return _min_rank_within(queries[:, 0], queries[:, 1], ranks, epsilon,
+                            x0, y0) < len(targets)
+
+
+def _pair_counts(pool_i: np.ndarray, pool_j: np.ndarray, cuts_i, cuts_j,
+                 warp: Homography, epsilon: float):
+    """Useful and repeated counts of one ordered pair at several cuts.
+
+    Cut k keeps the first ``cuts_i[k]`` keypoint rows of ``pool_i`` and the
+    first ``cuts_j[k]`` of ``pool_j``. The pool of frame i is projected once,
+    and each projected source is matched once, to the lowest rank of frame
+    j's pool within epsilon. At cut k a source is useful when its own rank
+    is below ``cuts_i[k]``, and repeated when also its match is below
+    ``cuts_j[k]``.
+    """
+    cuts_i = np.asarray(cuts_i, dtype=np.int64)[:, None]
+    cuts_j = np.asarray(cuts_j, dtype=np.int64)[:, None]
+    proj, valid = project_points(warp, pool_i[:, :2])
+    rank = np.flatnonzero(valid)
+    ranks, x0, y0 = _rank_raster(pool_j[:, :2])
+    match = _min_rank_within(proj[rank, 0], proj[rank, 1], ranks, epsilon,
+                             x0, y0)
+    useful = rank < cuts_i
+    return (useful.sum(axis=1),
+            (useful & (match < cuts_j)).sum(axis=1))
 
 
 def pair_repeatability(det_i: np.ndarray, det_j: np.ndarray, warp: Homography,
                        epsilon: float) -> RepeatSample:
     """Useful/repeated counts for one ordered image pair of keypoint rows."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    if len(det_i) == 0:
-        return RepeatSample(0, 0)
-    proj, valid = project_points(warp, det_i[:, :2])
-    n_useful = int(valid.sum())
-    if n_useful == 0:
-        return RepeatSample(0, 0)
-    matched = match_within(proj[valid], det_j[:, :2], epsilon)
-    return RepeatSample(n_useful, int(matched.sum()))
+    useful, repeated = _pair_counts(det_i, det_j, [len(det_i)], [len(det_j)],
+                                    warp, epsilon)
+    return RepeatSample(int(useful[0]), int(repeated[0]))
 
 
 def make_pairs(n_frames: int, policy: str = "adjacent2") -> list[tuple[int, int]]:
@@ -141,52 +217,65 @@ def make_pairs(n_frames: int, policy: str = "adjacent2") -> list[tuple[int, int]
     raise ValueError(f"unknown pair policy {policy!r}")
 
 
-def _detect_all(frames, detector, n_features):
-    return [detector.detect(frame, n_features, frame_key=k)
-            for k, frame in enumerate(frames)]
+def _count_pools(frames, detector, counts):
+    """Yield (indices into ``counts``, per-frame pools, per-frame cuts).
 
-
-def sequence_repeatability(frames, warps, detector, n_features: int,
-                           epsilon: float, pairs=None) -> float:
-    """Pooled repeated/useful ratio over all evaluated ordered pairs.
-
-    ``warps`` maps ordered pairs (i, j) to homographies; every evaluated pair
-    must be present.
+    Each frame's pool is its detection at the largest count, and a count's
+    cut on a frame is the length of its own detection there, so the
+    detector's tie rule decides every cut. A count whose detections are all
+    prefixes of the pools is read from them; any other count (the random
+    baseline's, whose samples are not nested) brings its detections as its
+    own pools.
     """
-    frames = list(frames)
-    if pairs is None:
-        pairs = make_pairs(len(frames))
-    detections = _detect_all(frames, detector, n_features)
-    tot_useful = tot_rep = 0
-    for i, j in pairs:
-        if (i, j) not in warps:
-            raise MissingWarpError(f"no warp for frame pair ({i}, {j})")
-        sample = pair_repeatability(detections[i], detections[j],
-                                    warps[(i, j)], epsilon)
-        tot_useful += sample.n_useful
-        tot_rep += sample.n_repeated
-    return tot_rep / tot_useful if tot_useful else 0.0
+    def detect_all(count):
+        return [detector.detect(f, count, frame_key=k)
+                for k, f in enumerate(frames)]
+
+    pools = detect_all(counts[-1])
+    shared = []
+    for index, count in enumerate(counts):
+        dets = detect_all(count)
+        if all(np.array_equal(d, p[:len(d)]) for d, p in zip(dets, pools)):
+            shared.append((index, [len(d) for d in dets]))
+        else:
+            yield [index], dets, [[len(d)] for d in dets]
+    if shared:
+        indices, cuts = zip(*shared)
+        yield list(indices), pools, list(zip(*cuts))
 
 
 def repeatability_curve(frames, warps, detector, counts=None,
                         epsilon: float = 5.0, pairs=None) -> list[tuple[int, float]]:
-    """One sequence evaluation per requested feature count.
+    """Pooled repeated/useful ratio over the evaluated ordered pairs, at each
+    requested feature count.
 
-    Count 0 is emitted as (0, 0.0) by convention (no useful features).
+    ``warps`` maps ordered pairs (i, j) to homographies; every evaluated pair
+    must be present. A count without useful features, such as count 0,
+    reads 0.0.
     """
     if counts is None:
         counts = list(range(0, CURVE_MAX_COUNT + 1, DEFAULT_COUNT_STEP))
     counts = list(counts)
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("counts must be strictly ascending")
-    curve = []
-    for count in counts:
-        if count == 0:
-            curve.append((0, 0.0))
-            continue
-        curve.append((count, sequence_repeatability(
-            frames, warps, detector, count, epsilon, pairs)))
-    return curve
+    check_epsilon(epsilon)
+    frames = list(frames)
+    if pairs is None:
+        pairs = make_pairs(len(frames))
+    for pair in pairs:
+        if pair not in warps:
+            raise MissingWarpError(f"no warp for frame pair {pair}")
+    useful = np.zeros(len(counts), dtype=np.int64)
+    repeated = np.zeros(len(counts), dtype=np.int64)
+    if counts:
+        for indices, pools, cuts in _count_pools(frames, detector, counts):
+            for i, j in pairs:
+                u, r = _pair_counts(pools[i], pools[j], cuts[i], cuts[j],
+                                    warps[(i, j)], epsilon)
+                useful[indices] += u
+                repeated[indices] += r
+    return [(c, r / u if u else 0.0) for c, u, r in
+            zip(counts, useful.tolist(), repeated.tolist())]
 
 
 def area_under_curve(curve) -> float:

@@ -4,12 +4,14 @@ Everything here is deliberately written from scratch (plain Python, no reuse
 of package internals) so a bug in the implementation cannot hide in its own
 test. The scalar reference paths (pixel-by-pixel tree walk and detection,
 the sixteen-fold OR, bisection, iteration and linear-scan scores, the
-high-speed rejection test) live here: only tests use them, as does
-``classify_flat``, the numpy walk over raw pixels that detection used
-before it moved onto ternary state planes. They read trees, images and
-offset tables through their attributes (``offset``/``b``/``s``/``d``/``cls``,
-``at``, ``xy``/``margin``), and compiled trees through
-``root``/``dx``/``dy``/``children``.
+high-speed rejection test, the per-count repeatability loop) live here: only
+tests use them, as does ``classify_flat``, the numpy walk over raw pixels
+that detection used before it moved onto ternary state planes. They read
+trees, images and offset tables through their attributes
+(``offset``/``b``/``s``/``d``/``cls``, ``at``, ``xy``/``margin``), compiled
+trees through ``root``/``dx``/``dy``/``children``, and detectors through
+``detect``; the repeatability loop takes its point projection as an
+argument.
 """
 
 from __future__ import annotations
@@ -275,6 +277,30 @@ def any_within(queries, targets, eps: float):
         out.append(any((qx - tx) * (qx - tx) + (qy - ty) * (qy - ty) <= e2
                        for tx, ty in targets))
     return out
+
+
+def repeatability_curve_loop(frames, warps, detector, counts, eps: float,
+                             pairs, project):
+    """Repeatability against feature count by the per-count loop: at each
+    count, detect every frame afresh, project each pair's sources with
+    ``project`` (called as ``project(warp, xy)`` -> (coords, valid)), and
+    match the valid ones against the target frame's detections with
+    ``any_within``. Count 0 reads (0, 0.0)."""
+    curve = []
+    for count in counts:
+        if count == 0:
+            curve.append((0, 0.0))
+            continue
+        dets = [detector.detect(f, count, frame_key=k)
+                for k, f in enumerate(frames)]
+        useful = repeated = 0
+        for i, j in pairs:
+            proj, valid = project(warps[(i, j)], dets[i][:, :2])
+            queries = proj[valid].tolist()
+            useful += len(queries)
+            repeated += sum(any_within(queries, dets[j][:, :2].tolist(), eps))
+        curve.append((count, repeated / useful if useful else 0.0))
+    return curve
 
 
 def exhaustive_count_table(labels, weights, k: int, fixed):

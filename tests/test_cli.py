@@ -120,6 +120,48 @@ def test_anneal_without_runs_is_a_data_error(small_dataset, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags", [["--imax", "0"], ["--t", "0"],
+                                   ["--epsilon", "-1"], ["--epsilon", "nan"],
+                                   ["--epsilon", "inf"], ["--wr", "nan"]],
+                         ids=["imax=0", "t=0", "epsilon=-1", "epsilon=nan",
+                              "epsilon=inf", "wr=nan"])
+def test_anneal_rejects_out_of_range_parameters(tmp_path, flags):
+    # usage errors come before the dataset is read: it does not exist
+    assert main(["anneal", "--dataset", str(tmp_path / "missing"), *flags,
+                 "--out", str(tmp_path / "a_")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_repeat_checks_every_spec_before_loading(tmp_path):
+    # every spec is checked before the dataset is read, so no curve of an
+    # earlier spec is written
+    assert main(["eval-repeat", "--dataset", str(tmp_path / "missing"),
+                 "--algo", "fast-ref", "--algo", "harris:sigma=0",
+                 "--out", str(tmp_path / "r_")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+def test_eval_repeat_rejects_bad_epsilon(tmp_path, epsilon):
+    assert main(["eval-repeat", "--dataset", str(tmp_path / "missing"),
+                 "--algo", "fast-ref", f"--epsilon={epsilon}",
+                 "--out", str(tmp_path / "r_")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+def test_distill_rejects_zero_threshold(tmp_path):
+    assert main(["distill", "--tree", str(tmp_path / "missing.tree"),
+                 "--dataset", str(tmp_path / "missing"), "--t", "0",
+                 "--out", str(tmp_path / "d.tree")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+def test_make_dataset_rejects_zero_frames(tmp_path):
+    assert main(["make-dataset", "--base", str(tmp_path / "missing.pgm"),
+                 "--frames", "0", "--out", str(tmp_path / "data")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
 def test_eval_repeat_writes_curves_and_auc(tmp_path):
     data = tmp_path / "data"
     assert main(["make-dataset", "--synthetic", "48x40", "--frames", "3",
@@ -144,10 +186,12 @@ def test_eval_repeat_writes_curves_and_auc(tmp_path):
 
 @pytest.mark.parametrize("flags", [["--t", "0"], ["--n", "8"], ["--n", "17"],
                                    ["--weight-scale", "-1"],
+                                   ["--weight-scale", "0"],
                                    ["--exhaustive", "--low-weight", "-1"],
                                    ["--exhaustive", "--low-weight", "0"]],
                          ids=["t=0", "n=8", "n=17", "weight-scale=-1",
-                              "low-weight=-1", "low-weight=0"])
+                              "weight-scale=0", "low-weight=-1",
+                              "low-weight=0"])
 def test_learn_tree_rejects_out_of_range_parameters(tmp_path, flags):
     # usage errors come before any image is read: the image does not exist
     out = tmp_path / "t.tree"
@@ -167,5 +211,20 @@ def test_learn_tree_exhaustive_shared_second(tmp_path):
     tree, _ = deserialize_tree(out.read_bytes())
     codes = np.concatenate([np.flatnonzero(sg.label_all_configs(9))[::7],
                             rng.integers(0, sg.N_CONFIGS, 50_000)])
+    got = classify_rows(tree, learn.states_from_codes(codes))
+    assert np.array_equal(got, sg.config_labels(codes, 9))
+
+
+def test_learn_tree_exhaustive_zero_weight_scale(tmp_path):
+    # observed configurations weigh 0, and the exhaustive padding alone
+    # defines the segment test
+    img = tmp_path / "train.pgm"
+    pixels = np.random.default_rng(1).integers(0, 256, (32, 32))
+    img.write_bytes(save_pgm(GrayImage(pixels.astype(np.uint8))))
+    out = tmp_path / "fast9.tree"
+    assert main(["learn-tree", str(img), "--exhaustive", "--weight-scale", "0",
+                 "--n", "9", "--out", str(out)]) == EXIT_OK
+    tree, _ = deserialize_tree(out.read_bytes())
+    codes = np.random.default_rng(2).integers(0, sg.N_CONFIGS, 50_000)
     got = classify_rows(tree, learn.states_from_codes(codes))
     assert np.array_equal(got, sg.config_labels(codes, 9))

@@ -3,9 +3,10 @@ the trees that `learn-tree` and `distill` write, on a small synthetic dataset,
 compared by sha256 (first 16 hex digits) of each output file without its '#'
 provenance lines.
 
-The detection digests were recorded before keypoints became arrays, and the
+The detection digests were recorded before keypoints became arrays, the
 learning digests before `learn-tree` took its ring states from
-`runtime.ternary_planes`; a refactor that changes any of them changes what
+`runtime.ternary_planes`, and the 160x120 count-cut digests before the curve
+matched each frame pair once for all counts; a refactor that changes any of them changes what
 the CLI writes. Regenerate them only for an intended output change, and say
 why where the change is described.
 """
@@ -53,6 +54,23 @@ GOLDEN = {
     "detect-random-t35-n10": "8b9356af44093700",
     "eval-repeat-random-curve": "02c518d3d0513bad",
     "eval-repeat-random-auc": "9311c8286e0beace",
+}
+
+GOLDEN_CUTS = {
+    "cuts-fast-ref-curve": "340abe0f9190115a",
+    "cuts-fast-tree-curve": "340abe0f9190115a",
+    "cuts-faster-curve": "340abe0f9190115a",
+    "cuts-harris-curve": "db458fca47b919b3",
+    "cuts-shi-tomasi-curve": "96068dfd14cecde8",
+    "cuts-random-curve": "0f48031601bfca22",
+    "cuts-auc": "3ac05e340681423b",
+    "cuts-all-eps2.5-fast-ref-curve": "46db791e76d5de80",
+    "cuts-all-eps2.5-fast-tree-curve": "46db791e76d5de80",
+    "cuts-all-eps2.5-faster-curve": "46db791e76d5de80",
+    "cuts-all-eps2.5-harris-curve": "f76825daf7cc16b8",
+    "cuts-all-eps2.5-shi-tomasi-curve": "df349f30d3f53b4f",
+    "cuts-all-eps2.5-random-curve": "216d784b17ca97a6",
+    "cuts-all-eps2.5-auc": "bc60f38ffc86fd19",
 }
 
 GOLDEN_LEARN = {
@@ -109,6 +127,43 @@ def cli_digests(tmp_path, ring_tree, wide_tree) -> dict[str, str]:
 def test_cli_outputs_match_golden_digests(tmp_path, fast9_tree, fast9_grid48):
     got = cli_digests(tmp_path, (fast9_tree, RING16), fast9_grid48)
     assert got == GOLDEN
+
+
+def count_cut_digests(tmp_path, ring_tree, wide_tree) -> dict[str, str]:
+    """`eval-repeat` of all six detectors in one run on a 160x120 dataset,
+    where the 64x48 curves would saturate: the counts 0:2000:100 then cut
+    every frame's ranking, so the curves depend on the count cuts. Once with
+    the default pairs and epsilon, and once with every ordered pair at
+    epsilon 2.5."""
+    assert main(["make-dataset", "--synthetic", "160x120", "--frames", "4",
+                 "--noise", "2", "--seed", "7",
+                 "--out", str(tmp_path / "data")]) == EXIT_OK
+    trees = {"fast-tree": ring_tree, "faster": wide_tree}
+    specs = []
+    for algo in ALGOS:
+        if algo in trees:
+            path = tmp_path / f"{algo}.tree"
+            path.write_bytes(serialize_tree(*trees[algo]))
+            algo = f"{algo}:tree={path}"
+        specs += ["--algo", algo]
+    out = {}
+    for run, flags in (("", []), ("-all-eps2.5", ["--pairs", "all",
+                                                  "--epsilon", "2.5"])):
+        prefix = tmp_path / f"cuts{run}_"
+        assert main(["eval-repeat", "--dataset", str(tmp_path / "data"),
+                     *specs, "--counts", "0:2000:100", *flags,
+                     "--out", str(prefix)]) == EXIT_OK
+        for algo in ALGOS:
+            path, = tmp_path.glob(f"cuts{run}_{algo}*.csv")
+            out[f"cuts{run}-{algo}-curve"] = digest(path)
+        out[f"cuts{run}-auc"] = digest(tmp_path / f"cuts{run}_auc.csv")
+    return out
+
+
+def test_count_cut_curves_match_golden_digests(tmp_path, fast9_tree,
+                                               fast9_grid48):
+    got = count_cut_digests(tmp_path, (fast9_tree, RING16), fast9_grid48)
+    assert got == GOLDEN_CUTS
 
 
 def mutated_tree(seed: int, mutations: int):

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from _oracles import any_within
-from cornerforge.repeatability import area_under_curve, match_within
+from _oracles import any_within, repeatability_curve_loop
+from cornerforge.detectors import (FastRefDetector, HarrisDetector,
+                                   RandomDetector)
+from cornerforge.image import GrayImage
+from cornerforge.repeatability import (_any_within, _min_rank_within,
+                                       _rank_raster, _row_prefix,
+                                       area_under_curve, make_pairs,
+                                       match_within, repeatability_curve)
+from cornerforge.warp import Homography, project_points
 
 EPSILONS = (0.5, 1.0, 1.5, 5.0)
 
@@ -16,12 +23,33 @@ targets = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
                    max_size=40)
 
 
+def prefix_any_within(qs, ts, eps):
+    """``_any_within`` over the row prefix sums of a raster of ``ts``."""
+    raster = np.zeros((31, 31), dtype=bool)
+    for x, y in ts:
+        raster[y, x] = True
+    qs = np.array(qs, dtype=np.float64).reshape(-1, 2)
+    return _any_within(qs[:, 0], qs[:, 1], _row_prefix(raster), eps)
+
+
 class TestMatchWithin:
     @given(queries, targets, st.sampled_from(EPSILONS))
     def test_matches_oracle(self, qs, ts, eps):
         got = match_within(np.array(qs, dtype=np.float64),
                            np.array(ts, dtype=np.float64), eps)
         assert got.tolist() == any_within(qs, ts, eps)
+        assert prefix_any_within(qs, ts, eps).tolist() == got.tolist()
+
+    @given(queries, targets, st.sampled_from(EPSILONS))
+    def test_min_rank_is_the_first_target_within(self, qs, ts, eps):
+        # duplicate targets are common here: the lower rank must win
+        ranks, x0, y0 = _rank_raster(np.array(ts, dtype=np.float64))
+        qs_arr = np.array(qs, dtype=np.float64).reshape(-1, 2)
+        got = _min_rank_within(qs_arr[:, 0], qs_arr[:, 1], ranks, eps, x0, y0)
+        hits = [any_within(qs, [t], eps) for t in ts]
+        want = [next((k for k, hit in enumerate(hits) if hit[q]), len(ts))
+                for q in range(len(qs))]
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("eps", EPSILONS)
     def test_exactly_epsilon_away_matches(self, eps):
@@ -53,6 +81,10 @@ class TestMatchWithin:
         qs = np.column_stack([np.concatenate(qx), np.tile(50 + dy, len(qx))])
         got = match_within(qs, np.array([[50, 50]]), eps)
         assert got.tolist() == any_within(qs.tolist(), [(50, 50)], eps)
+        prefixed = _any_within(qs[:, 0], qs[:, 1],
+                               _row_prefix(np.ones((1, 1), dtype=bool)), eps,
+                               50, 50)
+        assert prefixed.tolist() == got.tolist()
 
     def test_queries_outside_target_box(self):
         qs = np.array([[-4.0, 0.0], [0.0, -5.5], [104.0, 53.0], [100.0, 51.0],
@@ -71,6 +103,68 @@ class TestMatchWithin:
     def test_non_integer_targets_raise(self, bad):
         with pytest.raises(ValueError, match="integer"):
             match_within(np.array([[1.0, 2.0]]), np.array(bad), 5.0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
+        one = np.array([[1.0, 2.0]])
+        prefix = _row_prefix(np.ones((4, 4), dtype=bool))
+        with pytest.raises(ValueError, match="epsilon"):
+            match_within(one, np.array([[1, 2]]), eps)
+        with pytest.raises(ValueError, match="epsilon"):
+            _any_within(one[:, 0], one[:, 1], prefix, eps)
+
+
+W, H = 26, 20
+quarter_shift = st.integers(-48, 48).map(lambda k: k / 4)
+# Scale, translation and a perspective term: with shifts up to 12 pixels,
+# many sources project outside the 26x20 target frame.
+warp_params = st.tuples(st.sampled_from([1.0, 0.75, 1.25]), quarter_shift,
+                        quarter_shift, st.sampled_from([0.0, 0.004]))
+DETECTORS = {"fast-ref": lambda: FastRefDetector(t_min=1),
+             "harris": HarrisDetector,
+             "random": lambda: RandomDetector(seed=3)}
+
+
+def curve_frame(seed: int, flat: bool) -> GrayImage:
+    """A noise frame, or a flat one on which no corner detector fires."""
+    if flat:
+        return GrayImage.constant(W, H, 90)
+    pixels = np.random.default_rng(seed).integers(0, 256, (H, W))
+    return GrayImage(pixels.astype(np.uint8))
+
+
+class TestRepeatabilityCurve:
+    @settings(max_examples=60)
+    @given(st.sampled_from(sorted(DETECTORS)),
+           st.lists(st.tuples(st.integers(0, 2**16),
+                              st.sampled_from([False, False, False, True])),
+                    min_size=3, max_size=3),
+           st.lists(warp_params, min_size=6, max_size=6),
+           st.lists(st.integers(0, 60), min_size=1, max_size=8,
+                    unique=True).map(sorted),
+           st.sampled_from([0.5, 1.5, 5.0]))
+    def test_matches_per_count_loop(self, algo, frame_specs, params, counts,
+                                    eps):
+        # fast-ref cuts keep score ties whole, harris splits them, and the
+        # random baseline's detections at different counts are not nested
+        frames = [curve_frame(seed, flat) for seed, flat in frame_specs]
+        pairs = make_pairs(3, "all")
+        warps = {pair: Homography(np.array([[s, 0.0, tx], [0.0, s, ty],
+                                            [p, 0.0, 1.0]]), (W, H))
+                 for pair, (s, tx, ty, p) in zip(pairs, params)}
+        detector = DETECTORS[algo]()
+        got = repeatability_curve(frames, warps, detector, counts, eps, pairs)
+        want = repeatability_curve_loop(frames, warps, detector, counts, eps,
+                                        pairs, project_points)
+        assert got == want
+
+    def test_rejects_bad_epsilon_and_missing_warps(self):
+        frames = [curve_frame(0, False), curve_frame(1, False)]
+        detector = HarrisDetector()
+        with pytest.raises(ValueError, match="epsilon"):
+            repeatability_curve(frames, {}, detector, [0, 10], np.inf)
+        with pytest.raises(KeyError, match="no warp"):
+            repeatability_curve(frames, {}, detector, [0, 10], 5.0)
 
 
 class TestAreaUnderCurve:
