@@ -3,4 +3,4 @@ repeatability benchmarking, and annealing-based detector optimization."""
 
 __version__ = "0.1.0"
 
-from .image import GrayImage, load_pgm, save_pgm, ring_offsets  # noqa: F401
+from .image import GrayImage, load_pgm, save_pgm  # noqa: F401

@@ -17,54 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
 from .repeatability import _any_within, _row_prefix, check_epsilon, make_pairs
 from .runtime import PlaneWalk, _interior_flat_positions, ternary_planes
-from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
-                    tree_size)
+from .trees import (_DIHEDRAL, CompiledTree, LEAF0, Leaf, Node, OffsetTable,
+                    TernaryTree, default_offsets_48, sixteen_fold, tree_size)
 from .warp import project_points
-
-def default_offsets_48() -> OffsetTable:
-    """Shipped default: the 48 cells of the 7x7 neighborhood minus the centre,
-    raster order, indexed 0..47.
-
-    The 7x7 box is closed under rotations and reflections, which makes the
-    sixteen-fold detector an exact function of the 48 pixel states
-    (distillation relies on this).
-    """
-    cells = [(dx, dy) for dy in range(-3, 4) for dx in range(-3, 4)
-             if (dx, dy) != (0, 0)]
-    return OffsetTable("grid48", tuple(cells), index_base=0)
-
-
-# The eight dihedral maps (dx, dy) -> (a*dx + b*dy, c*dx + d*dy).
-_DIHEDRAL = []
-_rot = (1, 0, 0, 1)
-for _ in range(4):
-    a, b, c, d = _rot
-    _DIHEDRAL.append((a, b, c, d))
-    _DIHEDRAL.append((-a, b, -c, d))  # composed with x-flip
-    _rot = (-c, -d, a, b)  # quarter turn
-
-
-def _variants(ct: CompiledTree):
-    """The 16 transformed views of a compiled tree (8 spatial x inversion).
-
-    Spatial transforms act on the offsets; intensity inversion swaps the
-    darker/brighter branch targets. Leaf classes are untouched.
-    """
-    out = []
-    for a, b, c, d in _DIHEDRAL:
-        dx = a * ct.dx + b * ct.dy
-        dy = c * ct.dx + d * ct.dy
-        for invert in (False, True):
-            kids = ct.children[:, ::-1] if invert else ct.children
-            out.append(SimpleNamespace(root=ct.root, dx=dx, dy=dy, children=kids))
-    return out
 
 
 @dataclass(frozen=True)
@@ -231,7 +192,8 @@ class CostEvaluator:
     def detect_fields(self, tree: TernaryTree) -> list[np.ndarray]:
         """Per frame, the flat boolean corner field of the symmetrized
         detector: one plane walk of the 16 variants over all frames."""
-        walk = PlaneWalk(_variants(CompiledTree(tree, self.table)), self.offsets)
+        walk = PlaneWalk(sixteen_fold(CompiledTree(tree, self.table)),
+                         self.offsets)
         hit = walk.fired(self.planes)
         fields = []
         col = 0
@@ -348,7 +310,7 @@ def distill(tree: TernaryTree, images, t: int = 35,
     """
     table = table or default_offsets_48()
     images = list(images)
-    walk = PlaneWalk(_variants(CompiledTree(tree, table)))
+    walk = PlaneWalk(sixteen_fold(CompiledTree(tree, table)))
     labels = walk.fired(ternary_planes(images, walk.offsets, t, table.margin))
     states = ternary_planes(images, table.offsets, t, table.margin).T
     if not states.size:

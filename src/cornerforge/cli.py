@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import glob
 import json
-import os
+import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annealing import (CostWeights, default_offsets_48, distill, multi_run)
+from .annealing import CostWeights, distill, multi_run
 from .datasets import make_dataset, synthetic_base_image
 from .detectors import (FastRefDetector, HarrisDetector, RandomDetector,
                         ShiTomasiDetector, SixteenFoldDetector, TreeDetector)
@@ -31,7 +32,8 @@ from .repeatability import (CURVE_MAX_COUNT, MissingWarpError,
                             area_under_curve, check_epsilon, make_pairs,
                             repeatability_curve)
 from .runtime import write_keypoints
-from .trees import RING16, TreeFormatError, deserialize_tree, serialize_tree
+from .trees import (RING16, TreeFormatError, default_offsets_48,
+                    deserialize_tree, serialize_tree)
 from .warp import SingularHomographyError, load_homography, save_homography
 
 EXIT_OK = 0
@@ -106,22 +108,17 @@ def _build_detector(args, spec: str | None = None):
     if name == "fast-ref":
         return FastRefDetector(n=p("n", 9, int, lambda v: 9 <= v <= 16),
                                t_min=t_min())
-    if name == "fast-tree":
+    tree_detectors = {d.name: d for d in (TreeDetector, SixteenFoldDetector)}
+    if name in tree_detectors:
         tree_path = params.get("tree") or args.tree
         if not tree_path:
             raise UsageError(f"{name} needs --tree (or tree= in the spec)")
         tree, table = _load_tree(tree_path)
-        if len(table) != 16:
-            raise UsageError(f"{tree_path}: fast-tree expects a 16-offset tree")
-        return TreeDetector(tree, table, t_min=t_min())
-    if name == "faster":
-        tree_path = params.get("tree") or args.tree
-        if not tree_path:
-            raise UsageError(f"{name} needs --tree (or tree= in the spec)")
-        tree, table = _load_tree(tree_path)
-        if len(table) != 48:
-            raise UsageError(f"{tree_path}: faster expects a 48-offset tree")
-        return SixteenFoldDetector(tree, table, t_min=t_min())
+        n_offsets = len(tree_detectors[name].default_table)
+        if len(table) != n_offsets:
+            raise UsageError(f"{tree_path}: {name} expects a {n_offsets}-offset "
+                             f"tree")
+        return tree_detectors[name](tree, table, t_min=t_min())
     if name == "harris":
         return HarrisDetector(sigma=p("sigma", 2.5, float, lambda v: v > 0))
     if name == "shi-tomasi":
@@ -309,11 +306,17 @@ def cmd_bench(args) -> int:
 def cmd_make_dataset(args) -> int:
     if args.frames < 1:
         raise UsageError("make-dataset needs --frames >= 1")
+    if not all(math.isfinite(v) and v >= 0 for v in (args.noise, args.warp_mag)):
+        raise UsageError("make-dataset needs finite --noise >= 0 and "
+                         "--warp-mag >= 0")
     if args.base:
         base = load_image(args.base)
     else:
-        w, _, h = args.synthetic.partition("x")
-        base = synthetic_base_image(int(w), int(h), args.seed)
+        size = re.fullmatch(r"(\d+)x(\d+)", args.synthetic)
+        if not size:
+            raise UsageError(f"--synthetic {args.synthetic!r} is not WxH")
+        base = _usage_checked(synthetic_base_image, int(size[1]), int(size[2]),
+                              args.seed)
     frames, warps, _ = make_dataset(base, args.frames, args.warp_mag,
                                     args.noise, args.seed)
     outdir = Path(args.out)
@@ -339,6 +342,8 @@ def cmd_anneal(args) -> int:
     weights = _usage_checked(CostWeights, w_r=args.wr, w_n=args.wn,
                              w_s=args.ws, alpha=args.alpha, beta=args.beta,
                              t=args.t, i_max=args.imax, epsilon=args.epsilon)
+    if args.runs < 1 or args.jobs < 1:
+        raise UsageError("anneal needs --runs >= 1 and --jobs >= 1")
     d, frames = _load_dataset(args.dataset)
     pairs = make_pairs(len(frames), "adjacent2")
     warps = _load_warps(d, frames, pairs)
@@ -415,8 +420,7 @@ def write_svg_curves(path, curves, header_lines=()) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cornerforge", description=__doc__)
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("CORNERFORGE_JOBS", "1")),
+    parser.add_argument("--jobs", type=int, default=1,
                         help="worker cap; 1 defines canonical output")
     sub = parser.add_subparsers(dest="command", required=True)
 

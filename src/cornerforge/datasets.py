@@ -12,10 +12,17 @@ import numpy as np
 from .image import GrayImage, add_gaussian_noise
 from .warp import Homography
 
+# on small images a diamond radius reaches 5, and it needs 2 * 5 + 1 pixels
+SYNTHETIC_MIN_SIDE = 11
+
 
 def synthetic_base_image(width: int, height: int, seed: int) -> GrayImage:
     """Deterministic corner-rich test scene: smooth background with scattered
-    rectangles and diamonds of varying contrast."""
+    rectangles and diamonds of varying contrast. ``ValueError`` when a side
+    is below ``SYNTHETIC_MIN_SIDE``."""
+    if min(width, height) < SYNTHETIC_MIN_SIDE:
+        raise ValueError(f"a synthetic image needs at least {SYNTHETIC_MIN_SIDE}"
+                         f"x{SYNTHETIC_MIN_SIDE} pixels, got {width}x{height}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
     canvas = 110.0 + 35.0 * xx / width + 25.0 * yy / height

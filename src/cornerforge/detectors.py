@@ -6,20 +6,23 @@ once by (-score, y, x) and cached, and ``detect(img, n)`` is a prefix of
 that ranking (``top_n_by_score``). Detectors with discrete scores return the
 closest achievable count instead of splitting score ties; Harris and
 Shi-Tomasi split ties in raster order.
+
+Learned trees detect through one ``TreeDetector``, over one compiled tree
+(FAST on the 16-pixel ring) or sixteen (FAST-ER, ``SixteenFoldDetector``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .annealing import _variants, default_offsets_48
 from .baselines import (detect_random, detect_response, harris_response,
                         shi_tomasi_response, structure_tensor)
 from .image import GrayImage
-from .runtime import (PlaneWalk, detect, keypoint_rows, rank_by_score,
+from .runtime import (PlaneWalk, keypoint_rows, rank_by_score,
                       score_positions, suppress_scored_arrays, top_n_by_score)
 from .segment import segment_score_field
-from .trees import CompiledTree, OffsetTable, RING16, TernaryTree
+from .trees import (CompiledTree, OffsetTable, RING16, TernaryTree,
+                    default_offsets_48, sixteen_fold)
 
 
 class FeatureDetector:
@@ -71,43 +74,39 @@ class FastRefDetector(FeatureDetector):
 
 
 class TreeDetector(FeatureDetector):
-    """Learned single-tree detector; scores are exact for any tree
-    (``score_positions``)."""
+    """The OR of the compiled trees ``variants`` makes of one tree, compiled
+    and prepared for ``PlaneWalk`` once. A position fires when any of them
+    classifies it as a corner at ``t_min``; its score is the largest
+    threshold at which any still does (``score_positions``, exact)."""
 
-    def __init__(self, tree: TernaryTree, table: OffsetTable = RING16,
-                 t_min: int = 1):
-        super().__init__()
-        self.tree = tree
-        self.table = table
-        self.compiled = CompiledTree(tree, table)
-        self.t_min = t_min
-        self.name = "fast-tree"
-
-    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
-        xs, ys = detect(self.compiled, img, self.t_min).T
-        scores = score_positions([self.compiled], img, xs, ys, self.t_min)
-        return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
-
-
-class SixteenFoldDetector(FeatureDetector):
-    """Symmetrized wide-offset detector: the OR of a tree's 16 variants,
-    compiled once with their plane rows. A position's score is the largest
-    over the variants."""
+    name = "fast-tree"
+    default_table = RING16
 
     def __init__(self, tree: TernaryTree, table: OffsetTable | None = None,
                  t_min: int = 1):
         super().__init__()
-        self.tree = tree
-        self.table = table or default_offsets_48()
-        self.variants = _variants(CompiledTree(tree, self.table))
-        self.walk = PlaneWalk(self.variants)
+        self.table = table or self.default_table
+        self.trees = self.variants(CompiledTree(tree, self.table))
+        self.walk = PlaneWalk(self.trees)
         self.t_min = t_min
-        self.name = "faster"
+
+    @staticmethod
+    def variants(ct: CompiledTree) -> list:
+        return [ct]
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
         xs, ys = self.walk.detect(img, self.t_min, self.table.margin).T
-        scores = score_positions(self.variants, img, xs, ys, self.t_min)
+        scores = score_positions(self.trees, img, xs, ys, self.t_min)
         return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
+
+
+class SixteenFoldDetector(TreeDetector):
+    """Symmetrized wide-offset detector: the OR of a 48-offset tree's 16
+    variants."""
+
+    name = "faster"
+    default_table = default_offsets_48()
+    variants = staticmethod(sixteen_fold)
 
 
 class HarrisDetector(FeatureDetector):

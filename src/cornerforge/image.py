@@ -1,4 +1,4 @@
-"""Grayscale images, pixel-exact PGM I/O, ring geometry and synthetic fixtures.
+"""Grayscale images, pixel-exact PGM I/O, ring geometry and pixel noise.
 
 Coordinates are (x, y) with x in [0, width), y in [0, height), y increasing
 downward. Pixel data is 8-bit, stored row-major.
@@ -82,11 +82,6 @@ RING_OFFSETS: tuple[tuple[int, int], ...] = (
 RING_MARGIN = 3  # candidates closer than this to an edge are never evaluated
 
 
-def ring_offsets() -> tuple[tuple[int, int], ...]:
-    """Offsets of the 16-pixel ring; entry i is ring index i+1."""
-    return RING_OFFSETS
-
-
 def load_pgm(data: bytes) -> GrayImage:
     """Parse a binary (P5) PGM byte string.
 
@@ -164,17 +159,6 @@ def load_image(path) -> GrayImage:
         raise PgmError(f"{path}: not a PGM and Pillow is not installed") from None
     with Image.open(path) as im:
         return GrayImage(np.asarray(im.convert("L"), dtype=np.uint8))
-
-
-def make_test_square(size: int, square: int, fg: int = 255, bg: int = 0) -> GrayImage:
-    """Centered axis-aligned square of intensity ``fg`` on a ``bg`` field."""
-    if square >= size:
-        raise ValueError(f"square {square} must be smaller than size {size}")
-    a = np.full((size, size), bg, dtype=np.uint8)
-    if square > 0:
-        off = (size - square) // 2
-        a[off : off + square, off : off + square] = fg
-    return GrayImage(a)
 
 
 def add_gaussian_noise(img: GrayImage, sigma: float, seed: int) -> GrayImage:

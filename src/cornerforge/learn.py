@@ -373,39 +373,3 @@ def force_shared_second_test(tree: TernaryTree, ts: TrainingSet) -> TernaryTree:
     out = Node(tree.offset, b=rebuild(subsets[2], tables[2]),
                s=rebuild(subsets[1], tables[1]), d=rebuild(subsets[0], tables[0]))
     return merge_tree(out)
-
-
-def emit_source(tree: TernaryTree, table: OffsetTable, *,
-                function_name: str = "is_corner") -> str:
-    """Emit the tree as a self-contained C function.
-
-    One conditional chain per decision node with the two boundary-inclusive
-    comparisons of the ternary partition; leaves return 0/1. The emitted logic
-    is classification-equivalent to interpreting the tree.
-    """
-    lines = [f"static int {function_name}(const unsigned char *p, int stride, int t)",
-             "{",
-             "    const int cb = p[0] + t;",
-             "    const int c_b = p[0] - t;"]
-
-    def pixel_expr(offset_index: int) -> str:
-        dx, dy = table.xy(offset_index)
-        return f"p[{dx} + {dy} * stride]"
-
-    def rec(t: TernaryTree, indent: int) -> None:
-        pad = "    " * indent
-        if isinstance(t, Leaf):
-            lines.append(f"{pad}return {t.cls};")
-            return
-        px = pixel_expr(t.offset)
-        lines.append(f"{pad}if ({px} >= cb) {{")
-        rec(t.b, indent + 1)
-        lines.append(f"{pad}}} else if ({px} <= c_b) {{")
-        rec(t.d, indent + 1)
-        lines.append(f"{pad}}} else {{")
-        rec(t.s, indent + 1)
-        lines.append(pad + "}")
-
-    rec(tree, 1)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

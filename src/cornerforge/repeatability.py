@@ -43,10 +43,6 @@ class RepeatSample:
         if not 0 <= self.n_repeated <= self.n_useful:
             raise ValueError("need 0 <= n_repeated <= n_useful")
 
-    @property
-    def ratio(self) -> float:
-        return self.n_repeated / self.n_useful if self.n_useful else 0.0
-
 
 def check_epsilon(epsilon: float) -> None:
     """``ValueError`` unless the matching radius is finite and positive."""
@@ -159,20 +155,6 @@ def _min_rank_within(qx: np.ndarray, qy: np.ndarray, ranks: np.ndarray,
         cell = np.where((lo <= cx) & (cx <= hi), row + col, h * (w + 1))
         np.minimum(best, flat[cell].min(axis=1), out=best)
     return best
-
-
-def match_within(queries: np.ndarray, targets: np.ndarray,
-                 epsilon: float) -> np.ndarray:
-    """For each query point, is any target within Euclidean distance epsilon.
-
-    Targets are integer pixel positions (``ValueError`` otherwise). The
-    result equals comparing every query with every target.
-    """
-    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
-    ranks, x0, y0 = _rank_raster(targets)
-    return _min_rank_within(queries[:, 0], queries[:, 1], ranks, epsilon,
-                            x0, y0) < len(targets)
 
 
 def _pair_counts(pool_i: np.ndarray, pool_j: np.ndarray, cuts_i, cuts_j,

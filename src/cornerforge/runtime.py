@@ -1,12 +1,13 @@
 """Applying decision trees to images: detection, corner scores, suppression,
-feature-count control and the keypoint file.
+feature-count control and writing the keypoint file.
 
 Detection works on ternary state planes: ``ternary_planes`` computes the
 darker/similar/brighter state of every interior pixel at each offset once
 per image and threshold, and ``PlaneWalk`` walks one or more compiled trees
 (a tree, or the sixteen variants of a symmetrized one, OR-ed) over those
-planes, level by level and only for the columns still undecided.
-A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
+planes, level by level and only for the columns still undecided. A tree
+detector builds its ``PlaneWalk`` once and calls ``PlaneWalk.detect`` per
+frame. A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
 Positions and the integer scores of segment-test detectors are exact in
 float64; response detectors keep their float scores. The corner score of a
 pixel is the largest threshold at which it still classifies as a corner;
@@ -15,6 +16,8 @@ walking each tree once per position with the interval of thresholds that
 reach each node. Classification need not be monotone in the threshold.
 Scores drive 3x3 non-maximal suppression and feature-count control; the top
 n keypoints are a prefix of the rows ranked by (-score, y, x).
+``write_keypoints`` writes the "x y score" keypoint file; nothing in the
+package reads one back.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .image import GrayImage
-from .trees import CompiledTree, OffsetTable, RING16, TernaryTree
+from .trees import CompiledTree
 
 
 def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
@@ -167,16 +170,6 @@ def _interior_flat_positions(img: GrayImage, margin: int,
     xs = np.arange(margin, img.width - margin, dtype=np.int64)
     ys = np.arange(y0, y1, dtype=np.int64)
     return (ys[:, None] * img.width + xs[None, :]).ravel()
-
-
-def detect(tree: TernaryTree, img: GrayImage, t: int,
-           table: OffsetTable = RING16) -> np.ndarray:
-    """All interior positions the tree classifies as corners at threshold t,
-    as (M, 2) int32 [x, y] rows in raster order (``PlaneWalk``)."""
-    if t < 1:
-        raise ValueError("threshold must be >= 1")
-    ct = tree if isinstance(tree, CompiledTree) else CompiledTree(tree, table)
-    return PlaneWalk([ct]).detect(img, t, ct.margin)
 
 
 def score_positions(trees, img: GrayImage, xs, ys, t_min: int) -> np.ndarray:
@@ -349,17 +342,3 @@ def write_keypoints(f, rows: np.ndarray, header_lines=()) -> None:
         f.write(f"# {line}\n")
     for x, y, score in rows[np.lexsort((rows[:, 0], rows[:, 1]))].tolist():
         f.write(f"{int(x)} {int(y)} {format_score(score)}\n")
-
-
-def read_keypoints(f) -> np.ndarray:
-    """Keypoint rows of an "x y score" file; '#' lines and blanks are skipped."""
-    rows = []
-    for lineno, line in enumerate(f, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'x y score', got {line!r}")
-        rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    return np.array(rows, dtype=np.float64).reshape(-1, 3)

@@ -4,7 +4,9 @@ A tree node tests one offset of the candidate's neighborhood and branches
 three ways on the darker/similar/brighter state of that pixel; leaves carry a
 0/1 class. The same structure serves the compiled segment test (16 ring
 offsets, externally indexed 1..16) and the repeatability-optimized detector
-(48 offsets, indexed 0..47).
+(48 offsets of the 7x7 box, indexed 0..47, ``default_offsets_48``). That
+detector applies a tree sixteen ways, under the eight dihedral maps of the
+offsets and intensity inversion (``sixteen_fold``).
 
 File format (line oriented, LF endings, single spaces):
 
@@ -19,6 +21,7 @@ Nodes are written pre-order with children in b, s, d order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,6 +68,29 @@ class OffsetTable:
 
 
 RING16 = OffsetTable("ring16", RING_OFFSETS, index_base=1)
+
+
+def default_offsets_48() -> OffsetTable:
+    """Shipped default: the 48 cells of the 7x7 neighborhood minus the centre,
+    raster order, indexed 0..47.
+
+    The 7x7 box is closed under rotations and reflections, which makes the
+    sixteen-fold detector an exact function of the 48 pixel states
+    (distillation relies on this).
+    """
+    cells = [(dx, dy) for dy in range(-3, 4) for dx in range(-3, 4)
+             if (dx, dy) != (0, 0)]
+    return OffsetTable("grid48", tuple(cells), index_base=0)
+
+
+# The eight dihedral maps (dx, dy) -> (a*dx + b*dy, c*dx + d*dy).
+_DIHEDRAL = []
+_rot = (1, 0, 0, 1)
+for _ in range(4):
+    a, b, c, d = _rot
+    _DIHEDRAL.append((a, b, c, d))
+    _DIHEDRAL.append((-a, b, -c, d))  # composed with x-flip
+    _rot = (-c, -d, a, b)  # quarter turn
 
 
 @dataclass(frozen=True)
@@ -143,7 +169,7 @@ def merge_tree(tree: TernaryTree) -> TernaryTree:
 
     Classification is unchanged; a node whose children collapse to the same
     subtree keeps its ternary shape but the separating test can be elided by
-    consumers (source emission does this).
+    consumers.
     """
     interned: dict[tuple, TernaryTree] = {}
     canon: dict[int, TernaryTree] = {}
@@ -233,7 +259,6 @@ def deserialize_tree(data: bytes) -> tuple[TernaryTree, OffsetTable]:
         except ValueError as exc:
             raise TreeFormatError(str(exc)) from None
     else:
-        from .annealing import default_offsets_48
         table = default_offsets_48()
 
     def rec() -> TernaryTree:
@@ -316,3 +341,19 @@ class CompiledTree:
     @property
     def margin(self) -> int:
         return self.table.margin
+
+
+def sixteen_fold(ct: CompiledTree) -> list:
+    """The 16 transformed views of a compiled tree (8 spatial x inversion).
+
+    Spatial transforms act on the offsets; intensity inversion swaps the
+    darker/brighter branch targets. Leaf classes are untouched.
+    """
+    out = []
+    for a, b, c, d in _DIHEDRAL:
+        dx = a * ct.dx + b * ct.dy
+        dy = c * ct.dx + d * ct.dy
+        for invert in (False, True):
+            kids = ct.children[:, ::-1] if invert else ct.children
+            out.append(SimpleNamespace(root=ct.root, dx=dx, dy=dy, children=kids))
+    return out

@@ -32,9 +32,6 @@ class Homography:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def inverse(self, target_size: tuple[int, int]) -> "Homography":
-        return Homography(np.linalg.inv(self.matrix), target_size)
-
 
 def project_points(warp: Homography, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map (N, 2) source positions; returns (coords, valid).

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from cornerforge import learn
-from cornerforge.annealing import default_offsets_48
 from cornerforge.detectors import SixteenFoldDetector
 from cornerforge.image import GrayImage
 from cornerforge.runtime import PlaneWalk
-from cornerforge.trees import RING16, CompiledTree, Leaf, Node
+from cornerforge.trees import (RING16, CompiledTree, Leaf, Node,
+                               default_offsets_48)
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -17,6 +17,17 @@ settings.load_profile("suite")
 
 def random_image(rng, w=48, h=40, low=0, high=256) -> GrayImage:
     return GrayImage(rng.integers(low, high, (h, w)).astype(np.uint8))
+
+
+def make_test_square(size: int, square: int, fg: int = 255, bg: int = 0) -> GrayImage:
+    """Centered axis-aligned square of intensity ``fg`` on a ``bg`` field."""
+    if square >= size:
+        raise ValueError(f"square {square} must be smaller than size {size}")
+    a = np.full((size, size), bg, dtype=np.uint8)
+    if square > 0:
+        off = (size - square) // 2
+        a[off : off + square, off : off + square] = fg
+    return GrayImage(a)
 
 
 def edge_image(rng, t: int, h: int, w: int) -> GrayImage:
@@ -32,6 +43,27 @@ def classify_rows(tree, states: np.ndarray, table=RING16) -> np.ndarray:
     whose column j is offset ``table.index_base + j``: the package's plane
     walk with the rows as planes."""
     return PlaneWalk([CompiledTree(tree, table)], table.offsets).fired(states.T)
+
+
+def tree_positions(tree, img: GrayImage, t: int, table=RING16) -> np.ndarray:
+    """Positions at least the table's margin from every edge that the tree
+    classifies as corners at threshold t, as (M, 2) int32 [x, y] rows in
+    raster order: the package's plane walk of the one compiled tree."""
+    return PlaneWalk([CompiledTree(tree, table)]).detect(img, t, table.margin)
+
+
+def read_keypoints(f) -> np.ndarray:
+    """Keypoint rows of an "x y score" file; '#' lines and blanks are skipped."""
+    rows = []
+    for lineno, line in enumerate(f, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'x y score', got {line!r}")
+        rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
 def sixteenfold_field(tree, img: GrayImage, t: int, table=None) -> np.ndarray:

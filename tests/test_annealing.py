@@ -9,7 +9,7 @@ from cornerforge.image import GrayImage
 from cornerforge.repeatability import make_pairs
 from cornerforge.runtime import score_positions
 from cornerforge.trees import (LEAF0, CompiledTree, Leaf, Node, OffsetTable,
-                               tree_size)
+                               default_offsets_48, sixteen_fold, tree_size)
 from cornerforge.warp import project_points
 
 
@@ -23,7 +23,7 @@ def dataset():
 
 def random_tree(seed: int, mutations: int = 6):
     rng = np.random.default_rng(seed)
-    table = an.default_offsets_48()
+    table = default_offsets_48()
     tree = an.random_depth1_tree(rng, table)
     for _ in range(mutations):
         tree = an.mutate(tree, rng, table)
@@ -69,7 +69,7 @@ class TestCostEvaluator:
         frames, warps = dataset
         weights = an.CostWeights(epsilon=eps)
         pairs = make_pairs(len(frames))
-        ev = an.CostEvaluator(frames, warps, weights, an.default_offsets_48(),
+        ev = an.CostEvaluator(frames, warps, weights, default_offsets_48(),
                               pairs)
         fields = ev.detect_fields(tree)
         useful, repeated = oracle_repeatability(frames, warps, fields, pairs, eps)
@@ -113,7 +113,7 @@ class TestCostEvaluator:
         frames, warps = dataset
         pairs = make_pairs(len(frames))
         ev = an.CostEvaluator(frames, warps, an.CostWeights(),
-                              an.default_offsets_48(), pairs)
+                              default_offsets_48(), pairs)
         fields = ev.detect_fields(TREES[0])
         useful, repeated = oracle_repeatability(frames, warps, fields, pairs, 5.0)
         assert 0 < repeated < useful
@@ -137,7 +137,7 @@ class TestAnneal:
         assert trace[:, 0].tolist() == list(range(weights.i_max + 1))
         assert np.array_equal(trace[:, 2], np.minimum.accumulate(trace[:, 1]))
         assert res.best_cost == trace[-1, 2]
-        ev = an.CostEvaluator(frames, warps, weights, an.default_offsets_48(),
+        ev = an.CostEvaluator(frames, warps, weights, default_offsets_48(),
                               make_pairs(len(frames)))
         assert ev.evaluate(res.best_tree)[0] == res.best_cost
 
@@ -200,7 +200,7 @@ TRANSFORMS = {
 def score_field(tree, img: GrayImage, t: int) -> np.ndarray:
     """Pre-suppression sixteen-fold scores, 0 where nothing fires at t."""
     ys, xs = np.nonzero(sixteenfold_field(tree, img, t))
-    variants = an._variants(CompiledTree(tree, an.default_offsets_48()))
+    variants = sixteen_fold(CompiledTree(tree, default_offsets_48()))
     field = np.zeros((img.height, img.width), dtype=np.int32)
     field[ys, xs] = score_positions(variants, img, xs, ys, t)
     return field

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import classify_rows, sixteenfold_field
+from conftest import (classify_rows, read_keypoints, sixteenfold_field,
+                      tree_positions)
 from cornerforge import learn, segment as sg
-from cornerforge.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from cornerforge.cli import EXIT_OK, EXIT_USAGE, main
 from cornerforge.image import GrayImage, load_image, save_pgm
-from cornerforge.runtime import detect, read_keypoints
 from cornerforge.trees import deserialize_tree
 
 
@@ -111,24 +111,22 @@ def test_anneal_then_distill(small_dataset, tmp_path):
         img = load_image(frame)
         ys, xs = np.nonzero(sixteenfold_field(tree, img, 35, table))
         want = np.column_stack([xs, ys])
-        assert np.array_equal(detect(single, img, 35, table), want)
-
-
-def test_anneal_without_runs_is_a_data_error(small_dataset, tmp_path):
-    assert main(["anneal", "--dataset", str(small_dataset), "--imax", "1",
-                 "--runs", "0", "--out", str(tmp_path / "a_")]) == EXIT_DATA
-    assert not list(tmp_path.iterdir())
+        assert np.array_equal(tree_positions(single, img, 35, table), want)
 
 
 @pytest.mark.parametrize("flags", [["--imax", "0"], ["--t", "0"],
                                    ["--epsilon", "-1"], ["--epsilon", "nan"],
-                                   ["--epsilon", "inf"], ["--wr", "nan"]],
+                                   ["--epsilon", "inf"], ["--wr", "nan"],
+                                   ["--runs", "0"], ["--jobs", "0"]],
                          ids=["imax=0", "t=0", "epsilon=-1", "epsilon=nan",
-                              "epsilon=inf", "wr=nan"])
+                              "epsilon=inf", "wr=nan", "runs=0", "jobs=0"])
 def test_anneal_rejects_out_of_range_parameters(tmp_path, flags):
-    # usage errors come before the dataset is read: it does not exist
-    assert main(["anneal", "--dataset", str(tmp_path / "missing"), *flags,
-                 "--out", str(tmp_path / "a_")]) == EXIT_USAGE
+    # usage errors come before the dataset is read: it does not exist.
+    # --jobs is a global flag, so it goes before the subcommand.
+    before = flags if flags[0] == "--jobs" else []
+    assert main([*before, "anneal", "--dataset", str(tmp_path / "missing"),
+                 *flags[len(before):], "--out",
+                 str(tmp_path / "a_")]) == EXIT_USAGE
     assert not list(tmp_path.iterdir())
 
 
@@ -156,10 +154,30 @@ def test_distill_rejects_zero_threshold(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_make_dataset_rejects_zero_frames(tmp_path):
-    assert main(["make-dataset", "--base", str(tmp_path / "missing.pgm"),
-                 "--frames", "0", "--out", str(tmp_path / "data")]) == EXIT_USAGE
-    assert not list(tmp_path.iterdir())
+def test_make_dataset_rejects_zero_frames(tmp_path, capsys):
+    # every flag is checked before the base image is read or anything is
+    # written
+    missing = ["--base", str(tmp_path / "missing.pgm")]
+    for flags in ([*missing, "--frames", "0"], [*missing, "--noise", "-1"],
+                  ["--noise", "nan"], ["--warp-mag", "-5"],
+                  ["--warp-mag", "inf"], ["--synthetic", "abc"],
+                  ["--synthetic", "64X48"], ["--synthetic", "64x48x3"],
+                  ["--synthetic", "0x48"]):
+        assert main(["make-dataset", *flags, "--out",
+                     str(tmp_path / "data")]) == EXIT_USAGE, flags
+        assert not list(tmp_path.iterdir())
+    capsys.readouterr()
+    for size in ("8x8", "10x48", "48x10"):
+        assert main(["make-dataset", "--synthetic", size, "--out",
+                     str(tmp_path / "data")]) == EXIT_USAGE, size
+        assert "11x11" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+def test_make_dataset_draws_the_smallest_synthetic_image(tmp_path):
+    assert main(["make-dataset", "--synthetic", "11x11", "--frames", "2",
+                 "--out", str(tmp_path / "data")]) == EXIT_OK
+    assert load_image(tmp_path / "data" / "frame_001.pgm").shape == (11, 11)
 
 
 def test_eval_repeat_writes_curves_and_auc(tmp_path):

@@ -15,9 +15,9 @@ import hashlib
 
 import numpy as np
 
-from cornerforge.annealing import default_offsets_48, mutate, random_depth1_tree
+from cornerforge.annealing import mutate, random_depth1_tree
 from cornerforge.cli import ALGOS, EXIT_OK, EXIT_USAGE, main
-from cornerforge.trees import RING16, serialize_tree
+from cornerforge.trees import RING16, default_offsets_48, serialize_tree
 
 GOLDEN = {
     "detect-fast-ref-t1": "2d86ce7a8e3a31f6",

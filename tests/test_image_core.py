@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import midpoint_circle_r3
-from cornerforge.image import (GrayImage, PgmError, PgmHeaderError,
-                               PgmMaxvalError, PgmTruncatedError,
-                               add_gaussian_noise, load_pgm, make_test_square,
-                               ring_offsets, save_pgm)
+from conftest import make_test_square
+from cornerforge.image import (RING_OFFSETS, GrayImage, PgmError,
+                               PgmHeaderError, PgmMaxvalError,
+                               PgmTruncatedError, add_gaussian_noise, load_pgm,
+                               save_pgm)
 
 
 class TestPgm:
@@ -54,32 +55,32 @@ class TestPgm:
 
 class TestRingOffsets:
     def test_start_and_table(self):
-        offs = ring_offsets()
+        offs = RING_OFFSETS
         assert offs[0] == (0, -3)
         assert offs == ((0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1),
                         (2, 2), (1, 3), (0, 3), (-1, 3), (-2, 2), (-3, 1),
                         (-3, 0), (-3, -1), (-2, -2), (-1, -3))
 
     def test_matches_bresenham_circle(self):
-        assert set(ring_offsets()) == midpoint_circle_r3()
+        assert set(RING_OFFSETS) == midpoint_circle_r3()
 
     def test_index_9_antipode_of_1(self):
-        offs = ring_offsets()
+        offs = RING_OFFSETS
         assert offs[8] == (0, 3)
         assert offs[8] == (-offs[0][0], -offs[0][1])
 
     def test_5_13_antipodal(self):
-        offs = ring_offsets()
+        offs = RING_OFFSETS
         assert offs[4] == (-offs[12][0], -offs[12][1])
 
     def test_full_antipodality(self):
-        offs = ring_offsets()
+        offs = RING_OFFSETS
         for i in range(16):
             a, b = offs[i], offs[(i + 8) % 16]
             assert (a[0] + b[0], a[1] + b[1]) == (0, 0)
 
     def test_distinct_and_bounded(self):
-        offs = ring_offsets()
+        offs = RING_OFFSETS
         assert len(set(offs)) == 16
         assert max(max(abs(dx), abs(dy)) for dx, dy in offs) == 3
 

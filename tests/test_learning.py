@@ -1,8 +1,4 @@
 import math
-import os
-import shutil
-import subprocess
-import tempfile
 from collections import Counter
 
 import numpy as np
@@ -12,11 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from _oracles import (brute_best_split, exhaustive_count_table, pixel_state,
                       segment_label)
-from conftest import classify_rows, edge_image
+from conftest import classify_rows, edge_image, make_test_square
 from cornerforge import learn, segment as sg
-from cornerforge.image import GrayImage, make_test_square
-from cornerforge.trees import (Leaf, Node, RING16, merge_tree, tree_depth,
-                               tree_size)
+from cornerforge.image import GrayImage
+from cornerforge.trees import Leaf, Node, RING16, merge_tree, tree_depth
 
 
 def random_training_set(rng, n_records=40, k=16, weighted=True):
@@ -326,65 +321,3 @@ class TestSharedSecondTest:
         seen |= {c.offset for c in (forced.b, forced.s, forced.d)
                  if isinstance(c, Node)}
         assert len(seen) == 2
-
-
-class TestEmitSource:
-    def test_leaf_returns_class(self):
-        src = learn.emit_source(Leaf(0), RING16)
-        assert "return 0;" in src
-        assert "if" not in src
-
-    def test_node_count_matches(self):
-        rng = np.random.default_rng(10)
-        ts = random_training_set(rng, n_records=60)
-        tree = learn.build_tree(ts, merge=False)
-        src = learn.emit_source(tree, RING16)
-        assert src.count("else if") == tree_size(tree)
-        assert src.count("return") == tree_size(tree) * 2 + 1
-
-    def test_offsets_rendered_with_stride(self):
-        tree = Node(1, b=Leaf(1), s=Leaf(0), d=Leaf(0))
-        src = learn.emit_source(tree, RING16)
-        assert "p[0 + -3 * stride]" in src
-
-
-@pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
-                    reason="no C compiler")
-class TestCompiledEmission:
-    def test_compiled_matches_interpreter(self):
-        import ctypes
-
-        rng = np.random.default_rng(11)
-        imgs = [GrayImage(rng.integers(0, 256, (40, 40)).astype(np.uint8))
-                for _ in range(2)]
-        ts = learn.extract_training_data(imgs, 9, 30)
-        tree = learn.build_tree(ts)
-        src = learn.emit_source(tree, RING16, function_name="classify")
-        cc = shutil.which("cc") or shutil.which("gcc")
-        with tempfile.TemporaryDirectory() as tmp:
-            c_path = os.path.join(tmp, "tree.c")
-            so_path = os.path.join(tmp, "tree.so")
-            with open(c_path, "w") as f:
-                f.write(src.replace("static int classify", "int classify"))
-            subprocess.run([cc, "-O2", "-shared", "-fPIC", c_path, "-o", so_path],
-                           check=True)
-            lib = ctypes.CDLL(so_path)
-            lib.classify.restype = ctypes.c_int
-            lib.classify.argtypes = [ctypes.POINTER(ctypes.c_ubyte),
-                                     ctypes.c_int, ctypes.c_int]
-            from _oracles import classify_pixel
-
-            img = imgs[0]
-            flat = np.ascontiguousarray(img.pixels).ravel()
-            buf = flat.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte))
-            checked = 0
-            for t in (10, 30, 60):
-                for y in range(3, img.height - 3):
-                    for x in range(3, img.width - 3):
-                        ptr = ctypes.cast(
-                            ctypes.addressof(buf.contents) + y * img.width + x,
-                            ctypes.POINTER(ctypes.c_ubyte))
-                        got = bool(lib.classify(ptr, img.width, t))
-                        assert got == classify_pixel(tree, img, (x, y), t, RING16)
-                        checked += 1
-            assert checked > 3000

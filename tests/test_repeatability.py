@@ -9,7 +9,7 @@ from cornerforge.image import GrayImage
 from cornerforge.repeatability import (_any_within, _min_rank_within,
                                        _rank_raster, _row_prefix,
                                        area_under_curve, make_pairs,
-                                       match_within, repeatability_curve)
+                                       repeatability_curve)
 from cornerforge.warp import Homography, project_points
 
 EPSILONS = (0.5, 1.0, 1.5, 5.0)
@@ -21,6 +21,16 @@ queries = st.lists(st.tuples(st.one_of(quarter, anywhere),
                              st.one_of(quarter, anywhere)), max_size=40)
 targets = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
                    max_size=40)
+
+
+def match_within(queries, targets, eps):
+    """For each query point, is any target within Euclidean eps: the rank
+    raster of ``targets`` and its min-rank kernel, as the curve reads them."""
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
+    ranks, x0, y0 = _rank_raster(targets)
+    return _min_rank_within(queries[:, 0], queries[:, 1], ranks, eps,
+                            x0, y0) < len(targets)
 
 
 def prefix_any_within(qs, ts, eps):

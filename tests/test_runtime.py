@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracles as orc
-from conftest import edge_image, random_image, sixteenfold_field
+from conftest import (edge_image, random_image, read_keypoints,
+                      sixteenfold_field, tree_positions)
 from cornerforge import runtime as rt
-from cornerforge.annealing import _variants, default_offsets_48
 from cornerforge.image import GrayImage
-from cornerforge.trees import LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16
+from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16,
+                               default_offsets_48, sixteen_fold)
 
 # Handcrafted monotone trees with closed-form scores: classification depends
 # only on |ring - centre| >= t, so max-t is analytic.
@@ -99,20 +100,21 @@ class TestClassify:
 
 class TestDetect:
     def test_constant_empty(self):
-        assert len(rt.detect(ONE_OFFSET, GrayImage.constant(32, 32, 7), 10)) == 0
+        img = GrayImage.constant(32, 32, 7)
+        assert len(tree_positions(ONE_OFFSET, img, 10)) == 0
 
     def test_batch_equals_naive(self):
         # TWO_OFFSET's root children share offset 2: the two-level dense plan
         for seed, tree in [(5, ONE_OFFSET), (6, TWO_OFFSET)]:
             img = rand_img(seed, w=26, h=22)
-            got = rt.detect(tree, img, 30)
+            got = tree_positions(tree, img, 30)
             assert got.dtype == np.int32
             assert got.tolist() == [list(p) for p in
                                     orc.detect_naive(tree, img, 30, RING16)]
 
     def test_raster_order(self):
         img = rand_img(8)
-        pts = rt.detect(ONE_OFFSET, img, 15)
+        pts = tree_positions(ONE_OFFSET, img, 15)
         keys = pts[:, 1].astype(np.int64) * img.width + pts[:, 0]
         assert (np.diff(keys) > 0).all()
 
@@ -138,7 +140,7 @@ class TestScores:
             img = rand_img(seed + 20)
             for tree, oracle in ((ONE_OFFSET, one_offset_score),
                                  (TWO_OFFSET, two_offset_score)):
-                pos = rt.detect(tree, img, 1)
+                pos = tree_positions(tree, img, 1)
                 xs, ys = pos[:, 0], pos[:, 1]
                 batch = walk_scores(tree, img, xs, ys)
                 assert batch.dtype == np.int32 and len(batch) == len(pos)
@@ -151,7 +153,7 @@ class TestScores:
 
     def test_linear_scan_oracle(self):
         img = rand_img(31)
-        pos = rt.detect(TWO_OFFSET, img, 1)[:40]
+        pos = tree_positions(TWO_OFFSET, img, 1)[:40]
         batch = walk_scores(TWO_OFFSET, img, pos[:, 0], pos[:, 1])
         for (x, y), s in zip(pos, batch):
             x, y = int(x), int(y)
@@ -175,7 +177,6 @@ class TestScores:
             orc.corner_score_iterate(Leaf(1), img, (8, 8), RING16)
 
     def test_iterate_requires_ring16(self):
-        from cornerforge.annealing import default_offsets_48
         with pytest.raises(ValueError):
             orc.corner_score_iterate(Leaf(1), rand_img(1), (8, 8),
                                      default_offsets_48())
@@ -209,12 +210,12 @@ class TestExactScores:
                         .astype(np.uint8))
         if sixteenfold:
             ys, xs = np.nonzero(sixteenfold_field(tree, img, t_min, table))
-            trees = _variants(CompiledTree(tree, table))
+            trees = sixteen_fold(CompiledTree(tree, table))
 
             def fires(p, t):
                 return orc.classify_sixteenfold(tree, img, p, t, table)
         else:
-            xs, ys = rt.detect(tree, img, t_min, table).T
+            xs, ys = tree_positions(tree, img, t_min, table).T
             trees = [CompiledTree(tree, table)]
 
             def fires(p, t):
@@ -232,7 +233,7 @@ class TestExactScores:
     def walks(tree, table, sixteenfold):
         """The compiled trees to score with and their ``PlaneWalk``."""
         ct = CompiledTree(tree, table)
-        trees = _variants(ct) if sixteenfold else [ct]
+        trees = sixteen_fold(ct) if sixteenfold else [ct]
         return trees, rt.PlaneWalk(trees)
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
@@ -350,7 +351,7 @@ class TestPlaneWalk:
                 want[y, x] = orc.classify_sixteenfold(tree, img, (x, y), t, table)
             assert np.array_equal(got, want)
         else:
-            got = rt.detect(tree, img, t, table)
+            got = tree_positions(tree, img, t, table)
             assert got.dtype == np.int32 and got.shape[1] == 2
             assert got.tolist() == [list(p) for p in interior
                                     if orc.classify_pixel(tree, img, p, t, table)]
@@ -358,7 +359,7 @@ class TestPlaneWalk:
     @pytest.mark.parametrize("cls", [0, 1])
     def test_leaf_only_root(self, cls):
         img = rand_img(9, w=12, h=10)
-        assert len(rt.detect(Leaf(cls), img, 7)) == cls * 6 * 4
+        assert len(tree_positions(Leaf(cls), img, 7)) == cls * 6 * 4
         assert sixteenfold_field(Leaf(cls), img, 7).sum() == cls * 6 * 4
 
     def test_one_interior_column_and_row(self):
@@ -368,7 +369,7 @@ class TestPlaneWalk:
         for w, h in ((7, 12), (12, 7), (7, 7)):
             img = rand_img(w * h, w=w, h=h)
             for t in (1, 30):
-                assert rt.detect(TWO_OFFSET, img, t).tolist() == [
+                assert tree_positions(TWO_OFFSET, img, t).tolist() == [
                     list(p) for p in orc.detect_naive(TWO_OFFSET, img, t, RING16)]
                 want = [[3 <= x < w - 3 and 3 <= y < h - 3
                          and orc.classify_sixteenfold(tree, img, (x, y), t, grid)
@@ -528,7 +529,7 @@ class TestKeypointIO:
         text = buf.getvalue()
         assert text.startswith("# tool x\n# config {}\n")
         assert "3 1 20\n" in text
-        back = rt.read_keypoints(io.StringIO(text))
+        back = read_keypoints(io.StringIO(text))
         assert back.dtype == np.float64
         assert back.tolist() == [[3, 1, 20], [1, 2, 7.5]]
 
@@ -542,8 +543,8 @@ class TestKeypointIO:
         buf = io.StringIO()
         rt.write_keypoints(buf, rows(), header_lines=["h"])
         assert buf.getvalue() == "# h\n"
-        assert rt.read_keypoints(io.StringIO(buf.getvalue())).shape == (0, 3)
+        assert read_keypoints(io.StringIO(buf.getvalue())).shape == (0, 3)
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
-            rt.read_keypoints(io.StringIO("1 2\n"))
+            read_keypoints(io.StringIO("1 2\n"))

@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 
 from _oracles import (corner_config_count, high_speed_reject, pixel_state,
                       segment_label)
+from conftest import make_test_square
 from cornerforge import segment as sg
-from cornerforge.image import RING_OFFSETS, GrayImage, make_test_square
+from cornerforge.image import RING_OFFSETS, GrayImage
 from cornerforge.learn import codes_from_states, states_from_codes
 from cornerforge.runtime import ternary_planes
 from cornerforge.trees import RING16

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import classify_rows
-from cornerforge.annealing import default_offsets_48
 from cornerforge.trees import (CompiledTree, LEAF0, LEAF1, Leaf, Node,
                                OffsetTable, RING16, TreeFormatError,
-                               deserialize_tree, iter_nodes, merge_tree,
-                               serialize_tree, tree_depth, tree_size)
+                               default_offsets_48, deserialize_tree, iter_nodes,
+                               merge_tree, serialize_tree, tree_depth,
+                               tree_size)
 
 
 def random_tree(rng, table=RING16, p_leaf=0.4, depth=0):

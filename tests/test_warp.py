@@ -44,7 +44,8 @@ class TestHomography:
         assert coords.tolist() == [[2, 0], [12.5, 19], [40, 4]]
         # (40, 4) lies past the last pixel centre x = 39
         assert valid.tolist() == [True, True, False]
-        back, _ = project_points(shift.inverse(SIZE), coords)
+        back, _ = project_points(
+            Homography(np.linalg.inv(shift.matrix), SIZE), coords)
         assert np.allclose(back, pts)
 
 
