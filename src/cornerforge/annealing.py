@@ -10,7 +10,9 @@ the Boltzmann criterion under an exponentially decaying temperature.
 The threshold and the training frames are fixed for a whole run, so the
 cost evaluator computes the frames' ternary state planes once and each
 evaluation only walks the candidate's sixteen variants over them
-(``runtime.PlaneWalk``).
+(``runtime.PlaneWalk``). Pixels stay in the planes' column layout: a frame
+of h x w pixels is its (h - 2m) x (w - 2m) interior raster, m being the
+offset table's margin, and detection fields are those rasters.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import numpy as np
 
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
 from .repeatability import _any_within, _row_prefix, check_epsilon, make_pairs
-from .runtime import PlaneWalk, _interior_flat_positions, ternary_planes
-from .trees import (_DIHEDRAL, CompiledTree, LEAF0, Leaf, Node, OffsetTable,
-                    TernaryTree, default_offsets_48, sixteen_fold, tree_size)
+from .runtime import PlaneWalk, ternary_planes
+from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
+                    default_offsets_48, sixteen_fold, sixteen_fold_offsets,
+                    tree_size)
 from .warp import project_points
 
 
@@ -155,12 +158,14 @@ class CostEvaluator:
     """Evaluates Eq-style detector cost on fixed training frames and warps.
 
     The ternary state planes of all training frames at ``weights.t`` are
-    built once, over the offsets of the table under the eight dihedral maps,
-    so every variant of every candidate tree walks the same planes. Per
-    ordered pair it keeps the interior source pixels whose projection lands
-    inside frame j, and their projected coordinates. An evaluation matches
-    the detected ones among them against frame j's detections with the
-    repeatability kernel.
+    built once, over ``sixteen_fold_offsets`` of the table, so every variant
+    of every candidate tree walks the same planes. A frame's pixels are its
+    interior raster: the pixels at least the table's margin m from every
+    edge, one plane column each, so raster cell [r, c] is pixel (c + m, r + m).
+    Per ordered pair it keeps the raster indices of frame i whose projection
+    lands inside frame j, and their projected coordinates. An evaluation
+    matches the detected ones among them against frame j's detections with
+    the repeatability kernel.
     """
 
     def __init__(self, frames, warps, weights: CostWeights,
@@ -170,53 +175,45 @@ class CostEvaluator:
             raise ValueError("empty training set")
         self.weights = weights
         self.table = table
-        margin = table.margin
-        self.positions = [
-            _interior_flat_positions(f, margin, margin, f.height - margin)
-            for f in self.frames]
-        self.offsets = sorted({(a * dx + b * dy, c * dx + d * dy)
-                               for a, b, c, d in _DIHEDRAL
-                               for dx, dy in table.offsets})
-        self.planes = ternary_planes(self.frames, self.offsets, weights.t,
-                                     margin)
+        self.offsets = sixteen_fold_offsets(table)
+        m = table.margin
+        self.shapes = [(max(f.height - 2 * m, 0), max(f.width - 2 * m, 0))
+                       for f in self.frames]
+        self.planes = ternary_planes(self.frames, self.offsets, weights.t, m)
         self.projections = {}
         for i, j in pairs:
             if (i, j) not in warps:
                 raise KeyError(f"no warp for training pair ({i}, {j})")
-            pos, w = self.positions[i], self.frames[i].width
-            pts = np.column_stack([pos % w, pos // w]).astype(np.float64)
+            ys, xs = np.indices(self.shapes[i]).reshape(2, -1) + m
+            pts = np.column_stack([xs, ys]).astype(np.float64)
             proj, valid = project_points(warps[(i, j)], pts)
-            self.projections[(i, j)] = (pos[valid], proj[valid, 0],
+            self.projections[(i, j)] = (np.flatnonzero(valid), proj[valid, 0],
                                         proj[valid, 1])
 
     def detect_fields(self, tree: TernaryTree) -> list[np.ndarray]:
-        """Per frame, the flat boolean corner field of the symmetrized
-        detector: one plane walk of the 16 variants over all frames."""
+        """Per frame, the boolean interior raster of the symmetrized
+        detector's corners: one plane walk of the 16 variants over all
+        frames, split by frame."""
         walk = PlaneWalk(sixteen_fold(CompiledTree(tree, self.table)),
                          self.offsets)
-        hit = walk.fired(self.planes)
-        fields = []
-        col = 0
-        for frame, pos in zip(self.frames, self.positions):
-            field = np.zeros(frame.height * frame.width, dtype=bool)
-            field[pos] = hit[col : col + pos.size]
-            col += pos.size
-            fields.append(field)
-        return fields
+        fired = walk.fired(self.planes)
+        ends = np.cumsum([h * w for h, w in self.shapes])[:-1]
+        return [part.reshape(shape) for part, shape
+                in zip(np.split(fired, ends), self.shapes)]
 
     def evaluate(self, tree: TernaryTree) -> tuple[float, float, list[int]]:
         """(cost, repeatability, per-frame detection counts), detections
         counted before any suppression."""
         fields = self.detect_fields(tree)
         d_counts = [int(f.sum()) for f in fields]
-        prefixes = [_row_prefix(f.reshape(frame.height, frame.width))
-                    for f, frame in zip(fields, self.frames)]
+        prefixes = [_row_prefix(f) for f in fields]
+        m = self.table.margin
         tot_useful = tot_rep = 0
         for (i, j), (src, px, py) in self.projections.items():
-            useful = fields[i][src]
+            useful = fields[i].ravel()[src]
             tot_useful += int(useful.sum())
             tot_rep += int(_any_within(px[useful], py[useful], prefixes[j],
-                                       self.weights.epsilon).sum())
+                                       self.weights.epsilon, x0=m, y0=m).sum())
         r = tot_rep / tot_useful if tot_useful else 0.0
         return cost_from_parts(r, d_counts, tree_size(tree), self.weights), r, d_counts
 
@@ -229,20 +226,18 @@ class AnnealResult:
     seed: int
 
 
-def anneal(frames, warps, weights: CostWeights, seed: int,
-           table: OffsetTable | None = None, pairs=None) -> AnnealResult:
-    """Run one simulated-annealing optimization.
+def anneal(frames, warps, weights: CostWeights, seed: int) -> AnnealResult:
+    """Run one simulated-annealing optimization over the 48-offset table,
+    on the ``make_pairs`` pairs of ``frames``.
 
     Starts from a random depth-1 tree; per iteration, mutates the current
     tree, evaluates the cost (the symmetrized detector runs on every frame),
     and accepts with probability min(1, exp((k_cur - k_new) / T)) under the
     exponential temperature schedule. Deterministic for a fixed seed.
     """
-    table = table or default_offsets_48()
+    table = default_offsets_48()
     frames = list(frames)
-    if pairs is None:
-        pairs = make_pairs(len(frames))
-    ev = CostEvaluator(frames, warps, weights, table, pairs)
+    ev = CostEvaluator(frames, warps, weights, table, make_pairs(len(frames)))
     rng = np.random.default_rng(seed)
 
     tree = best_tree = random_depth1_tree(rng, table)
@@ -270,30 +265,25 @@ def anneal(frames, warps, weights: CostWeights, seed: int,
                         trace=np.asarray(trace, dtype=np.float64), seed=seed)
 
 
-def multi_run(frames, warps, weights: CostWeights, n_runs: int,
-              seeds=None, base_seed: int = 0, jobs: int = 1,
-              table: OffsetTable | None = None) -> tuple[AnnealResult, list[AnnealResult]]:
-    """Independent annealing runs over different seeds; returns the
-    minimum-cost result plus every run (traces included). With ``jobs`` > 1
-    the runs go to at most min(jobs, n_runs) worker processes."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    if seeds is None:
-        seeds = [base_seed + k for k in range(n_runs)]
+def multi_run(frames, warps, weights: CostWeights, seeds,
+              jobs: int = 1) -> tuple[AnnealResult, list[AnnealResult]]:
+    """One independent annealing run per seed; returns the minimum-cost
+    result plus every run (traces included). With ``jobs`` > 1 the runs go
+    to at most min(jobs, runs) worker processes."""
     seeds = list(seeds)
-    if len(seeds) != n_runs:
-        raise ValueError("need one seed per run")
+    if not seeds:
+        raise ValueError("need at least one seed")
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool forks all its workers at the first submit; start no idle ones
-        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
-            futures = [pool.submit(anneal, frames, warps, weights, s, table)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+            futures = [pool.submit(anneal, frames, warps, weights, s)
                        for s in seeds]
             results = [f.result() for f in futures]
     else:
-        results = [anneal(frames, warps, weights, s, table) for s in seeds]
+        results = [anneal(frames, warps, weights, s) for s in seeds]
     best = min(results, key=lambda r: (r.best_cost, r.seed))
     return best, results
 
@@ -309,10 +299,12 @@ def distill(tree: TernaryTree, images, t: int = 35,
     otherwise labels need not be a function of the states.
     """
     table = table or default_offsets_48()
-    images = list(images)
-    walk = PlaneWalk(sixteen_fold(CompiledTree(tree, table)))
-    labels = walk.fired(ternary_planes(images, walk.offsets, t, table.margin))
-    states = ternary_planes(images, table.offsets, t, table.margin).T
+    offsets = sixteen_fold_offsets(table)
+    planes = ternary_planes(list(images), offsets, t, table.margin)
+    labels = PlaneWalk(sixteen_fold(CompiledTree(tree, table)),
+                       offsets).fired(planes)
+    # one row per pixel: its states at the table's offsets, in table order
+    states = planes.T.take([offsets.index(xy) for xy in table.offsets], axis=1)
     if not states.size:
         raise ValueError("no interior pixels to distill from")
 

@@ -1,7 +1,8 @@
 """Comparison detectors: Harris, Shi-Tomasi, and a random scatter baseline.
 
 Like the segment-test detectors they return keypoint rows: (N, 3) float64
-arrays of x, y, score. Gradients are central differences on an
+arrays of x, y, score, at least ``RING_MARGIN`` from every edge, the border
+the segment test cannot evaluate. Gradients are central differences on an
 edge-replicated border; the structure tensor is smoothed with a Gaussian
 truncated at 3 sigma and renormalized.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import GrayImage
+from .image import RING_MARGIN, GrayImage
 from .runtime import keypoint_rows, suppress_scored_arrays
 
 HARRIS_K = 0.04  # standard free parameter for the det - k*trace^2 response
@@ -27,7 +28,6 @@ class StructureTensor:
     axx: np.ndarray
     axy: np.ndarray
     ayy: np.ndarray
-    sigma: float
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -70,15 +70,14 @@ def structure_tensor(img: GrayImage, sigma: float = 2.5) -> StructureTensor:
         axx=_smooth_separable(gx * gx, k),
         axy=_smooth_separable(gx * gy, k),
         ayy=_smooth_separable(gy * gy, k),
-        sigma=sigma,
     )
 
 
-def harris_response(tensor: StructureTensor, k: float = HARRIS_K) -> np.ndarray:
-    """det(H) - k * trace(H)^2 per pixel."""
+def harris_response(tensor: StructureTensor) -> np.ndarray:
+    """det(H) - k * trace(H)^2 per pixel, with k = ``HARRIS_K``."""
     det = tensor.axx * tensor.ayy - tensor.axy**2
     trace = tensor.axx + tensor.ayy
-    return det - k * trace**2
+    return det - HARRIS_K * trace**2
 
 
 def shi_tomasi_response(tensor: StructureTensor) -> np.ndarray:
@@ -88,9 +87,9 @@ def shi_tomasi_response(tensor: StructureTensor) -> np.ndarray:
     return half_tr - np.sqrt(half_diff**2 + tensor.axy**2)
 
 
-def detect_response(field: np.ndarray, margin: int = 0) -> np.ndarray:
+def detect_response(field: np.ndarray) -> np.ndarray:
     """Keypoint rows of a response field: 3x3 non-maximal suppression of its
-    positive cells, then only rows at least ``margin`` from the border.
+    positive cells, then only rows at least ``RING_MARGIN`` from the border.
 
     Only strictly positive responses are candidates (feature-count control is
     equivalent to thresholding on the response). A positive cell is never
@@ -101,20 +100,20 @@ def detect_response(field: np.ndarray, margin: int = 0) -> np.ndarray:
     ys, xs = np.nonzero(field > 0)
     kxs, kys, ks = suppress_scored_arrays(xs, ys, field[ys, xs], field.shape)
     h, w = field.shape
-    inner = ((kxs >= margin) & (kxs < w - margin)
-             & (kys >= margin) & (kys < h - margin))
+    m = RING_MARGIN
+    inner = (kxs >= m) & (kxs < w - m) & (kys >= m) & (kys < h - m)
     return keypoint_rows(kxs[inner], kys[inner], ks[inner])
 
 
-def detect_random(img: GrayImage, n_features: int, seed,
-                  margin: int = 3) -> np.ndarray:
+def detect_random(img: GrayImage, n_features: int, seed) -> np.ndarray:
     """Rows of n distinct uniform interior positions in raster order,
     deterministic per seed.
 
     Positions are independent of pixel content; all scores are 1.
     """
-    iw = img.width - 2 * margin
-    ih = img.height - 2 * margin
+    m = RING_MARGIN
+    iw = img.width - 2 * m
+    ih = img.height - 2 * m
     if iw <= 0 or ih <= 0:
         raise ValueError("image too small for the interior margin")
     total = iw * ih
@@ -123,5 +122,5 @@ def detect_random(img: GrayImage, n_features: int, seed,
     flat = np.random.default_rng(seed).choice(total, size=max(n_features, 0),
                                               replace=False)
     flat.sort()
-    return keypoint_rows(flat % iw + margin, flat // iw + margin,
+    return keypoint_rows(flat % iw + m, flat // iw + m,
                          np.ones(len(flat)))

@@ -347,8 +347,8 @@ def cmd_anneal(args) -> int:
     d, frames = _load_dataset(args.dataset)
     pairs = make_pairs(len(frames), "adjacent2")
     warps = _load_warps(d, frames, pairs)
-    seeds = [args.seed + k for k in range(args.runs)]
-    best, results = multi_run(frames, warps, weights, args.runs, seeds=seeds,
+    best, results = multi_run(frames, warps, weights,
+                              range(args.seed, args.seed + args.runs),
                               jobs=args.jobs)
     prefix = args.out
     header = _provenance("anneal", args)

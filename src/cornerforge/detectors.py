@@ -87,7 +87,8 @@ class TreeDetector(FeatureDetector):
         super().__init__()
         self.table = table or self.default_table
         self.trees = self.variants(CompiledTree(tree, self.table))
-        self.walk = PlaneWalk(self.trees)
+        self.walk = PlaneWalk(self.trees, sorted(
+            {xy for ct in self.trees for xy in zip(ct.dx.tolist(), ct.dy.tolist())}))
         self.t_min = t_min
 
     @staticmethod
@@ -112,23 +113,21 @@ class SixteenFoldDetector(TreeDetector):
 class HarrisDetector(FeatureDetector):
     split_ties = True
 
-    def __init__(self, sigma: float = 2.5, k: float = 0.04, margin: int = 3):
+    def __init__(self, sigma: float = 2.5):
         super().__init__()
         self.sigma = sigma
-        self.k = k
-        self.margin = margin
         self.name = "harris"
 
     def _response(self, img: GrayImage) -> np.ndarray:
-        return harris_response(structure_tensor(img, self.sigma), self.k)
+        return harris_response(structure_tensor(img, self.sigma))
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
-        return detect_response(self._response(img), margin=self.margin)
+        return detect_response(self._response(img))
 
 
 class ShiTomasiDetector(HarrisDetector):
-    def __init__(self, sigma: float = 2.5, margin: int = 3):
-        super().__init__(sigma=sigma, margin=margin)
+    def __init__(self, sigma: float = 2.5):
+        super().__init__(sigma=sigma)
         self.name = "shi-tomasi"
 
     def _response(self, img: GrayImage) -> np.ndarray:
@@ -142,10 +141,9 @@ class RandomDetector(FeatureDetector):
     sequence receive independent scatters.
     """
 
-    def __init__(self, seed: int = 0, margin: int = 3):
+    def __init__(self, seed: int = 0):
         super().__init__()
         self.seed = seed
-        self.margin = margin
         self.name = "random"
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
@@ -156,4 +154,4 @@ class RandomDetector(FeatureDetector):
         derived = int(np.random.SeedSequence(
             (self.seed, 0 if frame_key is None else int(frame_key))
         ).generate_state(1)[0])
-        return detect_random(img, n_features, derived, margin=self.margin)
+        return detect_random(img, n_features, derived)

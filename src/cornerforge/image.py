@@ -61,13 +61,6 @@ class GrayImage:
         """(height, width), numpy order."""
         return self.pixels.shape
 
-    def at(self, x: int, y: int) -> int:
-        return int(self.pixels[y, x])
-
-    @classmethod
-    def constant(cls, width: int, height: int, value: int = 0) -> "GrayImage":
-        return cls(np.full((height, width), value, dtype=np.uint8))
-
 
 # The 16 ring offsets on the discretized radius-3 circle, indexed 1..16.
 # Index 1 is straight up (0,-3); order proceeds clockwise (y grows downward),

@@ -3,9 +3,11 @@ feature-count control and writing the keypoint file.
 
 Detection works on ternary state planes: ``ternary_planes`` computes the
 darker/similar/brighter state of every interior pixel at each offset once
-per image and threshold, and ``PlaneWalk`` walks one or more compiled trees
-(a tree, or the sixteen variants of a symmetrized one, OR-ed) over those
-planes, level by level and only for the columns still undecided. A tree
+per image and threshold, one column per pixel, and ``PlaneWalk`` walks one
+or more compiled trees (a tree, or the sixteen variants of a symmetrized
+one, OR-ed) over those planes, level by level and only for the columns
+still undecided. The caller names the plane rows: a ``PlaneWalk`` is built
+over a list of offsets that holds every offset its trees test. A tree
 detector builds its ``PlaneWalk`` once and calls ``PlaneWalk.detect`` per
 frame. A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
 Positions and the integer scores of segment-test detectors are exact in
@@ -68,34 +70,26 @@ def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
 class PlaneWalk:
     """Compiled trees prepared to walk ternary planes.
 
-    ``offsets`` is an (R, 2) array of distinct (dx, dy): by default those
-    the trees' nodes test, sorted; otherwise the given offsets in their
-    order, which must hold every node's. Planes for the walk are built over
-    it, and node k of tree i reads plane row ``rows[i][k]``. The first levels of each tree become one
-    lookup on whole plane rows: a 3-entry table on the root's row, or a
-    9-entry table on two rows when the root's non-leaf children all test one
-    offset (the forced-shared-second-test shape).
+    ``offsets`` lists distinct (dx, dy), among them every offset the trees'
+    nodes test; planes for the walk are built over it in its order, and node
+    k of tree i reads plane row ``rows[i][k]``. The first levels of each tree
+    become one lookup on whole plane rows: a 3-entry table on the root's row,
+    or a 9-entry table on two rows when the root's non-leaf children all test
+    one offset (the forced-shared-second-test shape).
     """
 
-    def __init__(self, trees, offsets=None):
+    def __init__(self, trees, offsets):
         self.trees = list(trees)
-        nodes = [np.column_stack([ct.dx, ct.dy]) for ct in self.trees]
-        given = [] if offsets is None else [np.asarray(offsets).reshape(-1, 2)]
-        xy = np.concatenate(given + nodes).astype(np.int64)
-        # (dx, dy) as one integer key, in the lexicographic order
-        _, first, inverse = np.unique(xy[:, 0] * 2**32 + xy[:, 1],
-                                      return_index=True, return_inverse=True)
-        self.offsets = xy[first]
-        if given:
-            if len(first) != len(given[0]):
-                raise ValueError("the given offsets must be distinct and hold "
-                                 "every node's offset")
-            self.offsets = given[0]
-            order = np.empty(len(first), dtype=np.intp)
-            order[inverse[:len(first)]] = np.arange(len(first))
-            inverse = order[inverse]
-        bounds = np.cumsum([len(block) for block in given + nodes])
-        self.rows = np.split(inverse, bounds)[len(given):-1]
+        self.offsets = [(int(dx), int(dy)) for dx, dy in offsets]
+        index = {xy: k for k, xy in enumerate(self.offsets)}
+        if len(index) != len(self.offsets):
+            raise ValueError("the offsets must be distinct")
+        try:
+            self.rows = [np.array([index[xy] for xy in zip(ct.dx.tolist(),
+                                                           ct.dy.tolist())],
+                                  dtype=np.intp) for ct in self.trees]
+        except KeyError as exc:
+            raise ValueError(f"node offset {exc} is not among the offsets") from None
         self.heads = [self._head(ct, row) for ct, row in zip(self.trees, self.rows)]
 
     @staticmethod
@@ -163,13 +157,6 @@ class PlaneWalk:
                                                       margin)))
         return np.column_stack([hit % iw + margin,
                                 hit // iw + margin]).astype(np.int32)
-
-
-def _interior_flat_positions(img: GrayImage, margin: int,
-                             y0: int, y1: int) -> np.ndarray:
-    xs = np.arange(margin, img.width - margin, dtype=np.int64)
-    ys = np.arange(y0, y1, dtype=np.int64)
-    return (ys[:, None] * img.width + xs[None, :]).ravel()
 
 
 def score_positions(trees, img: GrayImage, xs, ys, t_min: int) -> np.ndarray:

@@ -6,13 +6,16 @@ A ring configuration is the ordered 16-tuple of ternary pixel states
 them); its code is the base-3 integer in [0, 3^16) whose digit i holds the
 state of ring index i+1 (``learn.codes_from_states``). ``config_labels``
 labels given codes and ``label_all_configs`` the whole space, both from one
-table of the longest circular run in a 16-bit mask; ID3 learns its trees
-from these labels, and they are the ground truth every learned tree is
-checked against. ``segment_score_field`` is the reference detector: the
-largest threshold at which each pixel still passes the test.
+table of the longest circular run in a 16-bit mask and one table of the
+brighter and darker masks of each half code (eight ring states). ID3
+learns its trees from these labels, and they are the ground truth every
+learned tree is checked against. ``segment_score_field`` is the reference
+detector: the largest threshold at which each pixel still passes the test.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -21,67 +24,65 @@ from .image import RING_MARGIN, RING_OFFSETS, GrayImage
 N_RING = 16
 N_CONFIGS = 3**N_RING  # 43,046,721
 
-_RUN_TABLE: np.ndarray | None = None
-_LABEL_CACHE: dict[int, np.ndarray] = {}
+HALF = 3**8  # codes of eight ring states: a config code is hi * HALF + lo
 
 
+def _check_arc(n: int) -> None:
+    if not 9 <= n <= 16:
+        raise ValueError(f"arc length n={n} unsupported (need 9..16)")
+
+
+@cache
 def _circular_run_table() -> np.ndarray:
     """uint8[65536]: max circular run of set bits in a 16-bit word."""
-    global _RUN_TABLE
-    if _RUN_TABLE is None:
-        masks = np.arange(65536, dtype=np.uint32)
-        cur = masks | (masks << np.uint32(16))
-        run = np.zeros(65536, dtype=np.uint8)
-        for length in range(1, 17):
-            nz = cur != 0
-            if not nz.any():
-                break
-            run[nz] = length
-            cur &= cur << np.uint32(1)
-        _RUN_TABLE = run
-    return _RUN_TABLE
+    masks = np.arange(65536, dtype=np.uint32)
+    cur = masks | (masks << np.uint32(16))
+    run = np.zeros(65536, dtype=np.uint8)
+    for length in range(1, 17):
+        nz = cur != 0
+        if not nz.any():
+            break
+        run[nz] = length
+        cur &= cur << np.uint32(1)
+    return run
 
 
-def _config_bitmasks(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-config 16-bit masks of brighter and darker ring positions."""
-    codes = np.asarray(codes, dtype=np.int64)
-    bright = np.zeros(codes.shape, dtype=np.uint16)
-    dark = np.zeros(codes.shape, dtype=np.uint16)
-    for i in range(N_RING):
-        digit = (codes // 3**i) % 3
-        bright |= (digit == 2).astype(np.uint16) << np.uint16(i)
-        dark |= (digit == 0).astype(np.uint16) << np.uint16(i)
-    return bright, dark
+@cache
+def _half_masks() -> np.ndarray:
+    """uint16[2, HALF]: row 0 (brighter) and row 1 (darker) hold, for each
+    code of eight ring states, the 8-bit mask of positions in that state.
+    A config's 16-bit mask is ``half[hi] << 8 | half[lo]``."""
+    digits = np.arange(HALF)[:, None] // 3 ** np.arange(8) % 3
+    bits = 1 << np.arange(8)
+    return np.stack([(digits == 2) @ bits, (digits == 0) @ bits]).astype(np.uint16)
 
 
 def config_labels(codes: np.ndarray, n: int) -> np.ndarray:
     """True where a config code has >= n circularly contiguous ring
     positions all brighter or all darker (wrap-around counts); 9 <= n <= 16."""
-    if not 9 <= n <= 16:
-        raise ValueError(f"arc length n={n} unsupported (need 9..16)")
-    tbl = _circular_run_table()
-    bright, dark = _config_bitmasks(codes)
-    return (tbl[bright] >= n) | (tbl[dark] >= n)
+    _check_arc(n)
+    hit = _circular_run_table() >= n
+    hi, lo = np.divmod(np.asarray(codes, dtype=np.int64), HALF)
+    out = np.zeros(hi.shape, dtype=bool)
+    for half in _half_masks():  # brighter, then darker
+        out |= hit[half[hi] << 8 | half[lo]]
+    return out
 
 
+@cache
 def label_all_configs(n: int) -> np.ndarray:
     """Segment-test labels for the complete 3^16 configuration space; cached.
 
-    Built by digit-DP over the ring positions rather than per-config decode.
+    Code hi * HALF + lo is cell [hi, lo] of a HALF x HALF raster, whose masks
+    are an outer OR of the half-code masks; one state's masks are built at a
+    time.
     """
-    if not 9 <= n <= 16:
-        raise ValueError(f"arc length n={n} unsupported (need 9..16)")
-    if n not in _LABEL_CACHE:
-        bright = np.zeros(1, dtype=np.uint16)
-        dark = np.zeros(1, dtype=np.uint16)
-        for i in range(N_RING):
-            bit = np.uint16(1 << i)
-            # digit i of the code is the slowest-varying over blocks of 3^i
-            bright = np.concatenate([bright, bright, bright | bit])
-            dark = np.concatenate([dark | bit, dark, dark])
-        tbl = _circular_run_table()
-        _LABEL_CACHE[n] = (tbl[bright] >= n) | (tbl[dark] >= n)
-    return _LABEL_CACHE[n]
+    _check_arc(n)
+    hit = _circular_run_table() >= n
+    labels = np.zeros((HALF, HALF), dtype=bool)
+    for half in _half_masks():  # brighter, then darker
+        labels |= hit[half[:, None] << 8 | half]
+    return labels.ravel()
 
 
 def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
@@ -93,8 +94,7 @@ def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
     length n (darker arcs symmetric). Equals max{t : detect at t} because the
     partition is boundary-inclusive and monotone in t.
     """
-    if not 9 <= n <= 16:
-        raise ValueError(f"arc length n={n} unsupported (need 9..16)")
+    _check_arc(n)
     a = img.pixels.astype(np.int16)
     h, w = a.shape
     out = np.zeros((h, w), dtype=np.int16)

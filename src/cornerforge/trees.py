@@ -6,7 +6,8 @@ three ways on the darker/similar/brighter state of that pixel; leaves carry a
 offsets, externally indexed 1..16) and the repeatability-optimized detector
 (48 offsets of the 7x7 box, indexed 0..47, ``default_offsets_48``). That
 detector applies a tree sixteen ways, under the eight dihedral maps of the
-offsets and intensity inversion (``sixteen_fold``).
+offsets and intensity inversion (``sixteen_fold``); those maps take a table's
+offsets to ``sixteen_fold_offsets``.
 
 File format (line oriented, LF endings, single spaces):
 
@@ -147,23 +148,6 @@ def tree_depth(tree: TernaryTree) -> int:
     return rec(tree)
 
 
-def iter_nodes(tree: TernaryTree):
-    """Pre-order traversal of tree positions (b, s, d); shared subtrees are
-    visited once per position."""
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        yield t
-        if isinstance(t, Node):
-            stack.extend((t.d, t.s, t.b))
-
-
-def validate_offsets(tree: TernaryTree, table: OffsetTable) -> None:
-    for t in iter_nodes(tree):
-        if isinstance(t, Node):
-            table.xy(t.offset)  # raises on range violation
-
-
 def merge_tree(tree: TernaryTree) -> TernaryTree:
     """Canonicalize bottom-up so structurally equal subtrees become shared.
 
@@ -195,7 +179,8 @@ def merge_tree(tree: TernaryTree) -> TernaryTree:
 
 
 def serialize_tree(tree: TernaryTree, table: OffsetTable) -> bytes:
-    validate_offsets(tree, table)
+    """The tree in the file format; ``ValueError`` for an offset index
+    outside the table."""
     n = len(table)
     if n not in (16, 48):
         raise ValueError(f"unsupported offset count {n}")
@@ -209,6 +194,7 @@ def serialize_tree(tree: TernaryTree, table: OffsetTable) -> bytes:
         if isinstance(t, Leaf):
             lines.append(f"L {t.cls}")
         else:
+            table.xy(t.offset)  # raises on range violation
             lines.append(f"N {t.offset}")
             rec(t.b)
             rec(t.s)
@@ -302,13 +288,13 @@ class CompiledTree:
 
     Node k tests offset (dx[k], dy[k]); ``children[k, state]`` (state 0=d,
     1=s, 2=b) is the next node id, or ``-1 - cls`` for a leaf outcome.
-    ``root`` is node 0, or ``-1 - cls`` when the whole tree is a leaf.
+    ``root`` is node 0, or ``-1 - cls`` when the whole tree is a leaf. A node
+    whose offset index is outside the table raises ``ValueError``.
     """
 
-    __slots__ = ("dx", "dy", "children", "root", "table", "n_nodes")
+    __slots__ = ("dx", "dy", "children", "root")
 
     def __init__(self, tree: TernaryTree, table: OffsetTable):
-        validate_offsets(tree, table)
         dx: list[int] = []
         dy: list[int] = []
         children: list[list[int]] = []
@@ -332,15 +318,9 @@ class CompiledTree:
             return nid
 
         self.root = add(tree)
-        self.n_nodes = len(dx)
         self.dx = np.asarray(dx, dtype=np.int32)
         self.dy = np.asarray(dy, dtype=np.int32)
         self.children = np.asarray(children, dtype=np.int32).reshape(-1, 3)
-        self.table = table
-
-    @property
-    def margin(self) -> int:
-        return self.table.margin
 
 
 def sixteen_fold(ct: CompiledTree) -> list:
@@ -357,3 +337,10 @@ def sixteen_fold(ct: CompiledTree) -> list:
             kids = ct.children[:, ::-1] if invert else ct.children
             out.append(SimpleNamespace(root=ct.root, dx=dx, dy=dy, children=kids))
     return out
+
+
+def sixteen_fold_offsets(table: OffsetTable) -> list[tuple[int, int]]:
+    """The distinct (dx, dy) of the table's offsets under the eight dihedral
+    maps, sorted: every offset a variant of ``sixteen_fold`` can test."""
+    return sorted({(a * dx + b * dy, c * dx + d * dy)
+                   for a, b, c, d in _DIHEDRAL for dx, dy in table.offsets})

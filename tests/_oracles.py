@@ -8,7 +8,7 @@ high-speed rejection test, the per-count repeatability loop) live here: only
 tests use them, as does ``classify_flat``, the numpy walk over raw pixels
 that detection used before it moved onto ternary state planes. They read
 trees, images and offset tables through their attributes
-(``offset``/``b``/``s``/``d``/``cls``, ``at``, ``xy``/``margin``), compiled
+(``offset``/``b``/``s``/``d``/``cls``, ``pixels``, ``xy``/``margin``), compiled
 trees through ``root``/``dx``/``dy``/``children``, and detectors through
 ``detect``; the repeatability loop takes its point projection as an
 argument.
@@ -140,6 +140,11 @@ class NotACornerError(ValueError):
     """Scored pixel does not classify as a corner at the minimum threshold."""
 
 
+def at(img, x: int, y: int) -> int:
+    """The value of pixel (x, y)."""
+    return int(img.pixels[y, x])
+
+
 def pixel_state(centre: int, ring: int, t: int) -> int:
     """0 darker (ring <= centre - t), 2 brighter (ring >= centre + t), else
     1 similar."""
@@ -157,11 +162,11 @@ def classify_pixel(tree, img, p, t: int, table) -> bool:
     margin = table.margin
     if not (margin <= x < img.width - margin and margin <= y < img.height - margin):
         raise ValueError(f"({x},{y}) is within {margin} pixels of an edge")
-    c = img.at(x, y)
+    c = at(img, x, y)
     node = tree
     while hasattr(node, "offset"):
         dx, dy = table.xy(node.offset)
-        node = (node.d, node.s, node.b)[pixel_state(c, img.at(x + dx, y + dy), t)]
+        node = (node.d, node.s, node.b)[pixel_state(c, at(img, x + dx, y + dy), t)]
     return bool(node.cls)
 
 
@@ -226,8 +231,8 @@ def corner_score_iterate(tree, img, p, table) -> int:
     x, y = p
     if not classify_pixel(tree, img, p, 1, table):
         raise NotACornerError(f"{p} is not a corner at t=1")
-    c = img.at(x, y)
-    diffs = [abs(img.at(x + dx, y + dy) - c) for dx, dy in
+    c = at(img, x, y)
+    diffs = [abs(at(img, x + dx, y + dy) - c) for dx, dy in
              (table.xy(i) for i in table.indices())]
     t = 1
     while True:
@@ -252,11 +257,11 @@ def high_speed_reject(img, p, t: int, ring) -> bool:
     n=12 test would accept.
     """
     x, y = p
-    c = img.at(x, y)
+    c = at(img, x, y)
 
     def state(idx: int) -> int:
         dx, dy = ring[idx - 1]
-        return pixel_state(c, img.at(x + dx, y + dy), t)
+        return pixel_state(c, at(img, x + dx, y + dy), t)
 
     s1, s9 = state(1), state(9)
     if s1 == 1 and s9 == 1:
@@ -339,10 +344,8 @@ class _Inverted:
     """An image with every value v read as 255 - v."""
 
     def __init__(self, img):
-        self.img, self.width, self.height = img, img.width, img.height
-
-    def at(self, x, y):
-        return 255 - self.img.at(x, y)
+        self.pixels = 255 - img.pixels
+        self.width, self.height = img.width, img.height
 
 
 def dihedral_tables(table):
@@ -369,12 +372,12 @@ def linear_scan_score(fires, img, p, table, t_min: int):
     largest firing t, whether or not classification is monotone in t.
     """
     x, y = p
-    c = img.at(x, y)
+    c = at(img, x, y)
     ends = {255}
     for mapped in dihedral_tables(table):
         for idx in table.indices():
             dx, dy = mapped.xy(idx)
-            ends.add(abs(img.at(x + dx, y + dy) - c))
+            ends.add(abs(at(img, x + dx, y + dy) - c))
     for t in sorted((e for e in ends if t_min <= e <= 255), reverse=True):
         if fires(t):
             return t

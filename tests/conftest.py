@@ -19,6 +19,10 @@ def random_image(rng, w=48, h=40, low=0, high=256) -> GrayImage:
     return GrayImage(rng.integers(low, high, (h, w)).astype(np.uint8))
 
 
+def constant_image(width: int, height: int, value: int = 0) -> GrayImage:
+    return GrayImage(np.full((height, width), value, dtype=np.uint8))
+
+
 def make_test_square(size: int, square: int, fg: int = 255, bg: int = 0) -> GrayImage:
     """Centered axis-aligned square of intensity ``fg`` on a ``bg`` field."""
     if square >= size:
@@ -49,7 +53,8 @@ def tree_positions(tree, img: GrayImage, t: int, table=RING16) -> np.ndarray:
     """Positions at least the table's margin from every edge that the tree
     classifies as corners at threshold t, as (M, 2) int32 [x, y] rows in
     raster order: the package's plane walk of the one compiled tree."""
-    return PlaneWalk([CompiledTree(tree, table)]).detect(img, t, table.margin)
+    return PlaneWalk([CompiledTree(tree, table)], table.offsets).detect(
+        img, t, table.margin)
 
 
 def read_keypoints(f) -> np.ndarray:

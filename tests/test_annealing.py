@@ -5,12 +5,12 @@ from _oracles import any_within, classify_sixteenfold
 from conftest import random_image, sixteenfold_field
 from cornerforge import annealing as an
 from cornerforge.datasets import make_dataset, synthetic_base_image
-from cornerforge.image import GrayImage
+from cornerforge.image import GrayImage, add_gaussian_noise
 from cornerforge.repeatability import make_pairs
 from cornerforge.runtime import score_positions
 from cornerforge.trees import (LEAF0, CompiledTree, Leaf, Node, OffsetTable,
                                default_offsets_48, sixteen_fold, tree_size)
-from cornerforge.warp import project_points
+from cornerforge.warp import Homography, project_points
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,48 @@ def oracle_repeatability(frames, warps, fields, pairs, eps) -> tuple[int, int]:
     return useful, repeated
 
 
+def padded(frames, rasters, margin: int = 3) -> list[np.ndarray]:
+    """Full-frame corner fields from the evaluator's interior rasters: each
+    raster padded back by the margin, with False on the border."""
+    fields = []
+    for frame, raster in zip(frames, rasters):
+        h, w = frame.height, frame.width
+        assert raster.shape == (max(h - 2 * margin, 0), max(w - 2 * margin, 0))
+        field = np.zeros((h, w), dtype=bool)
+        field[margin : h - margin, margin : w - margin] = raster
+        fields.append(field)
+    return fields
+
+
+def check_evaluator(frames, warps, weights, table, tree) -> tuple[int, int]:
+    """``detect_fields`` against the pixel-by-pixel sixteen-fold oracle and
+    ``evaluate`` against ``oracle_repeatability``, on every ``make_pairs``
+    pair; returns the oracle's useful and repeated totals."""
+    pairs = make_pairs(len(frames))
+    ev = an.CostEvaluator(frames, warps, weights, table, pairs)
+    m = table.margin
+    fields = padded(frames, ev.detect_fields(tree), m)
+    for frame, field in zip(frames, fields):
+        want = np.zeros((frame.height, frame.width), dtype=bool)
+        for y in range(m, frame.height - m):
+            for x in range(m, frame.width - m):
+                want[y, x] = classify_sixteenfold(tree, frame, (x, y), weights.t,
+                                                  table)
+        assert np.array_equal(field, want)
+    useful, repeated = oracle_repeatability(frames, warps, fields, pairs,
+                                            weights.epsilon)
+    cost, r, d_counts = ev.evaluate(tree)
+    assert d_counts == [int(f.sum()) for f in fields]
+    assert r == (repeated / useful if useful else 0.0)
+    assert cost == an.cost_from_parts(r, d_counts, tree_size(tree), weights)
+    return useful, repeated
+
+
+def shift(dx: float, dy: float, target: GrayImage) -> Homography:
+    return Homography(np.array([[1, 0, dx], [0, 1, dy], [0, 0, 1]]),
+                      (target.width, target.height))
+
+
 class TestCostEvaluator:
     @pytest.mark.parametrize("tree", TREES)
     @pytest.mark.parametrize("eps", [1.5, 5.0])
@@ -71,7 +113,7 @@ class TestCostEvaluator:
         pairs = make_pairs(len(frames))
         ev = an.CostEvaluator(frames, warps, weights, default_offsets_48(),
                               pairs)
-        fields = ev.detect_fields(tree)
+        fields = padded(frames, ev.detect_fields(tree))
         useful, repeated = oracle_repeatability(frames, warps, fields, pairs, eps)
         cost, r, d_counts = ev.evaluate(tree)
         assert d_counts == [int(f.sum()) for f in fields]
@@ -87,25 +129,38 @@ class TestCostEvaluator:
         table = OffsetTable("box9-48", tuple(cells[k] for k in pick), 0)
         assert {(-dx, dy) for dx, dy in table.offsets} != set(table.offsets)
         frames, warps = dataset
-        weights = an.CostWeights(t=20)
-        pairs = make_pairs(len(frames))
-        ev = an.CostEvaluator(frames, warps, weights, table, pairs)
         rng = np.random.default_rng(6)
         tree = conjunction_tree(0, 3)
         for _ in range(2):
             tree = an.mutate(tree, rng, table)
-        fields = ev.detect_fields(tree)
-        for frame, field in zip(frames, fields):
-            want = np.zeros((frame.height, frame.width), dtype=bool)
-            for y in range(4, frame.height - 4):
-                for x in range(4, frame.width - 4):
-                    want[y, x] = classify_sixteenfold(tree, frame, (x, y), 20, table)
-            assert np.array_equal(field.reshape(want.shape), want)
-        useful, repeated = oracle_repeatability(frames, warps, fields, pairs, 5.0)
+        useful, repeated = check_evaluator(frames, warps, an.CostWeights(t=20),
+                                           table, tree)
         assert 0 < repeated < useful
-        _, r, d_counts = ev.evaluate(tree)
-        assert d_counts == [int(f.sum()) for f in fields]
-        assert r == repeated / useful
+
+    @pytest.mark.parametrize("tree", [TREES[0], TREES[5]])
+    def test_frames_of_two_sizes(self, dataset, tree):
+        # a 36x30 window of a 48x40 frame, with fresh noise: the rasters
+        # differ in shape, and the warps are the window's shifts
+        big = dataset[0][0]
+        small = add_gaussian_noise(GrayImage(big.pixels[4:34, 5:41]), 2.0, 3)
+        frames = [big, small]
+        warps = {(0, 1): shift(-5, -4, small), (1, 0): shift(5, 4, big)}
+        useful, repeated = check_evaluator(frames, warps, an.CostWeights(),
+                                           default_offsets_48(), tree)
+        assert 0 < repeated < useful
+
+    @pytest.mark.parametrize("size", [(6, 20), (20, 5), (6, 6)])
+    def test_frame_without_interior(self, dataset, size):
+        # the second frame is at most 2 * margin on a side: its raster is
+        # empty, and it neither detects nor repeats anything
+        big = dataset[0][0]
+        w, h = size
+        small = GrayImage(big.pixels[10 : 10 + h, 10 : 10 + w])
+        frames = [big, small]
+        warps = {(0, 1): shift(-10, -10, small), (1, 0): shift(10, 10, big)}
+        useful, repeated = check_evaluator(frames, warps, an.CostWeights(t=20),
+                                           default_offsets_48(), TREES[4])
+        assert useful > 0 and repeated == 0
 
     def test_oracle_sees_partial_matches(self, dataset):
         # The trees above are not all trivial: some have both useful
@@ -114,7 +169,7 @@ class TestCostEvaluator:
         pairs = make_pairs(len(frames))
         ev = an.CostEvaluator(frames, warps, an.CostWeights(),
                               default_offsets_48(), pairs)
-        fields = ev.detect_fields(TREES[0])
+        fields = padded(frames, ev.detect_fields(TREES[0]))
         useful, repeated = oracle_repeatability(frames, warps, fields, pairs, 5.0)
         assert 0 < repeated < useful
 
@@ -144,13 +199,18 @@ class TestAnneal:
     def test_multi_run_same_for_any_jobs(self, dataset):
         frames, warps = dataset
         weights = an.CostWeights(i_max=4)
-        runs = [an.multi_run(frames, warps, weights, 2, base_seed=5, jobs=jobs)
+        runs = [an.multi_run(frames, warps, weights, [5, 6], jobs=jobs)
                 for jobs in (1, 2)]
         (best1, all1), (best2, all2) = runs
         assert best1.seed == best2.seed and best1.best_tree == best2.best_tree
         assert [r.seed for r in all1] == [r.seed for r in all2] == [5, 6]
         for r1, r2 in zip(all1, all2):
             assert np.array_equal(r1.trace, r2.trace)
+
+    def test_multi_run_needs_a_seed(self, dataset):
+        frames, warps = dataset
+        with pytest.raises(ValueError):
+            an.multi_run(frames, warps, an.CostWeights(i_max=2), [])
 
     @pytest.mark.parametrize("jobs, runs, workers",
                              [(32, 3, 3), (2, 3, 2), (3, 3, 3)])
@@ -181,9 +241,9 @@ class TestAnneal:
                             InlineExecutor)
         frames, warps = dataset
         weights = an.CostWeights(i_max=2)
-        results = an.multi_run(frames, warps, weights, runs, jobs=jobs)[1]
+        results = an.multi_run(frames, warps, weights, range(runs), jobs=jobs)[1]
         assert sizes == [workers]
-        serial = an.multi_run(frames, warps, weights, runs, jobs=1)[1]
+        serial = an.multi_run(frames, warps, weights, range(runs), jobs=1)[1]
         assert sizes == [workers]  # one job runs in this process
         for got, want in zip(results, serial, strict=True):
             assert np.array_equal(got.trace, want.trace)

@@ -114,36 +114,35 @@ class TestFastAgreement:
 
 class TestBaselines:
     def test_random_deterministic_per_seed_and_frame(self, frame):
-        det = RandomDetector(seed=4, margin=5)
+        det = RandomDetector(seed=4)
         a = det.detect(frame, 50, frame_key=1)
-        assert np.array_equal(a, RandomDetector(seed=4, margin=5).detect(
+        assert np.array_equal(a, RandomDetector(seed=4).detect(
             frame, 50, frame_key=1))
         assert not np.array_equal(a, det.detect(frame, 50, frame_key=2))
-        assert not np.array_equal(a, RandomDetector(seed=5, margin=5).detect(
+        assert not np.array_equal(a, RandomDetector(seed=5).detect(
             frame, 50, frame_key=1))
 
     def test_random_inside_margin(self, frame):
-        got = RandomDetector(seed=1, margin=5).detect(frame, 500, frame_key=0)
+        got = RandomDetector(seed=1).detect(frame, 500, frame_key=0)
         xs, ys, scores = got.T
         assert len({(x, y) for x, y in zip(xs, ys)}) == 500
-        assert ((xs >= 5) & (xs < frame.width - 5)
-                & (ys >= 5) & (ys < frame.height - 5)).all()
+        assert ((xs >= 3) & (xs < frame.width - 3)
+                & (ys >= 3) & (ys < frame.height - 3)).all()
         assert (scores == 1).all()
         keys = ys * frame.width + xs
         assert (np.diff(keys) > 0).all()
 
     def test_random_rejects_too_many(self, frame):
         with pytest.raises(ValueError):
-            RandomDetector(margin=3).detect(frame, 58 * 42 + 1)
+            RandomDetector().detect(frame, 58 * 42 + 1)
 
-    @pytest.mark.parametrize("margin", [0, 3, 9])
-    def test_harris_keeps_positive_maxima_outside_margin(self, frame, margin):
-        det = HarrisDetector(sigma=1.5, margin=margin)
-        field = harris_response(structure_tensor(frame, 1.5), det.k)
+    def test_harris_keeps_positive_maxima_outside_margin(self, frame):
+        det = HarrisDetector(sigma=1.5)
+        field = harris_response(structure_tensor(frame, 1.5))
         got = det.scored_keypoints(frame)
         h, w = field.shape
         cells = [(x, y, float(field[y, x])) for y in range(h) for x in range(w)]
         want = [(x, y, s) for x, y, s in nms_oracle(cells)
-                if s > 0 and margin <= x < w - margin and margin <= y < h - margin]
+                if s > 0 and 3 <= x < w - 3 and 3 <= y < h - 3]
         assert len(want) > 10
         assert [tuple(r) for r in got.tolist()] == want

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import (brute_best_split, exhaustive_count_table, pixel_state,
-                      segment_label)
-from conftest import classify_rows, edge_image, make_test_square
+from _oracles import (at, brute_best_split, exhaustive_count_table,
+                      pixel_state, segment_label)
+from conftest import classify_rows, constant_image, edge_image, make_test_square
 from cornerforge import learn, segment as sg
 from cornerforge.image import GrayImage
 from cornerforge.trees import Leaf, Node, RING16, merge_tree, tree_depth
@@ -136,7 +136,7 @@ class TestBuildTree:
 
 class TestExtract:
     def test_constant_image_single_record(self):
-        ts = learn.extract_training_data([GrayImage.constant(16, 16, 80)], 9, 20)
+        ts = learn.extract_training_data([constant_image(16, 16, 80)], 9, 20)
         assert ts.num_records == 1
         assert not ts.labels[0]
         assert (ts.states[0] == 1).all()  # all similar
@@ -164,7 +164,7 @@ class TestExtract:
         rng = np.random.default_rng(t)
         images = [edge_image(rng, t, 6, 30), edge_image(rng, t, 13, 17)]
         counts = Counter(
-            tuple(pixel_state(img.at(x, y), img.at(x + dx, y + dy), t)
+            tuple(pixel_state(at(img, x, y), at(img, x + dx, y + dy), t)
                   for dx, dy in RING16.offsets)
             for img in images for y in range(3, img.height - 3)
             for x in range(3, img.width - 3))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import any_within, repeatability_curve_loop
+from conftest import constant_image
 from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector)
 from cornerforge.image import GrayImage
@@ -138,7 +139,7 @@ DETECTORS = {"fast-ref": lambda: FastRefDetector(t_min=1),
 def curve_frame(seed: int, flat: bool) -> GrayImage:
     """A noise frame, or a flat one on which no corner detector fires."""
     if flat:
-        return GrayImage.constant(W, H, 90)
+        return constant_image(W, H, 90)
     pixels = np.random.default_rng(seed).integers(0, 256, (H, W))
     return GrayImage(pixels.astype(np.uint8))
 

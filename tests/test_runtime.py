@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import _oracles as orc
-from conftest import (edge_image, random_image, read_keypoints,
+from _oracles import at
+from conftest import (constant_image, edge_image, random_image, read_keypoints,
                       sixteenfold_field, tree_positions)
 from cornerforge import runtime as rt
 from cornerforge.image import GrayImage
 from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16,
-                               default_offsets_48, sixteen_fold)
+                               default_offsets_48, sixteen_fold,
+                               sixteen_fold_offsets)
 
 # Handcrafted monotone trees with closed-form scores: classification depends
 # only on |ring - centre| >= t, so max-t is analytic.
@@ -22,13 +24,13 @@ TWO_OFFSET = Node(1,
 
 
 def one_offset_score(img, x, y):
-    return abs(img.at(x + 0, y - 3) - img.at(x, y))
+    return abs(at(img, x + 0, y - 3) - at(img, x, y))
 
 
 def two_offset_score(img, x, y):
-    c = img.at(x, y)
-    d1 = img.at(x, y - 3) - c
-    d2 = img.at(x + 1, y - 3) - c
+    c = at(img, x, y)
+    d1 = at(img, x, y - 3) - c
+    d2 = at(img, x + 1, y - 3) - c
     return max(min(d1, d2), min(-d1, -d2))
 
 
@@ -100,7 +102,7 @@ class TestClassify:
 
 class TestDetect:
     def test_constant_empty(self):
-        img = GrayImage.constant(32, 32, 7)
+        img = constant_image(32, 32, 7)
         assert len(tree_positions(ONE_OFFSET, img, 10)) == 0
 
     def test_batch_equals_naive(self):
@@ -129,7 +131,7 @@ class TestScores:
         assert walk_scores(ONE_OFFSET, img, [8], [8]).tolist() == [20]
 
     def test_not_a_corner(self):
-        img = GrayImage.constant(16, 16, 50)
+        img = constant_image(16, 16, 50)
         with pytest.raises(orc.NotACornerError):
             orc.corner_score_bisect(ONE_OFFSET, img, (8, 8), RING16)
         with pytest.raises(orc.NotACornerError):
@@ -172,7 +174,7 @@ class TestScores:
         assert walk_scores(ONE_OFFSET, img, [8], [8]).tolist() == [255]
 
     def test_iterate_requires_passing_pixels(self):
-        img = GrayImage.constant(16, 16, 90)
+        img = constant_image(16, 16, 90)
         with pytest.raises(orc.NotACornerError):
             orc.corner_score_iterate(Leaf(1), img, (8, 8), RING16)
 
@@ -233,8 +235,10 @@ class TestExactScores:
     def walks(tree, table, sixteenfold):
         """The compiled trees to score with and their ``PlaneWalk``."""
         ct = CompiledTree(tree, table)
-        trees = sixteen_fold(ct) if sixteenfold else [ct]
-        return trees, rt.PlaneWalk(trees)
+        if sixteenfold:
+            return sixteen_fold(ct), rt.PlaneWalk(sixteen_fold(ct),
+                                                  sixteen_fold_offsets(table))
+        return [ct], rt.PlaneWalk([ct], table.offsets)
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
@@ -308,7 +312,7 @@ class TestTernaryPlanes:
         offsets = [table.offsets[k] for k in rng.permutation(48)[:20]]
         planes = rt.ternary_planes(images, offsets, t, 3)
         assert planes.dtype == np.uint8 and planes.shape == (20, 5 * 3 + 2 * 7)
-        want = [[orc.pixel_state(img.at(x, y), img.at(x + dx, y + dy), t)
+        want = [[orc.pixel_state(at(img, x, y), at(img, x + dx, y + dy), t)
                  for img in images for y in range(3, img.height - 3)
                  for x in range(3, img.width - 3)] for dx, dy in offsets]
         assert planes.tolist() == want
@@ -381,9 +385,10 @@ class TestPlaneWalk:
         img = rand_img(10)
         trees = [CompiledTree(t, RING16)
                  for t in (ONE_OFFSET, Node(1, b=LEAF0, s=LEAF1, d=LEAF0))]
-        walk = rt.PlaneWalk(trees)
+        walk = rt.PlaneWalk(trees, RING16.offsets)
         planes = rt.ternary_planes([img], walk.offsets, 20, 3)
-        assert 0 < rt.PlaneWalk(trees[:1]).fired(planes).sum() < planes.shape[1]
+        first = rt.PlaneWalk(trees[:1], RING16.offsets)
+        assert 0 < first.fired(planes).sum() < planes.shape[1]
         assert walk.fired(planes).all()
 
     def test_given_offsets_must_cover_nodes(self):
@@ -393,6 +398,11 @@ class TestPlaneWalk:
         assert walk.rows[0].tolist() == [0]  # ring index 1 is (0, -3)
         with pytest.raises(ValueError):
             rt.PlaneWalk([ct], [(1, -3)])
+        # and must be distinct, whatever the trees test
+        with pytest.raises(ValueError, match="distinct"):
+            rt.PlaneWalk([ct], [(0, -3), (1, -3), (0, -3)])
+        with pytest.raises(ValueError, match="distinct"):
+            rt.PlaneWalk([], [(2, 2), (2, 2)])
 
 
 def point_sets(score_strategy):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import (corner_config_count, high_speed_reject, pixel_state,
+from _oracles import (at, corner_config_count, high_speed_reject, pixel_state,
                       segment_label)
-from conftest import make_test_square
+from conftest import constant_image, make_test_square
 from cornerforge import segment as sg
 from cornerforge.image import RING_OFFSETS, GrayImage
 from cornerforge.learn import codes_from_states, states_from_codes
@@ -65,7 +65,7 @@ class TestPixelState:
 
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
-            ternary_planes([GrayImage.constant(7, 7, 100)], [(0, -3)], 0, 3)
+            ternary_planes([constant_image(7, 7, 100)], [(0, -3)], 0, 3)
 
 
 class TestRingConfig:
@@ -137,12 +137,12 @@ class TestIsCornerConfig:
             with pytest.raises(ValueError):
                 sg.label_all_configs(n)
             with pytest.raises(ValueError):
-                sg.segment_score_field(GrayImage.constant(8, 8, 0), n)
+                sg.segment_score_field(constant_image(8, 8, 0), n)
 
 
 class TestDetect:
     def test_constant_image_empty(self):
-        assert len(fast_n(GrayImage.constant(32, 32, 128), 9, 10)) == 0
+        assert len(fast_n(constant_image(32, 32, 128), 9, 10)) == 0
 
     def test_square_corners_only(self):
         img = make_test_square(64, 30, fg=255, bg=0)
@@ -192,7 +192,7 @@ class TestDetect:
 
     def test_ring_codes_match_scalar(self):
         img = _rand_img(4, w=20, h=16)
-        want = [sum(pixel_state(img.at(x, y), img.at(x + dx, y + dy), 25) * 3**i
+        want = [sum(pixel_state(at(img, x, y), at(img, x + dx, y + dy), 25) * 3**i
                     for i, (dx, dy) in enumerate(RING16.offsets))
                 for y in range(3, img.height - 3) for x in range(3, img.width - 3)]
         assert ring_codes(img, 25).tolist() == want
@@ -200,7 +200,7 @@ class TestDetect:
 
 class TestHighSpeedReject:
     def test_constant_rejects(self):
-        img = GrayImage.constant(16, 16, 90)
+        img = constant_image(16, 16, 90)
         assert high_speed_reject(img, (8, 8), 20, RING_OFFSETS)
 
     def test_full_bright_ring_not_rejected(self):

@@ -4,9 +4,8 @@ import pytest
 from conftest import classify_rows
 from cornerforge.trees import (CompiledTree, LEAF0, LEAF1, Leaf, Node,
                                OffsetTable, RING16, TreeFormatError,
-                               default_offsets_48, deserialize_tree, iter_nodes,
-                               merge_tree, serialize_tree, tree_depth,
-                               tree_size)
+                               default_offsets_48, deserialize_tree, merge_tree,
+                               serialize_tree, tree_depth, tree_size)
 
 
 def random_tree(rng, table=RING16, p_leaf=0.4, depth=0):
@@ -48,15 +47,12 @@ class TestSizeDepth:
         assert tree_size(tree) == 3  # the shared child counts per position
         assert tree_depth(tree) == 2
         # 3 decision positions (the root and `shared` twice) plus 7 leaf
-        # positions (3 under each copy of `shared` and the root's d leaf).
-        visited = list(iter_nodes(tree))
-        assert len(visited) == 10
-        # serialize_tree recurses on its own, so its records are an
-        # independent oracle for the per-position pre-order b, s, d.
+        # positions (3 under each copy of `shared` and the root's d leaf),
+        # written pre-order b, s, d.
         records = serialize_tree(tree, RING16).decode().splitlines()[1:]
-        assert [f"N {t.offset}" if isinstance(t, Node) else f"L {t.cls}"
-                for t in visited] == records
-        assert sum(isinstance(t, Node) for t in visited) == tree_size(tree)
+        assert records == ["N 1", "N 2", "L 1", "L 0", "L 0",
+                           "N 2", "L 1", "L 0", "L 0", "L 0"]
+        assert sum(r.startswith("N") for r in records) == tree_size(tree)
 
 
 class TestMerge:
@@ -129,7 +125,7 @@ class TestCompiledTree:
     def test_leaf_root(self):
         ct = CompiledTree(LEAF1, RING16)
         assert ct.root == -2
-        assert ct.n_nodes == 0
+        assert len(ct.dx) == 0
 
     def test_children_layout(self):
         tree = Node(1, b=LEAF1, s=LEAF0, d=Leaf(1))
@@ -142,4 +138,4 @@ class TestCompiledTree:
         kid = Node(2, b=LEAF1, s=LEAF0, d=LEAF0)
         tree = merge_tree(Node(1, b=kid, s=kid, d=LEAF0))
         ct = CompiledTree(tree, RING16)
-        assert ct.n_nodes == 2
+        assert len(ct.dx) == 2
