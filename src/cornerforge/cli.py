@@ -25,13 +25,14 @@ from .datasets import make_dataset, synthetic_base_image
 from .detectors import (FastRefDetector, HarrisDetector, RandomDetector,
                         ShiTomasiDetector, SixteenFoldDetector, TreeDetector)
 from .image import (GrayImage, PgmError, load_image, save_pgm)
-from .learn import (InconsistentLabelsError, augment_exhaustive, build_tree,
-                    empty_training_set, extract_training_data,
-                    force_shared_second_test)
+from .learn import (MAX_TOTAL_WEIGHT, InconsistentLabelsError,
+                    augment_exhaustive, build_tree, empty_training_set,
+                    extract_training_data, force_shared_second_test)
 from .repeatability import (CURVE_MAX_COUNT, MissingWarpError,
                             area_under_curve, check_epsilon, make_pairs,
                             repeatability_curve)
 from .runtime import write_keypoints
+from .segment import N_CONFIGS
 from .trees import (RING16, TreeFormatError, default_offsets_48,
                     deserialize_tree, serialize_tree)
 from .warp import SingularHomographyError, load_homography, save_homography
@@ -158,6 +159,11 @@ def cmd_learn_tree(args) -> int:
     if args.weight_scale < 0 or args.low_weight < 1:
         raise UsageError("learn-tree needs --weight-scale >= 0 and "
                          "--low-weight >= 1")
+    # total weights from 2^53 up lose exactness in the ID3 count tables
+    if (args.weight_scale >= MAX_TOTAL_WEIGHT
+            or args.low_weight * N_CONFIGS >= MAX_TOTAL_WEIGHT):
+        raise UsageError("learn-tree needs --weight-scale and "
+                         "3^16 x --low-weight below 2^53")
     if args.weight_scale == 0 and not args.exhaustive:
         # every observed configuration would weigh 0: a tree that never fires
         raise UsageError("learn-tree --weight-scale 0 needs --exhaustive")

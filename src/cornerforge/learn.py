@@ -7,14 +7,20 @@ weighted-count units; recursion stops exactly at zero-entropy subsets, so a
 label-consistent training set is always classified perfectly.
 
 The exhaustive ring set made by ``augment_exhaustive`` holds all 3^16
-configurations implicitly: record r is configuration r, and no state matrix
-exists. Its labels and weights, viewed as tensors of shape (3,)*16, have
-tensor axis a for ring column 15 - a. A tree node's subset fixes the
-columns tested above it, so it is a strided slice of those tensors; its
-class counts per column value are axis marginals and its children are
-slices. Sets of explicit state rows (observed configurations, 48-offset
-sets) split by index arrays instead. Both kinds share one recursion and one
-split rule, so equal data gives equal trees.
+configurations implicitly: configuration r has the cached label
+``label_all_configs(n)[r]`` and one low weight shared by all, and the
+observed records on top of them stay explicit state rows. The label table,
+viewed as a tensor of shape (3,)*16, has tensor axis a for ring column
+15 - a. A tree node's subset fixes the columns tested above it, so it is a
+strided slice of that tensor plus the observed rows inside it; its class
+counts per column value are the low weight times the slice's label axis
+marginals plus the rows' counts, and its children are slices and row
+subsets. Sets of explicit state rows alone (observed configurations,
+48-offset sets) split by index arrays. Both kinds share one recursion and
+one split rule, so equal data gives equal trees.
+
+Every count is an integer held in a float64 table, exact only below 2^53,
+so a set whose total weight reaches 2^53 is refused.
 """
 
 from __future__ import annotations
@@ -29,8 +35,18 @@ from .trees import (LEAF0, LEAF1, Leaf, Node, OffsetTable, RING16, TernaryTree,
                     merge_tree, tree_depth)
 
 
+# Integers below 2^53 are exact in float64, the dtype of the count tables.
+MAX_TOTAL_WEIGHT = 2**53
+
+
 class InconsistentLabelsError(ValueError):
     """The same state vector appears with both labels."""
+
+
+def _check_total_weight(total: int) -> None:
+    if total >= MAX_TOTAL_WEIGHT:
+        raise ValueError(f"total training weight {total} reaches 2^53, beyond "
+                         "which the float64 count tables are not exact")
 
 
 @dataclass(frozen=True)
@@ -39,28 +55,20 @@ class TrainingSet:
 
     ``states`` is (N, k) uint8 with column j holding the ternary state of
     offset ``offsets.index_base + j``; ``weights`` of None means unit weights.
-    ``states`` of None is the exhaustive ring set: N = 3^16 and record r is
-    ring configuration r, whose states are ``states_from_codes([r])[0]``.
     """
 
-    states: np.ndarray | None
+    states: np.ndarray
     labels: np.ndarray
     weights: np.ndarray | None
     offsets: OffsetTable
 
     def __post_init__(self):
-        if self.states is None:
-            if len(self.offsets) != N_RING:
-                raise ValueError("an exhaustive set spans the 16 ring offsets")
-            rows = N_CONFIGS
-        else:
-            if self.states.ndim != 2 or self.states.dtype != np.uint8:
-                raise ValueError("states must be a 2-d uint8 array")
-            if self.states.shape[1] != len(self.offsets):
-                raise ValueError(f"states have {self.states.shape[1]} columns for "
-                                 f"{len(self.offsets)} offsets")
-            rows = self.states.shape[0]
-        if self.labels.shape != (rows,):
+        if self.states.ndim != 2 or self.states.dtype != np.uint8:
+            raise ValueError("states must be a 2-d uint8 array")
+        if self.states.shape[1] != len(self.offsets):
+            raise ValueError(f"states have {self.states.shape[1]} columns for "
+                             f"{len(self.offsets)} offsets")
+        if self.labels.shape != (self.states.shape[0],):
             raise ValueError("labels shape mismatch")
         if self.weights is not None:
             if self.weights.shape != self.labels.shape:
@@ -71,6 +79,28 @@ class TrainingSet:
     @property
     def num_records(self) -> int:
         return self.labels.shape[0]
+
+
+@dataclass(frozen=True)
+class ExhaustiveSet:
+    """All 3^16 ring configurations at ``low_weight`` each, with the records
+    of ``observed`` (explicit ring state rows) adding their weights on top.
+
+    Configuration r has label ``labels[r]``, the cached read-only
+    ``label_all_configs(n)``; no per-configuration weight array exists.
+    """
+
+    labels: np.ndarray
+    low_weight: int
+    observed: TrainingSet
+
+    @property
+    def offsets(self) -> OffsetTable:
+        return self.observed.offsets
+
+    @property
+    def num_records(self) -> int:
+        return N_CONFIGS
 
 
 def states_from_codes(codes: np.ndarray) -> np.ndarray:
@@ -113,7 +143,10 @@ def extract_training_data(images, n: int, t: int,
     images = list(images)
     if not images:
         raise ValueError("need at least one image")
+    if weight_scale < 0:
+        raise ValueError("weight_scale must be >= 0")
     planes = ternary_planes(images, RING16.offsets, t, RING16.margin)
+    _check_total_weight(planes.shape[1] * weight_scale)
     uniq, counts = np.unique(codes_from_states(planes.T), return_counts=True)
     return TrainingSet(
         states=states_from_codes(uniq),
@@ -123,33 +156,32 @@ def extract_training_data(images, n: int, t: int,
     )
 
 
-def augment_exhaustive(ts: TrainingSet, n: int, low_weight: int = 1) -> TrainingSet:
-    """Add every one of the 3^16 configurations at ``low_weight``, folding in
+def augment_exhaustive(ts: TrainingSet | ExhaustiveSet, n: int,
+                       low_weight: int = 1) -> ExhaustiveSet:
+    """Add every one of the 3^16 configurations at ``low_weight``, keeping
     any existing records by weight. The result always covers the full space,
     so the learned tree embodies the segment test exactly.
 
-    The result is the exhaustive set (``states`` None): record r is ring
-    configuration r with label ``label_all_configs(n)[r]``. Its weights are
-    one int64 per configuration, or None when every weight is 1."""
+    The records of ``ts`` stay explicit rows of the result's ``observed``
+    set; an exhaustive ``ts`` adds its low weight to ``low_weight``."""
     if low_weight < 1:
         raise ValueError("low_weight must be >= 1")
     if len(ts.offsets) != N_RING:
         raise ValueError("exhaustive augmentation applies to the 16-ring space")
     labels = label_all_configs(n)
     labels.setflags(write=False)
-
-    codes = slice(None) if ts.states is None else codes_from_states(ts.states)
-    if not np.array_equal(ts.labels, labels[codes]):
+    if isinstance(ts, ExhaustiveSet):
+        if not np.array_equal(ts.labels, labels):
+            raise InconsistentLabelsError(
+                "the exhaustive set was labelled for another arc length")
+        low_weight, ts = low_weight + ts.low_weight, ts.observed
+    elif not np.array_equal(ts.labels, labels[codes_from_states(ts.states)]):
         raise InconsistentLabelsError(
             "training labels disagree with the segment test; corrupted set")
-    if ts.num_records == 0 and low_weight == 1:
-        weights = None
-    else:
-        weights = np.full(N_CONFIGS, low_weight, dtype=np.int64)
-        np.add.at(weights, codes, 1 if ts.weights is None else ts.weights)
-
-    return TrainingSet(states=None, labels=labels, weights=weights,
-                       offsets=ts.offsets)
+    # a Python sum: an int64 one can wrap
+    observed = ts.num_records if ts.weights is None else sum(ts.weights.tolist())
+    _check_total_weight(low_weight * N_CONFIGS + observed)
+    return ExhaustiveSet(labels=labels, low_weight=low_weight, observed=ts)
 
 
 def _entropy_vec(c: np.ndarray, cbar: np.ndarray) -> np.ndarray:
@@ -172,7 +204,9 @@ def _axis_marginals(t: np.ndarray) -> np.ndarray:
 
     Divide and conquer: summing out one half of the axes leaves a tensor of
     the other half's marginals and vice versa, so the full tensor is read
-    twice whatever its rank.
+    twice whatever its rank. A bool tensor's half sums count at most 3^8
+    entries each for rank 16, so they accumulate in uint16, the cheapest
+    full read.
     """
     k = t.ndim
     if k == 0:
@@ -180,9 +214,10 @@ def _axis_marginals(t: np.ndarray) -> np.ndarray:
     if k == 1:
         return t.astype(np.int64)[None]
     h = k // 2
+    acc = np.uint16 if t.dtype == bool and 3 ** (k - h) < 2**16 else np.int64
     return np.concatenate([
-        _axis_marginals(t.sum(axis=tuple(range(h, k)), dtype=np.int64)),
-        _axis_marginals(t.sum(axis=tuple(range(h)), dtype=np.int64)),
+        _axis_marginals(t.sum(axis=tuple(range(h, k)), dtype=acc)),
+        _axis_marginals(t.sum(axis=tuple(range(h)), dtype=acc)),
     ])
 
 
@@ -194,6 +229,8 @@ class _Rows:
 
     def count_table(self) -> np.ndarray:
         ts, idx = self.ts, self.idx
+        if not idx.size:  # the common case below an exhaustive set's slices
+            return np.zeros((len(ts.offsets), 6))
         combo_base = ts.labels[idx].astype(np.uint8) * np.uint8(3)
         w = None if ts.weights is None else ts.weights[idx]
         table = np.empty((len(ts.offsets), 6))
@@ -211,62 +248,50 @@ class _Slice:
     """Configurations of an exhaustive set whose columns ``fixed[j] >= 0``
     hold the value ``fixed[j]``.
 
-    ``corner`` and ``weight`` view the corner-weight and total-weight tensors
-    with one axis per free column, highest column first; ``weight`` None means
-    unit weights (``corner`` is then the boolean label tensor).
+    ``labels`` views the label tensor with one axis per free column, highest
+    column first. Every configuration weighs ``low``, and ``rows`` holds the
+    observed records inside the slice, whose weights add on top.
     """
 
-    def __init__(self, corner: np.ndarray, weight: np.ndarray | None,
+    def __init__(self, labels: np.ndarray, low: int, rows: _Rows,
                  fixed: tuple[int, ...]):
-        self.corner, self.weight, self.fixed = corner, weight, fixed
+        self.labels, self.low, self.rows, self.fixed = labels, low, rows, fixed
 
     @classmethod
-    def root(cls, labels: np.ndarray, weights: np.ndarray | None,
-             k: int = N_RING) -> _Slice:
-        shape = (3,) * k
-        lab = labels.reshape(shape)
-        if weights is None:
-            return cls(lab, None, (-1,) * k)
-        w = weights.reshape(shape)
-        return cls(np.where(lab, w, 0), w, (-1,) * k)
+    def root(cls, labels: np.ndarray, low: int, observed: TrainingSet) -> _Slice:
+        k = len(observed.offsets)
+        return cls(labels.reshape((3,) * k), low,
+                   _Rows(observed, np.arange(observed.num_records)), (-1,) * k)
 
     def count_table(self) -> np.ndarray:
+        # Sums over a view with fixed axes run short, strided inner loops; a
+        # contiguous copy, alive only while this subtree grows, reads fast.
+        self.labels = np.asarray(self.labels, order="C")
         free = [j for j in reversed(range(len(self.fixed))) if self.fixed[j] < 0]
-        corner = _axis_marginals(self.corner)
-        if self.weight is None:
-            total = np.full_like(corner, self.corner.size // 3)
-        else:
-            total = _axis_marginals(self.weight)
-        if free:
-            c, w = corner[0].sum(), total[0].sum()
-        else:
-            c = int(self.corner)
-            w = 1 if self.weight is None else int(self.weight)
-        table = np.zeros((len(self.fixed), 6))
-        table[free, :3] = total - corner
+        corner = _axis_marginals(self.labels)
+        c = corner[0].sum() if free else int(self.labels)
+        w = self.labels.size
+        table = np.zeros((len(self.fixed), 6), dtype=np.int64)
+        table[free, :3] = w // 3 - corner
         table[free, 3:] = corner
         # A fixed column is constant on the subset: all weight in its one slot,
         # exactly as a row set counts it.
         for j, v in enumerate(self.fixed):
             if v >= 0:
                 table[j, v], table[j, 3 + v] = w - c, c
-        return table
+        return self.low * table + self.rows.count_table()
 
     def split(self, col: int) -> list[_Slice]:
         axis = sum(1 for j in self.fixed[col + 1:] if j < 0)
         lead = (slice(None),) * axis
-        kids = []
-        for v in range(3):
-            fixed = self.fixed[:col] + (v,) + self.fixed[col + 1:]
-            kids.append(_Slice(
-                self.corner[lead + (v,)],
-                None if self.weight is None else self.weight[lead + (v,)], fixed))
-        return kids
+        return [_Slice(self.labels[lead + (v,)], self.low, rows,
+                       self.fixed[:col] + (v,) + self.fixed[col + 1:])
+                for v, rows in enumerate(self.rows.split(col))]
 
 
-def _root_subset(ts: TrainingSet) -> _Rows | _Slice:
-    if ts.states is None:
-        return _Slice.root(ts.labels, ts.weights)
+def _root_subset(ts: TrainingSet | ExhaustiveSet) -> _Rows | _Slice:
+    if isinstance(ts, ExhaustiveSet):
+        return _Slice.root(ts.labels, ts.low_weight, ts.observed)
     return _Rows(ts, np.arange(ts.num_records))
 
 
@@ -323,12 +348,12 @@ def _grow(subset: _Rows | _Slice, base: int) -> TernaryTree:
     return Node(base + col, b=b_child, s=s_child, d=d_child)
 
 
-def build_tree(ts: TrainingSet, merge: bool = True) -> TernaryTree:
+def build_tree(ts: TrainingSet | ExhaustiveSet, merge: bool = True) -> TernaryTree:
     """Grow the ID3 tree; every training record ends at a leaf of its own
     label. With ``merge`` (default) structurally equal subtrees are shared.
 
-    On the exhaustive set (``states`` None) the subsets are slices of the
-    (3,)*16 label and weight tensors; otherwise they are row index arrays.
+    On an exhaustive set the subsets are slices of the (3,)*16 label tensor
+    plus the observed rows inside them; otherwise they are row index arrays.
     The split choices, and so the tree, are the same either way."""
     if ts.num_records == 0:
         raise ValueError("empty training set")
@@ -336,7 +361,8 @@ def build_tree(ts: TrainingSet, merge: bool = True) -> TernaryTree:
     return merge_tree(tree) if merge else tree
 
 
-def force_shared_second_test(tree: TernaryTree, ts: TrainingSet) -> TernaryTree:
+def force_shared_second_test(tree: TernaryTree,
+                             ts: TrainingSet | ExhaustiveSet) -> TernaryTree:
     """Rebuild so all non-leaf children of the root test one shared offset.
 
     The shared offset is the one maximizing the summed information gain over

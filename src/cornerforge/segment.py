@@ -74,14 +74,17 @@ def label_all_configs(n: int) -> np.ndarray:
     """Segment-test labels for the complete 3^16 configuration space; cached.
 
     Code hi * HALF + lo is cell [hi, lo] of a HALF x HALF raster, whose masks
-    are an outer OR of the half-code masks; one state's masks are built at a
-    time.
+    are an outer OR of the half-code masks. A block of 243 hi rows is built
+    at a time, so the uint16 masks and the gathers stay a few MB.
     """
     _check_arc(n)
     hit = _circular_run_table() >= n
-    labels = np.zeros((HALF, HALF), dtype=bool)
-    for half in _half_masks():  # brighter, then darker
-        labels |= hit[half[:, None] << 8 | half]
+    half = _half_masks()
+    labels = np.empty((HALF, HALF), dtype=bool)
+    for r in range(0, HALF, 243):
+        rows = slice(r, r + 243)
+        bright, dark = half[:, rows, None] << 8 | half[:, None]
+        labels[rows] = hit[bright] | hit[dark]
     return labels.ravel()
 
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import (classify_rows, read_keypoints, sixteenfold_field,
                       tree_positions)
 from cornerforge import learn, segment as sg
-from cornerforge.cli import EXIT_OK, EXIT_USAGE, main
+from cornerforge.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cornerforge.image import GrayImage, load_image, save_pgm
 from cornerforge.trees import deserialize_tree
 
@@ -206,15 +206,33 @@ def test_eval_repeat_writes_curves_and_auc(tmp_path):
                                    ["--weight-scale", "-1"],
                                    ["--weight-scale", "0"],
                                    ["--exhaustive", "--low-weight", "-1"],
-                                   ["--exhaustive", "--low-weight", "0"]],
+                                   ["--exhaustive", "--low-weight", "0"],
+                                   # total weights from 2^53 up are not exact
+                                   ["--exhaustive", "--low-weight", "209242401"],
+                                   ["--exhaustive", "--low-weight", str(2**62)],
+                                   ["--exhaustive", "--low-weight", str(2**63)],
+                                   ["--weight-scale", str(2**53)],
+                                   ["--exhaustive", "--weight-scale", str(2**63)]],
                          ids=["t=0", "n=8", "n=17", "weight-scale=-1",
                               "weight-scale=0", "low-weight=-1",
-                              "low-weight=0"])
+                              "low-weight=0", "low-weight=2^53/3^16",
+                              "low-weight=2^62", "low-weight=2^63",
+                              "weight-scale=2^53", "weight-scale=2^63"])
 def test_learn_tree_rejects_out_of_range_parameters(tmp_path, flags):
     # usage errors come before any image is read: the image does not exist
     out = tmp_path / "t.tree"
     assert main(["learn-tree", str(tmp_path / "missing.pgm"), *flags,
                  "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_learn_tree_total_weight_from_images_is_a_data_error(tmp_path):
+    # 26 x 26 interior pixels at a scale of 2^44 weigh more than 2^53
+    img = tmp_path / "train.pgm"
+    img.write_bytes(save_pgm(GrayImage(np.zeros((32, 32), np.uint8))))
+    out = tmp_path / "t.tree"
+    assert main(["learn-tree", str(img), "--weight-scale", str(2**44),
+                 "--out", str(out)]) == EXIT_DATA
     assert not out.exists()
 
 

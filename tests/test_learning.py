@@ -11,7 +11,8 @@ from _oracles import (at, brute_best_split, exhaustive_count_table,
 from conftest import classify_rows, constant_image, edge_image, make_test_square
 from cornerforge import learn, segment as sg
 from cornerforge.image import GrayImage
-from cornerforge.trees import Leaf, Node, RING16, merge_tree, tree_depth
+from cornerforge.trees import (Leaf, Node, OffsetTable, RING16, merge_tree,
+                               tree_depth)
 
 
 def random_training_set(rng, n_records=40, k=16, weighted=True):
@@ -22,6 +23,13 @@ def random_training_set(rng, n_records=40, k=16, weighted=True):
                if weighted else None)
     return learn.TrainingSet(states=np.asfortranarray(states), labels=labels,
                              weights=weights, offsets=RING16)
+
+
+def config_weights(es):
+    """The weight of a configuration code in an exhaustive set."""
+    observed = dict(zip(learn.codes_from_states(es.observed.states).tolist(),
+                        es.observed.weights.tolist()))
+    return lambda code: es.low_weight + observed.get(int(code), 0)
 
 
 def entropy(c: float, cbar: float) -> float:
@@ -158,6 +166,22 @@ class TestExtract:
         with pytest.raises(ValueError):
             learn.extract_training_data([], 9, 20)
 
+    def test_negative_weight_scale_rejected(self):
+        for scale in (-1, -2**63 - 1):
+            with pytest.raises(ValueError, match="weight_scale"):
+                learn.extract_training_data([constant_image(16, 16, 80)], 9, 20,
+                                            weight_scale=scale)
+
+    def test_total_weight_below_2_53(self):
+        # 10 x 10 interior pixels: a scale of 2^53 / 100 or more reaches 2^53
+        img = constant_image(16, 16, 80)
+        scale = (2**53 - 1) // 100
+        ts = learn.extract_training_data([img], 9, 20, weight_scale=scale)
+        assert ts.weights.tolist() == [100 * scale]
+        for big in (scale + 1, 2**63):
+            with pytest.raises(ValueError, match="2\\^53"):
+                learn.extract_training_data([img], 9, 20, weight_scale=big)
+
     @pytest.mark.parametrize("t", [1, 35, 255])
     def test_states_and_weights_match_pixel_oracle(self, t):
         # the 6-pixel-high image has no interior pixel and adds no record
@@ -181,7 +205,7 @@ class TestAugment:
     def test_empty_gives_full_space(self):
         ts = learn.augment_exhaustive(learn.empty_training_set(), 9)
         assert ts.num_records == 43_046_721
-        assert ts.weights is None  # unit weights
+        assert ts.low_weight == 1 and ts.observed.num_records == 0  # unit weights
         assert int(ts.labels.sum()) == 46_658
 
     def test_labels_match_oracle_sample(self):
@@ -196,17 +220,42 @@ class TestAugment:
         obs = learn.extract_training_data([img], 9, 30)
         ts = learn.augment_exhaustive(obs, 9, low_weight=1)
         codes = learn.codes_from_states(obs.states)
+        weight = config_weights(ts)
         for code, w in zip(codes, obs.weights):
-            assert ts.weights[code] == w + 1
-        untouched = (ts.weights == 1).sum()
-        assert untouched == sg.N_CONFIGS - len(codes)
+            assert weight(code) == w + 1
+        # every other configuration weighs 1: the observed records are the
+        # only ones above the low weight, one per distinct code
+        assert ts.low_weight == 1
+        assert np.array_equal(learn.codes_from_states(ts.observed.states), codes)
+        assert len(set(codes.tolist())) == len(codes)
+        rng = np.random.default_rng(15)
+        for code in np.setdiff1d(rng.integers(0, sg.N_CONFIGS, 200), codes):
+            assert weight(code) == 1
+        # ID3 reads the folded weights: per column, all weight and corner weight
+        table = learn._root_subset(ts).count_table()
+        corner = int(obs.weights[obs.labels].sum())
+        assert (table.sum(axis=1) == sg.N_CONFIGS + int(obs.weights.sum())).all()
+        assert (table[:, 3:].sum(axis=1) == 46_658 + corner).all()
 
     def test_idempotent_labels_weights_grow(self):
         once = learn.augment_exhaustive(learn.empty_training_set(), 9, low_weight=1)
         twice = learn.augment_exhaustive(once, 9, low_weight=1)
         assert twice.num_records == once.num_records
         assert twice.labels is once.labels or np.array_equal(twice.labels, once.labels)
-        assert (twice.weights == 2).all()
+        # every configuration now weighs 2
+        assert twice.low_weight == 2 and twice.observed.num_records == 0
+        assert np.array_equal(learn._root_subset(twice).count_table(),
+                              2 * learn._root_subset(once).count_table())
+
+    def test_observed_records_fold_in_once(self):
+        img = make_test_square(24, 8, 220, 30)
+        obs = learn.extract_training_data([img], 9, 30)
+        once = learn.augment_exhaustive(obs, 9, low_weight=1)
+        twice = learn.augment_exhaustive(once, 9, low_weight=3)
+        weight = config_weights(twice)
+        codes = learn.codes_from_states(obs.states)
+        assert [weight(c) for c in codes] == (obs.weights + 4).tolist()
+        assert weight(np.setdiff1d(np.arange(len(codes) + 1), codes)[0]) == 4
 
     def test_conflict_detected(self):
         img = make_test_square(24, 8, 220, 30)
@@ -220,6 +269,23 @@ class TestAugment:
         with pytest.raises(ValueError):
             learn.augment_exhaustive(learn.empty_training_set(), 9, low_weight=0)
 
+    def test_total_weight_below_2_53(self):
+        top = (2**53 - 1) // sg.N_CONFIGS  # the largest low weight that fits
+        empty = learn.empty_training_set()
+        assert learn.augment_exhaustive(empty, 9, low_weight=top).low_weight == top
+        for big in (top + 1, 2**62, 2**63):
+            with pytest.raises(ValueError, match="2\\^53"):
+                learn.augment_exhaustive(empty, 9, low_weight=big)
+        # the observed weights count towards the total
+        fill = 2**53 - top * sg.N_CONFIGS
+        obs = learn.TrainingSet(states=np.repeat(np.uint8([[1], [0]]), 16, axis=1),
+                                labels=np.array([False, True]),
+                                weights=np.array([fill - 1, 0]), offsets=RING16)
+        learn.augment_exhaustive(obs, 9, low_weight=top)
+        obs.weights[1] = 1
+        with pytest.raises(ValueError, match="2\\^53"):
+            learn.augment_exhaustive(obs, 9, low_weight=top)
+
 
 def segment_test_sample(rng):
     """Every FAST-9 corner code plus 10^5 random codes."""
@@ -229,23 +295,35 @@ def segment_test_sample(rng):
 
 
 class TestExhaustiveSet:
-    @given(data=st.data(), k=st.integers(1, 6),
-           scale=st.sampled_from([None, 1, 2**33]))
-    def test_count_table_matches_oracle(self, data, k, scale):
-        # scale None: unit weights; 2**33: sums that only int64 holds
-        shape = (3**k,)
-        labels = data.draw(arrays(np.bool_, shape))
-        unit = scale is None
-        weights = (None if unit else scale * data.draw(
-            arrays(np.int64, shape, elements=st.integers(0, 1000))))
+    @given(data=st.data(), k=st.integers(1, 6), low=st.integers(1, 2**33))
+    def test_count_table_matches_oracle(self, data, k, low):
+        # a k-column space: every code at weight ``low``, observed codes with
+        # weights up to 2^33 * 1000 on top (sums that only int64 holds)
+        labels = data.draw(arrays(np.bool_, (3**k,)))
+        codes = np.array(sorted(data.draw(st.sets(st.integers(0, 3**k - 1)))),
+                         dtype=np.int64)
+        weights = data.draw(arrays(np.int64, codes.shape,
+                                   elements=st.integers(0, 2**33 * 1000)))
+        observed = learn.TrainingSet(
+            states=learn.states_from_codes(codes)[:, :k], labels=labels[codes],
+            weights=weights, offsets=OffsetTable("test", RING16.offsets[:k], 1))
         fixed = data.draw(st.dictionaries(st.integers(0, k - 1),
                                           st.integers(0, 2)))
-        sub = learn._Slice.root(labels, weights, k)
+        sub = learn._Slice.root(labels, low, observed)
         for col, v in fixed.items():
             sub = sub.split(col)[v]
-        want = exhaustive_count_table(
-            labels, np.ones(shape, np.int64) if unit else weights, k, fixed)
-        assert sub.count_table().tolist() == want
+        dense = [low] * 3**k
+        for code, w in zip(codes.tolist(), weights.tolist()):
+            dense[code] += w
+        assert sub.count_table().tolist() == exhaustive_count_table(
+            labels, dense, k, fixed)
+
+    def test_largest_low_weight_gives_the_same_tree(self, fast9_tree):
+        # with no observed records the low weight scales every count alike
+        top = (2**53 - 1) // sg.N_CONFIGS
+        ts = learn.augment_exhaustive(learn.empty_training_set(), 9,
+                                      low_weight=top)
+        assert learn.build_tree(ts) == fast9_tree
 
     def test_tree_equals_segment_test(self, fast9_tree):
         codes = segment_test_sample(np.random.default_rng(12))
