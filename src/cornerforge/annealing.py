@@ -162,14 +162,13 @@ class CostEvaluator:
     of every candidate tree walks the same planes. A frame's pixels are its
     interior raster: the pixels at least the table's margin m from every
     edge, one plane column each, so raster cell [r, c] is pixel (c + m, r + m).
-    Per ordered pair it keeps the raster indices of frame i whose projection
-    lands inside frame j, and their projected coordinates. An evaluation
-    matches the detected ones among them against frame j's detections with
-    the repeatability kernel.
+    Per ordered pair of ``make_pairs`` it keeps the raster indices of frame i
+    whose projection lands inside frame j, and their projected coordinates.
+    An evaluation matches the detected ones among them against frame j's
+    detections with the repeatability kernel.
     """
 
-    def __init__(self, frames, warps, weights: CostWeights,
-                 table: OffsetTable, pairs):
+    def __init__(self, frames, warps, weights: CostWeights, table: OffsetTable):
         self.frames = list(frames)
         if not self.frames:
             raise ValueError("empty training set")
@@ -181,7 +180,7 @@ class CostEvaluator:
                        for f in self.frames]
         self.planes = ternary_planes(self.frames, self.offsets, weights.t, m)
         self.projections = {}
-        for i, j in pairs:
+        for i, j in make_pairs(len(self.frames)):
             if (i, j) not in warps:
                 raise KeyError(f"no warp for training pair ({i}, {j})")
             ys, xs = np.indices(self.shapes[i]).reshape(2, -1) + m
@@ -236,8 +235,7 @@ def anneal(frames, warps, weights: CostWeights, seed: int) -> AnnealResult:
     exponential temperature schedule. Deterministic for a fixed seed.
     """
     table = default_offsets_48()
-    frames = list(frames)
-    ev = CostEvaluator(frames, warps, weights, table, make_pairs(len(frames)))
+    ev = CostEvaluator(frames, warps, weights, table)
     rng = np.random.default_rng(seed)
 
     tree = best_tree = random_depth1_tree(rng, table)
@@ -288,17 +286,18 @@ def multi_run(frames, warps, weights: CostWeights, seeds,
     return best, results
 
 
-def distill(tree: TernaryTree, images, t: int = 35,
-            table: OffsetTable | None = None) -> TernaryTree:
-    """Learn one unsymmetrized tree reproducing the sixteen-fold detector.
+def distill(tree: TernaryTree, images, t: int,
+            table: OffsetTable) -> TernaryTree:
+    """Learn one unsymmetrized tree reproducing the sixteen-fold detector of
+    ``tree`` over ``table`` at threshold t.
 
     Every interior pixel of the given images is labelled by the symmetrized
     detector and described by its 48 ternary offset states; the ID3 learner
     then builds a single tree with perfect training accuracy. Requires the
-    offset table to be closed under the dihedral symmetries (the default is),
-    otherwise labels need not be a function of the states.
+    offset table to be closed under the dihedral symmetries (as
+    ``default_offsets_48`` is), otherwise labels need not be a function of
+    the states.
     """
-    table = table or default_offsets_48()
     offsets = sixteen_fold_offsets(table)
     planes = ternary_planes(list(images), offsets, t, table.margin)
     labels = PlaneWalk(sixteen_fold(CompiledTree(tree, table)),

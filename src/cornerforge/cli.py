@@ -2,8 +2,9 @@
 benchmarking, and synthetic dataset generation.
 
 Every text output starts with a provenance header (tool version, full
-command configuration, seed) in the format's native comment syntax. Exit
-codes: 0 success, 1 usage, 2 I/O, 3 data validation.
+command configuration, seed) in the format's native comment syntax, or in
+an SVG's ``<desc>``. Exit codes: 0 success, 1 usage, 2 I/O, 3 data
+validation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import math
 import re
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .annealing import CostWeights, distill, multi_run
 from .datasets import make_dataset, synthetic_base_image
 from .detectors import (FastRefDetector, HarrisDetector, RandomDetector,
                         ShiTomasiDetector, SixteenFoldDetector, TreeDetector)
-from .image import (GrayImage, PgmError, load_image, save_pgm)
+from .image import PgmError, load_image, save_pgm
 from .learn import (MAX_TOTAL_WEIGHT, InconsistentLabelsError,
                     augment_exhaustive, build_tree, empty_training_set,
                     extract_training_data, force_shared_second_test)
@@ -61,6 +64,21 @@ def _provenance(command: str, args: argparse.Namespace) -> list[str]:
             f"config: {json.dumps(cfg, default=str, sort_keys=True)}"]
 
 
+@contextmanager
+def _output(path, header):
+    """The text file ``path`` ("-" is stdout) opened for writing, after its
+    '#'-prefixed provenance ``header`` lines; every text output but the SVG
+    starts here."""
+    out = sys.stdout if path == "-" else open(path, "w")
+    try:
+        for line in header:
+            out.write(f"# {line}\n")
+        yield out
+    finally:
+        if out is not sys.stdout:
+            out.close()
+
+
 def _expand_images(paths) -> list[str]:
     out = []
     for p in paths:
@@ -82,7 +100,7 @@ def _load_tree(path):
 def _build_detector(args, spec: str | None = None):
     """Detector from CLI flags, or from a spec string like "fast-ref:n=9"."""
     params = {}
-    if spec:
+    if spec is not None:
         name, _, rest = spec.partition(":")
         if rest:
             for item in rest.split(","):
@@ -93,7 +111,7 @@ def _build_detector(args, spec: str | None = None):
     else:
         name = args.algo
 
-    def p(key, default, cast, valid=lambda v: True):
+    def p(key, default, cast, valid):
         if key in params:
             val = cast(params[key])
         else:
@@ -125,31 +143,21 @@ def _build_detector(args, spec: str | None = None):
     if name == "shi-tomasi":
         return ShiTomasiDetector(sigma=p("sigma", 2.5, float, lambda v: v > 0))
     if name == "random":
-        return RandomDetector(seed=p("seed", 0, int))
+        return RandomDetector(seed=p("seed", 0, int, lambda v: v >= 0))
     raise UsageError(f"unknown algo {name!r}; choose from {', '.join(ALGOS)}")
-
-
-def _open_out(path):
-    return sys.stdout if path in (None, "-") else open(path, "w")
 
 
 def cmd_detect(args) -> int:
     if args.n_features is not None and args.n_features < 0:
         raise UsageError("--n-features must be >= 0")
-    img = load_image(args.image)
     detector = _build_detector(args)
-    if args.n_features is not None:
-        kps = detector.detect(img, args.n_features)
-    elif isinstance(detector, RandomDetector):
+    if args.n_features is None and isinstance(detector, RandomDetector):
         raise UsageError("random detector needs --n-features")
-    else:
-        kps = detector.all_keypoints(img)
-    out = _open_out(args.out)
-    try:
-        write_keypoints(out, kps, header_lines=_provenance("detect", args))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    img = load_image(args.image)
+    kps = (detector.all_keypoints(img) if args.n_features is None
+           else detector.detect(img, args.n_features))
+    with _output(args.out, _provenance("detect", args)) as out:
+        write_keypoints(out, kps)
     return EXIT_OK
 
 
@@ -256,17 +264,13 @@ def cmd_eval_repeat(args) -> int:
         curve = repeatability_curve(frames, warps, detector, counts,
                                     args.epsilon, pairs)
         label = spec.replace(":", "_").replace("/", "_").replace(",", "_")
-        with open(f"{prefix}{label}.csv", "w") as f:
-            for line in header:
-                f.write(f"# {line}\n")
+        with _output(f"{prefix}{label}.csv", header) as f:
             f.write("count,repeatability\n")
             for count, r in curve:
                 f.write(f"{count},{r:.6f}\n")
         auc_rows.append((detector.name, spec, area_under_curve(curve)))
         curves.append((detector.name, curve))
-    with open(f"{prefix}auc.csv", "w") as f:
-        for line in header:
-            f.write(f"# {line}\n")
+    with _output(f"{prefix}auc.csv", header) as f:
         f.write("detector,A\n")
         for name, spec, auc in auc_rows:
             f.write(f"{name},{auc:.2f}\n")
@@ -279,18 +283,14 @@ def cmd_bench(args) -> int:
     if args.repeats < 1 or args.warmup < 0 or args.n_features < 0:
         raise UsageError("bench needs --repeats >= 1, --warmup >= 0 and "
                          "--n-features >= 0")
-    paths = _expand_images(args.images)
-    images = [load_image(p) for p in paths]
-    out = _open_out(args.out)
-    try:
-        for line in _provenance("bench", args):
-            out.write(f"# {line}\n")
+    detectors = [_build_detector(args, spec) for spec in args.algos.split(",")]
+    images = [load_image(p) for p in _expand_images(args.images)]
+    with _output(args.out, _provenance("bench", args)) as out:
         out.write("algo,mpix_per_s,median_seconds,total_pixels\n")
         if not images:
             return EXIT_OK
         total_px = sum(im.width * im.height for im in images)
-        for spec in args.algos.split(","):
-            detector = _build_detector(args, spec)
+        for detector in detectors:
             times = []
             for rep in range(args.warmup + args.repeats):
                 detector.clear_cache()
@@ -303,9 +303,6 @@ def cmd_bench(args) -> int:
             med = float(np.median(times))
             out.write(f"{detector.name},{total_px / med / 1e6:.3f},{med:.6f},"
                       f"{total_px}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -323,8 +320,8 @@ def cmd_make_dataset(args) -> int:
             raise UsageError(f"--synthetic {args.synthetic!r} is not WxH")
         base = _usage_checked(synthetic_base_image, int(size[1]), int(size[2]),
                               args.seed)
-    frames, warps, _ = make_dataset(base, args.frames, args.warp_mag,
-                                    args.noise, args.seed)
+    frames, warps = make_dataset(base, args.frames, args.warp_mag,
+                                 args.noise, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     header = _provenance("make-dataset", args)
@@ -332,11 +329,9 @@ def cmd_make_dataset(args) -> int:
         (outdir / f"frame_{k:03d}.pgm").write_bytes(
             save_pgm(frame, comment=header[0] + " " + header[2]))
     for (i, j), warp in sorted(warps.items()):
-        with open(outdir / f"H_{i}_to_{j}.txt", "w") as f:
-            save_homography(f, warp.matrix, header_lines=header)
-    with open(outdir / "dataset.txt", "w") as f:
-        for line in header:
-            f.write(f"# {line}\n")
+        with _output(outdir / f"H_{i}_to_{j}.txt", header) as f:
+            save_homography(f, warp.matrix)
+    with _output(outdir / "dataset.txt", header) as f:
         f.write(f"frames {len(frames)}\n")
         f.write("pair_policy adjacent2\n")
         for k in range(len(frames)):
@@ -361,15 +356,11 @@ def cmd_anneal(args) -> int:
     Path(f"{prefix}best.tree").write_bytes(
         serialize_tree(best.best_tree, default_offsets_48()))
     for res in results:
-        with open(f"{prefix}run{res.seed}.csv", "w") as f:
-            for line in header:
-                f.write(f"# {line}\n")
+        with _output(f"{prefix}run{res.seed}.csv", header) as f:
             f.write("iteration,cost,best_cost,temperature\n")
             for row in res.trace:
                 f.write(f"{int(row[0])},{row[1]:.6g},{row[2]:.6g},{row[3]:.6g}\n")
-    with open(f"{prefix}summary.csv", "w") as f:
-        for line in header:
-            f.write(f"# {line}\n")
+    with _output(f"{prefix}summary.csv", header) as f:
         f.write("seed,best_cost,initial_cost\n")
         for res in results:
             f.write(f"{res.seed},{res.best_cost:.6g},{res.trace[0, 1]:.6g}\n")
@@ -388,15 +379,16 @@ def cmd_distill(args) -> int:
     return EXIT_OK
 
 
-def write_svg_curves(path, curves, header_lines=()) -> None:
-    """Self-contained SVG line plot of repeatability-vs-count curves."""
+def write_svg_curves(path, curves, header_lines) -> None:
+    """Self-contained SVG line plot of repeatability-vs-count curves. The
+    provenance ``header_lines`` go, escaped, into its ``<desc>``: an XML
+    comment may not hold "--", which a path can."""
     width, height, pad = 640, 400, 45
     xmax = max((c for name, curve in curves for c, _ in curve), default=1) or 1
     palette = ("#c33", "#36c", "#393", "#a3a", "#973", "#333")
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-             f'height="{height}" viewBox="0 0 {width} {height}">']
-    for line in header_lines:
-        parts.append(f"<!-- {line} -->")
+             f'height="{height}" viewBox="0 0 {width} {height}">',
+             "<desc>" + escape("\n".join(header_lines)) + "</desc>"]
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     parts.append(f'<line x1="{pad}" y1="{height - pad}" x2="{width - 10}" '
                  f'y2="{height - pad}" stroke="black"/>')

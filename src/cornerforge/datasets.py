@@ -80,10 +80,10 @@ def random_homography_matrix(rng: np.random.Generator, width: int, height: int,
     return back @ persp @ rot @ to_centre
 
 
-def warp_image(img: GrayImage, matrix: np.ndarray,
-               target_size: tuple[int, int] | None = None) -> GrayImage:
-    """Resample under a homography (inverse mapping, bilinear, edge clamp)."""
-    w, h = target_size or (img.width, img.height)
+def warp_image(img: GrayImage, matrix: np.ndarray) -> GrayImage:
+    """Resample under a homography (inverse mapping, bilinear, edge clamp),
+    at the image's own size."""
+    w, h = img.width, img.height
     inv = np.linalg.inv(np.asarray(matrix, dtype=np.float64))
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     denom = inv[2, 0] * xx + inv[2, 1] * yy + inv[2, 2]
@@ -108,9 +108,8 @@ def make_dataset(base: GrayImage, n_frames: int, warp_magnitude: float,
                  noise_sigma: float, seed: int):
     """Warped + noised views of a base image with exact pairwise warps.
 
-    Returns (frames, warps, base_matrices): ``warps`` maps every ordered
-    frame pair (i, j) to a Homography; ``base_matrices[k]`` maps frame 0
-    coordinates onto frame k (identity for k=0).
+    Returns (frames, warps): frame 0 is the base, and ``warps`` maps every
+    ordered frame pair (i, j) to a Homography.
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
@@ -135,4 +134,4 @@ def make_dataset(base: GrayImage, n_frames: int, warp_magnitude: float,
         for j in range(n_frames):
             if i != j:
                 warps[(i, j)] = Homography(mats[j] @ inv_i, target_size=size)
-    return frames, warps, mats
+    return frames, warps

@@ -82,10 +82,9 @@ class TreeDetector(FeatureDetector):
     name = "fast-tree"
     default_table = RING16
 
-    def __init__(self, tree: TernaryTree, table: OffsetTable | None = None,
-                 t_min: int = 1):
+    def __init__(self, tree: TernaryTree, table: OffsetTable, t_min: int = 1):
         super().__init__()
-        self.table = table or self.default_table
+        self.table = table
         self.trees = self.variants(CompiledTree(tree, self.table))
         self.walk = PlaneWalk(self.trees, sorted(
             {xy for ct in self.trees for xy in zip(ct.dx.tolist(), ct.dy.tolist())}))

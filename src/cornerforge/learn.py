@@ -6,18 +6,18 @@ corner labels. Splitting maximizes total information gain measured in
 weighted-count units; recursion stops exactly at zero-entropy subsets, so a
 label-consistent training set is always classified perfectly.
 
-The exhaustive ring set made by ``augment_exhaustive`` holds all 3^16
-configurations implicitly: configuration r has the cached label
-``label_all_configs(n)[r]`` and one low weight shared by all, and the
-observed records on top of them stay explicit state rows. The label table,
-viewed as a tensor of shape (3,)*16, has tensor axis a for ring column
-15 - a. A tree node's subset fixes the columns tested above it, so it is a
-strided slice of that tensor plus the observed rows inside it; its class
-counts per column value are the low weight times the slice's label axis
-marginals plus the rows' counts, and its children are slices and row
-subsets. Sets of explicit state rows alone (observed configurations,
-48-offset sets) split by index arrays. Both kinds share one recursion and
-one split rule, so equal data gives equal trees.
+The exhaustive ring set that ``augment_exhaustive`` makes from a set of
+observed ring records holds all 3^16 configurations implicitly:
+configuration r has the cached label ``label_all_configs(n)[r]`` and one
+low weight shared by all, and the observed records on top of them stay
+explicit state rows. The label table, viewed as a tensor of shape (3,)*16,
+has tensor axis a for ring column 15 - a. A tree node's subset fixes the
+columns tested above it, so it is a strided slice of that tensor plus the
+observed rows inside it; its class counts per column value are the low
+weight times the slice's label axis marginals plus the rows' counts, and
+its children are slices and row subsets. Sets of explicit state rows alone
+(observed configurations, 48-offset sets) split by index arrays. Both kinds
+share one recursion and one split rule, so equal data gives equal trees.
 
 Every count is an integer held in a float64 table, exact only below 2^53,
 so a set whose total weight reaches 2^53 is refused.
@@ -54,12 +54,12 @@ class TrainingSet:
     """Distinct state vectors with labels and multiplicity weights.
 
     ``states`` is (N, k) uint8 with column j holding the ternary state of
-    offset ``offsets.index_base + j``; ``weights`` of None means unit weights.
+    offset ``offsets.index_base + j``; ``weights`` are N integers >= 0.
     """
 
     states: np.ndarray
     labels: np.ndarray
-    weights: np.ndarray | None
+    weights: np.ndarray
     offsets: OffsetTable
 
     def __post_init__(self):
@@ -70,11 +70,10 @@ class TrainingSet:
                              f"{len(self.offsets)} offsets")
         if self.labels.shape != (self.states.shape[0],):
             raise ValueError("labels shape mismatch")
-        if self.weights is not None:
-            if self.weights.shape != self.labels.shape:
-                raise ValueError("weights shape mismatch")
-            if (self.weights < 0).any():
-                raise ValueError("weights must be >= 0")
+        if self.weights.shape != self.labels.shape:
+            raise ValueError("weights shape mismatch")
+        if (self.weights < 0).any():
+            raise ValueError("weights must be >= 0")
 
     @property
     def num_records(self) -> int:
@@ -122,12 +121,12 @@ def codes_from_states(states: np.ndarray) -> np.ndarray:
     return codes
 
 
-def empty_training_set(offsets: OffsetTable = RING16) -> TrainingSet:
+def empty_training_set() -> TrainingSet:
     return TrainingSet(
-        states=np.zeros((0, len(offsets)), dtype=np.uint8),
+        states=np.zeros((0, N_RING), dtype=np.uint8),
         labels=np.zeros(0, dtype=bool),
         weights=np.zeros(0, dtype=np.int64),
-        offsets=offsets,
+        offsets=RING16,
     )
 
 
@@ -156,31 +155,25 @@ def extract_training_data(images, n: int, t: int,
     )
 
 
-def augment_exhaustive(ts: TrainingSet | ExhaustiveSet, n: int,
+def augment_exhaustive(ts: TrainingSet, n: int,
                        low_weight: int = 1) -> ExhaustiveSet:
     """Add every one of the 3^16 configurations at ``low_weight``, keeping
-    any existing records by weight. The result always covers the full space,
-    so the learned tree embodies the segment test exactly.
+    the records of the ring set ``ts`` by weight. The result always covers
+    the full space, so the learned tree embodies the segment test exactly.
 
     The records of ``ts`` stay explicit rows of the result's ``observed``
-    set; an exhaustive ``ts`` adds its low weight to ``low_weight``."""
+    set."""
     if low_weight < 1:
         raise ValueError("low_weight must be >= 1")
     if len(ts.offsets) != N_RING:
         raise ValueError("exhaustive augmentation applies to the 16-ring space")
     labels = label_all_configs(n)
     labels.setflags(write=False)
-    if isinstance(ts, ExhaustiveSet):
-        if not np.array_equal(ts.labels, labels):
-            raise InconsistentLabelsError(
-                "the exhaustive set was labelled for another arc length")
-        low_weight, ts = low_weight + ts.low_weight, ts.observed
-    elif not np.array_equal(ts.labels, labels[codes_from_states(ts.states)]):
+    if not np.array_equal(ts.labels, labels[codes_from_states(ts.states)]):
         raise InconsistentLabelsError(
             "training labels disagree with the segment test; corrupted set")
     # a Python sum: an int64 one can wrap
-    observed = ts.num_records if ts.weights is None else sum(ts.weights.tolist())
-    _check_total_weight(low_weight * N_CONFIGS + observed)
+    _check_total_weight(low_weight * N_CONFIGS + sum(ts.weights.tolist()))
     return ExhaustiveSet(labels=labels, low_weight=low_weight, observed=ts)
 
 
@@ -232,7 +225,7 @@ class _Rows:
         if not idx.size:  # the common case below an exhaustive set's slices
             return np.zeros((len(ts.offsets), 6))
         combo_base = ts.labels[idx].astype(np.uint8) * np.uint8(3)
-        w = None if ts.weights is None else ts.weights[idx]
+        w = ts.weights[idx]
         table = np.empty((len(ts.offsets), 6))
         for col in range(len(ts.offsets)):
             table[col] = np.bincount(combo_base + ts.states[idx, col], weights=w,
@@ -348,17 +341,16 @@ def _grow(subset: _Rows | _Slice, base: int) -> TernaryTree:
     return Node(base + col, b=b_child, s=s_child, d=d_child)
 
 
-def build_tree(ts: TrainingSet | ExhaustiveSet, merge: bool = True) -> TernaryTree:
+def build_tree(ts: TrainingSet | ExhaustiveSet) -> TernaryTree:
     """Grow the ID3 tree; every training record ends at a leaf of its own
-    label. With ``merge`` (default) structurally equal subtrees are shared.
+    label. Structurally equal subtrees are shared (``merge_tree``).
 
     On an exhaustive set the subsets are slices of the (3,)*16 label tensor
     plus the observed rows inside them; otherwise they are row index arrays.
     The split choices, and so the tree, are the same either way."""
     if ts.num_records == 0:
         raise ValueError("empty training set")
-    tree = _grow(_root_subset(ts), ts.offsets.index_base)
-    return merge_tree(tree) if merge else tree
+    return merge_tree(_grow(_root_subset(ts), ts.offsets.index_base))
 
 
 def force_shared_second_test(tree: TernaryTree,

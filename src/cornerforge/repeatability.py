@@ -27,7 +27,6 @@ import numpy as np
 from .warp import Homography, project_points
 
 CURVE_MAX_COUNT = 2000  # aggregate score integrates R over 0..2000 features
-DEFAULT_COUNT_STEP = 25
 
 
 class MissingWarpError(KeyError):
@@ -226,24 +225,21 @@ def _count_pools(frames, detector, counts):
         yield list(indices), pools, list(zip(*cuts))
 
 
-def repeatability_curve(frames, warps, detector, counts=None,
-                        epsilon: float = 5.0, pairs=None) -> list[tuple[int, float]]:
-    """Pooled repeated/useful ratio over the evaluated ordered pairs, at each
-    requested feature count.
+def repeatability_curve(frames, warps, detector, counts, epsilon: float,
+                        pairs) -> list[tuple[int, float]]:
+    """Pooled repeated/useful ratio over the ordered frame pairs ``pairs``
+    (see ``make_pairs``), at each of the strictly ascending feature
+    ``counts``, matching within ``epsilon``.
 
     ``warps`` maps ordered pairs (i, j) to homographies; every evaluated pair
     must be present. A count without useful features, such as count 0,
     reads 0.0.
     """
-    if counts is None:
-        counts = list(range(0, CURVE_MAX_COUNT + 1, DEFAULT_COUNT_STEP))
     counts = list(counts)
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("counts must be strictly ascending")
     check_epsilon(epsilon)
     frames = list(frames)
-    if pairs is None:
-        pairs = make_pairs(len(frames))
     for pair in pairs:
         if pair not in warps:
             raise MissingWarpError(f"no warp for frame pair {pair}")

@@ -323,9 +323,7 @@ def format_score(score: float) -> str:
     return str(int(score)) if float(score).is_integer() else repr(float(score))
 
 
-def write_keypoints(f, rows: np.ndarray, header_lines=()) -> None:
-    """Write "x y score" lines in raster order; header lines are '#'-prefixed."""
-    for line in header_lines:
-        f.write(f"# {line}\n")
+def write_keypoints(f, rows: np.ndarray) -> None:
+    """Write "x y score" lines in raster order."""
     for x, y, score in rows[np.lexsort((rows[:, 0], rows[:, 1]))].tolist():
         f.write(f"{int(x)} {int(y)} {format_score(score)}\n")

@@ -205,9 +205,8 @@ def serialize_tree(tree: TernaryTree, table: OffsetTable) -> bytes:
 
 
 def deserialize_tree(data: bytes) -> tuple[TernaryTree, OffsetTable]:
-    """Parse a tree file; returns the tree and its offset table."""
-    text = data.decode() if isinstance(data, (bytes, bytearray)) else str(data)
-    lines = text.splitlines()
+    """Parse a tree file's bytes; returns the tree and its offset table."""
+    lines = data.decode().splitlines()
     if not lines:
         raise TreeFormatError("line 1: empty input")
     header = lines[0].split()

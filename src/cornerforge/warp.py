@@ -6,7 +6,6 @@ when they land outside it.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,18 +51,14 @@ def project_points(warp: Homography, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     return coords, valid
 
 
-def save_homography(f, matrix: np.ndarray, header_lines=()) -> None:
+def save_homography(f, matrix: np.ndarray) -> None:
     """9 ASCII reals, row-major (Oxford convention); '#' comments allowed."""
-    for line in header_lines:
-        f.write(f"# {line}\n")
     m = np.asarray(matrix, dtype=np.float64).reshape(3, 3)
     for row in m:
         f.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_homography(f, target_size: tuple[int, int]) -> Homography:
-    if isinstance(f, (str, bytes)):
-        f = io.StringIO(f if isinstance(f, str) else f.decode())
     vals: list[float] = []
     for line in f:
         line = line.strip()

@@ -71,7 +71,8 @@ def read_keypoints(f) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 3)
 
 
-def sixteenfold_field(tree, img: GrayImage, t: int, table=None) -> np.ndarray:
+def sixteenfold_field(tree, img: GrayImage, t: int,
+                      table=default_offsets_48()) -> np.ndarray:
     """Boolean corner field of the sixteen-fold detector at threshold t,
     False on the border."""
     det = SixteenFoldDetector(tree, table)

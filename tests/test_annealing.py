@@ -16,8 +16,8 @@ from cornerforge.warp import Homography, project_points
 @pytest.fixture(scope="module")
 def dataset():
     """48x40, 3 frames, like `make-dataset --synthetic 48x40 --frames 3`."""
-    frames, warps, _ = make_dataset(synthetic_base_image(48, 40, 1), 3,
-                                    1.0, 2.0, 1)
+    frames, warps = make_dataset(synthetic_base_image(48, 40, 1), 3,
+                                 1.0, 2.0, 1)
     return frames, warps
 
 
@@ -80,7 +80,7 @@ def check_evaluator(frames, warps, weights, table, tree) -> tuple[int, int]:
     ``evaluate`` against ``oracle_repeatability``, on every ``make_pairs``
     pair; returns the oracle's useful and repeated totals."""
     pairs = make_pairs(len(frames))
-    ev = an.CostEvaluator(frames, warps, weights, table, pairs)
+    ev = an.CostEvaluator(frames, warps, weights, table)
     m = table.margin
     fields = padded(frames, ev.detect_fields(tree), m)
     for frame, field in zip(frames, fields):
@@ -111,8 +111,7 @@ class TestCostEvaluator:
         frames, warps = dataset
         weights = an.CostWeights(epsilon=eps)
         pairs = make_pairs(len(frames))
-        ev = an.CostEvaluator(frames, warps, weights, default_offsets_48(),
-                              pairs)
+        ev = an.CostEvaluator(frames, warps, weights, default_offsets_48())
         fields = padded(frames, ev.detect_fields(tree))
         useful, repeated = oracle_repeatability(frames, warps, fields, pairs, eps)
         cost, r, d_counts = ev.evaluate(tree)
@@ -168,7 +167,7 @@ class TestCostEvaluator:
         frames, warps = dataset
         pairs = make_pairs(len(frames))
         ev = an.CostEvaluator(frames, warps, an.CostWeights(),
-                              default_offsets_48(), pairs)
+                              default_offsets_48())
         fields = padded(frames, ev.detect_fields(TREES[0]))
         useful, repeated = oracle_repeatability(frames, warps, fields, pairs, 5.0)
         assert 0 < repeated < useful
@@ -192,8 +191,7 @@ class TestAnneal:
         assert trace[:, 0].tolist() == list(range(weights.i_max + 1))
         assert np.array_equal(trace[:, 2], np.minimum.accumulate(trace[:, 1]))
         assert res.best_cost == trace[-1, 2]
-        ev = an.CostEvaluator(frames, warps, weights, default_offsets_48(),
-                              make_pairs(len(frames)))
+        ev = an.CostEvaluator(frames, warps, weights, default_offsets_48())
         assert ev.evaluate(res.best_tree)[0] == res.best_cost
 
     def test_multi_run_same_for_any_jobs(self, dataset):

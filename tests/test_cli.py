@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -38,18 +40,22 @@ def test_detect_writes_parseable_keypoints(small_dataset, tmp_path):
                                    ["--n", "17"],
                                    ["--algo", "harris", "--sigma", "0"],
                                    ["--algo", "shi-tomasi", "--sigma", "-1"],
-                                   ["--n-features", "-1"]],
+                                   ["--n-features", "-1"],
+                                   ["--algo", "random", "--n-features", "5",
+                                    "--seed", "-1"]],
                          ids=["t=0", "t=-3", "n=0", "n=17", "harris-sigma=0",
-                              "shi-tomasi-sigma=-1", "n-features=-1"])
-def test_detect_rejects_out_of_range_parameters(small_dataset, tmp_path, flags):
+                              "shi-tomasi-sigma=-1", "n-features=-1",
+                              "random-seed=-1"])
+def test_detect_rejects_out_of_range_parameters(tmp_path, flags):
+    # usage errors come before the image is read: it does not exist
     out = tmp_path / "kp.txt"
-    assert main(["detect", str(small_dataset / "frame_000.pgm"), *flags,
+    assert main(["detect", str(tmp_path / "missing.pgm"), *flags,
                  "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["fast-ref:t=0", "fast-ref:n=8",
-                                  "harris:sigma=0"])
+                                  "harris:sigma=0", "random:seed=-1", ""])
 def test_eval_repeat_rejects_out_of_range_spec(small_dataset, tmp_path, spec):
     assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo", spec,
                  "--counts", "0:2000:1000", "--out",
@@ -71,8 +77,10 @@ def test_eval_repeat_rejects_bad_counts(small_dataset, tmp_path, counts):
 
 
 @pytest.mark.parametrize("flags", [["--repeats", "0"], ["--warmup", "-1"],
-                                   ["--n-features", "-1"]],
-                         ids=["repeats=0", "warmup=-1", "n-features=-1"])
+                                   ["--n-features", "-1"],
+                                   ["--algos", "fast-ref,"], ["--algos", ","]],
+                         ids=["repeats=0", "warmup=-1", "n-features=-1",
+                              "algos=fast-ref,", "algos=,"])
 def test_bench_rejects_out_of_range_parameters(small_dataset, capsys, flags):
     # the header goes to stdout first when the parameters are valid
     assert main(["bench", str(small_dataset / "frame_000.pgm"),
@@ -200,6 +208,23 @@ def test_eval_repeat_writes_curves_and_auc(tmp_path):
     curve = rows("r_fast-ref.csv")
     assert curve[0] == ["count", "repeatability"]
     assert [int(r[0]) for r in curve[1:]] == [0, 1000, 2000]
+
+
+def test_eval_repeat_svg_parses_with_dashes_in_paths(small_dataset, tmp_path):
+    # "--" may not appear in an XML comment, and these paths hold it
+    out = tmp_path / "a--b"
+    out.mkdir()
+    svg = out / "curves.svg"
+    assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo",
+                 "fast-ref", "--algo", "harris", "--counts", "0:2000:1000",
+                 "--out", str(out / "r_"), "--svg", str(svg)]) == EXIT_OK
+    root = ElementTree.parse(svg).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert len(root.findall(f"{ns}polyline")) == 2
+    header = [line[2:] for line in (out / "r_auc.csv").read_text().splitlines()
+              if line.startswith("# ")]
+    assert len(header) == 3 and str(svg) in header[2]
+    assert root.find(f"{ns}desc").text.splitlines() == header
 
 
 @pytest.mark.parametrize("flags", [["--t", "0"], ["--n", "8"], ["--n", "17"],

@@ -4,14 +4,18 @@ detectors, and the Harris and random baselines."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _oracles import nms_oracle
-from cornerforge.baselines import harris_response, structure_tensor
+from cornerforge.baselines import (HARRIS_K, StructureTensor, harris_response,
+                                   shi_tomasi_response, structure_tensor)
 from cornerforge.datasets import synthetic_base_image
 from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
                                    SixteenFoldDetector, TreeDetector)
 from cornerforge.image import add_gaussian_noise
+from cornerforge.trees import RING16
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +26,7 @@ def frame():
 @pytest.fixture(scope="module")
 def scored_detectors(fast9_tree, fast9_grid48):
     wide, grid = fast9_grid48
-    return [FastRefDetector(n=9), TreeDetector(fast9_tree),
+    return [FastRefDetector(n=9), TreeDetector(fast9_tree, RING16),
             SixteenFoldDetector(wide, grid), HarrisDetector(),
             ShiTomasiDetector()]
 
@@ -105,7 +109,7 @@ class TestFastAgreement:
         ref = FastRefDetector(n=9, t_min=t).all_keypoints(frame)
         assert len(ref) > 10
         assert (ref[:, 2] >= t).all()
-        for det in (TreeDetector(fast9_tree, t_min=t),
+        for det in (TreeDetector(fast9_tree, RING16, t_min=t),
                     SixteenFoldDetector(wide, grid, t_min=t)):
             assert np.array_equal(det.all_keypoints(frame), ref), det.name
             assert np.array_equal(det.detect(frame, 30), FastRefDetector(
@@ -135,6 +139,22 @@ class TestBaselines:
     def test_random_rejects_too_many(self, frame):
         with pytest.raises(ValueError):
             RandomDetector().detect(frame, 58 * 42 + 1)
+
+    @given(b=arrays(np.float64, (20, 2, 2), elements=st.floats(-200, 200)))
+    def test_responses_match_eigenvalues(self, b):
+        # B B^T is symmetric positive semi-definite, with entries of the
+        # size a smoothed gradient product reaches
+        axx, ayy = (b**2).sum(axis=2).T
+        axy = (b[:, 0] * b[:, 1]).sum(axis=1)
+        lo, hi = np.linalg.eigvalsh(np.stack([np.stack([axx, axy], -1),
+                                              np.stack([axy, ayy], -1)], -2)).T
+        tensor = StructureTensor(axx=axx, axy=axy, ayy=ayy)
+        trace = axx + ayy
+        # both formulas lose digits to cancellation, relative to the trace
+        assert (np.abs(shi_tomasi_response(tensor) - lo)
+                <= 1e-12 * (1 + trace)).all()
+        assert (np.abs(harris_response(tensor) - (lo * hi - HARRIS_K * (lo + hi)**2))
+                <= 1e-12 * (1 + trace)**2).all()
 
     def test_harris_keeps_positive_maxima_outside_margin(self, frame):
         det = HarrisDetector(sigma=1.5)

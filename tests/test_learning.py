@@ -19,8 +19,8 @@ def random_training_set(rng, n_records=40, k=16, weighted=True):
     states = rng.integers(0, 3, (n_records, k)).astype(np.uint8)
     states = np.unique(states, axis=0)
     labels = rng.integers(0, 2, len(states)).astype(bool)
-    weights = (rng.integers(1, 9, len(states)).astype(np.int64)
-               if weighted else None)
+    weights = (rng.integers(1, 9, len(states)) if weighted
+               else np.ones(len(states))).astype(np.int64)
     return learn.TrainingSet(states=np.asfortranarray(states), labels=labels,
                              weights=weights, offsets=RING16)
 
@@ -64,7 +64,8 @@ class TestBestSplit:
         states = rng.integers(0, 3, (60, 16)).astype(np.uint8)
         states = np.unique(states, axis=0)
         labels = states[:, 6] == 2
-        ts = learn.TrainingSet(states=states, labels=labels, weights=None,
+        ts = learn.TrainingSet(states=states, labels=labels,
+                               weights=np.ones(len(states), np.int64),
                                offsets=RING16)
         assert best_split(ts) == 7
         assert learn.build_tree(ts).offset == 7
@@ -86,9 +87,7 @@ class TestBestSplit:
             if not ts.labels.any() or ts.labels.all():
                 continue
             rows = [tuple(int(v) for v in row) for row in ts.states]
-            weights = (ts.weights if ts.weights is not None
-                       else np.ones(len(rows), np.int64))
-            want = brute_best_split(rows, list(ts.labels), list(weights))
+            want = brute_best_split(rows, list(ts.labels), list(ts.weights))
             assert best_split(ts) == want
 
     def test_gain_nonnegative(self):
@@ -102,8 +101,8 @@ class TestBestSplit:
 class TestBuildTree:
     def test_single_record_is_leaf(self):
         ts = learn.TrainingSet(states=np.zeros((1, 16), np.uint8),
-                               labels=np.array([True]), weights=None,
-                               offsets=RING16)
+                               labels=np.array([True]),
+                               weights=np.ones(1, np.int64), offsets=RING16)
         assert learn.build_tree(ts) == Leaf(1)
 
     def test_perfect_training_accuracy(self):
@@ -122,8 +121,8 @@ class TestBuildTree:
     def test_merged_equals_unmerged(self):
         rng = np.random.default_rng(6)
         ts = random_training_set(rng, n_records=100)
-        merged = learn.build_tree(ts, merge=True)
-        plain = learn.build_tree(ts, merge=False)
+        merged = learn.build_tree(ts)
+        plain = learn._grow(learn._root_subset(ts), ts.offsets.index_base)
         states = rng.integers(0, 3, (2000, 16)).astype(np.uint8)
         assert np.array_equal(classify_rows(merged, states),
                               classify_rows(plain, states))
@@ -132,8 +131,8 @@ class TestBuildTree:
     def test_conflicting_labels_raise(self):
         states = np.zeros((2, 16), np.uint8)
         ts = learn.TrainingSet(states=states,
-                               labels=np.array([True, False]), weights=None,
-                               offsets=RING16)
+                               labels=np.array([True, False]),
+                               weights=np.ones(2, np.int64), offsets=RING16)
         with pytest.raises(learn.InconsistentLabelsError):
             learn.build_tree(ts)
 
@@ -236,26 +235,6 @@ class TestAugment:
         corner = int(obs.weights[obs.labels].sum())
         assert (table.sum(axis=1) == sg.N_CONFIGS + int(obs.weights.sum())).all()
         assert (table[:, 3:].sum(axis=1) == 46_658 + corner).all()
-
-    def test_idempotent_labels_weights_grow(self):
-        once = learn.augment_exhaustive(learn.empty_training_set(), 9, low_weight=1)
-        twice = learn.augment_exhaustive(once, 9, low_weight=1)
-        assert twice.num_records == once.num_records
-        assert twice.labels is once.labels or np.array_equal(twice.labels, once.labels)
-        # every configuration now weighs 2
-        assert twice.low_weight == 2 and twice.observed.num_records == 0
-        assert np.array_equal(learn._root_subset(twice).count_table(),
-                              2 * learn._root_subset(once).count_table())
-
-    def test_observed_records_fold_in_once(self):
-        img = make_test_square(24, 8, 220, 30)
-        obs = learn.extract_training_data([img], 9, 30)
-        once = learn.augment_exhaustive(obs, 9, low_weight=1)
-        twice = learn.augment_exhaustive(once, 9, low_weight=3)
-        weight = config_weights(twice)
-        codes = learn.codes_from_states(obs.states)
-        assert [weight(c) for c in codes] == (obs.weights + 4).tolist()
-        assert weight(np.setdiff1d(np.arange(len(codes) + 1), codes)[0]) == 4
 
     def test_conflict_detected(self):
         img = make_test_square(24, 8, 220, 30)
@@ -384,7 +363,8 @@ class TestSharedSecondTest:
         states[:, 0] = np.where(states[:, 0] == 1, 0, states[:, 0])
         states = np.unique(states, axis=0)
         ts = learn.TrainingSet(states=states, labels=states[:, 1] == states[:, 2],
-                               weights=None, offsets=RING16)
+                               weights=np.ones(len(states), np.int64),
+                               offsets=RING16)
         sub = lambda off: Node(off, b=Leaf(1), s=Leaf(0), d=Leaf(0))
         forced = learn.force_shared_second_test(
             Node(1, b=sub(2), s=sub(3), d=sub(2)), ts)

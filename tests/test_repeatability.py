@@ -173,9 +173,11 @@ class TestRepeatabilityCurve:
         frames = [curve_frame(0, False), curve_frame(1, False)]
         detector = HarrisDetector()
         with pytest.raises(ValueError, match="epsilon"):
-            repeatability_curve(frames, {}, detector, [0, 10], np.inf)
+            repeatability_curve(frames, {}, detector, [0, 10], np.inf,
+                                make_pairs(2))
         with pytest.raises(KeyError, match="no warp"):
-            repeatability_curve(frames, {}, detector, [0, 10], 5.0)
+            repeatability_curve(frames, {}, detector, [0, 10], 5.0,
+                                make_pairs(2))
 
 
 class TestAreaUnderCurve:

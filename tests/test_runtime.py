@@ -535,7 +535,8 @@ class TestKeypointIO:
     def test_round_trip_with_header(self):
         pts = rows((3, 1, 20), (1, 2, 7.5))
         buf = io.StringIO()
-        rt.write_keypoints(buf, pts, header_lines=["tool x", "config {}"])
+        buf.write("# tool x\n# config {}\n")
+        rt.write_keypoints(buf, pts)
         text = buf.getvalue()
         assert text.startswith("# tool x\n# config {}\n")
         assert "3 1 20\n" in text
@@ -551,9 +552,9 @@ class TestKeypointIO:
 
     def test_empty_file(self):
         buf = io.StringIO()
-        rt.write_keypoints(buf, rows(), header_lines=["h"])
-        assert buf.getvalue() == "# h\n"
-        assert read_keypoints(io.StringIO(buf.getvalue())).shape == (0, 3)
+        rt.write_keypoints(buf, rows())
+        assert buf.getvalue() == ""
+        assert read_keypoints(io.StringIO("# h\n")).shape == (0, 3)
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="line 1"):
