@@ -45,7 +45,11 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_DATA = 3
 
-ALGOS = ("fast-ref", "fast-tree", "faster", "harris", "shi-tomasi", "random")
+# The keys a detector spec such as "fast-ref:n=9,t=20" may set, per detector.
+_SPEC_KEYS = {"fast-ref": ("n", "t"), "fast-tree": ("tree", "t"),
+             "faster": ("tree", "t"), "harris": ("sigma",),
+             "shi-tomasi": ("sigma",), "random": ("seed",)}
+ALGOS = tuple(_SPEC_KEYS)
 
 
 class UsageError(Exception):
@@ -97,60 +101,85 @@ def _load_tree(path):
         return deserialize_tree(f.read())
 
 
-def _build_detector(args, spec: str | None = None):
-    """Detector from CLI flags, or from a spec string like "fast-ref:n=9"."""
-    params = {}
+# Each numeric detector parameter: its default, its type, the values it takes.
+_PARAMS = {"n": (9, int, lambda v: 9 <= v <= 16),
+           "t": (1, int, lambda v: v >= 1),
+           "sigma": (2.5, float, lambda v: math.isfinite(v) and v > 0),
+           "seed": (0, int, lambda v: v >= 0)}
+
+
+def _detector_params(args, spec: str | None = None) -> tuple[str, dict]:
+    """The detector name and its checked parameters, from CLI flags or from
+    a spec string like "fast-ref:n=9". Reads no file.
+
+    A spec may set only its detector's keys (``_SPEC_KEYS``), each at most
+    once, to a value that parses; anything else is a usage error."""
+    given = {}
     if spec is not None:
         name, _, rest = spec.partition(":")
-        if rest:
-            for item in rest.split(","):
-                key, _, val = item.partition("=")
-                if not val:
-                    raise UsageError(f"bad detector parameter {item!r} in {spec!r}")
-                params[key] = val
+        if name not in _SPEC_KEYS:
+            raise UsageError(f"unknown algo {name!r}; choose from "
+                             f"{', '.join(ALGOS)}")
+        for item in rest.split(",") if rest else ():
+            key, _, val = item.partition("=")
+            if not val:
+                raise UsageError(f"bad detector parameter {item!r} in {spec!r}")
+            if key not in _SPEC_KEYS[name]:
+                raise UsageError(f"{name} takes no parameter {key!r} in "
+                                 f"{spec!r}; its keys are "
+                                 f"{', '.join(_SPEC_KEYS[name])}")
+            if key in given:
+                raise UsageError(f"parameter {key!r} repeated in {spec!r}")
+            given[key] = val
     else:
         name = args.algo
-
-    def p(key, default, cast, valid):
-        if key in params:
-            val = cast(params[key])
+    params = {}
+    for key in _SPEC_KEYS[name]:
+        if key == "tree":
+            params[key] = given.get(key) or args.tree
+            if not params[key]:
+                raise UsageError(f"{name} needs --tree (or tree= in the spec)")
+            continue
+        default, cast, valid = _PARAMS[key]
+        if key in given:
+            try:
+                val = cast(given[key])
+            except ValueError:
+                raise UsageError(f"detector parameter {key}={given[key]} is "
+                                 f"not a valid {cast.__name__}") from None
         else:
-            val = getattr(args, key.replace("-", "_"), None)
-            val = default if val is None else cast(val)
+            val = getattr(args, key, None)
+            val = default if val is None else val
         if not valid(val):
             raise UsageError(f"detector parameter {key}={val} is out of range")
-        return val
+        params[key] = val
+    return name, params
 
-    def t_min():
-        return p("t", 1, int, lambda v: v >= 1)
 
+def _build_detector(name: str, params: dict):
+    """The detector that ``_detector_params`` checked; a tree detector reads
+    its tree file here."""
     if name == "fast-ref":
-        return FastRefDetector(n=p("n", 9, int, lambda v: 9 <= v <= 16),
-                               t_min=t_min())
+        return FastRefDetector(n=params["n"], t_min=params["t"])
     tree_detectors = {d.name: d for d in (TreeDetector, SixteenFoldDetector)}
     if name in tree_detectors:
-        tree_path = params.get("tree") or args.tree
-        if not tree_path:
-            raise UsageError(f"{name} needs --tree (or tree= in the spec)")
-        tree, table = _load_tree(tree_path)
+        tree, table = _load_tree(params["tree"])
         n_offsets = len(tree_detectors[name].default_table)
         if len(table) != n_offsets:
-            raise UsageError(f"{tree_path}: {name} expects a {n_offsets}-offset "
-                             f"tree")
-        return tree_detectors[name](tree, table, t_min=t_min())
+            raise UsageError(f"{params['tree']}: {name} expects a "
+                             f"{n_offsets}-offset tree")
+        return tree_detectors[name](tree, table, t_min=params["t"])
     if name == "harris":
-        return HarrisDetector(sigma=p("sigma", 2.5, float, lambda v: v > 0))
+        return HarrisDetector(sigma=params["sigma"])
     if name == "shi-tomasi":
-        return ShiTomasiDetector(sigma=p("sigma", 2.5, float, lambda v: v > 0))
-    if name == "random":
-        return RandomDetector(seed=p("seed", 0, int, lambda v: v >= 0))
-    raise UsageError(f"unknown algo {name!r}; choose from {', '.join(ALGOS)}")
+        return ShiTomasiDetector(sigma=params["sigma"])
+    return RandomDetector(seed=params["seed"])
 
 
 def cmd_detect(args) -> int:
     if args.n_features is not None and args.n_features < 0:
         raise UsageError("--n-features must be >= 0")
-    detector = _build_detector(args)
+    detector = _build_detector(*_detector_params(args))
     if args.n_features is None and isinstance(detector, RandomDetector):
         raise UsageError("random detector needs --n-features")
     img = load_image(args.image)
@@ -249,7 +278,9 @@ def _usage_checked(check, *args, **kwargs):
 def cmd_eval_repeat(args) -> int:
     counts = _parse_counts(args.counts)
     _usage_checked(check_epsilon, args.epsilon)
-    detectors = [(spec, _build_detector(args, spec)) for spec in args.algo]
+    # every spec is checked before any tree file or the dataset is read
+    checked = [(spec, _detector_params(args, spec)) for spec in args.algo]
+    detectors = [(spec, _build_detector(*params)) for spec, params in checked]
     d, frames = _load_dataset(args.dataset)
     sizes = {(f.width, f.height) for f in frames}
     if len(sizes) != 1:
@@ -283,7 +314,8 @@ def cmd_bench(args) -> int:
     if args.repeats < 1 or args.warmup < 0 or args.n_features < 0:
         raise UsageError("bench needs --repeats >= 1, --warmup >= 0 and "
                          "--n-features >= 0")
-    detectors = [_build_detector(args, spec) for spec in args.algos.split(",")]
+    checked = [_detector_params(args, spec) for spec in args.algos.split(",")]
+    detectors = [_build_detector(*params) for params in checked]
     images = [load_image(p) for p in _expand_images(args.images)]
     with _output(args.out, _provenance("bench", args)) as out:
         out.write("algo,mpix_per_s,median_seconds,total_pixels\n")

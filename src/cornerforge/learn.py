@@ -19,6 +19,15 @@ its children are slices and row subsets. Sets of explicit state rows alone
 (observed configurations, 48-offset sets) split by index arrays. Both kinds
 share one recursion and one split rule, so equal data gives equal trees.
 
+A slice with no observed rows inside it is grown once per call of
+``build_tree`` or ``force_shared_second_test`` for each distinct key: its
+free-column mask plus its packed labels. Its count table is the low weight
+times its label marginals on the free columns, and a fixed column holds all
+of the slice's weight at its one value. Whichever value that is, the
+column's gain is exactly 0 and it is never the varying column a zero-gain
+split takes, so the fixed values cannot change a split, and a slice whose
+key was grown before reuses that subtree.
+
 Every count is an integer held in a float64 table, exact only below 2^53,
 so a set whose total weight reaches 2^53 is refused.
 """
@@ -236,6 +245,10 @@ class _Rows:
         column = self.ts.states[self.idx, col]
         return [_Rows(self.ts, self.idx[column == v]) for v in range(3)]
 
+    def memo_key(self) -> None:
+        """Row sets are grown afresh: they have no memo key."""
+        return None
+
 
 class _Slice:
     """Configurations of an exhaustive set whose columns ``fixed[j] >= 0``
@@ -256,14 +269,28 @@ class _Slice:
         return cls(labels.reshape((3,) * k), low,
                    _Rows(observed, np.arange(observed.num_records)), (-1,) * k)
 
-    def count_table(self) -> np.ndarray:
+    def _contiguous(self) -> np.ndarray:
         # Sums over a view with fixed axes run short, strided inner loops; a
-        # contiguous copy, alive only while this subtree grows, reads fast.
+        # contiguous copy, made once and alive only while this subtree grows,
+        # reads fast.
         self.labels = np.asarray(self.labels, order="C")
+        return self.labels
+
+    def memo_key(self) -> tuple | None:
+        """For a slice that holds no observed rows, the free-column mask
+        plus its packed labels, else None. Row-free slices with equal keys
+        grow equal subtrees (see ``build_tree``)."""
+        if self.rows.idx.size:
+            return None
+        return (tuple(v < 0 for v in self.fixed),
+                np.packbits(self._contiguous()).tobytes())
+
+    def count_table(self) -> np.ndarray:
+        labels = self._contiguous()
         free = [j for j in reversed(range(len(self.fixed))) if self.fixed[j] < 0]
-        corner = _axis_marginals(self.labels)
-        c = corner[0].sum() if free else int(self.labels)
-        w = self.labels.size
+        corner = _axis_marginals(labels)
+        c = corner[0].sum() if free else int(labels)
+        w = labels.size
         table = np.zeros((len(self.fixed), 6), dtype=np.int64)
         table[free, :3] = w // 3 - corner
         table[free, 3:] = corner
@@ -327,18 +354,25 @@ def _pick_column(table: np.ndarray) -> int:
         "zero gain everywhere with nonzero entropy: conflicting labels")
 
 
-def _grow(subset: _Rows | _Slice, base: int) -> TernaryTree:
-    """Unmerged ID3 tree over a subset; children are built d, s, b."""
+def _grow(subset: _Rows | _Slice, base: int, memo: dict) -> TernaryTree:
+    """Unmerged ID3 tree over a subset; children are built d, s, b. A subset
+    whose ``memo_key`` is already in ``memo`` returns the subtree grown for
+    it, so such subtrees may be shared objects."""
+    key = subset.memo_key()
+    if key is not None and key in memo:
+        return memo[key]
     table = subset.count_table()
-    leaf = _pure_leaf(table)
-    if leaf is not None:
-        return leaf
-    col = _pick_column(table)
-    d_sub, s_sub, b_sub = subset.split(col)
-    d_child = _grow(d_sub, base)
-    s_child = _grow(s_sub, base)
-    b_child = _grow(b_sub, base)
-    return Node(base + col, b=b_child, s=s_child, d=d_child)
+    tree = _pure_leaf(table)
+    if tree is None:
+        col = _pick_column(table)
+        d_sub, s_sub, b_sub = subset.split(col)
+        d_child = _grow(d_sub, base, memo)
+        s_child = _grow(s_sub, base, memo)
+        b_child = _grow(b_sub, base, memo)
+        tree = Node(base + col, b=b_child, s=s_child, d=d_child)
+    if key is not None:
+        memo[key] = tree
+    return tree
 
 
 def build_tree(ts: TrainingSet | ExhaustiveSet) -> TernaryTree:
@@ -347,10 +381,13 @@ def build_tree(ts: TrainingSet | ExhaustiveSet) -> TernaryTree:
 
     On an exhaustive set the subsets are slices of the (3,)*16 label tensor
     plus the observed rows inside them; otherwise they are row index arrays.
-    The split choices, and so the tree, are the same either way."""
+    The split choices, and so the tree, are the same either way. A slice
+    without observed rows whose free-column mask and labels equal those of
+    one grown earlier in this call reuses its subtree: the values of the
+    fixed columns never decide a split (see the module docstring)."""
     if ts.num_records == 0:
         raise ValueError("empty training set")
-    return merge_tree(_grow(_root_subset(ts), ts.offsets.index_base))
+    return merge_tree(_grow(_root_subset(ts), ts.offsets.index_base, {}))
 
 
 def force_shared_second_test(tree: TernaryTree,
@@ -359,7 +396,8 @@ def force_shared_second_test(tree: TernaryTree,
 
     The shared offset is the one maximizing the summed information gain over
     the three root subsets; below the second level the build is unconstrained.
-    Training classifications are preserved (ID3 exactness).
+    Training classifications are preserved (ID3 exactness). The three
+    rebuilds share one memo of row-free slices, as in ``build_tree``.
     """
     if tree_depth(tree) < 2:
         raise ValueError("tree depth must be >= 2")
@@ -381,11 +419,13 @@ def force_shared_second_test(tree: TernaryTree,
     if total[shared_col] <= 0:
         shared_col = root_col  # degenerate; keep something valid
 
+    memo: dict = {}
+
     def rebuild(subset, table) -> TernaryTree:
         leaf = _pure_leaf(table)
         if leaf is not None:
             return leaf
-        d, s, b = (_grow(sub, base) for sub in subset.split(shared_col))
+        d, s, b = (_grow(sub, base, memo) for sub in subset.split(shared_col))
         return Node(base + shared_col, b=b, s=s, d=d)
 
     out = Node(tree.offset, b=rebuild(subsets[2], tables[2]),

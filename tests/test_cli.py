@@ -42,10 +42,13 @@ def test_detect_writes_parseable_keypoints(small_dataset, tmp_path):
                                    ["--algo", "shi-tomasi", "--sigma", "-1"],
                                    ["--n-features", "-1"],
                                    ["--algo", "random", "--n-features", "5",
-                                    "--seed", "-1"]],
+                                    "--seed", "-1"],
+                                   ["--algo", "harris", "--sigma", "inf"],
+                                   ["--algo", "shi-tomasi", "--sigma", "nan"]],
                          ids=["t=0", "t=-3", "n=0", "n=17", "harris-sigma=0",
                               "shi-tomasi-sigma=-1", "n-features=-1",
-                              "random-seed=-1"])
+                              "random-seed=-1", "harris-sigma=inf",
+                              "shi-tomasi-sigma=nan"])
 def test_detect_rejects_out_of_range_parameters(tmp_path, flags):
     # usage errors come before the image is read: it does not exist
     out = tmp_path / "kp.txt"
@@ -55,8 +58,17 @@ def test_detect_rejects_out_of_range_parameters(tmp_path, flags):
 
 
 @pytest.mark.parametrize("spec", ["fast-ref:t=0", "fast-ref:n=8",
-                                  "harris:sigma=0", "random:seed=-1", ""])
+                                  "harris:sigma=0", "random:seed=-1", "",
+                                  "fast-ref:n=x", "random:seed=1.5",
+                                  "harris:sigam=1", "fast-ref:t=3,t=4",
+                                  "harris:sigma=inf", "shi-tomasi:sigma=nan",
+                                  "fast-ref:tree=x.tree",
+                                  "faster:tree=x.tree,n=9", "random:t=5",
+                                  "bogus:n=9",
+                                  "fast-tree:tree=missing.tree,t=x"])
 def test_eval_repeat_rejects_out_of_range_spec(small_dataset, tmp_path, spec):
+    # out of range, unparsable, unknown to the detector or repeated: a usage
+    # error before the dataset is read, and no CSV is written
     assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo", spec,
                  "--counts", "0:2000:1000", "--out",
                  str(tmp_path / "r_")]) == EXIT_USAGE
@@ -78,14 +90,31 @@ def test_eval_repeat_rejects_bad_counts(small_dataset, tmp_path, counts):
 
 @pytest.mark.parametrize("flags", [["--repeats", "0"], ["--warmup", "-1"],
                                    ["--n-features", "-1"],
-                                   ["--algos", "fast-ref,"], ["--algos", ","]],
+                                   ["--algos", "fast-ref,"], ["--algos", ","],
+                                   ["--algos", "fast-ref:n=x"],
+                                   ["--algos", "random:seed=1.5"],
+                                   ["--algos", "fast-ref,harris:sigam=1"],
+                                   ["--algos", "random:sigma=1"],
+                                   ["--algos", "harris:sigma=inf"]],
                          ids=["repeats=0", "warmup=-1", "n-features=-1",
-                              "algos=fast-ref,", "algos=,"])
+                              "algos=fast-ref,", "algos=,", "algos=n=x",
+                              "algos=seed=1.5", "algos=sigam=1",
+                              "algos=random:sigma=1", "algos=sigma=inf"])
 def test_bench_rejects_out_of_range_parameters(small_dataset, capsys, flags):
     # the header goes to stdout first when the parameters are valid
     assert main(["bench", str(small_dataset / "frame_000.pgm"),
                  *flags]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("algo", ["harris", "shi-tomasi"])
+def test_detect_rejects_sigma_beyond_the_image(small_dataset, tmp_path, algo):
+    # sigma 20 smooths over a radius of 60 pixels on a 48x40 frame: a data
+    # error before any smoothing buffer is allocated
+    out = tmp_path / "kp.txt"
+    assert main(["detect", str(small_dataset / "frame_000.pgm"), "--algo",
+                 algo, "--sigma", "20", "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
 
 
 def test_bench_writes_one_row(small_dataset, tmp_path):
@@ -143,6 +172,17 @@ def test_eval_repeat_checks_every_spec_before_loading(tmp_path):
     # earlier spec is written
     assert main(["eval-repeat", "--dataset", str(tmp_path / "missing"),
                  "--algo", "fast-ref", "--algo", "harris:sigma=0",
+                 "--out", str(tmp_path / "r_")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+def test_eval_repeat_checks_every_spec_before_reading_trees(small_dataset,
+                                                          tmp_path):
+    # the misspelt key of the second spec is found before the first spec's
+    # tree file is read (it does not exist)
+    assert main(["eval-repeat", "--dataset", str(small_dataset),
+                 "--algo", f"fast-tree:tree={tmp_path / 'missing.tree'}",
+                 "--algo", "harris:sigam=1", "--counts", "0:2000:1000",
                  "--out", str(tmp_path / "r_")]) == EXIT_USAGE
     assert not list(tmp_path.iterdir())
 

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _oracles import nms_oracle
-from cornerforge.baselines import (HARRIS_K, StructureTensor, harris_response,
-                                   shi_tomasi_response, structure_tensor)
+from cornerforge.baselines import (HARRIS_K, StructureTensor, gaussian_kernel,
+                                   harris_response, shi_tomasi_response,
+                                   structure_tensor)
 from cornerforge.datasets import synthetic_base_image
 from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
@@ -166,3 +167,17 @@ class TestBaselines:
                 if s > 0 and 3 <= x < w - 3 and 3 <= y < h - 3]
         assert len(want) > 10
         assert [tuple(r) for r in got.tolist()] == want
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"),
+                                       1e308])
+    def test_kernel_rejects_sigma_without_finite_radius(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_kernel(sigma)
+
+    def test_structure_tensor_rejects_radius_beyond_the_image(self):
+        img = synthetic_base_image(48, 40, 5)
+        structure_tensor(img, 15.6)  # radius 47, below the longer side
+        with pytest.raises(ValueError, match="radius of 48"):
+            structure_tensor(img, 16.0)
+        with pytest.raises(ValueError, match="radius of 60"):
+            structure_tensor(img, 20.0)

@@ -79,6 +79,14 @@ GOLDEN_LEARN = {
     "distill-t20": "3e58f9010ae12400",
 }
 
+# Recorded before ID3 reused the subtrees of repeated row-free slices.
+GOLDEN_ROW_FREE = {
+    "learn-tree-n12-exhaustive": "d28576784cdf1fe7",
+    "learn-tree-n12-exhaustive-shared-second": "7cd4dcdf1fa21535",
+    "learn-tree-n16-exhaustive": "a8a650e0689b4dc2",
+    "learn-tree-n16-exhaustive-shared-second": "a8a650e0689b4dc2",
+}
+
 
 def digest(path) -> str:
     lines = path.read_text().splitlines(keepends=True)
@@ -200,3 +208,22 @@ def learn_digests(tmp_path) -> dict[str, str]:
 
 def test_learned_trees_match_golden_digests(tmp_path):
     assert learn_digests(tmp_path) == GOLDEN_LEARN
+
+
+def row_free_digests(tmp_path) -> dict[str, str]:
+    """`learn-tree --exhaustive` without images, where every subset ID3
+    splits is a slice of the label tensor with no observed rows."""
+    out = {}
+    for n in (12, 16):
+        for flags in ([], ["--shared-second"]):
+            name = f"learn-tree-n{n}-exhaustive" + (
+                "-shared-second" if flags else "")
+            path = tmp_path / f"{name}.tree"
+            assert main(["learn-tree", "--exhaustive", "--n", str(n), *flags,
+                         "--out", str(path)]) == EXIT_OK
+            out[name] = digest(path)
+    return out
+
+
+def test_row_free_trees_match_golden_digests(tmp_path):
+    assert row_free_digests(tmp_path) == GOLDEN_ROW_FREE

@@ -122,7 +122,7 @@ class TestBuildTree:
         rng = np.random.default_rng(6)
         ts = random_training_set(rng, n_records=100)
         merged = learn.build_tree(ts)
-        plain = learn._grow(learn._root_subset(ts), ts.offsets.index_base)
+        plain = learn._grow(learn._root_subset(ts), ts.offsets.index_base, {})
         states = rng.integers(0, 3, (2000, 16)).astype(np.uint8)
         assert np.array_equal(classify_rows(merged, states),
                               classify_rows(plain, states))
@@ -296,6 +296,33 @@ class TestExhaustiveSet:
             dense[code] += w
         assert sub.count_table().tolist() == exhaustive_count_table(
             labels, dense, k, fixed)
+
+    @given(data=st.data(), k=st.integers(2, 6), low=st.integers(1, 2**33))
+    def test_tree_equals_explicit_rows(self, data, k, low):
+        # build_tree reuses the subtree of a repeated row-free slice; the same
+        # data as 3^k explicit rows grows with no such reuse, so it is the
+        # oracle, here and under force_shared_second_test
+        labels = data.draw(arrays(np.bool_, (3**k,)))
+        codes = np.array(sorted(data.draw(st.sets(st.integers(0, 3**k - 1)))),
+                         dtype=np.int64)
+        weights = data.draw(arrays(np.int64, codes.shape,
+                                   elements=st.integers(0, 2**33 * 1000)))
+        table = OffsetTable("test", RING16.offsets[:k], 1)
+        observed = learn.TrainingSet(
+            states=learn.states_from_codes(codes)[:, :k], labels=labels[codes],
+            weights=weights, offsets=table)
+        es = learn.ExhaustiveSet(labels=labels, low_weight=low,
+                                 observed=observed)
+        dense = np.full(3**k, low, dtype=np.int64)
+        dense[codes] += weights
+        rows = learn.TrainingSet(
+            states=learn.states_from_codes(np.arange(3**k))[:, :k],
+            labels=labels, weights=dense, offsets=table)
+        tree = learn.build_tree(es)
+        assert tree == learn.build_tree(rows)
+        if tree_depth(tree) >= 2:
+            assert (learn.force_shared_second_test(tree, es)
+                    == learn.force_shared_second_test(tree, rows))
 
     def test_largest_low_weight_gives_the_same_tree(self, fast9_tree):
         # with no observed records the low weight scales every count alike
