@@ -2,7 +2,9 @@
 
 Like the segment-test detectors they return keypoint rows: (N, 3) float64
 arrays of x, y, score, at least ``RING_MARGIN`` from every edge, the border
-the segment test cannot evaluate. Gradients are central differences on an
+the segment test cannot evaluate. Harris and Shi-Tomasi rows are suppressed
+response maxima; the random baseline's rows are a seeded permutation of the
+interior, its ranking. Gradients are central differences on an
 edge-replicated border; the structure tensor is smoothed with a Gaussian
 truncated at 3 sigma and renormalized.
 """
@@ -117,22 +119,16 @@ def detect_response(field: np.ndarray) -> np.ndarray:
     return keypoint_rows(kxs[inner], kys[inner], ks[inner])
 
 
-def detect_random(img: GrayImage, n_features: int, seed) -> np.ndarray:
-    """Rows of n distinct uniform interior positions in raster order,
-    deterministic per seed.
-
-    Positions are independent of pixel content; all scores are 1.
+def detect_random(img: GrayImage, seed) -> np.ndarray:
+    """Rows of every interior position in a uniform random order,
+    deterministic per seed: the first n rows are a uniform sample of n
+    distinct positions. Positions are independent of pixel content; all
+    scores are 1.
     """
     m = RING_MARGIN
     iw = img.width - 2 * m
     ih = img.height - 2 * m
     if iw <= 0 or ih <= 0:
         raise ValueError("image too small for the interior margin")
-    total = iw * ih
-    if n_features > total:
-        raise ValueError(f"requested {n_features} features from {total} interior pixels")
-    flat = np.random.default_rng(seed).choice(total, size=max(n_features, 0),
-                                              replace=False)
-    flat.sort()
-    return keypoint_rows(flat % iw + m, flat // iw + m,
-                         np.ones(len(flat)))
+    flat = np.random.default_rng(seed).permutation(iw * ih)
+    return keypoint_rows(flat % iw + m, flat // iw + m, np.ones(len(flat)))

@@ -164,10 +164,6 @@ def _build_detector(name: str, params: dict):
     tree_detectors = {d.name: d for d in (TreeDetector, SixteenFoldDetector)}
     if name in tree_detectors:
         tree, table = _load_tree(params["tree"])
-        n_offsets = len(tree_detectors[name].default_table)
-        if len(table) != n_offsets:
-            raise UsageError(f"{params['tree']}: {name} expects a "
-                             f"{n_offsets}-offset tree")
         return tree_detectors[name](tree, table, t_min=params["t"])
     if name == "harris":
         return HarrisDetector(sigma=params["sigma"])
@@ -314,7 +310,8 @@ def cmd_bench(args) -> int:
     if args.repeats < 1 or args.warmup < 0 or args.n_features < 0:
         raise UsageError("bench needs --repeats >= 1, --warmup >= 0 and "
                          "--n-features >= 0")
-    checked = [_detector_params(args, spec) for spec in args.algos.split(",")]
+    checked = [_detector_params(args, spec)
+               for spec in args.algo or ["fast-ref:n=9"]]
     detectors = [_build_detector(*params) for params in checked]
     images = [load_image(p) for p in _expand_images(args.images)]
     with _output(args.out, _provenance("bench", args)) as out:
@@ -493,7 +490,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="throughput in megapixels per second")
     p.add_argument("images", nargs="*")
-    p.add_argument("--algos", default="fast-ref:n=9")
+    p.add_argument("--algo", action="append",
+                   help="detector spec, e.g. fast-ref:n=9 (repeatable; "
+                        "default fast-ref:n=9)")
     p.add_argument("--tree")
     p.add_argument("--t", type=int, default=35)
     p.add_argument("--n-features", type=int, default=500)

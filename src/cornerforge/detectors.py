@@ -1,11 +1,14 @@
 """Uniform detector interface for evaluation and the CLI.
 
 A detector turns an image into keypoint rows: an (N, 3) float64 array of
-x, y, score after 3x3 non-maximal suppression. Each frame's rows are ranked
-once by (-score, y, x) and cached, and ``detect(img, n)`` is a prefix of
-that ranking (``top_n_by_score``). Detectors with discrete scores return the
-closest achievable count instead of splitting score ties; Harris and
-Shi-Tomasi split ties in raster order.
+x, y, score. Every detector ranks each frame once, and the ranking is cached
+per (frame, key); ``detect(img, n)`` is a prefix of it (``top_n_by_score``).
+The scored detectors rank their rows after 3x3 non-maximal suppression by
+(-score, y, x). Detectors with discrete scores return the closest achievable
+count instead of splitting score ties; Harris and Shi-Tomasi split ties in
+raster order. The random baseline's ranking is a permutation of the frame's
+interior pixels seeded from (seed, frame key), so each count is a uniform
+sample without replacement and the samples are nested.
 
 Learned trees detect through one ``TreeDetector``, over one compiled tree
 (FAST on the 16-pixel ring) or sixteen (FAST-ER, ``SixteenFoldDetector``).
@@ -21,8 +24,7 @@ from .image import GrayImage
 from .runtime import (PlaneWalk, keypoint_rows, rank_by_score,
                       score_positions, suppress_scored_arrays, top_n_by_score)
 from .segment import segment_score_field
-from .trees import (CompiledTree, OffsetTable, RING16, TernaryTree,
-                    default_offsets_48, sixteen_fold)
+from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
 
 
 class FeatureDetector:
@@ -32,28 +34,32 @@ class FeatureDetector:
     split_ties = False
 
     def __init__(self):
-        self._cache: dict[int, tuple[GrayImage, np.ndarray]] = {}
+        self._cache: dict[tuple, tuple[GrayImage, np.ndarray]] = {}
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
         """Suppressed keypoint rows of one image, in any order."""
         raise NotImplementedError
 
+    def ranking(self, img: GrayImage, frame_key=None) -> np.ndarray:
+        """Every keypoint row of the image in rank order, uncached."""
+        return rank_by_score(self.scored_keypoints(img))
+
     def clear_cache(self) -> None:
         self._cache.clear()
 
-    def all_keypoints(self, img: GrayImage) -> np.ndarray:
-        """Every suppressed keypoint of the image, ranked by (-score, y, x);
-        cached per frame and read-only."""
-        entry = self._cache.get(id(img))
+    def all_keypoints(self, img: GrayImage, frame_key=None) -> np.ndarray:
+        """``ranking`` of the image, cached per (frame, key) and read-only."""
+        key = (id(img), frame_key)
+        entry = self._cache.get(key)
         if entry is None or entry[0] is not img:
-            ranked = rank_by_score(self.scored_keypoints(img))
+            ranked = self.ranking(img, frame_key)
             ranked.flags.writeable = False
-            entry = self._cache[id(img)] = (img, ranked)
+            entry = self._cache[key] = (img, ranked)
         return entry[1]
 
     def detect(self, img: GrayImage, n_features: int,
                frame_key=None) -> np.ndarray:
-        return top_n_by_score(self.all_keypoints(img), n_features,
+        return top_n_by_score(self.all_keypoints(img, frame_key), n_features,
                               split_ties=self.split_ties)
 
 
@@ -80,7 +86,6 @@ class TreeDetector(FeatureDetector):
     threshold at which any still does (``score_positions``, exact)."""
 
     name = "fast-tree"
-    default_table = RING16
 
     def __init__(self, tree: TernaryTree, table: OffsetTable, t_min: int = 1):
         super().__init__()
@@ -105,7 +110,6 @@ class SixteenFoldDetector(TreeDetector):
     variants."""
 
     name = "faster"
-    default_table = default_offsets_48()
     variants = staticmethod(sixteen_fold)
 
 
@@ -136,21 +140,26 @@ class ShiTomasiDetector(HarrisDetector):
 class RandomDetector(FeatureDetector):
     """Uniform scatter baseline; positions are independent of pixel content.
 
-    Each frame key gets an independent derived seed so different frames of a
-    sequence receive independent scatters.
+    Each frame key gets an independent derived seed, so different frames of
+    a sequence receive independent permutations (``detect_random``).
     """
+
+    split_ties = True
 
     def __init__(self, seed: int = 0):
         super().__init__()
         self.seed = seed
         self.name = "random"
 
-    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
-        raise NotImplementedError("random baseline has no response to score")
+    def ranking(self, img: GrayImage, frame_key=None) -> np.ndarray:
+        return detect_random(img, int(np.random.SeedSequence(
+            (self.seed, 0 if frame_key is None else int(frame_key))
+        ).generate_state(1)[0]))
 
     def detect(self, img: GrayImage, n_features: int,
                frame_key=None) -> np.ndarray:
-        derived = int(np.random.SeedSequence(
-            (self.seed, 0 if frame_key is None else int(frame_key))
-        ).generate_state(1)[0])
-        return detect_random(img, n_features, derived)
+        total = len(self.all_keypoints(img, frame_key))
+        if n_features > total:
+            raise ValueError(f"requested {n_features} features from {total} "
+                             f"interior pixels")
+        return super().detect(img, n_features, frame_key)

@@ -11,10 +11,11 @@ one run of columns in each of 2*ceil(epsilon) + 1 lattice rows
 (``_row_runs``). Two kernels read those runs. Annealing's cost asks whether
 a run holds a detection, through row prefix sums of a boolean raster
 (``_any_within``). The curve asks for the best-ranked detection in the runs,
-through a raster of ranks (``_min_rank_within``). Each frame's detections at
-the largest count are ranked once, and the detections at a smaller count
-are a prefix of them, so one projection and one min-rank match per ordered
-pair give the useful and repeated counts at every count.
+through a raster of ranks (``_min_rank_within``). Every detector ranks each
+frame once, the random baseline included, and its detection at any count is
+a prefix of that ranking. So each frame has one pool, its detection at the
+largest count, and one projection and one min-rank match per ordered pair
+give the useful and repeated counts at every count.
 """
 
 from __future__ import annotations
@@ -198,33 +199,6 @@ def make_pairs(n_frames: int, policy: str = "adjacent2") -> list[tuple[int, int]
     raise ValueError(f"unknown pair policy {policy!r}")
 
 
-def _count_pools(frames, detector, counts):
-    """Yield (indices into ``counts``, per-frame pools, per-frame cuts).
-
-    Each frame's pool is its detection at the largest count, and a count's
-    cut on a frame is the length of its own detection there, so the
-    detector's tie rule decides every cut. A count whose detections are all
-    prefixes of the pools is read from them; any other count (the random
-    baseline's, whose samples are not nested) brings its detections as its
-    own pools.
-    """
-    def detect_all(count):
-        return [detector.detect(f, count, frame_key=k)
-                for k, f in enumerate(frames)]
-
-    pools = detect_all(counts[-1])
-    shared = []
-    for index, count in enumerate(counts):
-        dets = detect_all(count)
-        if all(np.array_equal(d, p[:len(d)]) for d, p in zip(dets, pools)):
-            shared.append((index, [len(d) for d in dets]))
-        else:
-            yield [index], dets, [[len(d)] for d in dets]
-    if shared:
-        indices, cuts = zip(*shared)
-        yield list(indices), pools, list(zip(*cuts))
-
-
 def repeatability_curve(frames, warps, detector, counts, epsilon: float,
                         pairs) -> list[tuple[int, float]]:
     """Pooled repeated/useful ratio over the ordered frame pairs ``pairs``
@@ -246,12 +220,17 @@ def repeatability_curve(frames, warps, detector, counts, epsilon: float,
     useful = np.zeros(len(counts), dtype=np.int64)
     repeated = np.zeros(len(counts), dtype=np.int64)
     if counts:
-        for indices, pools, cuts in _count_pools(frames, detector, counts):
-            for i, j in pairs:
-                u, r = _pair_counts(pools[i], pools[j], cuts[i], cuts[j],
-                                    warps[(i, j)], epsilon)
-                useful[indices] += u
-                repeated[indices] += r
+        # each frame's detection at a count is a prefix of its ranking, so
+        # the detection at the largest count holds all the others
+        pools = [detector.detect(f, counts[-1], frame_key=k)
+                 for k, f in enumerate(frames)]
+        cuts = [[len(detector.detect(f, c, frame_key=k)) for c in counts]
+                for k, f in enumerate(frames)]
+        for i, j in pairs:
+            u, r = _pair_counts(pools[i], pools[j], cuts[i], cuts[j],
+                                warps[(i, j)], epsilon)
+            useful += u
+            repeated += r
     return [(c, r / u if u else 0.0) for c, u, r in
             zip(counts, useful.tolist(), repeated.tolist())]
 

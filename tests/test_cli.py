@@ -8,7 +8,8 @@ from conftest import (classify_rows, read_keypoints, sixteenfold_field,
 from cornerforge import learn, segment as sg
 from cornerforge.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cornerforge.image import GrayImage, load_image, save_pgm
-from cornerforge.trees import deserialize_tree
+from cornerforge.trees import (Leaf, Node, default_offsets_48,
+                               deserialize_tree, serialize_tree)
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +91,14 @@ def test_eval_repeat_rejects_bad_counts(small_dataset, tmp_path, counts):
 
 @pytest.mark.parametrize("flags", [["--repeats", "0"], ["--warmup", "-1"],
                                    ["--n-features", "-1"],
-                                   ["--algos", "fast-ref,"], ["--algos", ","],
-                                   ["--algos", "fast-ref:n=x"],
-                                   ["--algos", "random:seed=1.5"],
-                                   ["--algos", "fast-ref,harris:sigam=1"],
-                                   ["--algos", "random:sigma=1"],
-                                   ["--algos", "harris:sigma=inf"]],
+                                   ["--algo", "fast-ref:n=9,"],
+                                   ["--algo", "fast-ref:,"],
+                                   ["--algo", "fast-ref:n=x"],
+                                   ["--algo", "random:seed=1.5"],
+                                   ["--algo", "fast-ref", "--algo",
+                                    "harris:sigam=1"],
+                                   ["--algo", "random:sigma=1"],
+                                   ["--algo", "harris:sigma=inf"]],
                          ids=["repeats=0", "warmup=-1", "n-features=-1",
                               "algos=fast-ref,", "algos=,", "algos=n=x",
                               "algos=seed=1.5", "algos=sigam=1",
@@ -128,6 +131,15 @@ def test_bench_writes_one_row(small_dataset, tmp_path):
     assert float(rows[1][1]) > 0 and int(rows[1][3]) == 3 * 48 * 40
 
 
+def test_bench_takes_one_spec_per_algo(small_dataset, tmp_path):
+    # a spec's own commas separate its parameters, not detectors
+    out = tmp_path / "bench.csv"
+    assert main(["bench", str(small_dataset / "frame_000.pgm"), "--algo",
+                 "fast-ref:n=9,t=20", "--algo", "harris", "--repeats", "1",
+                 "--warmup", "0", "--out", str(out)]) == EXIT_OK
+    assert [r[0] for r in csv_rows(out)[1:]] == ["fast-ref-9", "harris"]
+
+
 def test_anneal_then_distill(small_dataset, tmp_path):
     prefix = str(tmp_path / "a_")
     assert main(["anneal", "--dataset", str(small_dataset), "--imax", "3",
@@ -149,6 +161,20 @@ def test_anneal_then_distill(small_dataset, tmp_path):
         ys, xs = np.nonzero(sixteenfold_field(tree, img, 35, table))
         want = np.column_stack([xs, ys])
         assert np.array_equal(tree_positions(single, img, 35, table), want)
+
+
+def test_fast_tree_runs_a_distilled_tree(small_dataset, tmp_path):
+    # fast-tree takes a tree on any offset table, such as distill's 48
+    source = tmp_path / "source.tree"
+    source.write_bytes(serialize_tree(Node(20, b=Leaf(1), s=Leaf(0),
+                                           d=Leaf(1)), default_offsets_48()))
+    single = tmp_path / "single.tree"
+    assert main(["distill", "--tree", str(source), "--dataset",
+                 str(small_dataset), "--out", str(single)]) == EXIT_OK
+    assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo",
+                 f"fast-tree:tree={single}", "--out",
+                 str(tmp_path / "r_")]) == EXIT_OK
+    assert csv_rows(tmp_path / "r_auc.csv")[1][0] == "fast-tree"
 
 
 @pytest.mark.parametrize("flags", [["--imax", "0"], ["--t", "0"],

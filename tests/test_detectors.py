@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _oracles import nms_oracle
+from cornerforge.annealing import distill, mutate, random_depth1_tree
 from cornerforge.baselines import (HARRIS_K, StructureTensor, gaussian_kernel,
                                    harris_response, shi_tomasi_response,
                                    structure_tensor)
@@ -16,7 +17,7 @@ from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
                                    SixteenFoldDetector, TreeDetector)
 from cornerforge.image import add_gaussian_noise
-from cornerforge.trees import RING16
+from cornerforge.trees import RING16, default_offsets_48
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +58,7 @@ class TestRows:
         for det in scored_detectors + [RandomDetector(seed=3)]:
             got = det.detect(frame, 40, frame_key=0)
             assert is_rows(got) and len(got) > 0, det.name
-            if not isinstance(det, RandomDetector):
-                assert is_rows(det.all_keypoints(frame))
+            assert is_rows(det.all_keypoints(frame))
 
     def test_all_keypoints_cached_and_read_only(self, frame, scored_detectors):
         det = scored_detectors[0]
@@ -117,6 +117,27 @@ class TestFastAgreement:
                 n=9, t_min=t).detect(frame, 30)), det.name
 
 
+    def test_distilled_tree_fires_where_sixteenfold_does(self):
+        # a mutated 48-offset tree is not symmetric, so its sixteen-fold
+        # detector fires on more pixels than the tree alone
+        table = default_offsets_48()
+        rng = np.random.default_rng(0)
+        tree = random_depth1_tree(rng, table)
+        for _ in range(25):
+            tree = mutate(tree, rng, table)
+        frames = [add_gaussian_noise(synthetic_base_image(64, 48, 5), 2.0, k)
+                  for k in (9, 10)]
+        wide = SixteenFoldDetector(tree, table, t_min=35)
+        single = TreeDetector(distill(tree, frames, t=35, table=table), table,
+                              t_min=35)
+        for img in frames:
+            want = wide.walk.detect(img, 35, table.margin)
+            assert len(want) > len(TreeDetector(tree, table).walk.detect(
+                img, 35, table.margin)) > 0
+            assert np.array_equal(single.walk.detect(img, 35, table.margin),
+                                  want)
+
+
 class TestBaselines:
     def test_random_deterministic_per_seed_and_frame(self, frame):
         det = RandomDetector(seed=4)
@@ -134,8 +155,30 @@ class TestBaselines:
         assert ((xs >= 3) & (xs < frame.width - 3)
                 & (ys >= 3) & (ys < frame.height - 3)).all()
         assert (scores == 1).all()
-        keys = ys * frame.width + xs
-        assert (np.diff(keys) > 0).all()
+
+    @given(seed=st.integers(0, 2**32 - 2), key=st.integers(0, 99),
+           counts=st.lists(st.integers(0, 58 * 42), min_size=2, max_size=2,
+                           unique=True).map(sorted))
+    def test_random_counts_are_nested_samples(self, frame, seed, key, counts):
+        # 58 x 42 interior pixels: every count up to all of them
+        n, m = counts
+        det = RandomDetector(seed=seed)
+        small = det.detect(frame, n, frame_key=key)
+        large = det.detect(frame, m, frame_key=key)
+        assert len(small) == n and np.array_equal(large[:n], small)
+        xs, ys, scores = large.T
+        assert len(set(zip(xs.tolist(), ys.tolist()))) == m
+        assert ((xs >= 3) & (xs < frame.width - 3)
+                & (ys >= 3) & (ys < frame.height - 3)).all()
+        assert (scores == 1).all()
+        every = det.all_keypoints(frame, key)
+        det.clear_cache()
+        assert np.array_equal(det.all_keypoints(frame, key), every)
+        assert np.array_equal(RandomDetector(seed=seed).detect(
+            frame, m, frame_key=key), large)
+        assert not np.array_equal(det.all_keypoints(frame, key + 1), every)
+        assert not np.array_equal(RandomDetector(seed=seed + 1).all_keypoints(
+            frame, key), every)
 
     def test_random_rejects_too_many(self, frame):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ The detection digests were recorded before keypoints became arrays, the
 learning digests before `learn-tree` took its ring states from
 `runtime.ternary_planes`, and the 160x120 count-cut digests before the curve
 matched each frame pair once for all counts; a refactor that changes any of them changes what
-the CLI writes. Regenerate them only for an intended output change, and say
+the CLI writes. The random baseline's digests, and the combined AUC digests
+through its row alone, were re-recorded when its counts became prefixes of
+one seeded permutation per frame instead of a fresh sample per count. Regenerate them only for an intended output change, and say
 why where the change is described.
 """
 
@@ -50,10 +52,10 @@ GOLDEN = {
     "detect-shi-tomasi-t35-n10": "bc4a09e1f761e853",
     "eval-repeat-shi-tomasi-curve": "723cea0b1cdc5226",
     "eval-repeat-shi-tomasi-auc": "edb69db4a175bfcf",
-    "detect-random-t1-n10": "8b9356af44093700",
-    "detect-random-t35-n10": "8b9356af44093700",
-    "eval-repeat-random-curve": "02c518d3d0513bad",
-    "eval-repeat-random-auc": "9311c8286e0beace",
+    "detect-random-t1-n10": "2c4c304387e0edce",
+    "detect-random-t35-n10": "2c4c304387e0edce",
+    "eval-repeat-random-curve": "0f5016f249b17066",
+    "eval-repeat-random-auc": "7366659511cb4057",
 }
 
 GOLDEN_CUTS = {
@@ -62,15 +64,15 @@ GOLDEN_CUTS = {
     "cuts-faster-curve": "340abe0f9190115a",
     "cuts-harris-curve": "db458fca47b919b3",
     "cuts-shi-tomasi-curve": "96068dfd14cecde8",
-    "cuts-random-curve": "0f48031601bfca22",
-    "cuts-auc": "3ac05e340681423b",
+    "cuts-random-curve": "d3345f8a6340d054",
+    "cuts-auc": "5cc607dfb3ce7c62",
     "cuts-all-eps2.5-fast-ref-curve": "46db791e76d5de80",
     "cuts-all-eps2.5-fast-tree-curve": "46db791e76d5de80",
     "cuts-all-eps2.5-faster-curve": "46db791e76d5de80",
     "cuts-all-eps2.5-harris-curve": "f76825daf7cc16b8",
     "cuts-all-eps2.5-shi-tomasi-curve": "df349f30d3f53b4f",
-    "cuts-all-eps2.5-random-curve": "216d784b17ca97a6",
-    "cuts-all-eps2.5-auc": "bc60f38ffc86fd19",
+    "cuts-all-eps2.5-random-curve": "6cd411e6e4523a64",
+    "cuts-all-eps2.5-auc": "889f25e6e27c5994",
 }
 
 GOLDEN_LEARN = {

@@ -157,7 +157,7 @@ class TestRepeatabilityCurve:
     def test_matches_per_count_loop(self, algo, frame_specs, params, counts,
                                     eps):
         # fast-ref cuts keep score ties whole, harris splits them, and the
-        # random baseline's detections at different counts are not nested
+        # random baseline cuts its permutation exactly
         frames = [curve_frame(seed, flat) for seed, flat in frame_specs]
         pairs = make_pairs(3, "all")
         warps = {pair: Homography(np.array([[s, 0.0, tx], [0.0, s, ty],
