@@ -13,6 +13,11 @@ evaluation only walks the candidate's sixteen variants over them
 (``runtime.PlaneWalk``). Pixels stay in the planes' column layout: a frame
 of h x w pixels is its (h - 2m) x (w - 2m) interior raster, m being the
 offset table's margin, and detection fields are those rasters.
+
+The projections are fixed too, so each source's floor cell in its target
+frame is found once, and two fixed disc masks around that cell settle most
+matches before the exact kernel (``CostEvaluator``). Every detected source
+is still matched on every evaluation.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
-from .repeatability import _any_within, _row_prefix, check_epsilon, make_pairs
+from .repeatability import (_any_within, _disc_runs, _row_prefix, _runs_hit,
+                            check_epsilon, make_pairs)
 from .runtime import PlaneWalk, ternary_planes
 from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
                     default_offsets_48, sixteen_fold, sixteen_fold_offsets,
@@ -162,10 +168,22 @@ class CostEvaluator:
     of every candidate tree walks the same planes. A frame's pixels are its
     interior raster: the pixels at least the table's margin m from every
     edge, one plane column each, so raster cell [r, c] is pixel (c + m, r + m).
-    Per ordered pair of ``make_pairs`` it keeps the raster indices of frame i
-    whose projection lands inside frame j, and their projected coordinates.
-    An evaluation matches the detected ones among them against frame j's
-    detections with the repeatability kernel.
+    Per ordered pair of ``make_pairs`` it keeps the sources: the pixels of
+    frame i whose projection lands inside frame j. Each has its projected
+    coordinates and its anchor, the flat index of the projection's floor
+    cell in row prefix sums of frame j's raster zero-padded by ``pad`` =
+    ceil(epsilon) + m + 1 cells on every side; every cell within epsilon of
+    a point of frame j lies in that padded raster, so no lookup is clipped.
+    A slot per raster cell of frame i holds its source's index, or -1 for a
+    pixel that projects outside frame j. Per frame it keeps the sure and
+    maybe runs of ``_disc_runs`` at the padded row stride.
+
+    An evaluation pads each detection field and takes its row prefix sums.
+    A detected source is repeated when its sure runs hold a detection of
+    frame j, and not repeated when its maybe runs hold none; the exact
+    ``_any_within`` decides the others. The sure cells of every query lie
+    within its exact cells and those within its maybe cells, so the counts
+    equal those of ``_any_within`` on every source.
     """
 
     def __init__(self, frames, warps, weights: CostWeights, table: OffsetTable):
@@ -179,15 +197,24 @@ class CostEvaluator:
         self.shapes = [(max(f.height - 2 * m, 0), max(f.width - 2 * m, 0))
                        for f in self.frames]
         self.planes = ternary_planes(self.frames, self.offsets, weights.t, m)
+        self.pad = pad = math.ceil(weights.epsilon) + m + 1
+        strides = [w + 2 * pad + 1 for _, w in self.shapes]
+        self.runs = [_disc_runs(weights.epsilon, s) for s in strides]
         self.projections = {}
         for i, j in make_pairs(len(self.frames)):
             if (i, j) not in warps:
                 raise KeyError(f"no warp for training pair ({i}, {j})")
+            target = self.frames[j]
+            if warps[(i, j)].target_size != (target.width, target.height):
+                raise ValueError(f"warp ({i}, {j}) does not map into frame {j}")
             ys, xs = np.indices(self.shapes[i]).reshape(2, -1) + m
             pts = np.column_stack([xs, ys]).astype(np.float64)
             proj, valid = project_points(warps[(i, j)], pts)
-            self.projections[(i, j)] = (np.flatnonzero(valid), proj[valid, 0],
-                                        proj[valid, 1])
+            px, py = proj[valid, 0], proj[valid, 1]
+            fx, fy = (np.floor(v).astype(np.int32) + pad - m for v in (px, py))
+            slot = np.full(len(valid), -1, dtype=np.int32)
+            slot[valid] = np.arange(len(px), dtype=np.int32)
+            self.projections[(i, j)] = (slot, fy * strides[j] + fx, px, py)
 
     def detect_fields(self, tree: TernaryTree) -> list[np.ndarray]:
         """Per frame, the boolean interior raster of the symmetrized
@@ -204,15 +231,24 @@ class CostEvaluator:
         """(cost, repeatability, per-frame detection counts), detections
         counted before any suppression."""
         fields = self.detect_fields(tree)
-        d_counts = [int(f.sum()) for f in fields]
-        prefixes = [_row_prefix(f) for f in fields]
-        m = self.table.margin
+        detected = [np.flatnonzero(f) for f in fields]
+        d_counts = [len(d) for d in detected]
+        pad = self.pad
+        prefixes = [_row_prefix(np.pad(f, pad)) for f in fields]
+        corner = self.table.margin - pad  # pixel of padded raster cell [0, 0]
         tot_useful = tot_rep = 0
-        for (i, j), (src, px, py) in self.projections.items():
-            useful = fields[i].ravel()[src]
-            tot_useful += int(useful.sum())
-            tot_rep += int(_any_within(px[useful], py[useful], prefixes[j],
-                                       self.weights.epsilon, x0=m, y0=m).sum())
+        for (i, j), (slot, anchor, px, py) in self.projections.items():
+            useful = slot.take(detected[i])
+            useful = useful[useful >= 0]
+            flat = prefixes[j].ravel()
+            sure, maybe = self.runs[j]
+            settled = _runs_hit(anchor[useful], flat, sure)
+            rest = useful[~settled]
+            rest = rest[_runs_hit(anchor[rest], flat, maybe)]
+            exact = _any_within(px[rest], py[rest], prefixes[j],
+                                self.weights.epsilon, x0=corner, y0=corner)
+            tot_useful += len(useful)
+            tot_rep += int(settled.sum()) + int(exact.sum())
         r = tot_rep / tot_useful if tot_useful else 0.0
         return cost_from_parts(r, d_counts, tree_size(tree), self.weights), r, d_counts
 

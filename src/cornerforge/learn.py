@@ -231,7 +231,7 @@ class _Rows:
 
     def count_table(self) -> np.ndarray:
         ts, idx = self.ts, self.idx
-        if not idx.size:  # the common case below an exhaustive set's slices
+        if not idx.size:  # a child for a state no record holds
             return np.zeros((len(ts.offsets), 6))
         combo_base = ts.labels[idx].astype(np.uint8) * np.uint8(3)
         w = ts.weights[idx]
@@ -299,7 +299,10 @@ class _Slice:
         for j, v in enumerate(self.fixed):
             if v >= 0:
                 table[j, v], table[j, 3 + v] = w - c, c
-        return self.low * table + self.rows.count_table()
+        table = self.low * table
+        if self.rows.idx.size:
+            return table + self.rows.count_table()
+        return table.astype(np.float64)  # the dtype a sum with rows gives
 
     def split(self, col: int) -> list[_Slice]:
         axis = sum(1 for j in self.fixed[col + 1:] if j < 0)

@@ -10,12 +10,15 @@ Detections are integer pixels, and the cells within epsilon of a query form
 one run of columns in each of 2*ceil(epsilon) + 1 lattice rows
 (``_row_runs``). Two kernels read those runs. Annealing's cost asks whether
 a run holds a detection, through row prefix sums of a boolean raster
-(``_any_within``). The curve asks for the best-ranked detection in the runs,
-through a raster of ranks (``_min_rank_within``). Every detector ranks each
-frame once, the random baseline included, and its detection at any count is
-a prefix of that ranking. So each frame has one pool, its detection at the
-largest count, and one projection and one min-rank match per ordered pair
-give the useful and repeated counts at every count.
+(``_any_within``). Before it, two fixed sets of runs per floor cell, the
+cells within epsilon of the whole cell and of some point of it
+(``_disc_runs``), settle most queries without ``_row_runs``. The curve
+asks for the best-ranked detection in the runs, through a raster of ranks
+(``_min_rank_within``). Every detector ranks each frame once, the random
+baseline included, and its detection at any count is a prefix of that
+ranking. So each frame has one pool, its detection at the largest count,
+and one projection and one min-rank match per ordered pair give the useful
+and repeated counts at every count.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
+def _slack(epsilon: float) -> float:
+    """A margin on epsilon**2 for the d2 tests: far above any float64
+    rounding of a squared distance near epsilon, far below one cell."""
+    return 1e-6 * (1.0 + epsilon)
+
+
 def _row_runs(qx: np.ndarray, qy: np.ndarray, epsilon: float):
     """The lattice cells within Euclidean epsilon of each query (qx, qy), as
     rows ``cy`` and inclusive column runs ``[lo, hi]``, each (N, 2c + 1)
@@ -67,7 +76,7 @@ def _row_runs(qx: np.ndarray, qy: np.ndarray, epsilon: float):
     check_epsilon(epsilon)
     c = math.ceil(epsilon)
     eps2 = float(epsilon) ** 2
-    slack = 1e-6 * (1.0 + epsilon)
+    slack = _slack(epsilon)
     qx = np.asarray(qx, dtype=np.float64)[:, None]
     qy = np.asarray(qy, dtype=np.float64)[:, None]
     cy = np.floor(qy).astype(np.int64) + np.arange(-c, c + 1)
@@ -108,6 +117,62 @@ def _any_within(qx: np.ndarray, qy: np.ndarray, prefix: np.ndarray,
     count = (flat[base + np.clip(hi + 1 - x0, 0, w)]
              - flat[base + np.clip(lo - x0, 0, w)])
     return (count > 0).any(axis=1)
+
+
+def _disc_runs(epsilon: float, stride: int):
+    """The cells that settle ``_any_within`` for every query of one unit
+    cell, as two lists of runs, ``(sure, maybe)``: each a (k, 2) int64
+    array whose rows are flat offsets ``(lo, hi)`` into row prefix sums of
+    row stride ``stride``.
+
+    A query (qx, qy) has the floor cell (fx, fy) = (floor(qx), floor(qy)),
+    and its cells within epsilon lie in rows fy + v and columns fx + u for
+    u, v = -c..c, c = ceil(epsilon). In row v the sure run holds the cells u
+    within epsilon of every point of the closed cell [0, 1]^2, the maybe
+    run those within epsilon of some point of it; a run [u_lo, u_hi] has
+    the offsets lo = v * stride + u_lo and hi = v * stride + u_hi + 1, and
+    rows with an empty run are left out. Rows come centre-out, v = 0, 1,
+    -1, 2, ..., so the first run is the floor cell's row. The squared distances are
+    integers, tested against epsilon**2 narrowed (sure) or widened (maybe)
+    by the slack of ``_row_runs``, so for every query of the cell its sure
+    cells lie within its ``_row_runs``, and those within its maybe cells.
+    At epsilon 0.5 no cell is sure.
+    """
+    check_epsilon(epsilon)
+    c = math.ceil(epsilon)
+    eps2, slack = float(epsilon) ** 2, _slack(epsilon)
+    k = np.arange(-c, c + 1)
+    far = np.maximum(k * k, (k - 1) * (k - 1))
+    near = np.maximum(np.maximum(-k, k - 1), 0) ** 2
+    runs = []
+    for d2, limit in ((far, eps2 - slack), (near, eps2 + slack)):
+        rows = []
+        for v in sorted(k.tolist(), key=lambda v: abs(2 * v - 1)):
+            us = k[d2[v + c] + d2 <= limit].tolist()  # one run: convex in u
+            if us:
+                rows.append((v * stride + us[0], v * stride + us[-1] + 1))
+        runs.append(np.array(rows, dtype=np.int64).reshape(-1, 2))
+    return tuple(runs)
+
+
+def _runs_hit(anchors: np.ndarray, flat: np.ndarray, runs) -> np.ndarray:
+    """For each index ``anchors`` into the flattened row prefix sums
+    ``flat``, does a run ``(lo, hi)`` of ``_disc_runs`` hold a set cell: is
+    ``flat[anchor + hi] - flat[anchor + lo]`` positive for one of them.
+
+    Where detections cluster, the first run, the floor cell's row, settles
+    most anchors, so the other runs are read only for the few it leaves
+    open, all at once.
+    """
+    if not len(runs):
+        return np.zeros(len(anchors), dtype=bool)
+    lo, hi = runs[0]
+    hit = flat.take(anchors + hi) > flat.take(anchors + lo)
+    open_ = np.flatnonzero(~hit)
+    at = anchors.take(open_)[:, None]
+    hit[open_] = (flat.take(at + runs[1:, 1])
+                  > flat.take(at + runs[1:, 0])).any(axis=1)
+    return hit
 
 
 def _rank_raster(targets: np.ndarray):

@@ -106,7 +106,8 @@ def shift(dx: float, dy: float, target: GrayImage) -> Homography:
 
 class TestCostEvaluator:
     @pytest.mark.parametrize("tree", TREES)
-    @pytest.mark.parametrize("eps", [1.5, 5.0])
+    # 12 is large next to the 48x40 frames: windows cross every frame edge
+    @pytest.mark.parametrize("eps", [0.5, 1.5, 2.3, 5.0, 12.0])
     def test_counts_match_oracle(self, dataset, tree, eps):
         frames, warps = dataset
         weights = an.CostWeights(epsilon=eps)
@@ -160,6 +161,24 @@ class TestCostEvaluator:
         useful, repeated = check_evaluator(frames, warps, an.CostWeights(t=20),
                                            default_offsets_48(), TREES[4])
         assert useful > 0 and repeated == 0
+
+    @pytest.mark.parametrize("eps", [0.5, 1.5])
+    def test_detector_firing_everywhere(self, dataset, eps):
+        # every pixel is a source, the first one included; those projecting
+        # onto another frame's border band find no detection
+        frames, warps = dataset
+        useful, repeated = check_evaluator(frames, warps,
+                                           an.CostWeights(epsilon=eps),
+                                           default_offsets_48(), Leaf(1))
+        assert 0 < repeated < useful
+
+    def test_warp_must_map_into_its_target_frame(self, dataset):
+        frames, warps = dataset
+        bad = dict(warps)
+        bad[(0, 1)] = Homography(warps[(0, 1)].matrix, (64, 40))
+        with pytest.raises(ValueError, match="frame 1"):
+            an.CostEvaluator(frames, bad, an.CostWeights(),
+                             default_offsets_48())
 
     def test_oracle_sees_partial_matches(self, dataset):
         # The trees above are not all trivial: some have both useful

@@ -1,16 +1,18 @@
-"""Golden CLI outputs: `detect` and `eval-repeat` for all six detectors, and
-the trees that `learn-tree` and `distill` write, on a small synthetic dataset,
-compared by sha256 (first 16 hex digits) of each output file without its '#'
-provenance lines.
+"""Golden CLI outputs: `detect` and `eval-repeat` for all six detectors,
+the trees that `learn-tree` and `distill` write, and the traces and best
+trees of `anneal`, on small synthetic datasets, compared by sha256 (first
+16 hex digits) of each output file without its '#' provenance lines.
 
 The detection digests were recorded before keypoints became arrays, the
 learning digests before `learn-tree` took its ring states from
-`runtime.ternary_planes`, and the 160x120 count-cut digests before the curve
-matched each frame pair once for all counts; a refactor that changes any of them changes what
-the CLI writes. The random baseline's digests, and the combined AUC digests
-through its row alone, were re-recorded when its counts became prefixes of
-one seeded permutation per frame instead of a fresh sample per count. Regenerate them only for an intended output change, and say
-why where the change is described.
+`runtime.ternary_planes`, the 160x120 count-cut digests before the curve
+matched each frame pair once for all counts, and the `anneal` digests
+before its match counts settled sources by fixed disc masks; a refactor
+that changes any of them changes what the CLI writes. The random baseline's
+digests, and the combined AUC digests through its row alone, were
+re-recorded when its counts became prefixes of one seeded permutation per
+frame instead of a fresh sample per count. Regenerate them only for an
+intended output change, and say why where the change is described.
 """
 
 import hashlib
@@ -229,3 +231,34 @@ def row_free_digests(tmp_path) -> dict[str, str]:
 
 def test_row_free_trees_match_golden_digests(tmp_path):
     assert row_free_digests(tmp_path) == GOLDEN_ROW_FREE
+
+
+GOLDEN_ANNEAL = {
+    "anneal_best.tree": "19273700e6fff2aa",
+    "anneal_run0.csv": "7b8801546e4a58f0",
+    "anneal_run1.csv": "3cadd4e20899a735",
+    "anneal_summary.csv": "bb2766182503c11c",
+    "anneal-eps0.5_best.tree": "166fcf62d3183ebb",
+    "anneal-eps0.5_run0.csv": "4c92568eb7c0b378",
+    "anneal-eps0.5_summary.csv": "c3d171b4ee3ba849",
+}
+
+
+def anneal_digests(tmp_path) -> dict[str, str]:
+    """`anneal --imax 30` on the golden frames: two seeded runs at the
+    default epsilon and one at epsilon 0.5; each run's trace CSV, and each
+    command's summary and best tree."""
+    data = golden_dataset(tmp_path / "data")
+    out = {}
+    for name, flags in (("anneal", ["--runs", "2"]),
+                        ("anneal-eps0.5", ["--runs", "1", "--epsilon", "0.5"])):
+        prefix = tmp_path / f"{name}_"
+        assert main(["anneal", "--dataset", str(data), "--imax", "30",
+                     *flags, "--out", str(prefix)]) == EXIT_OK
+        for path in sorted(tmp_path.glob(f"{name}_*")):
+            out[path.name] = digest(path)
+    return out
+
+
+def test_anneal_outputs_match_golden_digests(tmp_path):
+    assert anneal_digests(tmp_path) == GOLDEN_ANNEAL

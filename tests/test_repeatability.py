@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,9 @@ from conftest import constant_image
 from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector)
 from cornerforge.image import GrayImage
-from cornerforge.repeatability import (_any_within, _min_rank_within,
-                                       _rank_raster, _row_prefix,
+from cornerforge.repeatability import (_any_within, _disc_runs,
+                                       _min_rank_within, _rank_raster,
+                                       _row_prefix, _row_runs, _runs_hit,
                                        area_under_curve, make_pairs,
                                        repeatability_curve)
 from cornerforge.warp import Homography, project_points
@@ -24,6 +27,14 @@ targets = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
                    max_size=40)
 
 
+def target_raster(ts) -> np.ndarray:
+    """The 31x31 raster of ``targets`` points (x, y)."""
+    raster = np.zeros((31, 31), dtype=bool)
+    for x, y in ts:
+        raster[y, x] = True
+    return raster
+
+
 def match_within(queries, targets, eps):
     """For each query point, is any target within Euclidean eps: the rank
     raster of ``targets`` and its min-rank kernel, as the curve reads them."""
@@ -34,13 +45,27 @@ def match_within(queries, targets, eps):
                             x0, y0) < len(targets)
 
 
-def prefix_any_within(qs, ts, eps):
-    """``_any_within`` over the row prefix sums of a raster of ``ts``."""
-    raster = np.zeros((31, 31), dtype=bool)
-    for x, y in ts:
-        raster[y, x] = True
+def prefix_any_within(qs, raster, eps):
+    """``_any_within`` over the row prefix sums of a boolean raster."""
     qs = np.array(qs, dtype=np.float64).reshape(-1, 2)
     return _any_within(qs[:, 0], qs[:, 1], _row_prefix(raster), eps)
+
+
+def near_tie_queries(eps: float) -> np.ndarray:
+    """Queries a few units in the last place from distance eps of (50, 50),
+    mostly with |dy| near eps: there eps**2 - dy**2 cancels, and a run end
+    taken from sqrt alone is often one cell off."""
+    rng = np.random.default_rng(int(eps * 10))
+    dy = eps * np.sqrt(1 - rng.uniform(0, 1, 4000) ** 4) * rng.choice(
+        [-1, 1], 4000)
+    dx = np.sqrt(eps * eps - dy * dy) * rng.choice([-1, 1], dy.size)
+    qx = [50 + dx]
+    for step in (np.inf, -np.inf):
+        x = qx[0]
+        for _ in range(4):
+            x = np.nextafter(x, step)
+            qx.append(x)
+    return np.column_stack([np.concatenate(qx), np.tile(50 + dy, len(qx))])
 
 
 class TestMatchWithin:
@@ -49,7 +74,8 @@ class TestMatchWithin:
         got = match_within(np.array(qs, dtype=np.float64),
                            np.array(ts, dtype=np.float64), eps)
         assert got.tolist() == any_within(qs, ts, eps)
-        assert prefix_any_within(qs, ts, eps).tolist() == got.tolist()
+        assert prefix_any_within(qs, target_raster(ts),
+                                 eps).tolist() == got.tolist()
 
     @given(queries, targets, st.sampled_from(EPSILONS))
     def test_min_rank_is_the_first_target_within(self, qs, ts, eps):
@@ -76,20 +102,7 @@ class TestMatchWithin:
 
     @pytest.mark.parametrize("eps", EPSILONS + (2.3, 3.7))
     def test_near_ties(self, eps):
-        # Queries a few units in the last place from distance eps, mostly
-        # with |dy| near eps: there eps**2 - dy**2 cancels, and a run end
-        # taken from sqrt alone is often one cell off.
-        rng = np.random.default_rng(int(eps * 10))
-        dy = eps * np.sqrt(1 - rng.uniform(0, 1, 4000) ** 4) * rng.choice(
-            [-1, 1], 4000)
-        dx = np.sqrt(eps * eps - dy * dy) * rng.choice([-1, 1], dy.size)
-        qx = [50 + dx]
-        for step in (np.inf, -np.inf):
-            x = qx[0]
-            for _ in range(4):
-                x = np.nextafter(x, step)
-                qx.append(x)
-        qs = np.column_stack([np.concatenate(qx), np.tile(50 + dy, len(qx))])
+        qs = near_tie_queries(eps)
         got = match_within(qs, np.array([[50, 50]]), eps)
         assert got.tolist() == any_within(qs.tolist(), [(50, 50)], eps)
         prefixed = _any_within(qs[:, 0], qs[:, 1],
@@ -123,6 +136,101 @@ class TestMatchWithin:
             match_within(one, np.array([[1, 2]]), eps)
         with pytest.raises(ValueError, match="epsilon"):
             _any_within(one[:, 0], one[:, 1], prefix, eps)
+
+
+DISC_EPSILONS = (0.5, 1.0, 1.5, 2.3, 3.7, 5.0)
+
+
+# Sparse rasters leave many queries to the exact kernel; dense ones settle
+# most of them by their sure runs.
+rasters = st.one_of(
+    targets.map(target_raster),
+    st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([0.02, 0.2, 0.6])).map(
+        lambda sd: np.random.default_rng(sd[0]).random((31, 31)) < sd[1]))
+
+
+def disc_settle(qs, raster, eps):
+    """Annealing's match on a raster whose cell [0, 0] is the point (0, 0):
+    (sure, maybe, result) per query. The raster is padded wide enough for
+    every query; a query with a detection in its sure runs is repeated, one
+    without any in its maybe runs is not, and ``_any_within`` decides the
+    rest."""
+    qs = np.asarray(qs, dtype=np.float64).reshape(-1, 2)
+    h, w = raster.shape
+    lowest = int(min(np.floor(qs.min(initial=0.0)), 0))
+    highest = int(max(np.floor(qs.max(initial=0.0)), h, w))
+    pad = math.ceil(eps) + max(-lowest, highest - min(h, w)) + 1
+    prefix = _row_prefix(np.pad(raster, pad))
+    stride = prefix.shape[1]
+    fx, fy = (np.floor(v).astype(np.int64) + pad for v in qs.T)
+    anchor = fy * stride + fx
+    sure_runs, maybe_runs = _disc_runs(eps, stride)
+    sure = _runs_hit(anchor, prefix.ravel(), sure_runs)
+    maybe = _runs_hit(anchor, prefix.ravel(), maybe_runs)
+    result = sure.copy()
+    rest = np.flatnonzero(maybe & ~sure)
+    result[rest] = _any_within(qs[rest, 0], qs[rest, 1], prefix, eps,
+                               x0=-pad, y0=-pad)
+    return sure, maybe, result
+
+
+def disc_mask(runs, eps) -> np.ndarray:
+    """The cells of the sure (0) or maybe (1) runs of ``_disc_runs``, as a
+    boolean mask [v + c, u + c] around the floor cell, c = ceil(eps)."""
+    c = math.ceil(eps)
+    stride = 2 * c + 2
+    mask = np.zeros((2 * c + 1, 2 * c + 1), dtype=bool)
+    for lo, hi in _disc_runs(eps, stride)[runs]:
+        v, u = divmod(lo + c, stride)
+        mask[v + c, u : u + hi - lo] = True
+    return mask
+
+
+def check_sure_exact_maybe(qs, eps):
+    """For each query, the sure cells lie within its ``_row_runs`` cells,
+    and those within its maybe cells."""
+    c = math.ceil(eps)
+    cy, lo, hi = _row_runs(qs[:, 0], qs[:, 1], eps)
+    fx, fy = np.floor(qs).astype(np.int64).T
+    assert np.array_equal(cy - fy[:, None], np.tile(np.arange(-c, c + 1),
+                                                    (len(qs), 1)))
+    u = np.arange(-c, c + 1)
+    lo, hi = lo - fx[:, None], hi - fx[:, None]
+    exact = (lo[:, :, None] <= u) & (u <= hi[:, :, None])  # [q, v + c, u + c]
+    # every exact cell is on the (2c + 1)^2 grid around the floor cell
+    assert exact.sum(axis=2).tolist() == np.maximum(hi - lo + 1, 0).tolist()
+    assert not (disc_mask(0, eps) & ~exact).any()
+    assert not (exact & ~disc_mask(1, eps)).any()
+
+
+class TestDiscRuns:
+    @given(queries, rasters, st.sampled_from(DISC_EPSILONS))
+    def test_matches_exact_kernel_and_oracle(self, qs, raster, eps):
+        sure, maybe, got = disc_settle(qs, raster, eps)
+        want = any_within(qs, [(x, y) for y, x in np.argwhere(raster)], eps)
+        assert got.tolist() == want
+        assert prefix_any_within(qs, raster, eps).tolist() == want
+        assert not (sure & ~got).any() and not (got & ~maybe).any()
+
+    @given(queries, st.sampled_from(DISC_EPSILONS))
+    def test_sure_within_exact_within_maybe(self, qs, eps):
+        check_sure_exact_maybe(np.array(qs, dtype=np.float64).reshape(-1, 2),
+                               eps)
+
+    @pytest.mark.parametrize("eps", DISC_EPSILONS)
+    def test_near_ties(self, eps):
+        qs = near_tie_queries(eps)
+        raster = np.zeros((51, 51), dtype=bool)
+        raster[50, 50] = True
+        _, _, got = disc_settle(qs, raster, eps)
+        assert got.tolist() == any_within(qs.tolist(), [(50, 50)], eps)
+        check_sure_exact_maybe(qs, eps)
+
+    def test_no_cell_is_sure_at_half_a_pixel(self):
+        assert not disc_mask(0, 0.5).any()
+        assert disc_mask(1, 0.5).tolist() == [[False, False, False],
+                                              [False, True, True],
+                                              [False, True, True]]
 
 
 W, H = 26, 20
