@@ -16,8 +16,8 @@ offset table's margin, and detection fields are those rasters.
 
 The projections are fixed too, so each source's floor cell in its target
 frame is found once, and two fixed disc masks around that cell settle most
-matches before the exact kernel (``CostEvaluator``). Every detected source
-is still matched on every evaluation.
+matches before the exact test that the curve reads too (``CostEvaluator``).
+Every detected source is still matched on every evaluation.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
-from .repeatability import (_any_within, _disc_runs, _row_prefix, _runs_hit,
-                            check_epsilon, make_pairs)
+from .repeatability import (_cells_within, _disc_runs, _row_prefix,
+                            _runs_hit, check_epsilon, make_pairs)
 from .runtime import PlaneWalk, ternary_planes
 from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
                     default_offsets_48, sixteen_fold, sixteen_fold_offsets,
@@ -175,15 +175,15 @@ class CostEvaluator:
     ceil(epsilon) + m + 1 cells on every side; every cell within epsilon of
     a point of frame j lies in that padded raster, so no lookup is clipped.
     A slot per raster cell of frame i holds its source's index, or -1 for a
-    pixel that projects outside frame j. Per frame it keeps the sure and
-    maybe runs of ``_disc_runs`` at the padded row stride.
+    pixel that projects outside frame j. Per frame it keeps the padded row
+    stride and ``_disc_runs`` at that stride.
 
     An evaluation pads each detection field and takes its row prefix sums.
     A detected source is repeated when its sure runs hold a detection of
-    frame j, and not repeated when its maybe runs hold none; the exact
-    ``_any_within`` decides the others. The sure cells of every query lie
-    within its exact cells and those within its maybe cells, so the counts
-    equal those of ``_any_within`` on every source.
+    frame j, and not repeated when its maybe runs hold none; for the others
+    a maybe cell that holds a detection and passes ``_cells_within``
+    decides. The sure cells of every query pass that test, and every cell
+    that passes it is a maybe cell, so the counts are exact on every source.
     """
 
     def __init__(self, frames, warps, weights: CostWeights, table: OffsetTable):
@@ -198,7 +198,7 @@ class CostEvaluator:
                        for f in self.frames]
         self.planes = ternary_planes(self.frames, self.offsets, weights.t, m)
         self.pad = pad = math.ceil(weights.epsilon) + m + 1
-        strides = [w + 2 * pad + 1 for _, w in self.shapes]
+        self.strides = strides = [w + 2 * pad + 1 for _, w in self.shapes]
         self.runs = [_disc_runs(weights.epsilon, s) for s in strides]
         self.projections = {}
         for i, j in make_pairs(len(self.frames)):
@@ -235,20 +235,21 @@ class CostEvaluator:
         d_counts = [len(d) for d in detected]
         pad = self.pad
         prefixes = [_row_prefix(np.pad(f, pad)) for f in fields]
-        corner = self.table.margin - pad  # pixel of padded raster cell [0, 0]
         tot_useful = tot_rep = 0
         for (i, j), (slot, anchor, px, py) in self.projections.items():
             useful = slot.take(detected[i])
             useful = useful[useful >= 0]
             flat = prefixes[j].ravel()
-            sure, maybe = self.runs[j]
+            sure, maybe, cells = self.runs[j]
             settled = _runs_hit(anchor[useful], flat, sure)
             rest = useful[~settled]
             rest = rest[_runs_hit(anchor[rest], flat, maybe)]
-            exact = _any_within(px[rest], py[rest], prefixes[j],
-                                self.weights.epsilon, x0=corner, y0=corner)
+            index, within = _cells_within(px[rest], py[rest], anchor[rest],
+                                          cells, self.strides[j],
+                                          self.weights.epsilon)
+            exact = within & (flat.take(index + 1) > flat.take(index))
             tot_useful += len(useful)
-            tot_rep += int(settled.sum()) + int(exact.sum())
+            tot_rep += int(settled.sum()) + int(exact.any(axis=1).sum())
         r = tot_rep / tot_useful if tot_useful else 0.0
         return cost_from_parts(r, d_counts, tree_size(tree), self.weights), r, d_counts
 

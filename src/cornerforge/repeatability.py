@@ -6,19 +6,17 @@ within epsilon (Euclidean) of that projection. Several features may match a
 single target detection. The sequence score pools counts over all evaluated
 pairs, which equals the useful-weighted mean of per-pair ratios.
 
-Detections are integer pixels, and the cells within epsilon of a query form
-one run of columns in each of 2*ceil(epsilon) + 1 lattice rows
-(``_row_runs``). Two kernels read those runs. Annealing's cost asks whether
-a run holds a detection, through row prefix sums of a boolean raster
-(``_any_within``). Before it, two fixed sets of runs per floor cell, the
-cells within epsilon of the whole cell and of some point of it
-(``_disc_runs``), settle most queries without ``_row_runs``. The curve
-asks for the best-ranked detection in the runs, through a raster of ranks
-(``_min_rank_within``). Every detector ranks each frame once, the random
-baseline included, and its detection at any count is a prefix of that
-ranking. So each frame has one pool, its detection at the largest count,
-and one projection and one min-rank match per ordered pair give the useful
-and repeated counts at every count.
+Detections are integer pixels. Only the cells of the (2c + 1)^2 box around
+a query's floor cell, c = ceil(epsilon), can lie within epsilon of it; the
+maybe cells of ``_disc_runs`` are those of the box that can, and one exact
+float64 test (``_cells_within``) decides each. The curve reads it over a
+raster of ranks and takes the best-ranked passing cell. Annealing's cost
+reads it over row prefix sums of a boolean raster, for the few queries
+that the sure and maybe runs of ``_disc_runs`` leave open. Every detector
+ranks each frame once, the random baseline included, and its detection at
+any count is a prefix of that ranking. So each frame has one pool, its
+detection at the largest count, and one projection and one min-rank match
+per ordered pair give the useful and repeated counts at every count.
 """
 
 from __future__ import annotations
@@ -53,47 +51,11 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
-def _slack(epsilon: float) -> float:
-    """A margin on epsilon**2 for the d2 tests: far above any float64
-    rounding of a squared distance near epsilon, far below one cell."""
-    return 1e-6 * (1.0 + epsilon)
-
-
-def _row_runs(qx: np.ndarray, qy: np.ndarray, epsilon: float):
-    """The lattice cells within Euclidean epsilon of each query (qx, qy), as
-    rows ``cy`` and inclusive column runs ``[lo, hi]``, each (N, 2c + 1)
-    int64 with c = ceil(epsilon); a run with lo > hi is empty.
-
-    The test is ``(cx-qx)**2 + (cy-qy)**2 <= epsilon**2`` in float64 on the
-    queries' own coordinates. Rows cy = floor(qy) - c .. floor(qy) + c hold
-    every cell within epsilon. In each row the test holds on one run of
-    columns, because the rounded d2 only grows with |cx - qx|, and the run
-    lies inside floor(qx) - c .. floor(qx) + c. The run ends come from sqrt,
-    widened by a slack larger than any rounding error and smaller than one
-    cell; one exact d2 test per end then moves each end inward by at most
-    one.
-    """
-    check_epsilon(epsilon)
-    c = math.ceil(epsilon)
-    eps2 = float(epsilon) ** 2
-    slack = _slack(epsilon)
-    qx = np.asarray(qx, dtype=np.float64)[:, None]
-    qy = np.asarray(qy, dtype=np.float64)[:, None]
-    cy = np.floor(qy).astype(np.int64) + np.arange(-c, c + 1)
-    dy2 = (cy - qy) ** 2
-    r = np.sqrt(np.maximum(eps2 - dy2, 0.0))
-    lo = np.ceil(qx - r - slack).astype(np.int64)
-    lo += (lo - qx) ** 2 + dy2 > eps2
-    hi = np.floor(qx + r + slack).astype(np.int64)
-    hi -= (hi - qx) ** 2 + dy2 > eps2
-    return cy, lo, hi
-
-
 def _row_prefix(raster: np.ndarray) -> np.ndarray:
     """Row prefix sums of an (h, w) boolean raster, shape (h + 1, w + 1).
 
-    Entry [y, x] counts the set cells of row y left of column x; row h is
-    all zero, so row indices -1 and h both read an empty row.
+    Entry [y, x] counts the set cells of row y left of column x, so cell
+    [y, x] is set when entry [y, x + 1] exceeds entry [y, x].
     """
     h, w = raster.shape
     prefix = np.zeros((h + 1, w + 1), dtype=np.int32)
@@ -101,58 +63,45 @@ def _row_prefix(raster: np.ndarray) -> np.ndarray:
     return prefix
 
 
-def _any_within(qx: np.ndarray, qy: np.ndarray, prefix: np.ndarray,
-                epsilon: float, x0: int = 0, y0: int = 0) -> np.ndarray:
-    """For each query (qx, qy), is a set cell within Euclidean epsilon.
-
-    ``prefix`` is ``_row_prefix`` of a raster whose cell [0, 0] sits at the
-    integer point (x0, y0); only integer cells are shifted into the raster.
-    A hit is a run of ``_row_runs`` whose prefix-sum difference is positive,
-    so a query costs 2*ceil(epsilon) + 1 pairs of lookups.
-    """
-    cy, lo, hi = _row_runs(qx, qy, epsilon)
-    h, w = prefix.shape[0] - 1, prefix.shape[1] - 1
-    base = np.clip(cy - y0, -1, h) * (w + 1)
-    flat = prefix.ravel()
-    count = (flat[base + np.clip(hi + 1 - x0, 0, w)]
-             - flat[base + np.clip(lo - x0, 0, w)])
-    return (count > 0).any(axis=1)
-
-
 def _disc_runs(epsilon: float, stride: int):
-    """The cells that settle ``_any_within`` for every query of one unit
-    cell, as two lists of runs, ``(sure, maybe)``: each a (k, 2) int64
-    array whose rows are flat offsets ``(lo, hi)`` into row prefix sums of
-    row stride ``stride``.
+    """The cells around a unit cell that can lie within epsilon of its
+    queries: ``(sure, maybe, cells)``.
 
     A query (qx, qy) has the floor cell (fx, fy) = (floor(qx), floor(qy)),
-    and its cells within epsilon lie in rows fy + v and columns fx + u for
-    u, v = -c..c, c = ceil(epsilon). In row v the sure run holds the cells u
-    within epsilon of every point of the closed cell [0, 1]^2, the maybe
-    run those within epsilon of some point of it; a run [u_lo, u_hi] has
-    the offsets lo = v * stride + u_lo and hi = v * stride + u_hi + 1, and
-    rows with an empty run are left out. Rows come centre-out, v = 0, 1,
-    -1, 2, ..., so the first run is the floor cell's row. The squared distances are
+    and only the cells (fx + u, fy + v), u, v = -c..c with c = ceil(epsilon),
+    can match it (``_cells_within``). The sure cells are those within
+    epsilon of every point of the closed cell [0, 1]^2, the maybe cells
+    those within epsilon of some point of it. Their squared distances are
     integers, tested against epsilon**2 narrowed (sure) or widened (maybe)
-    by the slack of ``_row_runs``, so for every query of the cell its sure
-    cells lie within its ``_row_runs``, and those within its maybe cells.
-    At epsilon 0.5 no cell is sure.
+    by a slack, so for every query of the cell its sure cells pass the
+    exact test and every cell that passes it is a maybe cell. At epsilon
+    0.5 no cell is sure.
+
+    ``sure`` and ``maybe`` are (k, 2) int64 runs, one per row v with a
+    nonempty run [u_lo, u_hi], as flat offsets ``(lo, hi)`` = (v * stride +
+    u_lo, v * stride + u_hi + 1) into row prefix sums of row stride
+    ``stride``. Rows come centre-out, v = 0, 1, -1, 2, ..., so the first run
+    is the floor cell's row. ``cells`` lists the maybe cells as (K, 2) int64
+    offsets (u, v).
     """
     check_epsilon(epsilon)
     c = math.ceil(epsilon)
-    eps2, slack = float(epsilon) ** 2, _slack(epsilon)
+    eps2 = float(epsilon) ** 2
+    slack = 1e-6 * (1.0 + epsilon)  # far above d2 rounding, far below 1
     k = np.arange(-c, c + 1)
     far = np.maximum(k * k, (k - 1) * (k - 1))
     near = np.maximum(np.maximum(-k, k - 1), 0) ** 2
+    sure = far[:, None] + far <= eps2 - slack  # [v + c, u + c]
+    maybe = near[:, None] + near <= eps2 + slack
     runs = []
-    for d2, limit in ((far, eps2 - slack), (near, eps2 + slack)):
+    for mask in (sure, maybe):
         rows = []
         for v in sorted(k.tolist(), key=lambda v: abs(2 * v - 1)):
-            us = k[d2[v + c] + d2 <= limit].tolist()  # one run: convex in u
-            if us:
+            us = k[mask[v + c]]  # one run: convex in u
+            if len(us):
                 rows.append((v * stride + us[0], v * stride + us[-1] + 1))
         runs.append(np.array(rows, dtype=np.int64).reshape(-1, 2))
-    return tuple(runs)
+    return runs[0], runs[1], np.argwhere(maybe)[:, ::-1] - c
 
 
 def _runs_hit(anchors: np.ndarray, flat: np.ndarray, runs) -> np.ndarray:
@@ -175,51 +124,50 @@ def _runs_hit(anchors: np.ndarray, flat: np.ndarray, runs) -> np.ndarray:
     return hit
 
 
-def _rank_raster(targets: np.ndarray):
-    """(ranks, x0, y0): row k of the (N, 2) integer pixel positions
-    ``targets`` has rank k, written at its cell of an int32 raster over the
-    targets' bounding box, whose cell [0, 0] sits at (x0, y0). The raster has
-    one extra row and column, and every cell without a target reads N.
-    ``ValueError`` for positions that are not integers."""
+def _cells_within(qx: np.ndarray, qy: np.ndarray, anchors: np.ndarray,
+                  cells: np.ndarray, stride: int, epsilon: float):
+    """(index, within), both (N, K): for each float64 query (qx, qy), whose
+    floor cell has the flat index ``anchors`` in a raster of row stride
+    ``stride``, the flat index of each of its cells (fx + u, fy + v) of
+    ``cells``, and whether that cell lies within Euclidean epsilon.
+
+    The test is ``(cx-qx)*(cx-qx) + (cy-qy)*(cy-qy) <= epsilon*epsilon`` in
+    float64 on the queries' own coordinates. Only cells in the (2c + 1)^2
+    box around the floor cell can match, c = ceil(epsilon): a cell outside
+    it is more than c >= epsilon away, even where the rounded test would
+    pass (query 4 - 2**-51 against cell 9 at epsilon 5). The maybe cells of
+    ``_disc_runs`` hold every cell of the box that passes.
+    """
+    c = math.ceil(epsilon)
+    k = np.arange(-c, c + 1)
+    dx = np.floor(qx)[:, None] + k - qx[:, None]  # cx - qx per column offset
+    dy = np.floor(qy)[:, None] + k - qy[:, None]
+    u, v = cells.T
+    within = ((dx * dx)[:, u + c] + (dy * dy)[:, v + c]
+              <= float(epsilon) * float(epsilon))
+    return anchors[:, None] + (v * stride + u), within
+
+
+def _rank_raster(targets: np.ndarray, size, c: int) -> np.ndarray:
+    """Row k of the (N, 2) integer pixel positions ``targets`` has rank k,
+    written at its cell of an int32 raster over the frame of ``size`` (w,
+    h), padded by ``c`` cells on every side; every cell without a target
+    reads N, and the lowest rank wins where two targets share a cell.
+    ``ValueError`` for positions that are not integers or lie outside the
+    frame."""
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
     if not (np.isfinite(targets).all()
             and np.array_equal(np.round(targets), targets)):
         raise ValueError("match targets must be integer pixel positions")
-    cells = targets.astype(np.int64)
-    if not len(cells):
-        return np.zeros((1, 1), dtype=np.int32), 0, 0
-    x0, y0 = cells.min(axis=0)
-    x1, y1 = cells.max(axis=0)
-    ranks = np.full((y1 - y0 + 2, x1 - x0 + 2), len(cells), dtype=np.int32)
+    w, h = size
+    if ((targets < 0) | (targets > [w - 1, h - 1])).any():
+        raise ValueError(f"match targets must lie inside the {w}x{h} frame")
+    cells = targets.astype(np.int64) + c
+    ranks = np.full((h + 2 * c, w + 2 * c), len(cells), dtype=np.int32)
     # Reversed, so the lowest rank wins where two targets share a cell.
-    ranks[cells[::-1, 1] - y0, cells[::-1, 0] - x0] = np.arange(
+    ranks[cells[::-1, 1], cells[::-1, 0]] = np.arange(
         len(cells) - 1, -1, -1, dtype=np.int32)
-    return ranks, int(x0), int(y0)
-
-
-def _min_rank_within(qx: np.ndarray, qy: np.ndarray, ranks: np.ndarray,
-                     epsilon: float, x0: int = 0, y0: int = 0) -> np.ndarray:
-    """For each query (qx, qy), the lowest rank of ``_rank_raster`` within
-    Euclidean epsilon; the raster's empty value where there is none.
-
-    Each query gathers the (2c + 1)^2 cells around (floor(qx), floor(qy)),
-    one column offset at a time; cells off its runs of ``_row_runs`` or off
-    the raster read the empty extra row.
-    """
-    cy, lo, hi = _row_runs(qx, qy, epsilon)
-    h, w = ranks.shape[0] - 1, ranks.shape[1] - 1
-    c = cy.shape[1] // 2
-    ry = cy - y0
-    row = np.where((ry >= 0) & (ry < h), ry, h) * (w + 1)
-    fx = np.floor(np.asarray(qx, dtype=np.float64)).astype(np.int64)[:, None]
-    flat = ranks.ravel()
-    best = np.full(len(row), flat[-1])
-    for dx in range(-c, c + 1):
-        cx = fx + dx
-        col = np.where((cx >= x0) & (cx < x0 + w), cx - x0, w)
-        cell = np.where((lo <= cx) & (cx <= hi), row + col, h * (w + 1))
-        np.minimum(best, flat[cell].min(axis=1), out=best)
-    return best
+    return ranks
 
 
 def _pair_counts(pool_i: np.ndarray, pool_j: np.ndarray, cuts_i, cuts_j,
@@ -229,17 +177,27 @@ def _pair_counts(pool_i: np.ndarray, pool_j: np.ndarray, cuts_i, cuts_j,
     Cut k keeps the first ``cuts_i[k]`` keypoint rows of ``pool_i`` and the
     first ``cuts_j[k]`` of ``pool_j``. The pool of frame i is projected once,
     and each projected source is matched once, to the lowest rank of frame
-    j's pool within epsilon. At cut k a source is useful when its own rank
-    is below ``cuts_i[k]``, and repeated when also its match is below
+    j's pool within epsilon: the least ``_rank_raster`` entry over its cells
+    that pass ``_cells_within``. At cut k a source is useful when its own
+    rank is below ``cuts_i[k]``, and repeated when also its match is below
     ``cuts_j[k]``.
     """
     cuts_i = np.asarray(cuts_i, dtype=np.int64)[:, None]
     cuts_j = np.asarray(cuts_j, dtype=np.int64)[:, None]
+    check_epsilon(epsilon)
     proj, valid = project_points(warp, pool_i[:, :2])
     rank = np.flatnonzero(valid)
-    ranks, x0, y0 = _rank_raster(pool_j[:, :2])
-    match = _min_rank_within(proj[rank, 0], proj[rank, 1], ranks, epsilon,
-                             x0, y0)
+    c = math.ceil(epsilon)
+    ranks = _rank_raster(pool_j[:, :2], warp.target_size, c)
+    stride = ranks.shape[1]
+    qx, qy = proj[rank, 0], proj[rank, 1]
+    anchor = ((np.floor(qy).astype(np.int64) + c) * stride
+              + np.floor(qx).astype(np.int64) + c)
+    index, within = _cells_within(qx, qy, anchor,
+                                  _disc_runs(epsilon, stride)[2], stride,
+                                  epsilon)
+    match = np.where(within, ranks.ravel().take(index), len(pool_j)).min(
+        axis=1, initial=len(pool_j))
     useful = rank < cuts_i
     return (useful.sum(axis=1),
             (useful & (match < cuts_j)).sum(axis=1))

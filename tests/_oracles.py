@@ -275,11 +275,19 @@ def any_within(queries, targets, eps: float):
 
     Squares are products, rounded once as in NumPy; Python's ``x ** 2``
     calls the C library's pow, which may be one unit in the last place off.
+    Only targets in the (2c + 1)^2 box of lattice cells around the query's
+    floor cell count, c = ceil(eps). A target outside that box is more than
+    c >= eps away, yet the rounded squared distance can still come out at
+    eps**2: for the query (4 - 2**-51, 3) and the target (9, 3), 9 - qx
+    rounds to 5, so at eps 5 the sum test alone would call it within.
     """
     out = []
     e2 = eps * eps
+    c = math.ceil(eps)
     for qx, qy in queries:
-        out.append(any((qx - tx) * (qx - tx) + (qy - ty) * (qy - ty) <= e2
+        fx, fy = math.floor(qx), math.floor(qy)
+        out.append(any(abs(tx - fx) <= c and abs(ty - fy) <= c
+                       and (qx - tx) * (qx - tx) + (qy - ty) * (qy - ty) <= e2
                        for tx, ty in targets))
     return out
 

@@ -10,7 +10,7 @@ from cornerforge.trees import (RING16, CompiledTree, Leaf, Node,
                                default_offsets_48)
 
 settings.register_profile(
-    "suite", max_examples=25, deadline=None,
+    "suite", max_examples=25, deadline=None, print_blob=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 settings.load_profile("suite")
 

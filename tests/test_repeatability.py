@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import any_within, repeatability_curve_loop
 from conftest import constant_image
 from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector)
 from cornerforge.image import GrayImage
-from cornerforge.repeatability import (_any_within, _disc_runs,
-                                       _min_rank_within, _rank_raster,
-                                       _row_prefix, _row_runs, _runs_hit,
+from cornerforge.repeatability import (_cells_within, _disc_runs,
+                                       _rank_raster, _row_prefix, _runs_hit,
                                        area_under_curve, make_pairs,
+                                       pair_repeatability,
                                        repeatability_curve)
 from cornerforge.warp import Homography, project_points
 
@@ -26,6 +26,24 @@ queries = st.lists(st.tuples(st.one_of(quarter, anywhere),
 targets = st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
                    max_size=40)
 
+# A query one unit in the last place below an integer, in x and in y, and
+# a target just outside the (2c + 1)^2 box around its floor cell: the
+# rounded squared distance is exactly epsilon**2, but the target is more
+# than epsilon away, so nothing matches.
+ULP_CASES = [([(4 - 2**-51, 3.0)], [(9, 3)], 5.0),
+             ([(3.0, 4 - 2**-51)], [(3, 9)], 5.0),
+             ([(1 - 2**-53, 0.0)], [(2, 0)], 1.0),
+             ([(0.0, 1 - 2**-53)], [(0, 2)], 1.0)]
+
+
+def with_examples(cases):
+    """Decorate a test with a Hypothesis ``example`` per argument tuple."""
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return decorate
+
 
 def target_raster(ts) -> np.ndarray:
     """The 31x31 raster of ``targets`` points (x, y)."""
@@ -35,20 +53,30 @@ def target_raster(ts) -> np.ndarray:
     return raster
 
 
-def match_within(queries, targets, eps):
-    """For each query point, is any target within Euclidean eps: the rank
-    raster of ``targets`` and its min-rank kernel, as the curve reads them."""
-    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 2)
-    ranks, x0, y0 = _rank_raster(targets)
-    return _min_rank_within(queries[:, 0], queries[:, 1], ranks, eps,
-                            x0, y0) < len(targets)
+def min_rank_within(qs, ts, eps) -> np.ndarray:
+    """For each query point, the lowest rank (row) of the targets ``ts``
+    within Euclidean eps, len(ts) where there is none, read as the curve
+    reads it: ``_cells_within`` over the ``_rank_raster`` of a frame that
+    holds every target and every query's floor cell."""
+    qs = np.asarray(qs, dtype=np.float64).reshape(-1, 2)
+    ts = np.asarray(ts, dtype=np.float64).reshape(-1, 2)
+    floors = np.floor(qs).astype(np.int64)
+    cells = np.concatenate([floors, ts.astype(np.int64)])
+    x0, y0 = cells.min(axis=0, initial=0)
+    x1, y1 = cells.max(axis=0, initial=0)
+    c = math.ceil(eps)
+    ranks = _rank_raster(ts - [x0, y0], (x1 - x0 + 1, y1 - y0 + 1), c)
+    stride = ranks.shape[1]
+    anchor = (floors[:, 1] - y0 + c) * stride + floors[:, 0] - x0 + c
+    index, within = _cells_within(qs[:, 0], qs[:, 1], anchor,
+                                  _disc_runs(eps, stride)[2], stride, eps)
+    return np.where(within, ranks.ravel().take(index), len(ts)).min(
+        axis=1, initial=len(ts))
 
 
-def prefix_any_within(qs, raster, eps):
-    """``_any_within`` over the row prefix sums of a boolean raster."""
-    qs = np.array(qs, dtype=np.float64).reshape(-1, 2)
-    return _any_within(qs[:, 0], qs[:, 1], _row_prefix(raster), eps)
+def match_within(qs, ts, eps) -> np.ndarray:
+    """For each query point, is any target within Euclidean eps."""
+    return min_rank_within(qs, ts, eps) < len(ts)
 
 
 def near_tie_queries(eps: float) -> np.ndarray:
@@ -68,25 +96,27 @@ def near_tie_queries(eps: float) -> np.ndarray:
     return np.column_stack([np.concatenate(qx), np.tile(50 + dy, len(qx))])
 
 
+def keypoints(xy) -> np.ndarray:
+    """Keypoint rows x, y, score for the points ``xy``."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    return np.column_stack([xy, np.ones(len(xy))])
+
+
 class TestMatchWithin:
     @given(queries, targets, st.sampled_from(EPSILONS))
+    @with_examples(ULP_CASES)
     def test_matches_oracle(self, qs, ts, eps):
-        got = match_within(np.array(qs, dtype=np.float64),
-                           np.array(ts, dtype=np.float64), eps)
-        assert got.tolist() == any_within(qs, ts, eps)
-        assert prefix_any_within(qs, target_raster(ts),
-                                 eps).tolist() == got.tolist()
+        want = any_within(qs, ts, eps)
+        assert match_within(qs, ts, eps).tolist() == want
+        assert disc_settle(qs, target_raster(ts), eps)[2].tolist() == want
 
     @given(queries, targets, st.sampled_from(EPSILONS))
     def test_min_rank_is_the_first_target_within(self, qs, ts, eps):
         # duplicate targets are common here: the lower rank must win
-        ranks, x0, y0 = _rank_raster(np.array(ts, dtype=np.float64))
-        qs_arr = np.array(qs, dtype=np.float64).reshape(-1, 2)
-        got = _min_rank_within(qs_arr[:, 0], qs_arr[:, 1], ranks, eps, x0, y0)
         hits = [any_within(qs, [t], eps) for t in ts]
         want = [next((k for k, hit in enumerate(hits) if hit[q]), len(ts))
                 for q in range(len(qs))]
-        assert got.tolist() == want
+        assert min_rank_within(qs, ts, eps).tolist() == want
 
     @pytest.mark.parametrize("eps", EPSILONS)
     def test_exactly_epsilon_away_matches(self, eps):
@@ -105,37 +135,58 @@ class TestMatchWithin:
         qs = near_tie_queries(eps)
         got = match_within(qs, np.array([[50, 50]]), eps)
         assert got.tolist() == any_within(qs.tolist(), [(50, 50)], eps)
-        prefixed = _any_within(qs[:, 0], qs[:, 1],
-                               _row_prefix(np.ones((1, 1), dtype=bool)), eps,
-                               50, 50)
-        assert prefixed.tolist() == got.tolist()
 
     def test_queries_outside_target_box(self):
         qs = np.array([[-4.0, 0.0], [0.0, -5.5], [104.0, 53.0], [100.0, 51.0],
-                       [-1e6, 3.0], [52.0, 1e9]])
+                       [-40.0, 3.0], [52.0, 90.0]])
         ts = np.array([[0, 0], [100, 50]])
         assert match_within(qs, ts, 5.0).tolist() == [
             True, False, True, True, False, False]
+
+    def test_cells_past_the_frame_edge(self):
+        # a source at the frame's edge has candidate cells up to ceil(eps)
+        # past it, in the rank raster's padding
+        warp = Homography(np.eye(3), (101, 51))
+        ts = keypoints([[0, 0], [100, 50]])
+        qs = [[4.0, 0.0], [0.0, 5.5], [96.0, 47.0], [100.0, 45.0],
+              [100.0, 44.5], [100.0, 0.0], [0.0, 50.0], [0.5, 49.5]]
+        got = [pair_repeatability(keypoints(q), ts, warp, 5.0).n_repeated
+               for q in qs]
+        assert got == [1, 0, 1, 1, 0, 0, 0, 0]
 
     def test_empty_inputs(self):
         none = np.zeros((0, 2))
         assert match_within(none, np.array([[1, 2]]), 5.0).shape == (0,)
         assert match_within(np.array([[1.0, 2.0]]), none, 5.0).tolist() == [False]
+        warp = Homography(np.eye(3), (4, 4))
+        one = keypoints([[1, 2]])
+        for det_i, det_j, useful in ((keypoints(none), one, 0),
+                                     (one, keypoints(none), 1)):
+            got = pair_repeatability(det_i, det_j, warp, 5.0)
+            assert (got.n_useful, got.n_repeated) == (useful, 0)
 
     @pytest.mark.parametrize("bad", [[[1.5, 2.0]], [[1.0, np.nan]],
                                      [[np.inf, 0.0]]])
     def test_non_integer_targets_raise(self, bad):
         with pytest.raises(ValueError, match="integer"):
-            match_within(np.array([[1.0, 2.0]]), np.array(bad), 5.0)
+            pair_repeatability(keypoints([[1, 2]]), keypoints(bad),
+                               Homography(np.eye(3), (4, 4)), 5.0)
+
+    @pytest.mark.parametrize("bad", [[[4, 0]], [[0, 3]], [[-1, 2]],
+                                     [[2, -1]], [[1, 1], [9, 9]]])
+    def test_targets_outside_the_frame_raise(self, bad):
+        # the rank raster covers the warp's 4x3 target frame and no more
+        with pytest.raises(ValueError, match="inside the 4x3 frame"):
+            pair_repeatability(keypoints([[1, 2]]), keypoints(bad),
+                               Homography(np.eye(3), (4, 3)), 5.0)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_epsilon_must_be_finite_and_positive(self, eps):
-        one = np.array([[1.0, 2.0]])
-        prefix = _row_prefix(np.ones((4, 4), dtype=bool))
+        one = keypoints([[1, 2]])
         with pytest.raises(ValueError, match="epsilon"):
-            match_within(one, np.array([[1, 2]]), eps)
+            pair_repeatability(one, one, Homography(np.eye(3), (4, 4)), eps)
         with pytest.raises(ValueError, match="epsilon"):
-            _any_within(one[:, 0], one[:, 1], prefix, eps)
+            _disc_runs(eps, 8)
 
 
 DISC_EPSILONS = (0.5, 1.0, 1.5, 2.3, 3.7, 5.0)
@@ -152,25 +203,28 @@ rasters = st.one_of(
 def disc_settle(qs, raster, eps):
     """Annealing's match on a raster whose cell [0, 0] is the point (0, 0):
     (sure, maybe, result) per query. The raster is padded wide enough for
-    every query; a query with a detection in its sure runs is repeated, one
-    without any in its maybe runs is not, and ``_any_within`` decides the
-    rest."""
+    every query's cells; a query with a detection in its sure runs is
+    repeated, one without any in its maybe runs is not, and for the rest a
+    maybe cell that passes ``_cells_within`` and holds a detection decides.
+    """
     qs = np.asarray(qs, dtype=np.float64).reshape(-1, 2)
     h, w = raster.shape
     lowest = int(min(np.floor(qs.min(initial=0.0)), 0))
     highest = int(max(np.floor(qs.max(initial=0.0)), h, w))
     pad = math.ceil(eps) + max(-lowest, highest - min(h, w)) + 1
-    prefix = _row_prefix(np.pad(raster, pad))
-    stride = prefix.shape[1]
+    flat = _row_prefix(np.pad(raster, pad)).ravel()
+    stride = w + 2 * pad + 1
     fx, fy = (np.floor(v).astype(np.int64) + pad for v in qs.T)
     anchor = fy * stride + fx
-    sure_runs, maybe_runs = _disc_runs(eps, stride)
-    sure = _runs_hit(anchor, prefix.ravel(), sure_runs)
-    maybe = _runs_hit(anchor, prefix.ravel(), maybe_runs)
+    sure_runs, maybe_runs, cells = _disc_runs(eps, stride)
+    sure = _runs_hit(anchor, flat, sure_runs)
+    maybe = _runs_hit(anchor, flat, maybe_runs)
     result = sure.copy()
     rest = np.flatnonzero(maybe & ~sure)
-    result[rest] = _any_within(qs[rest, 0], qs[rest, 1], prefix, eps,
-                               x0=-pad, y0=-pad)
+    index, within = _cells_within(qs[rest, 0], qs[rest, 1], anchor[rest],
+                                  cells, stride, eps)
+    result[rest] = (within & (flat.take(index + 1)
+                              > flat.take(index))).any(axis=1)
     return sure, maybe, result
 
 
@@ -186,36 +240,49 @@ def disc_mask(runs, eps) -> np.ndarray:
     return mask
 
 
-def check_sure_exact_maybe(qs, eps):
-    """For each query, the sure cells lie within its ``_row_runs`` cells,
-    and those within its maybe cells."""
+def box_within(qs, eps) -> np.ndarray:
+    """``_cells_within`` over every cell of the (2c + 1)^2 box around each
+    query's floor cell, c = ceil(eps), as a mask [q, v + c, u + c]."""
     c = math.ceil(eps)
-    cy, lo, hi = _row_runs(qs[:, 0], qs[:, 1], eps)
-    fx, fy = np.floor(qs).astype(np.int64).T
-    assert np.array_equal(cy - fy[:, None], np.tile(np.arange(-c, c + 1),
-                                                    (len(qs), 1)))
-    u = np.arange(-c, c + 1)
-    lo, hi = lo - fx[:, None], hi - fx[:, None]
-    exact = (lo[:, :, None] <= u) & (u <= hi[:, :, None])  # [q, v + c, u + c]
-    # every exact cell is on the (2c + 1)^2 grid around the floor cell
-    assert exact.sum(axis=2).tolist() == np.maximum(hi - lo + 1, 0).tolist()
+    k = np.arange(-c, c + 1)
+    box = np.stack(np.meshgrid(k, k), axis=-1).reshape(-1, 2)  # rows (u, v)
+    _, within = _cells_within(qs[:, 0], qs[:, 1], np.zeros(len(qs), np.int64),
+                              box, 2 * c + 1, eps)
+    return within.reshape(-1, 2 * c + 1, 2 * c + 1)
+
+
+def check_sure_exact_maybe(qs, eps):
+    """For each query, its sure cells pass the exact test, and every cell
+    of the box that passes it is a maybe cell."""
+    exact = box_within(qs, eps)
     assert not (disc_mask(0, eps) & ~exact).any()
     assert not (exact & ~disc_mask(1, eps)).any()
 
 
 class TestDiscRuns:
     @given(queries, rasters, st.sampled_from(DISC_EPSILONS))
+    @with_examples([(qs, target_raster(ts), eps) for qs, ts, eps in ULP_CASES])
     def test_matches_exact_kernel_and_oracle(self, qs, raster, eps):
         sure, maybe, got = disc_settle(qs, raster, eps)
         want = any_within(qs, [(x, y) for y, x in np.argwhere(raster)], eps)
         assert got.tolist() == want
-        assert prefix_any_within(qs, raster, eps).tolist() == want
         assert not (sure & ~got).any() and not (got & ~maybe).any()
 
     @given(queries, st.sampled_from(DISC_EPSILONS))
+    @with_examples([(qs, eps) for qs, _, eps in ULP_CASES]
+                   + [([(-7.94e-61, 0.0)], 1.0)])
     def test_sure_within_exact_within_maybe(self, qs, eps):
-        check_sure_exact_maybe(np.array(qs, dtype=np.float64).reshape(-1, 2),
-                               eps)
+        qs = np.array(qs, dtype=np.float64).reshape(-1, 2)
+        check_sure_exact_maybe(qs, eps)
+        # and the exact test is the oracle's, cell by cell
+        c = math.ceil(eps)
+        fx, fy = np.floor(qs).astype(np.int64).T
+        exact = box_within(qs, eps)
+        for q, (x, y) in enumerate(qs.tolist()):
+            for v in range(-c, c + 1):
+                cells = [(fx[q] + u, fy[q] + v) for u in range(-c, c + 1)]
+                assert exact[q, v + c].tolist() == [
+                    any_within([(x, y)], [cell], eps)[0] for cell in cells]
 
     @pytest.mark.parametrize("eps", DISC_EPSILONS)
     def test_near_ties(self, eps):
@@ -225,6 +292,15 @@ class TestDiscRuns:
         _, _, got = disc_settle(qs, raster, eps)
         assert got.tolist() == any_within(qs.tolist(), [(50, 50)], eps)
         check_sure_exact_maybe(qs, eps)
+
+    @pytest.mark.parametrize("eps", DISC_EPSILONS)
+    def test_cells_are_the_maybe_runs(self, eps):
+        c = math.ceil(eps)
+        u, v = _disc_runs(eps, 2 * c + 2)[2].T
+        mask = np.zeros((2 * c + 1, 2 * c + 1), dtype=bool)
+        mask[v + c, u + c] = True
+        assert len(u) == mask.sum()  # no cell twice
+        assert np.array_equal(mask, disc_mask(1, eps))
 
     def test_no_cell_is_sure_at_half_a_pixel(self):
         assert not disc_mask(0, 0.5).any()
