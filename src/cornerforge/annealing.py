@@ -168,8 +168,9 @@ class CostEvaluator:
     of every candidate tree walks the same planes. A frame's pixels are its
     interior raster: the pixels at least the table's margin m from every
     edge, one plane column each, so raster cell [r, c] is pixel (c + m, r + m).
-    Per ordered pair of ``make_pairs`` it keeps the sources: the pixels of
-    frame i whose projection lands inside frame j. Each has its projected
+    Per ordered pair of ``make_pairs`` (none for fewer than two frames, a
+    ``ValueError``) it keeps the sources: the pixels of frame i whose
+    projection lands inside frame j. Each has its projected
     coordinates and its anchor, the flat index of the projection's floor
     cell in row prefix sums of frame j's raster zero-padded by ``pad`` =
     ceil(epsilon) + m + 1 cells on every side; every cell within epsilon of
@@ -188,8 +189,10 @@ class CostEvaluator:
 
     def __init__(self, frames, warps, weights: CostWeights, table: OffsetTable):
         self.frames = list(frames)
-        if not self.frames:
-            raise ValueError("empty training set")
+        pairs = make_pairs(len(self.frames))
+        if not pairs:
+            raise ValueError("no frame pairs to evaluate: annealing needs at "
+                             "least two frames")
         self.weights = weights
         self.table = table
         self.offsets = sixteen_fold_offsets(table)
@@ -201,7 +204,7 @@ class CostEvaluator:
         self.strides = strides = [w + 2 * pad + 1 for _, w in self.shapes]
         self.runs = [_disc_runs(weights.epsilon, s) for s in strides]
         self.projections = {}
-        for i, j in make_pairs(len(self.frames)):
+        for i, j in pairs:
             if (i, j) not in warps:
                 raise KeyError(f"no warp for training pair ({i}, {j})")
             target = self.frames[j]

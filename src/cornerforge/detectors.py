@@ -155,11 +155,3 @@ class RandomDetector(FeatureDetector):
         return detect_random(img, int(np.random.SeedSequence(
             (self.seed, 0 if frame_key is None else int(frame_key))
         ).generate_state(1)[0]))
-
-    def detect(self, img: GrayImage, n_features: int,
-               frame_key=None) -> np.ndarray:
-        total = len(self.all_keypoints(img, frame_key))
-        if n_features > total:
-            raise ValueError(f"requested {n_features} features from {total} "
-                             f"interior pixels")
-        return super().detect(img, n_features, frame_key)

@@ -12,19 +12,8 @@ import numpy as np
 
 
 class PgmError(ValueError):
-    """Malformed PGM input."""
-
-
-class PgmHeaderError(PgmError):
-    """Bad magic or unparsable header fields."""
-
-
-class PgmMaxvalError(PgmError):
-    """Maxval outside the supported 8-bit range."""
-
-
-class PgmTruncatedError(PgmError):
-    """Raster payload shorter than width*height."""
+    """Malformed PGM input: bad magic or header fields, a maxval beyond 8
+    bits, or a raster shorter than width*height."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +72,8 @@ def load_pgm(data: bytes) -> GrayImage:
     """
     if not data.startswith(b"P5"):
         if data.startswith(b"P2"):
-            raise PgmHeaderError("ASCII PGM (P2) is not supported; use binary P5")
-        raise PgmHeaderError(f"bad magic {data[:2]!r}, expected P5")
+            raise PgmError("ASCII PGM (P2) is not supported; use binary P5")
+        raise PgmError(f"bad magic {data[:2]!r}, expected P5")
 
     pos = 2
     tokens = []
@@ -94,32 +83,32 @@ def load_pgm(data: bytes) -> GrayImage:
         if pos < len(data) and data[pos : pos + 1] == b"#":
             eol = data.find(b"\n", pos)
             if eol < 0:
-                raise PgmHeaderError("unterminated comment in header")
+                raise PgmError("unterminated comment in header")
             pos = eol + 1
             continue
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise PgmHeaderError("truncated header")
+            raise PgmError("truncated header")
         tokens.append(data[start:pos])
     pos += 1  # single whitespace byte after maxval
 
     try:
         width, height, maxval = (int(tok) for tok in tokens)
     except ValueError as exc:
-        raise PgmHeaderError(f"non-numeric header field: {exc}") from None
+        raise PgmError(f"non-numeric header field: {exc}") from None
     if width < 1 or height < 1:
-        raise PgmHeaderError(f"bad dimensions {width}x{height}")
+        raise PgmError(f"bad dimensions {width}x{height}")
     if maxval > 255:
-        raise PgmMaxvalError(f"maxval {maxval} exceeds 255 (8-bit only)")
+        raise PgmError(f"maxval {maxval} exceeds 255 (8-bit only)")
     if maxval < 1:
-        raise PgmHeaderError(f"bad maxval {maxval}")
+        raise PgmError(f"bad maxval {maxval}")
 
     n = width * height
     raster = data[pos : pos + n]
     if len(raster) < n:
-        raise PgmTruncatedError(f"raster has {len(raster)} bytes, expected {n}")
+        raise PgmError(f"raster has {len(raster)} bytes, expected {n}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     return GrayImage(pixels.copy())
 

@@ -26,7 +26,8 @@ times its label marginals on the free columns, and a fixed column holds all
 of the slice's weight at its one value. Whichever value that is, the
 column's gain is exactly 0 and it is never the varying column a zero-gain
 split takes, so the fixed values cannot change a split, and a slice whose
-key was grown before reuses that subtree.
+key was grown before reuses that subtree, so one subtree object can sit at
+several positions of the tree (see ``trees``).
 
 Every count is an integer held in a float64 table, exact only below 2^53,
 so a set whose total weight reaches 2^53 is refused.
@@ -40,8 +41,7 @@ import numpy as np
 
 from .runtime import ternary_planes
 from .segment import N_CONFIGS, N_RING, config_labels, label_all_configs
-from .trees import (LEAF0, LEAF1, Leaf, Node, OffsetTable, RING16, TernaryTree,
-                    merge_tree, tree_depth)
+from .trees import LEAF0, LEAF1, Leaf, Node, OffsetTable, RING16, TernaryTree
 
 
 # Integers below 2^53 are exact in float64, the dtype of the count tables.
@@ -358,9 +358,8 @@ def _pick_column(table: np.ndarray) -> int:
 
 
 def _grow(subset: _Rows | _Slice, base: int, memo: dict) -> TernaryTree:
-    """Unmerged ID3 tree over a subset; children are built d, s, b. A subset
-    whose ``memo_key`` is already in ``memo`` returns the subtree grown for
-    it, so such subtrees may be shared objects."""
+    """ID3 tree over a subset; children are built d, s, b. A subset whose
+    ``memo_key`` is already in ``memo`` returns the subtree grown for it."""
     key = subset.memo_key()
     if key is not None and key in memo:
         return memo[key]
@@ -380,7 +379,7 @@ def _grow(subset: _Rows | _Slice, base: int, memo: dict) -> TernaryTree:
 
 def build_tree(ts: TrainingSet | ExhaustiveSet) -> TernaryTree:
     """Grow the ID3 tree; every training record ends at a leaf of its own
-    label. Structurally equal subtrees are shared (``merge_tree``).
+    label.
 
     On an exhaustive set the subsets are slices of the (3,)*16 label tensor
     plus the observed rows inside them; otherwise they are row index arrays.
@@ -390,7 +389,7 @@ def build_tree(ts: TrainingSet | ExhaustiveSet) -> TernaryTree:
     fixed columns never decide a split (see the module docstring)."""
     if ts.num_records == 0:
         raise ValueError("empty training set")
-    return merge_tree(_grow(_root_subset(ts), ts.offsets.index_base, {}))
+    return _grow(_root_subset(ts), ts.offsets.index_base, {})
 
 
 def force_shared_second_test(tree: TernaryTree,
@@ -402,11 +401,11 @@ def force_shared_second_test(tree: TernaryTree,
     Training classifications are preserved (ID3 exactness). The three
     rebuilds share one memo of row-free slices, as in ``build_tree``.
     """
-    if tree_depth(tree) < 2:
+    kids = (tree.b, tree.s, tree.d) if isinstance(tree, Node) else ()
+    second = {c.offset for c in kids if isinstance(c, Node)}
+    if not second:
         raise ValueError("tree depth must be >= 2")
-    assert isinstance(tree, Node)
-    second = {c.offset for c in (tree.b, tree.s, tree.d) if isinstance(c, Node)}
-    if len(second) <= 1:
+    if len(second) == 1:
         return tree
 
     base = ts.offsets.index_base
@@ -431,6 +430,5 @@ def force_shared_second_test(tree: TernaryTree,
         d, s, b = (_grow(sub, base, memo) for sub in subset.split(shared_col))
         return Node(base + shared_col, b=b, s=s, d=d)
 
-    out = Node(tree.offset, b=rebuild(subsets[2], tables[2]),
-               s=rebuild(subsets[1], tables[1]), d=rebuild(subsets[0], tables[0]))
-    return merge_tree(out)
+    return Node(tree.offset, b=rebuild(subsets[2], tables[2]),
+                s=rebuild(subsets[1], tables[1]), d=rebuild(subsets[0], tables[0]))

@@ -229,13 +229,16 @@ def repeatability_curve(frames, warps, detector, counts, epsilon: float,
     ``counts``, matching within ``epsilon``.
 
     ``warps`` maps ordered pairs (i, j) to homographies; every evaluated pair
-    must be present. A count without useful features, such as count 0,
-    reads 0.0.
+    must be present, and no pair at all is a ``ValueError``. A count without
+    useful features, such as count 0, reads 0.0.
     """
     counts = list(counts)
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("counts must be strictly ascending")
     check_epsilon(epsilon)
+    if not pairs:
+        raise ValueError("no frame pairs to evaluate: the dataset needs at "
+                         "least two frames")
     frames = list(frames)
     for pair in pairs:
         if pair not in warps:

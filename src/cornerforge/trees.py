@@ -9,6 +9,12 @@ detector applies a tree sixteen ways, under the eight dihedral maps of the
 offsets and intensity inversion (``sixteen_fold``); those maps take a table's
 offsets to ``sixteen_fold_offsets``.
 
+Trees are values. One subtree object may sit at several positions (a
+branch that annealing's mutation copies, a subtree that ID3 grows once for
+equal slices), and every consumer treats each position on its own:
+``tree_size`` counts positions, the file format writes each, and
+``CompiledTree`` gives each its own node id, in pre-order.
+
 File format (line oriented, LF endings, single spaces):
 
     FASTTREE v1 offsets=<16|48>
@@ -118,64 +124,11 @@ LEAF1 = Leaf(1)
 
 
 def tree_size(tree: TernaryTree) -> int:
-    """Number of decision nodes, counting shared subtrees once per position."""
-    memo: dict[int, int] = {}
-
-    def rec(t: TernaryTree) -> int:
-        if isinstance(t, Leaf):
-            return 0
-        got = memo.get(id(t))
-        if got is None:
-            got = 1 + rec(t.b) + rec(t.s) + rec(t.d)
-            memo[id(t)] = got
-        return got
-
-    return rec(tree)
-
-
-def tree_depth(tree: TernaryTree) -> int:
-    memo: dict[int, int] = {}
-
-    def rec(t: TernaryTree) -> int:
-        if isinstance(t, Leaf):
-            return 0
-        got = memo.get(id(t))
-        if got is None:
-            got = 1 + max(rec(t.b), rec(t.s), rec(t.d))
-            memo[id(t)] = got
-        return got
-
-    return rec(tree)
-
-
-def merge_tree(tree: TernaryTree) -> TernaryTree:
-    """Canonicalize bottom-up so structurally equal subtrees become shared.
-
-    Classification is unchanged; a node whose children collapse to the same
-    subtree keeps its ternary shape but the separating test can be elided by
-    consumers.
-    """
-    interned: dict[tuple, TernaryTree] = {}
-    canon: dict[int, TernaryTree] = {}
-
-    def rec(t: TernaryTree) -> TernaryTree:
-        got = canon.get(id(t))
-        if got is not None:
-            return got
-        if isinstance(t, Leaf):
-            key = ("L", t.cls)
-            out = interned.setdefault(key, t)
-        else:
-            b, s, d = rec(t.b), rec(t.s), rec(t.d)
-            key = ("N", t.offset, id(b), id(s), id(d))
-            out = interned.get(key)
-            if out is None:
-                out = t if (b is t.b and s is t.s and d is t.d) else Node(t.offset, b, s, d)
-                interned[key] = out
-        canon[id(t)] = out
-        return out
-
-    return rec(tree)
+    """Number of decision positions: a subtree object at several positions
+    counts at each."""
+    if isinstance(tree, Leaf):
+        return 0
+    return 1 + tree_size(tree.b) + tree_size(tree.s) + tree_size(tree.d)
 
 
 def serialize_tree(tree: TernaryTree, table: OffsetTable) -> bytes:
@@ -244,7 +197,7 @@ def deserialize_tree(data: bytes) -> tuple[TernaryTree, OffsetTable]:
         except ValueError as exc:
             raise TreeFormatError(str(exc)) from None
     else:
-        table = default_offsets_48()
+        raise TreeFormatError("line 2: offsets=48 needs its offset table rows")
 
     def rec() -> TernaryTree:
         nonlocal pos
@@ -289,6 +242,11 @@ class CompiledTree:
     1=s, 2=b) is the next node id, or ``-1 - cls`` for a leaf outcome.
     ``root`` is node 0, or ``-1 - cls`` when the whole tree is a leaf. A node
     whose offset index is outside the table raises ``ValueError``.
+
+    Node ids are the tree's decision positions in pre-order, children in
+    b, s, d order, the order of the file format: the subtree at node p holds
+    the ids [p, p + tree_size(subtree)), and ``len(dx) == tree_size(tree)``.
+    A subtree object at several positions compiles once at each.
     """
 
     __slots__ = ("dx", "dy", "children", "root")
@@ -297,16 +255,11 @@ class CompiledTree:
         dx: list[int] = []
         dy: list[int] = []
         children: list[list[int]] = []
-        memo: dict[int, int] = {}  # shared subtrees keep one node id
 
         def add(t: TernaryTree) -> int:
             if isinstance(t, Leaf):
                 return -1 - t.cls
-            got = memo.get(id(t))
-            if got is not None:
-                return got
             nid = len(dx)
-            memo[id(t)] = nid
             ox, oy = table.xy(t.offset)
             dx.append(ox)
             dy.append(oy)

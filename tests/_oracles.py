@@ -78,6 +78,23 @@ def segment_label(states, n: int) -> bool:
     return False
 
 
+def tree_depth(tree) -> int:
+    """Decision nodes on the longest path from the root to a leaf."""
+    if not hasattr(tree, "offset"):
+        return 0
+    return 1 + max(tree_depth(tree.b), tree_depth(tree.s), tree_depth(tree.d))
+
+
+def preorder_nodes(tree) -> list:
+    """The decision node at each position of the tree, in pre-order with
+    children in b, s, d order; an object at several positions is listed at
+    each."""
+    if not hasattr(tree, "offset"):
+        return []
+    return [tree, *preorder_nodes(tree.b), *preorder_nodes(tree.s),
+            *preorder_nodes(tree.d)]
+
+
 def brute_best_split(rows, labels, weights, index_base: int = 1):
     """Max-information-gain offset via direct counting; ties to lowest index.
 

@@ -221,6 +221,34 @@ def test_eval_repeat_rejects_bad_epsilon(tmp_path, epsilon):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["eval-repeat", "--algo", "fast-ref", "--out"],
+    ["anneal", "--imax", "2", "--out"]], ids=["eval-repeat", "anneal"])
+def test_one_frame_dataset_is_a_data_error(tmp_path, capsys, command):
+    # one frame makes no pair: no curve or trace is written
+    data = tmp_path / "data"
+    assert main(["make-dataset", "--synthetic", "48x40", "--frames", "1",
+                 "--out", str(data)]) == EXIT_OK
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command[0], "--dataset", str(data), *command[1:],
+                 str(out / "r_")]) == EXIT_DATA
+    assert "no frame pairs" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_eval_repeat_random_on_small_frames(small_dataset, tmp_path):
+    # 42 x 34 interior pixels, fewer than the curve's largest count: random
+    # detects all of them there, as the other detectors detect all they find
+    prefix = str(tmp_path / "r_")
+    assert main(["eval-repeat", "--dataset", str(small_dataset), "--algo",
+                 "random", "--out", prefix]) == EXIT_OK
+    curve = csv_rows(tmp_path / "r_random.csv")[1:]
+    assert [int(c) for c, _ in curve[-2:]] == [1975, 2000]
+    assert curve[-1][1] == curve[-2][1]
+    assert csv_rows(tmp_path / "r_auc.csv")[1][0] == "random"
+
+
 def test_distill_rejects_zero_threshold(tmp_path):
     assert main(["distill", "--tree", str(tmp_path / "missing.tree"),
                  "--dataset", str(tmp_path / "missing"), "--t", "0",

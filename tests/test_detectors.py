@@ -180,9 +180,13 @@ class TestBaselines:
         assert not np.array_equal(RandomDetector(seed=seed + 1).all_keypoints(
             frame, key), every)
 
-    def test_random_rejects_too_many(self, frame):
-        with pytest.raises(ValueError):
-            RandomDetector().detect(frame, 58 * 42 + 1)
+    def test_random_saturates_at_the_interior(self, frame):
+        # as for every detector, a count beyond the ranking returns all of it
+        det = RandomDetector(seed=2)
+        every = det.all_keypoints(frame, 3)
+        assert len(every) == 58 * 42
+        for n in (58 * 42, 58 * 42 + 1, 10**6):
+            assert np.array_equal(det.detect(frame, n, frame_key=3), every)
 
     @given(b=arrays(np.float64, (20, 2, 2), elements=st.floats(-200, 200)))
     def test_responses_match_eigenvalues(self, b):

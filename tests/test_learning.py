@@ -7,12 +7,11 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from _oracles import (at, brute_best_split, exhaustive_count_table,
-                      pixel_state, segment_label)
+                      pixel_state, segment_label, tree_depth)
 from conftest import classify_rows, constant_image, edge_image, make_test_square
 from cornerforge import learn, segment as sg
 from cornerforge.image import GrayImage
-from cornerforge.trees import (Leaf, Node, OffsetTable, RING16, merge_tree,
-                               tree_depth)
+from cornerforge.trees import Leaf, Node, OffsetTable, RING16
 
 
 def random_training_set(rng, n_records=40, k=16, weighted=True):
@@ -126,7 +125,7 @@ class TestBuildTree:
         states = rng.integers(0, 3, (2000, 16)).astype(np.uint8)
         assert np.array_equal(classify_rows(merged, states),
                               classify_rows(plain, states))
-        assert merged == plain  # merging only re-shares structure
+        assert merged == plain  # build_tree returns the grown tree as it is
 
     def test_conflicting_labels_raise(self):
         states = np.zeros((2, 16), np.uint8)

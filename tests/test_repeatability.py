@@ -362,6 +362,9 @@ class TestRepeatabilityCurve:
         with pytest.raises(KeyError, match="no warp"):
             repeatability_curve(frames, {}, detector, [0, 10], 5.0,
                                 make_pairs(2))
+        with pytest.raises(ValueError, match="no frame pairs"):
+            repeatability_curve(frames[:1], {}, detector, [0, 10], 5.0,
+                                make_pairs(1))
 
 
 class TestAreaUnderCurve:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import classify_rows
+from _oracles import preorder_nodes, tree_depth
+from cornerforge import learn
+from cornerforge.annealing import mutate, random_depth1_tree
 from cornerforge.trees import (CompiledTree, LEAF0, LEAF1, Leaf, Node,
                                OffsetTable, RING16, TreeFormatError,
-                               default_offsets_48, deserialize_tree, merge_tree,
-                               serialize_tree, tree_depth, tree_size)
+                               default_offsets_48, deserialize_tree,
+                               serialize_tree, tree_size)
 
 
 def random_tree(rng, table=RING16, p_leaf=0.4, depth=0):
@@ -55,24 +59,6 @@ class TestSizeDepth:
         assert sum(r.startswith("N") for r in records) == tree_size(tree)
 
 
-class TestMerge:
-    def test_equal_siblings_become_shared(self):
-        kid = lambda: Node(5, b=LEAF1, s=LEAF0, d=LEAF0)
-        tree = Node(1, b=kid(), s=kid(), d=LEAF0)
-        merged = merge_tree(tree)
-        assert merged.b is merged.s
-
-    def test_classification_unchanged(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            tree = random_tree(rng)
-            merged = merge_tree(tree)
-            states = rng.integers(0, 3, (500, 16)).astype(np.uint8)
-            assert np.array_equal(classify_rows(tree, states),
-                                  classify_rows(merged, states))
-            assert merged == tree  # structural equality is preserved too
-
-
 class TestSerialization:
     def test_leaf_format(self):
         assert serialize_tree(LEAF1, RING16) == b"FASTTREE v1 offsets=16\nL 1\n"
@@ -120,6 +106,10 @@ class TestSerialization:
         with pytest.raises(TreeFormatError):
             deserialize_tree(b"FASTTREE v1 offsets=16\nL 7\n")
 
+    def test_48_offsets_need_their_table(self):
+        with pytest.raises(TreeFormatError, match="offset table"):
+            deserialize_tree(b"FASTTREE v1 offsets=48\nN 20\nL 1\nL 0\nL 1\n")
+
 
 class TestCompiledTree:
     def test_leaf_root(self):
@@ -134,8 +124,73 @@ class TestCompiledTree:
         assert list(ct.children[0]) == [-2, -1, -2]  # d, s, b outcomes
         assert (ct.dx[0], ct.dy[0]) == (0, -3)
 
-    def test_shared_subtree_compiles_once(self):
+    def test_shared_subtree_compiles_per_position(self):
         kid = Node(2, b=LEAF1, s=LEAF0, d=LEAF0)
-        tree = merge_tree(Node(1, b=kid, s=kid, d=LEAF0))
-        ct = CompiledTree(tree, RING16)
-        assert len(ct.dx) == 2
+        ct = CompiledTree(Node(1, b=kid, s=kid, d=LEAF0), RING16)
+        assert len(ct.dx) == 3
+        assert ct.children.tolist() == [[-1, 2, 1], [-1, -1, -2], [-1, -1, -2]]
+
+
+def check_positions(tree, table):
+    """``CompiledTree``'s node ids are the tree's positions in pre-order,
+    and a file round trip compiles to the same arrays."""
+    ct = CompiledTree(tree, table)
+    nodes = preorder_nodes(tree)
+    assert len(ct.dx) == len(nodes) == tree_size(tree)
+    assert ct.root == (0 if nodes else -1 - tree.cls)
+    for p, node in enumerate(nodes):
+        assert (ct.dx[p], ct.dy[p]) == table.xy(node.offset)
+        # the b, s and d subtrees take the ids after p in turn; the state
+        # columns of ``children`` are d, s, b
+        want, first = [], p + 1
+        for child in (node.b, node.s, node.d):
+            want.append(first if isinstance(child, Node) else -1 - child.cls)
+            first += len(preorder_nodes(child))
+        assert ct.children[p].tolist() == want[::-1]
+        seen, stack = set(), [p]
+        while stack:
+            k = stack.pop()
+            if k not in seen:
+                seen.add(k)
+                stack.extend(c for c in ct.children[k].tolist() if c >= 0)
+        assert seen == set(range(p, p + len(preorder_nodes(node))))
+    back = CompiledTree(*deserialize_tree(serialize_tree(tree, table)))
+    assert back.root == ct.root
+    for name in ("dx", "dy", "children"):
+        assert np.array_equal(getattr(back, name), getattr(ct, name))
+
+
+class TestPositions:
+    """Trees whose subtree objects sit at several positions compile one node
+    per position, in pre-order."""
+
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 60))
+    def test_mutated_trees(self, seed, steps):
+        # mutation may copy one branch of a node over another, which puts
+        # one subtree object at two positions
+        table = default_offsets_48()
+        rng = np.random.default_rng(seed)
+        tree = random_depth1_tree(rng, table)
+        for _ in range(steps):
+            tree = mutate(tree, rng, table)
+        check_positions(tree, table)
+
+    @given(data=st.data(), k=st.integers(2, 5), low=st.integers(1, 4))
+    def test_built_trees(self, data, k, low):
+        # an exhaustive set over the first k ring offsets: ID3 grows each
+        # row-free slice once and reuses that subtree wherever its key recurs
+        labels = data.draw(arrays(np.bool_, (3**k,)))
+        codes = np.array(sorted(data.draw(st.sets(st.integers(0, 3**k - 1),
+                                                  max_size=10))), dtype=np.int64)
+        weights = data.draw(arrays(np.int64, codes.shape,
+                                   elements=st.integers(0, 1000)))
+        observed = learn.TrainingSet(
+            states=learn.states_from_codes(codes)[:, :k], labels=labels[codes],
+            weights=weights,
+            offsets=OffsetTable("ring-prefix", RING16.offsets[:k], 1))
+        tree = learn.build_tree(learn.ExhaustiveSet(
+            labels=labels, low_weight=low, observed=observed))
+        check_positions(tree, RING16)  # indices 1..k are the ring's own
+
+    def test_exhaustive_fast9(self, fast9_tree):
+        check_positions(fast9_tree, RING16)
