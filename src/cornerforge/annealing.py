@@ -8,21 +8,25 @@ frames, per-frame corner density, and tree size; proposals are accepted by
 the Boltzmann criterion under an exponentially decaying temperature.
 
 The threshold and the training frames are fixed for a whole run, so the
-cost evaluator computes the frames' ternary state planes once and each
-evaluation only walks the candidate's sixteen variants over them
-(``runtime.PlaneWalk``). Pixels stay in the planes' column layout: a frame
-of h x w pixels is its (h - 2m) x (w - 2m) interior raster, m being the
-offset table's margin, and detection fields are those rasters.
+cost evaluator computes the frames' ternary state planes once. A pixel whose
+states are all "similar" takes the same path in every variant, so an
+evaluation follows that path once for all of them and walks the candidate's
+sixteen variants (``runtime.PlaneWalk``) only over the other pixels. Pixels
+stay in the planes' column layout: a frame of h x w pixels is its
+(h - 2m) x (w - 2m) interior raster, m being the offset table's margin, and
+detection fields are those rasters.
 
 The projections are fixed too, so each source's floor cell in its target
 frame is found once, and two fixed disc masks around that cell settle most
 matches before the exact test that the curve reads too (``CostEvaluator``).
-Every detected source is still matched on every evaluation.
+A candidate that detects the same pixels as the current tree reuses its
+match counts; any other candidate has every detected source matched.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,8 @@ class CostWeights:
 
     w_r weights repeatability, w_n scales per-frame corner counts, w_s scales
     tree size; alpha/beta shape the temperature schedule; t is the fixed
-    detection threshold; epsilon the matching radius.
+    detection threshold; epsilon the matching radius. t and i_max must be
+    integers.
     """
 
     w_r: float = 1.0
@@ -56,6 +61,9 @@ class CostWeights:
     epsilon: float = 5.0
 
     def __post_init__(self):
+        for name in ("t", "i_max"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         for name in ("w_r", "w_n", "w_s", "alpha", "beta", "t", "i_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -179,12 +187,25 @@ class CostEvaluator:
     pixel that projects outside frame j. Per frame it keeps the padded row
     stride and ``_disc_runs`` at that stride.
 
+    A plane column is ``busy`` when any of its states is not 1 (similar);
+    only the busy columns' planes are kept. A flat column, all states 1,
+    takes the all-similar chain from the root in every variant, since the
+    dihedral maps only move offsets and inversion only swaps the brighter
+    and darker children. So it fires iff the leaf that chain ends in has
+    class 1, a whole-tree leaf being that leaf, and the variants are walked
+    over the busy columns only.
+
     An evaluation pads each detection field and takes its row prefix sums.
     A detected source is repeated when its sure runs hold a detection of
     frame j, and not repeated when its maybe runs hold none; for the others
     a maybe cell that holds a detection and passes ``_cells_within``
     decides. The sure cells of every query pass that test, and every cell
     that passes it is a maybe cell, so the counts are exact on every source.
+
+    ``evaluate`` keeps its latest fields, repeatability and counts, and
+    ``commit`` marks them as the current tree's. A later candidate whose
+    fields equal the committed ones has the same repeatability and counts,
+    so only its size term is new: it skips padding and matching.
     """
 
     def __init__(self, frames, warps, weights: CostWeights, table: OffsetTable):
@@ -199,7 +220,12 @@ class CostEvaluator:
         m = table.margin
         self.shapes = [(max(f.height - 2 * m, 0), max(f.width - 2 * m, 0))
                        for f in self.frames]
-        self.planes = ternary_planes(self.frames, self.offsets, weights.t, m)
+        planes = ternary_planes(self.frames, self.offsets, weights.t, m)
+        # flat: the least and the greatest state of the column are both 1
+        self.busy = (planes.min(axis=0) != 1) | (planes.max(axis=0) != 1)
+        self.planes = planes.compress(self.busy, axis=1)
+        del planes  # freed before the projections are built
+        self._latest = self._committed = None
         self.pad = pad = math.ceil(weights.epsilon) + m + 1
         self.strides = strides = [w + 2 * pad + 1 for _, w in self.shapes]
         self.runs = [_disc_runs(weights.epsilon, s) for s in strides]
@@ -221,19 +247,35 @@ class CostEvaluator:
 
     def detect_fields(self, tree: TernaryTree) -> list[np.ndarray]:
         """Per frame, the boolean interior raster of the symmetrized
-        detector's corners: one plane walk of the 16 variants over all
-        frames, split by frame."""
-        walk = PlaneWalk(sixteen_fold(CompiledTree(tree, self.table)),
-                         self.offsets)
-        fired = walk.fired(self.planes)
+        detector's corners: the all-similar chain's class on the flat
+        columns, and one plane walk of the 16 variants over the busy
+        columns of all frames, split by frame."""
+        ct = CompiledTree(tree, self.table)
+        node = ct.root  # followed down the all-similar chain to its leaf
+        while node >= 0:
+            node = int(ct.children[node, 1])
+        fired = np.full(self.busy.size, node == -2)
+        fired[self.busy] = PlaneWalk(sixteen_fold(ct),
+                                     self.offsets).fired(self.planes)
         ends = np.cumsum([h * w for h, w in self.shapes])[:-1]
         return [part.reshape(shape) for part, shape
                 in zip(np.split(fired, ends), self.shapes)]
 
     def evaluate(self, tree: TernaryTree) -> tuple[float, float, list[int]]:
         """(cost, repeatability, per-frame detection counts), detections
-        counted before any suppression."""
+        counted before any suppression. Reuses the committed repeatability
+        and counts when the fields equal the committed fields."""
         fields = self.detect_fields(tree)
+        known = self._committed
+        if known is None or not all(map(np.array_equal, fields, known[0])):
+            known = (fields, *self._match(fields))
+        self._latest = known
+        _, r, d_counts = known
+        return (cost_from_parts(r, d_counts, tree_size(tree), self.weights),
+                r, list(d_counts))
+
+    def _match(self, fields) -> tuple[float, list[int]]:
+        """(repeatability, per-frame detection counts) of the fields."""
         detected = [np.flatnonzero(f) for f in fields]
         d_counts = [len(d) for d in detected]
         pad = self.pad
@@ -253,8 +295,13 @@ class CostEvaluator:
             exact = within & (flat.take(index + 1) > flat.take(index))
             tot_useful += len(useful)
             tot_rep += int(settled.sum()) + int(exact.any(axis=1).sum())
-        r = tot_rep / tot_useful if tot_useful else 0.0
-        return cost_from_parts(r, d_counts, tree_size(tree), self.weights), r, d_counts
+        return tot_rep / tot_useful if tot_useful else 0.0, d_counts
+
+    def commit(self) -> None:
+        """Mark the latest evaluation as the current tree's: later
+        candidates with the same fields reuse its repeatability and
+        counts."""
+        self._committed = self._latest
 
 
 @dataclass(frozen=True)
@@ -280,6 +327,7 @@ def anneal(frames, warps, weights: CostWeights, seed: int) -> AnnealResult:
 
     tree = best_tree = random_depth1_tree(rng, table)
     k_cur, _, _ = ev.evaluate(tree)
+    ev.commit()
     best_cost = k_cur
     trace = [(0.0, k_cur, k_cur, weights.beta)]
 
@@ -294,6 +342,7 @@ def anneal(frames, warps, weights: CostWeights, seed: int) -> AnnealResult:
             p = math.exp(arg) if arg > -745.0 else 0.0
             accept = rng.random() < p
         if accept:
+            ev.commit()
             tree, k_cur = candidate, k_new
             if k_new < best_cost:
                 best_tree, best_cost = candidate, k_new

@@ -24,6 +24,8 @@ package reads one back.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .image import GrayImage
@@ -37,8 +39,11 @@ def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
     Entry [k, col] is 0 (darker: ring <= centre - t), 1 (similar) or 2
     (brighter: ring >= centre + t) for offset k, the order of
     ``CompiledTree.children``. The columns are the pixels at least ``margin``
-    from every edge of each image in turn, in raster order.
+    from every edge of each image in turn, in raster order. A threshold that
+    is not an integer (2.5, or 2.0) is a ``ValueError``.
     """
+    if not isinstance(t, numbers.Integral):
+        raise ValueError(f"threshold must be an integer, not {t!r}")
     if t < 1:
         raise ValueError("threshold must be >= 1")
     offsets = [(int(dx), int(dy)) for dx, dy in offsets]

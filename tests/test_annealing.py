@@ -7,9 +7,10 @@ from cornerforge import annealing as an
 from cornerforge.datasets import make_dataset, synthetic_base_image
 from cornerforge.image import GrayImage, add_gaussian_noise
 from cornerforge.repeatability import make_pairs
-from cornerforge.runtime import score_positions
-from cornerforge.trees import (LEAF0, CompiledTree, Leaf, Node, OffsetTable,
-                               default_offsets_48, sixteen_fold, tree_size)
+from cornerforge.runtime import score_positions, ternary_planes
+from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node,
+                               OffsetTable, default_offsets_48, sixteen_fold,
+                               sixteen_fold_offsets, tree_size)
 from cornerforge.warp import Homography, project_points
 
 
@@ -42,8 +43,12 @@ def conjunction_tree(seed: int, k: int):
     return tree
 
 
+# Trees whose all-similar chain from the root ends in class 1: they fire on
+# every flat column, one with all states similar.
+FLAT_FIRING = [LEAF1, Node(17, b=LEAF0, s=LEAF1, d=LEAF0)]
+
 TREES = [conjunction_tree(seed, 2 + seed % 3) for seed in range(4)] + [
-    random_tree(0), random_tree(1)]
+    random_tree(0), random_tree(1)] + FLAT_FIRING
 
 
 def oracle_repeatability(frames, warps, fields, pairs, eps) -> tuple[int, int]:
@@ -104,6 +109,18 @@ def shift(dx: float, dy: float, target: GrayImage) -> Homography:
                       (target.width, target.height))
 
 
+class TestCostWeights:
+    @pytest.mark.parametrize("kwargs", [{"t": 2.5}, {"t": 35.0},
+                                        {"i_max": 10.5}, {"i_max": 10.0}])
+    def test_t_and_i_max_must_be_integers(self, kwargs):
+        with pytest.raises(ValueError, match="integer"):
+            an.CostWeights(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        weights = an.CostWeights(t=np.int64(20), i_max=np.int32(4))
+        assert weights.t == 20 and weights.i_max == 4
+
+
 class TestCostEvaluator:
     @pytest.mark.parametrize("tree", TREES)
     # 12 is large next to the 48x40 frames: windows cross every frame edge
@@ -136,6 +153,47 @@ class TestCostEvaluator:
         useful, repeated = check_evaluator(frames, warps, an.CostWeights(t=20),
                                            table, tree)
         assert 0 < repeated < useful
+        # some columns are flat at the table's own offsets but not at their
+        # dihedral images; the flat rule must leave them to the walk
+        offsets = sixteen_fold_offsets(table)
+        planes = ternary_planes(frames, offsets, 20, table.margin)
+        own = [offsets.index(xy) for xy in table.offsets]
+        ev = an.CostEvaluator(frames, warps, an.CostWeights(t=20), table)
+        assert ((planes[own] == 1).all(axis=0) & ev.busy).any()
+        # fires where any variant sees an edge at one of eight offsets: on
+        # such columns only through an offset outside the table
+        edge = LEAF0
+        for k in range(8):
+            edge = Node(table.index_base + k, b=LEAF1, s=edge, d=LEAF1)
+        for tree in (edge, Node(table.index_base + 7, b=LEAF0, s=LEAF1,
+                                d=LEAF0)):
+            check_evaluator(frames, warps, an.CostWeights(t=20), table, tree)
+
+    @pytest.mark.parametrize("tree", FLAT_FIRING)
+    def test_flat_columns_fire_by_the_similar_chain(self, dataset, tree):
+        frames, warps = dataset
+        ev = an.CostEvaluator(frames, warps, an.CostWeights(),
+                              default_offsets_48())
+        assert 0 < ev.busy.sum() < ev.busy.size
+        useful, repeated = check_evaluator(frames, warps, an.CostWeights(),
+                                           default_offsets_48(), tree)
+        assert 0 < repeated <= useful
+
+    @pytest.mark.parametrize("tree", [TREES[0], TREES[4], LEAF0, *FLAT_FIRING])
+    def test_constant_frames_have_no_busy_column(self, dataset, tree):
+        # every state is similar, so no column is walked: the all-similar
+        # chain alone decides every pixel
+        sizes = [(f.height, f.width) for f in dataset[0]]
+        frames = [GrayImage(np.full(hw, v, dtype=np.uint8))
+                  for hw, v in zip(sizes, (0, 90, 255))]
+        warps = dataset[1]
+        ev = an.CostEvaluator(frames, warps, an.CostWeights(),
+                              default_offsets_48())
+        assert ev.busy.size and not ev.busy.any() and ev.planes.shape[1] == 0
+        useful, repeated = check_evaluator(frames, warps, an.CostWeights(),
+                                           default_offsets_48(), tree)
+        fires = tree in FLAT_FIRING
+        assert useful > 0 if fires else useful == repeated == 0
 
     @pytest.mark.parametrize("tree", [TREES[0], TREES[5]])
     def test_frames_of_two_sizes(self, dataset, tree):
@@ -171,6 +229,35 @@ class TestCostEvaluator:
                                            an.CostWeights(epsilon=eps),
                                            default_offsets_48(), Leaf(1))
         assert 0 < repeated < useful
+
+    def test_reused_counts_equal_a_fresh_evaluation(self, dataset, monkeypatch):
+        # a seeded mutation chain, committed as anneal commits: every result
+        # equals that of an evaluator with nothing committed. Padding and
+        # matching run iff _row_prefix is called.
+        frames, warps = dataset
+        weights = an.CostWeights()
+        table = default_offsets_48()
+        ev = an.CostEvaluator(frames, warps, weights, table)
+        prefix_calls = []
+        row_prefix = an._row_prefix
+        monkeypatch.setattr(an, "_row_prefix",
+                            lambda a: prefix_calls.append(1) or row_prefix(a))
+        rng = np.random.default_rng(8)
+        tree = an.random_depth1_tree(rng, table)
+        k_cur = ev.evaluate(tree)[0]
+        ev.commit()
+        matched = []
+        for _ in range(60):
+            candidate = an.mutate(tree, rng, table)
+            before = len(prefix_calls)
+            got = ev.evaluate(candidate)
+            matched.append(len(prefix_calls) > before)
+            assert got == an.CostEvaluator(frames, warps, weights,
+                                           table).evaluate(candidate)
+            if got[0] <= k_cur or rng.random() < 0.5:
+                ev.commit()
+                tree, k_cur = candidate, got[0]
+        assert any(matched) and not all(matched)
 
     def test_warp_must_map_into_its_target_frame(self, dataset):
         frames, warps = dataset

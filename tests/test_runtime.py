@@ -325,6 +325,18 @@ class TestTernaryPlanes:
         with pytest.raises(ValueError):
             rt.ternary_planes([rand_img(0)], [(4, 0)], 9, 3)
 
+    @pytest.mark.parametrize("t", [2.5, 2.0, np.float64(9)])
+    def test_threshold_must_be_an_integer(self, t):
+        # 2.5 would class a ring 2 above the centre as brighter, as t=2 does
+        with pytest.raises(ValueError, match="integer"):
+            rt.ternary_planes([rand_img(0)], RING16.offsets, t, 3)
+
+    def test_numpy_integer_threshold(self):
+        img = rand_img(0)
+        assert np.array_equal(rt.ternary_planes([img], RING16.offsets,
+                                                np.int64(9), 3),
+                              rt.ternary_planes([img], RING16.offsets, 9, 3))
+
 
 class TestPlaneWalk:
     """Detection through ``PlaneWalk`` against the pixel-by-pixel oracles."""
