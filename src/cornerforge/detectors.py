@@ -1,8 +1,10 @@
 """Uniform detector interface for evaluation and the CLI.
 
 A detector turns an image into keypoint rows: an (N, 3) float64 array of
-x, y, score. Every detector ranks each frame once, and the ranking is cached
-per (frame, key); ``detect(img, n)`` is a prefix of it (``top_n_by_score``).
+x, y, score. Detectors are stateless: ``all_keypoints(img)`` ranks every
+keypoint of the image afresh, and ``detect(img, n)`` cuts that ranking at n
+(``top_n_by_score``), so a caller that needs several counts of one frame
+ranks it once and cuts it itself, as ``repeatability_curve`` does.
 The scored detectors rank their rows after 3x3 non-maximal suppression by
 (-score, y, x). Detectors with discrete scores return the closest achievable
 count instead of splitting score ties; Harris and Shi-Tomasi split ties in
@@ -28,37 +30,29 @@ from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
 
 
 class FeatureDetector:
-    """Base: cached ranked keypoint rows + count-controlled detection."""
+    """Base: ranked keypoint rows + count-controlled detection. Stateless:
+    every call ranks the image afresh."""
 
     name = "base"
     split_ties = False
-
-    def __init__(self):
-        self._cache: dict[tuple, tuple[GrayImage, np.ndarray]] = {}
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
         """Suppressed keypoint rows of one image, in any order."""
         raise NotImplementedError
 
-    def ranking(self, img: GrayImage, frame_key=None) -> np.ndarray:
-        """Every keypoint row of the image in rank order, uncached."""
+    def all_keypoints(self, img: GrayImage, frame_key=None) -> np.ndarray:
+        """Every keypoint row of the image in rank order, as a new array.
+        Only the random baseline reads ``frame_key``."""
         return rank_by_score(self.scored_keypoints(img))
 
     def clear_cache(self) -> None:
-        self._cache.clear()
-
-    def all_keypoints(self, img: GrayImage, frame_key=None) -> np.ndarray:
-        """``ranking`` of the image, cached per (frame, key) and read-only."""
-        key = (id(img), frame_key)
-        entry = self._cache.get(key)
-        if entry is None or entry[0] is not img:
-            ranked = self.ranking(img, frame_key)
-            ranked.flags.writeable = False
-            entry = self._cache[key] = (img, ranked)
-        return entry[1]
+        """No-op: detectors keep no state. Kept only because
+        ``benchmark/workloads.py`` still calls it."""
 
     def detect(self, img: GrayImage, n_features: int,
                frame_key=None) -> np.ndarray:
+        """The top ``n_features`` rows of ``all_keypoints``
+        (``top_n_by_score``)."""
         return top_n_by_score(self.all_keypoints(img, frame_key), n_features,
                               split_ties=self.split_ties)
 
@@ -67,7 +61,6 @@ class FastRefDetector(FeatureDetector):
     """Reference segment test; scores are the exact maximum passing threshold."""
 
     def __init__(self, n: int = 9, t_min: int = 1):
-        super().__init__()
         self.n = n
         self.t_min = t_min
         self.name = f"fast-ref-{n}"
@@ -88,7 +81,6 @@ class TreeDetector(FeatureDetector):
     name = "fast-tree"
 
     def __init__(self, tree: TernaryTree, table: OffsetTable, t_min: int = 1):
-        super().__init__()
         self.table = table
         self.trees = self.variants(CompiledTree(tree, self.table))
         self.walk = PlaneWalk(self.trees, sorted(
@@ -114,12 +106,11 @@ class SixteenFoldDetector(TreeDetector):
 
 
 class HarrisDetector(FeatureDetector):
+    name = "harris"
     split_ties = True
 
     def __init__(self, sigma: float = 2.5):
-        super().__init__()
         self.sigma = sigma
-        self.name = "harris"
 
     def _response(self, img: GrayImage) -> np.ndarray:
         return harris_response(structure_tensor(img, self.sigma))
@@ -129,9 +120,7 @@ class HarrisDetector(FeatureDetector):
 
 
 class ShiTomasiDetector(HarrisDetector):
-    def __init__(self, sigma: float = 2.5):
-        super().__init__(sigma=sigma)
-        self.name = "shi-tomasi"
+    name = "shi-tomasi"
 
     def _response(self, img: GrayImage) -> np.ndarray:
         return shi_tomasi_response(structure_tensor(img, self.sigma))
@@ -144,14 +133,13 @@ class RandomDetector(FeatureDetector):
     a sequence receive independent permutations (``detect_random``).
     """
 
+    name = "random"
     split_ties = True
 
     def __init__(self, seed: int = 0):
-        super().__init__()
         self.seed = seed
-        self.name = "random"
 
-    def ranking(self, img: GrayImage, frame_key=None) -> np.ndarray:
+    def all_keypoints(self, img: GrayImage, frame_key=None) -> np.ndarray:
         return detect_random(img, int(np.random.SeedSequence(
             (self.seed, 0 if frame_key is None else int(frame_key))
         ).generate_state(1)[0]))

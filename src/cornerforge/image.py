@@ -13,7 +13,7 @@ import numpy as np
 
 class PgmError(ValueError):
     """Malformed PGM input: bad magic or header fields, a maxval beyond 8
-    bits, or a raster shorter than width*height."""
+    bits, a raster shorter than width*height, or a sample above maxval."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,8 @@ def load_pgm(data: bytes) -> GrayImage:
     """Parse a binary (P5) PGM byte string.
 
     Header comments (``#`` to end of line) are accepted anywhere between
-    tokens. Maxval must be <= 255.
+    tokens. Maxval must be <= 255, and no sample may exceed it. Samples are
+    kept as stored: a maxval below 255 is not rescaled.
     """
     if not data.startswith(b"P5"):
         if data.startswith(b"P2"):
@@ -110,6 +111,8 @@ def load_pgm(data: bytes) -> GrayImage:
     if len(raster) < n:
         raise PgmError(f"raster has {len(raster)} bytes, expected {n}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if maxval < 255 and pixels.max() > maxval:
+        raise PgmError(f"sample {pixels.max()} exceeds maxval {maxval}")
     return GrayImage(pixels.copy())
 
 

@@ -12,11 +12,12 @@ maybe cells of ``_disc_runs`` are those of the box that can, and one exact
 float64 test (``_cells_within``) decides each. The curve reads it over a
 raster of ranks and takes the best-ranked passing cell. Annealing's cost
 reads it over row prefix sums of a boolean raster, for the few queries
-that the sure and maybe runs of ``_disc_runs`` leave open. Every detector
-ranks each frame once, the random baseline included, and its detection at
-any count is a prefix of that ranking. So each frame has one pool, its
-detection at the largest count, and one projection and one min-rank match
-per ordered pair give the useful and repeated counts at every count.
+that the sure and maybe runs of ``_disc_runs`` leave open. The curve ranks
+each frame once (``all_keypoints``, the random baseline included) and cuts
+that ranking at every count with ``top_n_by_score``, as ``detect`` would.
+Each frame's pool is its cut at the largest count, which holds every
+smaller cut, so one projection and one min-rank match per ordered pair give
+the useful and repeated counts at every count.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .runtime import top_n_by_score
 from .warp import Homography, project_points
 
 CURVE_MAX_COUNT = 2000  # aggregate score integrates R over 0..2000 features
@@ -246,12 +248,11 @@ def repeatability_curve(frames, warps, detector, counts, epsilon: float,
     useful = np.zeros(len(counts), dtype=np.int64)
     repeated = np.zeros(len(counts), dtype=np.int64)
     if counts:
-        # each frame's detection at a count is a prefix of its ranking, so
-        # the detection at the largest count holds all the others
-        pools = [detector.detect(f, counts[-1], frame_key=k)
-                 for k, f in enumerate(frames)]
-        cuts = [[len(detector.detect(f, c, frame_key=k)) for c in counts]
-                for k, f in enumerate(frames)]
+        ranked = [detector.all_keypoints(f, k) for k, f in enumerate(frames)]
+        pools = [top_n_by_score(rows, counts[-1], detector.split_ties)
+                 for rows in ranked]
+        cuts = [[len(top_n_by_score(rows, c, detector.split_ties))
+                 for c in counts] for rows in ranked]
         for i, j in pairs:
             u, r = _pair_counts(pools[i], pools[j], cuts[i], cuts[j],
                                 warps[(i, j)], epsilon)

@@ -58,6 +58,13 @@ def test_detect_rejects_out_of_range_parameters(tmp_path, flags):
     assert not out.exists()
 
 
+def test_detect_rejects_a_sample_over_maxval(tmp_path):
+    img, out = tmp_path / "bad.pgm", tmp_path / "kp.txt"
+    img.write_bytes(b"P5\n4 2\n15\n" + bytes([200, 0, 15, 255, 1, 2, 3, 4]))
+    assert main(["detect", str(img), "--out", str(out)]) == EXIT_DATA
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["fast-ref:t=0", "fast-ref:n=8",
                                   "harris:sigma=0", "random:seed=-1", "",
                                   "fast-ref:n=x", "random:seed=1.5",

@@ -17,6 +17,7 @@ from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
                                    SixteenFoldDetector, TreeDetector)
 from cornerforge.image import add_gaussian_noise
+from cornerforge.runtime import top_n_by_score
 from cornerforge.trees import RING16, default_offsets_48
 
 
@@ -60,16 +61,22 @@ class TestRows:
             assert is_rows(got) and len(got) > 0, det.name
             assert is_rows(det.all_keypoints(frame))
 
-    def test_all_keypoints_cached_and_read_only(self, frame, scored_detectors):
-        det = scored_detectors[0]
-        det.clear_cache()
-        first = det.all_keypoints(frame)
-        assert det.all_keypoints(frame) is first
-        with pytest.raises(ValueError):
-            first[0, 2] = 0
-        det.clear_cache()
-        again = det.all_keypoints(frame)
-        assert again is not first and np.array_equal(again, first)
+    def test_all_keypoints_is_a_fresh_array(self, frame, scored_detectors):
+        for det in scored_detectors + [RandomDetector(seed=3)]:
+            first = det.all_keypoints(frame, 1)
+            again = det.all_keypoints(frame, 1)
+            assert np.array_equal(again, first), det.name
+            assert not np.shares_memory(again, first), det.name
+            first[:] = -1
+            assert np.array_equal(det.all_keypoints(frame, 1), again), det.name
+
+    def test_detect_cuts_all_keypoints(self, frame, scored_detectors):
+        for det in scored_detectors + [RandomDetector(seed=3)]:
+            every = det.all_keypoints(frame, 2)
+            for n in (0, 1, 7, 40, len(every), len(every) + 1):
+                assert np.array_equal(
+                    det.detect(frame, n, frame_key=2),
+                    top_n_by_score(every, n, det.split_ties)), (det.name, n)
 
     def test_no_features(self, frame, scored_detectors):
         for det in scored_detectors + [RandomDetector()]:
@@ -172,7 +179,6 @@ class TestBaselines:
                 & (ys >= 3) & (ys < frame.height - 3)).all()
         assert (scores == 1).all()
         every = det.all_keypoints(frame, key)
-        det.clear_cache()
         assert np.array_equal(det.all_keypoints(frame, key), every)
         assert np.array_equal(RandomDetector(seed=seed).detect(
             frame, m, frame_key=key), large)

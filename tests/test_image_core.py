@@ -31,6 +31,14 @@ class TestPgm:
         with pytest.raises(PgmError, match="exceeds 255"):
             load_pgm(b"P5\n1 1\n65535\n\x00\x00")
 
+    def test_sample_over_maxval(self):
+        with pytest.raises(PgmError, match="sample 255 exceeds maxval 15"):
+            load_pgm(b"P5\n4 2\n15\n" + bytes([200, 0, 15, 255, 1, 2, 3, 4]))
+
+    def test_low_maxval_not_rescaled(self):
+        img = load_pgm(b"P5\n3 1\n15\n" + bytes([0, 7, 15]))
+        assert img.pixels.tolist() == [[0, 7, 15]]
+
     def test_truncated_payload(self):
         with pytest.raises(PgmError, match="raster has 2 bytes, expected 16"):
             load_pgm(b"P5\n4 4\n255\n\x00\x01")

@@ -353,6 +353,28 @@ class TestRepeatabilityCurve:
                                         pairs, project_points)
         assert got == want
 
+    def test_ranks_each_frame_once(self):
+        ranked = []
+
+        class Spy(FastRefDetector):
+            def all_keypoints(self, img, frame_key=None):
+                ranked.append(frame_key)
+                return super().all_keypoints(img, frame_key)
+
+            def detect(self, img, n_features, frame_key=None):
+                raise AssertionError("the curve cuts its own rankings")
+
+        frames = [curve_frame(seed, False) for seed in range(3)]
+        pairs = make_pairs(3, "all")
+        warps = {pair: Homography(np.eye(3), (W, H)) for pair in pairs}
+        counts = [0, 5, 20, 60]
+        got = repeatability_curve(frames, warps, Spy(t_min=1), counts, 1.5,
+                                  pairs)
+        assert ranked == [0, 1, 2]
+        assert got == repeatability_curve_loop(
+            frames, warps, FastRefDetector(t_min=1), counts, 1.5, pairs,
+            project_points)
+
     def test_rejects_bad_epsilon_and_missing_warps(self):
         frames = [curve_frame(0, False), curve_frame(1, False)]
         detector = HarrisDetector()

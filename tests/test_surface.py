@@ -16,6 +16,9 @@ function, or of a public method or constructor of a public class, must be
 passed, by position or keyword, at some call in those files. Calls resolve
 by name in the same way, so a function reached only through another
 callable (``_usage_checked``, a pool's ``submit``) has no call of its own.
+
+Nothing in the package keys state on object identity: no call of the
+builtin ``id`` is left in it.
 """
 
 import ast
@@ -156,3 +159,15 @@ def test_every_defaulted_parameter_is_passed():
                 in defaulted_parameters() if not passed(names, position, param)]
     assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS), (
         f"defaulted parameters that nothing outside tests passes: {unpassed}")
+
+
+def test_no_identity_keys():
+    """Nothing in the package calls the builtin ``id``: an object's id is
+    reused once it is freed, so a cache keyed on it can return another
+    object's entry."""
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "id"]
+    assert not calls, f"calls of id(): {calls}"
