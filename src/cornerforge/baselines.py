@@ -6,7 +6,9 @@ the segment test cannot evaluate. Harris and Shi-Tomasi rows are suppressed
 response maxima; the random baseline's rows are a seeded permutation of the
 interior, its ranking. Gradients are central differences on an
 edge-replicated border; the structure tensor is smoothed with a Gaussian
-truncated at 3 sigma and renormalized.
+truncated at 3 sigma and renormalized. Smoothing runs in blocks of rows that
+stay in cache, but each pixel still sums its taps in kernel order with the
+same roundings, so the result is bit-identical to whole-field passes.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import RING_MARGIN, GrayImage
-from .runtime import keypoint_rows, suppress_scored_arrays
+from .runtime import _nms_keep_field, keypoint_rows
 
 HARRIS_K = 0.04  # standard free parameter for the det - k*trace^2 response
+# Rows per smoothing block: a block of a 640 px field is about 330 kB per
+# buffer, so its source, product and output stay in L2; 16 to 128 rows timed
+# within noise of each other at 640 px
+_SMOOTH_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -48,16 +54,39 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def _smooth_separable(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Separable convolution of a float64 field with an odd-length kernel,
+    horizontal pass then vertical, each over an edge-replicated border.
+
+    Each pass runs in blocks of ``_SMOOTH_BLOCK_ROWS`` rows so the block and
+    its one product buffer stay in cache. Every output pixel still sums its
+    taps in kernel order from zero, with one rounded product and one rounded
+    add per tap, so the result is the same bit for bit as whole-field
+    ``out += kv * pad[...]`` passes.
+    """
     r = len(kernel) // 2
     h, w = field.shape
-    pad = np.pad(field, ((0, 0), (r, r)), mode="edge")
+    rows = _SMOOTH_BLOCK_ROWS
+    tmp = np.empty((min(rows, h), w))
+    hpad = np.empty((h, w + 2 * r))
+    hpad[:, r : r + w] = field
+    hpad[:, :r] = field[:, :1]
+    hpad[:, r + w :] = field[:, -1:]
+    vpad = np.zeros((h + 2 * r, w))
+    for b in range(0, h, rows):
+        e = min(b + rows, h)
+        o, t = vpad[r + b : r + e], tmp[: e - b]
+        for i, kv in enumerate(kernel):
+            np.multiply(kv, hpad[b:e, i : i + w], out=t)
+            o += t
+    vpad[:r] = vpad[r]
+    vpad[r + h :] = vpad[r + h - 1]
     out = np.zeros_like(field)
-    for i, kv in enumerate(kernel):
-        out += kv * pad[:, i : i + w]
-    pad = np.pad(out, ((r, r), (0, 0)), mode="edge")
-    out = np.zeros_like(field)
-    for i, kv in enumerate(kernel):
-        out += kv * pad[i : i + h, :]
+    for b in range(0, h, rows):
+        e = min(b + rows, h)
+        o, t = out[b:e], tmp[: e - b]
+        for i, kv in enumerate(kernel):
+            np.multiply(kv, vpad[b + i : e + i], out=t)
+            o += t
     return out
 
 
@@ -106,17 +135,17 @@ def detect_response(field: np.ndarray) -> np.ndarray:
     positive cells, then only rows at least ``RING_MARGIN`` from the border.
 
     Only strictly positive responses are candidates (feature-count control is
-    equivalent to thresholding on the response). A positive cell is never
-    suppressed by a non-positive neighbor, so suppressing among the positive
-    cells alone keeps what suppressing the whole field would. Rows are in
-    raster order.
+    equivalent to thresholding on the response). Non-positive and NaN cells
+    count as 0 in the suppression, which no positive cell loses to. Rows are
+    in raster order.
     """
-    ys, xs = np.nonzero(field > 0)
-    kxs, kys, ks = suppress_scored_arrays(xs, ys, field[ys, xs], field.shape)
-    h, w = field.shape
+    grid = np.where(field > 0, field, 0.0)
+    keep = _nms_keep_field(grid) & (grid > 0)
     m = RING_MARGIN
-    inner = (kxs >= m) & (kxs < w - m) & (kys >= m) & (kys < h - m)
-    return keypoint_rows(kxs[inner], kys[inner], ks[inner])
+    keep[:m] = keep[-m:] = False
+    keep[:, :m] = keep[:, -m:] = False
+    ys, xs = np.nonzero(keep)
+    return keypoint_rows(xs, ys, grid[ys, xs])
 
 
 def detect_random(img: GrayImage, seed) -> np.ndarray:

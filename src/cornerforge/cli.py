@@ -40,6 +40,10 @@ from .trees import (RING16, TreeFormatError, default_offsets_48,
                     deserialize_tree, serialize_tree)
 from .warp import SingularHomographyError, load_homography, save_homography
 
+# The paper's speed unit: one 768x288 PAL field, 20 ms of video
+PAL_FIELD_PIXELS = 768 * 288
+PAL_FIELD_MS = 20.0
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -315,7 +319,8 @@ def cmd_bench(args) -> int:
     detectors = [_build_detector(*params) for params in checked]
     images = [load_image(p) for p in _expand_images(args.images)]
     with _output(args.out, _provenance("bench", args)) as out:
-        out.write("algo,mpix_per_s,median_seconds,total_pixels\n")
+        out.write("algo,mpix_per_s,median_seconds,total_pixels,pal_field_ms,"
+                  "pal_budget_pct\n")
         if not images:
             return EXIT_OK
         total_px = sum(im.width * im.height for im in images)
@@ -329,8 +334,10 @@ def cmd_bench(args) -> int:
                 if rep >= args.warmup:
                     times.append(dt)
             med = float(np.median(times))
+            field_ms = 1e3 * med * PAL_FIELD_PIXELS / total_px
             out.write(f"{detector.name},{total_px / med / 1e6:.3f},{med:.6f},"
-                      f"{total_px}\n")
+                      f"{total_px},{field_ms:.3f},"
+                      f"{100 * field_ms / PAL_FIELD_MS:.2f}\n")
     return EXIT_OK
 
 
@@ -487,7 +494,8 @@ def build_parser() -> _Parser:
     p.add_argument("--svg")
     p.set_defaults(func=cmd_eval_repeat)
 
-    p = sub.add_parser("bench", help="throughput in megapixels per second")
+    p = sub.add_parser("bench", help="throughput in megapixels per second and "
+                                   "milliseconds per PAL field")
     p.add_argument("images", nargs="*")
     p.add_argument("--algo", action="append",
                    help="detector spec, e.g. fast-ref:n=9 (repeatable; "

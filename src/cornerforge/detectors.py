@@ -52,9 +52,10 @@ class FeatureDetector:
     def detect(self, img: GrayImage, n_features: int,
                frame_key=None) -> np.ndarray:
         """The top ``n_features`` rows of ``all_keypoints``
-        (``top_n_by_score``)."""
+        (``top_n_by_score``), copied so they do not keep the whole ranking
+        alive."""
         return top_n_by_score(self.all_keypoints(img, frame_key), n_features,
-                              split_ties=self.split_ties)
+                              split_ties=self.split_ties).copy()
 
 
 class FastRefDetector(FeatureDetector):

@@ -5,8 +5,10 @@ of package internals) so a bug in the implementation cannot hide in its own
 test. The scalar reference paths (pixel-by-pixel tree walk and detection,
 the sixteen-fold OR, bisection, iteration and linear-scan scores, the
 high-speed rejection test, the per-count repeatability loop) live here: only
-tests use them, as does ``classify_flat``, the numpy walk over raw pixels
-that detection used before it moved onto ternary state planes. They read
+tests use them, as do ``classify_flat``, the numpy walk over raw pixels
+that detection used before it moved onto ternary state planes, and
+``smooth_separable``, the whole-field smoothing passes that the structure
+tensor used before it smoothed in row blocks. They read
 trees, images and offset tables through their attributes
 (``offset``/``b``/``s``/``d``/``cls``, ``pixels``, ``xy``/``margin``), compiled
 trees through ``root``/``dx``/``dy``/``children``, and detectors through
@@ -407,3 +409,19 @@ def linear_scan_score(fires, img, p, table, t_min: int):
         if fires(t):
             return t
     return None
+
+
+def smooth_separable(field, kernel):
+    """Separable convolution over an edge-replicated border, one whole-field
+    multiply and add per tap in kernel order: horizontal, then vertical."""
+    r = len(kernel) // 2
+    h, w = field.shape
+    pad = np.pad(field, ((0, 0), (r, r)), mode="edge")
+    out = np.zeros_like(field)
+    for i, kv in enumerate(kernel):
+        out += kv * pad[:, i : i + w]
+    pad = np.pad(out, ((r, r), (0, 0)), mode="edge")
+    out = np.zeros_like(field)
+    for i, kv in enumerate(kernel):
+        out += kv * pad[i : i + h, :]
+    return out

@@ -133,9 +133,18 @@ def test_bench_writes_one_row(small_dataset, tmp_path):
     assert main(["bench", *frames, "--repeats", "1", "--warmup", "0",
                  "--out", str(out)]) == EXIT_OK
     rows = csv_rows(out)
-    assert rows[0] == ["algo", "mpix_per_s", "median_seconds", "total_pixels"]
+    assert rows[0] == ["algo", "mpix_per_s", "median_seconds", "total_pixels",
+                       "pal_field_ms", "pal_budget_pct"]
     assert len(rows) == 2 and rows[1][0] == "fast-ref-9"
     assert float(rows[1][1]) > 0 and int(rows[1][3]) == 3 * 48 * 40
+    # a 768x288 PAL field at the measured rate, and its share of 20 ms;
+    # within the rounding of median_seconds to the microsecond and of the
+    # two columns to 3 and 2 decimals
+    med, px = float(rows[1][2]), int(rows[1][3])
+    field_ms = 1e3 * med * 768 * 288 / px
+    slack = 1e3 * 0.5e-6 * 768 * 288 / px + 1e-3
+    assert abs(float(rows[1][4]) - field_ms) <= slack
+    assert abs(float(rows[1][5]) - 100 * field_ms / 20) <= 5 * slack
 
 
 def test_bench_takes_one_spec_per_algo(small_dataset, tmp_path):

@@ -4,20 +4,23 @@ detectors, and the Harris and random baselines."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import nms_oracle
+from _oracles import nms_oracle, smooth_separable
 from cornerforge.annealing import distill, mutate, random_depth1_tree
-from cornerforge.baselines import (HARRIS_K, StructureTensor, gaussian_kernel,
+from cornerforge.baselines import (HARRIS_K, StructureTensor,
+                                   _smooth_separable, detect_response,
+                                   gaussian_kernel, gradients,
                                    harris_response, shi_tomasi_response,
                                    structure_tensor)
 from cornerforge.datasets import synthetic_base_image
 from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
                                    SixteenFoldDetector, TreeDetector)
-from cornerforge.image import add_gaussian_noise
-from cornerforge.runtime import top_n_by_score
+from cornerforge.image import RING_MARGIN, GrayImage, add_gaussian_noise
+from cornerforge.runtime import (keypoint_rows, suppress_scored_arrays,
+                                 top_n_by_score)
 from cornerforge.trees import RING16, default_offsets_48
 
 
@@ -74,9 +77,11 @@ class TestRows:
         for det in scored_detectors + [RandomDetector(seed=3)]:
             every = det.all_keypoints(frame, 2)
             for n in (0, 1, 7, 40, len(every), len(every) + 1):
+                got = det.detect(frame, n, frame_key=2)
+                # a detection owns its rows: it does not pin the ranking
+                assert got.flags.owndata, (det.name, n)
                 assert np.array_equal(
-                    det.detect(frame, n, frame_key=2),
-                    top_n_by_score(every, n, det.split_ties)), (det.name, n)
+                    got, top_n_by_score(every, n, det.split_ties)), (det.name, n)
 
     def test_no_features(self, frame, scored_detectors):
         for det in scored_detectors + [RandomDetector()]:
@@ -220,6 +225,50 @@ class TestBaselines:
                 if s > 0 and 3 <= x < w - 3 and 3 <= y < h - 3]
         assert len(want) > 10
         assert [tuple(r) for r in got.tolist()] == want
+
+    @given(field=st.tuples(st.sampled_from([1, 63, 64, 65, 129]),
+                           st.integers(1, 40)).flatmap(
+               lambda shape: arrays(np.float64, shape, elements=st.one_of(
+                   st.just(-0.0), st.floats(-1e6, 1e6)))),
+           sigma=st.sampled_from([0.3, 1.0, 2.5, 5.0]))
+    @example(field=np.random.default_rng(0).normal(0, 50, (200, 2)), sigma=5.0)
+    def test_smoothing_equals_whole_field_passes_bit_for_bit(self, field, sigma):
+        # row blocks of 64 must not change a pixel's taps, their order or
+        # their roundings; -0.0 shows whether sums start from +0.0
+        k = gaussian_kernel(sigma)
+        got = _smooth_separable(field, k)
+        assert got.dtype == np.float64 and got.shape == field.shape
+        assert np.array_equal(got.view(np.int64),
+                              smooth_separable(field, k).view(np.int64))
+
+    @pytest.mark.parametrize("w, h", [(70, 129), (40, 65), (9, 64)])
+    def test_structure_tensor_equals_oracle_across_row_blocks(self, w, h):
+        img = GrayImage(np.random.default_rng(w + h).integers(
+            0, 256, (h, w), dtype=np.uint8))
+        tensor = structure_tensor(img, 2.5)
+        gx, gy = gradients(img)
+        k = gaussian_kernel(2.5)
+        for got, product in ((tensor.axx, gx * gx), (tensor.axy, gx * gy),
+                             (tensor.ayy, gy * gy)):
+            assert np.array_equal(got.view(np.int64),
+                                  smooth_separable(product, k).view(np.int64))
+
+    @given(field=arrays(np.float64, st.tuples(st.integers(1, 14),
+                                              st.integers(1, 14)),
+                        elements=st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0,
+                                                  2.0, 3.5, np.nan])))
+    def test_response_rows_equal_sparse_suppression(self, field):
+        # suppressing the whole field, non-positive and NaN cells set to 0,
+        # keeps what suppressing the positive cells alone keeps, in order
+        ys, xs = np.nonzero(field > 0)
+        kxs, kys, ks = suppress_scored_arrays(xs, ys, field[ys, xs], field.shape)
+        h, w = field.shape
+        m = RING_MARGIN
+        inner = (kxs >= m) & (kxs < w - m) & (kys >= m) & (kys < h - m)
+        want = keypoint_rows(kxs[inner], kys[inner], ks[inner])
+        got = detect_response(field)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"),
                                        1e308])
