@@ -105,9 +105,14 @@ def _load_tree(path):
         return deserialize_tree(f.read())
 
 
+def _threshold_ok(t: int) -> bool:
+    """A threshold is an intensity difference of 8-bit pixels: 1..255."""
+    return 1 <= t <= 255
+
+
 # Each numeric detector parameter: its default, its type, the values it takes.
 _PARAMS = {"n": (9, int, lambda v: 9 <= v <= 16),
-           "t": (1, int, lambda v: v >= 1),
+           "t": (1, int, _threshold_ok),
            "sigma": (2.5, float, lambda v: math.isfinite(v) and v > 0),
            "seed": (0, int, lambda v: v >= 0)}
 
@@ -191,8 +196,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_learn_tree(args) -> int:
-    if args.t < 1 or not 9 <= args.n <= 16:
-        raise UsageError("learn-tree needs --t >= 1 and --n in 9..16")
+    if not _threshold_ok(args.t) or not 9 <= args.n <= 16:
+        raise UsageError("learn-tree needs --t in 1..255 and --n in 9..16")
     if args.weight_scale < 0 or args.low_weight < 1:
         raise UsageError("learn-tree needs --weight-scale >= 0 and "
                          "--low-weight >= 1")
@@ -378,8 +383,9 @@ def cmd_anneal(args) -> int:
     weights = _usage_checked(CostWeights, w_r=args.wr, w_n=args.wn,
                              w_s=args.ws, alpha=args.alpha, beta=args.beta,
                              t=args.t, i_max=args.imax, epsilon=args.epsilon)
-    if args.runs < 1 or args.jobs < 1:
-        raise UsageError("anneal needs --runs >= 1 and --jobs >= 1")
+    if not _threshold_ok(args.t) or args.runs < 1 or args.jobs < 1:
+        raise UsageError("anneal needs --t in 1..255, --runs >= 1 and "
+                         "--jobs >= 1")
     d, frames = _load_dataset(args.dataset)
     pairs = make_pairs(len(frames), "adjacent2")
     warps = _load_warps(d, frames, pairs)
@@ -403,8 +409,8 @@ def cmd_anneal(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    if args.t < 1:
-        raise UsageError("distill needs --t >= 1")
+    if not _threshold_ok(args.t):
+        raise UsageError("distill needs --t in 1..255")
     tree, table = _load_tree(args.tree)
     if len(table) != 48:
         raise UsageError(f"{args.tree}: distill expects a 48-offset tree")

@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import (detect_random, detect_response, harris_response,
                         shi_tomasi_response, structure_tensor)
 from .image import GrayImage
-from .runtime import (PlaneWalk, keypoint_rows, rank_by_score,
+from .runtime import (PlaneWalk, corner_needs, keypoint_rows, rank_by_score,
                       score_positions, suppress_scored_arrays, top_n_by_score)
 from .segment import segment_score_field
 from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
@@ -77,13 +77,20 @@ class TreeDetector(FeatureDetector):
     """The OR of the compiled trees ``variants`` makes of one tree, compiled
     and prepared for ``PlaneWalk`` once. A position fires when any of them
     classifies it as a corner at ``t_min``; its score is the largest
-    threshold at which any still does (``score_positions``, exact)."""
+    threshold at which any still does (``score_positions``, exact).
+
+    ``needs`` is the source tree's ``corner_needs`` closed under swapping
+    the two counts, so that it holds for every variant: a dihedral map of
+    the offsets keeps a path's counts, and an inversion swaps them."""
 
     name = "fast-tree"
 
     def __init__(self, tree: TernaryTree, table: OffsetTable, t_min: int = 1):
         self.table = table
-        self.trees = self.variants(CompiledTree(tree, self.table))
+        source = CompiledTree(tree, self.table)
+        self.trees = self.variants(source)
+        needs = corner_needs(source)
+        self.needs = needs | {(nd, nb) for nb, nd in needs}
         self.walk = PlaneWalk(self.trees, sorted(
             {xy for ct in self.trees for xy in zip(ct.dx.tolist(), ct.dy.tolist())}))
         self.t_min = t_min
@@ -94,7 +101,8 @@ class TreeDetector(FeatureDetector):
 
     def scored_keypoints(self, img: GrayImage) -> np.ndarray:
         xs, ys = self.walk.detect(img, self.t_min, self.table.margin).T
-        scores = score_positions(self.trees, img, xs, ys, self.t_min)
+        scores = score_positions(self.trees, img, xs, ys, self.t_min,
+                                 self.needs)
         return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
 
 

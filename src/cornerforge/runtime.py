@@ -16,6 +16,11 @@ pixel is the largest threshold at which it still classifies as a corner;
 ``score_positions`` computes it exactly for any tree, or OR of trees, by
 walking each tree once per position with the interval of thresholds that
 reach each node. Classification need not be monotone in the threshold.
+The interval starts no higher than a per-position ceiling: a corner path
+that tests nb distinct offsets brighter and nd darker fires at t only if
+nb differences ring - centre reach t and nd reach -t, and ``corner_needs``
+lists the fewest (nb, nd) of a tree's corner paths. A position whose best
+score so far meets its ceiling walks no further tree.
 Scores drive 3x3 non-maximal suppression and feature-count control; the top
 n keypoints are a prefix of the rows ranked by (-score, y, x).
 ``write_keypoints`` writes the "x y score" keypoint file; nothing in the
@@ -30,6 +35,13 @@ import numpy as np
 
 from .image import GrayImage
 from .trees import CompiledTree
+
+
+# Positions per block of the score ceiling: 8192 rows of 48 offsets is a
+# 786 kB buffer. One (N, K) array for all positions, 11.8 MB on a t=1 frame,
+# raised the detect-t1 benchmark's peak RSS from 91.9 to 101.5 MB; blocks
+# of 2048 to 32768 rows read 92.9-93.8 MB and timed within noise
+_CEILING_BLOCK_ROWS = 8192
 
 
 def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
@@ -119,9 +131,11 @@ class PlaneWalk:
         and their int32 nodes. A level reads flat[row * n + column] for the
         node's plane row; columns stay intp like that offset, which can pass
         2^31 (rows times columns), and the offset is summed in place. The
-        list is compacted with boolean masks: on smooth images (t=35, as in
-        annealing) the masks come in long runs, where masking two arrays
-        costs less than ``flatnonzero`` plus two ``take`` calls.
+        list is compacted with ``flatnonzero`` plus ``take``, which costs
+        the same per entry whatever the pattern of the mask. Boolean masking
+        is cheaper only on masks that come in long runs, as on smooth t=35
+        images, and several times dearer on the noisy masks of a t=1 walk.
+        Annealing, the smooth case, walks only its busy columns.
         """
         n = planes.shape[1]
         fired = np.zeros(n, dtype=bool)
@@ -147,9 +161,9 @@ class PlaneWalk:
                 cur *= 3
                 cur += flat.take(at)
                 cur = children.take(cur)
-                fired[live[cur == -2]] = True
-                keep = cur >= 0
-                live, cur = live[keep], cur[keep]
+                fired[live.take(np.flatnonzero(cur == -2))] = True
+                keep = np.flatnonzero(cur >= 0)
+                live, cur = live.take(keep), cur.take(keep)
         return fired
 
     def detect(self, img: GrayImage, t: int, margin: int) -> np.ndarray:
@@ -164,7 +178,40 @@ class PlaneWalk:
                                 hit // iw + margin]).astype(np.int32)
 
 
-def score_positions(trees, img: GrayImage, xs, ys, t_min: int) -> np.ndarray:
+def corner_needs(ct) -> frozenset:
+    """The Pareto-minimal (brighter, darker) counts over the paths of a
+    compiled tree that end at a corner leaf.
+
+    A path's counts are of the distinct offsets it tests in the brighter
+    and in the darker state: a tree may test one offset twice on a path. A
+    position fires on the path at threshold t only if at least that many
+    offsets read ring - centre >= t and ring - centre <= -t, which bounds
+    its score (``score_positions``). Empty when no corner leaf exists, and
+    {(0, 0)} when the all-similar chain ends in a corner. A dihedral map of
+    the offsets keeps the counts; an intensity inversion swaps them.
+    """
+    if ct.root < 0:
+        return frozenset({(0, 0)} if ct.root == -2 else ())
+    offsets = list(zip(ct.dx.tolist(), ct.dy.tolist()))
+    children = ct.children.tolist()
+    found = set()
+    stack = [(ct.root, frozenset(), frozenset())]
+    while stack:
+        node, brighter, darker = stack.pop()
+        if node < 0:
+            if node == -2:
+                found.add((len(brighter), len(darker)))
+            continue
+        xy = offsets[node]
+        to_d, to_s, to_b = children[node]
+        stack += [(to_b, brighter | {xy}, darker), (to_s, brighter, darker),
+                  (to_d, brighter, darker | {xy})]
+    return frozenset(p for p in found if not any(
+        q != p and q[0] <= p[0] and q[1] <= p[1] for q in found))
+
+
+def score_positions(trees, img: GrayImage, xs, ys, t_min: int,
+                    needs) -> np.ndarray:
     """Corner scores at explicit positions: the largest t in [t_min, 255] at
     which any of the compiled ``trees`` classifies the position as a corner.
 
@@ -172,34 +219,82 @@ def score_positions(trees, img: GrayImage, xs, ys, t_min: int) -> np.ndarray:
     position with the interval of thresholds that reach the current node
     (``_score_walk``). The score of an OR of trees is the largest of their
     scores; the trees are walked in turn, and each walk only looks above the
-    best score found so far. Positions that fire at no t in range get
-    t_min - 1. Returns int32 scores.
+    best score found so far and up to the position's ceiling. ``needs``
+    holds (brighter, darker) counts such that every corner path of every
+    tree tests at least nb distinct offsets brighter and nd darker for one
+    (nb, nd) in it (``corner_needs``, closed under swapping the two for
+    inverted trees). The ceiling over the offsets the trees test is the
+    largest, over ``needs``, of the smaller of the nb-th largest
+    ring - centre and the nd-th largest centre - ring (a 0th is 255): no t
+    above it fires. The positions must lie at least the trees' margin from
+    every edge. Positions that fire at no t in range get t_min - 1. Returns
+    int32 scores.
     """
-    if t_min < 1:
-        raise ValueError("threshold must be >= 1")
+    if not 1 <= t_min <= 255:
+        raise ValueError("threshold must be in 1..255")
     flat = img.pixels.ravel()
     index = np.int32 if flat.size < 2**31 else np.intp
     pos = (np.asarray(ys, dtype=np.intp) * img.width
            + np.asarray(xs, dtype=np.intp)).astype(index)
     centre = flat.take(pos).astype(np.int16)
+    ceiling = _score_ceiling(trees, flat, img.width, pos, centre, needs)
     best = np.full(pos.shape, t_min - 1, dtype=np.int16)
     for ct in trees:
-        _score_walk(ct, flat, img.width, pos, centre, best)
+        _score_walk(ct, flat, img.width, pos, centre, best, ceiling)
     return best.astype(np.int32)
 
 
+def _score_ceiling(trees, flat: np.ndarray, width: int, pos: np.ndarray,
+                   centre: np.ndarray, needs) -> np.ndarray:
+    """Each position's score ceiling under ``needs`` (``score_positions``),
+    as int16; 0 where no t >= 1 can fire.
+
+    The differences ring - centre at the K distinct offsets of the trees
+    fill a (rows, K) int16 block one offset column at a time, from ``pos``'s
+    flat indices, and are sorted in place along each row: the nb-th largest
+    is column K - nb, and the nd-th largest centre - ring is minus column
+    nd - 1. The positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
+    """
+    # each (dx, dy) as one int64 key: dx in the high half, dy in the low
+    key = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        ct.dx.astype(np.int64) << 32 | ct.dy.astype(np.int64) & 0xFFFFFFFF
+        for ct in trees]))
+    deltas = ((key >> 32) + (key << 32 >> 32) * width).tolist()
+    k = len(deltas)
+    if any(max(need) > k for need in needs):
+        raise ValueError(f"a corner need counts more than the {k} offsets "
+                         "the trees test")
+    rows = _CEILING_BLOCK_ROWS
+    ceiling = np.zeros(len(pos), dtype=np.int16)
+    buf = np.empty((min(rows, len(pos)), k), dtype=np.int16)
+    for i in range(0, len(pos), rows):
+        p, out = pos[i : i + rows], ceiling[i : i + rows]
+        diff = buf[: len(p)]
+        for j, delta in enumerate(deltas):
+            np.subtract(flat.take(p + delta), centre[i : i + rows],
+                        out=diff[:, j])
+        diff.sort(axis=1)
+        for nb, nd in needs:
+            brighter = diff[:, k - nb] if nb else 255
+            darker = -diff[:, nd - 1] if nd else 255
+            np.maximum(out, np.minimum(brighter, darker), out=out)
+    return ceiling
+
+
 def _score_walk(ct, flat: np.ndarray, width: int, pos: np.ndarray,
-                centre: np.ndarray, best: np.ndarray) -> None:
+                centre: np.ndarray, best: np.ndarray,
+                ceiling: np.ndarray) -> None:
     """Raise ``best`` to each position's largest firing t under one tree.
 
-    A work item is (position, node, [a, b]), starting at [best + 1, 255].
-    With d = ring - centre, thresholds up to |d| see the brighter (d > 0) or
-    darker (d < 0) state and higher ones the similar state. So the item moves
-    to the brighter or darker child with [a, min(b, |d|)] when that is
-    non-empty, and otherwise to the similar child, keeping [a, b]; an item
-    whose interval covers both appends a copy for the similar child with
-    [|d| + 1, b]. A corner leaf offers b, and items that reach a leaf or an
-    empty interval are dropped.
+    A work item is (position, node, [a, b]), starting at [best + 1, ceiling]
+    for the positions whose best is below their ceiling; no t above the
+    ceiling fires, so the others are done. With d = ring - centre,
+    thresholds up to |d| see the brighter (d > 0) or darker (d < 0) state
+    and higher ones the similar state. So the item moves to the brighter or
+    darker child with [a, min(b, |d|)] when that is non-empty, and otherwise
+    to the similar child, keeping [a, b]; an item whose interval covers both
+    appends a copy for the similar child with [|d| + 1, b]. A corner leaf
+    offers b, and items that reach a leaf or an empty interval are dropped.
 
     The work list is parallel arrays, compacted after each level with
     ``flatnonzero`` and ``take``: the item's position index, its flat pixel
@@ -212,17 +307,17 @@ def _score_walk(ct, flat: np.ndarray, width: int, pos: np.ndarray,
     """
     if ct.root < 0:
         if ct.root == -2:
-            np.maximum(best, 255, out=best)
+            np.maximum(best, ceiling, out=best)
         return
     index = pos.dtype
     deltas = (ct.dy.astype(np.intp) * width + ct.dx).astype(index)
     children = np.ascontiguousarray(ct.children, dtype=index).ravel()
-    item = np.flatnonzero(best < 255).astype(index)
+    item = np.flatnonzero(best < ceiling).astype(index)
     p = pos.take(item)
     c = centre.take(item)
     cur = np.full(item.shape, ct.root, dtype=index)
     a = best.take(item) + np.int16(1)
-    b = np.full(item.shape, 255, dtype=np.int16)
+    b = ceiling.take(item)
     while item.size:
         d = flat.take(p + deltas.take(cur)).astype(np.int16) - c
         ad = np.abs(d)

@@ -4,16 +4,16 @@ Everything here is deliberately written from scratch (plain Python, no reuse
 of package internals) so a bug in the implementation cannot hide in its own
 test. The scalar reference paths (pixel-by-pixel tree walk and detection,
 the sixteen-fold OR, bisection, iteration and linear-scan scores, the
-high-speed rejection test, the per-count repeatability loop) live here: only
-tests use them, as do ``classify_flat``, the numpy walk over raw pixels
-that detection used before it moved onto ternary state planes, and
-``smooth_separable``, the whole-field smoothing passes that the structure
-tensor used before it smoothed in row blocks. They read
-trees, images and offset tables through their attributes
-(``offset``/``b``/``s``/``d``/``cls``, ``pixels``, ``xy``/``margin``), compiled
-trees through ``root``/``dx``/``dy``/``children``, and detectors through
-``detect``; the repeatability loop takes its point projection as an
-argument.
+corner-leaf path counts, the high-speed rejection test, the per-count
+repeatability loop) live here: only tests use them, as do
+``classify_flat``, the numpy walk over raw pixels that detection used
+before it moved onto ternary state planes, and ``smooth_separable``, the
+whole-field smoothing passes that the structure tensor used before it
+smoothed in row blocks. They read trees, images and offset tables through
+their attributes (``offset``/``b``/``s``/``d``/``cls``, ``pixels``,
+``xy``/``margin``), compiled trees through ``root``/``dx``/``dy``/
+``children``, and detectors through ``detect``; the repeatability loop
+takes its point projection as an argument.
 """
 
 from __future__ import annotations
@@ -85,6 +85,27 @@ def tree_depth(tree) -> int:
     if not hasattr(tree, "offset"):
         return 0
     return 1 + max(tree_depth(tree.b), tree_depth(tree.s), tree_depth(tree.d))
+
+
+def corner_needs(tree) -> set[tuple[int, int]]:
+    """The Pareto-minimal (brighter, darker) counts of distinct offset
+    indices over the tree's paths that end at a corner leaf, by recursion
+    over the nodes."""
+    found = set()
+
+    def visit(node, brighter, darker):
+        if not hasattr(node, "offset"):
+            if node.cls:
+                found.add((len(brighter), len(darker)))
+            return
+        visit(node.b, brighter | {node.offset}, darker)
+        visit(node.s, brighter, darker)
+        visit(node.d, brighter, darker | {node.offset})
+
+    visit(tree, frozenset(), frozenset())
+    return {(b, d) for b, d in found
+            if not any((b2, d2) != (b, d) and b2 <= b and d2 <= d
+                       for b2, d2 in found)}
 
 
 def preorder_nodes(tree) -> list:

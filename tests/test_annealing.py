@@ -5,12 +5,13 @@ from _oracles import any_within, classify_sixteenfold
 from conftest import random_image, sixteenfold_field
 from cornerforge import annealing as an
 from cornerforge.datasets import make_dataset, synthetic_base_image
+from cornerforge.detectors import SixteenFoldDetector
 from cornerforge.image import GrayImage, add_gaussian_noise
 from cornerforge.repeatability import make_pairs
 from cornerforge.runtime import score_positions, ternary_planes
-from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node,
-                               OffsetTable, default_offsets_48, sixteen_fold,
-                               sixteen_fold_offsets, tree_size)
+from cornerforge.trees import (LEAF0, LEAF1, Leaf, Node, OffsetTable,
+                               default_offsets_48, sixteen_fold_offsets,
+                               tree_size)
 from cornerforge.warp import Homography, project_points
 
 
@@ -364,9 +365,9 @@ TRANSFORMS = {
 def score_field(tree, img: GrayImage, t: int) -> np.ndarray:
     """Pre-suppression sixteen-fold scores, 0 where nothing fires at t."""
     ys, xs = np.nonzero(sixteenfold_field(tree, img, t))
-    variants = sixteen_fold(CompiledTree(tree, default_offsets_48()))
+    det = SixteenFoldDetector(tree, default_offsets_48())
     field = np.zeros((img.height, img.width), dtype=np.int32)
-    field[ys, xs] = score_positions(variants, img, xs, ys, t)
+    field[ys, xs] = score_positions(det.trees, img, xs, ys, t, det.needs)
     return field
 
 

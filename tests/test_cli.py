@@ -272,6 +272,33 @@ def test_distill_rejects_zero_threshold(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["detect", "{image}", "--t", "256"],
+    ["detect", "{image}", "--algo", "fast-tree", "--tree", "{tree}", "--t",
+     "300"],
+    ["bench", "{image}", "--algo", "faster:t=256", "--tree", "{tree}"],
+    ["eval-repeat", "--dataset", "{data}", "--algo", "fast-ref:t=256"],
+    ["learn-tree", "--exhaustive", "--t", "256"],
+    ["anneal", "--dataset", "{data}", "--t", "256"],
+    ["distill", "--tree", "{tree}", "--dataset", "{data}", "--t", "256"]],
+    ids=["detect", "detect-fast-tree", "bench", "eval-repeat", "learn-tree",
+         "anneal", "distill"])
+def test_threshold_above_255_is_a_usage_error(small_dataset, tmp_path, capsys,
+                                              command):
+    # a threshold is a difference of 8-bit values; a tree that always fires
+    # used to score every position t - 1 (299 at --t 300) and exit 0
+    tree = tmp_path / "always.tree"
+    tree.write_bytes(b"FASTTREE v1 offsets=16\nL 1\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"image": small_dataset / "frame_000.pgm", "tree": tree,
+             "data": small_dataset}
+    argv = [arg.format(**paths) for arg in command]
+    assert main([*argv, "--out", str(out / "x")]) == EXIT_USAGE
+    assert not list(out.iterdir())
+    assert capsys.readouterr().out == ""
+
+
 def test_make_dataset_rejects_zero_frames(tmp_path, capsys):
     # every flag is checked before the base image is read or anything is
     # written

@@ -9,10 +9,10 @@ from _oracles import at
 from conftest import (constant_image, edge_image, random_image, read_keypoints,
                       sixteenfold_field, tree_positions)
 from cornerforge import runtime as rt
+from cornerforge.detectors import SixteenFoldDetector, TreeDetector
 from cornerforge.image import GrayImage
 from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16,
-                               default_offsets_48, sixteen_fold,
-                               sixteen_fold_offsets)
+                               default_offsets_48, sixteen_fold_offsets)
 
 # Handcrafted monotone trees with closed-form scores: classification depends
 # only on |ring - centre| >= t, so max-t is analytic.
@@ -51,7 +51,16 @@ def classify_at(tree, img, xs, ys, t):
 
 
 def walk_scores(tree, img, xs, ys, t_min=1):
-    return rt.score_positions([CompiledTree(tree, RING16)], img, xs, ys, t_min)
+    ct = CompiledTree(tree, RING16)
+    return rt.score_positions([ct], img, xs, ys, t_min, rt.corner_needs(ct))
+
+
+def firing(tree, img, table, sixteenfold):
+    """The oracle's classification of a position p at threshold t: the tree
+    alone, or the OR of its sixteen-fold variants."""
+    if sixteenfold:
+        return lambda p, t: orc.classify_sixteenfold(tree, img, p, t, table)
+    return lambda p, t: orc.classify_pixel(tree, img, p, t, table)
 
 
 def rows(*points):
@@ -173,6 +182,12 @@ class TestScores:
         assert orc.corner_score_bisect(ONE_OFFSET, img, (8, 8), RING16) == 255
         assert walk_scores(ONE_OFFSET, img, [8], [8]).tolist() == [255]
 
+    def test_threshold_above_255_is_an_error(self):
+        # no score can exceed 255, so a walk from t_min - 1 = 255 would
+        # report 255 for positions that never fire
+        with pytest.raises(ValueError, match="1..255"):
+            walk_scores(Leaf(1), rand_img(0), [8], [8], 256)
+
     def test_iterate_requires_passing_pixels(self):
         img = constant_image(16, 16, 90)
         with pytest.raises(orc.NotACornerError):
@@ -210,21 +225,15 @@ class TestExactScores:
         base = int(rng.integers(0, 257 - contrast))
         img = GrayImage((base + rng.integers(0, contrast, (14, 15)))
                         .astype(np.uint8))
+        trees, needs, _ = self.walks(tree, table, sixteenfold)
         if sixteenfold:
             ys, xs = np.nonzero(sixteenfold_field(tree, img, t_min, table))
-            trees = sixteen_fold(CompiledTree(tree, table))
-
-            def fires(p, t):
-                return orc.classify_sixteenfold(tree, img, p, t, table)
         else:
             xs, ys = tree_positions(tree, img, t_min, table).T
-            trees = [CompiledTree(tree, table)]
-
-            def fires(p, t):
-                return orc.classify_pixel(tree, img, p, t, table)
+        fires = firing(tree, img, table, sixteenfold)
         pick = rng.permutation(len(xs))[:12]
         xs, ys = xs[pick], ys[pick]
-        got = rt.score_positions(trees, img, xs, ys, t_min)
+        got = rt.score_positions(trees, img, xs, ys, t_min, needs)
         assert got.dtype == np.int32
         for x, y, score in zip(xs.tolist(), ys.tolist(), got.tolist()):
             want = orc.linear_scan_score(lambda t: fires((x, y), t), img,
@@ -233,12 +242,14 @@ class TestExactScores:
 
     @staticmethod
     def walks(tree, table, sixteenfold):
-        """The compiled trees to score with and their ``PlaneWalk``."""
-        ct = CompiledTree(tree, table)
+        """The detector's compiled trees and corner needs, and a
+        ``PlaneWalk`` of those trees over the table's offsets."""
         if sixteenfold:
-            return sixteen_fold(ct), rt.PlaneWalk(sixteen_fold(ct),
-                                                  sixteen_fold_offsets(table))
-        return [ct], rt.PlaneWalk([ct], table.offsets)
+            det = SixteenFoldDetector(tree, table)
+            return det.trees, det.needs, rt.PlaneWalk(
+                det.trees, sixteen_fold_offsets(table))
+        det = TreeDetector(tree, table)
+        return det.trees, det.needs, rt.PlaneWalk(det.trees, table.offsets)
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
@@ -253,7 +264,7 @@ class TestExactScores:
         m, h, w = table.margin, 15, 16
         img = (edge_image(rng, t_min, h, w) if data.draw(st.booleans())
                else random_image(rng, w, h))
-        trees, _ = self.walks(tree, table, sixteenfold)
+        trees, needs, _ = self.walks(tree, table, sixteenfold)
         k = data.draw(st.integers(1, 24))
         xs = rng.integers(m, w - m, k)
         ys = rng.integers(m, h - m, k)
@@ -261,12 +272,12 @@ class TestExactScores:
         order = rng.permutation(k + len(dup))
         xs = np.concatenate([xs, xs[dup]])[order]
         ys = np.concatenate([ys, ys[dup]])[order]
-        got = rt.score_positions(trees, img, xs, ys, t_min)
+        got = rt.score_positions(trees, img, xs, ys, t_min, needs)
         assert got.dtype == np.int32 and got.shape == xs.shape
-        alone = [rt.score_positions(trees, img, xs[i:i + 1], ys[i:i + 1], t_min)
-                 for i in range(len(xs))]
+        alone = [rt.score_positions(trees, img, xs[i:i + 1], ys[i:i + 1],
+                                    t_min, needs) for i in range(len(xs))]
         assert got.tolist() == [int(s[0]) for s in alone]
-        empty = rt.score_positions(trees, img, xs[:0], ys[:0], t_min)
+        empty = rt.score_positions(trees, img, xs[:0], ys[:0], t_min, needs)
         assert empty.dtype == np.int32 and empty.shape == (0,)
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
@@ -281,13 +292,106 @@ class TestExactScores:
                                     st.integers(1, 255)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         img = edge_image(rng, t_min, 20, 24)
-        trees, walk = self.walks(tree, table, sixteenfold)
+        trees, needs, walk = self.walks(tree, table, sixteenfold)
         found = walk.detect(img, t_min, table.margin)
-        scores = rt.score_positions(trees, img, found[:, 0], found[:, 1], t_min)
+        scores = rt.score_positions(trees, img, found[:, 0], found[:, 1], t_min,
+                                    needs)
         assert (scores >= t_min).all()
         for s in np.unique(scores).tolist():
             again = {tuple(p) for p in walk.detect(img, s, table.margin).tolist()}
             assert {tuple(p) for p in found[scores == s].tolist()} <= again
+
+
+class TestCornerNeeds:
+    """``corner_needs`` against a recursion over the nodes, and the score
+    ceiling that ``score_positions`` derives from it."""
+
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
+                             ids=["ring16", "grid48"])
+    @given(data=st.data())
+    def test_matches_recursion(self, table, data):
+        tree = data.draw(trees_over(table))
+        assert rt.corner_needs(CompiledTree(tree, table)) == orc.corner_needs(tree)
+
+    def test_counts_distinct_offsets(self):
+        # offset 1 is tested brighter twice on the only corner path
+        tree = Node(1, b=Node(1, b=LEAF1, s=LEAF0, d=LEAF0), s=LEAF0, d=LEAF0)
+        assert rt.corner_needs(CompiledTree(tree, RING16)) == {(1, 0)}
+
+    def test_leaves_and_the_all_similar_chain(self):
+        assert rt.corner_needs(CompiledTree(LEAF0, RING16)) == set()
+        assert rt.corner_needs(CompiledTree(LEAF1, RING16)) == {(0, 0)}
+        tree = Node(3, b=LEAF1, s=Node(5, b=LEAF1, s=LEAF1, d=LEAF0), d=LEAF0)
+        assert rt.corner_needs(CompiledTree(tree, RING16)) == {(0, 0)}
+
+    def test_exact_fast9(self, fast9_grid48):
+        tree, grid = fast9_grid48
+        assert rt.corner_needs(CompiledTree(tree, grid)) == {(9, 0), (0, 9)}
+        assert SixteenFoldDetector(tree, grid).needs == {(9, 0), (0, 9)}
+
+    def test_a_need_beyond_the_tested_offsets_is_an_error(self):
+        # ONE_OFFSET tests one offset, so no path can need two
+        ct = CompiledTree(ONE_OFFSET, RING16)
+        with pytest.raises(ValueError, match="corner need"):
+            rt.score_positions([ct], rand_img(0), [8], [8], 1, {(2, 0)})
+
+    @pytest.mark.parametrize("sixteenfold", [False, True])
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
+                             ids=["ring16", "grid48"])
+    @given(data=st.data())
+    def test_ceiling_bounds_the_exact_score(self, table, sixteenfold, data):
+        tree = data.draw(trees_over(table))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m, h, w = table.margin, 14, 15
+        img = (edge_image(rng, data.draw(st.integers(1, 40)), h, w)
+               if data.draw(st.booleans()) else random_image(rng, w, h))
+        trees, needs, _ = TestExactScores.walks(tree, table, sixteenfold)
+        xs, ys = rng.integers(m, w - m, 12), rng.integers(m, h - m, 12)
+        flat = img.pixels.ravel()
+        pos = (ys * w + xs).astype(np.int32)
+        ceiling = rt._score_ceiling(trees, flat, w, pos,
+                                    flat.take(pos).astype(np.int16), needs)
+        fires = firing(tree, img, table, sixteenfold)
+        for x, y, top in zip(xs.tolist(), ys.tolist(), ceiling.tolist()):
+            score = orc.linear_scan_score(lambda t: fires((x, y), t), img,
+                                          (x, y), table, 1)
+            assert (score or 0) <= top
+
+    def test_ceiling_in_blocks(self, fast9_grid48, monkeypatch):
+        # blocks of 7 rows, the last one partial, give the ceiling of one
+        # block of every row
+        tree, grid = fast9_grid48
+        det = SixteenFoldDetector(tree, grid)
+        img = random_image(np.random.default_rng(4), 40, 30)
+        xs, ys = det.walk.detect(img, 1, grid.margin).T
+        flat = img.pixels.ravel()
+        pos = (ys * img.width + xs).astype(np.int32)
+        args = (det.trees, flat, img.width, pos,
+                flat.take(pos).astype(np.int16), det.needs)
+        monkeypatch.setattr(rt, "_CEILING_BLOCK_ROWS", len(pos))
+        whole = rt._score_ceiling(*args)
+        monkeypatch.setattr(rt, "_CEILING_BLOCK_ROWS", 7)
+        assert len(pos) % 7 and np.array_equal(rt._score_ceiling(*args), whole)
+
+    def test_ceiling_spares_the_later_variants(self, fast9_grid48, monkeypatch):
+        # every variant of the symmetric FAST-9 tree gives the same scores,
+        # so variants 1-15 only prove that no t above the best fires; they
+        # start no item where the best already equals the ceiling
+        tree, grid = fast9_grid48
+        det = SixteenFoldDetector(tree, grid, t_min=10)
+        img = edge_image(np.random.default_rng(3), 10, 40, 48)
+        xs, ys = det.walk.detect(img, 10, grid.margin).T
+        started = []
+        walk = rt._score_walk
+
+        def spy(ct, flat, width, pos, centre, best, ceiling):
+            started.append(int((best < ceiling).sum()))
+            walk(ct, flat, width, pos, centre, best, ceiling)
+
+        monkeypatch.setattr(rt, "_score_walk", spy)
+        rt.score_positions(det.trees, img, xs, ys, 10, det.needs)
+        assert len(started) == 16 and len(xs) > 0
+        assert sum(started[1:]) < 15 * len(xs)
 
 
 def shared_second_trees(table):
