@@ -1,10 +1,10 @@
 """Comparison detectors: Harris, Shi-Tomasi, and a random scatter baseline.
 
-Like the segment-test detectors they return keypoint rows: (N, 3) float64
-arrays of x, y, score, at least ``RING_MARGIN`` from every edge, the border
-the segment test cannot evaluate. Harris and Shi-Tomasi rows are suppressed
-response maxima; the random baseline's rows are a seeded permutation of the
-interior, its ranking. Gradients are central differences on an
+Harris and Shi-Tomasi give response fields; their detectors' score grids
+are the positive responses, suppressed like every other grid
+(``runtime.suppressed_rows``). The random baseline's keypoint rows are a
+seeded permutation of the interior, at least ``RING_MARGIN`` from every
+edge: its ranking. Gradients are central differences on an
 edge-replicated border; the structure tensor is smoothed with a Gaussian
 truncated at 3 sigma and renormalized. Smoothing runs in blocks of rows that
 stay in cache, but each pixel still sums its taps in kernel order with the
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import RING_MARGIN, GrayImage
-from .runtime import _nms_keep_field, keypoint_rows
+from .runtime import keypoint_rows
 
 HARRIS_K = 0.04  # standard free parameter for the det - k*trace^2 response
 # Rows per smoothing block: a block of a 640 px field is about 330 kB per
@@ -128,24 +128,6 @@ def shi_tomasi_response(tensor: StructureTensor) -> np.ndarray:
     half_tr = 0.5 * (tensor.axx + tensor.ayy)
     half_diff = 0.5 * (tensor.axx - tensor.ayy)
     return half_tr - np.sqrt(half_diff**2 + tensor.axy**2)
-
-
-def detect_response(field: np.ndarray) -> np.ndarray:
-    """Keypoint rows of a response field: 3x3 non-maximal suppression of its
-    positive cells, then only rows at least ``RING_MARGIN`` from the border.
-
-    Only strictly positive responses are candidates (feature-count control is
-    equivalent to thresholding on the response). Non-positive and NaN cells
-    count as 0 in the suppression, which no positive cell loses to. Rows are
-    in raster order.
-    """
-    grid = np.where(field > 0, field, 0.0)
-    keep = _nms_keep_field(grid) & (grid > 0)
-    m = RING_MARGIN
-    keep[:m] = keep[-m:] = False
-    keep[:, :m] = keep[:, -m:] = False
-    ys, xs = np.nonzero(keep)
-    return keypoint_rows(xs, ys, grid[ys, xs])
 
 
 def detect_random(img: GrayImage, seed) -> np.ndarray:

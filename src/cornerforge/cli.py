@@ -117,31 +117,28 @@ _PARAMS = {"n": (9, int, lambda v: 9 <= v <= 16),
            "seed": (0, int, lambda v: v >= 0)}
 
 
-def _detector_params(args, spec: str | None = None) -> tuple[str, dict]:
-    """The detector name and its checked parameters, from CLI flags or from
-    a spec string like "fast-ref:n=9". Reads no file.
+def _detector_params(args, spec: str) -> tuple[str, dict]:
+    """The detector name and its checked parameters, from a spec string like
+    "fast-ref:n=9" and, for keys it leaves out, the CLI flags. Reads no file.
 
     A spec may set only its detector's keys (``_SPEC_KEYS``), each at most
     once, to a value that parses; anything else is a usage error."""
     given = {}
-    if spec is not None:
-        name, _, rest = spec.partition(":")
-        if name not in _SPEC_KEYS:
-            raise UsageError(f"unknown algo {name!r}; choose from "
-                             f"{', '.join(ALGOS)}")
-        for item in rest.split(",") if rest else ():
-            key, _, val = item.partition("=")
-            if not val:
-                raise UsageError(f"bad detector parameter {item!r} in {spec!r}")
-            if key not in _SPEC_KEYS[name]:
-                raise UsageError(f"{name} takes no parameter {key!r} in "
-                                 f"{spec!r}; its keys are "
-                                 f"{', '.join(_SPEC_KEYS[name])}")
-            if key in given:
-                raise UsageError(f"parameter {key!r} repeated in {spec!r}")
-            given[key] = val
-    else:
-        name = args.algo
+    name, _, rest = spec.partition(":")
+    if name not in _SPEC_KEYS:
+        raise UsageError(f"unknown algo {name!r}; choose from "
+                         f"{', '.join(ALGOS)}")
+    for item in rest.split(",") if rest else ():
+        key, _, val = item.partition("=")
+        if not val:
+            raise UsageError(f"bad detector parameter {item!r} in {spec!r}")
+        if key not in _SPEC_KEYS[name]:
+            raise UsageError(f"{name} takes no parameter {key!r} in "
+                             f"{spec!r}; its keys are "
+                             f"{', '.join(_SPEC_KEYS[name])}")
+        if key in given:
+            raise UsageError(f"parameter {key!r} repeated in {spec!r}")
+        given[key] = val
     params = {}
     for key in _SPEC_KEYS[name]:
         if key == "tree":
@@ -184,7 +181,7 @@ def _build_detector(name: str, params: dict):
 def cmd_detect(args) -> int:
     if args.n_features is not None and args.n_features < 0:
         raise UsageError("--n-features must be >= 0")
-    detector = _build_detector(*_detector_params(args))
+    detector = _build_detector(*_detector_params(args, args.algo))
     if args.n_features is None and isinstance(detector, RandomDetector):
         raise UsageError("random detector needs --n-features")
     img = load_image(args.image)

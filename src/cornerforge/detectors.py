@@ -5,8 +5,9 @@ x, y, score. Detectors are stateless: ``all_keypoints(img)`` ranks every
 keypoint of the image afresh, and ``detect(img, n)`` cuts that ranking at n
 (``top_n_by_score``), so a caller that needs several counts of one frame
 ranks it once and cuts it itself, as ``repeatability_curve`` does.
-The scored detectors rank their rows after 3x3 non-maximal suppression by
-(-score, y, x). Detectors with discrete scores return the closest achievable
+A scored detector is its ``score_grid(img)``, image-shaped and 0 where
+nothing is detected; ``scored_keypoints`` suppresses every grid through
+``suppressed_rows``, and the rows are ranked by (-score, y, x). Detectors with discrete scores return the closest achievable
 count instead of splitting score ties; Harris and Shi-Tomasi split ties in
 raster order. The random baseline's ranking is a permutation of the frame's
 interior pixels seeded from (seed, frame key), so each count is a uniform
@@ -20,11 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import (detect_random, detect_response, harris_response,
-                        shi_tomasi_response, structure_tensor)
+from .baselines import (detect_random, harris_response, shi_tomasi_response,
+                        structure_tensor)
 from .image import GrayImage
-from .runtime import (PlaneWalk, corner_needs, keypoint_rows, rank_by_score,
-                      score_positions, suppress_scored_arrays, top_n_by_score)
+from .runtime import (PlaneWalk, corner_needs, rank_by_score, score_positions,
+                      suppressed_rows, top_n_by_score)
 from .segment import segment_score_field
 from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
 
@@ -36,9 +37,13 @@ class FeatureDetector:
     name = "base"
     split_ties = False
 
-    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
-        """Suppressed keypoint rows of one image, in any order."""
+    def score_grid(self, img: GrayImage) -> np.ndarray:
+        """Image-shaped scores, 0 where nothing is detected."""
         raise NotImplementedError
+
+    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
+        """Suppressed keypoint rows of one image, in raster order."""
+        return suppressed_rows(self.score_grid(img))
 
     def all_keypoints(self, img: GrayImage, frame_key=None) -> np.ndarray:
         """Every keypoint row of the image in rank order, as a new array.
@@ -66,11 +71,9 @@ class FastRefDetector(FeatureDetector):
         self.t_min = t_min
         self.name = f"fast-ref-{n}"
 
-    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
+    def score_grid(self, img: GrayImage) -> np.ndarray:
         field = segment_score_field(img, self.n)
-        ys, xs = np.nonzero(field >= self.t_min)
-        return keypoint_rows(*suppress_scored_arrays(xs, ys, field[ys, xs],
-                                                     field.shape))
+        return np.where(field >= self.t_min, field, 0)
 
 
 class TreeDetector(FeatureDetector):
@@ -99,11 +102,12 @@ class TreeDetector(FeatureDetector):
     def variants(ct: CompiledTree) -> list:
         return [ct]
 
-    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
+    def score_grid(self, img: GrayImage) -> np.ndarray:
         xs, ys = self.walk.detect(img, self.t_min, self.table.margin).T
-        scores = score_positions(self.trees, img, xs, ys, self.t_min,
-                                 self.needs)
-        return keypoint_rows(*suppress_scored_arrays(xs, ys, scores, img.shape))
+        grid = np.zeros(img.shape, dtype=np.int32)
+        grid[ys, xs] = score_positions(self.walk, img, xs, ys, self.t_min,
+                                       self.needs)
+        return grid
 
 
 class SixteenFoldDetector(TreeDetector):
@@ -124,8 +128,10 @@ class HarrisDetector(FeatureDetector):
     def _response(self, img: GrayImage) -> np.ndarray:
         return harris_response(structure_tensor(img, self.sigma))
 
-    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
-        return detect_response(self._response(img))
+    def score_grid(self, img: GrayImage) -> np.ndarray:
+        """The positive responses; non-positive and NaN cells are 0."""
+        response = self._response(img)
+        return np.where(response > 0, response, 0.0)
 
 
 class ShiTomasiDetector(HarrisDetector):

@@ -21,8 +21,10 @@ that tests nb distinct offsets brighter and nd darker fires at t only if
 nb differences ring - centre reach t and nd reach -t, and ``corner_needs``
 lists the fewest (nb, nd) of a tree's corner paths. A position whose best
 score so far meets its ceiling walks no further tree.
-Scores drive 3x3 non-maximal suppression and feature-count control; the top
-n keypoints are a prefix of the rows ranked by (-score, y, x).
+Scoring reads pixels at the offsets of the detector's ``PlaneWalk``.
+``suppressed_rows`` is the one 3x3 non-maximal suppression, from a score
+grid to keypoint rows; the top n keypoints are a prefix of the rows ranked
+by (-score, y, x).
 ``write_keypoints`` writes the "x y score" keypoint file; nothing in the
 package reads one back.
 """
@@ -33,7 +35,7 @@ import numbers
 
 import numpy as np
 
-from .image import GrayImage
+from .image import RING_MARGIN, GrayImage
 from .trees import CompiledTree
 
 
@@ -210,10 +212,10 @@ def corner_needs(ct) -> frozenset:
         q != p and q[0] <= p[0] and q[1] <= p[1] for q in found))
 
 
-def score_positions(trees, img: GrayImage, xs, ys, t_min: int,
+def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
                     needs) -> np.ndarray:
     """Corner scores at explicit positions: the largest t in [t_min, 255] at
-    which any of the compiled ``trees`` classifies the position as a corner.
+    which any tree of ``walk`` classifies the position as a corner.
 
     Exact for any tree, monotone in t or not: each tree is walked once per
     position with the interval of thresholds that reach the current node
@@ -223,12 +225,13 @@ def score_positions(trees, img: GrayImage, xs, ys, t_min: int,
     holds (brighter, darker) counts such that every corner path of every
     tree tests at least nb distinct offsets brighter and nd darker for one
     (nb, nd) in it (``corner_needs``, closed under swapping the two for
-    inverted trees). The ceiling over the offsets the trees test is the
-    largest, over ``needs``, of the smaller of the nb-th largest
-    ring - centre and the nd-th largest centre - ring (a 0th is 255): no t
-    above it fires. The positions must lie at least the trees' margin from
-    every edge. Positions that fire at no t in range get t_min - 1. Returns
-    int32 scores.
+    inverted trees). The ceiling over the walk's offsets is the largest,
+    over ``needs``, of the smaller of the nb-th largest ring - centre and the
+    nd-th largest centre - ring (a 0th is 255): no t above it fires. The
+    walk's offsets become flat deltas dy * width + dx once per image; tree i
+    reads them through ``walk.rows[i]``. The positions must lie at least the
+    trees' margin from every edge. Positions that fire at no t in range get
+    t_min - 1. Returns int32 scores.
     """
     if not 1 <= t_min <= 255:
         raise ValueError("threshold must be in 1..255")
@@ -237,33 +240,31 @@ def score_positions(trees, img: GrayImage, xs, ys, t_min: int,
     pos = (np.asarray(ys, dtype=np.intp) * img.width
            + np.asarray(xs, dtype=np.intp)).astype(index)
     centre = flat.take(pos).astype(np.int16)
-    ceiling = _score_ceiling(trees, flat, img.width, pos, centre, needs)
+    dx, dy = np.array(walk.offsets, dtype=index).reshape(-1, 2).T
+    deltas = dy * index(img.width) + dx
+    ceiling = _score_ceiling(deltas, flat, pos, centre, needs)
     best = np.full(pos.shape, t_min - 1, dtype=np.int16)
-    for ct in trees:
-        _score_walk(ct, flat, img.width, pos, centre, best, ceiling)
+    for ct, row in zip(walk.trees, walk.rows):
+        _score_walk(ct, deltas.take(row), flat, pos, centre, best, ceiling)
     return best.astype(np.int32)
 
 
-def _score_ceiling(trees, flat: np.ndarray, width: int, pos: np.ndarray,
+def _score_ceiling(deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
                    centre: np.ndarray, needs) -> np.ndarray:
     """Each position's score ceiling under ``needs`` (``score_positions``),
     as int16; 0 where no t >= 1 can fire.
 
-    The differences ring - centre at the K distinct offsets of the trees
-    fill a (rows, K) int16 block one offset column at a time, from ``pos``'s
-    flat indices, and are sorted in place along each row: the nb-th largest
-    is column K - nb, and the nd-th largest centre - ring is minus column
-    nd - 1. The positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
+    The differences ring - centre at the K flat ``deltas`` fill a (rows, K)
+    int16 block one offset column at a time, from ``pos``'s flat indices,
+    and are sorted in place along each row: the nb-th largest is column
+    K - nb, and the nd-th largest centre - ring is minus column nd - 1. The
+    positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
     """
-    # each (dx, dy) as one int64 key: dx in the high half, dy in the low
-    key = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        ct.dx.astype(np.int64) << 32 | ct.dy.astype(np.int64) & 0xFFFFFFFF
-        for ct in trees]))
-    deltas = ((key >> 32) + (key << 32 >> 32) * width).tolist()
+    deltas = deltas.tolist()
     k = len(deltas)
     if any(max(need) > k for need in needs):
         raise ValueError(f"a corner need counts more than the {k} offsets "
-                         "the trees test")
+                         "the walk reads")
     rows = _CEILING_BLOCK_ROWS
     ceiling = np.zeros(len(pos), dtype=np.int16)
     buf = np.empty((min(rows, len(pos)), k), dtype=np.int16)
@@ -281,10 +282,11 @@ def _score_ceiling(trees, flat: np.ndarray, width: int, pos: np.ndarray,
     return ceiling
 
 
-def _score_walk(ct, flat: np.ndarray, width: int, pos: np.ndarray,
+def _score_walk(ct, deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
                 centre: np.ndarray, best: np.ndarray,
                 ceiling: np.ndarray) -> None:
-    """Raise ``best`` to each position's largest firing t under one tree.
+    """Raise ``best`` to each position's largest firing t under one tree,
+    whose node k reads the pixel at flat offset ``deltas[k]``.
 
     A work item is (position, node, [a, b]), starting at [best + 1, ceiling]
     for the positions whose best is below their ceiling; no t above the
@@ -310,7 +312,6 @@ def _score_walk(ct, flat: np.ndarray, width: int, pos: np.ndarray,
             np.maximum(best, ceiling, out=best)
         return
     index = pos.dtype
-    deltas = (ct.dy.astype(np.intp) * width + ct.dx).astype(index)
     children = np.ascontiguousarray(ct.children, dtype=index).ravel()
     item = np.flatnonzero(best < ceiling).astype(index)
     p = pos.take(item)
@@ -370,21 +371,18 @@ def _nms_keep_field(field: np.ndarray) -> np.ndarray:
     return keep
 
 
-def suppress_scored_arrays(xs, ys, scores, shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """3x3 non-maximal suppression of detections with positive scores.
-
-    A detection survives iff no 8-neighbor detection scores strictly greater
-    and no raster-earlier neighbor scores equal. The score grid over
-    ``shape`` takes the dtype of ``scores`` and holds 0 where nothing was
-    detected, which no positive score loses to. Returns the surviving
-    (xs, ys, scores) in raster order.
-    """
-    scores = np.asarray(scores)
-    grid = np.zeros(shape, dtype=scores.dtype)
-    grid[ys, xs] = scores
+def suppressed_rows(grid: np.ndarray) -> np.ndarray:
+    """Keypoint rows, in raster order, of the positive cells of an
+    image-shaped score grid (0 where nothing is detected) that survive 3x3
+    non-maximal suppression: no 8-neighbor scores strictly greater and no
+    raster-earlier neighbor scores equal. Survivors closer than
+    ``RING_MARGIN`` to an edge, where the segment test cannot run, go."""
     keep = _nms_keep_field(grid) & (grid > 0)
-    kys, kxs = np.nonzero(keep)
-    return kxs.astype(np.int32), kys.astype(np.int32), grid[kys, kxs]
+    m = RING_MARGIN
+    keep[:m] = keep[-m:] = False
+    keep[:, :m] = keep[:, -m:] = False
+    ys, xs = np.nonzero(keep)
+    return keypoint_rows(xs, ys, grid[ys, xs])
 
 
 def keypoint_rows(xs, ys, scores) -> np.ndarray:

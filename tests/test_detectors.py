@@ -10,17 +10,15 @@ from hypothesis.extra.numpy import arrays
 from _oracles import nms_oracle, smooth_separable
 from cornerforge.annealing import distill, mutate, random_depth1_tree
 from cornerforge.baselines import (HARRIS_K, StructureTensor,
-                                   _smooth_separable, detect_response,
-                                   gaussian_kernel, gradients,
-                                   harris_response, shi_tomasi_response,
-                                   structure_tensor)
+                                   _smooth_separable, gaussian_kernel,
+                                   gradients, harris_response,
+                                   shi_tomasi_response, structure_tensor)
 from cornerforge.datasets import synthetic_base_image
 from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
                                    SixteenFoldDetector, TreeDetector)
 from cornerforge.image import RING_MARGIN, GrayImage, add_gaussian_noise
-from cornerforge.runtime import (keypoint_rows, suppress_scored_arrays,
-                                 top_n_by_score)
+from cornerforge.runtime import top_n_by_score
 from cornerforge.trees import RING16, default_offsets_48
 
 
@@ -112,6 +110,54 @@ class TestCountControl:
             top = scored_detectors[0].detect(frame, n)
             k = len(top)
             assert k in (0, len(scores)) or scores[k - 1] != scores[k]
+
+
+class TestScoreGrid:
+    @given(seed=st.integers(0, 2**32 - 1),
+           size=st.tuples(st.integers(9, 16), st.integers(9, 16)),
+           contrast=st.sampled_from([3, 40, 256]),
+           corner=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+           step=st.integers(0, 255))
+    def test_rows_are_the_interior_maxima_of_the_grid(
+            self, scored_detectors, seed, size, contrast, corner, step):
+        # every scored detector's rows are the oracle's 3x3 suppression of
+        # the positive cells of its score grid, less the border survivors;
+        # noise over a brighter quadrant, whose edges Harris scores below 0
+        w, h = size
+        x0, y0 = corner
+        a = np.random.default_rng(seed).integers(0, contrast, (h, w))
+        a[y0:, x0:] += step
+        img = GrayImage(np.minimum(a, 255).astype(np.uint8))
+        m = RING_MARGIN
+        for det in scored_detectors:
+            grid = det.score_grid(img)
+            assert grid.shape == (h, w) and (grid >= 0).all(), det.name
+            ys, xs = np.nonzero(grid > 0)
+            cells = zip(xs.tolist(), ys.tolist(), grid[ys, xs].tolist())
+            want = [(x, y, s) for x, y, s in nms_oracle(cells)
+                    if m <= x < w - m and m <= y < h - m]
+            got = det.scored_keypoints(img)
+            assert got.dtype == np.float64, det.name
+            assert [tuple(r) for r in got.tolist()] == want, det.name
+
+    @given(field=arrays(np.float64, st.tuples(st.integers(1, 14),
+                                              st.integers(1, 14)),
+                        elements=st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0,
+                                                  2.0, 3.5, np.nan])))
+    def test_response_grid_keeps_the_positive_cells(self, field):
+        # non-positive and NaN responses are 0 in the grid, which no
+        # positive cell loses to
+        det = type("Fixed", (HarrisDetector,),
+                   {"_response": lambda s, img: field})()
+        grid = det.score_grid(None)
+        assert np.array_equal(grid, np.where(field > 0, field, 0.0))
+        h, w = field.shape
+        m = RING_MARGIN
+        ys, xs = np.nonzero(field > 0)
+        want = [(x, y, s) for x, y, s in nms_oracle(zip(
+                    xs.tolist(), ys.tolist(), field[ys, xs].tolist()))
+                if m <= x < w - m and m <= y < h - m]
+        assert [tuple(r) for r in det.scored_keypoints(None).tolist()] == want
 
 
 class TestFastAgreement:
@@ -252,23 +298,6 @@ class TestBaselines:
                              (tensor.ayy, gy * gy)):
             assert np.array_equal(got.view(np.int64),
                                   smooth_separable(product, k).view(np.int64))
-
-    @given(field=arrays(np.float64, st.tuples(st.integers(1, 14),
-                                              st.integers(1, 14)),
-                        elements=st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0,
-                                                  2.0, 3.5, np.nan])))
-    def test_response_rows_equal_sparse_suppression(self, field):
-        # suppressing the whole field, non-positive and NaN cells set to 0,
-        # keeps what suppressing the positive cells alone keeps, in order
-        ys, xs = np.nonzero(field > 0)
-        kxs, kys, ks = suppress_scored_arrays(xs, ys, field[ys, xs], field.shape)
-        h, w = field.shape
-        m = RING_MARGIN
-        inner = (kxs >= m) & (kxs < w - m) & (kys >= m) & (kys < h - m)
-        want = keypoint_rows(kxs[inner], kys[inner], ks[inner])
-        got = detect_response(field)
-        assert got.dtype == np.float64 and got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"),
                                        1e308])

@@ -10,7 +10,7 @@ from conftest import (constant_image, edge_image, random_image, read_keypoints,
                       sixteenfold_field, tree_positions)
 from cornerforge import runtime as rt
 from cornerforge.detectors import SixteenFoldDetector, TreeDetector
-from cornerforge.image import GrayImage
+from cornerforge.image import RING_MARGIN, GrayImage
 from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16,
                                default_offsets_48, sixteen_fold_offsets)
 
@@ -51,8 +51,10 @@ def classify_at(tree, img, xs, ys, t):
 
 
 def walk_scores(tree, img, xs, ys, t_min=1):
+    """Scores of one tree, walked over every ring offset."""
     ct = CompiledTree(tree, RING16)
-    return rt.score_positions([ct], img, xs, ys, t_min, rt.corner_needs(ct))
+    return rt.score_positions(rt.PlaneWalk([ct], RING16.offsets), img, xs, ys,
+                              t_min, rt.corner_needs(ct))
 
 
 def firing(tree, img, table, sixteenfold):
@@ -225,7 +227,7 @@ class TestExactScores:
         base = int(rng.integers(0, 257 - contrast))
         img = GrayImage((base + rng.integers(0, contrast, (14, 15)))
                         .astype(np.uint8))
-        trees, needs, _ = self.walks(tree, table, sixteenfold)
+        walk, needs, _ = self.walks(tree, table, sixteenfold)
         if sixteenfold:
             ys, xs = np.nonzero(sixteenfold_field(tree, img, t_min, table))
         else:
@@ -233,7 +235,7 @@ class TestExactScores:
         fires = firing(tree, img, table, sixteenfold)
         pick = rng.permutation(len(xs))[:12]
         xs, ys = xs[pick], ys[pick]
-        got = rt.score_positions(trees, img, xs, ys, t_min, needs)
+        got = rt.score_positions(walk, img, xs, ys, t_min, needs)
         assert got.dtype == np.int32
         for x, y, score in zip(xs.tolist(), ys.tolist(), got.tolist()):
             want = orc.linear_scan_score(lambda t: fires((x, y), t), img,
@@ -242,14 +244,14 @@ class TestExactScores:
 
     @staticmethod
     def walks(tree, table, sixteenfold):
-        """The detector's compiled trees and corner needs, and a
-        ``PlaneWalk`` of those trees over the table's offsets."""
+        """The detector's ``PlaneWalk`` and corner needs, and a
+        ``PlaneWalk`` of its trees over the table's offsets."""
         if sixteenfold:
             det = SixteenFoldDetector(tree, table)
-            return det.trees, det.needs, rt.PlaneWalk(
+            return det.walk, det.needs, rt.PlaneWalk(
                 det.trees, sixteen_fold_offsets(table))
         det = TreeDetector(tree, table)
-        return det.trees, det.needs, rt.PlaneWalk(det.trees, table.offsets)
+        return det.walk, det.needs, rt.PlaneWalk(det.trees, table.offsets)
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
@@ -264,7 +266,7 @@ class TestExactScores:
         m, h, w = table.margin, 15, 16
         img = (edge_image(rng, t_min, h, w) if data.draw(st.booleans())
                else random_image(rng, w, h))
-        trees, needs, _ = self.walks(tree, table, sixteenfold)
+        walk, needs, _ = self.walks(tree, table, sixteenfold)
         k = data.draw(st.integers(1, 24))
         xs = rng.integers(m, w - m, k)
         ys = rng.integers(m, h - m, k)
@@ -272,12 +274,12 @@ class TestExactScores:
         order = rng.permutation(k + len(dup))
         xs = np.concatenate([xs, xs[dup]])[order]
         ys = np.concatenate([ys, ys[dup]])[order]
-        got = rt.score_positions(trees, img, xs, ys, t_min, needs)
+        got = rt.score_positions(walk, img, xs, ys, t_min, needs)
         assert got.dtype == np.int32 and got.shape == xs.shape
-        alone = [rt.score_positions(trees, img, xs[i:i + 1], ys[i:i + 1],
+        alone = [rt.score_positions(walk, img, xs[i:i + 1], ys[i:i + 1],
                                     t_min, needs) for i in range(len(xs))]
         assert got.tolist() == [int(s[0]) for s in alone]
-        empty = rt.score_positions(trees, img, xs[:0], ys[:0], t_min, needs)
+        empty = rt.score_positions(walk, img, xs[:0], ys[:0], t_min, needs)
         assert empty.dtype == np.int32 and empty.shape == (0,)
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
@@ -292,14 +294,26 @@ class TestExactScores:
                                     st.integers(1, 255)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         img = edge_image(rng, t_min, 20, 24)
-        trees, needs, walk = self.walks(tree, table, sixteenfold)
-        found = walk.detect(img, t_min, table.margin)
-        scores = rt.score_positions(trees, img, found[:, 0], found[:, 1], t_min,
+        walk, needs, table_walk = self.walks(tree, table, sixteenfold)
+        found = table_walk.detect(img, t_min, table.margin)
+        scores = rt.score_positions(walk, img, found[:, 0], found[:, 1], t_min,
                                     needs)
         assert (scores >= t_min).all()
         for s in np.unique(scores).tolist():
-            again = {tuple(p) for p in walk.detect(img, s, table.margin).tolist()}
+            again = {tuple(p) for p in
+                     table_walk.detect(img, s, table.margin).tolist()}
             assert {tuple(p) for p in found[scores == s].tolist()} <= again
+
+
+def ceiling_args(walk, img, xs, ys, needs):
+    """``_score_ceiling``'s arguments for int32 positions (xs, ys): the flat
+    delta dy * width + dx of each offset of the walk, the flat pixels, the
+    flat positions, their centre values and the needs."""
+    w = img.width
+    deltas = np.array([dy * w + dx for dx, dy in walk.offsets], dtype=np.int32)
+    flat = img.pixels.ravel()
+    pos = (np.asarray(ys) * w + np.asarray(xs)).astype(np.int32)
+    return deltas, flat, pos, flat.take(pos).astype(np.int16), needs
 
 
 class TestCornerNeeds:
@@ -331,9 +345,9 @@ class TestCornerNeeds:
 
     def test_a_need_beyond_the_tested_offsets_is_an_error(self):
         # ONE_OFFSET tests one offset, so no path can need two
-        ct = CompiledTree(ONE_OFFSET, RING16)
+        walk = TreeDetector(ONE_OFFSET, RING16).walk
         with pytest.raises(ValueError, match="corner need"):
-            rt.score_positions([ct], rand_img(0), [8], [8], 1, {(2, 0)})
+            rt.score_positions(walk, rand_img(0), [8], [8], 1, {(2, 0)})
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
@@ -345,12 +359,9 @@ class TestCornerNeeds:
         m, h, w = table.margin, 14, 15
         img = (edge_image(rng, data.draw(st.integers(1, 40)), h, w)
                if data.draw(st.booleans()) else random_image(rng, w, h))
-        trees, needs, _ = TestExactScores.walks(tree, table, sixteenfold)
+        walk, needs, _ = TestExactScores.walks(tree, table, sixteenfold)
         xs, ys = rng.integers(m, w - m, 12), rng.integers(m, h - m, 12)
-        flat = img.pixels.ravel()
-        pos = (ys * w + xs).astype(np.int32)
-        ceiling = rt._score_ceiling(trees, flat, w, pos,
-                                    flat.take(pos).astype(np.int16), needs)
+        ceiling = rt._score_ceiling(*ceiling_args(walk, img, xs, ys, needs))
         fires = firing(tree, img, table, sixteenfold)
         for x, y, top in zip(xs.tolist(), ys.tolist(), ceiling.tolist()):
             score = orc.linear_scan_score(lambda t: fires((x, y), t), img,
@@ -364,10 +375,8 @@ class TestCornerNeeds:
         det = SixteenFoldDetector(tree, grid)
         img = random_image(np.random.default_rng(4), 40, 30)
         xs, ys = det.walk.detect(img, 1, grid.margin).T
-        flat = img.pixels.ravel()
-        pos = (ys * img.width + xs).astype(np.int32)
-        args = (det.trees, flat, img.width, pos,
-                flat.take(pos).astype(np.int16), det.needs)
+        args = ceiling_args(det.walk, img, xs, ys, det.needs)
+        pos = args[2]
         monkeypatch.setattr(rt, "_CEILING_BLOCK_ROWS", len(pos))
         whole = rt._score_ceiling(*args)
         monkeypatch.setattr(rt, "_CEILING_BLOCK_ROWS", 7)
@@ -384,12 +393,12 @@ class TestCornerNeeds:
         started = []
         walk = rt._score_walk
 
-        def spy(ct, flat, width, pos, centre, best, ceiling):
+        def spy(ct, deltas, flat, pos, centre, best, ceiling):
             started.append(int((best < ceiling).sum()))
-            walk(ct, flat, width, pos, centre, best, ceiling)
+            walk(ct, deltas, flat, pos, centre, best, ceiling)
 
         monkeypatch.setattr(rt, "_score_walk", spy)
-        rt.score_positions(det.trees, img, xs, ys, 10, det.needs)
+        rt.score_positions(det.walk, img, xs, ys, 10, det.needs)
         assert len(started) == 16 and len(xs) > 0
         assert sum(started[1:]) < 15 * len(xs)
 
@@ -527,16 +536,22 @@ def point_sets(score_strategy):
                     max_size=40, unique_by=lambda p: (p[0], p[1]))
 
 
+def interior(points, shape):
+    """The (x, y, score) points at least ``RING_MARGIN`` from every edge."""
+    h, w, m = *shape, RING_MARGIN
+    return [p for p in points if m <= p[0] < w - m and m <= p[1] < h - m]
+
+
 class TestNonmaxSuppress:
     @staticmethod
     def nms(points, dtype=np.int32, shape=(13, 13)):
-        """suppress_scored_arrays over (x, y, score) tuples, as tuples."""
-        xs = np.array([p[0] for p in points], dtype=np.int64)
-        ys = np.array([p[1] for p in points], dtype=np.int64)
-        scores = np.array([p[2] for p in points], dtype=dtype)
-        kxs, kys, ks = rt.suppress_scored_arrays(xs, ys, scores, shape)
-        assert ks.dtype == dtype
-        return list(zip(kxs.tolist(), kys.tolist(), ks.tolist()))
+        """suppressed_rows over a grid of (x, y, score) tuples, as tuples."""
+        grid = np.zeros(shape, dtype=dtype)
+        for x, y, score in points:
+            grid[y, x] = score
+        rows = rt.suppressed_rows(grid)
+        assert rows.dtype == np.float64 and rows.shape[1:] == (3,)
+        return [(int(x), int(y), s) for x, y, s in rows.tolist()]
 
     def test_isolated_kept(self):
         assert self.nms([(5, 5, 9)]) == [(5, 5, 9)]
@@ -549,6 +564,12 @@ class TestNonmaxSuppress:
 
     def test_empty(self):
         assert self.nms([]) == []
+
+    def test_border_survivors_dropped(self):
+        # (2, 5) is within 3 of the left edge: it is dropped after it has
+        # suppressed its interior neighbour (3, 5)
+        assert self.nms([(2, 5, 8), (3, 5, 4), (9, 9, 1), (10, 3, 6)]) == [
+            (9, 9, 1)]
 
     def test_float_scores_not_truncated(self):
         # as integers both would be 2 and the plateau rule would keep (5, 5)
@@ -564,15 +585,15 @@ class TestNonmaxSuppress:
 
     def check_oracle_and_contract(self, raw, dtype):
         out = self.nms(raw, dtype)
-        assert out == orc.nms_oracle(raw)
+        assert out == interior(orc.nms_oracle(raw), (13, 13))
         # contract: no two survivors within Chebyshev distance 1
         for i, p in enumerate(out):
             for q in out[i + 1:]:
                 assert max(abs(p[0] - q[0]), abs(p[1] - q[1])) > 1
-        # every suppressed point has a >=-score 8-neighbor (tie-aware)
+        # every suppressed interior point has a >=-score 8-neighbor (tie-aware)
         surv = {(x, y) for x, y, _ in out}
         by_pos = {(x, y): s for x, y, s in raw}
-        for x, y, s in raw:
+        for x, y, s in interior(raw, (13, 13)):
             if (x, y) in surv:
                 continue
             assert any(
@@ -589,7 +610,8 @@ class TestNonmaxSuppress:
         for x, y in zip(rng.integers(0, 50, 300), rng.integers(0, 40, 300)):
             seen.setdefault((int(x), int(y)), int(rng.integers(1, 200)))
         pts = [(x, y, s) for (x, y), s in seen.items()]
-        assert self.nms(pts, np.int32, (40, 50)) == orc.nms_oracle(pts)
+        assert self.nms(pts, np.int32, (40, 50)) == interior(
+            orc.nms_oracle(pts), (40, 50))
 
 
 class TestTopN:

@@ -19,6 +19,10 @@ callable (``_usage_checked``, a pool's ``submit``) has no call of its own.
 
 Nothing in the package keys state on object identity: no call of the
 builtin ``id`` is left in it.
+
+Suppression has one path: only ``FeatureDetector`` defines
+``scored_keypoints``, and the 3x3 kernel ``_nms_keep_field`` has exactly one
+call site in the package.
 """
 
 import ast
@@ -171,3 +175,26 @@ def test_no_identity_keys():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "id"]
     assert not calls, f"calls of id(): {calls}"
+
+
+def test_one_suppression_path():
+    """Every scored detector supplies a score grid and inherits
+    ``scored_keypoints``, so all of them suppress through the one call of
+    ``_nms_keep_field``."""
+    defining, calls = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defining += [node.name for d in node.body
+                             if isinstance(d, ast.FunctionDef)
+                             and d.name == "scored_keypoints"]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                if name == "_nms_keep_field":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert defining == ["FeatureDetector"], (
+        f"classes defining scored_keypoints: {defining}")
+    assert len(calls) == 1, f"calls of _nms_keep_field: {calls}"
