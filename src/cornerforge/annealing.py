@@ -33,7 +33,8 @@ import numpy as np
 
 from .learn import InconsistentLabelsError, TrainingSet, build_tree
 from .repeatability import (_cells_within, _disc_runs, _row_prefix,
-                            _runs_hit, check_epsilon, make_pairs)
+                            _runs_hit, check_epsilon, check_pairs,
+                            make_pairs)
 from .runtime import PlaneWalk, ternary_planes
 from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
                     default_offsets_48, sixteen_fold, sixteen_fold_offsets,
@@ -176,13 +177,13 @@ class CostEvaluator:
     of every candidate tree walks the same planes. A frame's pixels are its
     interior raster: the pixels at least the table's margin m from every
     edge, one plane column each, so raster cell [r, c] is pixel (c + m, r + m).
-    Per ordered pair of ``make_pairs`` (none for fewer than two frames, a
-    ``ValueError``) it keeps the sources: the pixels of frame i whose
-    projection lands inside frame j. Each has its projected
-    coordinates and its anchor, the flat index of the projection's floor
-    cell in row prefix sums of frame j's raster zero-padded by ``pad`` =
-    ceil(epsilon) + m + 1 cells on every side; every cell within epsilon of
-    a point of frame j lies in that padded raster, so no lookup is clipped.
+    Per ordered pair of ``make_pairs``, checked by ``check_pairs``, it keeps
+    the sources: the pixels of frame i whose projection lands inside frame
+    j. Each has its projected coordinates and its anchor, the flat index of
+    the projection's floor cell in row prefix sums of frame j's raster
+    zero-padded by ``pad`` = ceil(epsilon) + m + 1 cells on every side;
+    every cell within epsilon of a point of frame j lies in that padded
+    raster, so no lookup is clipped.
     A slot per raster cell of frame i holds its source's index, or -1 for a
     pixel that projects outside frame j. Per frame it keeps the padded row
     stride and ``_disc_runs`` at that stride.
@@ -211,9 +212,7 @@ class CostEvaluator:
     def __init__(self, frames, warps, weights: CostWeights, table: OffsetTable):
         self.frames = list(frames)
         pairs = make_pairs(len(self.frames))
-        if not pairs:
-            raise ValueError("no frame pairs to evaluate: annealing needs at "
-                             "least two frames")
+        check_pairs(self.frames, warps, pairs)
         self.weights = weights
         self.table = table
         self.offsets = sixteen_fold_offsets(table)
@@ -231,11 +230,6 @@ class CostEvaluator:
         self.runs = [_disc_runs(weights.epsilon, s) for s in strides]
         self.projections = {}
         for i, j in pairs:
-            if (i, j) not in warps:
-                raise KeyError(f"no warp for training pair ({i}, {j})")
-            target = self.frames[j]
-            if warps[(i, j)].target_size != (target.width, target.height):
-                raise ValueError(f"warp ({i}, {j}) does not map into frame {j}")
             ys, xs = np.indices(self.shapes[i]).reshape(2, -1) + m
             pts = np.column_stack([xs, ys]).astype(np.float64)
             proj, valid = project_points(warps[(i, j)], pts)

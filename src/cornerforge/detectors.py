@@ -7,11 +7,12 @@ keypoint of the image afresh, and ``detect(img, n)`` cuts that ranking at n
 ranks it once and cuts it itself, as ``repeatability_curve`` does.
 A scored detector is its ``score_grid(img)``, image-shaped and 0 where
 nothing is detected; ``scored_keypoints`` suppresses every grid through
-``suppressed_rows``, and the rows are ranked by (-score, y, x). Detectors with discrete scores return the closest achievable
-count instead of splitting score ties; Harris and Shi-Tomasi split ties in
-raster order. The random baseline's ranking is a permutation of the frame's
-interior pixels seeded from (seed, frame key), so each count is a uniform
-sample without replacement and the samples are nested.
+``suppressed_rows``, and the rows are ranked by (-score, y, x). Detectors
+with discrete scores return the closest achievable count instead of
+splitting score ties; Harris and Shi-Tomasi split ties in raster order.
+The random baseline's ranking is a permutation of the frame's interior
+pixels seeded from (seed, frame key), so each count is a uniform sample
+without replacement and the samples are nested.
 
 Learned trees detect through one ``TreeDetector``, over one compiled tree
 (FAST on the 16-pixel ring) or sixteen (FAST-ER, ``SixteenFoldDetector``).

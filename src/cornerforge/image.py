@@ -131,19 +131,10 @@ def save_pgm(img: GrayImage, comment: str | None = None) -> bytes:
 
 
 def load_image(path) -> GrayImage:
-    """Load a PGM file; falls back to Pillow (grayscale-converted) for other
-    formats when it is installed. PGM is the contract format."""
-    path = str(path)
+    """Load a binary PGM file (``load_pgm``). PGM is the only image format:
+    any other file is a ``PgmError``."""
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:2] in (b"P5", b"P2"):
-        return load_pgm(data)
-    try:
-        from PIL import Image
-    except ImportError:
-        raise PgmError(f"{path}: not a PGM and Pillow is not installed") from None
-    with Image.open(path) as im:
-        return GrayImage(np.asarray(im.convert("L"), dtype=np.uint8))
+        return load_pgm(f.read())
 
 
 def add_gaussian_noise(img: GrayImage, sigma: float, seed: int) -> GrayImage:

@@ -213,6 +213,21 @@ def pair_repeatability(det_i: np.ndarray, det_j: np.ndarray, warp: Homography,
     return RepeatSample(int(useful[0]), int(repeated[0]))
 
 
+def check_pairs(frames, warps, pairs) -> None:
+    """Check the ordered frame pairs to evaluate: none at all is a
+    ``ValueError``, a pair (i, j) without a warp in ``warps`` is a
+    ``MissingWarpError``, and a warp whose ``target_size`` is not frame j's
+    (width, height) is a ``ValueError``."""
+    if not pairs:
+        raise ValueError("no frame pairs to evaluate: the dataset needs at "
+                         "least two frames")
+    for i, j in pairs:
+        if (i, j) not in warps:
+            raise MissingWarpError(f"no warp for frame pair {(i, j)}")
+        if warps[(i, j)].target_size != (frames[j].width, frames[j].height):
+            raise ValueError(f"warp ({i}, {j}) does not map into frame {j}")
+
+
 def make_pairs(n_frames: int, policy: str = "adjacent2") -> list[tuple[int, int]]:
     """Ordered frame pairs to evaluate. "adjacent2" takes both directions of
     every pair up to two frames apart; "all" takes every ordered pair."""
@@ -230,21 +245,16 @@ def repeatability_curve(frames, warps, detector, counts, epsilon: float,
     (see ``make_pairs``), at each of the strictly ascending feature
     ``counts``, matching within ``epsilon``.
 
-    ``warps`` maps ordered pairs (i, j) to homographies; every evaluated pair
-    must be present, and no pair at all is a ``ValueError``. A count without
-    useful features, such as count 0, reads 0.0.
+    ``warps`` maps ordered pairs (i, j) to homographies into frame j, and
+    ``check_pairs`` checks them. A count without useful features, such as
+    count 0, reads 0.0.
     """
     counts = list(counts)
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("counts must be strictly ascending")
     check_epsilon(epsilon)
-    if not pairs:
-        raise ValueError("no frame pairs to evaluate: the dataset needs at "
-                         "least two frames")
     frames = list(frames)
-    for pair in pairs:
-        if pair not in warps:
-            raise MissingWarpError(f"no warp for frame pair {pair}")
+    check_pairs(frames, warps, pairs)
     useful = np.zeros(len(counts), dtype=np.int64)
     repeated = np.zeros(len(counts), dtype=np.int64)
     if counts:

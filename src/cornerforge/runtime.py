@@ -23,8 +23,9 @@ lists the fewest (nb, nd) of a tree's corner paths. A position whose best
 score so far meets its ceiling walks no further tree.
 Scoring reads pixels at the offsets of the detector's ``PlaneWalk``.
 ``suppressed_rows`` is the one 3x3 non-maximal suppression, from a score
-grid to keypoint rows; the top n keypoints are a prefix of the rows ranked
-by (-score, y, x).
+grid to keypoint rows: one pass over the cells at least ``RING_MARGIN``
+from every edge, the only cells it can keep. The top n keypoints are a
+prefix of the rows ranked by (-score, y, x).
 ``write_keypoints`` writes the "x y score" keypoint file; nothing in the
 package reads one back.
 """
@@ -344,45 +345,25 @@ def _score_walk(ct, deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
         a, b = a.take(keep), b.take(keep)
 
 
-def _nms_keep_field(field: np.ndarray) -> np.ndarray:
-    """Keep mask for 3x3 non-maximal suppression over a score field.
-
-    A cell survives iff no 8-neighbor scores strictly greater and no
-    raster-earlier neighbor scores equal (deterministic plateau rule).
-    """
-    h, w = field.shape
-    keep = np.ones((h, w), dtype=bool)
-    earlier = ((-1, -1), (0, -1), (1, -1), (-1, 0))
-    later = ((1, 0), (-1, 1), (0, 1), (1, 1))
-
-    def shifted_view(dx, dy):
-        # neighbor value at (x+dx, y+dy) aligned to the valid core
-        return (
-            field[max(0, dy) : h + min(0, dy), max(0, dx) : w + min(0, dx)],
-            (slice(max(0, -dy), h + min(0, -dy)), slice(max(0, -dx), w + min(0, -dx))),
-        )
-
-    for dx, dy in earlier:
-        neigh, core = shifted_view(dx, dy)
-        keep[core] &= field[core] > neigh
-    for dx, dy in later:
-        neigh, core = shifted_view(dx, dy)
-        keep[core] &= field[core] >= neigh
-    return keep
-
-
 def suppressed_rows(grid: np.ndarray) -> np.ndarray:
     """Keypoint rows, in raster order, of the positive cells of an
-    image-shaped score grid (0 where nothing is detected) that survive 3x3
-    non-maximal suppression: no 8-neighbor scores strictly greater and no
-    raster-earlier neighbor scores equal. Survivors closer than
-    ``RING_MARGIN`` to an edge, where the segment test cannot run, go."""
-    keep = _nms_keep_field(grid) & (grid > 0)
+    image-shaped score grid (0 where nothing is detected) that lie at least
+    ``RING_MARGIN`` from every edge, where the segment test can run, and
+    survive 3x3 non-maximal suppression: no 8-neighbor scores strictly
+    greater and no raster-earlier neighbor scores equal. A cell within the
+    margin is never kept but still suppresses its neighbors. Each kept cell
+    has all eight neighbors in the grid, so the rule compares the grid's
+    core with eight shifted views of it."""
     m = RING_MARGIN
-    keep[:m] = keep[-m:] = False
-    keep[:, :m] = keep[:, -m:] = False
+    h, w = grid.shape
+    core = grid[m : h - m, m : w - m]
+    keep = core > 0
+    for k, (dx, dy) in enumerate(((-1, -1), (0, -1), (1, -1), (-1, 0),
+                                  (1, 0), (-1, 1), (0, 1), (1, 1))):
+        neigh = grid[m + dy : h - m + dy, m + dx : w - m + dx]
+        keep &= core > neigh if k < 4 else core >= neigh
     ys, xs = np.nonzero(keep)
-    return keypoint_rows(xs, ys, grid[ys, xs])
+    return keypoint_rows(xs + m, ys + m, core[ys, xs])
 
 
 def keypoint_rows(xs, ys, scores) -> np.ndarray:

@@ -65,6 +65,15 @@ def test_detect_rejects_a_sample_over_maxval(tmp_path):
     assert not out.exists()
 
 
+def test_detect_rejects_a_non_pgm_image(tmp_path, capsys):
+    # PGM is the only image format: a PNG is a data error, not an i/o error
+    img, out = tmp_path / "frame.png", tmp_path / "kp.txt"
+    img.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
+    assert main(["detect", str(img), "--out", str(out)]) == EXIT_DATA
+    assert "bad magic" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["fast-ref:t=0", "fast-ref:n=8",
                                   "harris:sigma=0", "random:seed=-1", "",
                                   "fast-ref:n=x", "random:seed=1.5",

@@ -384,6 +384,13 @@ class TestRepeatabilityCurve:
         with pytest.raises(KeyError, match="no warp"):
             repeatability_curve(frames, {}, detector, [0, 10], 5.0,
                                 make_pairs(2))
+        # a warp must map into its target frame's size
+        warps = {pair: Homography(np.eye(3), (W, H))
+                 for pair in make_pairs(2)}
+        warps[(0, 1)] = Homography(np.eye(3), (400, 300))
+        with pytest.raises(ValueError, match="does not map into frame 1"):
+            repeatability_curve(frames, warps, detector, [0, 10], 5.0,
+                                make_pairs(2))
         with pytest.raises(ValueError, match="no frame pairs"):
             repeatability_curve(frames[:1], {}, detector, [0, 10], 5.0,
                                 make_pairs(1))

@@ -603,6 +603,20 @@ class TestNonmaxSuppress:
                 for dy in (-1, 0, 1) for dx in (-1, 0, 1)
                 if (dx, dy) != (0, 0))
 
+    @given(st.integers(1, 2 * RING_MARGIN + 2),
+           st.integers(1, 2 * RING_MARGIN + 2),
+           st.sampled_from([np.int32, np.float64]), st.data())
+    def test_narrow_grids_match_oracle(self, h, w, dtype, data):
+        # sides up to 2m + 2: the core is empty (a side of 2m or less, and
+        # ``nms`` checks the rows are then a (0, 3) array), one cell wide or
+        # two
+        raw = data.draw(st.lists(
+            st.tuples(st.integers(0, w - 1), st.integers(0, h - 1),
+                      st.integers(1, 4)),
+            max_size=h * w, unique_by=lambda p: (p[0], p[1])))
+        out = self.nms(raw, dtype, (h, w))
+        assert out == interior(orc.nms_oracle(raw), (h, w))
+
     def test_array_path_equals_object_path(self):
         # 300 random points on a 50x40 grid, against the plain-Python oracle
         rng = np.random.default_rng(12)

@@ -180,7 +180,7 @@ def test_no_identity_keys():
 def test_one_suppression_path():
     """Every scored detector supplies a score grid and inherits
     ``scored_keypoints``, so all of them suppress through the one call of
-    ``_nms_keep_field``."""
+    ``suppressed_rows``."""
     defining, calls = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -193,8 +193,8 @@ def test_one_suppression_path():
                 name = (func.id if isinstance(func, ast.Name)
                         else func.attr if isinstance(func, ast.Attribute)
                         else None)
-                if name == "_nms_keep_field":
+                if name == "suppressed_rows":
                     calls.append(f"{path.name}:{node.lineno}")
     assert defining == ["FeatureDetector"], (
         f"classes defining scored_keypoints: {defining}")
-    assert len(calls) == 1, f"calls of _nms_keep_field: {calls}"
+    assert len(calls) == 1, f"calls of suppressed_rows: {calls}"
