@@ -35,7 +35,7 @@ from .learn import InconsistentLabelsError, TrainingSet, build_tree
 from .repeatability import (_cells_within, _disc_runs, _row_prefix,
                             _runs_hit, check_epsilon, check_pairs,
                             make_pairs)
-from .runtime import PlaneWalk, ternary_planes
+from .runtime import PlaneWalk, check_threshold, ternary_planes
 from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
                     default_offsets_48, sixteen_fold, sixteen_fold_offsets,
                     tree_size)
@@ -48,8 +48,8 @@ class CostWeights:
 
     w_r weights repeatability, w_n scales per-frame corner counts, w_s scales
     tree size; alpha/beta shape the temperature schedule; t is the fixed
-    detection threshold; epsilon the matching radius. t and i_max must be
-    integers.
+    detection threshold (``check_threshold``); epsilon the matching radius.
+    i_max must be an integer.
     """
 
     w_r: float = 1.0
@@ -62,10 +62,10 @@ class CostWeights:
     epsilon: float = 5.0
 
     def __post_init__(self):
-        for name in ("t", "i_max"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        for name in ("w_r", "w_n", "w_s", "alpha", "beta", "t", "i_max"):
+        check_threshold(self.t)
+        if not isinstance(self.i_max, numbers.Integral):
+            raise ValueError("i_max must be an integer")
+        for name in ("w_r", "w_n", "w_s", "alpha", "beta", "i_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         check_epsilon(self.epsilon)

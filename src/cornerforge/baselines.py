@@ -38,8 +38,9 @@ class StructureTensor:
     ayy: np.ndarray
 
 
-def _kernel_radius(sigma: float) -> int:
-    """ceil(3 sigma), the radius at which ``gaussian_kernel`` truncates."""
+def kernel_radius(sigma: float) -> int:
+    """ceil(3 sigma), the radius at which ``gaussian_kernel`` truncates. The
+    rule for sigma: a ``ValueError`` unless sigma > 0 with 3 sigma finite."""
     if not (sigma > 0 and math.isfinite(3.0 * sigma)):
         raise ValueError(f"sigma must be > 0 with 3 sigma finite, got {sigma}")
     return math.ceil(3.0 * sigma)
@@ -47,7 +48,7 @@ def _kernel_radius(sigma: float) -> int:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """1-d Gaussian truncated at 3 sigma and renormalized to unit sum."""
-    r = _kernel_radius(sigma)
+    r = kernel_radius(sigma)
     xs = np.arange(-r, r + 1, dtype=np.float64)
     k = np.exp(-(xs**2) / (2.0 * sigma**2))
     return k / k.sum()
@@ -102,7 +103,7 @@ def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
 def structure_tensor(img: GrayImage, sigma: float = 2.5) -> StructureTensor:
     """``ValueError`` before any allocation when the smoothing radius reaches
     the image's longer side: each pass pads every row or column by it."""
-    r = _kernel_radius(sigma)
+    r = kernel_radius(sigma)
     if r >= max(img.width, img.height):
         raise ValueError(f"sigma {sigma} smooths over a radius of {r} pixels, "
                          f"not below the {img.width}x{img.height} image's "

@@ -4,7 +4,9 @@ benchmarking, and synthetic dataset generation.
 Every text output starts with a provenance header (tool version, full
 command configuration, seed) in the format's native comment syntax, or in
 an SVG's ``<desc>``. Exit codes: 0 success, 1 usage, 2 I/O, 3 data
-validation.
+validation. A value outside its rule, whether a flag or a detector spec key
+carries it, is a usage error before any file is read; a threshold, arc
+length, sigma or epsilon follows the library's own check.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .annealing import CostWeights, distill, multi_run
+from .baselines import kernel_radius
 from .datasets import make_dataset, synthetic_base_image
 from .detectors import (FastRefDetector, HarrisDetector, RandomDetector,
                         ShiTomasiDetector, SixteenFoldDetector, TreeDetector)
@@ -34,8 +37,8 @@ from .learn import (MAX_TOTAL_WEIGHT, InconsistentLabelsError,
 from .repeatability import (CURVE_MAX_COUNT, MissingWarpError,
                             area_under_curve, check_epsilon, make_pairs,
                             repeatability_curve)
-from .runtime import write_keypoints
-from .segment import N_CONFIGS
+from .runtime import check_threshold, write_keypoints
+from .segment import N_CONFIGS, check_arc
 from .trees import (RING16, TreeFormatError, default_offsets_48,
                     deserialize_tree, serialize_tree)
 from .warp import SingularHomographyError, load_homography, save_homography
@@ -105,16 +108,33 @@ def _load_tree(path):
         return deserialize_tree(f.read())
 
 
-def _threshold_ok(t: int) -> bool:
-    """A threshold is an intensity difference of 8-bit pixels: 1..255."""
-    return 1 <= t <= 255
+def _checked(cast, check):
+    """An argparse ``type``: ``cast`` the text, then ``check`` the value; a
+    ``ValueError`` from either is a usage error with its message."""
+    def parse(text):
+        try:
+            check(value := cast(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
-# Each numeric detector parameter: its default, its type, the values it takes.
-_PARAMS = {"n": (9, int, lambda v: 9 <= v <= 16),
-           "t": (1, int, _threshold_ok),
-           "sigma": (2.5, float, lambda v: math.isfinite(v) and v > 0),
-           "seed": (0, int, lambda v: v >= 0)}
+def _at_least(low):
+    """The check that a count or magnitude is finite and at least ``low``."""
+    def check(value):
+        if not low <= value < math.inf:
+            raise ValueError(f"{value} is not a finite number >= {low}")
+    return check
+
+
+_ARC, _SIGMA = _checked(int, check_arc), _checked(float, kernel_radius)
+_THRESHOLD = _checked(int, check_threshold)
+_COUNT, _POSITIVE = _checked(int, _at_least(0)), _checked(int, _at_least(1))
+_MAGNITUDE = _checked(float, _at_least(0))
+# Each detector key: its default, and the type that parses its flag and spec.
+_PARAMS = {"n": (9, _ARC), "t": (1, _THRESHOLD), "sigma": (2.5, _SIGMA),
+           "seed": (0, _COUNT), "tree": (None, str)}
 
 
 def _detector_params(args, spec: str) -> tuple[str, dict]:
@@ -122,7 +142,8 @@ def _detector_params(args, spec: str) -> tuple[str, dict]:
     "fast-ref:n=9" and, for keys it leaves out, the CLI flags. Reads no file.
 
     A spec may set only its detector's keys (``_SPEC_KEYS``), each at most
-    once, to a value that parses; anything else is a usage error."""
+    once, to a value its flag's type accepts (``_PARAMS``); anything else is
+    a usage error."""
     given = {}
     name, _, rest = spec.partition(":")
     if name not in _SPEC_KEYS:
@@ -141,24 +162,15 @@ def _detector_params(args, spec: str) -> tuple[str, dict]:
         given[key] = val
     params = {}
     for key in _SPEC_KEYS[name]:
-        if key == "tree":
-            params[key] = given.get(key) or args.tree
-            if not params[key]:
-                raise UsageError(f"{name} needs --tree (or tree= in the spec)")
-            continue
-        default, cast, valid = _PARAMS[key]
-        if key in given:
-            try:
-                val = cast(given[key])
-            except ValueError:
-                raise UsageError(f"detector parameter {key}={given[key]} is "
-                                 f"not a valid {cast.__name__}") from None
-        else:
-            val = getattr(args, key, None)
-            val = default if val is None else val
-        if not valid(val):
-            raise UsageError(f"detector parameter {key}={val} is out of range")
-        params[key] = val
+        default, parse = _PARAMS[key]
+        try:
+            params[key] = (parse(given[key]) if key in given
+                           else getattr(args, key, default))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"detector parameter {key}={given[key]}: "
+                             f"{exc}") from None
+    if "tree" in params and not params["tree"]:
+        raise UsageError(f"{name} needs --tree (or tree= in the spec)")
     return name, params
 
 
@@ -179,8 +191,6 @@ def _build_detector(name: str, params: dict):
 
 
 def cmd_detect(args) -> int:
-    if args.n_features is not None and args.n_features < 0:
-        raise UsageError("--n-features must be >= 0")
     detector = _build_detector(*_detector_params(args, args.algo))
     if args.n_features is None and isinstance(detector, RandomDetector):
         raise UsageError("random detector needs --n-features")
@@ -193,11 +203,6 @@ def cmd_detect(args) -> int:
 
 
 def cmd_learn_tree(args) -> int:
-    if not _threshold_ok(args.t) or not 9 <= args.n <= 16:
-        raise UsageError("learn-tree needs --t in 1..255 and --n in 9..16")
-    if args.weight_scale < 0 or args.low_weight < 1:
-        raise UsageError("learn-tree needs --weight-scale >= 0 and "
-                         "--low-weight >= 1")
     # total weights from 2^53 up lose exactness in the ID3 count tables
     if (args.weight_scale >= MAX_TOTAL_WEIGHT
             or args.low_weight * N_CONFIGS >= MAX_TOTAL_WEIGHT):
@@ -279,7 +284,6 @@ def _usage_checked(check, *args, **kwargs):
 
 def cmd_eval_repeat(args) -> int:
     counts = _parse_counts(args.counts)
-    _usage_checked(check_epsilon, args.epsilon)
     # every spec is checked before any tree file or the dataset is read
     checked = [(spec, _detector_params(args, spec)) for spec in args.algo]
     detectors = [(spec, _build_detector(*params)) for spec, params in checked]
@@ -313,9 +317,6 @@ def cmd_eval_repeat(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1 or args.warmup < 0 or args.n_features < 0:
-        raise UsageError("bench needs --repeats >= 1, --warmup >= 0 and "
-                         "--n-features >= 0")
     checked = [_detector_params(args, spec)
                for spec in args.algo or ["fast-ref:n=9"]]
     detectors = [_build_detector(*params) for params in checked]
@@ -344,11 +345,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_make_dataset(args) -> int:
-    if args.frames < 1:
-        raise UsageError("make-dataset needs --frames >= 1")
-    if not all(math.isfinite(v) and v >= 0 for v in (args.noise, args.warp_mag)):
-        raise UsageError("make-dataset needs finite --noise >= 0 and "
-                         "--warp-mag >= 0")
     if args.base:
         base = load_image(args.base)
     else:
@@ -380,9 +376,6 @@ def cmd_anneal(args) -> int:
     weights = _usage_checked(CostWeights, w_r=args.wr, w_n=args.wn,
                              w_s=args.ws, alpha=args.alpha, beta=args.beta,
                              t=args.t, i_max=args.imax, epsilon=args.epsilon)
-    if not _threshold_ok(args.t) or args.runs < 1 or args.jobs < 1:
-        raise UsageError("anneal needs --t in 1..255, --runs >= 1 and "
-                         "--jobs >= 1")
     d, frames = _load_dataset(args.dataset)
     pairs = make_pairs(len(frames), "adjacent2")
     warps = _load_warps(d, frames, pairs)
@@ -406,8 +399,6 @@ def cmd_anneal(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    if not _threshold_ok(args.t):
-        raise UsageError("distill needs --t in 1..255")
     tree, table = _load_tree(args.tree)
     if len(table) != 48:
         raise UsageError(f"{args.tree}: distill expects a 48-offset tree")
@@ -456,30 +447,31 @@ def write_svg_curves(path, curves, header_lines) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cornerforge", description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_POSITIVE, default=1,
                         help="worker cap; 1 defines canonical output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("detect", help="detect corners in one image")
     p.add_argument("image")
     p.add_argument("--algo", default="fast-ref", choices=ALGOS)
-    p.add_argument("--n", type=int, default=9, help="segment arc length")
-    p.add_argument("--t", type=int, default=35, help="detection threshold")
+    p.add_argument("--n", type=_ARC, default=9, help="segment arc length")
+    p.add_argument("--t", type=_THRESHOLD, default=35,
+                   help="detection threshold")
     p.add_argument("--tree", help="tree file for fast-tree/faster")
-    p.add_argument("--sigma", type=float, default=2.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-features", type=int, default=None)
+    p.add_argument("--sigma", type=_SIGMA, default=2.5)
+    p.add_argument("--seed", type=_COUNT, default=0)
+    p.add_argument("--n-features", type=_COUNT, default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("learn-tree", help="compile the segment test via ID3")
     p.add_argument("images", nargs="*")
-    p.add_argument("--n", type=int, default=9)
-    p.add_argument("--t", type=int, default=35)
+    p.add_argument("--n", type=_ARC, default=9)
+    p.add_argument("--t", type=_THRESHOLD, default=35)
     p.add_argument("--exhaustive", action="store_true",
                    help="cover all 3^16 ring configurations")
-    p.add_argument("--low-weight", type=int, default=1)
-    p.add_argument("--weight-scale", type=int, default=256)
+    p.add_argument("--low-weight", type=_POSITIVE, default=1)
+    p.add_argument("--weight-scale", type=_COUNT, default=256)
     p.add_argument("--shared-second", action="store_true",
                    help="force one shared second-level test")
     p.add_argument("--out", required=True)
@@ -490,7 +482,8 @@ def build_parser() -> _Parser:
     p.add_argument("--algo", action="append", required=True,
                    help="detector spec, e.g. fast-ref:n=9 (repeatable)")
     p.add_argument("--counts", default="0:2000:25")
-    p.add_argument("--epsilon", type=float, default=5.0)
+    p.add_argument("--epsilon", type=_checked(float, check_epsilon),
+                   default=5.0)
     p.add_argument("--pairs", default="adjacent2", choices=("adjacent2", "all"))
     p.add_argument("--tree")
     p.add_argument("--out", default="repeat_")
@@ -504,10 +497,10 @@ def build_parser() -> _Parser:
                    help="detector spec, e.g. fast-ref:n=9 (repeatable; "
                         "default fast-ref:n=9)")
     p.add_argument("--tree")
-    p.add_argument("--t", type=int, default=35)
-    p.add_argument("--n-features", type=int, default=500)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=2)
+    p.add_argument("--t", type=_THRESHOLD, default=35)
+    p.add_argument("--n-features", type=_COUNT, default=500)
+    p.add_argument("--repeats", type=_POSITIVE, default=10)
+    p.add_argument("--warmup", type=_COUNT, default=2)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bench)
 
@@ -515,10 +508,10 @@ def build_parser() -> _Parser:
     p.add_argument("--base", help="base image path")
     p.add_argument("--synthetic", default="640x480",
                    help="WxH generated base when --base is absent")
-    p.add_argument("--frames", type=int, default=6)
-    p.add_argument("--warp-mag", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--frames", type=_POSITIVE, default=6)
+    p.add_argument("--warp-mag", type=_MAGNITUDE, default=1.0)
+    p.add_argument("--noise", type=_MAGNITUDE, default=0.0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_dataset)
 
@@ -526,7 +519,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--imax", type=int, default=5000,
                    help="iterations per run (desk-scale default)")
-    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--runs", type=_POSITIVE, default=3)
     p.add_argument("--wr", type=float, default=1.0)
     p.add_argument("--wn", type=float, default=3500.0)
     p.add_argument("--ws", type=float, default=10000.0)
@@ -534,14 +527,14 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=100.0)
     p.add_argument("--t", type=int, default=35)
     p.add_argument("--epsilon", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.add_argument("--out", default="anneal_")
     p.set_defaults(func=cmd_anneal)
 
     p = sub.add_parser("distill", help="single tree reproducing a 16-fold detector")
     p.add_argument("--tree", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--t", type=int, default=35)
+    p.add_argument("--t", type=_THRESHOLD, default=35)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill)
 

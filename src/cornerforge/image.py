@@ -132,9 +132,12 @@ def save_pgm(img: GrayImage, comment: str | None = None) -> bytes:
 
 def load_image(path) -> GrayImage:
     """Load a binary PGM file (``load_pgm``). PGM is the only image format:
-    any other file is a ``PgmError``."""
-    with open(path, "rb") as f:
-        return load_pgm(f.read())
+    any other file is a ``PgmError``, whose message names the file."""
+    try:
+        with open(path, "rb") as f:
+            return load_pgm(f.read())
+    except PgmError as exc:
+        raise PgmError(f"{path}: {exc}") from None
 
 
 def add_gaussian_noise(img: GrayImage, sigma: float, seed: int) -> GrayImage:

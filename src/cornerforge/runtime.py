@@ -47,6 +47,12 @@ from .trees import CompiledTree
 _CEILING_BLOCK_ROWS = 8192
 
 
+def check_threshold(t) -> None:
+    """``ValueError`` unless t is an integer in 1..255 (8-bit differences)."""
+    if not (isinstance(t, numbers.Integral) and 1 <= t <= 255):
+        raise ValueError(f"threshold must be an integer in 1..255, not {t!r}")
+
+
 def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
     """Pixel states at each offset, as uint8 planes of shape
     (len(offsets), interior pixels).
@@ -54,13 +60,10 @@ def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
     Entry [k, col] is 0 (darker: ring <= centre - t), 1 (similar) or 2
     (brighter: ring >= centre + t) for offset k, the order of
     ``CompiledTree.children``. The columns are the pixels at least ``margin``
-    from every edge of each image in turn, in raster order. A threshold that
-    is not an integer (2.5, or 2.0) is a ``ValueError``.
+    from every edge of each image in turn, in raster order. ``t`` must pass
+    ``check_threshold``.
     """
-    if not isinstance(t, numbers.Integral):
-        raise ValueError(f"threshold must be an integer, not {t!r}")
-    if t < 1:
-        raise ValueError("threshold must be >= 1")
+    check_threshold(t)
     offsets = [(int(dx), int(dy)) for dx, dy in offsets]
     if any(max(abs(dx), abs(dy)) > margin for dx, dy in offsets):
         raise ValueError(f"an offset reaches beyond the margin {margin}")
@@ -234,8 +237,7 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
     trees' margin from every edge. Positions that fire at no t in range get
     t_min - 1. Returns int32 scores.
     """
-    if not 1 <= t_min <= 255:
-        raise ValueError("threshold must be in 1..255")
+    check_threshold(t_min)
     flat = img.pixels.ravel()
     index = np.int32 if flat.size < 2**31 else np.intp
     pos = (np.asarray(ys, dtype=np.intp) * img.width

@@ -27,7 +27,8 @@ N_CONFIGS = 3**N_RING  # 43,046,721
 HALF = 3**8  # codes of eight ring states: a config code is hi * HALF + lo
 
 
-def _check_arc(n: int) -> None:
+def check_arc(n: int) -> None:
+    """``ValueError`` unless the arc length n is in 9..16."""
     if not 9 <= n <= 16:
         raise ValueError(f"arc length n={n} unsupported (need 9..16)")
 
@@ -60,7 +61,7 @@ def _half_masks() -> np.ndarray:
 def config_labels(codes: np.ndarray, n: int) -> np.ndarray:
     """True where a config code has >= n circularly contiguous ring
     positions all brighter or all darker (wrap-around counts); 9 <= n <= 16."""
-    _check_arc(n)
+    check_arc(n)
     hit = _circular_run_table() >= n
     hi, lo = np.divmod(np.asarray(codes, dtype=np.int64), HALF)
     out = np.zeros(hi.shape, dtype=bool)
@@ -77,7 +78,7 @@ def label_all_configs(n: int) -> np.ndarray:
     are an outer OR of the half-code masks. A block of 243 hi rows is built
     at a time, so the uint16 masks and the gathers stay a few MB.
     """
-    _check_arc(n)
+    check_arc(n)
     hit = _circular_run_table() >= n
     half = _half_masks()
     labels = np.empty((HALF, HALF), dtype=bool)
@@ -97,7 +98,7 @@ def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
     length n (darker arcs symmetric). Equals max{t : detect at t} because the
     partition is boundary-inclusive and monotone in t.
     """
-    _check_arc(n)
+    check_arc(n)
     a = img.pixels.astype(np.int16)
     h, w = a.shape
     out = np.zeros((h, w), dtype=np.int16)

@@ -117,6 +117,11 @@ class TestCostWeights:
         with pytest.raises(ValueError, match="integer"):
             an.CostWeights(**kwargs)
 
+    @pytest.mark.parametrize("t", [0, 256])
+    def test_t_is_a_threshold_in_1_to_255(self, t):
+        with pytest.raises(ValueError, match="1..255"):
+            an.CostWeights(t=t)
+
     def test_numpy_integers_accepted(self):
         weights = an.CostWeights(t=np.int64(20), i_max=np.int32(4))
         assert weights.t == 20 and weights.i_max == 4

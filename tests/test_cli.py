@@ -45,11 +45,16 @@ def test_detect_writes_parseable_keypoints(small_dataset, tmp_path):
                                    ["--algo", "random", "--n-features", "5",
                                     "--seed", "-1"],
                                    ["--algo", "harris", "--sigma", "inf"],
-                                   ["--algo", "shi-tomasi", "--sigma", "nan"]],
+                                   ["--algo", "shi-tomasi", "--sigma", "nan"],
+                                   # 3 sigma overflows to inf
+                                   ["--algo", "harris", "--sigma", "1e308"],
+                                   # a flag the detector ignores still parses
+                                   ["--algo", "harris", "--n", "0"]],
                          ids=["t=0", "t=-3", "n=0", "n=17", "harris-sigma=0",
                               "shi-tomasi-sigma=-1", "n-features=-1",
                               "random-seed=-1", "harris-sigma=inf",
-                              "shi-tomasi-sigma=nan"])
+                              "shi-tomasi-sigma=nan", "harris-sigma=1e308",
+                              "harris-n=0"])
 def test_detect_rejects_out_of_range_parameters(tmp_path, flags):
     # usage errors come before the image is read: it does not exist
     out = tmp_path / "kp.txt"
@@ -70,8 +75,23 @@ def test_detect_rejects_a_non_pgm_image(tmp_path, capsys):
     img, out = tmp_path / "frame.png", tmp_path / "kp.txt"
     img.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
     assert main(["detect", str(img), "--out", str(out)]) == EXIT_DATA
-    assert "bad magic" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad magic" in err and str(img) in err
     assert not out.exists()
+
+
+def test_eval_repeat_names_the_frame_that_is_not_pgm(small_dataset, tmp_path,
+                                                     capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in small_dataset.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    (data / "frame_002.pgm").write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
+    assert main(["eval-repeat", "--dataset", str(data), "--algo", "fast-ref",
+                 "--counts", "0:2000:1000", "--out",
+                 str(tmp_path / "r_")]) == EXIT_DATA
+    assert "frame_002.pgm" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r_*"))
 
 
 @pytest.mark.parametrize("spec", ["fast-ref:t=0", "fast-ref:n=8",
@@ -205,9 +225,11 @@ def test_fast_tree_runs_a_distilled_tree(small_dataset, tmp_path):
 @pytest.mark.parametrize("flags", [["--imax", "0"], ["--t", "0"],
                                    ["--epsilon", "-1"], ["--epsilon", "nan"],
                                    ["--epsilon", "inf"], ["--wr", "nan"],
-                                   ["--runs", "0"], ["--jobs", "0"]],
+                                   ["--runs", "0"], ["--jobs", "0"],
+                                   ["--seed", "-1"]],
                          ids=["imax=0", "t=0", "epsilon=-1", "epsilon=nan",
-                              "epsilon=inf", "wr=nan", "runs=0", "jobs=0"])
+                              "epsilon=inf", "wr=nan", "runs=0", "jobs=0",
+                              "seed=-1"])
 def test_anneal_rejects_out_of_range_parameters(tmp_path, flags):
     # usage errors come before the dataset is read: it does not exist.
     # --jobs is a global flag, so it goes before the subcommand.
@@ -326,6 +348,15 @@ def test_make_dataset_rejects_zero_frames(tmp_path, capsys):
                      str(tmp_path / "data")]) == EXIT_USAGE, size
         assert "11x11" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+def test_make_dataset_rejects_a_negative_seed_before_reading_the_base(
+        small_dataset, tmp_path, capsys):
+    assert main(["make-dataset", "--base",
+                 str(small_dataset / "frame_000.pgm"), "--seed", "-1",
+                 "--out", str(tmp_path / "data")]) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_make_dataset_draws_the_smallest_synthetic_image(tmp_path):

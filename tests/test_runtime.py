@@ -436,6 +436,8 @@ class TestTernaryPlanes:
         with pytest.raises(ValueError):
             rt.ternary_planes([rand_img(0)], RING16.offsets, 0, 3)
         with pytest.raises(ValueError):
+            rt.ternary_planes([rand_img(0)], RING16.offsets, 256, 3)
+        with pytest.raises(ValueError):
             rt.ternary_planes([rand_img(0)], [(4, 0)], 9, 3)
 
     @pytest.mark.parametrize("t", [2.5, 2.0, np.float64(9)])

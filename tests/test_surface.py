@@ -21,8 +21,8 @@ Nothing in the package keys state on object identity: no call of the
 builtin ``id`` is left in it.
 
 Suppression has one path: only ``FeatureDetector`` defines
-``scored_keypoints``, and the 3x3 kernel ``_nms_keep_field`` has exactly one
-call site in the package.
+``scored_keypoints``, and ``suppressed_rows`` has exactly one call site in
+the package.
 """
 
 import ast
