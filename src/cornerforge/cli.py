@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import glob
 import json
-import math
 import re
 import sys
 import time
@@ -27,7 +26,7 @@ import numpy as np
 from . import __version__
 from .annealing import CostWeights, distill, multi_run
 from .baselines import kernel_radius
-from .datasets import make_dataset, synthetic_base_image
+from .datasets import check_magnitude, make_dataset, synthetic_base_image
 from .detectors import (FastRefDetector, HarrisDetector, RandomDetector,
                         ShiTomasiDetector, SixteenFoldDetector, TreeDetector)
 from .image import PgmError, load_image, save_pgm
@@ -121,17 +120,17 @@ def _checked(cast, check):
 
 
 def _at_least(low):
-    """The check that a count or magnitude is finite and at least ``low``."""
+    """The check that a count is at least ``low``."""
     def check(value):
-        if not low <= value < math.inf:
-            raise ValueError(f"{value} is not a finite number >= {low}")
+        if value < low:
+            raise ValueError(f"{value} is not an integer >= {low}")
     return check
 
 
 _ARC, _SIGMA = _checked(int, check_arc), _checked(float, kernel_radius)
 _THRESHOLD = _checked(int, check_threshold)
 _COUNT, _POSITIVE = _checked(int, _at_least(0)), _checked(int, _at_least(1))
-_MAGNITUDE = _checked(float, _at_least(0))
+_MAGNITUDE = _checked(float, check_magnitude)
 # Each detector key: its default, and the type that parses its flag and spec.
 _PARAMS = {"n": (9, _ARC), "t": (1, _THRESHOLD), "sigma": (2.5, _SIGMA),
            "seed": (0, _COUNT), "tree": (None, str)}

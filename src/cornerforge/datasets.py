@@ -7,6 +7,8 @@ ground-truth point transfer emitted alongside.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .image import GrayImage, add_gaussian_noise
@@ -104,15 +106,26 @@ def warp_image(img: GrayImage, matrix: np.ndarray) -> GrayImage:
     return GrayImage(np.clip(np.rint(val), 0, 255).astype(np.uint8))
 
 
+def check_magnitude(value: float) -> None:
+    """``ValueError`` unless a warp magnitude or noise sigma is finite and
+    at least 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("a warp magnitude or noise sigma must be finite and "
+                         f">= 0, got {value}")
+
+
 def make_dataset(base: GrayImage, n_frames: int, warp_magnitude: float,
                  noise_sigma: float, seed: int):
     """Warped + noised views of a base image with exact pairwise warps.
 
     Returns (frames, warps): frame 0 is the base, and ``warps`` maps every
-    ordered frame pair (i, j) to a Homography.
+    ordered frame pair (i, j) to a Homography. Both magnitudes must pass
+    ``check_magnitude``.
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
+    check_magnitude(warp_magnitude)
+    check_magnitude(noise_sigma)
     rng = np.random.default_rng(seed)
     size = (base.width, base.height)
     mats = [np.eye(3)]

@@ -25,8 +25,8 @@ import numpy as np
 from .baselines import (detect_random, harris_response, shi_tomasi_response,
                         structure_tensor)
 from .image import GrayImage
-from .runtime import (PlaneWalk, corner_needs, rank_by_score, score_positions,
-                      suppressed_rows, top_n_by_score)
+from .runtime import (PlaneWalk, corner_needs, minimal_pairs, rank_by_score,
+                      score_positions, suppressed_rows, top_n_by_score)
 from .segment import segment_score_field
 from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
 
@@ -83,9 +83,10 @@ class TreeDetector(FeatureDetector):
     classifies it as a corner at ``t_min``; its score is the largest
     threshold at which any still does (``score_positions``, exact).
 
-    ``needs`` is the source tree's ``corner_needs`` closed under swapping
-    the two counts, so that it holds for every variant: a dihedral map of
-    the offsets keeps a path's counts, and an inversion swaps them."""
+    ``needs`` holds the source tree's ``corner_needs`` mapped onto every
+    variant node by node (source node k's offset becomes variant node k's),
+    closed under swapping the two sets, since an inversion swaps the
+    brighter and darker branches, and cut to its ``minimal_pairs``."""
 
     name = "fast-tree"
 
@@ -93,8 +94,17 @@ class TreeDetector(FeatureDetector):
         self.table = table
         source = CompiledTree(tree, self.table)
         self.trees = self.variants(source)
+        first = {}  # each distinct offset of the source -> its first node
+        for k, xy in enumerate(zip(source.dx.tolist(), source.dy.tolist())):
+            first.setdefault(xy, k)
         needs = corner_needs(source)
-        self.needs = needs | {(nd, nb) for nb, nd in needs}
+        mapped = set()
+        for ct in self.trees:
+            to = {xy: (int(ct.dx[k]), int(ct.dy[k])) for xy, k in first.items()}
+            for b, d in needs:
+                b, d = frozenset(map(to.get, b)), frozenset(map(to.get, d))
+                mapped |= {(b, d), (d, b)}
+        self.needs = minimal_pairs(mapped)
         self.walk = PlaneWalk(self.trees, sorted(
             {xy for ct in self.trees for xy in zip(ct.dx.tolist(), ct.dy.tolist())}))
         self.t_min = t_min

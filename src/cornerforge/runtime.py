@@ -17,10 +17,11 @@ pixel is the largest threshold at which it still classifies as a corner;
 walking each tree once per position with the interval of thresholds that
 reach each node. Classification need not be monotone in the threshold.
 The interval starts no higher than a per-position ceiling: a corner path
-that tests nb distinct offsets brighter and nd darker fires at t only if
-nb differences ring - centre reach t and nd reach -t, and ``corner_needs``
-lists the fewest (nb, nd) of a tree's corner paths. A position whose best
-score so far meets its ceiling walks no further tree.
+that tests the offsets of a set B brighter and of a set D darker fires at t
+only if ring - centre reaches t at every offset of B and -t at every
+offset of D, and ``corner_needs`` lists the minimal (B, D) of a tree's
+corner paths. A position whose best score so far meets its ceiling walks
+no further tree; on FAST-9 the ceiling is the score itself.
 Scoring reads pixels at the offsets of the detector's ``PlaneWalk``.
 ``suppressed_rows`` is the one 3x3 non-maximal suppression, from a score
 grid to keypoint rows: one pass over the cells at least ``RING_MARGIN``
@@ -40,11 +41,13 @@ from .image import RING_MARGIN, GrayImage
 from .trees import CompiledTree
 
 
-# Positions per block of the score ceiling: 8192 rows of 48 offsets is a
-# 786 kB buffer. One (N, K) array for all positions, 11.8 MB on a t=1 frame,
-# raised the detect-t1 benchmark's peak RSS from 91.9 to 101.5 MB; blocks
-# of 2048 to 32768 rows read 92.9-93.8 MB and timed within noise
-_CEILING_BLOCK_ROWS = 8192
+# Positions per block of the score ceiling: 16384 positions of faster's 16
+# ring offsets make a 1 MB int16 block of 32 rows, the differences and
+# their negation. On a 640x480 t=1 frame (123k positions) one ceiling took
+# 11.4-12.0 ms in blocks of 4096, 8.5-12.3 ms in blocks of 8192, 7.8-7.9 ms
+# in blocks of 16384, 8.2 ms in blocks of 32768 and 12.2-12.4 ms in one
+# block; the detect-t1 benchmark's peak RSS read 89.9 MB with 16384
+_CEILING_BLOCK_ROWS = 16384
 
 
 def check_threshold(t) -> None:
@@ -185,35 +188,58 @@ class PlaneWalk:
 
 
 def corner_needs(ct) -> frozenset:
-    """The Pareto-minimal (brighter, darker) counts over the paths of a
+    """The minimal (brighter, darker) offset sets over the paths of a
     compiled tree that end at a corner leaf.
 
-    A path's counts are of the distinct offsets it tests in the brighter
-    and in the darker state: a tree may test one offset twice on a path. A
-    position fires on the path at threshold t only if at least that many
-    offsets read ring - centre >= t and ring - centre <= -t, which bounds
-    its score (``score_positions``). Empty when no corner leaf exists, and
-    {(0, 0)} when the all-similar chain ends in a corner. A dihedral map of
-    the offsets keeps the counts; an intensity inversion swaps them.
+    A path's pair holds the distinct (dx, dy) it tests in the brighter and
+    in the darker state, as two frozensets: a tree may test one offset
+    twice on a path. A position fires on the path at threshold t only if
+    ring - centre >= t at every brighter offset and <= -t at every darker
+    one, which bounds its score (``score_positions``). A pair is dropped
+    when another pair's two sets are subsets of its own (``minimal_pairs``).
+    Empty when no corner leaf exists, and {(∅, ∅)} when the all-similar
+    chain ends in a corner. The paths are walked, and the pairs cut, as two
+    int bitmasks, a bit per distinct offset of the tree.
     """
     if ct.root < 0:
-        return frozenset({(0, 0)} if ct.root == -2 else ())
-    offsets = list(zip(ct.dx.tolist(), ct.dy.tolist()))
+        return frozenset({(frozenset(), frozenset())} if ct.root == -2 else ())
+    nodes = list(zip(ct.dx.tolist(), ct.dy.tolist()))
+    offsets = sorted(set(nodes))
+    bit = {xy: 1 << k for k, xy in enumerate(offsets)}
+    node_bit = [bit[xy] for xy in nodes]
     children = ct.children.tolist()
     found = set()
-    stack = [(ct.root, frozenset(), frozenset())]
+    stack = [(ct.root, 0, 0)]
     while stack:
         node, brighter, darker = stack.pop()
         if node < 0:
             if node == -2:
-                found.add((len(brighter), len(darker)))
+                found.add((brighter, darker))
             continue
-        xy = offsets[node]
+        m = node_bit[node]
         to_d, to_s, to_b = children[node]
-        stack += [(to_b, brighter | {xy}, darker), (to_s, brighter, darker),
-                  (to_d, brighter, darker | {xy})]
-    return frozenset(p for p in found if not any(
-        q != p and q[0] <= p[0] and q[1] <= p[1] for q in found))
+        stack += [(to_b, brighter | m, darker), (to_s, brighter, darker),
+                  (to_d, brighter, darker | m)]
+
+    def offsets_of(mask):
+        return frozenset(xy for k, xy in enumerate(offsets) if mask >> k & 1)
+
+    return frozenset((offsets_of(b), offsets_of(d))
+                     for b, d in minimal_pairs(found, size=int.bit_count))
+
+
+def minimal_pairs(pairs, size=len) -> frozenset:
+    """The (brighter, darker) pairs of ``pairs`` that hold no other: a pair
+    is kept only if no kept pair's two sets are subsets of its own, visiting
+    the pairs in order of ``size``. A set is a frozenset, or an int bitmask
+    with ``size=int.bit_count``. A dropped pair's bound on the score is
+    never above the bound of the pair it holds, so the ceiling, the largest
+    bound, is unchanged."""
+    kept = []
+    for b, d in sorted(set(pairs), key=lambda pair: size(pair[0]) + size(pair[1])):
+        if not any(kb | b == b and kd | d == d for kb, kd in kept):
+            kept.append((b, d))
+    return frozenset(kept)
 
 
 def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
@@ -226,18 +252,25 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
     (``_score_walk``). The score of an OR of trees is the largest of their
     scores; the trees are walked in turn, and each walk only looks above the
     best score found so far and up to the position's ceiling. ``needs``
-    holds (brighter, darker) counts such that every corner path of every
-    tree tests at least nb distinct offsets brighter and nd darker for one
-    (nb, nd) in it (``corner_needs``, closed under swapping the two for
-    inverted trees). The ceiling over the walk's offsets is the largest,
-    over ``needs``, of the smaller of the nb-th largest ring - centre and the
-    nd-th largest centre - ring (a 0th is 255): no t above it fires. The
-    walk's offsets become flat deltas dy * width + dx once per image; tree i
-    reads them through ``walk.rows[i]``. The positions must lie at least the
-    trees' margin from every edge. Positions that fire at no t in range get
-    t_min - 1. Returns int32 scores.
+    holds (brighter, darker) offset sets such that every corner path of
+    every tree tests, in those states, every offset of one pair in it
+    (``corner_needs``, mapped onto each variant: ``TreeDetector``). The
+    ceiling is the largest, over ``needs``, of the smaller of the least
+    ring - centre over the brighter set and the least centre - ring over
+    the darker set (an empty set gives 255): no t above it fires. Every
+    offset of ``needs`` must be among ``walk.offsets``, or ``ValueError``.
+    The walk's offsets become flat deltas dy * width + dx once per image;
+    tree i reads them through ``walk.rows[i]``. The positions must lie at
+    least the trees' margin from every edge. Positions that fire at no t in
+    range get t_min - 1. Returns int32 scores.
     """
     check_threshold(t_min)
+    at = {xy: k for k, xy in enumerate(walk.offsets)}
+    try:
+        pairs = [([at[xy] for xy in b], [at[xy] for xy in d]) for b, d in needs]
+    except KeyError as exc:
+        raise ValueError(f"corner need offset {exc} is not among the walk's "
+                         "offsets") from None
     flat = img.pixels.ravel()
     index = np.int32 if flat.size < 2**31 else np.intp
     pos = (np.asarray(ys, dtype=np.intp) * img.width
@@ -245,7 +278,7 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
     centre = flat.take(pos).astype(np.int16)
     dx, dy = np.array(walk.offsets, dtype=index).reshape(-1, 2).T
     deltas = dy * index(img.width) + dx
-    ceiling = _score_ceiling(deltas, flat, pos, centre, needs)
+    ceiling = _score_ceiling(deltas, flat, pos, centre, pairs)
     best = np.full(pos.shape, t_min - 1, dtype=np.int16)
     for ct, row in zip(walk.trees, walk.rows):
         _score_walk(ct, deltas.take(row), flat, pos, centre, best, ceiling)
@@ -253,35 +286,34 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
 
 
 def _score_ceiling(deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
-                   centre: np.ndarray, needs) -> np.ndarray:
-    """Each position's score ceiling under ``needs`` (``score_positions``),
-    as int16; 0 where no t >= 1 can fire.
+                   centre: np.ndarray, pairs) -> np.ndarray:
+    """Each position's score ceiling (``score_positions``) under ``pairs``,
+    (brighter, darker) lists of indices into the K flat ``deltas``, as
+    int16; 0 where no t >= 1 can fire.
 
-    The differences ring - centre at the K flat ``deltas`` fill a (rows, K)
-    int16 block one offset column at a time, from ``pos``'s flat indices,
-    and are sorted in place along each row: the nb-th largest is column
-    K - nb, and the nd-th largest centre - ring is minus column nd - 1. The
-    positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
+    The differences ring - centre at the n deltas that some pair names fill
+    the first n rows of a (2n, positions) int16 block, from ``pos``'s flat
+    indices, and their negation the last n. A pair's bound is the least of
+    its brighter rows and its darker rows, n further down; nothing is
+    sorted. The positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
     """
+    used = sorted({k for pair in pairs for side in pair for k in side})
+    n = len(used)
+    at = {k: i for i, k in enumerate(used)}
+    rows = [[at[k] for k in b] + [n + at[k] for k in d] for b, d in pairs]
     deltas = deltas.tolist()
-    k = len(deltas)
-    if any(max(need) > k for need in needs):
-        raise ValueError(f"a corner need counts more than the {k} offsets "
-                         "the walk reads")
-    rows = _CEILING_BLOCK_ROWS
+    step = _CEILING_BLOCK_ROWS
     ceiling = np.zeros(len(pos), dtype=np.int16)
-    buf = np.empty((min(rows, len(pos)), k), dtype=np.int16)
-    for i in range(0, len(pos), rows):
-        p, out = pos[i : i + rows], ceiling[i : i + rows]
-        diff = buf[: len(p)]
-        for j, delta in enumerate(deltas):
-            np.subtract(flat.take(p + delta), centre[i : i + rows],
-                        out=diff[:, j])
-        diff.sort(axis=1)
-        for nb, nd in needs:
-            brighter = diff[:, k - nb] if nb else 255
-            darker = -diff[:, nd - 1] if nd else 255
-            np.maximum(out, np.minimum(brighter, darker), out=out)
+    buf = np.empty((2 * n, min(step, len(pos))), dtype=np.int16)
+    for i in range(0, len(pos), step):
+        p, out = pos[i : i + step], ceiling[i : i + step]
+        diff = buf[:, : len(p)]
+        for j, k in enumerate(used):
+            np.subtract(flat.take(p + deltas[k]), centre[i : i + step],
+                        out=diff[j])
+        np.negative(diff[:n], out=diff[n:])
+        for r in rows:
+            np.maximum(out, diff[r].min(axis=0) if r else 255, out=out)
     return ceiling
 
 

@@ -4,16 +4,17 @@ Everything here is deliberately written from scratch (plain Python, no reuse
 of package internals) so a bug in the implementation cannot hide in its own
 test. The scalar reference paths (pixel-by-pixel tree walk and detection,
 the sixteen-fold OR, bisection, iteration and linear-scan scores, the
-corner-leaf path counts, the high-speed rejection test, the per-count
-repeatability loop) live here: only tests use them, as do
-``classify_flat``, the numpy walk over raw pixels that detection used
-before it moved onto ternary state planes, and ``smooth_separable``, the
-whole-field smoothing passes that the structure tensor used before it
-smoothed in row blocks. They read trees, images and offset tables through
-their attributes (``offset``/``b``/``s``/``d``/``cls``, ``pixels``,
-``xy``/``margin``), compiled trees through ``root``/``dx``/``dy``/
-``children``, and detectors through ``detect``; the repeatability loop
-takes its point projection as an argument.
+corner-leaf path offset sets, the score ceilings from those sets and from
+their counts, the high-speed rejection test, the per-count repeatability
+loop) live here: only tests use them, as do ``classify_flat``, the numpy
+walk over raw pixels that detection used before it moved onto ternary
+state planes, and ``smooth_separable``, the whole-field smoothing passes
+that the structure tensor used before it smoothed in row blocks. They
+read trees, images and offset tables through their attributes
+(``offset``/``b``/``s``/``d``/``cls``, ``pixels``, ``xy``/``margin``),
+compiled trees through ``root``/``dx``/``dy``/``children``, and detectors
+through ``detect``; the repeatability loop takes its point projection as
+an argument.
 """
 
 from __future__ import annotations
@@ -87,25 +88,52 @@ def tree_depth(tree) -> int:
     return 1 + max(tree_depth(tree.b), tree_depth(tree.s), tree_depth(tree.d))
 
 
-def corner_needs(tree) -> set[tuple[int, int]]:
-    """The Pareto-minimal (brighter, darker) counts of distinct offset
-    indices over the tree's paths that end at a corner leaf, by recursion
-    over the nodes."""
+def corner_needs(tree, table) -> set:
+    """The minimal (brighter, darker) pairs of (dx, dy) offset sets over the
+    tree's paths that end at a corner leaf, by recursion over the nodes: a
+    pair is dropped when another pair's two sets are subsets of its own."""
     found = set()
 
     def visit(node, brighter, darker):
         if not hasattr(node, "offset"):
             if node.cls:
-                found.add((len(brighter), len(darker)))
+                found.add((brighter, darker))
             return
-        visit(node.b, brighter | {node.offset}, darker)
+        xy = table.xy(node.offset)
+        visit(node.b, brighter | {xy}, darker)
         visit(node.s, brighter, darker)
-        visit(node.d, brighter, darker | {node.offset})
+        visit(node.d, brighter, darker | {xy})
 
     visit(tree, frozenset(), frozenset())
     return {(b, d) for b, d in found
             if not any((b2, d2) != (b, d) and b2 <= b and d2 <= d
                        for b2, d2 in found)}
+
+
+def count_ceiling(img, p, offsets, counts) -> int:
+    """The score ceiling from path counts alone: the largest, over (nb, nd)
+    in ``counts``, of the smaller of the nb-th largest ring - centre and
+    the nd-th largest centre - ring over ``offsets`` (a 0th is 255), and
+    at least 0. A path that tests nb distinct offsets brighter and nd
+    darker fires at t only if that many differences reach t and -t."""
+    x, y = p
+    c = at(img, x, y)
+    diffs = [at(img, x + dx, y + dy) - c for dx, dy in offsets]
+    brighter = sorted(diffs, reverse=True)
+    darker = sorted((-v for v in diffs), reverse=True)
+    return max([0] + [min(brighter[nb - 1] if nb else 255,
+                          darker[nd - 1] if nd else 255) for nb, nd in counts])
+
+
+def pair_ceiling(img, p, pairs) -> int:
+    """The score ceiling from (brighter, darker) sets of (dx, dy): the
+    largest, over ``pairs``, of the least of 255, ring - centre over the
+    brighter set and centre - ring over the darker set, and at least 0."""
+    x, y = p
+    c = at(img, x, y)
+    return max([0] + [min([255] + [at(img, x + dx, y + dy) - c for dx, dy in b]
+                          + [c - at(img, x + dx, y + dy) for dx, dy in d])
+                      for b, d in pairs])
 
 
 def preorder_nodes(tree) -> list:

@@ -335,7 +335,8 @@ def test_make_dataset_rejects_zero_frames(tmp_path, capsys):
     # written
     missing = ["--base", str(tmp_path / "missing.pgm")]
     for flags in ([*missing, "--frames", "0"], [*missing, "--noise", "-1"],
-                  ["--noise", "nan"], ["--warp-mag", "-5"],
+                  ["--noise", "nan"], ["--noise", "inf"], ["--warp-mag", "-5"],
+                  ["--warp-mag", "-1"], ["--warp-mag", "nan"],
                   ["--warp-mag", "inf"], ["--synthetic", "abc"],
                   ["--synthetic", "64X48"], ["--synthetic", "64x48x3"],
                   ["--synthetic", "0x48"]):

@@ -34,3 +34,10 @@ class TestMakeDataset:
                                rtol=0, atol=1e-9)
             assert w.target_size == (frames[j].width, frames[j].height)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("which", ["warp_magnitude", "noise_sigma"])
+    def test_rejects_a_magnitude_that_is_not_finite_and_at_least_0(
+            self, which, bad):
+        args = {"warp_magnitude": 1.0, "noise_sigma": 2.0, which: bad}
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            make_dataset(synthetic_base_image(40, 32, 1), 3, seed=1, **args)

@@ -10,7 +10,7 @@ from conftest import (constant_image, edge_image, random_image, read_keypoints,
                       sixteenfold_field, tree_positions)
 from cornerforge import runtime as rt
 from cornerforge.detectors import SixteenFoldDetector, TreeDetector
-from cornerforge.image import RING_MARGIN, GrayImage
+from cornerforge.image import RING_MARGIN, RING_OFFSETS, GrayImage
 from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16,
                                default_offsets_48, sixteen_fold_offsets)
 
@@ -308,46 +308,66 @@ class TestExactScores:
 def ceiling_args(walk, img, xs, ys, needs):
     """``_score_ceiling``'s arguments for int32 positions (xs, ys): the flat
     delta dy * width + dx of each offset of the walk, the flat pixels, the
-    flat positions, their centre values and the needs."""
+    flat positions, their centre values and the needs as (brighter, darker)
+    lists of indices into the walk's offsets."""
     w = img.width
     deltas = np.array([dy * w + dx for dx, dy in walk.offsets], dtype=np.int32)
     flat = img.pixels.ravel()
     pos = (np.asarray(ys) * w + np.asarray(xs)).astype(np.int32)
-    return deltas, flat, pos, flat.take(pos).astype(np.int16), needs
+    row = {xy: k for k, xy in enumerate(walk.offsets)}
+    pairs = [([row[xy] for xy in b], [row[xy] for xy in d]) for b, d in needs]
+    return deltas, flat, pos, flat.take(pos).astype(np.int16), pairs
+
+
+def fast9_arcs():
+    """The 32 (brighter, darker) pairs of FAST-9: each contiguous 9-arc of
+    the ring on one side, nothing on the other."""
+    none = frozenset()
+    arcs = {frozenset(RING_OFFSETS[(i + k) % 16] for k in range(9))
+            for i in range(16)}
+    return {(a, none) for a in arcs} | {(none, a) for a in arcs}
 
 
 class TestCornerNeeds:
     """``corner_needs`` against a recursion over the nodes, and the score
     ceiling that ``score_positions`` derives from it."""
 
+    NONE = frozenset()
+
     @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
                              ids=["ring16", "grid48"])
     @given(data=st.data())
     def test_matches_recursion(self, table, data):
         tree = data.draw(trees_over(table))
-        assert rt.corner_needs(CompiledTree(tree, table)) == orc.corner_needs(tree)
+        assert (rt.corner_needs(CompiledTree(tree, table))
+                == orc.corner_needs(tree, table))
 
     def test_counts_distinct_offsets(self):
         # offset 1 is tested brighter twice on the only corner path
         tree = Node(1, b=Node(1, b=LEAF1, s=LEAF0, d=LEAF0), s=LEAF0, d=LEAF0)
-        assert rt.corner_needs(CompiledTree(tree, RING16)) == {(1, 0)}
+        assert (rt.corner_needs(CompiledTree(tree, RING16))
+                == {(frozenset({RING16.xy(1)}), self.NONE)})
 
     def test_leaves_and_the_all_similar_chain(self):
         assert rt.corner_needs(CompiledTree(LEAF0, RING16)) == set()
-        assert rt.corner_needs(CompiledTree(LEAF1, RING16)) == {(0, 0)}
+        assert (rt.corner_needs(CompiledTree(LEAF1, RING16))
+                == {(self.NONE, self.NONE)})
         tree = Node(3, b=LEAF1, s=Node(5, b=LEAF1, s=LEAF1, d=LEAF0), d=LEAF0)
-        assert rt.corner_needs(CompiledTree(tree, RING16)) == {(0, 0)}
+        assert (rt.corner_needs(CompiledTree(tree, RING16))
+                == {(self.NONE, self.NONE)})
 
-    def test_exact_fast9(self, fast9_grid48):
+    def test_exact_fast9(self, fast9_tree, fast9_grid48):
         tree, grid = fast9_grid48
-        assert rt.corner_needs(CompiledTree(tree, grid)) == {(9, 0), (0, 9)}
-        assert SixteenFoldDetector(tree, grid).needs == {(9, 0), (0, 9)}
+        assert rt.corner_needs(CompiledTree(tree, grid)) == fast9_arcs()
+        assert SixteenFoldDetector(tree, grid).needs == fast9_arcs()
+        assert TreeDetector(fast9_tree, RING16).needs == fast9_arcs()
 
     def test_a_need_beyond_the_tested_offsets_is_an_error(self):
-        # ONE_OFFSET tests one offset, so no path can need two
+        # ONE_OFFSET tests only (0, -3), so the walk reads no other offset
         walk = TreeDetector(ONE_OFFSET, RING16).walk
-        with pytest.raises(ValueError, match="corner need"):
-            rt.score_positions(walk, rand_img(0), [8], [8], 1, {(2, 0)})
+        with pytest.raises(ValueError, match="corner need offset"):
+            rt.score_positions(walk, rand_img(0), [8], [8], 1,
+                               {(frozenset({(1, -3)}), self.NONE)})
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
@@ -362,11 +382,29 @@ class TestCornerNeeds:
         walk, needs, _ = TestExactScores.walks(tree, table, sixteenfold)
         xs, ys = rng.integers(m, w - m, 12), rng.integers(m, h - m, 12)
         ceiling = rt._score_ceiling(*ceiling_args(walk, img, xs, ys, needs))
+        # the bound from the counts alone, over every offset of the walk
+        counts = {(len(b), len(d)) for b, d in orc.corner_needs(tree, table)}
+        counts |= {(nd, nb) for nb, nd in counts}
         fires = firing(tree, img, table, sixteenfold)
         for x, y, top in zip(xs.tolist(), ys.tolist(), ceiling.tolist()):
             score = orc.linear_scan_score(lambda t: fires((x, y), t), img,
                                           (x, y), table, 1)
-            assert (score or 0) <= top
+            assert top == orc.pair_ceiling(img, (x, y), needs)
+            assert (score or 0) <= top <= orc.count_ceiling(
+                img, (x, y), walk.offsets, counts)
+
+    @pytest.mark.parametrize("sixteenfold", [False, True])
+    def test_ceiling_is_the_fast9_score(self, fast9_tree, fast9_grid48,
+                                        sixteenfold):
+        # the 32 arcs of 9 make the ceiling the segment-test score itself
+        det = (SixteenFoldDetector(*fast9_grid48) if sixteenfold
+               else TreeDetector(fast9_tree, RING16))
+        img = random_image(np.random.default_rng(5), 40, 30)
+        xs, ys = det.walk.detect(img, 1, RING_MARGIN).T
+        ceiling = rt._score_ceiling(*ceiling_args(det.walk, img, xs, ys,
+                                                  det.needs))
+        scores = rt.score_positions(det.walk, img, xs, ys, 1, det.needs)
+        assert len(xs) > 100 and np.array_equal(ceiling, scores)
 
     def test_ceiling_in_blocks(self, fast9_grid48, monkeypatch):
         # blocks of 7 rows, the last one partial, give the ceiling of one
@@ -384,8 +422,8 @@ class TestCornerNeeds:
 
     def test_ceiling_spares_the_later_variants(self, fast9_grid48, monkeypatch):
         # every variant of the symmetric FAST-9 tree gives the same scores,
-        # so variants 1-15 only prove that no t above the best fires; they
-        # start no item where the best already equals the ceiling
+        # and the ceiling is that score, so variant 0 reaches it everywhere
+        # and variants 1-15 start no item
         tree, grid = fast9_grid48
         det = SixteenFoldDetector(tree, grid, t_min=10)
         img = edge_image(np.random.default_rng(3), 10, 40, 48)
@@ -400,7 +438,7 @@ class TestCornerNeeds:
         monkeypatch.setattr(rt, "_score_walk", spy)
         rt.score_positions(det.walk, img, xs, ys, 10, det.needs)
         assert len(started) == 16 and len(xs) > 0
-        assert sum(started[1:]) < 15 * len(xs)
+        assert sum(started[1:]) == 0
 
 
 def shared_second_trees(table):
