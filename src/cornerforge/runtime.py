@@ -7,9 +7,13 @@ per image and threshold, one column per pixel, and ``PlaneWalk`` walks one
 or more compiled trees (a tree, or the sixteen variants of a symmetrized
 one, OR-ed) over those planes, level by level and only for the columns
 still undecided. The caller names the plane rows: a ``PlaneWalk`` is built
-over a list of offsets that holds every offset its trees test. A tree
-detector builds its ``PlaneWalk`` once and calls ``PlaneWalk.detect`` per
-frame. A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
+over a list of offsets that holds every offset its trees test. A walk may
+know ``least``, the fewest non-similar states of any column that fires:
+its first tree walks every column, and the later trees only the unfired
+columns with at least ``least`` non-similar states, counted once per walk.
+A tree detector builds its ``PlaneWalk`` once, with ``least`` from its
+corner needs (9 on FAST-9), and calls ``PlaneWalk.detect`` per frame.
+A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
 Positions and the integer scores of segment-test detectors are exact in
 float64; response detectors keep their float scores. The corner score of a
 pixel is the largest threshold at which it still classifies as a corner;
@@ -101,12 +105,16 @@ class PlaneWalk:
     k of tree i reads plane row ``rows[i][k]``. The first levels of each tree
     become one lookup on whole plane rows: a 3-entry table on the root's row,
     or a 9-entry table on two rows when the root's non-leaf children all test
-    one offset (the forced-shared-second-test shape).
+    one offset (the forced-shared-second-test shape). ``least`` promises
+    that no column with fewer non-similar states over ``offsets`` fires on
+    any tree; ``fired`` walks the trees after the first only over the
+    columns that reach it, and 0 gates nothing.
     """
 
-    def __init__(self, trees, offsets):
+    def __init__(self, trees, offsets, least: int = 0):
         self.trees = list(trees)
         self.offsets = [(int(dx), int(dy)) for dx, dy in offsets]
+        self.least = int(least)
         index = {xy: k for k, xy in enumerate(self.offsets)}
         if len(index) != len(self.offsets):
             raise ValueError("the offsets must be distinct")
@@ -136,6 +144,14 @@ class PlaneWalk:
         """Columns of ``planes`` that any of the trees classifies as a
         corner. Later trees skip columns already fired.
 
+        The first tree walks every column. Before the second, each column's
+        non-similar states are counted once (``_reach``); the later trees
+        then walk only the unfired columns whose count reaches ``least``,
+        carried as one index array. On the 640x480 benchmark frame at t=35
+        faster's first variant leaves 298,632 of 300,516 columns unfired,
+        and the later ones get 755 of them; at t=1 they get 177,158 of
+        177,405.
+
         Below the head lookup, each tree walks a work list of live columns
         and their int32 nodes. A level reads flat[row * n + column] for the
         node's plane row; columns stay intp like that offset, which can pass
@@ -144,24 +160,35 @@ class PlaneWalk:
         the same per entry whatever the pattern of the mask. Boolean masking
         is cheaper only on masks that come in long runs, as on smooth t=35
         images, and several times dearer on the noisy masks of a t=1 walk.
-        Annealing, the smooth case, walks only its busy columns.
+        Annealing passes no ``least``: it skips the flat columns, the
+        ``least`` = 1 case, itself, once per run for every tree.
         """
         n = planes.shape[1]
         fired = np.zeros(n, dtype=bool)
         flat = planes.ravel()
-        for ct, row, (head_rows, lut) in zip(self.trees, self.rows, self.heads):
+        cols = None  # the columns a tree walks; None for every column
+        for i, (ct, row, (head_rows, lut)) in enumerate(
+                zip(self.trees, self.rows, self.heads)):
+            if i == 1 and self.least:
+                cols = self._reach(planes, fired)
             if lut is None:
                 if ct.root == -2:
                     fired[:] = True
                     break
                 continue
-            idx = planes[head_rows[0]]
-            if len(head_rows) == 2:
-                idx = idx * np.uint8(3) + planes[head_rows[1]]
-            cur = lut.take(idx)
-            live = np.flatnonzero((cur >= 0) & ~fired)
-            fired |= cur == -2
+            head = [planes[r] if cols is None else planes[r].take(cols)
+                    for r in head_rows]
+            cur = lut.take(head[0] if len(head) == 1
+                           else head[0] * np.uint8(3) + head[1])
+            if cols is None:
+                live = np.flatnonzero((cur >= 0) & ~fired)
+                fired |= cur == -2
+            else:
+                live = np.flatnonzero((cur >= 0) & ~fired.take(cols))
+                fired[cols.take(np.flatnonzero(cur == -2))] = True
             cur = cur.take(live)
+            if cols is not None:
+                live = cols.take(live)
             children = ct.children.ravel()
             start = row.astype(np.intp) * n  # node -> its row's start in flat
             while live.size:
@@ -174,6 +201,16 @@ class PlaneWalk:
                 keep = np.flatnonzero(cur >= 0)
                 live, cur = live.take(keep), cur.take(keep)
         return fired
+
+    def _reach(self, planes: np.ndarray, fired: np.ndarray) -> np.ndarray:
+        """The unfired columns with at least ``least`` non-similar states.
+        The count is summed one plane row at a time into one counter whose
+        dtype holds ``len(offsets)``, so it cannot wrap."""
+        count = np.zeros(planes.shape[1],
+                         dtype=np.min_scalar_type(len(self.offsets)))
+        for plane in planes:
+            count += plane != 1
+        return np.flatnonzero((count >= self.least) & ~fired)
 
     def detect(self, img: GrayImage, t: int, margin: int) -> np.ndarray:
         """Positions at least ``margin`` from every edge that fire at

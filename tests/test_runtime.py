@@ -9,10 +9,13 @@ from _oracles import at
 from conftest import (constant_image, edge_image, random_image, read_keypoints,
                       sixteenfold_field, tree_positions)
 from cornerforge import runtime as rt
+from cornerforge.datasets import synthetic_base_image
 from cornerforge.detectors import SixteenFoldDetector, TreeDetector
-from cornerforge.image import RING_MARGIN, RING_OFFSETS, GrayImage
+from cornerforge.image import (RING_MARGIN, RING_OFFSETS, GrayImage,
+                               add_gaussian_noise)
 from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16,
-                               default_offsets_48, sixteen_fold_offsets)
+                               OffsetTable, default_offsets_48,
+                               sixteen_fold_offsets)
 
 # Handcrafted monotone trees with closed-form scores: classification depends
 # only on |ring - centre| >= t, so max-t is analytic.
@@ -491,6 +494,51 @@ class TestTernaryPlanes:
                               rt.ternary_planes([img], RING16.offsets, 9, 3))
 
 
+# 256 offsets closed under the eight dihedral maps: the 17x17 box without its
+# centre and the four orbits of (8, 1) .. (8, 4), 8 offsets each
+BOX256 = OffsetTable("box256", tuple(
+    (dx, dy) for dy in range(-8, 9) for dx in range(-8, 9)
+    if (dx, dy) != (0, 0)
+    and not (max(abs(dx), abs(dy)) == 8 and 1 <= min(abs(dx), abs(dy)) <= 4)),
+    index_base=0)
+
+GATE_IMAGES = ["edge", "noise", "sparse", "spike"]
+
+
+def gate_image(rng, kind, t, h, w, m):
+    """An image for the gate: ``edge_image``, uniform noise, a flat field
+    with a few random pixels (columns with few non-similar states), or a
+    field of 255 with a 0 pixel at least m from every edge (a column
+    non-similar at every offset)."""
+    if kind == "edge":
+        return edge_image(rng, t, h, w)
+    if kind == "noise":
+        return random_image(rng, w, h)
+    if kind == "spike":
+        a = np.full((h, w), 255, dtype=np.uint8)
+        a[rng.integers(m, h - m), rng.integers(m, w - m)] = 0
+        return GrayImage(a)
+    a = np.full((h, w), rng.integers(0, 256), dtype=np.uint8)
+    at = rng.permutation(a.size)[:int(rng.integers(1, 4))]
+    a.ravel()[at] = rng.integers(0, 256, at.size)
+    return GrayImage(a)
+
+
+def gate_trees(table):
+    """Random trees, and three shapes the gate must get right: a corner at
+    the end of the all-similar chain (least 0), no corner leaf (nothing
+    fires), and a corner path that tests one offset twice (counted once)."""
+    index = st.sampled_from(list(table.indices()))
+    similar = st.builds(lambda i, j: Node(i, b=LEAF0, d=LEAF1,
+                                          s=Node(j, LEAF0, LEAF1, LEAF0)),
+                        index, index)
+    no_corner = st.recursive(st.just(LEAF0), lambda kids: st.builds(
+        Node, index, kids, kids, kids), max_leaves=12)
+    twice = st.builds(lambda i, j: Node(i, s=LEAF0, d=LEAF0, b=Node(
+        j, s=LEAF0, d=LEAF0, b=Node(i, b=LEAF1, s=LEAF0, d=LEAF0))), index, index)
+    return st.one_of(trees_over(table), similar, no_corner, twice)
+
+
 class TestPlaneWalk:
     """Detection through ``PlaneWalk`` against the pixel-by-pixel oracles."""
 
@@ -568,6 +616,86 @@ class TestPlaneWalk:
             rt.PlaneWalk([ct], [(0, -3), (1, -3), (0, -3)])
         with pytest.raises(ValueError, match="distinct"):
             rt.PlaneWalk([], [(2, 2), (2, 2)])
+
+    @pytest.mark.parametrize("sixteenfold", [False, True],
+                             ids=["single", "sixteenfold"])
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48(), BOX256],
+                             ids=["ring16", "grid48", "box256"])
+    @given(data=st.data())
+    def test_gate_is_exact(self, table, sixteenfold, data):
+        # the walk that skips columns below its least count of non-similar
+        # states fires where the walk without the gate and the pixel walk do
+        t = data.draw(st.one_of(st.sampled_from([1, 255]), st.integers(1, 255)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = table.margin
+        w, h = (data.draw(st.integers(2 * m + 1, 2 * m + 5)) for _ in range(2))
+        img = gate_image(rng, data.draw(st.sampled_from(GATE_IMAGES)), t, h, w,
+                         m)
+        if sixteenfold:
+            forest = [data.draw(gate_trees(table))]
+            walk = SixteenFoldDetector(forest[0], table).walk
+            # counted over every offset the variants can test, as well
+            gated = (walk if data.draw(st.booleans()) else rt.PlaneWalk(
+                walk.trees, sixteen_fold_offsets(table), walk.least))
+        else:
+            forest = data.draw(st.lists(gate_trees(table), min_size=1, max_size=3))
+            cts = [CompiledTree(tree, table) for tree in forest]
+            least = min((len(b) + len(d) for ct in cts
+                         for b, d in rt.corner_needs(ct)), default=0)
+            gated = rt.PlaneWalk(cts, table.offsets, least)
+        fires = [firing(tree, img, table, sixteenfold) for tree in forest]
+        ungated = rt.PlaneWalk(gated.trees, gated.offsets)
+        planes = rt.ternary_planes([img], gated.offsets, t, m)
+        assert np.array_equal(gated.fired(planes), ungated.fired(planes))
+        assert gated.detect(img, t, m).tolist() == [
+            [x, y] for y in range(m, h - m) for x in range(m, w - m)
+            if any(f((x, y), t) for f in fires)]
+
+    def test_gate_counts_past_255_offsets(self):
+        # a dark pixel in a bright field is brighter at all 256 offsets, so
+        # only the inverted variants fire there, behind a gate of 1 that a
+        # count wrapping at 256 would shut
+        det = SixteenFoldDetector(Node(0, b=LEAF0, s=LEAF0, d=LEAF1), BOX256)
+        walk = rt.PlaneWalk(det.trees, BOX256.offsets, det.walk.least)
+        a = np.full((17, 17), 255, dtype=np.uint8)
+        a[8, 8] = 0
+        assert walk.least == 1
+        assert walk.detect(GrayImage(a), 255, 8).tolist() == [[8, 8]]
+
+    def test_gate_spares_the_later_variants(self, fast9_grid48):
+        # few columns of a t=35 frame hold the 9 non-similar states of a
+        # FAST-9 arc, and a constant image holds none; the head lookup of
+        # each variant counts the columns it is given
+        tree, grid = fast9_grid48
+        det, m = SixteenFoldDetector(tree, grid), grid.margin
+        given = []
+
+        class Counted(np.ndarray):
+            def take(self, idx):
+                given.append(np.size(idx))
+                return self.view(np.ndarray).take(idx)
+
+        det.walk.heads = [(rows, lut.view(Counted)) for rows, lut in det.walk.heads]
+        frame = add_gaussian_noise(synthetic_base_image(160, 120, 1), 2.0, 1)
+        for img, share in ((frame, 0.01), (constant_image(40, 30, 7), 0)):
+            given.clear()
+            det.walk.detect(img, 35, m)
+            columns = (img.width - 2 * m) * (img.height - 2 * m)
+            assert len(given) == 16 and given[0] == columns
+            assert max(given[1:]) <= share * columns
+
+    @pytest.mark.parametrize("sixteenfold", [False, True])
+    def test_no_corner_leaf_walks_no_column(self, sixteenfold, monkeypatch):
+        tree = Node(3, b=LEAF0, s=Node(5, LEAF0, LEAF0, LEAF0), d=LEAF0)
+        det = (SixteenFoldDetector(tree, default_offsets_48()) if sixteenfold
+               else TreeDetector(tree, RING16))
+
+        def walked(*args):
+            raise AssertionError("a tree with no corner leaf walked")
+
+        monkeypatch.setattr(rt.PlaneWalk, "fired", walked)
+        grid = det.score_grid(rand_img(3))
+        assert det.needs == set() and grid.shape == (34, 40) and not grid.any()
 
 
 def point_sets(score_strategy):
