@@ -87,13 +87,12 @@ class TreeDetector(FeatureDetector):
     variant node by node (source node k's offset becomes variant node k's),
     closed under swapping the two sets, since an inversion swaps the
     brighter and darker branches, and cut to its ``minimal_pairs``. A
-    position fires only if every offset of some pair is non-similar, so it
-    has at least as many non-similar states as the smallest pair has
-    offsets; that count is the walk's ``least``, and every variant after
-    the first walks only the columns that reach it (``PlaneWalk.fired``).
-    A (∅, ∅) pair makes ``least`` 0, which skips nothing. Empty ``needs``
-    means no corner leaf: nothing fires, and ``score_grid`` walks no
-    column."""
+    position fires only if every offset of some pair is non-similar in the
+    pair's state. The ``PlaneWalk`` takes ``needs`` and turns them into
+    plane rows: every variant after the first walks only the columns that
+    meet a pair (``PlaneWalk.fired``), and the scores are bounded by them.
+    Empty ``needs`` means no corner leaf: nothing fires, and ``score_grid``
+    walks no column."""
 
     name = "fast-tree"
 
@@ -114,7 +113,7 @@ class TreeDetector(FeatureDetector):
         self.needs = minimal_pairs(mapped)
         self.walk = PlaneWalk(self.trees, sorted(
             {xy for ct in self.trees for xy in zip(ct.dx.tolist(), ct.dy.tolist())}),
-            least=min((len(b) + len(d) for b, d in self.needs), default=0))
+            self.needs)
         self.t_min = t_min
 
     @staticmethod
@@ -126,8 +125,7 @@ class TreeDetector(FeatureDetector):
         if not self.needs:
             return grid
         xs, ys = self.walk.detect(img, self.t_min, self.table.margin).T
-        grid[ys, xs] = score_positions(self.walk, img, xs, ys, self.t_min,
-                                       self.needs)
+        grid[ys, xs] = score_positions(self.walk, img, xs, ys, self.t_min)
         return grid
 
 

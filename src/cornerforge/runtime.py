@@ -8,11 +8,13 @@ or more compiled trees (a tree, or the sixteen variants of a symmetrized
 one, OR-ed) over those planes, level by level and only for the columns
 still undecided. The caller names the plane rows: a ``PlaneWalk`` is built
 over a list of offsets that holds every offset its trees test. A walk may
-know ``least``, the fewest non-similar states of any column that fires:
+know its trees' corner needs, (brighter, darker) offset sets one of which
+every corner path tests in those states, and maps them to plane rows once:
 its first tree walks every column, and the later trees only the unfired
-columns with at least ``least`` non-similar states, counted once per walk.
-A tree detector builds its ``PlaneWalk`` once, with ``least`` from its
-corner needs (9 on FAST-9), and calls ``PlaneWalk.detect`` per frame.
+columns whose states meet some pair, found with bit-packed rows once per
+walk. A tree detector builds its ``PlaneWalk`` once, with its corner needs
+(the 32 arcs of 9 on FAST-9, which leave the later variants nothing), and
+calls ``PlaneWalk.detect`` per frame.
 A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
 Positions and the integer scores of segment-test detectors are exact in
 float64; response detectors keep their float scores. The corner score of a
@@ -26,7 +28,8 @@ only if ring - centre reaches t at every offset of B and -t at every
 offset of D, and ``corner_needs`` lists the minimal (B, D) of a tree's
 corner paths. A position whose best score so far meets its ceiling walks
 no further tree; on FAST-9 the ceiling is the score itself.
-Scoring reads pixels at the offsets of the detector's ``PlaneWalk``.
+Scoring reads pixels at the offsets of the detector's ``PlaneWalk`` and
+bounds each score by the walk's pairs.
 ``suppressed_rows`` is the one 3x3 non-maximal suppression, from a score
 grid to keypoint rows: one pass over the cells at least ``RING_MARGIN``
 from every edge, the only cells it can keep. The top n keypoints are a
@@ -105,16 +108,25 @@ class PlaneWalk:
     k of tree i reads plane row ``rows[i][k]``. The first levels of each tree
     become one lookup on whole plane rows: a 3-entry table on the root's row,
     or a 9-entry table on two rows when the root's non-leaf children all test
-    one offset (the forced-shared-second-test shape). ``least`` promises
-    that no column with fewer non-similar states over ``offsets`` fires on
-    any tree; ``fired`` walks the trees after the first only over the
-    columns that reach it, and 0 gates nothing.
+    one offset (the forced-shared-second-test shape).
+
+    ``needs`` holds (brighter, darker) offset sets such that every corner
+    path of every tree tests, in those states, every offset of one pair in
+    it (``corner_needs``, mapped onto each variant: ``TreeDetector``). Each
+    offset must be among ``offsets``, or ``ValueError``. They become
+    ``pairs``, (brighter, darker) lists of plane rows ordered by size, once
+    here; ``least`` is the fewest rows of any pair. A column fires on no
+    tree unless some pair holds in its states, every brighter row 2 and
+    every darker row 0. ``fired`` walks the trees after the first only over
+    the columns that meet a pair, and ``score_positions`` bounds scores by
+    them. ``needs=None`` means unknown: ``pairs`` is None, which gates
+    nothing and gives a ceiling of 255; an empty ``needs`` means no corner
+    leaf.
     """
 
-    def __init__(self, trees, offsets, least: int = 0):
+    def __init__(self, trees, offsets, needs=None):
         self.trees = list(trees)
         self.offsets = [(int(dx), int(dy)) for dx, dy in offsets]
-        self.least = int(least)
         index = {xy: k for k, xy in enumerate(self.offsets)}
         if len(index) != len(self.offsets):
             raise ValueError("the offsets must be distinct")
@@ -125,6 +137,18 @@ class PlaneWalk:
         except KeyError as exc:
             raise ValueError(f"node offset {exc} is not among the offsets") from None
         self.heads = [self._head(ct, row) for ct, row in zip(self.trees, self.rows)]
+        self.pairs, self.least = None, 0
+        if needs is not None:
+            try:
+                self.pairs = sorted(
+                    ((sorted(index[xy] for xy in b), sorted(index[xy] for xy in d))
+                     for b, d in needs),
+                    key=lambda pair: (len(pair[0]) + len(pair[1]), pair))
+            except KeyError as exc:
+                raise ValueError(f"corner need offset {exc} is not among the "
+                                 "walk's offsets") from None
+            self.least = min((len(b) + len(d) for b, d in self.pairs), default=0)
+            self._stack = _stacked(self.pairs)
 
     @staticmethod
     def _head(ct: CompiledTree, row: np.ndarray):
@@ -144,13 +168,14 @@ class PlaneWalk:
         """Columns of ``planes`` that any of the trees classifies as a
         corner. Later trees skip columns already fired.
 
-        The first tree walks every column. Before the second, each column's
-        non-similar states are counted once (``_reach``); the later trees
-        then walk only the unfired columns whose count reaches ``least``,
-        carried as one index array. On the 640x480 benchmark frame at t=35
-        faster's first variant leaves 298,632 of 300,516 columns unfired,
-        and the later ones get 755 of them; at t=1 they get 177,158 of
-        177,405.
+        The first tree walks every column. Before the second, ``_reach``
+        keeps the unfired columns whose states meet some pair of ``pairs``,
+        carried as one index array, and the later trees walk only those: a
+        column that meets no pair fires on no tree. On the 640x480 benchmark
+        frame faster's first variant leaves 298,632 of 300,516 columns
+        unfired at t=35 and 177,405 at t=1; on FAST-9 the later variants get
+        0 of them at either threshold. A walk without ``pairs`` gates
+        nothing, and a single tree never reaches the gate.
 
         Below the head lookup, each tree walks a work list of live columns
         and their int32 nodes. A level reads flat[row * n + column] for the
@@ -160,8 +185,9 @@ class PlaneWalk:
         the same per entry whatever the pattern of the mask. Boolean masking
         is cheaper only on masks that come in long runs, as on smooth t=35
         images, and several times dearer on the noisy masks of a t=1 walk.
-        Annealing passes no ``least``: it skips the flat columns, the
-        ``least`` = 1 case, itself, once per run for every tree.
+        Annealing passes no needs: it skips the flat columns, which meet no
+        pair unless the all-similar chain ends in a corner, itself, once per
+        run for every tree.
         """
         n = planes.shape[1]
         fired = np.zeros(n, dtype=bool)
@@ -169,7 +195,7 @@ class PlaneWalk:
         cols = None  # the columns a tree walks; None for every column
         for i, (ct, row, (head_rows, lut)) in enumerate(
                 zip(self.trees, self.rows, self.heads)):
-            if i == 1 and self.least:
+            if i == 1 and self.pairs is not None:
                 cols = self._reach(planes, fired)
             if lut is None:
                 if ct.root == -2:
@@ -203,14 +229,37 @@ class PlaneWalk:
         return fired
 
     def _reach(self, planes: np.ndarray, fired: np.ndarray) -> np.ndarray:
-        """The unfired columns with at least ``least`` non-similar states.
-        The count is summed one plane row at a time into one counter whose
-        dtype holds ``len(offsets)``, so it cannot wrap."""
-        count = np.zeros(planes.shape[1],
-                         dtype=np.min_scalar_type(len(self.offsets)))
-        for plane in planes:
-            count += plane != 1
-        return np.flatnonzero((count >= self.least) & ~fired)
+        """The unfired columns that meet some pair of ``pairs``, ascending.
+
+        A count of non-similar states first keeps the unfired columns that
+        reach ``least``, a cheap cut that shrinks what is packed; it is
+        summed one plane row at a time into one counter whose dtype holds
+        ``len(offsets)``, so it cannot wrap. The n candidates' brighter
+        (state 2) and darker (state 0) rows at the offsets some pair names
+        are then bit-packed, in the row layout of ``_stacked``, so a pair is
+        one AND per offset over n/8 bytes; the columns whose bits some pair
+        sets are unpacked with ``count=n``, which drops the padding of the
+        last byte. A (∅, ∅) pair keeps every candidate, and an empty
+        ``pairs`` keeps none.
+        """
+        keep = ~fired
+        if self.least:
+            count = np.zeros(planes.shape[1],
+                             dtype=np.min_scalar_type(len(self.offsets)))
+            for plane in planes:
+                count += plane != 1
+            keep &= count >= self.least
+        cols = np.flatnonzero(keep)
+        used, stack = self._stack
+        bits = np.empty((2 * len(used), (cols.size + 7) // 8), dtype=np.uint8)
+        for j, k in enumerate(used):
+            states = planes[k].take(cols)
+            bits[j] = np.packbits(states == 2)
+            bits[len(used) + j] = np.packbits(states == 0)
+        met = np.zeros(bits.shape[1], dtype=np.uint8)
+        for rows in stack:
+            met |= np.bitwise_and.reduce(bits[rows], axis=0)
+        return cols[np.unpackbits(met, count=cols.size).view(bool)]
 
     def detect(self, img: GrayImage, t: int, margin: int) -> np.ndarray:
         """Positions at least ``margin`` from every edge that fire at
@@ -279,8 +328,8 @@ def minimal_pairs(pairs, size=len) -> frozenset:
     return frozenset(kept)
 
 
-def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
-                    needs) -> np.ndarray:
+def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys,
+                    t_min: int) -> np.ndarray:
     """Corner scores at explicit positions: the largest t in [t_min, 255] at
     which any tree of ``walk`` classifies the position as a corner.
 
@@ -288,26 +337,17 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
     position with the interval of thresholds that reach the current node
     (``_score_walk``). The score of an OR of trees is the largest of their
     scores; the trees are walked in turn, and each walk only looks above the
-    best score found so far and up to the position's ceiling. ``needs``
-    holds (brighter, darker) offset sets such that every corner path of
-    every tree tests, in those states, every offset of one pair in it
-    (``corner_needs``, mapped onto each variant: ``TreeDetector``). The
-    ceiling is the largest, over ``needs``, of the smaller of the least
-    ring - centre over the brighter set and the least centre - ring over
-    the darker set (an empty set gives 255): no t above it fires. Every
-    offset of ``needs`` must be among ``walk.offsets``, or ``ValueError``.
+    best score found so far and up to the position's ceiling. The ceiling
+    is the largest, over ``walk.pairs``, of the smaller of the least
+    ring - centre over the brighter rows and the least centre - ring over
+    the darker rows (an empty side gives 255): no t above it fires. It is
+    255 when ``walk.pairs`` is None (needs unknown) and 0 when it is empty.
     The walk's offsets become flat deltas dy * width + dx once per image;
     tree i reads them through ``walk.rows[i]``. The positions must lie at
     least the trees' margin from every edge. Positions that fire at no t in
     range get t_min - 1. Returns int32 scores.
     """
     check_threshold(t_min)
-    at = {xy: k for k, xy in enumerate(walk.offsets)}
-    try:
-        pairs = [([at[xy] for xy in b], [at[xy] for xy in d]) for b, d in needs]
-    except KeyError as exc:
-        raise ValueError(f"corner need offset {exc} is not among the walk's "
-                         "offsets") from None
     flat = img.pixels.ravel()
     index = np.int32 if flat.size < 2**31 else np.intp
     pos = (np.asarray(ys, dtype=np.intp) * img.width
@@ -315,7 +355,8 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys, t_min: int,
     centre = flat.take(pos).astype(np.int16)
     dx, dy = np.array(walk.offsets, dtype=index).reshape(-1, 2).T
     deltas = dy * index(img.width) + dx
-    ceiling = _score_ceiling(deltas, flat, pos, centre, pairs)
+    ceiling = (np.full(pos.shape, 255, dtype=np.int16) if walk.pairs is None
+               else _score_ceiling(deltas, flat, pos, centre, walk.pairs))
     best = np.full(pos.shape, t_min - 1, dtype=np.int16)
     for ct, row in zip(walk.trees, walk.rows):
         _score_walk(ct, deltas.take(row), flat, pos, centre, best, ceiling)
@@ -334,10 +375,8 @@ def _score_ceiling(deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
     its brighter rows and its darker rows, n further down; nothing is
     sorted. The positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
     """
-    used = sorted({k for pair in pairs for side in pair for k in side})
+    used, rows = _stacked(pairs)
     n = len(used)
-    at = {k: i for i, k in enumerate(used)}
-    rows = [[at[k] for k in b] + [n + at[k] for k in d] for b, d in pairs]
     deltas = deltas.tolist()
     step = _CEILING_BLOCK_ROWS
     ceiling = np.zeros(len(pos), dtype=np.int16)
@@ -352,6 +391,17 @@ def _score_ceiling(deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
         for r in rows:
             np.maximum(out, diff[r].min(axis=0) if r else 255, out=out)
     return ceiling
+
+
+def _stacked(pairs) -> tuple[list, list]:
+    """(used, rows) for (brighter, darker) lists of indices: ``used`` the
+    sorted indices that some pair names, and per pair its rows in a stack
+    of 2 * len(used) rows, the brighter side of each used index in order,
+    then its darker side."""
+    used = sorted({k for pair in pairs for side in pair for k in side})
+    at = {k: i for i, k in enumerate(used)}
+    return used, [[at[k] for k in b] + [len(used) + at[k] for k in d]
+                  for b, d in pairs]
 
 
 def _score_walk(ct, deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,

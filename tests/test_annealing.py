@@ -372,7 +372,7 @@ def score_field(tree, img: GrayImage, t: int) -> np.ndarray:
     ys, xs = np.nonzero(sixteenfold_field(tree, img, t))
     det = SixteenFoldDetector(tree, default_offsets_48())
     field = np.zeros((img.height, img.width), dtype=np.int32)
-    field[ys, xs] = score_positions(det.walk, img, xs, ys, t, det.needs)
+    field[ys, xs] = score_positions(det.walk, img, xs, ys, t)
     return field
 
 

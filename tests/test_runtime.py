@@ -56,8 +56,9 @@ def classify_at(tree, img, xs, ys, t):
 def walk_scores(tree, img, xs, ys, t_min=1):
     """Scores of one tree, walked over every ring offset."""
     ct = CompiledTree(tree, RING16)
-    return rt.score_positions(rt.PlaneWalk([ct], RING16.offsets), img, xs, ys,
-                              t_min, rt.corner_needs(ct))
+    return rt.score_positions(rt.PlaneWalk([ct], RING16.offsets,
+                                           rt.corner_needs(ct)),
+                              img, xs, ys, t_min)
 
 
 def firing(tree, img, table, sixteenfold):
@@ -230,7 +231,7 @@ class TestExactScores:
         base = int(rng.integers(0, 257 - contrast))
         img = GrayImage((base + rng.integers(0, contrast, (14, 15)))
                         .astype(np.uint8))
-        walk, needs, _ = self.walks(tree, table, sixteenfold)
+        walk, _, table_walk = self.walks(tree, table, sixteenfold)
         if sixteenfold:
             ys, xs = np.nonzero(sixteenfold_field(tree, img, t_min, table))
         else:
@@ -238,12 +239,15 @@ class TestExactScores:
         fires = firing(tree, img, table, sixteenfold)
         pick = rng.permutation(len(xs))[:12]
         xs, ys = xs[pick], ys[pick]
-        got = rt.score_positions(walk, img, xs, ys, t_min, needs)
+        got = rt.score_positions(walk, img, xs, ys, t_min)
         assert got.dtype == np.int32
         for x, y, score in zip(xs.tolist(), ys.tolist(), got.tolist()):
             want = orc.linear_scan_score(lambda t: fires((x, y), t), img,
                                          (x, y), table, t_min)
             assert score == want
+        # a walk without needs bounds no score (a ceiling of 255)
+        unbounded = rt.score_positions(table_walk, img, xs, ys, t_min)
+        assert unbounded.tolist() == got.tolist()
 
     @staticmethod
     def walks(tree, table, sixteenfold):
@@ -269,7 +273,7 @@ class TestExactScores:
         m, h, w = table.margin, 15, 16
         img = (edge_image(rng, t_min, h, w) if data.draw(st.booleans())
                else random_image(rng, w, h))
-        walk, needs, _ = self.walks(tree, table, sixteenfold)
+        walk = self.walks(tree, table, sixteenfold)[0]
         k = data.draw(st.integers(1, 24))
         xs = rng.integers(m, w - m, k)
         ys = rng.integers(m, h - m, k)
@@ -277,12 +281,12 @@ class TestExactScores:
         order = rng.permutation(k + len(dup))
         xs = np.concatenate([xs, xs[dup]])[order]
         ys = np.concatenate([ys, ys[dup]])[order]
-        got = rt.score_positions(walk, img, xs, ys, t_min, needs)
+        got = rt.score_positions(walk, img, xs, ys, t_min)
         assert got.dtype == np.int32 and got.shape == xs.shape
-        alone = [rt.score_positions(walk, img, xs[i:i + 1], ys[i:i + 1],
-                                    t_min, needs) for i in range(len(xs))]
+        alone = [rt.score_positions(walk, img, xs[i:i + 1], ys[i:i + 1], t_min)
+                 for i in range(len(xs))]
         assert got.tolist() == [int(s[0]) for s in alone]
-        empty = rt.score_positions(walk, img, xs[:0], ys[:0], t_min, needs)
+        empty = rt.score_positions(walk, img, xs[:0], ys[:0], t_min)
         assert empty.dtype == np.int32 and empty.shape == (0,)
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
@@ -297,10 +301,9 @@ class TestExactScores:
                                     st.integers(1, 255)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         img = edge_image(rng, t_min, 20, 24)
-        walk, needs, table_walk = self.walks(tree, table, sixteenfold)
+        walk, _, table_walk = self.walks(tree, table, sixteenfold)
         found = table_walk.detect(img, t_min, table.margin)
-        scores = rt.score_positions(walk, img, found[:, 0], found[:, 1], t_min,
-                                    needs)
+        scores = rt.score_positions(walk, img, found[:, 0], found[:, 1], t_min)
         assert (scores >= t_min).all()
         for s in np.unique(scores).tolist():
             again = {tuple(p) for p in
@@ -369,8 +372,8 @@ class TestCornerNeeds:
         # ONE_OFFSET tests only (0, -3), so the walk reads no other offset
         walk = TreeDetector(ONE_OFFSET, RING16).walk
         with pytest.raises(ValueError, match="corner need offset"):
-            rt.score_positions(walk, rand_img(0), [8], [8], 1,
-                               {(frozenset({(1, -3)}), self.NONE)})
+            rt.PlaneWalk(walk.trees, walk.offsets,
+                         {(frozenset({(1, -3)}), self.NONE)})
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
@@ -406,7 +409,7 @@ class TestCornerNeeds:
         xs, ys = det.walk.detect(img, 1, RING_MARGIN).T
         ceiling = rt._score_ceiling(*ceiling_args(det.walk, img, xs, ys,
                                                   det.needs))
-        scores = rt.score_positions(det.walk, img, xs, ys, 1, det.needs)
+        scores = rt.score_positions(det.walk, img, xs, ys, 1)
         assert len(xs) > 100 and np.array_equal(ceiling, scores)
 
     def test_ceiling_in_blocks(self, fast9_grid48, monkeypatch):
@@ -439,7 +442,7 @@ class TestCornerNeeds:
             walk(ct, deltas, flat, pos, centre, best, ceiling)
 
         monkeypatch.setattr(rt, "_score_walk", spy)
-        rt.score_positions(det.walk, img, xs, ys, 10, det.needs)
+        rt.score_positions(det.walk, img, xs, ys, 10)
         assert len(started) == 16 and len(xs) > 0
         assert sum(started[1:]) == 0
 
@@ -539,6 +542,36 @@ def gate_trees(table):
     return st.one_of(trees_over(table), similar, no_corner, twice)
 
 
+def forest_needs(cts) -> set:
+    """Corner needs of an OR of compiled trees: every pair of each."""
+    return set().union(*map(rt.corner_needs, cts))
+
+
+def check_gate(forest, table, img, t, needs=None):
+    """Check the walk of ``forest`` gated by ``needs`` (by default the
+    forest's corner needs) on one image: ``_reach`` keeps the columns whose
+    states meet a need, one column at a time, and the walk fires where the
+    walk without the gate and the pixel walk do. Returns the columns that
+    ``_reach`` keeps when none has fired, and the planes."""
+    m = table.margin
+    cts = [CompiledTree(tree, table) for tree in forest]
+    needs = forest_needs(cts) if needs is None else needs
+    gated = rt.PlaneWalk(cts, table.offsets, needs)
+    planes = rt.ternary_planes([img], table.offsets, t, m)
+    row = {xy: k for k, xy in enumerate(table.offsets)}
+    met = [c for c, states in enumerate(planes.T.tolist()) if any(
+        all(states[row[xy]] == 2 for xy in b)
+        and all(states[row[xy]] == 0 for xy in d) for b, d in needs)]
+    kept = gated._reach(planes, np.zeros(planes.shape[1], dtype=bool)).tolist()
+    assert kept == met
+    ungated = rt.PlaneWalk(cts, table.offsets)
+    assert np.array_equal(gated.fired(planes), ungated.fired(planes))
+    assert gated.detect(img, t, m).tolist() == [
+        [x, y] for y in range(m, img.height - m) for x in range(m, img.width - m)
+        if any(orc.classify_pixel(tree, img, (x, y), t, table) for tree in forest)]
+    return kept, planes
+
+
 class TestPlaneWalk:
     """Detection through ``PlaneWalk`` against the pixel-by-pixel oracles."""
 
@@ -623,8 +656,8 @@ class TestPlaneWalk:
                              ids=["ring16", "grid48", "box256"])
     @given(data=st.data())
     def test_gate_is_exact(self, table, sixteenfold, data):
-        # the walk that skips columns below its least count of non-similar
-        # states fires where the walk without the gate and the pixel walk do
+        # the walk gated by its corner needs fires where the walk without
+        # the gate and the pixel walk do
         t = data.draw(st.one_of(st.sampled_from([1, 255]), st.integers(1, 255)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         m = table.margin
@@ -633,16 +666,14 @@ class TestPlaneWalk:
                          m)
         if sixteenfold:
             forest = [data.draw(gate_trees(table))]
-            walk = SixteenFoldDetector(forest[0], table).walk
-            # counted over every offset the variants can test, as well
-            gated = (walk if data.draw(st.booleans()) else rt.PlaneWalk(
-                walk.trees, sixteen_fold_offsets(table), walk.least))
+            det = SixteenFoldDetector(forest[0], table)
+            # over every offset the variants can test, as well
+            gated = (det.walk if data.draw(st.booleans()) else rt.PlaneWalk(
+                det.trees, sixteen_fold_offsets(table), det.needs))
         else:
             forest = data.draw(st.lists(gate_trees(table), min_size=1, max_size=3))
             cts = [CompiledTree(tree, table) for tree in forest]
-            least = min((len(b) + len(d) for ct in cts
-                         for b, d in rt.corner_needs(ct)), default=0)
-            gated = rt.PlaneWalk(cts, table.offsets, least)
+            gated = rt.PlaneWalk(cts, table.offsets, forest_needs(cts))
         fires = [firing(tree, img, table, sixteenfold) for tree in forest]
         ungated = rt.PlaneWalk(gated.trees, gated.offsets)
         planes = rt.ternary_planes([img], gated.offsets, t, m)
@@ -656,16 +687,18 @@ class TestPlaneWalk:
         # only the inverted variants fire there, behind a gate of 1 that a
         # count wrapping at 256 would shut
         det = SixteenFoldDetector(Node(0, b=LEAF0, s=LEAF0, d=LEAF1), BOX256)
-        walk = rt.PlaneWalk(det.trees, BOX256.offsets, det.walk.least)
+        walk = rt.PlaneWalk(det.trees, BOX256.offsets, det.needs)
         a = np.full((17, 17), 255, dtype=np.uint8)
         a[8, 8] = 0
         assert walk.least == 1
         assert walk.detect(GrayImage(a), 255, 8).tolist() == [[8, 8]]
 
     def test_gate_spares_the_later_variants(self, fast9_grid48):
-        # few columns of a t=35 frame hold the 9 non-similar states of a
-        # FAST-9 arc, and a constant image holds none; the head lookup of
-        # each variant counts the columns it is given
+        # every variant of the symmetric FAST-9 tree fires where the first
+        # does, so no column it leaves meets one of the 32 arcs of 9: the
+        # head lookup of each later variant, which counts the columns it is
+        # given, gets none, on a frame at t=1 and t=35 and on a constant
+        # image
         tree, grid = fast9_grid48
         det, m = SixteenFoldDetector(tree, grid), grid.margin
         given = []
@@ -677,12 +710,71 @@ class TestPlaneWalk:
 
         det.walk.heads = [(rows, lut.view(Counted)) for rows, lut in det.walk.heads]
         frame = add_gaussian_noise(synthetic_base_image(160, 120, 1), 2.0, 1)
-        for img, share in ((frame, 0.01), (constant_image(40, 30, 7), 0)):
-            given.clear()
-            det.walk.detect(img, 35, m)
-            columns = (img.width - 2 * m) * (img.height - 2 * m)
-            assert len(given) == 16 and given[0] == columns
-            assert max(given[1:]) <= share * columns
+        for img in (frame, constant_image(40, 30, 7)):
+            for t in (1, 35):
+                given.clear()
+                det.walk.detect(img, t, m)
+                columns = (img.width - 2 * m) * (img.height - 2 * m)
+                assert len(given) == 16 and given[0] == columns
+                assert given[1:] == [0] * 15
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9])
+    @given(data=st.data())
+    def test_gate_packs_any_count_of_candidates(self, n, data):
+        # one row of n interior columns, each non-similar at every ring
+        # offset, behind a first tree that fires nowhere: all n reach the
+        # gate, whose bits fill n // 8 bytes and part of one more
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        t = data.draw(st.integers(1, 20))
+        a = rng.choice(np.array([0, 255], dtype=np.uint8), (7, n + 6))
+        a[3, 3:n + 3] = rng.permutation(9)[:n] * 20 + 60
+        forest = [LEAF0] + data.draw(st.lists(trees_over(RING16), min_size=1,
+                                               max_size=2))
+        planes = check_gate(forest, RING16, GrayImage(a), t)[1]
+        assert planes.shape == (16, n) and (planes != 1).all()
+
+    @given(data=st.data())
+    def test_gate_with_an_empty_pair_passes_every_column(self, data):
+        # (∅, ∅) holds in every column, so nothing is gated
+        img = gate_image(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                         data.draw(st.sampled_from(GATE_IMAGES)), 9, 12, 13, 3)
+        forest = data.draw(st.lists(trees_over(RING16), min_size=1, max_size=3))
+        none = frozenset()
+        needs = forest_needs([CompiledTree(tree, RING16) for tree in forest])
+        needs.add((none, none))
+        assert rt.PlaneWalk([], RING16.offsets, needs).least == 0
+        kept, planes = check_gate(forest, RING16, img, 9, needs)
+        assert kept == list(range(planes.shape[1]))
+
+    @given(data=st.data())
+    def test_gate_never_meets_a_pair_that_shares_an_offset(self, data):
+        # no column is brighter and darker at one offset, so the only
+        # corner path of a tree that tests an offset brighter and then
+        # darker gates every column, and beside other trees gates none of
+        # their corners
+        k = data.draw(st.sampled_from(list(RING16.indices())))
+        never = Node(k, b=Node(k, b=LEAF0, s=LEAF0, d=LEAF1), s=LEAF0, d=LEAF0)
+        assert (rt.corner_needs(CompiledTree(never, RING16))
+                == {(frozenset({RING16.xy(k)}),) * 2})
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        t = data.draw(st.integers(1, 40))
+        img = gate_image(rng, data.draw(st.sampled_from(GATE_IMAGES)), t, 12, 13, 3)
+        assert check_gate([never], RING16, img, t)[0] == []
+        others = data.draw(st.lists(trees_over(RING16), min_size=1, max_size=2))
+        check_gate(others[:1] + [never] + others[1:], RING16, img, t)
+
+    @given(data=st.data())
+    def test_gate_over_box256_needs(self, data):
+        # the needs of random trees over 256 offsets, gating every column
+        # of an image that reaches the gate
+        t = data.draw(st.one_of(st.sampled_from([1, 255]), st.integers(1, 255)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = BOX256.margin
+        w, h = (data.draw(st.integers(2 * m + 1, 2 * m + 5)) for _ in range(2))
+        img = gate_image(rng, data.draw(st.sampled_from(GATE_IMAGES)), t, h, w, m)
+        forest = [LEAF0] + data.draw(st.lists(gate_trees(BOX256), min_size=1,
+                                               max_size=3))
+        check_gate(forest, BOX256, img, t)
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     def test_no_corner_leaf_walks_no_column(self, sixteenfold, monkeypatch):
