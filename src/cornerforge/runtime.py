@@ -22,14 +22,19 @@ pixel is the largest threshold at which it still classifies as a corner;
 ``score_positions`` computes it exactly for any tree, or OR of trees, by
 walking each tree once per position with the interval of thresholds that
 reach each node. Classification need not be monotone in the threshold.
-The interval starts no higher than a per-position ceiling: a corner path
+The interval lies between a per-position floor and ceiling: a corner path
 that tests the offsets of a set B brighter and of a set D darker fires at t
 only if ring - centre reaches t at every offset of B and -t at every
 offset of D, and ``corner_needs`` lists the minimal (B, D) of a tree's
-corner paths. A position whose best score so far meets its ceiling walks
-no further tree; on FAST-9 the ceiling is the score itself.
-Scoring reads pixels at the offsets of the detector's ``PlaneWalk`` and
-bounds each score by the walk's pairs.
+corner paths. A pair's bound, the least of ring - centre over B and of
+centre - ring over D, is the largest t at which the position meets it, and
+the largest bound over the pairs is the ceiling. A pair is covered when
+some tree fires on every column whose states meet it; the position then
+fires at the pair's bound, so the largest bound over the covered pairs is
+a floor. Only a position whose floor is below its ceiling walks a tree; on
+FAST-9 every pair is covered, the floor equals the ceiling, and no
+position walks. Scoring reads pixels at the offsets of the detector's
+``PlaneWalk`` and bounds each score by the walk's pairs.
 ``suppressed_rows`` is the one 3x3 non-maximal suppression, from a score
 grid to keypoint rows: one pass over the cells at least ``RING_MARGIN``
 from every edge, the only cells it can keep. The top n keypoints are a
@@ -119,9 +124,12 @@ class PlaneWalk:
     tree unless some pair holds in its states, every brighter row 2 and
     every darker row 0. ``fired`` walks the trees after the first only over
     the columns that meet a pair, and ``score_positions`` bounds scores by
-    them. ``needs=None`` means unknown: ``pairs`` is None, which gates
-    nothing and gives a ceiling of 255; an empty ``needs`` means no corner
-    leaf.
+    them. ``covered`` holds a bool per pair, True when some tree reaches a
+    corner leaf on every column whose states meet the pair
+    (``_covered``), so the pair's bound is a floor on the score; on FAST-9
+    all 32 pairs are covered. ``needs=None`` means unknown: ``pairs`` and
+    ``covered`` are None, which gates nothing and gives a ceiling of 255
+    and a floor of 0; an empty ``needs`` means no corner leaf.
     """
 
     def __init__(self, trees, offsets, needs=None):
@@ -137,7 +145,7 @@ class PlaneWalk:
         except KeyError as exc:
             raise ValueError(f"node offset {exc} is not among the offsets") from None
         self.heads = [self._head(ct, row) for ct, row in zip(self.trees, self.rows)]
-        self.pairs, self.least = None, 0
+        self.pairs, self.least, self.covered = None, 0, None
         if needs is not None:
             try:
                 self.pairs = sorted(
@@ -149,6 +157,7 @@ class PlaneWalk:
                                  "walk's offsets") from None
             self.least = min((len(b) + len(d) for b, d in self.pairs), default=0)
             self._stack = _stacked(self.pairs)
+            self.covered = self._covered()
 
     @staticmethod
     def _head(ct: CompiledTree, row: np.ndarray):
@@ -163,6 +172,63 @@ class PlaneWalk:
         lut = np.array([k if k < 0 else ct.children[k, s2]
                         for k in kids.tolist() for s2 in range(3)], dtype=np.int32)
         return (int(row[ct.root]), second.pop()), lut
+
+    def _covered(self) -> np.ndarray:
+        """``covered``: for each pair, whether one tree reaches a corner
+        leaf on every column whose states meet it.
+
+        A tree covers a pair when none of its paths to a non-corner leaf
+        admits it: no brighter row of the pair is tested there as similar
+        or darker, and no darker row as similar or brighter. Side j of
+        ``_stacked``'s layout is bit j % 64 of uint64 word j // 64. A path
+        carries the sides it rules out: a darker test of a row sets the
+        row's brighter side, a brighter test its darker side and a similar
+        test both; a row that no pair names sets none. Each tree's paths
+        are opened level by level, three children per open node, and a
+        pair stays uncovered when the bits of some non-corner leaf's path
+        miss all of the pair's. The trees are visited in turn, each for the
+        pairs still uncovered, until none is left.
+        """
+        used, stack = self._stack
+        n, words = len(used), (2 * len(used) + 63) // 64
+        side = np.arange(2 * n, dtype=np.uint64)
+        word, bit = side // 64, np.uint64(1) << side % 64
+        side = np.array([j for sides in stack for j in sides], dtype=np.intp)
+        pair = np.repeat(np.arange(len(stack)), [len(sides) for sides in stack])
+        need = np.zeros((len(stack), words), dtype=np.uint64)
+        np.bitwise_or.at(need, (pair, word[side]), bit[side])
+        col = np.full(len(self.offsets), -1)  # plane row -> its brighter side
+        col[used] = np.arange(n)
+        covered = np.zeros(len(stack), dtype=bool)
+        for ct, row in zip(self.trees, self.rows):
+            if covered.all():
+                break
+            if ct.root < 0:
+                covered |= ct.root == -2
+                continue
+            node = np.flatnonzero(col[row] >= 0)
+            b = col[row[node]]
+            d = b + n
+            rules = np.zeros((len(row), 3, words), dtype=np.uint64)  # d, s, b
+            rules[node, 0, word[b]] = rules[node, 1, word[b]] = bit[b]
+            rules[node, 1, word[d]] |= bit[d]
+            rules[node, 2, word[d]] = bit[d]
+            live = np.array([ct.root])
+            path = np.zeros((1, words), dtype=np.uint64)
+            leaves = []
+            while live.size:
+                kids = ct.children[live].ravel()
+                path = (path[:, None] | rules[live]).reshape(len(kids), words)
+                leaves.append(path[kids == -1])
+                keep = kids >= 0
+                live, path = kids[keep], path[keep]
+            leaves = np.concatenate(leaves)
+            todo = np.flatnonzero(~covered)
+            ruled = np.zeros((len(leaves), len(todo)), dtype=bool)
+            for w in range(words):
+                ruled |= np.bitwise_and.outer(leaves[:, w], need[todo, w]) != 0
+            covered[todo] = ruled.all(axis=0)
+        return covered
 
     def fired(self, planes: np.ndarray) -> np.ndarray:
         """Columns of ``planes`` that any of the trees classifies as a
@@ -337,11 +403,16 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys,
     position with the interval of thresholds that reach the current node
     (``_score_walk``). The score of an OR of trees is the largest of their
     scores; the trees are walked in turn, and each walk only looks above the
-    best score found so far and up to the position's ceiling. The ceiling
-    is the largest, over ``walk.pairs``, of the smaller of the least
-    ring - centre over the brighter rows and the least centre - ring over
-    the darker rows (an empty side gives 255): no t above it fires. It is
-    255 when ``walk.pairs`` is None (needs unknown) and 0 when it is empty.
+    best score found so far and up to the position's ceiling. A pair's
+    bound is the smaller of the least ring - centre over its brighter rows
+    and the least centre - ring over its darker rows (an empty side gives
+    255). The ceiling is the largest bound over ``walk.pairs``: no t above
+    it fires. The floor is the largest bound over the pairs that
+    ``walk.covered`` marks: the position fires at it when it is at least 1.
+    The best score starts at the larger of the floor and t_min - 1, so a
+    position whose floor meets its ceiling walks no tree; on FAST-9 the
+    floor equals the ceiling. The ceiling is 255 and the floor 0 when
+    ``walk.pairs`` is None (needs unknown), and both are 0 when it is empty.
     The walk's offsets become flat deltas dy * width + dx once per image;
     tree i reads them through ``walk.rows[i]``. The positions must lie at
     least the trees' margin from every edge. Positions that fire at no t in
@@ -355,42 +426,53 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys,
     centre = flat.take(pos).astype(np.int16)
     dx, dy = np.array(walk.offsets, dtype=index).reshape(-1, 2).T
     deltas = dy * index(img.width) + dx
-    ceiling = (np.full(pos.shape, 255, dtype=np.int16) if walk.pairs is None
-               else _score_ceiling(deltas, flat, pos, centre, walk.pairs))
-    best = np.full(pos.shape, t_min - 1, dtype=np.int16)
+    if walk.pairs is None:
+        floor = np.zeros(pos.shape, dtype=np.int16)
+        ceiling = np.full(pos.shape, 255, dtype=np.int16)
+    else:
+        floor, ceiling = _score_ceiling(deltas, flat, pos, centre, walk.pairs,
+                                        walk.covered)
+    best = np.maximum(floor, np.int16(t_min - 1))
     for ct, row in zip(walk.trees, walk.rows):
         _score_walk(ct, deltas.take(row), flat, pos, centre, best, ceiling)
     return best.astype(np.int32)
 
 
 def _score_ceiling(deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
-                   centre: np.ndarray, pairs) -> np.ndarray:
-    """Each position's score ceiling (``score_positions``) under ``pairs``,
-    (brighter, darker) lists of indices into the K flat ``deltas``, as
-    int16; 0 where no t >= 1 can fire.
+                   centre: np.ndarray, pairs, covered) -> tuple:
+    """Each position's score (floor, ceiling) (``score_positions``) under
+    ``pairs``, (brighter, darker) lists of indices into the K flat
+    ``deltas``, and ``covered``, a bool per pair, as int16 arrays; the
+    ceiling is 0 where no t >= 1 can fire, and the floor 0 where no
+    covered pair's bound reaches 1.
 
     The differences ring - centre at the n deltas that some pair names fill
     the first n rows of a (2n, positions) int16 block, from ``pos``'s flat
     indices, and their negation the last n. A pair's bound is the least of
     its brighter rows and its darker rows, n further down; nothing is
-    sorted. The positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
+    sorted. One loop over the pairs raises the floor by the covered pairs'
+    bounds and the ceiling by the others', and the ceiling then takes the
+    floor in. The positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
     """
     used, rows = _stacked(pairs)
     n = len(used)
     deltas = deltas.tolist()
     step = _CEILING_BLOCK_ROWS
+    floor = np.zeros(len(pos), dtype=np.int16)
     ceiling = np.zeros(len(pos), dtype=np.int16)
     buf = np.empty((2 * n, min(step, len(pos))), dtype=np.int16)
     for i in range(0, len(pos), step):
-        p, out = pos[i : i + step], ceiling[i : i + step]
+        p, low, out = pos[i : i + step], floor[i : i + step], ceiling[i : i + step]
         diff = buf[:, : len(p)]
         for j, k in enumerate(used):
             np.subtract(flat.take(p + deltas[k]), centre[i : i + step],
                         out=diff[j])
         np.negative(diff[:n], out=diff[n:])
-        for r in rows:
-            np.maximum(out, diff[r].min(axis=0) if r else 255, out=out)
-    return ceiling
+        for r, sure in zip(rows, covered):
+            side = low if sure else out
+            np.maximum(side, diff[r].min(axis=0) if r else 255, out=side)
+        np.maximum(out, low, out=out)
+    return floor, ceiling
 
 
 def _stacked(pairs) -> tuple[list, list]:
@@ -412,7 +494,9 @@ def _score_walk(ct, deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
 
     A work item is (position, node, [a, b]), starting at [best + 1, ceiling]
     for the positions whose best is below their ceiling; no t above the
-    ceiling fires, so the others are done. With d = ring - centre,
+    ceiling fires, so the others are done. ``best`` starts at the score
+    floor, so on FAST-9, where the floor is the ceiling, no item starts.
+    With d = ring - centre,
     thresholds up to |d| see the brighter (d > 0) or darker (d < 0) state
     and higher ones the similar state. So the item moves to the brighter or
     darker child with [a, min(b, |d|)] when that is non-empty, and otherwise

@@ -4,8 +4,9 @@ Everything here is deliberately written from scratch (plain Python, no reuse
 of package internals) so a bug in the implementation cannot hide in its own
 test. The scalar reference paths (pixel-by-pixel tree walk and detection,
 the sixteen-fold OR, bisection, iteration and linear-scan scores, the
-corner-leaf path offset sets, the score ceilings from those sets and from
-their counts, the high-speed rejection test, the per-count repeatability
+corner-leaf path offset sets, the pairs of sets on which a tree always
+reaches a corner leaf, the score ceilings from those sets and from their
+counts, the high-speed rejection test, the per-count repeatability
 loop) live here: only tests use them, as do ``classify_flat``, the numpy
 walk over raw pixels that detection used before it moved onto ternary
 state planes, and ``smooth_separable``, the whole-field smoothing passes
@@ -108,6 +109,24 @@ def corner_needs(tree, table) -> set:
     return {(b, d) for b, d in found
             if not any((b2, d2) != (b, d) and b2 <= b and d2 <= d
                        for b2, d2 in found)}
+
+
+def covered(tree, table, pair) -> bool:
+    """Whether every state vector that meets the (brighter, darker) pair of
+    (dx, dy) sets reaches a corner leaf of the tree, by recursion over the
+    nodes: at an offset of the pair only the pair's state is followed (none
+    when the offset is on both sides), elsewhere all three branches."""
+    b, d = pair
+
+    def visit(node):
+        if not hasattr(node, "offset"):
+            return bool(node.cls)
+        xy = table.xy(node.offset)
+        return all(visit(kid) for kid, follow in (
+            (node.b, xy not in d), (node.s, xy not in b and xy not in d),
+            (node.d, xy not in b)) if follow)
+
+    return visit(tree)
 
 
 def count_ceiling(img, p, offsets, counts) -> int:

@@ -311,18 +311,33 @@ class TestExactScores:
             assert {tuple(p) for p in found[scores == s].tolist()} <= again
 
 
-def ceiling_args(walk, img, xs, ys, needs):
+def ceiling_args(walk, img, xs, ys):
     """``_score_ceiling``'s arguments for int32 positions (xs, ys): the flat
     delta dy * width + dx of each offset of the walk, the flat pixels, the
-    flat positions, their centre values and the needs as (brighter, darker)
-    lists of indices into the walk's offsets."""
+    flat positions, their centre values, and the walk's pairs and
+    ``covered``."""
     w = img.width
     deltas = np.array([dy * w + dx for dx, dy in walk.offsets], dtype=np.int32)
     flat = img.pixels.ravel()
     pos = (np.asarray(ys) * w + np.asarray(xs)).astype(np.int32)
-    row = {xy: k for k, xy in enumerate(walk.offsets)}
-    pairs = [([row[xy] for xy in b], [row[xy] for xy in d]) for b, d in needs]
-    return deltas, flat, pos, flat.take(pos).astype(np.int16), pairs
+    return (deltas, flat, pos, flat.take(pos).astype(np.int16), walk.pairs,
+            walk.covered)
+
+
+def pair_offsets(walk, pair):
+    """A pair of plane rows of the walk as (brighter, darker) (dx, dy) sets."""
+    return tuple(frozenset(walk.offsets[k] for k in side) for side in pair)
+
+
+def walk_covers(tree, table, sixteenfold, pair):
+    """The oracle's ``covered`` for a detector's walk: the tree covers the
+    pair or, sixteen-fold, some dihedral map of its table covers the pair
+    or its swap (an inverted variant swaps brighter and darker)."""
+    if not sixteenfold:
+        return orc.covered(tree, table, pair)
+    b, d = pair
+    return any(orc.covered(tree, mapped, p)
+               for mapped in orc.dihedral_tables(table) for p in ((b, d), (d, b)))
 
 
 def fast9_arcs():
@@ -336,7 +351,7 @@ def fast9_arcs():
 
 class TestCornerNeeds:
     """``corner_needs`` against a recursion over the nodes, and the score
-    ceiling that ``score_positions`` derives from it."""
+    floor and ceiling that ``score_positions`` derives from it."""
 
     NONE = frozenset()
 
@@ -363,10 +378,13 @@ class TestCornerNeeds:
                 == {(self.NONE, self.NONE)})
 
     def test_exact_fast9(self, fast9_tree, fast9_grid48):
+        # every 9-arc, brighter or darker, fires the segment test: covered
         tree, grid = fast9_grid48
         assert rt.corner_needs(CompiledTree(tree, grid)) == fast9_arcs()
-        assert SixteenFoldDetector(tree, grid).needs == fast9_arcs()
-        assert TreeDetector(fast9_tree, RING16).needs == fast9_arcs()
+        for det in (SixteenFoldDetector(tree, grid),
+                    TreeDetector(fast9_tree, RING16)):
+            assert det.needs == fast9_arcs()
+            assert len(det.walk.covered) == 32 and det.walk.covered.all()
 
     def test_a_need_beyond_the_tested_offsets_is_an_error(self):
         # ONE_OFFSET tests only (0, -3), so the walk reads no other offset
@@ -380,24 +398,78 @@ class TestCornerNeeds:
                              ids=["ring16", "grid48"])
     @given(data=st.data())
     def test_ceiling_bounds_the_exact_score(self, table, sixteenfold, data):
+        # floor <= exact score <= ceiling, the floor from the covered pairs
         tree = data.draw(trees_over(table))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         m, h, w = table.margin, 14, 15
         img = (edge_image(rng, data.draw(st.integers(1, 40)), h, w)
                if data.draw(st.booleans()) else random_image(rng, w, h))
         walk, needs, _ = TestExactScores.walks(tree, table, sixteenfold)
+        pairs = [pair_offsets(walk, pair) for pair in walk.pairs]
+        assert set(pairs) == needs
+        assert walk.covered.tolist() == [
+            walk_covers(tree, table, sixteenfold, pair) for pair in pairs]
+        sure = [pair for pair, c in zip(pairs, walk.covered) if c]
         xs, ys = rng.integers(m, w - m, 12), rng.integers(m, h - m, 12)
-        ceiling = rt._score_ceiling(*ceiling_args(walk, img, xs, ys, needs))
+        floor, ceiling = rt._score_ceiling(*ceiling_args(walk, img, xs, ys))
         # the bound from the counts alone, over every offset of the walk
         counts = {(len(b), len(d)) for b, d in orc.corner_needs(tree, table)}
         counts |= {(nd, nb) for nb, nd in counts}
         fires = firing(tree, img, table, sixteenfold)
-        for x, y, top in zip(xs.tolist(), ys.tolist(), ceiling.tolist()):
+        for x, y, low, top in zip(xs.tolist(), ys.tolist(), floor.tolist(),
+                                  ceiling.tolist()):
             score = orc.linear_scan_score(lambda t: fires((x, y), t), img,
                                           (x, y), table, 1)
+            assert low == orc.pair_ceiling(img, (x, y), sure)
             assert top == orc.pair_ceiling(img, (x, y), needs)
-            assert (score or 0) <= top <= orc.count_ceiling(
+            assert low <= (score or 0) <= top <= orc.count_ceiling(
                 img, (x, y), walk.offsets, counts)
+
+    @given(data=st.data())
+    def test_covered_past_64_sides(self, data):
+        # the one corner path tests 33-48 offsets, each brighter or darker:
+        # its pair and the swapped pair name 66-96 sides, two uint64 words
+        # of ``covered``'s bits, and only the path's own pair is covered
+        table = default_offsets_48()
+        chain = data.draw(st.permutations(list(table.indices())))
+        chain = chain[:data.draw(st.integers(33, 48))]
+        tree = LEAF1
+        for k in reversed(chain):
+            tree = (Node(k, b=tree, s=LEAF0, d=LEAF0) if data.draw(st.booleans())
+                    else Node(k, b=LEAF0, s=LEAF0, d=tree))
+        walk = TreeDetector(tree, table).walk
+        assert len(walk._stack[0]) > 32
+        assert walk.covered.tolist() == [
+            orc.covered(tree, table, pair_offsets(walk, pair))
+            for pair in walk.pairs]
+        assert walk.covered.tolist() in ([True, False], [False, True])
+
+    def test_a_pair_a_non_corner_branch_admits_is_not_covered(self):
+        # the only corner path tests (0, -3) similar and (1, -3) brighter,
+        # but (0, -3) brighter ends at a non-corner leaf, so (1, -3) brighter
+        # alone fires nothing when (0, -3) is brighter too: no floor
+        tree = Node(1, b=LEAF0, s=Node(2, b=LEAF1, s=LEAF0, d=LEAF0), d=LEAF0)
+        walk = TreeDetector(tree, RING16).walk
+        right = frozenset({(1, -3)})
+        assert {pair_offsets(walk, pair) for pair in walk.pairs} == {
+            (right, self.NONE), (self.NONE, right)}
+        assert not walk.covered.any()
+        assert not orc.covered(tree, RING16, (right, self.NONE))
+        rng = np.random.default_rng(6)
+        img = random_image(rng, 24, 20)
+        m = RING_MARGIN
+        ys, xs = np.mgrid[m : 20 - m, m : 24 - m].reshape(2, -1)
+        got = rt.score_positions(walk, img, xs, ys, 1)
+        floor, ceiling = rt._score_ceiling(*ceiling_args(walk, img, xs, ys))
+        unfired = 0
+        for x, y, score, top in zip(xs.tolist(), ys.tolist(), got.tolist(),
+                                    ceiling.tolist()):
+            want = orc.linear_scan_score(
+                lambda t: orc.classify_pixel(tree, img, (x, y), t, RING16),
+                img, (x, y), RING16, 1)
+            assert score == (0 if want is None else want)
+            unfired += want is None and top > 0
+        assert not floor.any() and unfired > 0
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     def test_ceiling_is_the_fast9_score(self, fast9_tree, fast9_grid48,
@@ -407,10 +479,10 @@ class TestCornerNeeds:
                else TreeDetector(fast9_tree, RING16))
         img = random_image(np.random.default_rng(5), 40, 30)
         xs, ys = det.walk.detect(img, 1, RING_MARGIN).T
-        ceiling = rt._score_ceiling(*ceiling_args(det.walk, img, xs, ys,
-                                                  det.needs))
+        floor, ceiling = rt._score_ceiling(*ceiling_args(det.walk, img, xs, ys))
         scores = rt.score_positions(det.walk, img, xs, ys, 1)
         assert len(xs) > 100 and np.array_equal(ceiling, scores)
+        assert np.array_equal(floor, ceiling)
 
     def test_ceiling_in_blocks(self, fast9_grid48, monkeypatch):
         # blocks of 7 rows, the last one partial, give the ceiling of one
@@ -419,7 +491,7 @@ class TestCornerNeeds:
         det = SixteenFoldDetector(tree, grid)
         img = random_image(np.random.default_rng(4), 40, 30)
         xs, ys = det.walk.detect(img, 1, grid.margin).T
-        args = ceiling_args(det.walk, img, xs, ys, det.needs)
+        args = ceiling_args(det.walk, img, xs, ys)
         pos = args[2]
         monkeypatch.setattr(rt, "_CEILING_BLOCK_ROWS", len(pos))
         whole = rt._score_ceiling(*args)
@@ -427,9 +499,8 @@ class TestCornerNeeds:
         assert len(pos) % 7 and np.array_equal(rt._score_ceiling(*args), whole)
 
     def test_ceiling_spares_the_later_variants(self, fast9_grid48, monkeypatch):
-        # every variant of the symmetric FAST-9 tree gives the same scores,
-        # and the ceiling is that score, so variant 0 reaches it everywhere
-        # and variants 1-15 start no item
+        # every pair of FAST-9 is covered, so the floor is the ceiling and
+        # no variant starts an item
         tree, grid = fast9_grid48
         det = SixteenFoldDetector(tree, grid, t_min=10)
         img = edge_image(np.random.default_rng(3), 10, 40, 48)
@@ -444,7 +515,7 @@ class TestCornerNeeds:
         monkeypatch.setattr(rt, "_score_walk", spy)
         rt.score_positions(det.walk, img, xs, ys, 10)
         assert len(started) == 16 and len(xs) > 0
-        assert sum(started[1:]) == 0
+        assert sum(started) == 0
 
 
 def shared_second_trees(table):
