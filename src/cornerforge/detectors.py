@@ -25,9 +25,10 @@ import numpy as np
 from .baselines import (detect_random, harris_response, shi_tomasi_response,
                         structure_tensor)
 from .image import GrayImage
-from .runtime import (PlaneWalk, corner_needs, minimal_pairs, rank_by_score,
-                      score_positions, suppressed_rows, top_n_by_score)
-from .segment import segment_score_field
+from .runtime import (PlaneWalk, check_threshold, corner_needs, minimal_pairs,
+                      rank_by_score, score_positions, suppressed_rows,
+                      top_n_by_score)
+from .segment import check_arc, segment_score_field
 from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
 
 
@@ -68,13 +69,16 @@ class FastRefDetector(FeatureDetector):
     """Reference segment test; scores are the exact maximum passing threshold."""
 
     def __init__(self, n: int = 9, t_min: int = 1):
+        check_arc(n)
+        check_threshold(t_min)
         self.n = n
         self.t_min = t_min
         self.name = f"fast-ref-{n}"
 
     def score_grid(self, img: GrayImage) -> np.ndarray:
         field = segment_score_field(img, self.n)
-        return np.where(field >= self.t_min, field, 0)
+        field[field < self.t_min] = 0
+        return field
 
 
 class TreeDetector(FeatureDetector):
@@ -97,6 +101,7 @@ class TreeDetector(FeatureDetector):
     name = "fast-tree"
 
     def __init__(self, tree: TernaryTree, table: OffsetTable, t_min: int = 1):
+        check_threshold(t_min)
         self.table = table
         source = CompiledTree(tree, self.table)
         self.trees = self.variants(source)

@@ -577,8 +577,15 @@ def keypoint_rows(xs, ys, scores) -> np.ndarray:
 
 
 def rank_by_score(rows: np.ndarray) -> np.ndarray:
-    """Keypoint rows ordered by descending score, raster order within ties."""
-    return rows[np.lexsort((rows[:, 0], rows[:, 1], -rows[:, 2]))]
+    """Keypoint rows ordered by descending score, raster order within ties,
+    whatever order the rows come in.
+
+    Raster order is one key, y * (max x + 1) + x, which is exact in float64
+    for integer coordinates below 2^26."""
+    if not len(rows):
+        return rows.copy()
+    xs, ys = rows[:, 0], rows[:, 1]
+    return rows[np.lexsort((ys * (xs.max() + 1) + xs, -rows[:, 2]))]
 
 
 def top_n_by_score(ranked: np.ndarray, n: int, split_ties: bool = False) -> np.ndarray:

@@ -6,12 +6,13 @@ test. The scalar reference paths (pixel-by-pixel tree walk and detection,
 the sixteen-fold OR, bisection, iteration and linear-scan scores, the
 corner-leaf path offset sets, the pairs of sets on which a tree always
 reaches a corner leaf, the score ceilings from those sets and from their
-counts, the high-speed rejection test, the per-count repeatability
-loop) live here: only tests use them, as do ``classify_flat``, the numpy
-walk over raw pixels that detection used before it moved onto ternary
-state planes, and ``smooth_separable``, the whole-field smoothing passes
-that the structure tensor used before it smoothed in row blocks. They
-read trees, images and offset tables through their attributes
+counts, the high-speed rejection test, the segment test's score at one
+pixel, the per-count repeatability loop) live here: only tests use them,
+as do ``classify_flat``, the numpy walk over raw pixels that detection
+used before it moved onto ternary state planes, and ``smooth_separable``,
+the whole-field smoothing passes that the structure tensor used before it
+smoothed in row blocks. They read trees, images and offset tables
+through their attributes
 (``offset``/``b``/``s``/``d``/``cls``, ``pixels``, ``xy``/``margin``),
 compiled trees through ``root``/``dx``/``dy``/``children``, and detectors
 through ``detect``; the repeatability loop takes its point projection as
@@ -80,6 +81,21 @@ def segment_label(states, n: int) -> bool:
         if min(best, 16) >= n:
             return True
     return False
+
+
+def segment_score(img, x: int, y: int, n: int, offsets) -> int:
+    """The largest t in 1..255 at which ``segment_label`` of the
+    ``pixel_state``s of the ring ``offsets`` around (x, y) fires, 0 if none.
+
+    The states change with t only where t passes some |ring - centre|, so
+    the largest firing t is one of those differences: only they are tried,
+    from the largest down."""
+    c = at(img, x, y)
+    ring = [at(img, x + dx, y + dy) for dx, dy in offsets]
+    for t in sorted({abs(r - c) for r in ring} - {0}, reverse=True):
+        if segment_label([pixel_state(c, r, t) for r in ring], n):
+            return t
+    return 0
 
 
 def tree_depth(tree) -> int:

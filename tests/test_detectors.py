@@ -55,6 +55,37 @@ def prefix_length(ranked, n, split_ties):
     return min(bounds, key=lambda b: (abs(b - n), b))
 
 
+class TestArguments:
+    """Detectors check their arguments when they are built, not at the
+    first detection."""
+
+    BAD_THRESHOLDS = (0, -5, 1.5, 256)
+
+    def test_fast_ref_rejects_a_bad_threshold(self):
+        for t_min in self.BAD_THRESHOLDS:
+            with pytest.raises(ValueError, match="threshold"):
+                FastRefDetector(t_min=t_min)
+
+    def test_fast_ref_rejects_a_bad_arc(self):
+        for n in (8, 17):
+            with pytest.raises(ValueError, match="arc length"):
+                FastRefDetector(n=n)
+
+    def test_tree_detectors_reject_a_bad_threshold(self, fast9_tree,
+                                                   fast9_grid48):
+        wide, grid = fast9_grid48
+        for t_min in self.BAD_THRESHOLDS:
+            with pytest.raises(ValueError, match="threshold"):
+                TreeDetector(fast9_tree, RING16, t_min=t_min)
+            with pytest.raises(ValueError, match="threshold"):
+                SixteenFoldDetector(wide, grid, t_min=t_min)
+
+    def test_range_ends_are_accepted(self, fast9_tree):
+        for n, t_min in ((9, 1), (16, 255)):
+            assert FastRefDetector(n=n, t_min=t_min).t_min == t_min
+        assert TreeDetector(fast9_tree, RING16, t_min=255).t_min == 255
+
+
 class TestRows:
     def test_every_detector_returns_rows(self, frame, scored_detectors):
         for det in scored_detectors + [RandomDetector(seed=3)]:

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import _oracles as orc
 from _oracles import at
@@ -995,6 +996,22 @@ class TestTopN:
         pts = rows((4, 1, 5), (9, 0, 5), (2, 1, 5), (7, 3, 8))
         assert rt.rank_by_score(pts).tolist() == [
             [7, 3, 8], [9, 0, 5], [2, 1, 5], [4, 1, 5]]
+
+    @given(arrays(np.int8, st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                  elements=st.integers(0, 3)),
+           st.sampled_from([0, 2**26 - 6]), st.sampled_from([0, 2**26 - 6]),
+           st.randoms())
+    def test_ranking_matches_three_key_oracle(self, scores, x0, y0, rnd):
+        # rows on a grid in shuffled order: score 0 leaves a cell out, and
+        # three scores give many ties; coordinates reach 2^26 - 1
+        ys, xs = np.nonzero(scores)
+        pts = np.column_stack([xs + x0, ys + y0, scores[ys, xs]])
+        order = list(range(len(pts)))
+        rnd.shuffle(order)
+        pts = pts[order].astype(np.float64)
+        want = pts[np.lexsort((pts[:, 0], pts[:, 1], -pts[:, 2]))]
+        got = rt.rank_by_score(pts)
+        assert got.shape == pts.shape and np.array_equal(got, want)
 
     @given(st.lists(st.integers(1, 6), max_size=30), st.integers(-2, 35),
            st.booleans())

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from _oracles import (at, corner_config_count, high_speed_reject, pixel_state,
-                      segment_label)
+                      segment_label, segment_score)
 from conftest import constant_image, make_test_square
 from cornerforge import segment as sg
 from cornerforge.image import RING_OFFSETS, GrayImage
@@ -196,6 +199,75 @@ class TestDetect:
                     for i, (dx, dy) in enumerate(RING16.offsets))
                 for y in range(3, img.height - 3) for x in range(3, img.width - 3)]
         assert ring_codes(img, 25).tolist() == want
+
+
+def ring_image(centre: int, ring: int) -> np.ndarray:
+    """7x7 pixels whose one interior pixel has the given centre and ring."""
+    a = np.full((7, 7), centre, dtype=np.uint8)
+    for dx, dy in RING_OFFSETS:
+        a[3 + dy, 3 + dx] = ring
+    return a
+
+
+@st.composite
+def corner_images(draw) -> np.ndarray:
+    """Pixels 7..12 on a side, drawn with 0, 1, 254 and 255 favoured, on
+    which up to three interior pixels get an arc of 9..16 ring pixels all
+    brighter or all darker than their centre."""
+    h, w = draw(st.integers(7, 12)), draw(st.integers(7, 12))
+    value = st.sampled_from([0, 1, 254, 255]) | st.integers(0, 255)
+    a = np.array(draw(st.lists(value, min_size=h * w, max_size=h * w)),
+                 dtype=np.uint8).reshape(h, w)
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.integers(3, w - 4)), draw(st.integers(3, h - 4))
+        brighter = draw(st.booleans())
+        c = draw(st.integers(0, 254) if brighter else st.integers(1, 255))
+        a[y, x] = c
+        start, length = draw(st.integers(0, 15)), draw(st.integers(9, 16))
+        for i in range(start, start + length):
+            dx, dy = RING_OFFSETS[i % 16]
+            a[y + dy, x + dx] = draw(st.integers(c + 1, 255) if brighter
+                                     else st.integers(0, c - 1))
+    return a
+
+
+def oracle_field(img: GrayImage, n: int) -> np.ndarray:
+    """``segment_score`` at every pixel at least 3 from the edges, else 0."""
+    want = np.zeros(img.shape, dtype=np.int16)
+    for y in range(3, img.height - 3):
+        for x in range(3, img.width - 3):
+            want[y, x] = segment_score(img, x, y, n, RING_OFFSETS)
+    return want
+
+
+class TestScoreField:
+    """``segment_score_field`` against the scalar ``segment_score`` at every
+    pixel, for every arc length."""
+
+    @given(corner_images(), st.integers(1, 20))
+    @example(ring_image(0, 255), 1)
+    @example(ring_image(255, 0), 1)
+    @example(ring_image(0, 0), 1)
+    def test_matches_scalar_oracle(self, a, block_pixels):
+        # once in one block of rows, and once in blocks of as few as one row
+        img = GrayImage(a)
+        for n in range(9, 17):
+            want = oracle_field(img, n)
+            field = sg.segment_score_field(img, n)
+            assert field.dtype == np.int16
+            assert np.array_equal(field, want), n
+            with mock.patch.object(sg, "_BLOCK_PIXELS", block_pixels):
+                assert np.array_equal(sg.segment_score_field(img, n), want), n
+
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 6), st.integers(1, 12)),
+                  elements=st.sampled_from([0, 255]) | st.integers(0, 255)),
+           st.booleans())
+    def test_images_6_pixels_or_less_on_a_side_are_all_0(self, a, transpose):
+        img = GrayImage(a.T if transpose else a)
+        for n in range(9, 17):
+            field = sg.segment_score_field(img, n)
+            assert field.shape == img.shape and field.dtype == np.int16
+            assert not field.any() and not oracle_field(img, n).any()
 
 
 class TestHighSpeedReject:
