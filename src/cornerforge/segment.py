@@ -107,16 +107,12 @@ def _best_arc(ring: list, n: int, op, best) -> np.ndarray:
     ``np.maximum`` in either order. With op = minimum and best = maximum it
     is the largest least ring value of any arc.
 
-    Arc i covers ring indices i .. i + n - 1 (mod 16); n = 16 is the whole
-    ring. Otherwise the arcs are built by doubling: the level of length 2k
-    holds op(m[i], m[(i + k) % 16]) of the level m of length k. With k = 8,
-    arc i of length n is op(m[i], m[(i + n - 8) % 16]), two arcs of length
-    8 that overlap, and it is folded into the result at once."""
-    if n == N_RING:
-        acc = op(ring[0], ring[1])
-        for plane in ring[2:]:
-            op(acc, plane, out=acc)
-        return acc
+    Arc i covers ring indices i .. i + n - 1 (mod 16). The arcs are built by
+    doubling: the level of length 2k holds op(m[i], m[(i + k) % 16]) of the
+    level m of length k. With k = 8, arc i of length n is
+    op(m[i], m[(i + n - 8) % 16]), two arcs of length 8 that overlap (for
+    n = 16 they make the whole ring), and it is folded into the result at
+    once."""
     m, k = ring, 1
     while 2 * k < n:
         m = [op(m[i], m[(i + k) % N_RING]) for i in range(N_RING)]
