@@ -26,8 +26,8 @@ from .baselines import (detect_random, harris_response, shi_tomasi_response,
                         structure_tensor)
 from .image import GrayImage
 from .runtime import (PlaneWalk, check_threshold, corner_needs, minimal_pairs,
-                      rank_by_score, score_positions, suppressed_rows,
-                      top_n_by_score)
+                      needs_field, rank_by_score, score_positions,
+                      suppressed_rows, top_n_by_score)
 from .segment import check_arc, segment_score_field
 from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
 
@@ -85,18 +85,21 @@ class TreeDetector(FeatureDetector):
     """The OR of the compiled trees ``variants`` makes of one tree, compiled
     and prepared for ``PlaneWalk`` once. A position fires when any of them
     classifies it as a corner at ``t_min``; its score is the largest
-    threshold at which any still does (``score_positions``, exact).
+    threshold at which any still does.
 
     ``needs`` holds the source tree's ``corner_needs`` mapped onto every
     variant node by node (source node k's offset becomes variant node k's),
     closed under swapping the two sets, since an inversion swaps the
     brighter and darker branches, and cut to its ``minimal_pairs``. A
     position fires only if every offset of some pair is non-similar in the
-    pair's state. The ``PlaneWalk`` takes ``needs`` and turns them into
-    plane rows: every variant after the first walks only the columns that
-    meet a pair (``PlaneWalk.fired``), and the scores are bounded by them.
-    Empty ``needs`` means no corner leaf: nothing fires, and ``score_grid``
-    walks no column."""
+    pair's state. The ``PlaneWalk`` takes ``needs``, turns them into plane
+    rows and marks the pairs it covers. When it covers every pair, as on
+    every exhaustive FAST-n tree, ``score_grid`` is the pairs'
+    ``needs_field`` cut at ``t_min``: no plane is built and no tree walked.
+    Empty ``needs`` means no corner leaf, and the field is 0. Otherwise the
+    walk detects (``PlaneWalk.detect``; every variant after the first walks
+    only the columns that meet a pair) and ``score_positions`` scores the
+    detections exactly. The choice rests on the tree alone."""
 
     name = "fast-tree"
 
@@ -126,10 +129,13 @@ class TreeDetector(FeatureDetector):
         return [ct]
 
     def score_grid(self, img: GrayImage) -> np.ndarray:
+        margin = self.table.margin
+        if self.walk.covered.all():
+            field = needs_field(img, self.walk.offsets, self.walk.pairs, margin)
+            field[field < self.t_min] = 0
+            return field
         grid = np.zeros(img.shape, dtype=np.int32)
-        if not self.needs:
-            return grid
-        xs, ys = self.walk.detect(img, self.t_min, self.table.margin).T
+        xs, ys = self.walk.detect(img, self.t_min, margin).T
         grid[ys, xs] = score_positions(self.walk, img, xs, ys, self.t_min)
         return grid
 

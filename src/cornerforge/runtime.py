@@ -1,40 +1,43 @@
 """Applying decision trees to images: detection, corner scores, suppression,
 feature-count control and writing the keypoint file.
 
-Detection works on ternary state planes: ``ternary_planes`` computes the
+A tree's corner needs are (brighter, darker) offset sets such that every
+corner path tests, in those states, every offset of one pair: a path that
+tests the offsets of a set B brighter and of a set D darker fires at t only
+if ring - centre reaches t at every offset of B and -t at every offset of
+D. ``corner_needs`` lists the minimal (B, D) of a tree's corner paths. A
+pair's bound, the least of ring - centre over B and of centre - ring over
+D, is the largest t at which a position meets it, and the largest bound
+over the pairs is a ceiling on the position's score. A pair is covered
+when some tree fires on every column whose states meet it; the position
+then fires at the pair's bound, so the largest bound over the covered
+pairs is a floor. When every pair is covered the two meet: a position fires
+at t exactly when its ceiling reaches t, and its score is the ceiling.
+``needs_field`` computes the ceiling of every pixel at once from uint8
+views of the pixels. A tree detector whose pairs are all covered, as every
+exhaustive FAST-n tree's are (its pairs are the arcs of n), detects and
+scores from it alone (``detectors.TreeDetector``), and the segment test's
+score field is the field over the arcs of n (``segment.segment_score_field``).
+Other trees detect on ternary state planes: ``ternary_planes`` computes the
 darker/similar/brighter state of every interior pixel at each offset once
 per image and threshold, one column per pixel, and ``PlaneWalk`` walks one
 or more compiled trees (a tree, or the sixteen variants of a symmetrized
 one, OR-ed) over those planes, level by level and only for the columns
 still undecided. The caller names the plane rows: a ``PlaneWalk`` is built
-over a list of offsets that holds every offset its trees test. A walk may
-know its trees' corner needs, (brighter, darker) offset sets one of which
-every corner path tests in those states, and maps them to plane rows once:
-its first tree walks every column, and the later trees only the unfired
-columns whose states meet some pair, found with bit-packed rows once per
-walk. A tree detector builds its ``PlaneWalk`` once, with its corner needs
-(the 32 arcs of 9 on FAST-9, which leave the later variants nothing), and
-calls ``PlaneWalk.detect`` per frame.
+over a list of offsets that holds every offset its trees test, and maps the
+corner needs to plane rows once: its first tree walks every column, and
+the later trees only the unfired columns whose states meet some pair, found
+with bit-packed rows once per walk.
 A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
 Positions and the integer scores of segment-test detectors are exact in
 float64; response detectors keep their float scores. The corner score of a
 pixel is the largest threshold at which it still classifies as a corner;
 ``score_positions`` computes it exactly for any tree, or OR of trees, by
 walking each tree once per position with the interval of thresholds that
-reach each node. Classification need not be monotone in the threshold.
-The interval lies between a per-position floor and ceiling: a corner path
-that tests the offsets of a set B brighter and of a set D darker fires at t
-only if ring - centre reaches t at every offset of B and -t at every
-offset of D, and ``corner_needs`` lists the minimal (B, D) of a tree's
-corner paths. A pair's bound, the least of ring - centre over B and of
-centre - ring over D, is the largest t at which the position meets it, and
-the largest bound over the pairs is the ceiling. A pair is covered when
-some tree fires on every column whose states meet it; the position then
-fires at the pair's bound, so the largest bound over the covered pairs is
-a floor. Only a position whose floor is below its ceiling walks a tree; on
-FAST-9 every pair is covered, the floor equals the ceiling, and no
-position walks. Scoring reads pixels at the offsets of the detector's
-``PlaneWalk`` and bounds each score by the walk's pairs.
+reach each node, between the position's floor and ceiling; a position
+whose floor meets its ceiling walks no tree. Classification need not be
+monotone in the threshold. Scoring reads pixels at the offsets of the
+detector's ``PlaneWalk``.
 ``suppressed_rows`` is the one 3x3 non-maximal suppression, from a score
 grid to keypoint rows: one pass over the cells at least ``RING_MARGIN``
 from every edge, the only cells it can keep. The top n keypoints are a
@@ -46,6 +49,7 @@ package reads one back.
 from __future__ import annotations
 
 import numbers
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,13 +57,21 @@ from .image import RING_MARGIN, GrayImage
 from .trees import CompiledTree
 
 
-# Positions per block of the score ceiling: 16384 positions of faster's 16
-# ring offsets make a 1 MB int16 block of 32 rows, the differences and
-# their negation. On a 640x480 t=1 frame (123k positions) one ceiling took
-# 11.4-12.0 ms in blocks of 4096, 8.5-12.3 ms in blocks of 8192, 7.8-7.9 ms
-# in blocks of 16384, 8.2 ms in blocks of 32768 and 12.2-12.4 ms in one
-# block; the detect-t1 benchmark's peak RSS read 89.9 MB with 16384
+# Positions per block of the score ceiling, which only detectors with an
+# uncovered pair reach, annealed trees among them: 16384 positions of 28
+# offsets make a 1.8 MB int16 block of the differences and their negation.
+# On the 640x480 benchmark frame at t=1, the ceiling of a 10-node annealed
+# tree's 218k detections took 25-36 ms in blocks of 4096, 22-27 ms in
+# blocks of 8192, 14-16 ms in blocks of 16384, 14-19 ms in blocks of 32768
+# and 22-23 ms in one block
 _CEILING_BLOCK_ROWS = 16384
+
+# Pixels per offset view of a block of ``needs_field``: 64 KB views stay
+# below glibc's default 128 KB mmap threshold, so the values reduced from
+# them come from the heap and are reused, where whole-frame planes are
+# mapped and faulted in afresh on every call (12 ms against 5 ms per
+# 640x480 FAST-9 field in a fresh process on a 2-core Xeon).
+_BLOCK_PIXELS = 1 << 16
 
 
 def check_threshold(t) -> None:
@@ -79,9 +91,7 @@ def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
     ``check_threshold``.
     """
     check_threshold(t)
-    offsets = [(int(dx), int(dy)) for dx, dy in offsets]
-    if any(max(abs(dx), abs(dy)) > margin for dx, dy in offsets):
-        raise ValueError(f"an offset reaches beyond the margin {margin}")
+    offsets = _within(offsets, margin)
     shapes = [(img.height - 2 * margin, img.width - 2 * margin) for img in images]
     sizes = [h * w if h > 0 and w > 0 else 0 for h, w in shapes]
     planes = np.empty((len(offsets), sum(sizes)), dtype=np.uint8)
@@ -103,6 +113,15 @@ def ternary_planes(images, offsets, t: int, margin: int) -> np.ndarray:
             np.subtract(out, r < below, out=out)
         col += n
     return planes
+
+
+def _within(offsets, margin: int) -> list:
+    """The offsets as (int, int) tuples; ``ValueError`` if one reaches
+    beyond ``margin``."""
+    offsets = [(int(dx), int(dy)) for dx, dy in offsets]
+    if any(max(abs(dx), abs(dy)) > margin for dx, dy in offsets):
+        raise ValueError(f"an offset reaches beyond the margin {margin}")
+    return offsets
 
 
 class PlaneWalk:
@@ -238,10 +257,12 @@ class PlaneWalk:
         keeps the unfired columns whose states meet some pair of ``pairs``,
         carried as one index array, and the later trees walk only those: a
         column that meets no pair fires on no tree. On the 640x480 benchmark
-        frame faster's first variant leaves 298,632 of 300,516 columns
-        unfired at t=35 and 177,405 at t=1; on FAST-9 the later variants get
-        0 of them at either threshold. A walk without ``pairs`` gates
-        nothing, and a single tree never reaches the gate.
+        frame the first variant of a 12-node annealed tree (200 iterations
+        on 48x40 frames) leaves 296,774 of 300,516 columns unfired at t=1,
+        and 237,277 of them meet a pair; at t=35, 300,428 and 1,071. A
+        FAST-n detector never walks: its pairs are all covered
+        (``TreeDetector``). A walk without ``pairs`` gates nothing, and a
+        single tree never reaches the gate.
 
         Below the head lookup, each tree walks a work list of live columns
         and their int32 nodes. A level reads flat[row * n + column] for the
@@ -392,6 +413,155 @@ def minimal_pairs(pairs, size=len) -> frozenset:
         if not any(kb | b == b and kd | d == d for kb, kd in kept):
             kept.append((b, d))
     return frozenset(kept)
+
+
+def needs_field(img: GrayImage, offsets, pairs, margin: int) -> np.ndarray:
+    """The largest bound of ``pairs`` at every pixel, as an image-shaped
+    int16 field: 0 within ``margin`` of an edge and where no bound reaches 1.
+
+    ``pairs`` holds (brighter, darker) sequences of indices into
+    ``offsets``. A pair's bound is min(least ring over brighter - centre,
+    centre - greatest ring over darker), an empty side giving 255, as in
+    ``score_positions``; the field is the score ceiling of every position.
+    When every pair is covered the ceiling is the exact score, so the field
+    thresholded at t is a tree's detections and scores (``TreeDetector``),
+    and over the arcs of n it is the segment test's
+    (``segment.segment_score_field``).
+
+    The offsets are read as uint8 views of the pixels, over blocks of rows
+    of at most ``_BLOCK_PIXELS`` pixels per view, and each side's least or
+    greatest value is reduced in uint8 by ``_needs_plan``'s steps, built once
+    per pair set, into buffers allocated once per call. The brighter-only
+    pairs' extremes are reduced further to their largest and the
+    darker-only pairs' to their least, still in uint8; only those two and
+    the sides of pairs with both sides are widened to int16, once each, to
+    take the centre.
+    """
+    offsets = _within(offsets, margin)
+    a = img.pixels
+    h, w = a.shape
+    out = np.zeros((h, w), dtype=np.int16)
+    if h <= 2 * margin or w <= 2 * margin or not pairs:
+        return out
+    key = tuple((tuple(b), tuple(d)) for b, d in pairs)
+    if ((), ()) in key:
+        out[margin : h - margin, margin : w - margin] = 255
+        return out
+    steps, slots, hi, lo, both = _needs_plan(key, len(offsets))
+    m, iw = margin, w - 2 * margin
+    rows = min(max(1, _BLOCK_PIXELS // iw), h - 2 * m)
+    bufs = [np.empty((rows, iw), dtype=np.uint8) for _ in range(slots)]
+    centre, diff, other = np.empty((3, rows, iw), dtype=np.int16)
+    for y0 in range(m, h - m, rows):
+        y1 = min(y0 + rows, h - m)
+        r = y1 - y0
+        val = [a[y0 + dy : y1 + dy, m + dx : w - m + dx] for dx, dy in offsets]
+        val += [buf[:r] for buf in bufs]
+        for op, i, j, k in steps:
+            op(val[i], val[j], out=val[k])
+        c, d, e = centre[:r], diff[:r], other[:r]
+        c[...] = a[y0:y1, m : w - m]
+        core = out[y0:y1, m : w - m]
+        if hi is not None:
+            np.subtract(val[hi], c, out=core)
+        if lo is not None:
+            np.maximum(core, np.subtract(c, val[lo], out=d), out=core)
+        for b, dark in both:
+            np.subtract(val[b], c, out=d)
+            np.minimum(d, np.subtract(c, val[dark], out=e), out=d)
+            np.maximum(core, d, out=core)
+        np.maximum(core, 0, out=core)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _needs_plan(pairs: tuple, n: int) -> tuple:
+    """(steps, slots, hi, lo, both) of ``needs_field`` for a tuple of
+    (brighter, darker) index tuples, none both empty, over n offsets.
+
+    A block's values are the n offset views and then ``slots`` uint8
+    buffers, and a step (op, i, j, k) writes op(value i, value j) into
+    buffer value k. ``hi`` is the value that ends with the largest least
+    ring value over the brighter-only pairs, ``lo`` the one with the least
+    greatest value over the darker-only pairs (None when there are none),
+    and ``both`` lists the (least, greatest) values of each pair with two
+    sides.
+
+    Each side's extreme is one value. Sides that share offsets share work:
+    ``_shared_steps`` merges, as long as two values sit in two or more
+    sides, the two that sit together in the most. The steps are numbered
+    first, then given buffers: a step's buffer is one whose value no later
+    step reads, and the values the field reads keep theirs to the end.
+    """
+    pairs = sorted(set(pairs))
+    steps = []
+    brighter = sorted({b for b, _ in pairs if b})
+    darker = sorted({d for _, d in pairs if d})
+    least = dict(zip(brighter, _shared_steps(brighter, np.minimum, n, steps)))
+    most = dict(zip(darker, _shared_steps(darker, np.maximum, n, steps)))
+    hi = _fold([least[b] for b, d in pairs if not d], np.maximum, n, steps)
+    lo = _fold([most[d] for b, d in pairs if not b], np.minimum, n, steps)
+    both = [(least[b], most[d]) for b, d in pairs if b and d]
+    last = {v: len(steps) for v in [hi, lo, *(v for pair in both for v in pair)]}
+    for s, (_, i, j) in reversed(list(enumerate(steps))):
+        last.setdefault(i, s)
+        last.setdefault(j, s)
+    where = list(range(n))  # numbered value -> block value
+    free, slots, plan = [], 0, []
+    for s, (op, i, j) in enumerate(steps):
+        free += {where[v] for v in (i, j) if v >= n and last[v] == s}
+        if not free:
+            free.append(n + slots)
+            slots += 1
+        where.append(free.pop())
+        plan.append((op, where[i], where[j], where[-1]))
+    return (tuple(plan), slots, *(None if v is None else where[v] for v in (hi, lo)),
+            tuple((where[b], where[d]) for b, d in both))
+
+
+def _shared_steps(sides, op, n: int, steps: list) -> list:
+    """Append to ``steps`` the (op, i, j) steps that reduce each side, a
+    tuple of offset indices, to one value (``_needs_plan``'s numbering), and
+    return each side's value.
+
+    Greedy: a side-by-value matrix of 0 and 1 gives, as its Gram matrix,
+    how many sides hold both of two values; while some two values share
+    two or more sides, they become one new value in every side that holds
+    both. Each side then folds its remaining values. Columns no side holds
+    any more are dropped.
+    """
+    cols = sorted({k for side in sides for k in side})
+    at = {k: c for c, k in enumerate(cols)}
+    has = np.zeros((len(sides), len(cols)), dtype=np.float64)
+    for r, side in enumerate(sides):
+        has[r, [at[k] for k in side]] = 1
+    while has.shape[1] > 1:
+        shared = has.T @ has
+        np.fill_diagonal(shared, 0)
+        best = int(shared.argmax())
+        i, j = divmod(best, len(cols))
+        if shared.flat[best] < 2:
+            break
+        both = has[:, i] * has[:, j]
+        has[:, [i, j]] -= both[:, None]
+        steps.append((op, cols[i], cols[j]))
+        keep = has.any(axis=0)
+        has = np.column_stack([has[:, keep], both])
+        cols = [c for c, k in zip(cols, keep) if k] + [n + len(steps) - 1]
+    return [_fold([cols[c] for c in np.flatnonzero(row)], op, n, steps)
+            for row in has]
+
+
+def _fold(values: list, op, n: int, steps: list):
+    """One value that is op over ``values`` (``_needs_plan``'s numbering),
+    appending a step per value past the first; None for no values."""
+    if not values:
+        return None
+    acc = values[0]
+    for v in values[1:]:
+        steps.append((op, acc, v))
+        acc = n + len(steps) - 1
+    return acc
 
 
 def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys,

@@ -11,11 +11,10 @@ brighter and darker masks of each half code (eight ring states). ID3
 learns its trees from these labels, and they are the ground truth every
 learned tree is checked against. ``segment_score_field`` is the reference
 detector: the largest threshold at which each pixel still passes the test.
-It works on the 16 ring offsets as uint8 views of the pixels: the score of
-a brighter arc is its least ring value minus the centre, of a darker arc
-the centre minus its greatest, and the extremes over all arcs of length n
-are built by doubling on lists of planes, in uint8 until the centre is
-subtracted once.
+The score of a brighter arc is its least ring value minus the centre, of a
+darker arc the centre minus its greatest: each arc is a (brighter, darker)
+pair of the tree detectors' corner needs, and the field is their one dense
+routine, ``runtime.needs_field``, over the arcs of length n.
 """
 
 from __future__ import annotations
@@ -25,18 +24,12 @@ from functools import cache
 import numpy as np
 
 from .image import RING_MARGIN, RING_OFFSETS, GrayImage
+from .runtime import needs_field
 
 N_RING = 16
 N_CONFIGS = 3**N_RING  # 43,046,721
 
 HALF = 3**8  # codes of eight ring states: a config code is hi * HALF + lo
-
-# Pixels per ring plane of a block of the score field: 64 KB planes stay
-# below glibc's default 128 KB mmap threshold, so they come from the heap and
-# are reused, where whole-frame planes are mapped and faulted in afresh on
-# every call (12 ms against 5 ms per 640x480 frame in a fresh process on a
-# 2-core Xeon).
-_BLOCK_PIXELS = 1 << 16
 
 
 def check_arc(n: int) -> None:
@@ -101,27 +94,14 @@ def label_all_configs(n: int) -> np.ndarray:
     return labels.ravel()
 
 
-def _best_arc(ring: list, n: int, op, best) -> np.ndarray:
-    """For each pixel, ``best`` over the 16 circular arcs of length n of
-    ``op`` over the arc's ring planes; op and best are ``np.minimum`` and
-    ``np.maximum`` in either order. With op = minimum and best = maximum it
-    is the largest least ring value of any arc.
-
-    Arc i covers ring indices i .. i + n - 1 (mod 16). The arcs are built by
-    doubling: the level of length 2k holds op(m[i], m[(i + k) % 16]) of the
-    level m of length k. With k = 8, arc i of length n is
-    op(m[i], m[(i + n - 8) % 16]), two arcs of length 8 that overlap (for
-    n = 16 they make the whole ring), and it is folded into the result at
-    once."""
-    m, k = ring, 1
-    while 2 * k < n:
-        m = [op(m[i], m[(i + k) % N_RING]) for i in range(N_RING)]
-        k *= 2
-    acc = op(m[0], m[n - k])
-    arc = np.empty_like(acc)
-    for i in range(1, N_RING):
-        best(acc, op(m[i], m[(i + n - k) % N_RING], out=arc), out=acc)
-    return acc
+@cache
+def _arcs(n: int) -> tuple:
+    """The (brighter, darker) pairs of FAST-n as ring indices: each of the
+    16 circular arcs of length n (one for n = 16) on one side, nothing on
+    the other."""
+    arcs = sorted({tuple(sorted((i + k) % N_RING for k in range(n)))
+                   for i in range(N_RING)})
+    return tuple((arc, ()) for arc in arcs) + tuple(((), arc) for arc in arcs)
 
 
 def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
@@ -130,33 +110,10 @@ def segment_score_field(img: GrayImage, n: int) -> np.ndarray:
     int16, shaped like the image; border and non-corner pixels hold 0. A
     brighter arc passes at t while its least ring value is >= centre + t,
     so its score is (least value over the arc) - centre; a darker arc's is
-    centre - (greatest value over the arc). The field is
-    max(hi - c, c - lo, 0), where hi is the largest least value and lo the
-    smallest greatest value over the 16 arcs of length n. It equals
-    max{t : detect at t} because the partition is boundary-inclusive and
-    monotone in t.
-
-    The ring values are uint8 views of the pixels, hi and lo are reduced
-    from them in uint8 (``_best_arc``), and only then widened to int16 to
-    subtract the centre. This runs over blocks of rows of at most
-    ``_BLOCK_PIXELS`` pixels per plane.
+    centre - (greatest value over the arc). The field is the largest of
+    these over the arcs of length n and 0, ``runtime.needs_field`` of the
+    arcs. It equals max{t : detect at t} because the partition is
+    boundary-inclusive and monotone in t.
     """
     check_arc(n)
-    a = img.pixels
-    h, w = a.shape
-    out = np.zeros((h, w), dtype=np.int16)
-    if h <= 2 * RING_MARGIN or w <= 2 * RING_MARGIN:
-        return out
-    b = RING_MARGIN
-    rows = max(1, _BLOCK_PIXELS // (w - 2 * b))
-    for y0 in range(b, h - b, rows):
-        y1 = min(y0 + rows, h - b)
-        ring = [a[y0 + dy : y1 + dy, b + dx : w - b + dx] for dx, dy in RING_OFFSETS]
-        hi = _best_arc(ring, n, np.minimum, np.maximum)
-        lo = _best_arc(ring, n, np.maximum, np.minimum)
-        centre = a[y0:y1, b : w - b].astype(np.int16)
-        core = out[y0:y1, b : w - b]
-        np.subtract(hi, centre, out=core)
-        np.maximum(core, centre - lo, out=core)
-        np.maximum(core, 0, out=core)
-    return out
+    return needs_field(img, RING_OFFSETS, _arcs(n), RING_MARGIN)

@@ -1,4 +1,6 @@
 import io
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ import _oracles as orc
 from _oracles import at
 from conftest import (constant_image, edge_image, random_image, read_keypoints,
                       sixteenfold_field, tree_positions)
-from cornerforge import runtime as rt
+from cornerforge import detectors, learn, runtime as rt
 from cornerforge.datasets import synthetic_base_image
-from cornerforge.detectors import SixteenFoldDetector, TreeDetector
+from cornerforge.detectors import (FastRefDetector, SixteenFoldDetector,
+                                   TreeDetector)
 from cornerforge.image import (RING_MARGIN, RING_OFFSETS, GrayImage,
                                add_gaussian_noise)
 from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node, RING16,
@@ -860,6 +863,174 @@ class TestPlaneWalk:
         monkeypatch.setattr(rt.PlaneWalk, "fired", walked)
         grid = det.score_grid(rand_img(3))
         assert det.needs == set() and grid.shape == (34, 40) and not grid.any()
+
+
+def dnf_tree(rng, table, pairs, pad):
+    """A tree that classifies a position as a corner exactly when some
+    (brighter, darker) pair of external offset indices holds, every
+    brighter offset brighter and every darker one darker. Each node tests
+    an offset that a remaining pair names, or, up to ``pad`` times on a
+    path, one that no test on the path reads yet, growing three
+    independent children. A pair that names one offset on both sides never
+    holds. The tree is exactly its pairs, so its walk covers every pair
+    of its corner needs."""
+
+    def grow(pairs, tested, pad):
+        named = sorted({k for b, d in pairs for k in b | d} - tested)
+        free = sorted(set(table.indices()) - tested)
+        if free and pad and (not named or rng.random() < 0.3):
+            k, pad = int(rng.choice(free)), pad - 1
+        elif named and any(b or d for b, d in pairs):
+            k = int(rng.choice(named))
+        else:
+            return LEAF1 if pairs else LEAF0
+        kids = []
+        for state in "bsd":
+            kept = []
+            for b, d in pairs:
+                if k in b and k in d:
+                    continue
+                if k in b or k in d:
+                    if state != ("b" if k in b else "d"):
+                        continue
+                    b, d = b - {k}, d - {k}
+                kept.append((b, d))
+            kids.append(LEAF1 if ((frozenset(), frozenset()) in kept
+                                  and not pad) else grow(kept, tested | {k}, pad))
+        return Node(k, *kids)
+
+    return grow([(frozenset(b), frozenset(d)) for b, d in pairs], frozenset(), pad)
+
+
+def covered_trees(table, rng, kind):
+    """A ``dnf_tree`` over one or two random pairs of up to two offsets a
+    side, most with both sides, and their swaps (``TreeDetector`` closes its
+    needs under swapping the sides); over no pair (no corner leaf); or over
+    the (∅, ∅) pair (the all-similar chain is a corner, and so is every
+    leaf)."""
+    index = list(table.indices())
+    pairs = []
+    for _ in range(rng.integers(1, 3) if kind == "pairs" else 0):
+        nb, nd = [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 0)][rng.integers(6)]
+        b, d = (set(rng.choice(index, k, replace=False).tolist()) for k in (nb, nd))
+        pairs += [(b, d), (d, b)]
+    return dnf_tree(rng, table, [((), ())] if kind == "all" else pairs,
+                    int(rng.integers(0, 3)))
+
+
+@cache
+def exhaustive_tree(n):
+    """The exhaustively learned FAST-n tree: exactly the segment test."""
+    return learn.build_tree(learn.augment_exhaustive(learn.empty_training_set(), n))
+
+
+def walked_grid(det, img):
+    """``TreeDetector.score_grid`` the way an uncovered tree takes it: the
+    plane walk's detections at t_min, scored by ``score_positions``."""
+    grid = np.zeros(img.shape, dtype=np.int32)
+    xs, ys = det.walk.detect(img, det.t_min, det.table.margin).T
+    grid[ys, xs] = rt.score_positions(det.walk, img, xs, ys, det.t_min)
+    return grid
+
+
+class TestNeedsField:
+    """``needs_field``, the score grid of every tree whose walk covers
+    each of its pairs, against the plane walk and the exact scores."""
+
+    @pytest.mark.parametrize("sixteenfold", [False, True])
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
+                             ids=["ring16", "grid48"])
+    @given(data=st.data())
+    def test_equals_the_walk_on_covered_trees(self, table, sixteenfold, data):
+        # at any t, on images down to one pixel, in one block and in blocks
+        # of as few as one row with a partial last block
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["pairs", "pairs", "none", "all"]))
+        tree = covered_trees(table, rng, kind)
+        t = data.draw(st.one_of(st.sampled_from([1, 255]), st.integers(1, 60)))
+        cls = SixteenFoldDetector if sixteenfold else TreeDetector
+        det = cls(tree, table, t_min=t)
+        assert det.walk.covered.all()
+        assert (det.needs == {(frozenset(),) * 2}) == (kind == "all")
+        m = table.margin
+        h, w = (data.draw(st.integers(1, 2 * m + 9)) for _ in range(2))
+        img = (edge_image(rng, t, h, w) if data.draw(st.booleans())
+               else random_image(rng, w, h))
+        want = walked_grid(det, img)
+        assert np.array_equal(det.score_grid(img), want)
+        with mock.patch.object(rt, "_BLOCK_PIXELS",
+                               data.draw(st.integers(1, 3 * w))):
+            assert np.array_equal(det.score_grid(img), want)
+        if h <= 2 * m or w <= 2 * m or kind == "none":
+            assert not want.any()
+
+    def test_an_offset_beyond_the_margin_is_an_error(self):
+        with pytest.raises(ValueError, match="beyond the margin"):
+            rt.needs_field(rand_img(0), [(0, -3), (4, 0)], [((1,), ())], 3)
+
+    def test_two_sided_pairs_score_exactly(self):
+        # each pair holds one offset brighter and one darker, so every bound
+        # takes a least and a greatest value; the scores match the oracle's
+        ring = list(RING16.indices())
+        pairs = [({ring[k]}, {ring[(k + 8) % 16]}) for k in (0, 3, 5)]
+        pairs.append(({ring[1], ring[2]}, {ring[9]}))
+        pairs += [(d, b) for b, d in pairs]
+        tree = dnf_tree(np.random.default_rng(0), RING16, pairs, 0)
+        det = TreeDetector(tree, RING16)
+        assert det.walk.covered.all() and all(b and d for b, d in det.walk.pairs)
+        img = random_image(np.random.default_rng(1), 16, 14)
+        grid = det.score_grid(img)
+        for y in range(14):
+            for x in range(16):
+                inside = 3 <= x < 13 and 3 <= y < 11
+                want = inside and orc.linear_scan_score(
+                    lambda t: orc.classify_pixel(tree, img, (x, y), t, RING16),
+                    img, (x, y), RING16, 1)
+                assert grid[y, x] == (want or 0)
+        assert grid.any()
+
+    @pytest.mark.parametrize("n", [9, 12, 16])
+    @pytest.mark.parametrize("t", [1, 35])
+    def test_covered_trees_rank_without_a_walk(self, n, t, fast9_tree,
+                                               fast9_grid48, monkeypatch):
+        # the exhaustive FAST-n trees, ring and 48-offset FAST-9, rank as
+        # the segment test with the walk and the position scoring shut
+        def walked(*args):
+            raise AssertionError("a covered tree walked")
+
+        monkeypatch.setattr(rt.PlaneWalk, "fired", walked)
+        monkeypatch.setattr(rt, "score_positions", walked)
+        monkeypatch.setattr(detectors, "score_positions", walked)
+        if n == 9:
+            dets = [TreeDetector(fast9_tree, RING16, t_min=t),
+                    SixteenFoldDetector(*fast9_grid48, t_min=t)]
+        else:
+            dets = [TreeDetector(exhaustive_tree(n), RING16, t_min=t)]
+        img = edge_image(np.random.default_rng(n), t, 60, 64)
+        want = FastRefDetector(n, t_min=t).all_keypoints(img)
+        assert len(want)
+        for det in dets:
+            assert det.walk.covered.all()
+            assert np.array_equal(det.all_keypoints(img), want)
+
+    def test_an_uncovered_pair_walks(self, monkeypatch):
+        # (1, -3) brighter is a corner need, but (0, -3) brighter beside it
+        # ends at a non-corner leaf: the tree walks, and scores exactly
+        tree = Node(1, b=LEAF0, s=Node(2, b=LEAF1, s=LEAF0, d=LEAF0), d=LEAF0)
+        det = TreeDetector(tree, RING16)
+        assert not det.walk.covered.all()
+        fired = rt.PlaneWalk.fired
+        calls = []
+
+        def counted(walk, planes):
+            calls.append(planes.shape[1])
+            return fired(walk, planes)
+
+        img = random_image(np.random.default_rng(2), 24, 20)
+        want = walked_grid(det, img)
+        monkeypatch.setattr(rt.PlaneWalk, "fired", counted)
+        assert np.array_equal(det.score_grid(img), want)
+        assert calls == [18 * 14] and want.any()
 
 
 def point_sets(score_strategy):

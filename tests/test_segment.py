@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from _oracles import (at, corner_config_count, high_speed_reject, pixel_state,
                       segment_label, segment_score)
 from conftest import constant_image, make_test_square
-from cornerforge import segment as sg
+from cornerforge import runtime as rt, segment as sg
 from cornerforge.image import RING_OFFSETS, GrayImage
 from cornerforge.learn import codes_from_states, states_from_codes
 from cornerforge.runtime import ternary_planes
@@ -256,7 +256,7 @@ class TestScoreField:
             field = sg.segment_score_field(img, n)
             assert field.dtype == np.int16
             assert np.array_equal(field, want), n
-            with mock.patch.object(sg, "_BLOCK_PIXELS", block_pixels):
+            with mock.patch.object(rt, "_BLOCK_PIXELS", block_pixels):
                 assert np.array_equal(sg.segment_score_field(img, n), want), n
 
     @given(arrays(np.uint8, st.tuples(st.integers(1, 6), st.integers(1, 12)),
