@@ -13,11 +13,12 @@ when some tree fires on every column whose states meet it; the position
 then fires at the pair's bound, so the largest bound over the covered
 pairs is a floor. When every pair is covered the two meet: a position fires
 at t exactly when its ceiling reaches t, and its score is the ceiling.
-``needs_field`` computes the ceiling of every pixel at once from uint8
-views of the pixels. A tree detector whose pairs are all covered, as every
-exhaustive FAST-n tree's are (its pairs are the arcs of n), detects and
-scores from it alone (``detectors.TreeDetector``), and the segment test's
-score field is the field over the arcs of n (``segment.segment_score_field``).
+``_bound_block`` is the one routine for bounds: ``needs_field`` runs it on
+views of the pixels, for every pixel's ceiling, and ``score_positions`` on
+pixels gathered at given positions. A tree detector whose pairs are all
+covered, as every exhaustive FAST-n tree's are (its pairs are the arcs of
+n), detects and scores from the field alone (``detectors.TreeDetector``),
+and the segment test's score field is the field over the arcs of n.
 Other trees detect on ternary state planes: ``ternary_planes`` computes the
 darker/similar/brighter state of every interior pixel at each offset once
 per image and threshold, one column per pixel, and ``PlaneWalk`` walks one
@@ -48,8 +49,11 @@ package reads one back.
 
 from __future__ import annotations
 
+import heapq
 import numbers
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -57,14 +61,11 @@ from .image import RING_MARGIN, GrayImage
 from .trees import CompiledTree
 
 
-# Positions per block of the score ceiling, which only detectors with an
-# uncovered pair reach, annealed trees among them: 16384 positions of 28
-# offsets make a 1.8 MB int16 block of the differences and their negation.
-# On the 640x480 benchmark frame at t=1, the ceiling of a 10-node annealed
-# tree's 218k detections took 25-36 ms in blocks of 4096, 22-27 ms in
-# blocks of 8192, 14-16 ms in blocks of 16384, 14-19 ms in blocks of 32768
-# and 22-23 ms in one block
-_CEILING_BLOCK_ROWS = 16384
+# Bytes of uint8 values, gathered pixels and plan buffers, per block of
+# ``_position_bounds``: for a 272-pair annealed tree's 275k positions of a
+# 640x480 frame at t=1 (2-core Xeon), blocks of 1, 2, 4 and 8 MB took 79,
+# 68, 58 and 53 ms, with traced peaks of 2.2, 3.4, 5.6 and 10.2 MB.
+_BOUNDS_BYTES = 1 << 22
 
 # Pixels per offset view of a block of ``needs_field``: 64 KB views stay
 # below glibc's default 128 KB mmap threshold, so the values reduced from
@@ -146,9 +147,9 @@ class PlaneWalk:
     them. ``covered`` holds a bool per pair, True when some tree reaches a
     corner leaf on every column whose states meet the pair
     (``_covered``), so the pair's bound is a floor on the score; on FAST-9
-    all 32 pairs are covered. ``needs=None`` means unknown: ``pairs`` and
-    ``covered`` are None, which gates nothing and gives a ceiling of 255
-    and a floor of 0; an empty ``needs`` means no corner leaf.
+    all 32 pairs are covered. ``needs=None`` means unknown (annealing and
+    ``distill`` only detect): ``pairs`` and ``covered`` are None, which
+    gates nothing; an empty ``needs`` means no corner leaf.
     """
 
     def __init__(self, trees, offsets, needs=None):
@@ -421,78 +422,86 @@ def needs_field(img: GrayImage, offsets, pairs, margin: int) -> np.ndarray:
 
     ``pairs`` holds (brighter, darker) sequences of indices into
     ``offsets``. A pair's bound is min(least ring over brighter - centre,
-    centre - greatest ring over darker), an empty side giving 255, as in
-    ``score_positions``; the field is the score ceiling of every position.
-    When every pair is covered the ceiling is the exact score, so the field
-    thresholded at t is a tree's detections and scores (``TreeDetector``),
-    and over the arcs of n it is the segment test's
-    (``segment.segment_score_field``).
+    centre - greatest ring over darker), an empty side giving 255; the field
+    is the score ceiling of every position. When every pair is covered the
+    ceiling is the exact score, so the field thresholded at t is a tree's
+    detections and scores (``TreeDetector``), and over the arcs of n it is
+    the segment test's (``segment.segment_score_field``).
 
-    The offsets are read as uint8 views of the pixels, over blocks of rows
-    of at most ``_BLOCK_PIXELS`` pixels per view, and each side's least or
-    greatest value is reduced in uint8 by ``_needs_plan``'s steps, built once
-    per pair set, into buffers allocated once per call. The brighter-only
-    pairs' extremes are reduced further to their largest and the
-    darker-only pairs' to their least, still in uint8; only those two and
-    the sides of pairs with both sides are widened to int16, once each, to
-    take the centre.
+    ``_bound_block`` runs the pairs' plan on uint8 views of the offsets,
+    over blocks of rows of at most ``_BLOCK_PIXELS`` pixels per view, with
+    buffers allocated once per call.
     """
     offsets = _within(offsets, margin)
     a = img.pixels
     h, w = a.shape
     out = np.zeros((h, w), dtype=np.int16)
-    if h <= 2 * margin or w <= 2 * margin or not pairs:
+    if h <= 2 * margin or w <= 2 * margin:
         return out
-    key = tuple((tuple(b), tuple(d)) for b, d in pairs)
-    if ((), ()) in key:
-        out[margin : h - margin, margin : w - margin] = 255
-        return out
-    steps, slots, hi, lo, both = _needs_plan(key, len(offsets))
+    plan = _needs_plan(tuple((tuple(b), tuple(d)) for b, d in pairs), len(offsets))
     m, iw = margin, w - 2 * margin
     rows = min(max(1, _BLOCK_PIXELS // iw), h - 2 * m)
-    bufs = [np.empty((rows, iw), dtype=np.uint8) for _ in range(slots)]
+    bufs = [np.empty((rows, iw), dtype=np.uint8) for _ in range(plan[1])]
     centre, diff, other = np.empty((3, rows, iw), dtype=np.int16)
     for y0 in range(m, h - m, rows):
         y1 = min(y0 + rows, h - m)
         r = y1 - y0
         val = [a[y0 + dy : y1 + dy, m + dx : w - m + dx] for dx, dy in offsets]
-        val += [buf[:r] for buf in bufs]
-        for op, i, j, k in steps:
-            op(val[i], val[j], out=val[k])
-        c, d, e = centre[:r], diff[:r], other[:r]
-        c[...] = a[y0:y1, m : w - m]
-        core = out[y0:y1, m : w - m]
-        if hi is not None:
-            np.subtract(val[hi], c, out=core)
-        if lo is not None:
-            np.maximum(core, np.subtract(c, val[lo], out=d), out=core)
-        for b, dark in both:
-            np.subtract(val[b], c, out=d)
-            np.minimum(d, np.subtract(c, val[dark], out=e), out=d)
-            np.maximum(core, d, out=core)
-        np.maximum(core, 0, out=core)
+        centre[:r] = a[y0:y1, m : w - m]
+        _bound_block(plan, val + [buf[:r] for buf in bufs], centre[:r],
+                     out[y0:y1, m : w - m], diff[:r], other[:r])
     return out
+
+
+def _bound_block(plan: tuple, val: list, c: np.ndarray, core: np.ndarray,
+                 d: np.ndarray, e: np.ndarray) -> None:
+    """Write into int16 ``core`` the largest bound, clipped at 0, of a
+    ``_needs_plan`` plan's pairs over one block of uint8 values ``val`` (the
+    offsets', then the buffers) and int16 centres ``c``; d and e are int16
+    scratch. The plan reduces each side's extreme, and then the one-sided
+    pairs' extremes to one per kind, in uint8; only those and the sides of
+    two-sided pairs are widened to int16, once each, to take the centre."""
+    steps, _, hi, lo, both, full = plan
+    if full:
+        core.fill(255)
+        return
+    for op, i, j, k in steps:
+        op(val[i], val[j], out=val[k])
+    if hi is None:
+        core.fill(0)
+    else:
+        np.subtract(val[hi], c, out=core)
+    if lo is not None:
+        np.maximum(core, np.subtract(c, val[lo], out=d), out=core)
+    for b, dark in both:
+        np.subtract(val[b], c, out=d)
+        np.minimum(d, np.subtract(c, val[dark], out=e), out=d)
+        np.maximum(core, d, out=core)
+    np.maximum(core, 0, out=core)
 
 
 @lru_cache(maxsize=256)
 def _needs_plan(pairs: tuple, n: int) -> tuple:
-    """(steps, slots, hi, lo, both) of ``needs_field`` for a tuple of
-    (brighter, darker) index tuples, none both empty, over n offsets.
+    """(steps, slots, hi, lo, both, full) of ``_bound_block`` for a tuple of
+    (brighter, darker) index tuples over n offsets.
 
-    A block's values are the n offset views and then ``slots`` uint8
-    buffers, and a step (op, i, j, k) writes op(value i, value j) into
-    buffer value k. ``hi`` is the value that ends with the largest least
-    ring value over the brighter-only pairs, ``lo`` the one with the least
-    greatest value over the darker-only pairs (None when there are none),
-    and ``both`` lists the (least, greatest) values of each pair with two
-    sides.
+    A block's values are the n offsets' and then ``slots`` uint8 buffers,
+    and a step (op, i, j, k) writes op(value i, value j) into buffer value
+    k. ``hi`` is the value that ends with the largest least ring value over
+    the brighter-only pairs, ``lo`` the one with the least greatest value
+    over the darker-only pairs (None when there are none), and ``both``
+    lists the (least, greatest) values of each pair with two sides. ``full``
+    is True, and the rest empty, when some pair is (∅, ∅): every bound 255.
 
     Each side's extreme is one value. Sides that share offsets share work:
     ``_shared_steps`` merges, as long as two values sit in two or more
     sides, the two that sit together in the most. The steps are numbered
     first, then given buffers: a step's buffer is one whose value no later
-    step reads, and the values the field reads keep theirs to the end.
+    step reads, and the values the block's bound reads keep theirs to the
+    end.
     """
+    if ((), ()) in pairs:
+        return (), 0, None, None, (), True
     pairs = sorted(set(pairs))
     steps = []
     brighter = sorted({b for b, _ in pairs if b})
@@ -516,7 +525,7 @@ def _needs_plan(pairs: tuple, n: int) -> tuple:
         where.append(free.pop())
         plan.append((op, where[i], where[j], where[-1]))
     return (tuple(plan), slots, *(None if v is None else where[v] for v in (hi, lo)),
-            tuple((where[b], where[d]) for b, d in both))
+            tuple((where[b], where[d]) for b, d in both), False)
 
 
 def _shared_steps(sides, op, n: int, steps: list) -> list:
@@ -524,32 +533,37 @@ def _shared_steps(sides, op, n: int, steps: list) -> list:
     tuple of offset indices, to one value (``_needs_plan``'s numbering), and
     return each side's value.
 
-    Greedy: a side-by-value matrix of 0 and 1 gives, as its Gram matrix,
-    how many sides hold both of two values; while some two values share
-    two or more sides, they become one new value in every side that holds
-    both. Each side then folds its remaining values. Columns no side holds
-    any more are dropped.
+    Greedy: while two values sit together in two or more sides, the two
+    that sit together in the most (the lowest-numbered on a tie) become one
+    new value in every side that holds both; each side then folds what it
+    holds, in numbering order. A heap ranks the counts of ``shared`` and
+    skips an entry whose count has changed: no count rises after the step
+    that makes its newer value, so a stale entry never holds again.
     """
-    cols = sorted({k for side in sides for k in side})
-    at = {k: c for c, k in enumerate(cols)}
-    has = np.zeros((len(sides), len(cols)), dtype=np.float64)
-    for r, side in enumerate(sides):
-        has[r, [at[k] for k in side]] = 1
-    while has.shape[1] > 1:
-        shared = has.T @ has
-        np.fill_diagonal(shared, 0)
-        best = int(shared.argmax())
-        i, j = divmod(best, len(cols))
-        if shared.flat[best] < 2:
-            break
-        both = has[:, i] * has[:, j]
-        has[:, [i, j]] -= both[:, None]
-        steps.append((op, cols[i], cols[j]))
-        keep = has.any(axis=0)
-        has = np.column_stack([has[:, keep], both])
-        cols = [c for c, k in zip(cols, keep) if k] + [n + len(steps) - 1]
-    return [_fold([cols[c] for c in np.flatnonzero(row)], op, n, steps)
-            for row in has]
+    sides = [set(side) for side in sides]
+    shared = Counter(pair for side in sides for pair in combinations(sorted(side), 2))
+    heap = [(-c, a, b) for (a, b), c in shared.items()]
+    heapq.heapify(heap)
+    while heap and heap[0][0] < -1:
+        c, a, b = heapq.heappop(heap)
+        if shared[a, b] != -c:
+            continue
+        v = n + len(steps)
+        steps.append((op, a, b))
+        shared[a, b] = 0
+        rows = [side for side in sides if a in side and b in side]
+        for side in rows:
+            side -= {a, b}
+            shared.update((u, v) for u in side)
+        for u in set().union(*rows):  # u leaves a and b in shared[u, v] sides
+            for x in a, b:
+                pair = (u, x) if u < x else (x, u)
+                shared[pair] -= shared[u, v]
+                heapq.heappush(heap, (-shared[pair], *pair))
+            heapq.heappush(heap, (-shared[u, v], u, v))
+        for side in rows:
+            side.add(v)
+    return [_fold(sorted(side), op, n, steps) for side in sides]
 
 
 def _fold(values: list, op, n: int, steps: list):
@@ -573,20 +587,14 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys,
     position with the interval of thresholds that reach the current node
     (``_score_walk``). The score of an OR of trees is the largest of their
     scores; the trees are walked in turn, and each walk only looks above the
-    best score found so far and up to the position's ceiling. A pair's
-    bound is the smaller of the least ring - centre over its brighter rows
-    and the least centre - ring over its darker rows (an empty side gives
-    255). The ceiling is the largest bound over ``walk.pairs``: no t above
-    it fires. The floor is the largest bound over the pairs that
-    ``walk.covered`` marks: the position fires at it when it is at least 1.
-    The best score starts at the larger of the floor and t_min - 1, so a
-    position whose floor meets its ceiling walks no tree; on FAST-9 the
-    floor equals the ceiling. The ceiling is 255 and the floor 0 when
-    ``walk.pairs`` is None (needs unknown), and both are 0 when it is empty.
-    The walk's offsets become flat deltas dy * width + dx once per image;
-    tree i reads them through ``walk.rows[i]``. The positions must lie at
-    least the trees' margin from every edge. Positions that fire at no t in
-    range get t_min - 1. Returns int32 scores.
+    best score found so far and up to the position's ceiling. The best
+    score starts at the larger of the floor (``_position_bounds``) and
+    t_min - 1, so a position whose floor meets its ceiling walks no tree.
+    The walk must hold its trees' corner needs (``walk.pairs`` not None).
+    Its offsets become flat deltas dy * width + dx once per image; tree i
+    reads them through ``walk.rows[i]``. The positions must lie at least the
+    trees' margin from every edge. Positions that fire at no t in range get
+    t_min - 1. Returns int32 scores.
     """
     check_threshold(t_min)
     flat = img.pixels.ravel()
@@ -596,52 +604,47 @@ def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys,
     centre = flat.take(pos).astype(np.int16)
     dx, dy = np.array(walk.offsets, dtype=index).reshape(-1, 2).T
     deltas = dy * index(img.width) + dx
-    if walk.pairs is None:
-        floor = np.zeros(pos.shape, dtype=np.int16)
-        ceiling = np.full(pos.shape, 255, dtype=np.int16)
-    else:
-        floor, ceiling = _score_ceiling(deltas, flat, pos, centre, walk.pairs,
-                                        walk.covered)
+    floor, ceiling = _position_bounds(walk, flat, pos, centre, deltas)
     best = np.maximum(floor, np.int16(t_min - 1))
     for ct, row in zip(walk.trees, walk.rows):
-        _score_walk(ct, deltas.take(row), flat, pos, centre, best, ceiling)
+        if ct.root >= 0:  # a corner leaf covers every pair, the other never fires
+            _score_walk(ct, deltas.take(row), flat, pos, centre, best, ceiling)
     return best.astype(np.int32)
 
 
-def _score_ceiling(deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
-                   centre: np.ndarray, pairs, covered) -> tuple:
-    """Each position's score (floor, ceiling) (``score_positions``) under
-    ``pairs``, (brighter, darker) lists of indices into the K flat
-    ``deltas``, and ``covered``, a bool per pair, as int16 arrays; the
-    ceiling is 0 where no t >= 1 can fire, and the floor 0 where no
-    covered pair's bound reaches 1.
+def _position_bounds(walk: PlaneWalk, flat: np.ndarray, pos: np.ndarray,
+                     centre: np.ndarray, deltas: np.ndarray) -> tuple:
+    """The int16 score (floor, ceiling) at flat pixel indices ``pos`` with
+    int16 ``centre`` values; offset k of the walk is ``deltas[k]`` away.
 
-    The differences ring - centre at the n deltas that some pair names fill
-    the first n rows of a (2n, positions) int16 block, from ``pos``'s flat
-    indices, and their negation the last n. A pair's bound is the least of
-    its brighter rows and its darker rows, n further down; nothing is
-    sorted. One loop over the pairs raises the floor by the covered pairs'
-    bounds and the ceiling by the others', and the ceiling then takes the
-    floor in. The positions go through in blocks of ``_CEILING_BLOCK_ROWS``.
+    The floor is the largest bound, clipped at 0, of the pairs that
+    ``walk.covered`` marks: the position fires at it when it is at least 1.
+    The ceiling is the larger of the floor and the other pairs' largest
+    bound: no t above it fires. Both are ``_bound_block``'s, over pixels
+    gathered at the offsets some pair names, in blocks of about
+    ``_BOUNDS_BYTES`` of those and the two plans' shared uint8 buffers.
     """
-    used, rows = _stacked(pairs)
-    n = len(used)
-    deltas = deltas.tolist()
-    step = _CEILING_BLOCK_ROWS
-    floor = np.zeros(len(pos), dtype=np.int16)
-    ceiling = np.zeros(len(pos), dtype=np.int16)
-    buf = np.empty((2 * n, min(step, len(pos))), dtype=np.int16)
+    keys = ([], [])  # the covered pairs, then the others
+    for (b, d), sure in zip(walk.pairs, walk.covered):
+        keys[not sure].append((tuple(b), tuple(d)))
+    n = len(walk.offsets)
+    plans = [_needs_plan(tuple(key), n) for key in keys]
+    used = sorted({k for pair in walk.pairs for side in pair for k in side})
+    slots = max(plan[1] for plan in plans)
+    step = max(1, min(len(pos), _BOUNDS_BYTES // max(1, len(used) + slots)))
+    bufs = np.empty((slots, step), dtype=np.uint8)
+    diff, other = np.empty((2, step), dtype=np.int16)
+    floor, ceiling = np.empty((2, len(pos)), dtype=np.int16)
     for i in range(0, len(pos), step):
-        p, low, out = pos[i : i + step], floor[i : i + step], ceiling[i : i + step]
-        diff = buf[:, : len(p)]
-        for j, k in enumerate(used):
-            np.subtract(flat.take(p + deltas[k]), centre[i : i + step],
-                        out=diff[j])
-        np.negative(diff[:n], out=diff[n:])
-        for r, sure in zip(rows, covered):
-            side = low if sure else out
-            np.maximum(side, diff[r].min(axis=0) if r else 255, out=side)
-        np.maximum(out, low, out=out)
+        p = pos[i : i + step]
+        r = len(p)
+        block = [None] * n + list(bufs[:, :r])
+        for k in used:
+            block[k] = flat.take(p + deltas[k])
+        for plan, out in zip(plans, (floor, ceiling)):
+            _bound_block(plan, block, centre[i : i + r], out[i : i + r],
+                         diff[:r], other[:r])
+    np.maximum(ceiling, floor, out=ceiling)
     return floor, ceiling
 
 
@@ -666,7 +669,7 @@ def _score_walk(ct, deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
     for the positions whose best is below their ceiling; no t above the
     ceiling fires, so the others are done. ``best`` starts at the score
     floor, so on FAST-9, where the floor is the ceiling, no item starts.
-    With d = ring - centre,
+    The root is a node. With d = ring - centre,
     thresholds up to |d| see the brighter (d > 0) or darker (d < 0) state
     and higher ones the similar state. So the item moves to the brighter or
     darker child with [a, min(b, |d|)] when that is non-empty, and otherwise
@@ -683,10 +686,6 @@ def _score_walk(ct, deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
     some item reached a corner: ``best`` changes nowhere else, and a split
     copy starts at |d| + 1 > a > best, so every item keeps a > best.
     """
-    if ct.root < 0:
-        if ct.root == -2:
-            np.maximum(best, ceiling, out=best)
-        return
     index = pos.dtype
     children = np.ascontiguousarray(ct.children, dtype=index).ravel()
     item = np.flatnonzero(best < ceiling).astype(index)

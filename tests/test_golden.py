@@ -21,7 +21,9 @@ import numpy as np
 
 from cornerforge.annealing import mutate, random_depth1_tree
 from cornerforge.cli import ALGOS, EXIT_OK, EXIT_USAGE, main
-from cornerforge.trees import RING16, default_offsets_48, serialize_tree
+from cornerforge.detectors import SixteenFoldDetector, TreeDetector
+from cornerforge.trees import (RING16, default_offsets_48, deserialize_tree,
+                               serialize_tree)
 
 GOLDEN = {
     "detect-fast-ref-t1": "2d86ce7a8e3a31f6",
@@ -262,3 +264,43 @@ def anneal_digests(tmp_path) -> dict[str, str]:
 
 def test_anneal_outputs_match_golden_digests(tmp_path):
     assert anneal_digests(tmp_path) == GOLDEN_ANNEAL
+
+
+# Recorded before the walk path took its score floor and ceiling from
+# ``runtime.needs_field``'s plan.
+GOLDEN_WALK = {
+    "detect-faster-annealed-t1": "80d88c1a2811aa0c",
+    "detect-faster-annealed-t35": "731a018e03d18871",
+    "detect-fast-tree-distilled-t1": "f52cc444986c22df",
+    "detect-fast-tree-distilled-t35": "02232daf340b063c",
+}
+
+
+def walk_digests(tmp_path) -> dict[str, str]:
+    """`detect` with two trees whose walks leave a pair uncovered, so they
+    detect on ternary planes and score through ``score_positions``: the
+    best tree of ``anneal_digests``' two runs (3 nodes, 32 pairs, none
+    covered) as faster, and its `distill`ed form (128 nodes, 100 pairs, 5
+    covered) as fast-tree, at t=1 and t=35."""
+    data = golden_dataset(tmp_path / "data")
+    frame = str(data / "frame_000.pgm")
+    annealed, distilled = tmp_path / "anneal_best.tree", tmp_path / "distilled.tree"
+    assert main(["anneal", "--dataset", str(data), "--imax", "30", "--runs", "2",
+                 "--out", str(tmp_path / "anneal_")]) == EXIT_OK
+    assert main(["distill", "--tree", str(annealed), "--dataset", str(data),
+                 "--out", str(distilled)]) == EXIT_OK
+    out = {}
+    for algo, name, path, cls in (
+            ("faster", "annealed", annealed, SixteenFoldDetector),
+            ("fast-tree", "distilled", distilled, TreeDetector)):
+        assert not cls(*deserialize_tree(path.read_bytes())).walk.covered.all()
+        for t in (1, 35):
+            txt = tmp_path / f"{algo}-{name}-t{t}.txt"
+            assert main(["detect", frame, "--algo", algo, "--tree", str(path),
+                         "--t", str(t), "--out", str(txt)]) == EXIT_OK
+            out[f"detect-{algo}-{name}-t{t}"] = digest(txt)
+    return out
+
+
+def test_walked_trees_match_golden_digests(tmp_path):
+    assert walk_digests(tmp_path) == GOLDEN_WALK

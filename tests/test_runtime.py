@@ -249,9 +249,12 @@ class TestExactScores:
             want = orc.linear_scan_score(lambda t: fires((x, y), t), img,
                                          (x, y), table, t_min)
             assert score == want
-        # a walk without needs bounds no score (a ceiling of 255)
-        unbounded = rt.score_positions(table_walk, img, xs, ys, t_min)
-        assert unbounded.tolist() == got.tolist()
+        # a walk whose one need is (∅, ∅) bounds no score: a floor of 0 and
+        # a ceiling of 255, unless a tree fires everywhere and covers it
+        unbounded = rt.PlaneWalk(table_walk.trees, table_walk.offsets,
+                                 {(frozenset(), frozenset())})
+        assert rt.score_positions(unbounded, img, xs, ys,
+                                  t_min).tolist() == got.tolist()
 
     @staticmethod
     def walks(tree, table, sixteenfold):
@@ -315,17 +318,34 @@ class TestExactScores:
             assert {tuple(p) for p in found[scores == s].tolist()} <= again
 
 
-def ceiling_args(walk, img, xs, ys):
-    """``_score_ceiling``'s arguments for int32 positions (xs, ys): the flat
-    delta dy * width + dx of each offset of the walk, the flat pixels, the
-    flat positions, their centre values, and the walk's pairs and
-    ``covered``."""
+def position_bounds(walk, img, xs, ys):
+    """``_position_bounds``, the score (floor, ceiling), at int32 positions
+    (xs, ys), from the flat delta dy * width + dx of each offset of the
+    walk."""
     w = img.width
     deltas = np.array([dy * w + dx for dx, dy in walk.offsets], dtype=np.int32)
     flat = img.pixels.ravel()
     pos = (np.asarray(ys) * w + np.asarray(xs)).astype(np.int32)
-    return (deltas, flat, pos, flat.take(pos).astype(np.int16), walk.pairs,
-            walk.covered)
+    return rt._position_bounds(walk, flat, pos, flat.take(pos).astype(np.int16),
+                               deltas)
+
+
+def random_pairs(rng, table, kind):
+    """Up to six (brighter, darker) sets of up to three offsets of the
+    table: each with one side (``one-sided``), both sides (``two-sided``)
+    or either, with the (∅, ∅) pair among them (``empty``); or none."""
+    pairs = []
+    for _ in range(0 if kind == "none" else int(rng.integers(1, 7))):
+        sides = {"one-sided": [int(rng.integers(2))], "two-sided": [0, 1]}.get(
+            kind, rng.permutation(2)[:rng.integers(1, 3)].tolist())
+        pair = [frozenset(), frozenset()]
+        for j in sides:
+            pair[j] = frozenset(table.offsets[k] for k in rng.choice(
+                len(table), int(rng.integers(1, 4)), replace=False))
+        pairs.append(tuple(pair))
+    if kind == "empty":
+        pairs.append((frozenset(), frozenset()))
+    return pairs
 
 
 def pair_offsets(walk, pair):
@@ -415,7 +435,7 @@ class TestCornerNeeds:
             walk_covers(tree, table, sixteenfold, pair) for pair in pairs]
         sure = [pair for pair, c in zip(pairs, walk.covered) if c]
         xs, ys = rng.integers(m, w - m, 12), rng.integers(m, h - m, 12)
-        floor, ceiling = rt._score_ceiling(*ceiling_args(walk, img, xs, ys))
+        floor, ceiling = position_bounds(walk, img, xs, ys)
         # the bound from the counts alone, over every offset of the walk
         counts = {(len(b), len(d)) for b, d in orc.corner_needs(tree, table)}
         counts |= {(nd, nb) for nb, nd in counts}
@@ -464,7 +484,7 @@ class TestCornerNeeds:
         m = RING_MARGIN
         ys, xs = np.mgrid[m : 20 - m, m : 24 - m].reshape(2, -1)
         got = rt.score_positions(walk, img, xs, ys, 1)
-        floor, ceiling = rt._score_ceiling(*ceiling_args(walk, img, xs, ys))
+        floor, ceiling = position_bounds(walk, img, xs, ys)
         unfired = 0
         for x, y, score, top in zip(xs.tolist(), ys.tolist(), got.tolist(),
                                     ceiling.tolist()):
@@ -483,24 +503,74 @@ class TestCornerNeeds:
                else TreeDetector(fast9_tree, RING16))
         img = random_image(np.random.default_rng(5), 40, 30)
         xs, ys = det.walk.detect(img, 1, RING_MARGIN).T
-        floor, ceiling = rt._score_ceiling(*ceiling_args(det.walk, img, xs, ys))
+        floor, ceiling = position_bounds(det.walk, img, xs, ys)
         scores = rt.score_positions(det.walk, img, xs, ys, 1)
         assert len(xs) > 100 and np.array_equal(ceiling, scores)
         assert np.array_equal(floor, ceiling)
 
-    def test_ceiling_in_blocks(self, fast9_grid48, monkeypatch):
-        # blocks of 7 rows, the last one partial, give the ceiling of one
-        # block of every row
-        tree, grid = fast9_grid48
-        det = SixteenFoldDetector(tree, grid)
-        img = random_image(np.random.default_rng(4), 40, 30)
-        xs, ys = det.walk.detect(img, 1, grid.margin).T
-        args = ceiling_args(det.walk, img, xs, ys)
-        pos = args[2]
-        monkeypatch.setattr(rt, "_CEILING_BLOCK_ROWS", len(pos))
-        whole = rt._score_ceiling(*args)
-        monkeypatch.setattr(rt, "_CEILING_BLOCK_ROWS", 7)
-        assert len(pos) % 7 and np.array_equal(rt._score_ceiling(*args), whole)
+    @given(data=st.data())
+    def test_bounds_at_positions_equal_the_needs_field(self, data):
+        # random pairs, some marked covered: the floor at positions is
+        # ``needs_field`` over the covered pairs there, and the ceiling the
+        # larger of the floor and the field over the others, in one block,
+        # in blocks of one position and in blocks whose last is partial
+        table = default_offsets_48()
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kind = data.draw(st.sampled_from(["one-sided", "two-sided", "any",
+                                          "empty", "none"]))
+        walk = rt.PlaneWalk([], table.offsets, random_pairs(rng, table, kind))
+        walk.covered = rng.random(len(walk.pairs)) < data.draw(
+            st.sampled_from([0, 0.5, 1]))
+        m, h, w = table.margin, 12, 13
+        img = (edge_image(rng, data.draw(st.integers(1, 40)), h, w)
+               if data.draw(st.booleans()) else random_image(rng, w, h))
+        k = data.draw(st.integers(3, 30))
+        xs, ys = rng.integers(m, w - m, k), rng.integers(m, h - m, k)
+        field = [rt.needs_field(img, walk.offsets, [
+            pair for pair, sure in zip(walk.pairs, walk.covered) if sure == side],
+            m)[ys, xs] for side in (True, False)]
+        want = field[0], np.maximum(*field)
+        for x, y, top in zip(xs.tolist(), ys.tolist(), want[1].tolist()):
+            assert top == orc.pair_ceiling(img, (x, y), [
+                pair_offsets(walk, pair) for pair in walk.pairs])
+        n, sizes, per = len(walk.offsets), [], []
+        block = rt._bound_block
+
+        def spy(plan, val, c, core, d, e):
+            # a block's uint8 values per position: the gathered offsets and
+            # the plans' buffers
+            sizes.append(len(core))
+            per.append(sum(v is not None for v in val[:n]) + len(val) - n)
+            block(plan, val, c, core, d, e)
+
+        def blocks(budget):
+            """The block sizes of one call; each block runs two plans."""
+            sizes.clear()
+            with mock.patch.object(rt, "_BOUNDS_BYTES", budget):
+                floor, ceiling = position_bounds(walk, img, xs, ys)
+            assert np.array_equal(floor, want[0])
+            assert np.array_equal(ceiling, want[1])
+            return sizes[::2]
+
+        with mock.patch.object(rt, "_bound_block", spy):
+            assert blocks(rt._BOUNDS_BYTES) == [k]
+            assert blocks(1) == [1] * k
+            step = data.draw(st.sampled_from([j for j in range(2, k) if k % j]))
+            assert blocks(step * max(per[0], 1)) == [step] * (k // step) + [k % step]
+
+    @pytest.mark.parametrize("leaf", [LEAF0, LEAF1])
+    def test_a_leaf_rooted_tree_beside_an_uncovered_one(self, leaf):
+        # a tree that is one leaf walks no position: a non-corner leaf fires
+        # nowhere, and a corner leaf covers every pair, so every score is 255
+        tree = Node(1, b=LEAF0, s=Node(2, b=LEAF1, s=LEAF0, d=LEAF0), d=LEAF0)
+        cts = [CompiledTree(leaf, RING16), CompiledTree(tree, RING16)]
+        walk = rt.PlaneWalk(cts, RING16.offsets, forest_needs(cts))
+        img = random_image(np.random.default_rng(0), 34, 30)
+        xs, ys = walk.detect(img, 30, RING_MARGIN).T
+        want = (rt.score_positions(TreeDetector(tree, RING16).walk, img, xs, ys, 30)
+                if leaf is LEAF0 else np.full(len(xs), 255))
+        assert len(xs) and not TreeDetector(tree, RING16).walk.covered.all()
+        assert rt.score_positions(walk, img, xs, ys, 30).tolist() == want.tolist()
 
     def test_ceiling_spares_the_later_variants(self, fast9_grid48, monkeypatch):
         # every pair of FAST-9 is covered, so the floor is the ceiling and
