@@ -1,14 +1,16 @@
 """Comparison detectors: Harris, Shi-Tomasi, and a random scatter baseline.
 
 Harris and Shi-Tomasi give response fields; their detectors' score grids
-are the positive responses, suppressed like every other grid
-(``runtime.suppressed_rows``). The random baseline's keypoint rows are a
-seeded permutation of the interior, at least ``RING_MARGIN`` from every
+are the positive responses (``response_grid``), suppressed like every other
+grid (``runtime.suppressed_rows``). The random baseline's keypoint rows are
+a seeded permutation of the interior, at least ``RING_MARGIN`` from every
 edge: its ranking. Gradients are central differences on an
 edge-replicated border; the structure tensor is smoothed with a Gaussian
-truncated at 3 sigma and renormalized. Smoothing runs in blocks of rows that
-stay in cache, but each pixel still sums its taps in kernel order with the
-same roundings, so the result is bit-identical to whole-field passes.
+truncated at 3 sigma and renormalized. ``response_grid`` computes gradients,
+smoothing and response in one pass over blocks of rows, with temporaries
+sized by the block rather than the frame, but each pixel still sums its taps
+in kernel order with the same roundings, so the grid is bit-identical to
+whole-field passes.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from .image import RING_MARGIN, GrayImage
 from .runtime import keypoint_rows
 
 HARRIS_K = 0.04  # standard free parameter for the det - k*trace^2 response
-# Rows per smoothing block: a block of a 640 px field is about 330 kB per
-# buffer, so its source, product and output stay in L2; 16 to 128 rows timed
-# within noise of each other at 640 px
-_SMOOTH_BLOCK_ROWS = 64
+# Output rows per block of ``response_grid``. Frame 0 of the seed-1 640x480
+# set at sigma 2.5, 2-core Xeon, medians of 15 calls per process: 16 rows
+# 27-30 ms, 32 rows 32-35 ms, 64 rows 46-49 ms, whole-field passes 35 ms;
+# tracemalloc peaks 4.7 MB at 16 rows, 6.4 MB at 32
+_GRID_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -54,67 +57,85 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _smooth_separable(field: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Separable convolution of a float64 field with an odd-length kernel,
-    horizontal pass then vertical, each over an edge-replicated border.
+def response_grid(img: GrayImage, sigma: float, response) -> np.ndarray:
+    """The positive cells of ``response`` (``harris_response`` or
+    ``shi_tomasi_response``) over the structure tensor of ``img`` at
+    ``sigma``, as a float64 grid of the image's shape; a non-positive or NaN
+    response reads 0.
 
-    Each pass runs in blocks of ``_SMOOTH_BLOCK_ROWS`` rows so the block and
-    its one product buffer stay in cache. Every output pixel still sums its
-    taps in kernel order from zero, with one rounded product and one rounded
-    add per tap, so the result is the same bit for bit as whole-field
-    ``out += kv * pad[...]`` passes.
+    The tensor's entries are the products of central-difference gradients
+    on an edge-replicated border, each smoothed by ``gaussian_kernel(sigma)``
+    of radius r: a horizontal pass, then a vertical one, each over an
+    edge-replicated border. One pass over blocks of ``_GRID_BLOCK_ROWS``
+    output rows computes the grid, with buffers allocated once per call and
+    sized by the block: each pixel row's products are smoothed horizontally
+    once, into a rolling window of the block's rows and r rows on either
+    side, whose last 2r rows shift to the top for the next block. Every
+    pixel sums its taps in kernel order from +0.0, with one rounded product
+    and one rounded add per tap, so the grid is the same bit for bit as
+    whole-field passes.
+
+    ``ValueError`` before any allocation when r reaches the image's longer
+    side.
     """
-    r = len(kernel) // 2
-    h, w = field.shape
-    rows = _SMOOTH_BLOCK_ROWS
-    tmp = np.empty((min(rows, h), w))
-    hpad = np.empty((h, w + 2 * r))
-    hpad[:, r : r + w] = field
-    hpad[:, :r] = field[:, :1]
-    hpad[:, r + w :] = field[:, -1:]
-    vpad = np.zeros((h + 2 * r, w))
-    for b in range(0, h, rows):
-        e = min(b + rows, h)
-        o, t = vpad[r + b : r + e], tmp[: e - b]
-        for i, kv in enumerate(kernel):
-            np.multiply(kv, hpad[b:e, i : i + w], out=t)
-            o += t
-    vpad[:r] = vpad[r]
-    vpad[r + h :] = vpad[r + h - 1]
-    out = np.zeros_like(field)
-    for b in range(0, h, rows):
-        e = min(b + rows, h)
-        o, t = out[b:e], tmp[: e - b]
-        for i, kv in enumerate(kernel):
-            np.multiply(kv, vpad[b + i : e + i], out=t)
-            o += t
-    return out
-
-
-def gradients(img: GrayImage) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference (gx, gy) with clamped-replication borders."""
-    a = img.pixels.astype(np.float64)
-    pad = np.pad(a, 1, mode="edge")
-    gx = 0.5 * (pad[1:-1, 2:] - pad[1:-1, :-2])
-    gy = 0.5 * (pad[2:, 1:-1] - pad[:-2, 1:-1])
-    return gx, gy
-
-
-def structure_tensor(img: GrayImage, sigma: float = 2.5) -> StructureTensor:
-    """``ValueError`` before any allocation when the smoothing radius reaches
-    the image's longer side: each pass pads every row or column by it."""
     r = kernel_radius(sigma)
-    if r >= max(img.width, img.height):
+    h, w = img.shape
+    if r >= max(w, h):
         raise ValueError(f"sigma {sigma} smooths over a radius of {r} pixels, "
-                         f"not below the {img.width}x{img.height} image's "
-                         f"longer side")
-    gx, gy = gradients(img)
-    k = gaussian_kernel(sigma)
-    return StructureTensor(
-        axx=_smooth_separable(gx * gx, k),
-        axy=_smooth_separable(gx * gy, k),
-        ayy=_smooth_separable(gy * gy, k),
-    )
+                         f"not below the {w}x{h} image's longer side")
+    kernel = gaussian_kernel(sigma)
+    rows = min(_GRID_BLOCK_ROWS, h)
+    fresh = rows + r  # the most pixel rows one block smooths: the first's
+    a = img.pixels
+    pad = np.empty((fresh + 2, w + 2))  # pixel rows on a 1-pixel border
+    grad = np.empty((2, fresh, w))
+    prod = np.empty((3, fresh, w + 2 * r))  # xx, xy, yy on an r-pixel border
+    tmp = np.empty((3, fresh, w))
+    window = np.empty((3, rows + 2 * r, w))
+    tensor = np.empty((3, rows, w))
+    grid = np.zeros((h, w))
+    for b in range(0, h, rows):
+        # window row i holds the smoothed products of pixel row b + i - r,
+        # clamped into the image
+        m = min(rows, h - b)
+        s = 2 * r if b else 0
+        window[:, :s] = window[:, rows : rows + s]
+        y0, y1 = max(b + s - r, 0), min(b + m + r, h)
+        q = y1 - y0
+        if q > 0:
+            p = pad[: q + 2]
+            p[1:-1, 1:-1] = a[y0:y1]
+            p[0, 1:-1] = a[max(y0 - 1, 0)]
+            p[-1, 1:-1] = a[min(y1, h - 1)]
+            p[:, 0] = p[:, 1]
+            p[:, -1] = p[:, -2]
+            gx, gy = grad[:, :q]
+            np.multiply(np.subtract(p[1:-1, 2:], p[1:-1, :-2], out=gx), 0.5,
+                        out=gx)
+            np.multiply(np.subtract(p[2:, 1:-1], p[:-2, 1:-1], out=gy), 0.5,
+                        out=gy)
+            hp = prod[:, :q]
+            xx, xy, yy = hp[:, :, r : r + w]
+            np.multiply(gx, gx, out=xx)
+            np.multiply(gx, gy, out=xy)
+            np.multiply(gy, gy, out=yy)
+            hp[:, :, :r] = hp[:, :, r : r + 1]
+            hp[:, :, r + w :] = hp[:, :, r + w - 1 : r + w]
+            o, t = window[:, y0 - b + r : y1 - b + r], tmp[:, :q]
+            o.fill(0.0)
+            for i, kv in enumerate(kernel):
+                o += np.multiply(kv, hp[:, :, i : i + w], out=t)
+        if not b:
+            window[:, :r] = window[:, r : r + 1]  # above row 0
+        below = h - 1 - b + r  # row h - 1
+        window[:, max(below + 1, s) : m + 2 * r] = window[:, below : below + 1]
+        out, t = tensor[:, :m], tmp[:, :m]
+        out.fill(0.0)
+        for i, kv in enumerate(kernel):
+            out += np.multiply(kv, window[:, i : i + m], out=t)
+        res = response(StructureTensor(*out))
+        np.copyto(grid[b : b + m], res, where=res > 0)
+    return grid
 
 
 def harris_response(tensor: StructureTensor) -> np.ndarray:

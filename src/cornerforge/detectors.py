@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .baselines import (detect_random, harris_response, shi_tomasi_response,
-                        structure_tensor)
+from .baselines import (detect_random, harris_response, response_grid,
+                        shi_tomasi_response)
 from .image import GrayImage
 from .runtime import (PlaneWalk, check_threshold, corner_needs, minimal_pairs,
                       needs_field, rank_by_score, score_positions,
@@ -151,24 +151,19 @@ class SixteenFoldDetector(TreeDetector):
 class HarrisDetector(FeatureDetector):
     name = "harris"
     split_ties = True
+    response = staticmethod(harris_response)
 
     def __init__(self, sigma: float = 2.5):
         self.sigma = sigma
 
-    def _response(self, img: GrayImage) -> np.ndarray:
-        return harris_response(structure_tensor(img, self.sigma))
-
     def score_grid(self, img: GrayImage) -> np.ndarray:
         """The positive responses; non-positive and NaN cells are 0."""
-        response = self._response(img)
-        return np.where(response > 0, response, 0.0)
+        return response_grid(img, self.sigma, self.response)
 
 
 class ShiTomasiDetector(HarrisDetector):
     name = "shi-tomasi"
-
-    def _response(self, img: GrayImage) -> np.ndarray:
-        return shi_tomasi_response(structure_tensor(img, self.sigma))
+    response = staticmethod(shi_tomasi_response)
 
 
 class RandomDetector(FeatureDetector):

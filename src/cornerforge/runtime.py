@@ -495,10 +495,12 @@ def _needs_plan(pairs: tuple, n: int) -> tuple:
 
     Each side's extreme is one value. Sides that share offsets share work:
     ``_shared_steps`` merges, as long as two values sit in two or more
-    sides, the two that sit together in the most. The steps are numbered
-    first, then given buffers: a step's buffer is one whose value no later
-    step reads, and the values the block's bound reads keep theirs to the
-    end.
+    sides, the two that sit together in the most. When the darker sides are
+    the brighter ones, as for every ``TreeDetector`` walk and FAST-n arc
+    set, the greedy runs once and ``_replayed`` repeats its merges. The
+    steps are numbered first, then given buffers: a step's buffer is one
+    whose value no later step reads, and the values the block's bound reads
+    keep theirs to the end.
     """
     if ((), ()) in pairs:
         return (), 0, None, None, (), True
@@ -507,7 +509,10 @@ def _needs_plan(pairs: tuple, n: int) -> tuple:
     brighter = sorted({b for b, _ in pairs if b})
     darker = sorted({d for _, d in pairs if d})
     least = dict(zip(brighter, _shared_steps(brighter, np.minimum, n, steps)))
-    most = dict(zip(darker, _shared_steps(darker, np.maximum, n, steps)))
+    if darker == brighter:  # needs closed under swapping: the same merges
+        most = dict(zip(darker, _replayed(steps, least.values(), np.maximum, n)))
+    else:
+        most = dict(zip(darker, _shared_steps(darker, np.maximum, n, steps)))
     hi = _fold([least[b] for b, d in pairs if not d], np.maximum, n, steps)
     lo = _fold([most[d] for b, d in pairs if not b], np.minimum, n, steps)
     both = [(least[b], most[d]) for b, d in pairs if b and d]
@@ -564,6 +569,17 @@ def _shared_steps(sides, op, n: int, steps: list) -> list:
         for side in rows:
             side.add(v)
     return [_fold(sorted(side), op, n, steps) for side in sides]
+
+
+def _replayed(steps: list, values, op, n: int) -> list:
+    """Append to ``steps`` a copy of each of its steps with ``op``, every
+    value past the n offsets renumbered to its copy's, and return the copies
+    of ``values``: what ``_shared_steps`` would append for the same sides,
+    since its greedy never reads op."""
+    k = len(steps)
+    steps += [(op, *(v + k if v >= n else v for v in step[1:]))
+              for step in steps[:k]]
+    return [v + k if v >= n else v for v in values]
 
 
 def _fold(values: list, op, n: int, steps: list):

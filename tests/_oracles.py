@@ -9,9 +9,10 @@ reaches a corner leaf, the score ceilings from those sets and from their
 counts, the high-speed rejection test, the segment test's score at one
 pixel, the per-count repeatability loop) live here: only tests use them,
 as do ``classify_flat``, the numpy walk over raw pixels that detection
-used before it moved onto ternary state planes, and ``smooth_separable``,
-the whole-field smoothing passes that the structure tensor used before it
-smoothed in row blocks. They read trees, images and offset tables
+used before it moved onto ternary state planes, and ``gradients``,
+``smooth_separable`` and ``structure_tensor``, the whole-field passes that
+Harris and Shi-Tomasi used before ``response_grid`` computed their grids in
+blocks of rows. They read trees, images and offset tables
 through their attributes
 (``offset``/``b``/``s``/``d``/``cls``, ``pixels``, ``xy``/``margin``),
 compiled trees through ``root``/``dx``/``dy``/``children``, and detectors
@@ -509,3 +510,19 @@ def smooth_separable(field, kernel):
     for i, kv in enumerate(kernel):
         out += kv * pad[i : i + h, :]
     return out
+
+
+def gradients(pixels):
+    """Central-difference (gx, gy) of a 2-d array as float64, over an
+    edge-replicated border."""
+    pad = np.pad(np.asarray(pixels, dtype=np.float64), 1, mode="edge")
+    gx = 0.5 * (pad[1:-1, 2:] - pad[1:-1, :-2])
+    gy = 0.5 * (pad[2:, 1:-1] - pad[:-2, 1:-1])
+    return gx, gy
+
+
+def structure_tensor(img, kernel):
+    """(axx, axy, ayy): the gradient products of ``img.pixels``, each
+    smoothed whole-field by ``smooth_separable`` with ``kernel``."""
+    gx, gy = gradients(img.pixels)
+    return tuple(smooth_separable(p, kernel) for p in (gx * gx, gx * gy, gy * gy))

@@ -2,17 +2,20 @@
 count control as a prefix of one ranking, agreement of the three FAST-9
 detectors, and the Harris and random baselines."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import nms_oracle, smooth_separable
+from _oracles import gradients, nms_oracle, smooth_separable, structure_tensor
+from cornerforge import baselines
 from cornerforge.annealing import distill, mutate, random_depth1_tree
-from cornerforge.baselines import (HARRIS_K, StructureTensor,
-                                   _smooth_separable, gaussian_kernel,
-                                   gradients, harris_response,
-                                   shi_tomasi_response, structure_tensor)
+from cornerforge.baselines import (HARRIS_K, StructureTensor, gaussian_kernel,
+                                   harris_response, kernel_radius,
+                                   response_grid, shi_tomasi_response)
 from cornerforge.datasets import synthetic_base_image
 from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
@@ -37,6 +40,43 @@ def scored_detectors(fast9_tree, fast9_grid48):
 
 def is_rows(a):
     return a.dtype == np.float64 and a.ndim == 2 and a.shape[1] == 3
+
+
+def fixed_response(field):
+    """A response that ignores the tensor and gives the next rows of
+    ``field``, one block of ``response_grid`` after another, starting over
+    after its last row."""
+    at = [0]
+
+    def response(tensor):
+        h = len(tensor.axx)
+        assert tensor.axx.shape == (h, field.shape[1])
+        rows = field[at[0] : at[0] + h]
+        at[0] = (at[0] + h) % len(field)
+        return rows
+
+    return response
+
+
+def grid_and_tensor(img, sigma, response=harris_response):
+    """``response_grid``'s grid and the (3, h, w) tensor (axx, axy, ayy)
+    that it passed to ``response``, block by block."""
+    blocks = []
+
+    def record(tensor):
+        blocks.append(np.stack([tensor.axx, tensor.axy, tensor.ayy]))
+        return response(tensor)
+
+    grid = response_grid(img, sigma, record)
+    return grid, np.concatenate(blocks, axis=1)
+
+
+def noise_image(h, w, seed, levels=256):
+    """Uniform noise of ``levels`` grey levels spread over 0..255: two
+    levels make flat runs, where gradients and their products are +-0."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, levels, (h, w)) * (255 // (levels - 1))
+    return GrayImage(a.astype(np.uint8))
 
 
 def ranked_oracle(rows):
@@ -171,24 +211,31 @@ class TestScoreGrid:
             assert got.dtype == np.float64, det.name
             assert [tuple(r) for r in got.tolist()] == want, det.name
 
-    @given(field=arrays(np.float64, st.tuples(st.integers(1, 14),
+    @given(field=arrays(np.float64, st.tuples(st.integers(1, 40),
                                               st.integers(1, 14)),
                         elements=st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0,
                                                   2.0, 3.5, np.nan])))
     def test_response_grid_keeps_the_positive_cells(self, field):
         # non-positive and NaN responses are 0 in the grid, which no
-        # positive cell loses to
+        # positive cell loses to; 40 rows cross the blocks of the grid
         det = type("Fixed", (HarrisDetector,),
-                   {"_response": lambda s, img: field})()
-        grid = det.score_grid(None)
-        assert np.array_equal(grid, np.where(field > 0, field, 0.0))
+                   {"response": staticmethod(fixed_response(field))})(0.3)
+        img = GrayImage(np.zeros(field.shape, dtype=np.uint8))
+        if field.shape == (1, 1):  # no sigma smooths within a 1x1 image
+            with pytest.raises(ValueError, match="radius of 1"):
+                det.score_grid(img)
+            return
+        grid = det.score_grid(img)
+        assert grid.dtype == np.float64
+        assert np.array_equal(grid.view(np.int64),
+                              np.where(field > 0, field, 0.0).view(np.int64))
         h, w = field.shape
         m = RING_MARGIN
         ys, xs = np.nonzero(field > 0)
         want = [(x, y, s) for x, y, s in nms_oracle(zip(
                     xs.tolist(), ys.tolist(), field[ys, xs].tolist()))
                 if m <= x < w - m and m <= y < h - m]
-        assert [tuple(r) for r in det.scored_keypoints(None).tolist()] == want
+        assert [tuple(r) for r in det.scored_keypoints(img).tolist()] == want
 
 
 class TestFastAgreement:
@@ -294,7 +341,8 @@ class TestBaselines:
 
     def test_harris_keeps_positive_maxima_outside_margin(self, frame):
         det = HarrisDetector(sigma=1.5)
-        field = harris_response(structure_tensor(frame, 1.5))
+        field = harris_response(StructureTensor(
+            *structure_tensor(frame, gaussian_kernel(1.5))))
         got = det.scored_keypoints(frame)
         h, w = field.shape
         cells = [(x, y, float(field[y, x])) for y in range(h) for x in range(w)]
@@ -303,32 +351,72 @@ class TestBaselines:
         assert len(want) > 10
         assert [tuple(r) for r in got.tolist()] == want
 
-    @given(field=st.tuples(st.sampled_from([1, 63, 64, 65, 129]),
-                           st.integers(1, 40)).flatmap(
-               lambda shape: arrays(np.float64, shape, elements=st.one_of(
-                   st.just(-0.0), st.floats(-1e6, 1e6)))),
+    @given(shape=st.tuples(st.integers(1, 130), st.integers(1, 130)),
+           seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 256]),
+           sigma=st.sampled_from([0.3, 1.0, 2.5, 5.0]),
+           rows=st.sampled_from([1, 5, baselines._GRID_BLOCK_ROWS, 64]))
+    @example(shape=(1, 130), seed=0, levels=256, sigma=5.0, rows=16)
+    @example(shape=(130, 1), seed=0, levels=256, sigma=5.0, rows=16)
+    def test_grid_equals_whole_field_oracle_bit_for_bit(self, shape, seed,
+                                                        levels, sigma, rows):
+        # blocks of rows and the rolling window must not change a pixel's
+        # taps, their order or their roundings, for either response
+        h, w = shape
+        img = noise_image(h, w, seed, levels)
+        kernel = gaussian_kernel(sigma)
+        with mock.patch.object(baselines, "_GRID_BLOCK_ROWS", rows):
+            if kernel_radius(sigma) >= max(w, h):
+                with pytest.raises(ValueError, match="radius"):
+                    response_grid(img, sigma, harris_response)
+                return
+            tensor = StructureTensor(*structure_tensor(img, kernel))
+            for response in (harris_response, shi_tomasi_response):
+                want = response(tensor)
+                want = np.where(want > 0, want, 0.0)
+                got = response_grid(img, sigma, response)
+                assert got.dtype == np.float64 and got.shape == (h, w)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), response.__name__
+
+    @given(shape=st.tuples(st.sampled_from([1, 15, 16, 17, 31, 32, 33, 129]),
+                           st.integers(1, 40)),
+           seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 256]),
            sigma=st.sampled_from([0.3, 1.0, 2.5, 5.0]))
-    @example(field=np.random.default_rng(0).normal(0, 50, (200, 2)), sigma=5.0)
-    def test_smoothing_equals_whole_field_passes_bit_for_bit(self, field, sigma):
-        # row blocks of 64 must not change a pixel's taps, their order or
-        # their roundings; -0.0 shows whether sums start from +0.0
-        k = gaussian_kernel(sigma)
-        got = _smooth_separable(field, k)
-        assert got.dtype == np.float64 and got.shape == field.shape
-        assert np.array_equal(got.view(np.int64),
-                              smooth_separable(field, k).view(np.int64))
+    @example(shape=(200, 2), seed=0, levels=256, sigma=5.0)
+    @example(shape=(20, 30), seed=-1, levels=256, sigma=1.0)
+    def test_smoothing_equals_whole_field_passes_bit_for_bit(self, shape,
+                                                             seed, levels,
+                                                             sigma):
+        # every entry of the tensor that the grid's response reads equals
+        # whole-field smoothing of the whole-field products; seed -1 is a
+        # ramp falling along x, where every gx * gy is -0.0 and axy must be
+        # +0.0, as sums that start from +0.0 give
+        h, w = shape
+        if seed < 0:
+            img = GrayImage(np.tile(np.arange(w)[::-1] * 8, (h, 1)).astype(np.uint8))
+        else:
+            img = noise_image(h, w, seed, levels)
+        if kernel_radius(sigma) >= max(w, h):
+            return
+        kernel = gaussian_kernel(sigma)
+        _, got = grid_and_tensor(img, sigma)
+        gx, gy = gradients(img.pixels)
+        for got_p, product in zip(got, (gx * gx, gx * gy, gy * gy)):
+            assert np.array_equal(got_p.view(np.int64),
+                                  smooth_separable(product, kernel).view(np.int64))
 
     @pytest.mark.parametrize("w, h", [(70, 129), (40, 65), (9, 64)])
     def test_structure_tensor_equals_oracle_across_row_blocks(self, w, h):
         img = GrayImage(np.random.default_rng(w + h).integers(
             0, 256, (h, w), dtype=np.uint8))
-        tensor = structure_tensor(img, 2.5)
-        gx, gy = gradients(img)
         k = gaussian_kernel(2.5)
-        for got, product in ((tensor.axx, gx * gx), (tensor.axy, gx * gy),
-                             (tensor.ayy, gy * gy)):
-            assert np.array_equal(got.view(np.int64),
-                                  smooth_separable(product, k).view(np.int64))
+        for response in (harris_response, shi_tomasi_response):
+            grid, tensor = grid_and_tensor(img, 2.5, response)
+            want = np.stack(structure_tensor(img, k))
+            assert np.array_equal(tensor.view(np.int64), want.view(np.int64))
+            field = response(StructureTensor(*want))
+            assert np.array_equal(grid.view(np.int64),
+                                  np.where(field > 0, field, 0.0).view(np.int64))
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"),
                                        1e308])
@@ -338,8 +426,32 @@ class TestBaselines:
 
     def test_structure_tensor_rejects_radius_beyond_the_image(self):
         img = synthetic_base_image(48, 40, 5)
-        structure_tensor(img, 15.6)  # radius 47, below the longer side
+        response_grid(img, 15.6, harris_response)  # radius 47, below 48
         with pytest.raises(ValueError, match="radius of 48"):
-            structure_tensor(img, 16.0)
+            response_grid(img, 16.0, harris_response)
         with pytest.raises(ValueError, match="radius of 60"):
-            structure_tensor(img, 20.0)
+            response_grid(img, 20.0, harris_response)
+        # the check comes before any buffer: at radius 300,000 the window
+        # alone would take 11 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="radius of 300000"):
+                response_grid(img, 1e5, harris_response)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("det", [HarrisDetector(), ShiTomasiDetector()],
+                             ids=["harris", "shi-tomasi"])
+    def test_score_grid_peaks_below_three_frames(self, det):
+        # the grid is one float64 frame; the blocks' buffers and the
+        # responses' temporaries must stay within two more
+        img = noise_image(480, 640, 1)
+        tracemalloc.start()
+        try:
+            det.score_grid(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 640 * 480 * 8

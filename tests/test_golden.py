@@ -16,12 +16,15 @@ intended output change, and say why where the change is described.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 
+from cornerforge import runtime as rt
 from cornerforge.annealing import mutate, random_depth1_tree
 from cornerforge.cli import ALGOS, EXIT_OK, EXIT_USAGE, main
 from cornerforge.detectors import SixteenFoldDetector, TreeDetector
+from cornerforge.segment import _arcs
 from cornerforge.trees import (RING16, default_offsets_48, deserialize_tree,
                                serialize_tree)
 
@@ -276,24 +279,33 @@ GOLDEN_WALK = {
 }
 
 
-def walk_digests(tmp_path) -> dict[str, str]:
-    """`detect` with two trees whose walks leave a pair uncovered, so they
-    detect on ternary planes and score through ``score_positions``: the
-    best tree of ``anneal_digests``' two runs (3 nodes, 32 pairs, none
+def walked_trees(tmp_path):
+    """(frame, trees) for two trees whose walks leave a pair uncovered, so
+    they detect on ternary planes and score through ``score_positions``:
+    the best tree of ``anneal_digests``' two runs (3 nodes, 32 pairs, none
     covered) as faster, and its `distill`ed form (128 nodes, 100 pairs, 5
-    covered) as fast-tree, at t=1 and t=35."""
+    covered) as fast-tree. ``trees`` holds (algo, name, path, detector)."""
     data = golden_dataset(tmp_path / "data")
-    frame = str(data / "frame_000.pgm")
     annealed, distilled = tmp_path / "anneal_best.tree", tmp_path / "distilled.tree"
     assert main(["anneal", "--dataset", str(data), "--imax", "30", "--runs", "2",
                  "--out", str(tmp_path / "anneal_")]) == EXIT_OK
     assert main(["distill", "--tree", str(annealed), "--dataset", str(data),
                  "--out", str(distilled)]) == EXIT_OK
-    out = {}
+    trees = []
     for algo, name, path, cls in (
             ("faster", "annealed", annealed, SixteenFoldDetector),
             ("fast-tree", "distilled", distilled, TreeDetector)):
-        assert not cls(*deserialize_tree(path.read_bytes())).walk.covered.all()
+        det = cls(*deserialize_tree(path.read_bytes()))
+        assert not det.walk.covered.all()
+        trees.append((algo, name, path, det))
+    return str(data / "frame_000.pgm"), trees
+
+
+def walk_digests(tmp_path) -> dict[str, str]:
+    """`detect` with the two ``walked_trees`` at t=1 and t=35."""
+    frame, trees = walked_trees(tmp_path)
+    out = {}
+    for algo, name, path, _ in trees:
         for t in (1, 35):
             txt = tmp_path / f"{algo}-{name}-t{t}.txt"
             assert main(["detect", frame, "--algo", algo, "--tree", str(path),
@@ -304,3 +316,37 @@ def walk_digests(tmp_path) -> dict[str, str]:
 
 def test_walked_trees_match_golden_digests(tmp_path):
     assert walk_digests(tmp_path) == GOLDEN_WALK
+
+
+def test_plans_replay_the_greedy_merges(tmp_path):
+    # A pair set whose darker sides equal its brighter ones runs the greedy
+    # once and replays its merges; the plan must be the one that running
+    # the greedy for the darker sides as well gives. The arcs of FAST-n and
+    # every walk's needs have equal sides; the covered and uncovered halves
+    # of the walked trees' needs are checked whether or not theirs are.
+    _, trees = walked_trees(tmp_path)
+    keys = [(_arcs(n), len(RING16.offsets), True) for n in range(9, 17)]
+    for _, _, _, det in trees:
+        walk = det.walk
+        pairs = [(tuple(b), tuple(d)) for b, d in walk.pairs]
+        keys.append((tuple(pairs), len(walk.offsets), True))
+        for sure in (True, False):
+            keys.append((tuple(p for p, c in zip(pairs, walk.covered)
+                               if c == sure), len(walk.offsets), False))
+    replayed = 0
+    for pairs, n, equal in keys:
+        brighter = sorted({b for b, _ in pairs if b})
+        darker = sorted({d for _, d in pairs if d})
+        assert not equal or darker == brighter
+        greedy = rt._shared_steps
+        with mock.patch.object(rt, "_shared_steps", wraps=greedy) as spy:
+            plan = rt._needs_plan.__wrapped__(pairs, n)
+        assert spy.call_count == (1 if darker == brighter else 2)
+        replayed += darker == brighter
+
+        def again(steps, values, op, n):
+            return greedy(darker, np.maximum, n, steps)
+
+        with mock.patch.object(rt, "_replayed", again):
+            assert rt._needs_plan.__wrapped__(pairs, n) == plan
+    assert replayed >= 10

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from _oracles import any_within, repeatability_curve_loop
 from conftest import constant_image
-from cornerforge.detectors import (FastRefDetector, HarrisDetector,
-                                   RandomDetector)
+from cornerforge.detectors import (FastRefDetector, FeatureDetector,
+                                   HarrisDetector, RandomDetector)
 from cornerforge.image import GrayImage
-from cornerforge.repeatability import (_cells_within, _disc_runs,
+from cornerforge.repeatability import (_MATCH_BLOCK, _cells_within,
+                                       _disc_runs, _pair_counts,
                                        _rank_raster, _row_prefix, _runs_hit,
                                        area_under_curve, make_pairs,
                                        pair_repeatability,
@@ -394,6 +396,87 @@ class TestRepeatabilityCurve:
         with pytest.raises(ValueError, match="no frame pairs"):
             repeatability_curve(frames[:1], {}, detector, [0, 10], 5.0,
                                 make_pairs(1))
+
+
+class Pools(FeatureDetector):
+    """A detector whose ranking of frame k is the fixed ``pools[k]``."""
+
+    split_ties = True
+
+    def __init__(self, pools):
+        self.pools = pools
+
+    def all_keypoints(self, img, frame_key=None):
+        return self.pools[frame_key].copy()
+
+
+def ranked_pool(xy) -> np.ndarray:
+    """Keypoint rows for the points ``xy``, ranked as listed: distinct
+    scores falling from len(xy)."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    return np.column_stack([xy, np.arange(len(xy), 0, -1)])
+
+
+class TestMatchBlocks:
+    B = _MATCH_BLOCK
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("eps", [1.5, 5.0])
+    def test_pair_counts_across_query_blocks(self, n, eps):
+        # n sources project into the 64x48 frame and 7 off it, shuffled
+        # into one ranking; every cut, inside a block or on its edge, must
+        # count as the oracle does, and so must the curve
+        b, w, h = self.B, 64, 48
+        rng = np.random.default_rng(n)
+        cells = rng.permutation((w - 2) * (h - 2))[:n]
+        inside = np.column_stack([cells % (w - 2) + 1, cells // (w - 2) + 1])
+        off = np.column_stack([np.full(7, w - 1), rng.integers(0, h, 7)])
+        xy = np.concatenate([inside, off])[rng.permutation(n + 7)]
+        pool_i = ranked_pool(xy)
+        pool_j = ranked_pool(np.column_stack([rng.integers(0, w, 60),
+                                              rng.integers(0, h, 60)]))
+        warp = Homography(np.array([[1.0, 0.0, 0.25], [0.0, 1.0, -0.5],
+                                    [0.0, 0.0, 1.0]]), (w, h))
+        proj, valid = project_points(warp, pool_i[:, :2])
+        assert valid.sum() == n
+        cuts_i = sorted({0, 1, b - 1, b, b + 1, 2 * b, n, n + 7})
+        cuts_j = [min(len(pool_j), 10 * k + 5) for k in range(len(cuts_i))]
+        useful, repeated = _pair_counts(pool_i, pool_j, cuts_i, cuts_j, warp,
+                                        eps)
+        for k, (ci, cj) in enumerate(zip(cuts_i, cuts_j)):
+            qs = proj[:ci][valid[:ci]].tolist()
+            assert useful[k] == len(qs)
+            assert repeated[k] == sum(any_within(qs, pool_j[:cj, :2].tolist(),
+                                                 eps))
+        frames = [constant_image(w, h), constant_image(w, h)]
+        counts = sorted({0, 1, b - 1, b, b + 1, n + 7, 3 * b + 20})
+        det = Pools([pool_i, pool_j])
+        assert repeatability_curve(frames, {(0, 1): warp}, det, counts, eps,
+                                   [(0, 1)]) == repeatability_curve_loop(
+            frames, {(0, 1): warp}, det, counts, eps, [(0, 1)],
+            project_points)
+
+    def test_pair_counts_peaks_below_raster_and_a_megabyte(self):
+        # the matcher's temporaries are sized by its query block, not by
+        # the 2,000 sources of a full-size pool
+        w, h, eps = 640, 480, 5.0
+        rng = np.random.default_rng(0)
+        pools = [ranked_pool(np.column_stack([cells % w, cells // w]))
+                 for cells in (rng.choice(w * h, 2000, replace=False)
+                               for _ in range(2))]
+        warp = Homography(np.array([[0.98, 0.02, 3.0], [-0.01, 1.01, -2.0],
+                                    [1e-5, 0.0, 1.0]]), (w, h))
+        cuts = list(range(0, 2001, 250))
+        tracemalloc.start()
+        try:
+            useful, _ = _pair_counts(*pools, cuts, cuts, warp, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert useful[-1] > 1900
+        c = math.ceil(eps)
+        raster = (w + 2 * c) * (h + 2 * c) * np.dtype(np.int32).itemsize
+        assert peak < raster + 2**20
 
 
 class TestAreaUnderCurve:
