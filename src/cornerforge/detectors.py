@@ -26,7 +26,7 @@ from .baselines import (detect_random, harris_response, response_grid,
                         shi_tomasi_response)
 from .image import GrayImage
 from .runtime import (PlaneWalk, check_threshold, corner_needs, minimal_pairs,
-                      needs_field, rank_by_score, score_positions,
+                      needs_field, pair_mask, rank_by_score, score_positions,
                       suppressed_rows, top_n_by_score)
 from .segment import check_arc, segment_score_field
 from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
@@ -99,7 +99,9 @@ class TreeDetector(FeatureDetector):
     Empty ``needs`` means no corner leaf, and the field is 0. Otherwise the
     walk detects (``PlaneWalk.detect``; every variant after the first walks
     only the columns that meet a pair) and ``score_positions`` scores the
-    detections exactly. The choice rests on the tree alone."""
+    detections exactly from the walk's scoring paths, the covered pairs and
+    the variants' corner paths that no covered pair holds. The choice rests
+    on the tree alone."""
 
     name = "fast-tree"
 
@@ -111,17 +113,18 @@ class TreeDetector(FeatureDetector):
         first = {}  # each distinct offset of the source -> its first node
         for k, xy in enumerate(zip(source.dx.tolist(), source.dy.tolist())):
             first.setdefault(xy, k)
+        offsets = sorted({xy for ct in self.trees
+                          for xy in zip(ct.dx.tolist(), ct.dy.tolist())})
+        index = {xy: k for k, xy in enumerate(offsets)}
         needs = corner_needs(source)
         mapped = set()
         for ct in self.trees:
-            to = {xy: (int(ct.dx[k]), int(ct.dy[k])) for xy, k in first.items()}
+            to = {xy: index[int(ct.dx[k]), int(ct.dy[k])] for xy, k in first.items()}
             for b, d in needs:
                 b, d = frozenset(map(to.get, b)), frozenset(map(to.get, d))
                 mapped |= {(b, d), (d, b)}
-        self.needs = minimal_pairs(mapped)
-        self.walk = PlaneWalk(self.trees, sorted(
-            {xy for ct in self.trees for xy in zip(ct.dx.tolist(), ct.dy.tolist())}),
-            self.needs)
+        self.needs = minimal_pairs({pair_mask(b, d) for b, d in mapped}, offsets)
+        self.walk = PlaneWalk(self.trees, offsets, self.needs)
         self.t_min = t_min
 
     @staticmethod

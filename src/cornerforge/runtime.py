@@ -1,24 +1,27 @@
 """Applying decision trees to images: detection, corner scores, suppression,
 feature-count control and writing the keypoint file.
 
-A tree's corner needs are (brighter, darker) offset sets such that every
-corner path tests, in those states, every offset of one pair: a path that
-tests the offsets of a set B brighter and of a set D darker fires at t only
-if ring - centre reaches t at every offset of B and -t at every offset of
-D. ``corner_needs`` lists the minimal (B, D) of a tree's corner paths. A
-pair's bound, the least of ring - centre over B and of centre - ring over
-D, is the largest t at which a position meets it, and the largest bound
-over the pairs is a ceiling on the position's score. A pair is covered
-when some tree fires on every column whose states meet it; the position
-then fires at the pair's bound, so the largest bound over the covered
-pairs is a floor. When every pair is covered the two meet: a position fires
-at t exactly when its ceiling reaches t, and its score is the ceiling.
-``_bound_block`` is the one routine for bounds: ``needs_field`` runs it on
-views of the pixels, for every pixel's ceiling, and ``score_positions`` on
-pixels gathered at given positions. A tree detector whose pairs are all
-covered, as every exhaustive FAST-n tree's are (its pairs are the arcs of
-n), detects and scores from the field alone (``detectors.TreeDetector``),
-and the segment test's score field is the field over the arcs of n.
+``corner_paths`` lists a tree's corner paths, from the root to a corner
+leaf, as the (brighter, darker, similar) sets of the offsets each tests in
+that state. With d = ring - centre, a position follows a path at threshold
+t exactly when lo < t <= hi: hi is the least of d over the brighter set and
+of -d over the darker set (255 when both are empty), its bound, and lo the
+greatest |d| over the similar set (0 when it is empty). So the corner score
+of a pixel, the largest threshold at which it still classifies as a
+corner, is the largest hi with lo < hi over the paths, whether or not
+classification is monotone in the threshold. ``corner_needs`` keeps the
+minimal (brighter, darker) pairs of the paths: a position fires at t only
+if it meets one, every brighter offset at d >= t and every darker one at
+d <= -t. A pair is covered when some tree fires on every column whose
+states meet it; it is then a path in its own right, with no similar test,
+and holds every path whose sets hold its own. ``_bound_block`` is the one
+routine that evaluates paths: ``needs_field`` runs it on views of the
+pixels, for every pixel, and ``score_positions`` on pixels gathered at
+given positions, over a ``PlaneWalk``'s scoring paths. A tree detector
+whose pairs are all covered, as every exhaustive FAST-n tree's are (its
+pairs are the arcs of n), detects and scores from the field over its pairs
+alone (``detectors.TreeDetector``), and the segment test's score field is
+the field over the arcs of n.
 Other trees detect on ternary state planes: ``ternary_planes`` computes the
 darker/similar/brighter state of every interior pixel at each offset once
 per image and threshold, one column per pixel, and ``PlaneWalk`` walks one
@@ -31,14 +34,9 @@ the later trees only the unfired columns whose states meet some pair, found
 with bit-packed rows once per walk.
 A keypoint set is one (N, 3) float64 array whose rows are x, y, score.
 Positions and the integer scores of segment-test detectors are exact in
-float64; response detectors keep their float scores. The corner score of a
-pixel is the largest threshold at which it still classifies as a corner;
-``score_positions`` computes it exactly for any tree, or OR of trees, by
-walking each tree once per position with the interval of thresholds that
-reach each node, between the position's floor and ceiling; a position
-whose floor meets its ceiling walks no tree. Classification need not be
-monotone in the threshold. Scoring reads pixels at the offsets of the
-detector's ``PlaneWalk``.
+float64; response detectors keep their float scores. ``score_positions``
+scores any tree, or OR of trees, exactly at given positions, reading
+pixels at the offsets of the detector's ``PlaneWalk``.
 ``suppressed_rows`` is the one 3x3 non-maximal suppression, from a score
 grid to keypoint rows: one pass over the cells at least ``RING_MARGIN``
 from every edge, the only cells it can keep. The top n keypoints are a
@@ -62,9 +60,10 @@ from .trees import CompiledTree
 
 
 # Bytes of uint8 values, gathered pixels and plan buffers, per block of
-# ``_position_bounds``: for a 272-pair annealed tree's 275k positions of a
-# 640x480 frame at t=1 (2-core Xeon), blocks of 1, 2, 4 and 8 MB took 79,
-# 68, 58 and 53 ms, with traced peaks of 2.2, 3.4, 5.6 and 10.2 MB.
+# ``score_positions``: for the 288 scoring paths (352 buffers) of
+# ``tests/fixtures/annealed_1500.tree`` at its 275k positions of a 640x480
+# frame at t=1 (2-core Xeon), blocks of 1, 2, 4 and 8 MB took 265, 182,
+# 142 and 116 ms, with traced peaks of 4.2, 4.6, 6.4 and 10.0 MB.
 _BOUNDS_BYTES = 1 << 22
 
 # Pixels per offset view of a block of ``needs_field``: 64 KB views stay
@@ -143,13 +142,20 @@ class PlaneWalk:
     here; ``least`` is the fewest rows of any pair. A column fires on no
     tree unless some pair holds in its states, every brighter row 2 and
     every darker row 0. ``fired`` walks the trees after the first only over
-    the columns that meet a pair, and ``score_positions`` bounds scores by
-    them. ``covered`` holds a bool per pair, True when some tree reaches a
-    corner leaf on every column whose states meet the pair
-    (``_covered``), so the pair's bound is a floor on the score; on FAST-9
-    all 32 pairs are covered. ``needs=None`` means unknown (annealing and
-    ``distill`` only detect): ``pairs`` and ``covered`` are None, which
-    gates nothing; an empty ``needs`` means no corner leaf.
+    the columns that meet a pair. ``covered`` holds a bool per pair, True
+    when some tree reaches a corner leaf on every column whose states meet
+    the pair (``_covered``); on FAST-9 all 32 pairs are covered.
+
+    ``paths`` holds the scoring paths that ``score_positions`` evaluates,
+    (brighter, darker, similar) tuples of plane rows ordered like ``pairs``:
+    the covered pairs, with no similar row, and when some pair is not
+    covered, every tree's corner paths (``corner_paths``) that neither a
+    covered pair nor another path holds (``minimal_masks``). The thresholds
+    at which a held path fires lie inside those of the path that holds it,
+    so dropping it changes no score. ``needs=None`` means unknown
+    (annealing and ``distill`` only detect): ``pairs``, ``covered`` and
+    ``paths`` are None, which gates nothing; an empty ``needs`` means no
+    corner leaf.
     """
 
     def __init__(self, trees, offsets, needs=None):
@@ -165,7 +171,7 @@ class PlaneWalk:
         except KeyError as exc:
             raise ValueError(f"node offset {exc} is not among the offsets") from None
         self.heads = [self._head(ct, row) for ct, row in zip(self.trees, self.rows)]
-        self.pairs, self.least, self.covered = None, 0, None
+        self.pairs, self.least, self.covered, self.paths = None, 0, None, None
         if needs is not None:
             try:
                 self.pairs = sorted(
@@ -178,6 +184,7 @@ class PlaneWalk:
             self.least = min((len(b) + len(d) for b, d in self.pairs), default=0)
             self._stack = _stacked(self.pairs)
             self.covered = self._covered()
+            self.paths = self._scoring_paths()
 
     @staticmethod
     def _head(ct: CompiledTree, row: np.ndarray):
@@ -249,6 +256,17 @@ class PlaneWalk:
                 ruled |= np.bitwise_and.outer(leaves[:, w], need[todo, w]) != 0
             covered[todo] = ruled.all(axis=0)
         return covered
+
+    def _scoring_paths(self) -> tuple:
+        """``paths``, found as ``corner_paths`` masks of plane rows."""
+        found = {pair_mask(b, d) for (b, d), sure in zip(self.pairs, self.covered)
+                 if sure}
+        if not self.covered.all():
+            for ct, row in zip(self.trees, self.rows):
+                found |= corner_paths(ct, row)
+            found = minimal_masks(found)
+        return tuple(sorted(map(_sides, found),
+                            key=lambda path: (sum(map(len, path)), path)))
 
     def fired(self, planes: np.ndarray) -> np.ndarray:
         """Columns of ``planes`` that any of the trees classifies as a
@@ -361,74 +379,104 @@ class PlaneWalk:
                                 hit // iw + margin]).astype(np.int32)
 
 
-def corner_needs(ct) -> frozenset:
-    """The minimal (brighter, darker) offset sets over the paths of a
-    compiled tree that end at a corner leaf.
-
-    A path's pair holds the distinct (dx, dy) it tests in the brighter and
-    in the darker state, as two frozensets: a tree may test one offset
-    twice on a path. A position fires on the path at threshold t only if
-    ring - centre >= t at every brighter offset and <= -t at every darker
-    one, which bounds its score (``score_positions``). A pair is dropped
-    when another pair's two sets are subsets of its own (``minimal_pairs``).
-    Empty when no corner leaf exists, and {(∅, ∅)} when the all-similar
-    chain ends in a corner. The paths are walked, and the pairs cut, as two
-    int bitmasks, a bit per distinct offset of the tree.
-    """
-    if ct.root < 0:
-        return frozenset({(frozenset(), frozenset())} if ct.root == -2 else ())
-    nodes = list(zip(ct.dx.tolist(), ct.dy.tolist()))
-    offsets = sorted(set(nodes))
-    bit = {xy: 1 << k for k, xy in enumerate(offsets)}
-    node_bit = [bit[xy] for xy in nodes]
+def corner_paths(ct, row) -> set:
+    """The corner paths of a compiled tree, from the root to a corner leaf,
+    each as the int bitmask of its tests, one per distinct mask: a test of
+    node k in state s (0 darker, 1 similar, 2 brighter, as in
+    ``ternary_planes``) sets bit 3 * row[k] + s, and ``_sides`` splits a
+    mask into its (brighter, darker, similar) rows. A path may test one
+    offset twice, even in two states; one that does so in two states never
+    fires, its lo being at least its bound. {0} when the root is a corner
+    leaf, and empty when no corner leaf exists."""
+    bits = [1 << 3 * k for k in map(int, row)]
     children = ct.children.tolist()
     found = set()
-    stack = [(ct.root, 0, 0)]
+    stack = [(ct.root, 0)]
     while stack:
-        node, brighter, darker = stack.pop()
+        node, tests = stack.pop()
         if node < 0:
             if node == -2:
-                found.add((brighter, darker))
+                found.add(tests)
             continue
-        m = node_bit[node]
+        m = bits[node]
         to_d, to_s, to_b = children[node]
-        stack += [(to_b, brighter | m, darker), (to_s, brighter, darker),
-                  (to_d, brighter, darker | m)]
-
-    def offsets_of(mask):
-        return frozenset(xy for k, xy in enumerate(offsets) if mask >> k & 1)
-
-    return frozenset((offsets_of(b), offsets_of(d))
-                     for b, d in minimal_pairs(found, size=int.bit_count))
+        stack += [(to_d, tests | m), (to_s, tests | m << 1), (to_b, tests | m << 2)]
+    return found
 
 
-def minimal_pairs(pairs, size=len) -> frozenset:
-    """The (brighter, darker) pairs of ``pairs`` that hold no other: a pair
-    is kept only if no kept pair's two sets are subsets of its own, visiting
-    the pairs in order of ``size``. A set is a frozenset, or an int bitmask
-    with ``size=int.bit_count``. A dropped pair's bound on the score is
-    never above the bound of the pair it holds, so the ceiling, the largest
-    bound, is unchanged."""
+def pair_mask(brighter, darker) -> int:
+    """The ``corner_paths`` mask of a path that tests the rows of
+    ``brighter`` brighter, those of ``darker`` darker and nothing similar;
+    the rows of each side are distinct."""
+    return sum(4 << 3 * k for k in brighter) | sum(1 << 3 * k for k in darker)
+
+
+def _sides(tests: int) -> tuple:
+    """The (brighter, darker, similar) ascending rows of a ``corner_paths``
+    mask."""
+    rows = ([], [], [])  # by state: darker, similar, brighter
+    while tests:
+        k = (tests & -tests).bit_length() - 1
+        rows[k % 3].append(k // 3)
+        tests &= tests - 1
+    return tuple(rows[2]), tuple(rows[0]), tuple(rows[1])
+
+
+def corner_needs(ct) -> frozenset:
+    """The minimal (brighter, darker) offset sets over the corner paths of
+    a compiled tree (``corner_paths``), each the distinct (dx, dy) a path
+    tests in that state, as two frozensets (``minimal_pairs``).
+
+    A position fires on a path at threshold t only if ring - centre >= t
+    at every brighter offset and <= -t at every darker one. Empty when no
+    corner leaf exists, and {(∅, ∅)} when the all-similar chain ends in a
+    corner.
+    """
+    nodes = list(zip(ct.dx.tolist(), ct.dy.tolist()))
+    offsets = sorted(set(nodes))
+    index = {xy: k for k, xy in enumerate(offsets)}
+    return minimal_pairs(corner_paths(ct, [index[xy] for xy in nodes]), offsets)
+
+
+def minimal_pairs(masks, offsets) -> frozenset:
+    """The (brighter, darker) pairs of ``corner_paths`` masks, their similar
+    tests dropped, that hold no other (``minimal_masks``), as frozensets of
+    the (dx, dy) in ``offsets`` that their rows index."""
+    similar = sum(2 << 3 * k for k in range(len(offsets)))
+    return frozenset(
+        tuple(frozenset(offsets[k] for k in side) for side in _sides(tests)[:2])
+        for tests in minimal_masks({m & ~similar for m in masks}))
+
+
+def minimal_masks(masks) -> frozenset:
+    """The int bitmasks of ``masks`` that hold no other: a mask is kept only
+    if no kept mask is a subset of it, visiting the masks by bit count.
+
+    A corner need or path is passed as the one mask of its (offset, state)
+    tests (``corner_paths``), so one test decides whether it holds another.
+    A dropped path's bound is never above that of the path it holds, and
+    its lo never below, so neither the largest bound of the needs nor any
+    score changes."""
     kept = []
-    for b, d in sorted(set(pairs), key=lambda pair: size(pair[0]) + size(pair[1])):
-        if not any(kb | b == b and kd | d == d for kb, kd in kept):
-            kept.append((b, d))
+    for x in sorted(set(masks), key=int.bit_count):
+        if not any(k | x == x for k in kept):
+            kept.append(x)
     return frozenset(kept)
 
 
-def needs_field(img: GrayImage, offsets, pairs, margin: int) -> np.ndarray:
-    """The largest bound of ``pairs`` at every pixel, as an image-shaped
-    int16 field: 0 within ``margin`` of an edge and where no bound reaches 1.
+def needs_field(img: GrayImage, offsets, paths, margin: int) -> np.ndarray:
+    """The largest bound hi with lo < hi of ``paths`` at every pixel, as an
+    image-shaped int16 field: 0 within ``margin`` of an edge and where no
+    such bound reaches 1.
 
-    ``pairs`` holds (brighter, darker) sequences of indices into
-    ``offsets``. A pair's bound is min(least ring over brighter - centre,
-    centre - greatest ring over darker), an empty side giving 255; the field
-    is the score ceiling of every position. When every pair is covered the
-    ceiling is the exact score, so the field thresholded at t is a tree's
-    detections and scores (``TreeDetector``), and over the arcs of n it is
-    the segment test's (``segment.segment_score_field``).
+    ``paths`` holds (brighter, darker, similar) sequences of indices into
+    ``offsets``, or (brighter, darker) pairs, which test nothing similar.
+    Over the pairs of a tree, the field bounds every position's score; when
+    every pair is covered it is the exact score, so the field thresholded
+    at t is a tree's detections and scores (``TreeDetector``), and over the
+    arcs of n it is the segment test's (``segment.segment_score_field``).
 
-    ``_bound_block`` runs the pairs' plan on uint8 views of the offsets,
+    ``_bound_block`` runs the paths' plan on uint8 views of the offsets,
     over blocks of rows of at most ``_BLOCK_PIXELS`` pixels per view, with
     buffers allocated once per call.
     """
@@ -438,7 +486,8 @@ def needs_field(img: GrayImage, offsets, pairs, margin: int) -> np.ndarray:
     out = np.zeros((h, w), dtype=np.int16)
     if h <= 2 * margin or w <= 2 * margin:
         return out
-    plan = _needs_plan(tuple((tuple(b), tuple(d)) for b, d in pairs), len(offsets))
+    plan = _needs_plan(tuple(tuple(map(tuple, path)) for path in paths),
+                       len(offsets))
     m, iw = margin, w - 2 * margin
     rows = min(max(1, _BLOCK_PIXELS // iw), h - 2 * m)
     bufs = [np.empty((rows, iw), dtype=np.uint8) for _ in range(plan[1])]
@@ -455,13 +504,16 @@ def needs_field(img: GrayImage, offsets, pairs, margin: int) -> np.ndarray:
 
 def _bound_block(plan: tuple, val: list, c: np.ndarray, core: np.ndarray,
                  d: np.ndarray, e: np.ndarray) -> None:
-    """Write into int16 ``core`` the largest bound, clipped at 0, of a
-    ``_needs_plan`` plan's pairs over one block of uint8 values ``val`` (the
-    offsets', then the buffers) and int16 centres ``c``; d and e are int16
-    scratch. The plan reduces each side's extreme, and then the one-sided
-    pairs' extremes to one per kind, in uint8; only those and the sides of
-    two-sided pairs are widened to int16, once each, to take the centre."""
-    steps, _, hi, lo, both, full = plan
+    """Write into int16 ``core`` the largest bound hi with lo < hi, clipped
+    at 0, of a ``_needs_plan`` plan's paths over one block of uint8 values
+    ``val`` (the offsets', then the buffers) and int16 centres ``c``; d and
+    e are int16 scratch. The plan reduces each side's extreme, and then the
+    one-sided pairs' extremes to one per kind, in uint8; only those and the
+    sides of the other paths are widened to int16, once each, to take the
+    centre. Each of those paths' bound is zeroed where a similar offset's
+    |ring - centre| reaches it: where the similar side's greatest value
+    less the centre, or the centre less its least value, does."""
+    steps, _, hi, lo, each, full = plan
     if full:
         core.fill(255)
         return
@@ -473,50 +525,68 @@ def _bound_block(plan: tuple, val: list, c: np.ndarray, core: np.ndarray,
         np.subtract(val[hi], c, out=core)
     if lo is not None:
         np.maximum(core, np.subtract(c, val[lo], out=d), out=core)
-    for b, dark in both:
-        np.subtract(val[b], c, out=d)
-        np.minimum(d, np.subtract(c, val[dark], out=e), out=d)
+    for b, dark, least, most in each:
+        if b is None:
+            d.fill(255)
+        else:
+            np.subtract(val[b], c, out=d)
+        if dark is not None:
+            np.minimum(d, np.subtract(c, val[dark], out=e), out=d)
+        if least is not None:  # a product, since a masked copy is slower
+            np.subtract(val[most], c, out=e)
+            np.multiply(d, e < d, out=d)
+            np.subtract(c, val[least], out=e)
+            np.multiply(d, e < d, out=d)
         np.maximum(core, d, out=core)
     np.maximum(core, 0, out=core)
 
 
 @lru_cache(maxsize=256)
-def _needs_plan(pairs: tuple, n: int) -> tuple:
-    """(steps, slots, hi, lo, both, full) of ``_bound_block`` for a tuple of
-    (brighter, darker) index tuples over n offsets.
+def _needs_plan(paths: tuple, n: int) -> tuple:
+    """(steps, slots, hi, lo, each, full) of ``_bound_block`` for a tuple of
+    (brighter, darker, similar) index tuples over n offsets; a (brighter,
+    darker) pair is the path with no similar side.
 
     A block's values are the n offsets' and then ``slots`` uint8 buffers,
     and a step (op, i, j, k) writes op(value i, value j) into buffer value
     k. ``hi`` is the value that ends with the largest least ring value over
     the brighter-only pairs, ``lo`` the one with the least greatest value
-    over the darker-only pairs (None when there are none), and ``both``
-    lists the (least, greatest) values of each pair with two sides. ``full``
-    is True, and the rest empty, when some pair is (∅, ∅): every bound 255.
+    over the darker-only pairs (None when there are none), and ``each``
+    lists, for each other path, the least value of its brighter side, the
+    greatest of its darker side, and the least and greatest of its similar
+    side, None for an empty side. ``full`` is True, and the rest empty,
+    when some path is (∅, ∅, ∅): every bound 255.
 
-    Each side's extreme is one value. Sides that share offsets share work:
-    ``_shared_steps`` merges, as long as two values sit in two or more
-    sides, the two that sit together in the most. When the darker sides are
-    the brighter ones, as for every ``TreeDetector`` walk and FAST-n arc
-    set, the greedy runs once and ``_replayed`` repeats its merges. The
-    steps are numbered first, then given buffers: a step's buffer is one
-    whose value no later step reads, and the values the block's bound reads
-    keep theirs to the end.
+    Each side's extreme is one value. A similar side is reduced both ways:
+    with the brighter sides to its least and with the darker sides to its
+    greatest. Sides that share offsets share work: ``_shared_steps``
+    merges, as long as two values sit in two or more sides, the two that
+    sit together in the most. When the darker sides are the brighter ones,
+    as for every ``TreeDetector`` walk and FAST-n arc set, the greedy runs
+    once and ``_replayed`` repeats its merges. The steps are numbered
+    first, then given buffers: a step's buffer is one whose value no later
+    step reads, and the values the block's bound reads keep theirs to the
+    end.
     """
-    if ((), ()) in pairs:
+    paths = sorted({(path[0], path[1], path[2] if len(path) > 2 else ())
+                    for path in paths})
+    if ((), (), ()) in paths:
         return (), 0, None, None, (), True
-    pairs = sorted(set(pairs))
     steps = []
-    brighter = sorted({b for b, _ in pairs if b})
-    darker = sorted({d for _, d in pairs if d})
+    similar = {s for _, _, s in paths if s}
+    brighter = sorted({b for b, _, _ in paths if b} | similar)
+    darker = sorted({d for _, d, _ in paths if d} | similar)
     least = dict(zip(brighter, _shared_steps(brighter, np.minimum, n, steps)))
-    if darker == brighter:  # needs closed under swapping: the same merges
+    if darker == brighter:  # sides closed under swapping: the same merges
         most = dict(zip(darker, _replayed(steps, least.values(), np.maximum, n)))
     else:
         most = dict(zip(darker, _shared_steps(darker, np.maximum, n, steps)))
-    hi = _fold([least[b] for b, d in pairs if not d], np.maximum, n, steps)
-    lo = _fold([most[d] for b, d in pairs if not b], np.minimum, n, steps)
-    both = [(least[b], most[d]) for b, d in pairs if b and d]
-    last = {v: len(steps) for v in [hi, lo, *(v for pair in both for v in pair)]}
+    one = [(b, d) for b, d, s in paths if not s and not (b and d)]
+    hi = _fold([least[b] for b, d in one if b], np.maximum, n, steps)
+    lo = _fold([most[d] for b, d in one if d], np.minimum, n, steps)
+    each = [(least.get(b), most.get(d), least.get(s), most.get(s))
+            for b, d, s in paths if s or (b and d)]
+    last = {v: len(steps) for v in [hi, lo, *(v for path in each for v in path)]}
     for s, (_, i, j) in reversed(list(enumerate(steps))):
         last.setdefault(i, s)
         last.setdefault(j, s)
@@ -530,7 +600,8 @@ def _needs_plan(pairs: tuple, n: int) -> tuple:
         where.append(free.pop())
         plan.append((op, where[i], where[j], where[-1]))
     return (tuple(plan), slots, *(None if v is None else where[v] for v in (hi, lo)),
-            tuple((where[b], where[d]) for b, d in both), False)
+            tuple(tuple(None if v is None else where[v] for v in path)
+                  for path in each), False)
 
 
 def _shared_steps(sides, op, n: int, steps: list) -> list:
@@ -597,71 +668,43 @@ def _fold(values: list, op, n: int, steps: list):
 def score_positions(walk: PlaneWalk, img: GrayImage, xs, ys,
                     t_min: int) -> np.ndarray:
     """Corner scores at explicit positions: the largest t in [t_min, 255] at
-    which any tree of ``walk`` classifies the position as a corner.
+    which any tree of ``walk`` classifies the position as a corner, or
+    t_min - 1 where none does. Returns int32 scores.
 
-    Exact for any tree, monotone in t or not: each tree is walked once per
-    position with the interval of thresholds that reach the current node
-    (``_score_walk``). The score of an OR of trees is the largest of their
-    scores; the trees are walked in turn, and each walk only looks above the
-    best score found so far and up to the position's ceiling. The best
-    score starts at the larger of the floor (``_position_bounds``) and
-    t_min - 1, so a position whose floor meets its ceiling walks no tree.
-    The walk must hold its trees' corner needs (``walk.pairs`` not None).
-    Its offsets become flat deltas dy * width + dx once per image; tree i
-    reads them through ``walk.rows[i]``. The positions must lie at least the
-    trees' margin from every edge. Positions that fire at no t in range get
-    t_min - 1. Returns int32 scores.
+    Exact for any tree, monotone in t or not: the largest t at which a
+    position fires is the largest bound hi with lo < hi over the walk's
+    scoring paths (``walk.paths``, so the walk must hold its trees' corner
+    needs), ``_bound_block``'s over one ``_needs_plan`` plan. The pixels
+    at the offsets some path names are gathered through flat deltas
+    dy * width + dx, in blocks of about ``_BOUNDS_BYTES`` of those and the
+    plan's uint8 buffers. The positions must lie at least the trees' margin
+    from every edge.
     """
     check_threshold(t_min)
     flat = img.pixels.ravel()
     index = np.int32 if flat.size < 2**31 else np.intp
     pos = (np.asarray(ys, dtype=np.intp) * img.width
            + np.asarray(xs, dtype=np.intp)).astype(index)
-    centre = flat.take(pos).astype(np.int16)
     dx, dy = np.array(walk.offsets, dtype=index).reshape(-1, 2).T
     deltas = dy * index(img.width) + dx
-    floor, ceiling = _position_bounds(walk, flat, pos, centre, deltas)
-    best = np.maximum(floor, np.int16(t_min - 1))
-    for ct, row in zip(walk.trees, walk.rows):
-        if ct.root >= 0:  # a corner leaf covers every pair, the other never fires
-            _score_walk(ct, deltas.take(row), flat, pos, centre, best, ceiling)
-    return best.astype(np.int32)
-
-
-def _position_bounds(walk: PlaneWalk, flat: np.ndarray, pos: np.ndarray,
-                     centre: np.ndarray, deltas: np.ndarray) -> tuple:
-    """The int16 score (floor, ceiling) at flat pixel indices ``pos`` with
-    int16 ``centre`` values; offset k of the walk is ``deltas[k]`` away.
-
-    The floor is the largest bound, clipped at 0, of the pairs that
-    ``walk.covered`` marks: the position fires at it when it is at least 1.
-    The ceiling is the larger of the floor and the other pairs' largest
-    bound: no t above it fires. Both are ``_bound_block``'s, over pixels
-    gathered at the offsets some pair names, in blocks of about
-    ``_BOUNDS_BYTES`` of those and the two plans' shared uint8 buffers.
-    """
-    keys = ([], [])  # the covered pairs, then the others
-    for (b, d), sure in zip(walk.pairs, walk.covered):
-        keys[not sure].append((tuple(b), tuple(d)))
     n = len(walk.offsets)
-    plans = [_needs_plan(tuple(key), n) for key in keys]
-    used = sorted({k for pair in walk.pairs for side in pair for k in side})
-    slots = max(plan[1] for plan in plans)
-    step = max(1, min(len(pos), _BOUNDS_BYTES // max(1, len(used) + slots)))
-    bufs = np.empty((slots, step), dtype=np.uint8)
-    diff, other = np.empty((2, step), dtype=np.int16)
-    floor, ceiling = np.empty((2, len(pos)), dtype=np.int16)
+    plan = _needs_plan(walk.paths, n)
+    used = sorted({k for path in walk.paths for side in path for k in side})
+    step = max(1, min(len(pos), _BOUNDS_BYTES // max(1, len(used) + plan[1])))
+    bufs = np.empty((plan[1], step), dtype=np.uint8)
+    centre, diff, other = np.empty((3, step), dtype=np.int16)
+    scores = np.empty(len(pos), dtype=np.int16)
     for i in range(0, len(pos), step):
         p = pos[i : i + step]
         r = len(p)
         block = [None] * n + list(bufs[:, :r])
         for k in used:
             block[k] = flat.take(p + deltas[k])
-        for plan, out in zip(plans, (floor, ceiling)):
-            _bound_block(plan, block, centre[i : i + r], out[i : i + r],
-                         diff[:r], other[:r])
-    np.maximum(ceiling, floor, out=ceiling)
-    return floor, ceiling
+        centre[:r] = flat.take(p)
+        _bound_block(plan, block, centre[:r], scores[i : i + r], diff[:r],
+                     other[:r])
+    scores[scores < t_min] = t_min - 1
+    return scores.astype(np.int32)
 
 
 def _stacked(pairs) -> tuple[list, list]:
@@ -673,66 +716,6 @@ def _stacked(pairs) -> tuple[list, list]:
     at = {k: i for i, k in enumerate(used)}
     return used, [[at[k] for k in b] + [len(used) + at[k] for k in d]
                   for b, d in pairs]
-
-
-def _score_walk(ct, deltas: np.ndarray, flat: np.ndarray, pos: np.ndarray,
-                centre: np.ndarray, best: np.ndarray,
-                ceiling: np.ndarray) -> None:
-    """Raise ``best`` to each position's largest firing t under one tree,
-    whose node k reads the pixel at flat offset ``deltas[k]``.
-
-    A work item is (position, node, [a, b]), starting at [best + 1, ceiling]
-    for the positions whose best is below their ceiling; no t above the
-    ceiling fires, so the others are done. ``best`` starts at the score
-    floor, so on FAST-9, where the floor is the ceiling, no item starts.
-    The root is a node. With d = ring - centre,
-    thresholds up to |d| see the brighter (d > 0) or darker (d < 0) state
-    and higher ones the similar state. So the item moves to the brighter or
-    darker child with [a, min(b, |d|)] when that is non-empty, and otherwise
-    to the similar child, keeping [a, b]; an item whose interval covers both
-    appends a copy for the similar child with [|d| + 1, b]. A corner leaf
-    offers b, and items that reach a leaf or an empty interval are dropped.
-
-    The work list is parallel arrays, compacted after each level with
-    ``flatnonzero`` and ``take``: the item's position index, its flat pixel
-    index p and centre value c (carried, so no level gathers them again),
-    its node and its interval. Indices and nodes take ``pos``'s dtype (int32
-    below 2^31 pixels, intp otherwise); values and bounds are int16. The
-    bound a is raised to the position's best + 1 only after a level on which
-    some item reached a corner: ``best`` changes nowhere else, and a split
-    copy starts at |d| + 1 > a > best, so every item keeps a > best.
-    """
-    index = pos.dtype
-    children = np.ascontiguousarray(ct.children, dtype=index).ravel()
-    item = np.flatnonzero(best < ceiling).astype(index)
-    p = pos.take(item)
-    c = centre.take(item)
-    cur = np.full(item.shape, ct.root, dtype=index)
-    a = best.take(item) + np.int16(1)
-    b = ceiling.take(item)
-    while item.size:
-        d = flat.take(p + deltas.take(cur)).astype(np.int16) - c
-        ad = np.abs(d)
-        differ = a <= ad  # [a, min(b, |d|)] is non-empty
-        split = np.flatnonzero(differ & (ad < b))
-        kids = cur * 3
-        cur = children.take(kids + 1 + np.sign(d) * differ)
-        top = b.take(split)
-        np.minimum(b, ad, out=b, where=differ)
-        if split.size:
-            item = np.concatenate([item, item.take(split)])
-            p = np.concatenate([p, p.take(split)])
-            c = np.concatenate([c, c.take(split)])
-            cur = np.concatenate([cur, children.take(kids.take(split) + 1)])
-            a = np.concatenate([a, ad.take(split) + np.int16(1)])
-            b = np.concatenate([b, top])
-        corner = np.flatnonzero(cur == -2)
-        if corner.size:
-            np.maximum.at(best, item.take(corner), b.take(corner))
-            np.maximum(a, best.take(item) + np.int16(1), out=a)
-        keep = np.flatnonzero((cur >= 0) & (a <= b))
-        item, p, c, cur = item.take(keep), p.take(keep), c.take(keep), cur.take(keep)
-        a, b = a.take(keep), b.take(keep)
 
 
 def suppressed_rows(grid: np.ndarray) -> np.ndarray:

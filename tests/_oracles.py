@@ -4,9 +4,10 @@ Everything here is deliberately written from scratch (plain Python, no reuse
 of package internals) so a bug in the implementation cannot hide in its own
 test. The scalar reference paths (pixel-by-pixel tree walk and detection,
 the sixteen-fold OR, bisection, iteration and linear-scan scores, the
-corner-leaf path offset sets, the pairs of sets on which a tree always
-reaches a corner leaf, the score ceilings from those sets and from their
-counts, the high-speed rejection test, the segment test's score at one
+corner-leaf paths' (brighter, darker, similar) offset sets and their
+minimal (brighter, darker) pairs, the pairs of sets on which a tree always
+reaches a corner leaf, the score from those sets' threshold intervals,
+the high-speed rejection test, the segment test's score at one
 pixel, the per-count repeatability loop) live here: only tests use them,
 as do ``classify_flat``, the numpy walk over raw pixels that detection
 used before it moved onto ternary state planes, and ``gradients``,
@@ -146,30 +147,47 @@ def covered(tree, table, pair) -> bool:
     return visit(tree)
 
 
-def count_ceiling(img, p, offsets, counts) -> int:
-    """The score ceiling from path counts alone: the largest, over (nb, nd)
-    in ``counts``, of the smaller of the nb-th largest ring - centre and
-    the nd-th largest centre - ring over ``offsets`` (a 0th is 255), and
-    at least 0. A path that tests nb distinct offsets brighter and nd
-    darker fires at t only if that many differences reach t and -t."""
-    x, y = p
-    c = at(img, x, y)
-    diffs = [at(img, x + dx, y + dy) - c for dx, dy in offsets]
-    brighter = sorted(diffs, reverse=True)
-    darker = sorted((-v for v in diffs), reverse=True)
-    return max([0] + [min(brighter[nb - 1] if nb else 255,
-                          darker[nd - 1] if nd else 255) for nb, nd in counts])
+def corner_paths(tree, table) -> set:
+    """Every corner path of the tree, from the root to a corner leaf, as
+    the (brighter, darker, similar) frozensets of the (dx, dy) it tests in
+    that state, by recursion over the nodes."""
+    found = set()
+
+    def visit(node, brighter, darker, similar):
+        if not hasattr(node, "offset"):
+            if node.cls:
+                found.add((brighter, darker, similar))
+            return
+        xy = table.xy(node.offset)
+        visit(node.b, brighter | {xy}, darker, similar)
+        visit(node.s, brighter, darker, similar | {xy})
+        visit(node.d, brighter, darker | {xy}, similar)
+
+    visit(tree, frozenset(), frozenset(), frozenset())
+    return found
 
 
-def pair_ceiling(img, p, pairs) -> int:
-    """The score ceiling from (brighter, darker) sets of (dx, dy): the
-    largest, over ``pairs``, of the least of 255, ring - centre over the
-    brighter set and centre - ring over the darker set, and at least 0."""
+def path_score(img, p, paths) -> int:
+    """The largest threshold at which a position follows one of ``paths``,
+    or 0: each path is a (brighter, darker) or (brighter, darker, similar)
+    tuple of (dx, dy) sets, and the position follows it at t exactly when
+    ring - centre >= t at every brighter offset, <= -t at every darker one
+    and strictly between -t and t at every similar one. That is every t up
+    to the least of 255, ring - centre over the brighter set and centre -
+    ring over the darker set, and above the greatest |ring - centre| over
+    the similar set."""
     x, y = p
     c = at(img, x, y)
-    return max([0] + [min([255] + [at(img, x + dx, y + dy) - c for dx, dy in b]
-                          + [c - at(img, x + dx, y + dy) for dx, dy in d])
-                      for b, d in pairs])
+    best = 0
+    for path in paths:
+        brighter, darker = path[:2]
+        similar = path[2] if len(path) > 2 else ()
+        top = min([255] + [at(img, x + dx, y + dy) - c for dx, dy in brighter]
+                  + [c - at(img, x + dx, y + dy) for dx, dy in darker])
+        low = max([0] + [abs(at(img, x + dx, y + dy) - c) for dx, dy in similar])
+        if low < top:
+            best = max(best, top)
+    return best
 
 
 def preorder_nodes(tree) -> list:

@@ -1,13 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from cornerforge import learn
-from cornerforge.detectors import SixteenFoldDetector
+from cornerforge.detectors import SixteenFoldDetector, TreeDetector
 from cornerforge.image import GrayImage
 from cornerforge.runtime import PlaneWalk
 from cornerforge.trees import (RING16, CompiledTree, Leaf, Node,
-                               default_offsets_48)
+                               default_offsets_48, deserialize_tree)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None, print_blob=True,
@@ -107,3 +111,22 @@ def fast9_grid48(fast9_tree):
         return memo[id(t)]
 
     return rename(fast9_tree), grid
+
+
+@pytest.fixture(scope="session")
+def annealed_trees():
+    """(detector class, tree, table) for the two committed learned trees in
+    ``tests/fixtures``, whose walks leave pairs uncovered: the annealed
+    fixture as faster and its distilled tree as fast-tree.
+
+    ``annealed_1500.tree`` is the ``fx_best.tree`` that
+    ``cornerforge anneal --dataset fx --imax 1500 --runs 1 --seed 3 --out fx_``
+    writes on the set from
+    ``cornerforge make-dataset --synthetic 160x120 --frames 4 --noise 2 --seed 1 --out fx``
+    (30 nodes), and ``annealed_1500_distilled.tree`` is
+    ``cornerforge distill --tree fx_best.tree --dataset fx --t 35 --out fx_distilled.tree``
+    on the same set (152 nodes). ``test_golden`` checks their sha256.
+    """
+    return [(cls, *deserialize_tree((FIXTURES / name).read_bytes()))
+            for cls, name in ((SixteenFoldDetector, "annealed_1500.tree"),
+                              (TreeDetector, "annealed_1500_distilled.tree"))]

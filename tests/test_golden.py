@@ -20,6 +20,7 @@ from unittest import mock
 
 import numpy as np
 
+from conftest import FIXTURES
 from cornerforge import runtime as rt
 from cornerforge.annealing import mutate, random_depth1_tree
 from cornerforge.cli import ALGOS, EXIT_OK, EXIT_USAGE, main
@@ -350,3 +351,18 @@ def test_plans_replay_the_greedy_merges(tmp_path):
         with mock.patch.object(rt, "_replayed", again):
             assert rt._needs_plan.__wrapped__(pairs, n) == plan
     assert replayed >= 10
+
+
+# sha256 of the committed learned trees; conftest's ``annealed_trees``
+# records the commands that rebuild them.
+ANNEALED_SHA256 = {
+    "annealed_1500.tree":
+        "5d952dd0b76750aa9a76dd34596538fb0e5e9187551356df55df49b7f08fa7bc",
+    "annealed_1500_distilled.tree":
+        "58f666f3d56b99169dd2aeec6746aa40e96ac50096c3eb1eb079b8f7bafd10be",
+}
+
+
+def test_annealed_fixtures_are_the_recorded_ones():
+    assert {name: hashlib.sha256((FIXTURES / name).read_bytes()).hexdigest()
+            for name in ANNEALED_SHA256} == ANNEALED_SHA256

@@ -317,35 +317,85 @@ class TestExactScores:
                      table_walk.detect(img, s, table.margin).tolist()}
             assert {tuple(p) for p in found[scores == s].tolist()} <= again
 
+    UNCOVERED = Node(1, b=LEAF0, s=Node(2, b=LEAF1, s=LEAF0, d=LEAF0), d=LEAF0)
+    R1, R2, NONE = frozenset({RING16.xy(1)}), frozenset({RING16.xy(2)}), frozenset()
+    EDGE_CASES = {
+        # corner when 1 is darker, or brighter with 2 similar: a higher t can
+        # make 2 similar, so firing is not monotone in t
+        "non-monotone": ([Node(1, b=Node(2, b=LEAF0, s=LEAF1, d=LEAF0), s=LEAF0,
+                               d=LEAF1)], (R1, NONE, R2)),
+        # 1 brighter, then 1 similar: a path that never fires
+        "offset-twice": ([Node(1, b=Node(1, b=LEAF0, s=LEAF1, d=LEAF0),
+                               s=Node(2, b=LEAF1, s=LEAF0, d=LEAF0), d=LEAF0)],
+                         (R1, NONE, R1)),
+        "leaf0-beside-uncovered": ([LEAF0, UNCOVERED], (R2, NONE, R1)),
+        "leaf1-beside-uncovered": ([LEAF1, UNCOVERED], (NONE, NONE, NONE)),
+        # 1 and 2 similar end in a corner: nothing brighter or darker
+        "all-similar-chain": ([Node(1, b=Node(2, b=LEAF1, s=LEAF0, d=LEAF0),
+                                    s=Node(2, b=LEAF0, s=LEAF1, d=LEAF0), d=LEAF0)],
+                              (NONE, NONE, R1 | R2)),
+    }
 
-def position_bounds(walk, img, xs, ys):
-    """``_position_bounds``, the score (floor, ceiling), at int32 positions
-    (xs, ys), from the flat delta dy * width + dx of each offset of the
-    walk."""
-    w = img.width
-    deltas = np.array([dy * w + dx for dx, dy in walk.offsets], dtype=np.int32)
-    flat = img.pixels.ravel()
-    pos = (np.asarray(ys) * w + np.asarray(xs)).astype(np.int32)
-    return rt._position_bounds(walk, flat, pos, flat.take(pos).astype(np.int16),
-                               deltas)
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_named_edge_cases(self, case):
+        # every interior position of a random and two edge images, at two
+        # t_min, against the linear scan of the OR of the forest
+        forest, path = self.EDGE_CASES[case]
+        cts = [CompiledTree(tree, RING16) for tree in forest]
+        walk = rt.PlaneWalk(cts, RING16.offsets, forest_needs(cts))
+        assert path in {pair_offsets(walk, p) for p in walk.paths}
+        m, h, w = RING_MARGIN, 14, 15
+        ys, xs = np.mgrid[m : h - m, m : w - m].reshape(2, -1)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            img = edge_image(rng, 20, h, w) if seed else random_image(rng, w, h)
+            for t_min in (1, 20):
+                got = rt.score_positions(walk, img, xs, ys, t_min)
+                for x, y, score in zip(xs.tolist(), ys.tolist(), got.tolist()):
+                    want = orc.linear_scan_score(
+                        lambda t: any(orc.classify_pixel(tree, img, (x, y), t, RING16)
+                                      for tree in forest), img, (x, y), RING16, t_min)
+                    assert score == (t_min - 1 if want is None else want)
+
+    @pytest.mark.parametrize("t_min", [1, 35])
+    def test_committed_trees(self, annealed_trees, t_min):
+        # the annealed fixture as faster and its distilled tree as fast-tree,
+        # whose walks leave pairs uncovered, at sampled detections
+        img = synthetic_base_image(64, 48, 3)
+        for cls, tree, table in annealed_trees:
+            det = cls(tree, table, t_min=t_min)
+            assert not det.walk.covered.all()
+            xs, ys = det.walk.detect(img, t_min, table.margin).T
+            pick = np.random.default_rng(t_min).permutation(len(xs))[:15]
+            xs, ys = xs[pick], ys[pick]
+            fires = firing(tree, img, table, cls is SixteenFoldDetector)
+            scores = rt.score_positions(det.walk, img, xs, ys, t_min)
+            assert len(pick) == 15
+            for x, y, score in zip(xs.tolist(), ys.tolist(), scores.tolist()):
+                assert score == orc.linear_scan_score(
+                    lambda t: fires((x, y), t), img, (x, y), table, t_min)
 
 
-def random_pairs(rng, table, kind):
-    """Up to six (brighter, darker) sets of up to three offsets of the
-    table: each with one side (``one-sided``), both sides (``two-sided``)
-    or either, with the (∅, ∅) pair among them (``empty``); or none."""
-    pairs = []
+def random_paths(rng, n, kind):
+    """Up to six (brighter, darker, similar) tuples of up to three of n
+    offset indices each, drawn on their own, so one offset may sit on two
+    sides: with one of the first two sides (``one-sided``), both
+    (``two-sided``), a similar side beside any of them (``similar``) or any
+    of these (``any``), with the path that tests nothing among them
+    (``empty``); or none."""
+    paths = []
     for _ in range(0 if kind == "none" else int(rng.integers(1, 7))):
-        sides = {"one-sided": [int(rng.integers(2))], "two-sided": [0, 1]}.get(
-            kind, rng.permutation(2)[:rng.integers(1, 3)].tolist())
-        pair = [frozenset(), frozenset()]
+        sides = {"one-sided": [int(rng.integers(2))], "two-sided": [0, 1],
+                 "similar": [2, *rng.permutation(2)[:rng.integers(0, 3)]]}.get(
+            kind, rng.permutation(3)[:rng.integers(1, 4)].tolist())
+        path = [(), (), ()]
         for j in sides:
-            pair[j] = frozenset(table.offsets[k] for k in rng.choice(
-                len(table), int(rng.integers(1, 4)), replace=False))
-        pairs.append(tuple(pair))
+            path[j] = tuple(sorted(rng.choice(n, int(rng.integers(1, 4)),
+                                              replace=False).tolist()))
+        paths.append(tuple(path))
     if kind == "empty":
-        pairs.append((frozenset(), frozenset()))
-    return pairs
+        paths.append(((), (), ()))
+    return paths
 
 
 def pair_offsets(walk, pair):
@@ -374,8 +424,8 @@ def fast9_arcs():
 
 
 class TestCornerNeeds:
-    """``corner_needs`` against a recursion over the nodes, and the score
-    floor and ceiling that ``score_positions`` derives from it."""
+    """``corner_paths`` and ``corner_needs`` against recursions over the
+    nodes, and the scoring paths that ``score_positions`` evaluates."""
 
     NONE = frozenset()
 
@@ -386,6 +436,19 @@ class TestCornerNeeds:
         tree = data.draw(trees_over(table))
         assert (rt.corner_needs(CompiledTree(tree, table))
                 == orc.corner_needs(tree, table))
+
+    @pytest.mark.parametrize("table", [RING16, default_offsets_48()],
+                             ids=["ring16", "grid48"])
+    @given(data=st.data())
+    def test_paths_match_recursion(self, table, data):
+        # node k's test sets bit 3 * row[k] + state, row k its offset's index
+        tree = data.draw(trees_over(table))
+        ct = CompiledTree(tree, table)
+        index = {xy: k for k, xy in enumerate(table.offsets)}
+        row = [index[xy] for xy in zip(ct.dx.tolist(), ct.dy.tolist())]
+        assert {tuple(frozenset(table.offsets[k] for k in side)
+                      for side in rt._sides(tests))
+                for tests in rt.corner_paths(ct, row)} == orc.corner_paths(tree, table)
 
     def test_counts_distinct_offsets(self):
         # offset 1 is tested brighter twice on the only corner path
@@ -422,7 +485,9 @@ class TestCornerNeeds:
                              ids=["ring16", "grid48"])
     @given(data=st.data())
     def test_ceiling_bounds_the_exact_score(self, table, sixteenfold, data):
-        # floor <= exact score <= ceiling, the floor from the covered pairs
+        # at any position, not only detections: the covered pairs' bound <=
+        # the exact score <= the needs' bound, and the scoring paths hold
+        # the covered pairs and score exactly
         tree = data.draw(trees_over(table))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         m, h, w = table.margin, 14, 15
@@ -434,20 +499,17 @@ class TestCornerNeeds:
         assert walk.covered.tolist() == [
             walk_covers(tree, table, sixteenfold, pair) for pair in pairs]
         sure = [pair for pair, c in zip(pairs, walk.covered) if c]
+        paths = [pair_offsets(walk, path) for path in walk.paths]
+        assert {path[:2] for path in paths if not path[2]} >= set(sure)
         xs, ys = rng.integers(m, w - m, 12), rng.integers(m, h - m, 12)
-        floor, ceiling = position_bounds(walk, img, xs, ys)
-        # the bound from the counts alone, over every offset of the walk
-        counts = {(len(b), len(d)) for b, d in orc.corner_needs(tree, table)}
-        counts |= {(nd, nb) for nb, nd in counts}
+        scores = rt.score_positions(walk, img, xs, ys, 1)
         fires = firing(tree, img, table, sixteenfold)
-        for x, y, low, top in zip(xs.tolist(), ys.tolist(), floor.tolist(),
-                                  ceiling.tolist()):
+        for x, y, got in zip(xs.tolist(), ys.tolist(), scores.tolist()):
             score = orc.linear_scan_score(lambda t: fires((x, y), t), img,
                                           (x, y), table, 1)
-            assert low == orc.pair_ceiling(img, (x, y), sure)
-            assert top == orc.pair_ceiling(img, (x, y), needs)
-            assert low <= (score or 0) <= top <= orc.count_ceiling(
-                img, (x, y), walk.offsets, counts)
+            assert got == (score or 0) == orc.path_score(img, (x, y), paths)
+            assert (orc.path_score(img, (x, y), sure) <= got
+                    <= orc.path_score(img, (x, y), needs))
 
     @given(data=st.data())
     def test_covered_past_64_sides(self, data):
@@ -479,78 +541,79 @@ class TestCornerNeeds:
             (right, self.NONE), (self.NONE, right)}
         assert not walk.covered.any()
         assert not orc.covered(tree, RING16, (right, self.NONE))
+        # the one scoring path: (1, -3) brighter and (0, -3) similar
+        assert walk.offsets == [(0, -3), (1, -3)]
+        assert walk.paths == (((1,), (), (0,)),)
         rng = np.random.default_rng(6)
         img = random_image(rng, 24, 20)
         m = RING_MARGIN
         ys, xs = np.mgrid[m : 20 - m, m : 24 - m].reshape(2, -1)
         got = rt.score_positions(walk, img, xs, ys, 1)
-        floor, ceiling = position_bounds(walk, img, xs, ys)
         unfired = 0
-        for x, y, score, top in zip(xs.tolist(), ys.tolist(), got.tolist(),
-                                    ceiling.tolist()):
+        for x, y, score in zip(xs.tolist(), ys.tolist(), got.tolist()):
             want = orc.linear_scan_score(
                 lambda t: orc.classify_pixel(tree, img, (x, y), t, RING16),
                 img, (x, y), RING16, 1)
             assert score == (0 if want is None else want)
-            unfired += want is None and top > 0
-        assert not floor.any() and unfired > 0
+            unfired += want is None and orc.path_score(img, (x, y), [
+                pair_offsets(walk, pair) for pair in walk.pairs]) > 0
+        assert unfired > 0
 
     @pytest.mark.parametrize("sixteenfold", [False, True])
     def test_ceiling_is_the_fast9_score(self, fast9_tree, fast9_grid48,
                                         sixteenfold):
-        # the 32 arcs of 9 make the ceiling the segment-test score itself
-        det = (SixteenFoldDetector(*fast9_grid48) if sixteenfold
-               else TreeDetector(fast9_tree, RING16))
+        # the 32 covered arcs of 9 are the scoring paths, so no variant's
+        # paths are listed (``corner_paths`` runs once, for the source's
+        # needs), and their bound is the segment-test score itself
+        with mock.patch.object(rt, "corner_paths", wraps=rt.corner_paths) as spy:
+            det = (SixteenFoldDetector(*fast9_grid48) if sixteenfold
+                   else TreeDetector(fast9_tree, RING16))
+        assert spy.call_count == 1
+        assert det.walk.paths == tuple((tuple(b), tuple(d), ())
+                                       for b, d in det.walk.pairs)
         img = random_image(np.random.default_rng(5), 40, 30)
         xs, ys = det.walk.detect(img, 1, RING_MARGIN).T
-        floor, ceiling = position_bounds(det.walk, img, xs, ys)
         scores = rt.score_positions(det.walk, img, xs, ys, 1)
-        assert len(xs) > 100 and np.array_equal(ceiling, scores)
-        assert np.array_equal(floor, ceiling)
+        field = FastRefDetector(9).score_grid(img)
+        assert len(xs) > 100 and np.array_equal(field[ys, xs], scores)
 
     @given(data=st.data())
     def test_bounds_at_positions_equal_the_needs_field(self, data):
-        # random pairs, some marked covered: the floor at positions is
-        # ``needs_field`` over the covered pairs there, and the ceiling the
-        # larger of the floor and the field over the others, in one block,
-        # in blocks of one position and in blocks whose last is partial
+        # random paths, some with a similar side: the scores at positions
+        # are ``needs_field`` over the paths there and the oracle's, in one
+        # block, in blocks of one position and in blocks whose last is
+        # partial, each block one plan
         table = default_offsets_48()
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        kind = data.draw(st.sampled_from(["one-sided", "two-sided", "any",
-                                          "empty", "none"]))
-        walk = rt.PlaneWalk([], table.offsets, random_pairs(rng, table, kind))
-        walk.covered = rng.random(len(walk.pairs)) < data.draw(
-            st.sampled_from([0, 0.5, 1]))
+        kind = data.draw(st.sampled_from(["one-sided", "two-sided", "similar",
+                                          "any", "empty", "none"]))
+        walk = rt.PlaneWalk([], table.offsets, [])
+        walk.paths = tuple(random_paths(rng, len(table.offsets), kind))
         m, h, w = table.margin, 12, 13
         img = (edge_image(rng, data.draw(st.integers(1, 40)), h, w)
                if data.draw(st.booleans()) else random_image(rng, w, h))
         k = data.draw(st.integers(3, 30))
         xs, ys = rng.integers(m, w - m, k), rng.integers(m, h - m, k)
-        field = [rt.needs_field(img, walk.offsets, [
-            pair for pair, sure in zip(walk.pairs, walk.covered) if sure == side],
-            m)[ys, xs] for side in (True, False)]
-        want = field[0], np.maximum(*field)
-        for x, y, top in zip(xs.tolist(), ys.tolist(), want[1].tolist()):
-            assert top == orc.pair_ceiling(img, (x, y), [
-                pair_offsets(walk, pair) for pair in walk.pairs])
+        want = rt.needs_field(img, walk.offsets, walk.paths, m)[ys, xs]
+        paths = [pair_offsets(walk, path) for path in walk.paths]
+        for x, y, top in zip(xs.tolist(), ys.tolist(), want.tolist()):
+            assert top == orc.path_score(img, (x, y), paths)
         n, sizes, per = len(walk.offsets), [], []
         block = rt._bound_block
 
         def spy(plan, val, c, core, d, e):
             # a block's uint8 values per position: the gathered offsets and
-            # the plans' buffers
+            # the plan's buffers
             sizes.append(len(core))
             per.append(sum(v is not None for v in val[:n]) + len(val) - n)
             block(plan, val, c, core, d, e)
 
         def blocks(budget):
-            """The block sizes of one call; each block runs two plans."""
+            """The block sizes of one call."""
             sizes.clear()
             with mock.patch.object(rt, "_BOUNDS_BYTES", budget):
-                floor, ceiling = position_bounds(walk, img, xs, ys)
-            assert np.array_equal(floor, want[0])
-            assert np.array_equal(ceiling, want[1])
-            return sizes[::2]
+                assert rt.score_positions(walk, img, xs, ys, 1).tolist() == want.tolist()
+            return list(sizes)
 
         with mock.patch.object(rt, "_bound_block", spy):
             assert blocks(rt._BOUNDS_BYTES) == [k]
@@ -571,25 +634,6 @@ class TestCornerNeeds:
                 if leaf is LEAF0 else np.full(len(xs), 255))
         assert len(xs) and not TreeDetector(tree, RING16).walk.covered.all()
         assert rt.score_positions(walk, img, xs, ys, 30).tolist() == want.tolist()
-
-    def test_ceiling_spares_the_later_variants(self, fast9_grid48, monkeypatch):
-        # every pair of FAST-9 is covered, so the floor is the ceiling and
-        # no variant starts an item
-        tree, grid = fast9_grid48
-        det = SixteenFoldDetector(tree, grid, t_min=10)
-        img = edge_image(np.random.default_rng(3), 10, 40, 48)
-        xs, ys = det.walk.detect(img, 10, grid.margin).T
-        started = []
-        walk = rt._score_walk
-
-        def spy(ct, deltas, flat, pos, centre, best, ceiling):
-            started.append(int((best < ceiling).sum()))
-            walk(ct, deltas, flat, pos, centre, best, ceiling)
-
-        monkeypatch.setattr(rt, "_score_walk", spy)
-        rt.score_positions(det.walk, img, xs, ys, 10)
-        assert len(started) == 16 and len(xs) > 0
-        assert sum(started) == 0
 
 
 def shared_second_trees(table):
