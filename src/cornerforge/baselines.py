@@ -163,5 +163,5 @@ def detect_random(img: GrayImage, seed) -> np.ndarray:
     ih = img.height - 2 * m
     if iw <= 0 or ih <= 0:
         raise ValueError("image too small for the interior margin")
-    flat = np.random.default_rng(seed).permutation(iw * ih)
-    return keypoint_rows(flat % iw + m, flat // iw + m, np.ones(len(flat)))
+    ys, xs = np.divmod(np.random.default_rng(seed).permutation(iw * ih), iw)
+    return keypoint_rows(xs + m, ys + m, 1)

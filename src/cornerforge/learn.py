@@ -367,10 +367,12 @@ def _grow(subset: _Rows | _Slice, base: int, memo: dict) -> TernaryTree:
     tree = _pure_leaf(table)
     if tree is None:
         col = _pick_column(table)
-        d_sub, s_sub, b_sub = subset.split(col)
-        d_child = _grow(d_sub, base, memo)
-        s_child = _grow(s_sub, base, memo)
-        b_child = _grow(b_sub, base, memo)
+        # each child goes once its subtree is grown, so a grown slice's
+        # contiguous labels do not stay alive while its siblings grow
+        subsets = subset.split(col)
+        d_child = _grow(subsets.pop(0), base, memo)
+        s_child = _grow(subsets.pop(0), base, memo)
+        b_child = _grow(subsets.pop(0), base, memo)
         tree = Node(base + col, b=b_child, s=s_child, d=d_child)
     if key is not None:
         memo[key] = tree

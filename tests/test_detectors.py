@@ -21,7 +21,9 @@ from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
                                    SixteenFoldDetector, TreeDetector)
 from cornerforge.image import RING_MARGIN, GrayImage, add_gaussian_noise
-from cornerforge.runtime import top_n_by_score
+from cornerforge.runtime import (keypoint_rows, needs_field, suppressed_rows,
+                                 top_n_by_score)
+from cornerforge.segment import segment_score_field
 from cornerforge.trees import RING16, default_offsets_48
 
 
@@ -156,6 +158,26 @@ class TestRows:
         for det in scored_detectors + [RandomDetector()]:
             assert det.detect(frame, 0).shape == (0, 3)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (5, 5), (6, 40), (40, 6),
+                                       (20, 24)])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float64])
+    def test_rows_are_new_float64_arrays(self, shape, dtype):
+        # suppression and row building return C-contiguous float64 arrays
+        # that own their data, (0, 3) when nothing survives: a grid with no
+        # cell RING_MARGIN from every edge, or a constant one, keeps none
+        grid = np.random.default_rng(5).integers(0, 4, shape).astype(dtype)
+        kept = suppressed_rows(grid)
+        flat = suppressed_rows(np.ones(shape, dtype))
+        built = keypoint_rows(np.arange(3), np.arange(3) + 1, np.arange(3.0))
+        empty = keypoint_rows([], [], 1)
+        for rows in (kept, flat, built, empty):
+            assert rows.dtype == np.float64 and rows.ndim == 2
+            assert rows.shape[1] == 3
+            assert rows.flags.c_contiguous and rows.flags.owndata
+        assert (len(kept) > 0) == (shape == (20, 24))
+        assert flat.shape == empty.shape == (0, 3)
+        assert built.tolist() == [[0, 1, 0], [1, 2, 1], [2, 3, 2]]
+
 
 class TestCountControl:
     @pytest.mark.parametrize("n", [1, 7, 25, 60, 10_000])
@@ -210,6 +232,51 @@ class TestScoreGrid:
             got = det.scored_keypoints(img)
             assert got.dtype == np.float64, det.name
             assert [tuple(r) for r in got.tolist()] == want, det.name
+
+    @pytest.mark.parametrize("t", [1, 2, 35, 255])
+    def test_fast_grids_are_their_field_cut_at_t(self, t, frame, fast9_tree,
+                                                 fast9_grid48):
+        # the segment test and the covered FAST-9 trees, on noise and on a
+        # black-and-white image whose corners score 255: the int16 field
+        # with every cell below t set to 0
+        binary = GrayImage((np.random.default_rng(4).integers(0, 2, (40, 48))
+                            * 255).astype(np.uint8))
+        for img in (frame, binary):
+            for det in (FastRefDetector(9, t), TreeDetector(fast9_tree, RING16, t),
+                        SixteenFoldDetector(*fast9_grid48, t_min=t)):
+                if isinstance(det, TreeDetector):
+                    assert det.walk.covered.all()
+                    field = needs_field(img, det.walk.offsets, det.walk.pairs,
+                                        det.table.margin)
+                else:
+                    field = segment_score_field(img, 9)
+                grid = det.score_grid(img)
+                assert field.dtype == grid.dtype == np.int16, det.name
+                assert np.array_equal(grid, np.where(field >= t, field, 0)), det.name
+            assert (field == 255).any() == (img is binary)
+
+    @pytest.mark.parametrize("t", [1, 2, 35, 255])
+    @pytest.mark.parametrize("which", [0, 1], ids=["annealed", "distilled"])
+    def test_walked_grids_are_their_field_cut_where_they_fire(
+            self, t, which, frame, annealed_trees):
+        # a walked tree's untruncated field is ``needs_field`` over its
+        # scoring paths, the exact score wherever it fires; the grid is that
+        # field cut at t on the cells the walk fires at t, in int32. The cut
+        # also needs the walk: a learned tree is not monotone in t, so a cell
+        # whose only path with hi >= t has lo >= t has field >= t and does
+        # not fire
+        cls, tree, table = annealed_trees[which]
+        det = cls(tree, table, t_min=t)
+        assert not det.walk.covered.all()
+        field = needs_field(frame, det.walk.offsets, det.walk.paths,
+                            table.margin).astype(np.int32)
+        fired = np.zeros(frame.shape, dtype=bool)
+        xs, ys = det.walk.detect(frame, t, table.margin).T
+        fired[ys, xs] = True
+        grid = det.score_grid(frame)
+        assert grid.dtype == np.int32
+        assert np.array_equal(grid, np.where(fired & (field >= t), field, 0))
+        assert (field[fired] >= t).all() and fired.any() == (t < 255)
 
     @given(field=arrays(np.float64, st.tuples(st.integers(1, 40),
                                               st.integers(1, 14)),

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import _oracles as orc
@@ -1297,6 +1297,27 @@ class TestTopN:
         want = pts[np.lexsort((pts[:, 0], pts[:, 1], -pts[:, 2]))]
         got = rt.rank_by_score(pts)
         assert got.shape == pts.shape and np.array_equal(got, want)
+
+    INT16_EDGE = (0, 1, 255, 32767, 32768.0, 40000.0, -1.0, -32768.0, 2.5, 2e5)
+
+    @given(st.lists(st.sampled_from(INT16_EDGE), min_size=1, max_size=40),
+           st.integers(0, 2**32 - 1))
+    @example([0, 1, 255, 32767, -1.0, -32768.0, 1, -32768.0, 32767], 0)
+    @example(list(INT16_EDGE) * 2, 1)
+    def test_ranking_at_the_int16_boundary(self, scores, seed):
+        # shuffled rows on a 7-wide grid: scores that are all integers in
+        # -32768..32767 sort on the int16 key (~score, which -32768 does not
+        # overflow), any other score puts every row on the float64 key
+        n = len(scores)
+        pts = np.column_stack([np.arange(n) % 7, np.arange(n) // 7, scores])
+        pts = pts[np.random.default_rng(seed).permutation(n)].astype(np.float64)
+        want = pts[np.lexsort((pts[:, 0], pts[:, 1], -pts[:, 2]))]
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            got = rt.rank_by_score(pts)
+        assert np.array_equal(got, want)
+        small = all(-2**15 <= s < 2**15 and float(s).is_integer() for s in scores)
+        key = spy.call_args_list[-1].args[0]
+        assert key.dtype == (np.int16 if small else np.float64)
 
     @given(st.lists(st.integers(1, 6), max_size=30), st.integers(-2, 35),
            st.booleans())
