@@ -10,11 +10,14 @@ the Boltzmann criterion under an exponentially decaying temperature.
 The threshold and the training frames are fixed for a whole run, so the
 cost evaluator computes the frames' ternary state planes once. A pixel whose
 states are all "similar" takes the same path in every variant, so an
-evaluation follows that path once for all of them and walks the candidate's
-sixteen variants (``runtime.PlaneWalk``) only over the other pixels. Pixels
-stay in the planes' column layout: a frame of h x w pixels is its
-(h - 2m) x (w - 2m) interior raster, m being the offset table's margin, and
-detection fields are those rasters.
+evaluation follows that path once for all of them. The other pixels are
+kept as their distinct state columns, each under the four rotations, and a
+candidate walks four of its variants (``runtime.PlaneWalk``) over those:
+a rotation applied to the column stands in for the rotation in the variant
+(``_sixteen_fold_fired``). ``distill`` labels its training columns the same
+way. Pixels stay in the planes' column layout: a frame of h x w pixels is
+its (h - 2m) x (w - 2m) interior raster, m being the offset table's margin,
+and detection fields are those rasters.
 
 The projections are fixed too, so each source's floor cell in its target
 frame is found once, and two fixed disc masks around that cell settle most
@@ -25,6 +28,7 @@ match counts; any other candidate has every detected source matched.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,9 +40,9 @@ from .repeatability import (_cells_within, _disc_runs, _row_prefix,
                             _runs_hit, check_epsilon, check_pairs,
                             make_pairs)
 from .runtime import PlaneWalk, check_threshold, ternary_planes
-from .trees import (CompiledTree, LEAF0, Leaf, Node, OffsetTable, TernaryTree,
-                    default_offsets_48, sixteen_fold, sixteen_fold_offsets,
-                    tree_size)
+from .trees import (_DIHEDRAL, CompiledTree, LEAF0, Leaf, Node, OffsetTable,
+                    TernaryTree, default_offsets_48, sixteen_fold,
+                    sixteen_fold_offsets, tree_size)
 from .warp import project_points
 
 
@@ -169,6 +173,71 @@ def mutate(tree: TernaryTree, rng: np.random.Generator,
     return _replace(tree, path, new)
 
 
+# One int64 base-3 code holds a block of 24 states: 3^24 < 2^63.
+_CODE_STATES = 24
+
+
+def _distinct_columns(planes: np.ndarray, cols=None,
+                      rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the columns ``cols`` of ``planes`` (every
+    column when None). ``first`` holds, as positions in ``cols``, one column
+    per distinct state column, in the lexicographic order of its states at
+    the plane rows ``rows`` (every row, in order, when None); ``inverse``
+    maps each of ``cols`` to its distinct column's position in ``first``.
+
+    Each block of 24 of the rows is one int64 base-3 code, its first row the
+    most significant. One ``np.lexsort`` of the codes, the first block the
+    primary key, and a neighbour diff of the sorted codes give the groups;
+    ``np.unique`` over the columns takes more time and memory.
+    """
+    rows = range(len(planes)) if rows is None else list(rows)
+    n = planes.shape[1] if cols is None else len(cols)
+    codes = []
+    for lo in range(0, len(rows), _CODE_STATES):
+        code = np.zeros(n, dtype=np.int64)
+        for k in rows[lo : lo + _CODE_STATES]:
+            code *= 3
+            code += planes[k] if cols is None else planes[k].take(cols)
+        codes.append(code)
+    order = np.lexsort(codes[::-1])
+    new = np.zeros(n, dtype=bool)  # a sorted column that starts a group
+    new[:1] = True
+    for code in codes:
+        code = code.take(order)
+        new[1:] |= code[1:] != code[:-1]
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _quarter_turns(columns: np.ndarray, offsets) -> np.ndarray:
+    """The state columns of planes over ``offsets`` under the four
+    rotations R of ``_DIHEDRAL``, side by side: row k of block r holds each
+    column's state at R_r(offsets[k]). The offsets must be closed under the
+    rotations, as ``sixteen_fold_offsets`` are."""
+    index = {xy: k for k, xy in enumerate(offsets)}
+    return np.concatenate([
+        columns.take([index[a * dx + b * dy, c * dx + d * dy]
+                      for dx, dy in offsets], axis=0)
+        for a, b, c, d in _DIHEDRAL[::2]], axis=1)
+
+
+def _sixteen_fold_fired(ct: CompiledTree, offsets,
+                        views: np.ndarray) -> np.ndarray:
+    """Per column given to ``_quarter_turns``, whether any of the sixteen
+    variants of ``ct`` fires on it; ``views`` is that function's output.
+
+    Where the tree tests offset o, variant (R∘F^e, inversion) reads the
+    column's state at R(F^e(o)): the state that variant (F^e, inversion)
+    reads at F^e(o) in the column's R-turned block. So the first four
+    variants of ``sixteen_fold`` (the identity and the x-flip, each plain
+    and inverted) walk the four blocks, and a column fires when one of its
+    four copies does.
+    """
+    fired = PlaneWalk(sixteen_fold(ct)[:4], offsets).fired(views)
+    return fired.reshape(4, -1).any(axis=0)
+
+
 class CostEvaluator:
     """Evaluates Eq-style detector cost on fixed training frames and warps.
 
@@ -188,13 +257,19 @@ class CostEvaluator:
     pixel that projects outside frame j. Per frame it keeps the padded row
     stride and ``_disc_runs`` at that stride.
 
-    A plane column is ``busy`` when any of its states is not 1 (similar);
-    only the busy columns' planes are kept. A flat column, all states 1,
-    takes the all-similar chain from the root in every variant, since the
-    dihedral maps only move offsets and inversion only swaps the brighter
-    and darker children. So it fires iff the leaf that chain ends in has
-    class 1, a whole-tree leaf being that leaf, and the variants are walked
-    over the busy columns only.
+    A plane column is ``busy`` when any of its states is not 1 (similar).
+    A flat column, all states 1, takes the all-similar chain from the root
+    in every variant, since the dihedral maps only move offsets and
+    inversion only swaps the brighter and darker children. So it fires iff
+    the leaf that chain ends in has class 1, a whole-tree leaf being that
+    leaf, and only the busy columns are walked. Of those only the distinct
+    ones are kept (``_distinct_columns``): ``views`` holds them under the
+    four rotations (``_quarter_turns``), and ``inverse`` maps each busy
+    column, in plane order, to its distinct column. On the 160x120 frames
+    of the annealed fixture at t=35, 17,000 busy columns hold 4,145
+    distinct ones, so ``views`` (0.76 MB) is about the size of the busy
+    columns' planes, and a candidate walks 4 variants over 4 x 4,145
+    columns instead of 16 over 17,000 (``_sixteen_fold_fired``).
 
     An evaluation pads each detection field and takes its row prefix sums.
     A detected source is repeated when its sure runs hold a detection of
@@ -222,35 +297,43 @@ class CostEvaluator:
         planes = ternary_planes(self.frames, self.offsets, weights.t, m)
         # flat: the least and the greatest state of the column are both 1
         self.busy = (planes.min(axis=0) != 1) | (planes.max(axis=0) != 1)
-        self.planes = planes.compress(self.busy, axis=1)
-        del planes  # freed before the projections are built
+        busy = np.flatnonzero(self.busy)
+        first, self.inverse = _distinct_columns(planes, busy)
+        columns = planes.take(busy.take(first), axis=1)
+        del planes, busy, first  # freed before the projections are built
         self._latest = self._committed = None
         self.pad = pad = math.ceil(weights.epsilon) + m + 1
         self.strides = strides = [w + 2 * pad + 1 for _, w in self.shapes]
         self.runs = [_disc_runs(weights.epsilon, s) for s in strides]
         self.projections = {}
-        for i, j in pairs:
+        for i, group in itertools.groupby(pairs, key=lambda pair: pair[0]):
             ys, xs = np.indices(self.shapes[i]).reshape(2, -1) + m
             pts = np.column_stack([xs, ys]).astype(np.float64)
-            proj, valid = project_points(warps[(i, j)], pts)
-            px, py = proj[valid, 0], proj[valid, 1]
-            fx, fy = (np.floor(v).astype(np.int32) + pad - m for v in (px, py))
-            slot = np.full(len(valid), -1, dtype=np.int32)
-            slot[valid] = np.arange(len(px), dtype=np.int32)
-            self.projections[(i, j)] = (slot, fy * strides[j] + fx, px, py)
+            for _, j in group:
+                proj, valid = project_points(warps[(i, j)], pts)
+                src = np.flatnonzero(valid)
+                px, py = proj[:, 0].take(src), proj[:, 1].take(src)
+                fx, fy = (np.floor(v).astype(np.int32) + pad - m
+                          for v in (px, py))
+                slot = np.full(len(valid), -1, dtype=np.int32)
+                slot[src] = np.arange(len(src), dtype=np.int32)
+                self.projections[(i, j)] = (slot, fy * strides[j] + fx, px, py)
+        # stacked last: built before the projections, the views raised the
+        # peak RSS of the benchmark's anneal workload by about 0.6 MB
+        self.views = _quarter_turns(columns, self.offsets)
 
     def detect_fields(self, tree: TernaryTree) -> list[np.ndarray]:
         """Per frame, the boolean interior raster of the symmetrized
         detector's corners: the all-similar chain's class on the flat
-        columns, and one plane walk of the 16 variants over the busy
-        columns of all frames, split by frame."""
+        columns, and on each busy column the result of its distinct
+        column's walk (``_sixteen_fold_fired``), split by frame."""
         ct = CompiledTree(tree, self.table)
         node = ct.root  # followed down the all-similar chain to its leaf
         while node >= 0:
             node = int(ct.children[node, 1])
         fired = np.full(self.busy.size, node == -2)
-        fired[self.busy] = PlaneWalk(sixteen_fold(ct),
-                                     self.offsets).fired(self.planes)
+        fired[self.busy] = _sixteen_fold_fired(ct, self.offsets,
+                                               self.views).take(self.inverse)
         ends = np.cumsum([h * w for h, w in self.shapes])[:-1]
         return [part.reshape(shape) for part, shape
                 in zip(np.split(fired, ends), self.shapes)]
@@ -379,31 +462,41 @@ def distill(tree: TernaryTree, images, t: int,
     then builds a single tree with perfect training accuracy. Requires the
     offset table to be closed under the dihedral symmetries (as
     ``default_offsets_48`` is), otherwise labels need not be a function of
-    the states.
+    the states. The labels come from one walk over the distinct state
+    columns (``_distinct_columns``, ``_sixteen_fold_fired``), sorted with
+    the table's offsets first, so the columns with equal states at those
+    offsets are neighbours and make one weighted training row.
     """
+    ct = CompiledTree(tree, table)
     offsets = sixteen_fold_offsets(table)
     planes = ternary_planes(list(images), offsets, t, table.margin)
-    labels = PlaneWalk(sixteen_fold(CompiledTree(tree, table)),
-                       offsets).fired(planes)
-    # one row per pixel: its states at the table's offsets, in table order
-    states = planes.T.take([offsets.index(xy) for xy in table.offsets], axis=1)
-    if not states.size:
+    if not planes.size:
         raise ValueError("no interior pixels to distill from")
-
-    key = np.ascontiguousarray(states).view(
-        np.dtype((np.void, states.shape[1])))[:, 0]
-    uniq, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
-    true_per_group = np.bincount(inverse, weights=labels.astype(np.float64))
-    mixed = (true_per_group > 0) & (true_per_group < counts)
+    # the table's offsets lead, in table order, so equal states at them
+    # make neighbours among the distinct columns
+    own = [offsets.index(xy) for xy in table.offsets]
+    first, inverse = _distinct_columns(
+        planes, rows=own + sorted(set(range(len(offsets))).difference(own)))
+    columns = planes.take(first, axis=1)
+    del planes
+    labels = _sixteen_fold_fired(ct, offsets, _quarter_turns(columns, offsets))
+    counts = np.bincount(inverse, minlength=len(first))
+    # one row per distinct state vector at the table's offsets, ascending
+    states = columns.T.take(own, axis=1)
+    new = np.ones(len(states), dtype=bool)
+    new[1:] = (states[1:] != states[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    weights = np.add.reduceat(counts, starts)
+    true_per_group = np.add.reduceat(counts * labels, starts)
+    mixed = (true_per_group > 0) & (true_per_group < weights)
     if mixed.any():
         raise InconsistentLabelsError(
             "sixteen-fold labels are not a function of the offset states; "
             "is the offset table closed under rotation/reflection?")
     ts = TrainingSet(
-        states=np.asfortranarray(states[first]),
+        states=np.asfortranarray(states[new]),
         labels=true_per_group > 0,
-        weights=counts.astype(np.int64),
+        weights=weights.astype(np.int64),
         offsets=table,
     )
     return build_tree(ts)

@@ -412,8 +412,10 @@ def force_shared_second_test(tree: TernaryTree,
 
     base = ts.offsets.index_base
     root_col = tree.offset - base
+    # a root subset's count table leaves it holding a contiguous copy of its
+    # labels, so each goes once counted; the rebuild splits afresh
     subsets = _root_subset(ts).split(root_col)
-    tables = [sub.count_table() for sub in subsets]
+    tables = [subsets.pop(0).count_table() for _ in range(3)]
 
     total = np.zeros(len(ts.offsets), dtype=np.float64)
     for table in tables:
@@ -424,13 +426,21 @@ def force_shared_second_test(tree: TernaryTree,
         shared_col = root_col  # degenerate; keep something valid
 
     memo: dict = {}
+    subsets = _root_subset(ts).split(root_col)
 
-    def rebuild(subset, table) -> TernaryTree:
+    def rebuild(state: int) -> TernaryTree:
+        # as in ``_grow``, each subset goes once it is split and each child
+        # once its subtree is grown, so no grown labels stay alive
+        subset, table = subsets.pop(state), tables[state]
         leaf = _pure_leaf(table)
         if leaf is not None:
             return leaf
-        d, s, b = (_grow(sub, base, memo) for sub in subset.split(shared_col))
+        children = subset.split(shared_col)
+        del subset
+        d = _grow(children.pop(0), base, memo)
+        s = _grow(children.pop(0), base, memo)
+        b = _grow(children.pop(0), base, memo)
         return Node(base + shared_col, b=b, s=s, d=d)
 
-    return Node(tree.offset, b=rebuild(subsets[2], tables[2]),
-                s=rebuild(subsets[1], tables[1]), d=rebuild(subsets[0], tables[0]))
+    # b, s, d: popping from the end leaves the other subsets' places alone
+    return Node(tree.offset, b=rebuild(2), s=rebuild(1), d=rebuild(0))

@@ -36,7 +36,11 @@ def project_points(warp: Homography, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     """Map (N, 2) source positions; returns (coords, valid).
 
     Valid means not sent to infinity and inside the target frame's
-    pixel-center box [0, w-1] x [0, h-1].
+    pixel-center box [0, w-1] x [0, h-1]. A point sent to infinity has
+    coordinates (0, 0). Each coordinate is divided in place, only on the
+    rows with |z| > 1e-12, and the box test ANDs into ``valid``, so no
+    masked copy is made; one 1-D masked division per coordinate runs
+    several times faster than one over the (N, 2) block.
     """
     pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
     w, h = warp.target_size
@@ -45,9 +49,11 @@ def project_points(warp: Homography, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     zs = hom[:, 2]
     valid = np.abs(zs) > 1e-12
     coords = np.zeros((pts.shape[0], 2))
-    coords[valid] = hom[valid, :2] / zs[valid, None]
-    valid &= ((coords[:, 0] >= 0) & (coords[:, 0] <= w - 1)
-              & (coords[:, 1] >= 0) & (coords[:, 1] <= h - 1))
+    for k in range(2):
+        np.divide(hom[:, k], zs, out=coords[:, k], where=valid)
+    for v, top in ((coords[:, 0], w - 1), (coords[:, 1], h - 1)):
+        valid &= v >= 0
+        valid &= v <= top
     return coords, valid
 
 

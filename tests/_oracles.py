@@ -18,7 +18,8 @@ through their attributes
 (``offset``/``b``/``s``/``d``/``cls``, ``pixels``, ``xy``/``margin``),
 compiled trees through ``root``/``dx``/``dy``/``children``, and detectors
 through ``detect``; the repeatability loop takes its point projection as
-an argument.
+an argument. ``project_points_masked`` is the point transfer's formula
+before it divided in place.
 """
 
 from __future__ import annotations
@@ -436,6 +437,24 @@ def repeatability_curve_loop(frames, warps, detector, counts, eps: float,
             repeated += sum(any_within(queries, dets[j][:, :2].tolist(), eps))
         curve.append((count, repeated / useful if useful else 0.0))
     return curve
+
+
+def project_points_masked(warp, pts):
+    """(coords, valid) of ``warp`` (its ``matrix`` and ``target_size``) at
+    the (N, 2) points, by the masked formula ``warp.project_points`` used
+    before it divided in place: the same matmul, then the valid rows'
+    quotients stored through a boolean mask, (0, 0) elsewhere."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    w, h = warp.target_size
+    ones = np.ones((pts.shape[0], 1))
+    hom = np.hstack([pts, ones]) @ warp.matrix.T
+    zs = hom[:, 2]
+    valid = np.abs(zs) > 1e-12
+    coords = np.zeros((pts.shape[0], 2))
+    coords[valid] = hom[valid, :2] / zs[valid, None]
+    valid &= ((coords[:, 0] >= 0) & (coords[:, 0] <= w - 1)
+              & (coords[:, 1] >= 0) & (coords[:, 1] <= h - 1))
+    return coords, valid
 
 
 def exhaustive_count_table(labels, weights, k: int, fixed):

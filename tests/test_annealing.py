@@ -5,13 +5,14 @@ from _oracles import any_within, classify_sixteenfold
 from conftest import random_image, sixteenfold_field
 from cornerforge import annealing as an
 from cornerforge.datasets import make_dataset, synthetic_base_image
-from cornerforge.detectors import SixteenFoldDetector
+from cornerforge.detectors import SixteenFoldDetector, TreeDetector
 from cornerforge.image import GrayImage, add_gaussian_noise
+from cornerforge.learn import InconsistentLabelsError
 from cornerforge.repeatability import make_pairs
-from cornerforge.runtime import score_positions, ternary_planes
-from cornerforge.trees import (LEAF0, LEAF1, Leaf, Node, OffsetTable,
-                               default_offsets_48, sixteen_fold_offsets,
-                               tree_size)
+from cornerforge.runtime import PlaneWalk, score_positions, ternary_planes
+from cornerforge.trees import (LEAF0, LEAF1, CompiledTree, Leaf, Node,
+                               OffsetTable, default_offsets_48, sixteen_fold,
+                               sixteen_fold_offsets, tree_size)
 from cornerforge.warp import Homography, project_points
 
 
@@ -23,13 +24,22 @@ def dataset():
     return frames, warps
 
 
-def random_tree(seed: int, mutations: int = 6):
+def random_tree(seed: int, mutations: int = 6, table=None):
     rng = np.random.default_rng(seed)
-    table = default_offsets_48()
+    table = default_offsets_48() if table is None else table
     tree = an.random_depth1_tree(rng, table)
     for _ in range(mutations):
         tree = an.mutate(tree, rng, table)
     return tree
+
+
+def box9_table(seed: int, keep=()) -> OffsetTable:
+    """48 cells of the 9x9 box, those in ``keep`` among them: a table that
+    is not closed under the dihedral maps."""
+    cells = [(dx, dy) for dy in range(-4, 5) for dx in range(-4, 5)
+             if (dx, dy) != (0, 0) and (dx, dy) not in keep]
+    pick = np.random.default_rng(seed).permutation(len(cells))[:48 - len(keep)]
+    return OffsetTable("box9-48", tuple(keep) + tuple(cells[k] for k in pick), 0)
 
 
 def conjunction_tree(seed: int, k: int):
@@ -144,12 +154,9 @@ class TestCostEvaluator:
         assert cost == an.cost_from_parts(r, d_counts, tree_size(tree), weights)
 
     def test_table_not_closed_under_dihedral_maps(self, dataset):
-        # 48 cells of the 9x9 box: the evaluator's planes cover their 8
-        # dihedral images, which the table itself does not hold
-        cells = [(dx, dy) for dy in range(-4, 5) for dx in range(-4, 5)
-                 if (dx, dy) != (0, 0)]
-        pick = np.random.default_rng(5).permutation(len(cells))[:48]
-        table = OffsetTable("box9-48", tuple(cells[k] for k in pick), 0)
+        # the evaluator's planes cover the 8 dihedral images of the table's
+        # offsets, which the table itself does not hold
+        table = box9_table(5)
         assert {(-dx, dy) for dx, dy in table.offsets} != set(table.offsets)
         frames, warps = dataset
         rng = np.random.default_rng(6)
@@ -185,7 +192,8 @@ class TestCostEvaluator:
                                            default_offsets_48(), tree)
         assert 0 < repeated <= useful
 
-    @pytest.mark.parametrize("tree", [TREES[0], TREES[4], LEAF0, *FLAT_FIRING])
+    @pytest.mark.parametrize("tree", [TREES[0], TREES[4], LEAF0, *FLAT_FIRING,
+                                      random_tree(3, 30)])
     def test_constant_frames_have_no_busy_column(self, dataset, tree):
         # every state is similar, so no column is walked: the all-similar
         # chain alone decides every pixel
@@ -195,7 +203,8 @@ class TestCostEvaluator:
         warps = dataset[1]
         ev = an.CostEvaluator(frames, warps, an.CostWeights(),
                               default_offsets_48())
-        assert ev.busy.size and not ev.busy.any() and ev.planes.shape[1] == 0
+        assert ev.busy.size and not ev.busy.any()
+        assert ev.views.shape == (48, 0) and ev.inverse.size == 0
         useful, repeated = check_evaluator(frames, warps, an.CostWeights(),
                                            default_offsets_48(), tree)
         fires = tree in FLAT_FIRING
@@ -283,6 +292,95 @@ class TestCostEvaluator:
         fields = padded(frames, ev.detect_fields(TREES[0]))
         useful, repeated = oracle_repeatability(frames, warps, fields, pairs, 5.0)
         assert 0 < repeated < useful
+
+
+BOX9 = box9_table(5)
+FIELD_CASES = [(default_offsets_48(), tree) for tree in (
+    random_tree(0, 30), random_tree(1, 30), random_tree(2, 30), TREES[0],
+    LEAF1)] + [(BOX9, random_tree(11, 20, BOX9))]
+
+
+class TestDistinctColumns:
+    """``detect_fields`` and ``distill`` walk the distinct state columns,
+    under four rotations, with four of the sixteen variants."""
+
+    @pytest.mark.parametrize("rows", [1, 5, 24, 25, 48, 61])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_groups_equal_np_unique(self, rows, seed):
+        # few distinct columns, so groups are large; a row order and a
+        # column subset, as the evaluator and distill pass them
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 3, (rows, 7), dtype=np.uint8)
+        planes = base[:, rng.integers(0, 7, 300)]
+        cols = np.flatnonzero(rng.random(300) < 0.7)
+        order = rng.permutation(rows)
+        first, inverse = an._distinct_columns(planes, cols, order)
+        sub = planes[order][:, cols]
+        want, want_inverse = np.unique(sub, axis=1, return_inverse=True)
+        assert np.array_equal(sub[:, first], want)
+        assert np.array_equal(inverse, want_inverse.ravel())
+        first, inverse = an._distinct_columns(planes)
+        want, want_inverse = np.unique(planes, axis=1, return_inverse=True)
+        assert np.array_equal(planes[:, first], want)
+        assert np.array_equal(inverse, want_inverse.ravel())
+
+    def test_no_columns(self):
+        first, inverse = an._distinct_columns(np.ones((48, 0), dtype=np.uint8))
+        assert first.size == inverse.size == 0
+
+    @pytest.mark.parametrize("t", [1, 35])
+    @pytest.mark.parametrize("table, tree", FIELD_CASES, ids=[
+        "mutated0", "mutated1", "mutated2", "conjunction", "leaf1", "box9"])
+    def test_fields_equal_the_sixteen_fold_walk(self, dataset, t, table, tree):
+        frames, warps = dataset
+        ev = an.CostEvaluator(frames, warps, an.CostWeights(t=t), table)
+        got = np.concatenate([f.ravel() for f in ev.detect_fields(tree)])
+        planes = ternary_planes(frames, ev.offsets, t, table.margin)
+        walk = PlaneWalk(sixteen_fold(CompiledTree(tree, table)), ev.offsets)
+        assert np.array_equal(got, walk.fired(planes))
+        rows = ev.views.shape[1] // 4
+        assert ev.views.shape == (len(ev.offsets), 4 * rows)
+        assert ev.inverse.shape == (ev.busy.sum(),)
+        assert rows < ev.busy.sum() if t == 35 else rows <= ev.busy.sum()
+
+    def test_distill_merges_rows_with_equal_table_states(self, dataset,
+                                                         monkeypatch):
+        # the table holds the four images of (1, 0), so labels depend on
+        # its states alone, but distinct columns also differ at the
+        # 8-fold images of its other offsets: the training set holds each
+        # state vector once, weighted by its columns
+        table = box9_table(7, keep=[(1, 0), (0, 1), (-1, 0), (0, -1)])
+        frames = dataset[0]
+        offsets = sixteen_fold_offsets(table)
+        assert len(offsets) > len(table)
+        sets = []
+        build_tree = an.build_tree
+        monkeypatch.setattr(an, "build_tree",
+                            lambda ts: sets.append(ts) or build_tree(ts))
+        edge = Node(table.index_base, b=LEAF1, s=LEAF0, d=LEAF0)
+        single = TreeDetector(an.distill(edge, frames, 20, table), table)
+        wide = SixteenFoldDetector(edge, table)
+        planes = ternary_planes(frames, offsets, 20, table.margin)
+        own = planes.take([offsets.index(xy) for xy in table.offsets], axis=0)
+        states, counts = np.unique(own, axis=1, return_counts=True)
+        assert len(states.T) < len(np.unique(planes, axis=1).T)
+        (ts,) = sets
+        assert np.array_equal(ts.states, states.T)
+        assert np.array_equal(ts.weights, counts)
+        for img in frames:
+            want = wide.walk.detect(img, 20, table.margin)
+            assert len(want) and np.array_equal(
+                single.walk.detect(img, 20, table.margin), want)
+
+    def test_distill_refuses_labels_outside_the_table(self, dataset):
+        # a test of an offset whose dihedral images the table lacks: equal
+        # table states carry both labels
+        table = box9_table(7)
+        far = next(k for k, (dx, dy) in enumerate(table.offsets)
+                   if (dy, dx) not in table.offsets)
+        tree = Node(table.index_base + far, b=LEAF1, s=LEAF0, d=LEAF0)
+        with pytest.raises(InconsistentLabelsError):
+            an.distill(tree, dataset[0], 20, table)
 
 
 class TestAnneal:

@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from _oracles import project_points_masked
 from cornerforge.cli import EXIT_DATA, EXIT_OK, main
 from cornerforge.warp import (Homography, SingularHomographyError,
                               load_homography, project_points,
@@ -49,6 +52,48 @@ class TestHomography:
         back, _ = project_points(
             Homography(np.linalg.inv(shift.matrix), SIZE), coords)
         assert np.allclose(back, pts)
+
+    @staticmethod
+    def check_bytes(warp, pts):
+        coords, valid = project_points(warp, pts)
+        want_coords, want_valid = project_points_masked(warp, pts)
+        assert coords.dtype == want_coords.dtype and valid.dtype == bool
+        assert coords.tobytes() == want_coords.tobytes()
+        assert valid.tobytes() == want_valid.tobytes()
+        return coords, valid
+
+    def test_points_sent_to_infinity(self):
+        # (x, y) -> (1/x, y/x): z = x, so x = 0 and |x| = 1e-12 are sent to
+        # infinity, 2e-12 and 0.02 land outside, and x < 0 left of the frame
+        swap = Homography(np.array([[0.0, 0, 1], [0, 1, 0], [1, 0, 0]]), SIZE)
+        pts = np.array([[0.0, 5.0], [1e-12, 3.0], [-1e-12, 0.0],
+                        [2e-12, 1.0], [-1.0, 2.0], [0.5, 7.0], [0.02, 1.0]])
+        coords, valid = self.check_bytes(swap, pts)
+        assert valid.tolist() == [False] * 5 + [True, False]
+        assert coords[:3].tolist() == [[0, 0]] * 3
+        assert coords[5].tolist() == [2, 14]
+
+    def test_box_edges_are_inside(self):
+        # the pixel-centre box is closed: x = w - 1 and y = h - 1 are valid
+        w, h = SIZE
+        same = Homography(np.eye(3), SIZE)
+        pts = np.array([[0.0, 0.0], [w - 1, h - 1], [w - 1, 0.0], [0.0, h - 1],
+                        [np.nextafter(w - 1, w), 3.0],
+                        [2.0, np.nextafter(h - 1, h)],
+                        [-5e-324, 2.0], [3.0, -5e-324]])
+        _, valid = self.check_bytes(same, pts)
+        assert valid.tolist() == [True] * 4 + [False] * 4
+
+    @given(m=arrays(np.float64, (3, 3), elements=st.floats(-4, 4)),
+           pts=arrays(np.float64, st.tuples(st.integers(0, 40),
+                                            st.just(2)),
+                      elements=st.floats(-60, 60)),
+           zero=st.integers(0, 2))
+    def test_equals_the_masked_formula(self, m, pts, zero):
+        # a zero in the bottom row makes points with z = 0 easier to hit
+        m[2, zero] = 0.0
+        assume(abs(np.linalg.det(m)) > 1e-12)
+        self.check_bytes(Homography(m, SIZE), pts)
 
 
 def test_eval_repeat_rejects_nan_homography(tmp_path):
