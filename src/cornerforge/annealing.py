@@ -8,12 +8,11 @@ frames, per-frame corner density, and tree size; proposals are accepted by
 the Boltzmann criterion under an exponentially decaying temperature.
 
 The threshold and the training frames are fixed for a whole run, so the
-cost evaluator computes the frames' ternary state planes once. A pixel whose
-states are all "similar" takes the same path in every variant, so an
-evaluation follows that path once for all of them. The other pixels are
-kept as their distinct state columns, each under the four rotations, and a
-candidate walks four of its variants (``runtime.PlaneWalk``) over those:
-a rotation applied to the column stands in for the rotation in the variant
+cost evaluator computes the frames' ternary state planes once and keeps
+only their distinct state columns, each under the four rotations; the
+pixels whose states are all "similar" share one of them. A candidate walks
+four of its variants (``runtime.PlaneWalk``) over those: a rotation
+applied to the column stands in for the rotation in the variant
 (``_sixteen_fold_fired``). ``distill`` labels its training columns the same
 way. Pixels stay in the planes' column layout: a frame of h x w pixels is
 its (h - 2m) x (w - 2m) interior raster, m being the offset table's margin,
@@ -234,7 +233,8 @@ def _sixteen_fold_fired(ct: CompiledTree, offsets,
     and inverted) walk the four blocks, and a column fires when one of its
     four copies does.
     """
-    fired = PlaneWalk(sixteen_fold(ct)[:4], offsets).fired(views)
+    walk = PlaneWalk(itertools.islice(sixteen_fold(ct), 4), offsets)
+    fired = walk.fired(views)
     return fired.reshape(4, -1).any(axis=0)
 
 
@@ -257,19 +257,17 @@ class CostEvaluator:
     pixel that projects outside frame j. Per frame it keeps the padded row
     stride and ``_disc_runs`` at that stride.
 
-    A plane column is ``busy`` when any of its states is not 1 (similar).
-    A flat column, all states 1, takes the all-similar chain from the root
-    in every variant, since the dihedral maps only move offsets and
-    inversion only swaps the brighter and darker children. So it fires iff
-    the leaf that chain ends in has class 1, a whole-tree leaf being that
-    leaf, and only the busy columns are walked. Of those only the distinct
-    ones are kept (``_distinct_columns``): ``views`` holds them under the
-    four rotations (``_quarter_turns``), and ``inverse`` maps each busy
-    column, in plane order, to its distinct column. On the 160x120 frames
-    of the annealed fixture at t=35, 17,000 busy columns hold 4,145
-    distinct ones, so ``views`` (0.76 MB) is about the size of the busy
-    columns' planes, and a candidate walks 4 variants over 4 x 4,145
-    columns instead of 16 over 17,000 (``_sixteen_fold_fired``).
+    Only the distinct plane columns are kept: those of the busy columns,
+    which have some state other than 1 (similar), found by
+    ``_distinct_columns``, then one all-1s column for the flat ones, which
+    are most of a smooth frame's columns at t=35 and need no sort. ``views``
+    holds them under the four rotations (``_quarter_turns``), and the int32
+    ``inverse`` maps each plane column, in plane order, to its distinct
+    column. On the 160x120 frames of the annealed fixture at t=35, 17,000
+    busy columns hold 4,145 distinct ones, so ``views`` (0.76 MB) is about
+    the size of the busy columns' planes, and a candidate walks 4 variants
+    over 4 x 4,146 columns instead of 16 over every column
+    (``_sixteen_fold_fired``).
 
     An evaluation pads each detection field and takes its row prefix sums.
     A detected source is repeated when its sure runs hold a detection of
@@ -296,11 +294,15 @@ class CostEvaluator:
                        for f in self.frames]
         planes = ternary_planes(self.frames, self.offsets, weights.t, m)
         # flat: the least and the greatest state of the column are both 1
-        self.busy = (planes.min(axis=0) != 1) | (planes.max(axis=0) != 1)
-        busy = np.flatnonzero(self.busy)
-        first, self.inverse = _distinct_columns(planes, busy)
-        columns = planes.take(busy.take(first), axis=1)
-        del planes, busy, first  # freed before the projections are built
+        busy = np.flatnonzero((planes.min(axis=0) != 1)
+                              | (planes.max(axis=0) != 1))
+        first, inverse = _distinct_columns(planes, busy)
+        self.inverse = np.full(planes.shape[1], len(first), dtype=np.int32)
+        self.inverse[busy] = inverse
+        # the distinct busy columns, then the flat columns' all-1s column
+        columns = np.pad(planes.take(busy.take(first), axis=1),
+                         ((0, 0), (0, 1)), constant_values=1)
+        del planes, busy, first, inverse  # freed before the projections
         self._latest = self._committed = None
         self.pad = pad = math.ceil(weights.epsilon) + m + 1
         self.strides = strides = [w + 2 * pad + 1 for _, w in self.shapes]
@@ -324,16 +326,11 @@ class CostEvaluator:
 
     def detect_fields(self, tree: TernaryTree) -> list[np.ndarray]:
         """Per frame, the boolean interior raster of the symmetrized
-        detector's corners: the all-similar chain's class on the flat
-        columns, and on each busy column the result of its distinct
+        detector's corners: on each column the result of its distinct
         column's walk (``_sixteen_fold_fired``), split by frame."""
         ct = CompiledTree(tree, self.table)
-        node = ct.root  # followed down the all-similar chain to its leaf
-        while node >= 0:
-            node = int(ct.children[node, 1])
-        fired = np.full(self.busy.size, node == -2)
-        fired[self.busy] = _sixteen_fold_fired(ct, self.offsets,
-                                               self.views).take(self.inverse)
+        fired = _sixteen_fold_fired(ct, self.offsets,
+                                    self.views).take(self.inverse)
         ends = np.cumsum([h * w for h, w in self.shapes])[:-1]
         return [part.reshape(shape) for part, shape
                 in zip(np.split(fired, ends), self.shapes)]

@@ -113,7 +113,7 @@ class TreeDetector(FeatureDetector):
         check_threshold(t_min)
         self.table = table
         source = CompiledTree(tree, self.table)
-        self.trees = self.variants(source)
+        self.trees = list(self.variants(source))
         first = {}  # each distinct offset of the source -> its first node
         for k, xy in enumerate(zip(source.dx.tolist(), source.dy.tolist())):
             first.setdefault(xy, k)

@@ -1,11 +1,12 @@
 """Applying decision trees to images: detection, corner scores, suppression,
 feature-count control and writing the keypoint file.
 
-``corner_paths`` lists a tree's corner paths, from the root to a corner
-leaf, as the (brighter, darker, similar) sets of the offsets each tests in
-that state. With d = ring - centre, a position follows a path at threshold
-t exactly when lo < t <= hi: hi is the least of d over the brighter set and
-of -d over the darker set (255 when both are empty), its bound, and lo the
+``leaf_paths`` lists a tree's paths from the root to its leaves, those to
+a corner leaf (its corner paths) apart from the others, each as the
+(brighter, darker, similar) sets of the offsets it tests in that state.
+With d = ring - centre, a position follows a path at threshold t exactly
+when lo < t <= hi: hi is the least of d over the brighter set and of -d
+over the darker set (255 when both are empty), its bound, and lo the
 greatest |d| over the similar set (0 when it is empty). So the corner score
 of a pixel, the largest threshold at which it still classifies as a
 corner, is the largest hi with lo < hi over the paths, whether or not
@@ -13,15 +14,16 @@ classification is monotone in the threshold. ``corner_needs`` keeps the
 minimal (brighter, darker) pairs of the paths: a position fires at t only
 if it meets one, every brighter offset at d >= t and every darker one at
 d <= -t. A pair is covered when some tree fires on every column whose
-states meet it; it is then a path in its own right, with no similar test,
-and holds every path whose sets hold its own. ``_bound_block`` is the one
-routine that evaluates paths: ``needs_field`` runs it on views of the
-pixels, for every pixel, and ``score_positions`` on pixels gathered at
-given positions, over a ``PlaneWalk``'s scoring paths. A tree detector
-whose pairs are all covered, as every exhaustive FAST-n tree's are (its
-pairs are the arcs of n), detects and scores from the field over its pairs
-alone (``detectors.TreeDetector``), and the segment test's score field is
-the field over the arcs of n.
+states meet it, that is when each of the tree's other paths tests one of
+its offsets in a state the pair excludes; it is then a path in its own
+right, with no similar test, and holds every path whose sets hold its own.
+``_bound_block`` is the one routine that evaluates paths: ``needs_field``
+runs it on views of the pixels, for every pixel, and ``score_positions``
+on pixels gathered at given positions, over a ``PlaneWalk``'s scoring
+paths. A tree detector whose pairs are all covered, as every exhaustive
+FAST-n tree's are (its pairs are the arcs of n), detects and scores from
+the field over its pairs alone (``detectors.TreeDetector``), and the
+segment test's score field is the field over the arcs of n.
 Other trees detect on ternary state planes: ``ternary_planes`` computes the
 darker/similar/brighter state of every interior pixel at each offset once
 per image and threshold, one column per pixel, and ``PlaneWalk`` walks one
@@ -144,20 +146,23 @@ class PlaneWalk:
     here; ``least`` is the fewest rows of any pair. A column fires on no
     tree unless some pair holds in its states, every brighter row 2 and
     every darker row 0. ``fired`` walks the trees after the first only over
-    the columns that meet a pair. ``covered`` holds a bool per pair, True
-    when some tree reaches a corner leaf on every column whose states meet
-    the pair (``_covered``); on FAST-9 all 32 pairs are covered.
+    the columns that meet a pair.
 
+    ``covered`` and ``paths`` come from one pass of ``leaf_paths`` over the
+    trees in turn, until every pair is covered. ``covered`` holds a bool
+    per pair, True when some tree reaches a corner leaf on every column
+    whose states meet the pair: when each of that tree's other paths tests
+    one of the pair's brighter rows darker or similar, or one of its darker
+    rows similar or brighter. On FAST-9 the first tree covers all 32 pairs.
     ``paths`` holds the scoring paths that ``score_positions`` evaluates,
     (brighter, darker, similar) tuples of plane rows ordered like ``pairs``:
     the covered pairs, with no similar row, and when some pair is not
-    covered, every tree's corner paths (``corner_paths``) that neither a
-    covered pair nor another path holds (``minimal_masks``). The thresholds
-    at which a held path fires lie inside those of the path that holds it,
-    so dropping it changes no score. ``needs=None`` means unknown
-    (annealing and ``distill`` only detect): ``pairs``, ``covered`` and
-    ``paths`` are None, which gates nothing; an empty ``needs`` means no
-    corner leaf.
+    covered, every tree's corner paths that neither a covered pair nor
+    another path holds (``minimal_masks``). The thresholds at which a held
+    path fires lie inside those of the path that holds it, so dropping it
+    changes no score. ``needs=None`` means unknown (annealing and
+    ``distill`` only detect): ``pairs``, ``covered`` and ``paths`` are
+    None, which gates nothing; an empty ``needs`` means no corner leaf.
     """
 
     def __init__(self, trees, offsets, needs=None):
@@ -185,8 +190,25 @@ class PlaneWalk:
                                  "walk's offsets") from None
             self.least = min((len(b) + len(d) for b, d in self.pairs), default=0)
             self._stack = _stacked(self.pairs)
-            self.covered = self._covered()
-            self.paths = self._scoring_paths()
+            # the tests that rule a pair out: a brighter row darker or
+            # similar, a darker row similar or brighter (leaf_paths' bits)
+            rules = [sum(3 << 3 * k for k in b) | sum(6 << 3 * k for k in d)
+                     for b, d in self.pairs]
+            covered, corner = [False] * len(rules), set()
+            for ct, row in zip(self.trees, self.rows):
+                if all(covered):
+                    break
+                corners, other = leaf_paths(ct, row)
+                corner |= corners
+                covered = [sure or all(m & rule for m in other)
+                           for sure, rule in zip(covered, rules)]
+            self.covered = np.array(covered, dtype=bool)
+            found = {pair_mask(b, d) for (b, d), sure in zip(self.pairs, covered)
+                     if sure}
+            if not all(covered):
+                found = minimal_masks(found | corner)
+            self.paths = tuple(sorted(map(_sides, found),
+                                      key=lambda path: (sum(map(len, path)), path)))
 
     @staticmethod
     def _head(ct: CompiledTree, row: np.ndarray):
@@ -201,74 +223,6 @@ class PlaneWalk:
         lut = np.array([k if k < 0 else ct.children[k, s2]
                         for k in kids.tolist() for s2 in range(3)], dtype=np.int32)
         return (int(row[ct.root]), second.pop()), lut
-
-    def _covered(self) -> np.ndarray:
-        """``covered``: for each pair, whether one tree reaches a corner
-        leaf on every column whose states meet it.
-
-        A tree covers a pair when none of its paths to a non-corner leaf
-        admits it: no brighter row of the pair is tested there as similar
-        or darker, and no darker row as similar or brighter. Side j of
-        ``_stacked``'s layout is bit j % 64 of uint64 word j // 64. A path
-        carries the sides it rules out: a darker test of a row sets the
-        row's brighter side, a brighter test its darker side and a similar
-        test both; a row that no pair names sets none. Each tree's paths
-        are opened level by level, three children per open node, and a
-        pair stays uncovered when the bits of some non-corner leaf's path
-        miss all of the pair's. The trees are visited in turn, each for the
-        pairs still uncovered, until none is left.
-        """
-        used, stack = self._stack
-        n, words = len(used), (2 * len(used) + 63) // 64
-        side = np.arange(2 * n, dtype=np.uint64)
-        word, bit = side // 64, np.uint64(1) << side % 64
-        side = np.array([j for sides in stack for j in sides], dtype=np.intp)
-        pair = np.repeat(np.arange(len(stack)), [len(sides) for sides in stack])
-        need = np.zeros((len(stack), words), dtype=np.uint64)
-        np.bitwise_or.at(need, (pair, word[side]), bit[side])
-        col = np.full(len(self.offsets), -1)  # plane row -> its brighter side
-        col[used] = np.arange(n)
-        covered = np.zeros(len(stack), dtype=bool)
-        for ct, row in zip(self.trees, self.rows):
-            if covered.all():
-                break
-            if ct.root < 0:
-                covered |= ct.root == -2
-                continue
-            node = np.flatnonzero(col[row] >= 0)
-            b = col[row[node]]
-            d = b + n
-            rules = np.zeros((len(row), 3, words), dtype=np.uint64)  # d, s, b
-            rules[node, 0, word[b]] = rules[node, 1, word[b]] = bit[b]
-            rules[node, 1, word[d]] |= bit[d]
-            rules[node, 2, word[d]] = bit[d]
-            live = np.array([ct.root])
-            path = np.zeros((1, words), dtype=np.uint64)
-            leaves = []
-            while live.size:
-                kids = ct.children[live].ravel()
-                path = (path[:, None] | rules[live]).reshape(len(kids), words)
-                leaves.append(path[kids == -1])
-                keep = kids >= 0
-                live, path = kids[keep], path[keep]
-            leaves = np.concatenate(leaves)
-            todo = np.flatnonzero(~covered)
-            ruled = np.zeros((len(leaves), len(todo)), dtype=bool)
-            for w in range(words):
-                ruled |= np.bitwise_and.outer(leaves[:, w], need[todo, w]) != 0
-            covered[todo] = ruled.all(axis=0)
-        return covered
-
-    def _scoring_paths(self) -> tuple:
-        """``paths``, found as ``corner_paths`` masks of plane rows."""
-        found = {pair_mask(b, d) for (b, d), sure in zip(self.pairs, self.covered)
-                 if sure}
-        if not self.covered.all():
-            for ct, row in zip(self.trees, self.rows):
-                found |= corner_paths(ct, row)
-            found = minimal_masks(found)
-        return tuple(sorted(map(_sides, found),
-                            key=lambda path: (sum(map(len, path)), path)))
 
     def fired(self, planes: np.ndarray) -> np.ndarray:
         """Columns of ``planes`` that any of the trees classifies as a
@@ -293,9 +247,6 @@ class PlaneWalk:
         the same per entry whatever the pattern of the mask. Boolean masking
         is cheaper only on masks that come in long runs, as on smooth t=35
         images, and several times dearer on the noisy masks of a t=1 walk.
-        Annealing passes no needs: it skips the flat columns, which meet no
-        pair unless the all-similar chain ends in a corner, itself, once per
-        run for every tree.
         """
         n = planes.shape[1]
         fired = np.zeros(n, dtype=bool)
@@ -381,40 +332,40 @@ class PlaneWalk:
                                 hit // iw + margin]).astype(np.int32)
 
 
-def corner_paths(ct, row) -> set:
-    """The corner paths of a compiled tree, from the root to a corner leaf,
-    each as the int bitmask of its tests, one per distinct mask: a test of
-    node k in state s (0 darker, 1 similar, 2 brighter, as in
-    ``ternary_planes``) sets bit 3 * row[k] + s, and ``_sides`` splits a
-    mask into its (brighter, darker, similar) rows. A path may test one
-    offset twice, even in two states; one that does so in two states never
-    fires, its lo being at least its bound. {0} when the root is a corner
-    leaf, and empty when no corner leaf exists."""
+def leaf_paths(ct, row) -> tuple[set, set]:
+    """(corner, other): the paths of a compiled tree from the root to a
+    corner leaf, and to a non-corner leaf, each as the int bitmask of its
+    tests, one per distinct mask. A test of node k in state s (0 darker, 1
+    similar, 2 brighter, as in ``ternary_planes``) sets bit 3 * row[k] + s,
+    and ``_sides`` splits a mask into its (brighter, darker, similar) rows.
+    A path may test one offset twice, even in two states; one that does so
+    in two states never fires, its lo being at least its bound. A tree that
+    is one leaf has the one path 0, in ``corner`` when that leaf is a
+    corner."""
     bits = [1 << 3 * k for k in map(int, row)]
     children = ct.children.tolist()
-    found = set()
+    found = (set(), set())  # by leaf code: -1 other, -2 corner
     stack = [(ct.root, 0)]
     while stack:
         node, tests = stack.pop()
         if node < 0:
-            if node == -2:
-                found.add(tests)
+            found[node].add(tests)
             continue
         m = bits[node]
         to_d, to_s, to_b = children[node]
         stack += [(to_d, tests | m), (to_s, tests | m << 1), (to_b, tests | m << 2)]
-    return found
+    return found[-2], found[-1]
 
 
 def pair_mask(brighter, darker) -> int:
-    """The ``corner_paths`` mask of a path that tests the rows of
+    """The ``leaf_paths`` mask of a path that tests the rows of
     ``brighter`` brighter, those of ``darker`` darker and nothing similar;
     the rows of each side are distinct."""
     return sum(4 << 3 * k for k in brighter) | sum(1 << 3 * k for k in darker)
 
 
 def _sides(tests: int) -> tuple:
-    """The (brighter, darker, similar) ascending rows of a ``corner_paths``
+    """The (brighter, darker, similar) ascending rows of a ``leaf_paths``
     mask."""
     rows = ([], [], [])  # by state: darker, similar, brighter
     while tests:
@@ -426,7 +377,7 @@ def _sides(tests: int) -> tuple:
 
 def corner_needs(ct) -> frozenset:
     """The minimal (brighter, darker) offset sets over the corner paths of
-    a compiled tree (``corner_paths``), each the distinct (dx, dy) a path
+    a compiled tree (``leaf_paths``), each the distinct (dx, dy) a path
     tests in that state, as two frozensets (``minimal_pairs``).
 
     A position fires on a path at threshold t only if ring - centre >= t
@@ -437,11 +388,11 @@ def corner_needs(ct) -> frozenset:
     nodes = list(zip(ct.dx.tolist(), ct.dy.tolist()))
     offsets = sorted(set(nodes))
     index = {xy: k for k, xy in enumerate(offsets)}
-    return minimal_pairs(corner_paths(ct, [index[xy] for xy in nodes]), offsets)
+    return minimal_pairs(leaf_paths(ct, [index[xy] for xy in nodes])[0], offsets)
 
 
 def minimal_pairs(masks, offsets) -> frozenset:
-    """The (brighter, darker) pairs of ``corner_paths`` masks, their similar
+    """The (brighter, darker) pairs of ``leaf_paths`` masks, their similar
     tests dropped, that hold no other (``minimal_masks``), as frozensets of
     the (dx, dy) in ``offsets`` that their rows index."""
     similar = sum(2 << 3 * k for k in range(len(offsets)))
@@ -455,7 +406,7 @@ def minimal_masks(masks) -> frozenset:
     if no kept mask is a subset of it, visiting the masks by bit count.
 
     A corner need or path is passed as the one mask of its (offset, state)
-    tests (``corner_paths``), so one test decides whether it holds another.
+    tests (``leaf_paths``), so one test decides whether it holds another.
     A dropped path's bound is never above that of the path it holds, and
     its lo never below, so neither the largest bound of the needs nor any
     score changes."""

@@ -275,20 +275,20 @@ class CompiledTree:
         self.children = np.asarray(children, dtype=np.int32).reshape(-1, 3)
 
 
-def sixteen_fold(ct: CompiledTree) -> list:
-    """The 16 transformed views of a compiled tree (8 spatial x inversion).
+def sixteen_fold(ct: CompiledTree):
+    """The 16 transformed views of a compiled tree (8 spatial x inversion),
+    generated in ``_DIHEDRAL`` order, each map plain and then inverted, so a
+    caller that needs the first few builds no others.
 
     Spatial transforms act on the offsets; intensity inversion swaps the
     darker/brighter branch targets. Leaf classes are untouched.
     """
-    out = []
     for a, b, c, d in _DIHEDRAL:
         dx = a * ct.dx + b * ct.dy
         dy = c * ct.dx + d * ct.dy
         for invert in (False, True):
             kids = ct.children[:, ::-1] if invert else ct.children
-            out.append(SimpleNamespace(root=ct.root, dx=dx, dy=dy, children=kids))
-    return out
+            yield SimpleNamespace(root=ct.root, dx=dx, dy=dy, children=kids)
 
 
 def sixteen_fold_offsets(table: OffsetTable) -> list[tuple[int, int]]:

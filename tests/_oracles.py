@@ -148,16 +148,15 @@ def covered(tree, table, pair) -> bool:
     return visit(tree)
 
 
-def corner_paths(tree, table) -> set:
-    """Every corner path of the tree, from the root to a corner leaf, as
-    the (brighter, darker, similar) frozensets of the (dx, dy) it tests in
-    that state, by recursion over the nodes."""
-    found = set()
+def leaf_paths(tree, table) -> tuple[set, set]:
+    """Every path of the tree from the root to a leaf, as the (brighter,
+    darker, similar) frozensets of the (dx, dy) it tests in that state, by
+    recursion over the nodes: (those to a corner leaf, those to another)."""
+    found = (set(), set())
 
     def visit(node, brighter, darker, similar):
         if not hasattr(node, "offset"):
-            if node.cls:
-                found.add((brighter, darker, similar))
+            found[1 - node.cls].add((brighter, darker, similar))
             return
         xy = table.xy(node.offset)
         visit(node.b, brighter | {xy}, darker, similar)

@@ -62,6 +62,15 @@ TREES = [conjunction_tree(seed, 2 + seed % 3) for seed in range(4)] + [
     random_tree(0), random_tree(1)] + FLAT_FIRING
 
 
+def busy_columns(ev) -> np.ndarray:
+    """Per plane column of the evaluator, whether some state is not similar:
+    the columns that ``inverse`` maps to a distinct column other than the
+    last, which is the flat columns' all-1s column in each rotation."""
+    rows = ev.views.shape[1] // 4
+    assert (ev.views.reshape(len(ev.offsets), 4, rows)[:, :, -1] == 1).all()
+    return ev.inverse != rows - 1
+
+
 def oracle_repeatability(frames, warps, fields, pairs, eps) -> tuple[int, int]:
     """Useful/repeated totals: project every detected pixel, then compare it
     with every detection of the other frame in plain Python."""
@@ -167,12 +176,12 @@ class TestCostEvaluator:
                                            table, tree)
         assert 0 < repeated < useful
         # some columns are flat at the table's own offsets but not at their
-        # dihedral images; the flat rule must leave them to the walk
+        # dihedral images; they must keep distinct columns of their own
         offsets = sixteen_fold_offsets(table)
         planes = ternary_planes(frames, offsets, 20, table.margin)
         own = [offsets.index(xy) for xy in table.offsets]
         ev = an.CostEvaluator(frames, warps, an.CostWeights(t=20), table)
-        assert ((planes[own] == 1).all(axis=0) & ev.busy).any()
+        assert ((planes[own] == 1).all(axis=0) & busy_columns(ev)).any()
         # fires where any variant sees an edge at one of eight offsets: on
         # such columns only through an offset outside the table
         edge = LEAF0
@@ -187,7 +196,8 @@ class TestCostEvaluator:
         frames, warps = dataset
         ev = an.CostEvaluator(frames, warps, an.CostWeights(),
                               default_offsets_48())
-        assert 0 < ev.busy.sum() < ev.busy.size
+        busy = busy_columns(ev)
+        assert 0 < busy.sum() < busy.size
         useful, repeated = check_evaluator(frames, warps, an.CostWeights(),
                                            default_offsets_48(), tree)
         assert 0 < repeated <= useful
@@ -195,16 +205,16 @@ class TestCostEvaluator:
     @pytest.mark.parametrize("tree", [TREES[0], TREES[4], LEAF0, *FLAT_FIRING,
                                       random_tree(3, 30)])
     def test_constant_frames_have_no_busy_column(self, dataset, tree):
-        # every state is similar, so no column is walked: the all-similar
-        # chain alone decides every pixel
+        # every state is similar, so every column is the one all-1s column,
+        # walked under the four rotations: the all-similar chain decides
         sizes = [(f.height, f.width) for f in dataset[0]]
         frames = [GrayImage(np.full(hw, v, dtype=np.uint8))
                   for hw, v in zip(sizes, (0, 90, 255))]
         warps = dataset[1]
         ev = an.CostEvaluator(frames, warps, an.CostWeights(),
                               default_offsets_48())
-        assert ev.busy.size and not ev.busy.any()
-        assert ev.views.shape == (48, 0) and ev.inverse.size == 0
+        assert ev.inverse.size and not busy_columns(ev).any()
+        assert ev.views.shape == (48, 4)
         useful, repeated = check_evaluator(frames, warps, an.CostWeights(),
                                            default_offsets_48(), tree)
         fires = tree in FLAT_FIRING
@@ -340,8 +350,11 @@ class TestDistinctColumns:
         assert np.array_equal(got, walk.fired(planes))
         rows = ev.views.shape[1] // 4
         assert ev.views.shape == (len(ev.offsets), 4 * rows)
-        assert ev.inverse.shape == (ev.busy.sum(),)
-        assert rows < ev.busy.sum() if t == 35 else rows <= ev.busy.sum()
+        assert ev.inverse.shape == got.shape and ev.inverse.dtype == np.int32
+        busy = busy_columns(ev)
+        # every distinct busy column stands for at least one busy column
+        assert np.array_equal(np.unique(ev.inverse[busy]), np.arange(rows - 1))
+        assert rows - 1 < busy.sum() if t == 35 else rows - 1 <= busy.sum()
 
     def test_distill_merges_rows_with_equal_table_states(self, dataset,
                                                          monkeypatch):

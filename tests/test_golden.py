@@ -319,6 +319,41 @@ def test_walked_trees_match_golden_digests(tmp_path):
     assert walk_digests(tmp_path) == GOLDEN_WALK
 
 
+# Recorded before ``PlaneWalk`` took ``covered`` and its scoring paths from
+# one enumeration of each tree's leaf paths (``runtime.leaf_paths``).
+GOLDEN_LEARNED = {
+    "detect-faster-annealed_1500-t1": "2de5ea4679fb461b",
+    "detect-faster-annealed_1500-t35": "c433d8068c401b33",
+    "detect-fast-tree-annealed_1500_distilled-t1": "6fc43f5c0f2f172f",
+    "detect-fast-tree-annealed_1500_distilled-t35": "7ab6bf056bd9041c",
+}
+
+
+def learned_tree_digests(tmp_path) -> dict[str, str]:
+    """`detect` with the two committed learned trees (conftest's
+    ``annealed_trees``) at t=1 and t=35 on the first frame of a generated
+    160x120 set: 1,770 and 87 keypoints as faster, 1,776 and 85 distilled
+    as fast-tree. Both walks leave pairs uncovered, so these pin the gate,
+    the walk and the scoring paths on trees of 30 and 152 nodes."""
+    data = tmp_path / "data"
+    assert main(["make-dataset", "--synthetic", "160x120", "--frames", "2",
+                 "--noise", "2", "--seed", "7", "--out", str(data)]) == EXIT_OK
+    out = {}
+    for algo, name in (("faster", "annealed_1500"),
+                       ("fast-tree", "annealed_1500_distilled")):
+        for t in (1, 35):
+            txt = tmp_path / f"{name}-t{t}.txt"
+            assert main(["detect", str(data / "frame_000.pgm"), "--algo", algo,
+                         "--tree", str(FIXTURES / f"{name}.tree"), "--t", str(t),
+                         "--out", str(txt)]) == EXIT_OK
+            out[f"detect-{algo}-{name}-t{t}"] = digest(txt)
+    return out
+
+
+def test_learned_trees_detect_golden_digests(tmp_path):
+    assert learned_tree_digests(tmp_path) == GOLDEN_LEARNED
+
+
 def test_plans_replay_the_greedy_merges(tmp_path):
     # A pair set whose darker sides equal its brighter ones runs the greedy
     # once and replays its merges; the plan must be the one that running

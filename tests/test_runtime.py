@@ -424,7 +424,7 @@ def fast9_arcs():
 
 
 class TestCornerNeeds:
-    """``corner_paths`` and ``corner_needs`` against recursions over the
+    """``leaf_paths`` and ``corner_needs`` against recursions over the
     nodes, and the scoring paths that ``score_positions`` evaluates."""
 
     NONE = frozenset()
@@ -446,9 +446,10 @@ class TestCornerNeeds:
         ct = CompiledTree(tree, table)
         index = {xy: k for k, xy in enumerate(table.offsets)}
         row = [index[xy] for xy in zip(ct.dx.tolist(), ct.dy.tolist())]
-        assert {tuple(frozenset(table.offsets[k] for k in side)
-                      for side in rt._sides(tests))
-                for tests in rt.corner_paths(ct, row)} == orc.corner_paths(tree, table)
+        got = tuple({tuple(frozenset(table.offsets[k] for k in side)
+                           for side in rt._sides(tests)) for tests in paths}
+                    for paths in rt.leaf_paths(ct, row))
+        assert got == orc.leaf_paths(tree, table)
 
     def test_counts_distinct_offsets(self):
         # offset 1 is tested brighter twice on the only corner path
@@ -514,8 +515,8 @@ class TestCornerNeeds:
     @given(data=st.data())
     def test_covered_past_64_sides(self, data):
         # the one corner path tests 33-48 offsets, each brighter or darker:
-        # its pair and the swapped pair name 66-96 sides, two uint64 words
-        # of ``covered``'s bits, and only the path's own pair is covered
+        # its pair and the swapped pair name 66-96 sides, and only the
+        # path's own pair is covered
         table = default_offsets_48()
         chain = data.draw(st.permutations(list(table.indices())))
         chain = chain[:data.draw(st.integers(33, 48))]
@@ -562,13 +563,14 @@ class TestCornerNeeds:
     @pytest.mark.parametrize("sixteenfold", [False, True])
     def test_ceiling_is_the_fast9_score(self, fast9_tree, fast9_grid48,
                                         sixteenfold):
-        # the 32 covered arcs of 9 are the scoring paths, so no variant's
-        # paths are listed (``corner_paths`` runs once, for the source's
-        # needs), and their bound is the segment-test score itself
-        with mock.patch.object(rt, "corner_paths", wraps=rt.corner_paths) as spy:
+        # the 32 arcs of 9 are the scoring paths: the first variant covers
+        # them all, so ``leaf_paths`` runs twice, for the source's needs and
+        # for that variant, and their bound is the segment-test score itself
+        with mock.patch.object(rt, "leaf_paths", wraps=rt.leaf_paths) as spy:
             det = (SixteenFoldDetector(*fast9_grid48) if sixteenfold
                    else TreeDetector(fast9_tree, RING16))
-        assert spy.call_count == 1
+        assert spy.call_count == 2
+        assert spy.call_args.args[0] is det.walk.trees[0]
         assert det.walk.paths == tuple((tuple(b), tuple(d), ())
                                        for b, d in det.walk.pairs)
         img = random_image(np.random.default_rng(5), 40, 30)

@@ -22,7 +22,9 @@ builtin ``id`` is left in it.
 
 Suppression has one path: only ``FeatureDetector`` defines
 ``scored_keypoints``, and ``suppressed_rows`` has exactly one call site in
-the package.
+the package. Trees have one reader: outside ``trees``, only
+``runtime.PlaneWalk`` and ``runtime.leaf_paths`` read a compiled tree's
+``children``.
 """
 
 import ast
@@ -198,3 +200,19 @@ def test_one_suppression_path():
     assert defining == ["FeatureDetector"], (
         f"classes defining scored_keypoints: {defining}")
     assert len(calls) == 1, f"calls of suppressed_rows: {calls}"
+
+
+def test_one_tree_reader():
+    """A compiled tree's ``children`` are read only where trees are built and
+    transformed (``trees``), walked over state planes (``runtime.PlaneWalk``)
+    and enumerated path by path (``runtime.leaf_paths``): no other code
+    follows a branch, not even the all-similar chain."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.name != "trees.py" and any(
+                    isinstance(node, ast.Attribute) and node.attr == "children"
+                    for node in ast.walk(top)):
+                readers.add(f"{path.name}:{getattr(top, 'name', top.lineno)}")
+    assert readers <= {"runtime.py:PlaneWalk", "runtime.py:leaf_paths"}, (
+        f"readers of a compiled tree's children: {sorted(readers)}")
