@@ -52,7 +52,8 @@ class CostWeights:
     w_r weights repeatability, w_n scales per-frame corner counts, w_s scales
     tree size; alpha/beta shape the temperature schedule; t is the fixed
     detection threshold (``check_threshold``); epsilon the matching radius.
-    i_max must be an integer.
+    The weights, alpha, beta and i_max must be finite and strictly positive,
+    and i_max an integer.
     """
 
     w_r: float = 1.0
@@ -69,8 +70,8 @@ class CostWeights:
         if not isinstance(self.i_max, numbers.Integral):
             raise ValueError("i_max must be an integer")
         for name in ("w_r", "w_n", "w_s", "alpha", "beta", "i_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         check_epsilon(self.epsilon)
 
 
@@ -412,7 +413,9 @@ def anneal(frames, warps, weights: CostWeights, seed: int) -> AnnealResult:
         if k_new <= k_cur:
             accept = True
         else:
-            arg = (k_cur - k_new) / temp
+            # the temperature underflows to 0 once alpha * I / I_max passes
+            # about 745: no worse candidate is accepted from there on
+            arg = (k_cur - k_new) / temp if temp else -math.inf
             p = math.exp(arg) if arg > -745.0 else 0.0
             accept = rng.random() < p
         if accept:

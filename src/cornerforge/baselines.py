@@ -1,10 +1,10 @@
 """Comparison detectors: Harris, Shi-Tomasi, and a random scatter baseline.
 
 Harris and Shi-Tomasi give response fields; their detectors' score grids
-are the positive responses (``response_grid``), suppressed like every other
-grid (``runtime.suppressed_rows``). The random baseline's keypoint rows are
-a seeded permutation of the interior, at least ``RING_MARGIN`` from every
-edge: its ranking. Gradients are central differences on an
+are the positive responses (``response_grid``), suppressed and ranked like
+every other grid (``runtime.ranked_rows``). The random baseline's keypoint
+rows are a seeded permutation of the interior, at least ``RING_MARGIN``
+from every edge: its ranking. Gradients are central differences on an
 edge-replicated border; the structure tensor is smoothed with a Gaussian
 truncated at 3 sigma and renormalized. ``response_grid`` computes gradients,
 smoothing and response in one pass over blocks of rows, with temporaries

@@ -26,10 +26,10 @@ import numpy as np
 from . import __version__
 from .annealing import CostWeights, distill, multi_run
 from .baselines import kernel_radius
-from .datasets import check_magnitude, make_dataset, synthetic_base_image
+from .datasets import make_dataset, synthetic_base_image
 from .detectors import (FastRefDetector, HarrisDetector, RandomDetector,
                         ShiTomasiDetector, SixteenFoldDetector, TreeDetector)
-from .image import PgmError, load_image, save_pgm
+from .image import PgmError, check_magnitude, load_image, save_pgm
 from .learn import (MAX_TOTAL_WEIGHT, InconsistentLabelsError,
                     augment_exhaustive, build_tree, empty_training_set,
                     extract_training_data, force_shared_second_test)

@@ -7,11 +7,9 @@ ground-truth point transfer emitted alongside.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .image import GrayImage, add_gaussian_noise
+from .image import GrayImage, add_gaussian_noise, check_magnitude
 from .warp import Homography
 
 # on small images a diamond radius reaches 5, and it needs 2 * 5 + 1 pixels
@@ -104,14 +102,6 @@ def warp_image(img: GrayImage, matrix: np.ndarray) -> GrayImage:
     val = ((1 - fy) * ((1 - fx) * a[y0, x0] + fx * a[y0, x1])
            + fy * ((1 - fx) * a[y1, x0] + fx * a[y1, x1]))
     return GrayImage(np.clip(np.rint(val), 0, 255).astype(np.uint8))
-
-
-def check_magnitude(value: float) -> None:
-    """``ValueError`` unless a warp magnitude or noise sigma is finite and
-    at least 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError("a warp magnitude or noise sigma must be finite and "
-                         f">= 0, got {value}")
 
 
 def make_dataset(base: GrayImage, n_frames: int, warp_magnitude: float,

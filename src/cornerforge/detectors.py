@@ -6,8 +6,9 @@ keypoint of the image afresh, and ``detect(img, n)`` cuts that ranking at n
 (``top_n_by_score``), so a caller that needs several counts of one frame
 ranks it once and cuts it itself, as ``repeatability_curve`` does.
 A scored detector is its ``score_grid(img)``, image-shaped and 0 where
-nothing is detected; ``scored_keypoints`` suppresses every grid through
-``suppressed_rows``, and the rows are ranked by (-score, y, x). Detectors
+nothing is detected: int16 for the segment test and every tree, float64
+for Harris and Shi-Tomasi. ``all_keypoints`` suppresses and ranks every
+grid by (-score, y, x) through ``ranked_rows``. Detectors
 with discrete scores return the closest achievable count instead of
 splitting score ties; Harris and Shi-Tomasi split ties in raster order.
 The random baseline's ranking is a permutation of the frame's interior
@@ -26,8 +27,8 @@ from .baselines import (detect_random, harris_response, response_grid,
                         shi_tomasi_response)
 from .image import GrayImage
 from .runtime import (PlaneWalk, check_threshold, corner_needs, minimal_pairs,
-                      needs_field, pair_mask, rank_by_score, score_positions,
-                      suppressed_rows, top_n_by_score)
+                      needs_field, pair_mask, ranked_rows, score_positions,
+                      top_n_by_score)
 from .segment import check_arc, segment_score_field
 from .trees import CompiledTree, OffsetTable, TernaryTree, sixteen_fold
 
@@ -43,14 +44,10 @@ class FeatureDetector:
         """Image-shaped scores, 0 where nothing is detected."""
         raise NotImplementedError
 
-    def scored_keypoints(self, img: GrayImage) -> np.ndarray:
-        """Suppressed keypoint rows of one image, in raster order."""
-        return suppressed_rows(self.score_grid(img))
-
     def all_keypoints(self, img: GrayImage, frame_key=None) -> np.ndarray:
         """Every keypoint row of the image in rank order, as a new array.
         Only the random baseline reads ``frame_key``."""
-        return rank_by_score(self.scored_keypoints(img))
+        return ranked_rows(self.score_grid(img))
 
     def clear_cache(self) -> None:
         """No-op: detectors keep no state. Kept only because
@@ -141,7 +138,7 @@ class TreeDetector(FeatureDetector):
             field = needs_field(img, self.walk.offsets, self.walk.pairs, margin)
             np.multiply(field, field >= self.t_min, out=field)
             return field
-        grid = np.zeros(img.shape, dtype=np.int32)
+        grid = np.zeros(img.shape, dtype=np.int16)
         xs, ys = self.walk.detect(img, self.t_min, margin).T
         grid[ys, xs] = score_positions(self.walk, img, xs, ys, self.t_min)
         return grid

@@ -6,6 +6,7 @@ downward. Pixel data is 8-bit, stored row-major.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +141,18 @@ def load_image(path) -> GrayImage:
         raise PgmError(f"{path}: {exc}") from None
 
 
+def check_magnitude(value: float) -> None:
+    """``ValueError`` unless a warp magnitude or noise sigma is finite and
+    at least 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("a warp magnitude or noise sigma must be finite and "
+                         f">= 0, got {value}")
+
+
 def add_gaussian_noise(img: GrayImage, sigma: float, seed: int) -> GrayImage:
-    """Per-pixel clamp(round(I + N(0, sigma^2)), 0, 255), deterministic per seed."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    """Per-pixel clamp(round(I + N(0, sigma^2)), 0, 255), deterministic per
+    seed; sigma must pass ``check_magnitude``."""
+    check_magnitude(sigma)
     if sigma == 0:
         return img
     rng = np.random.default_rng(seed)

@@ -39,12 +39,11 @@ Positions and the integer scores of segment-test detectors are exact in
 float64; response detectors keep their float scores. ``score_positions``
 scores any tree, or OR of trees, exactly at given positions, reading
 pixels at the offsets of the detector's ``PlaneWalk``.
-``suppressed_rows`` is the one 3x3 non-maximal suppression, from a score
-grid to keypoint rows: one pass over the cells at least ``RING_MARGIN``
-from every edge, the only cells it can keep, read off one flat mask. The
-top n keypoints are a prefix of the rows ranked by (-score, y, x), which
-``rank_by_score`` sorts on a 16-bit key when every score is an integer
-that int16 holds, as every segment-test and tree score is.
+``ranked_rows`` is the one 3x3 non-maximal suppression and ranking, from
+a score grid to keypoint rows: the cells at least ``RING_MARGIN`` from
+every edge, the only cells it can keep, read off one flat mask, then one
+stable sort by descending score on a key of the grid's dtype. The top n
+keypoints are a prefix of its rows, ranked by (-score, y, x).
 ``write_keypoints`` writes the "x y score" keypoint file; nothing in the
 package reads one back.
 """
@@ -671,18 +670,21 @@ def _stacked(pairs) -> tuple[list, list]:
                   for b, d in pairs]
 
 
-def suppressed_rows(grid: np.ndarray) -> np.ndarray:
-    """Keypoint rows, in raster order, of the positive cells of an
+def ranked_rows(grid: np.ndarray) -> np.ndarray:
+    """Keypoint rows, ranked by (-score, y, x), of the positive cells of an
     image-shaped score grid (0 where nothing is detected) that lie at least
     ``RING_MARGIN`` from every edge, where the segment test can run, and
     survive 3x3 non-maximal suppression: no 8-neighbor scores strictly
     greater and no raster-earlier neighbor scores equal. A cell within the
     margin is never kept but still suppresses its neighbors. Each kept cell
     has all eight neighbors in the grid, so the rule compares the grid's
-    core with eight shifted views of it. The survivors come from the flat
-    indices of the core's mask, split into rows and columns by the core's
-    width: ``np.nonzero`` on the 2-D mask took 1.6 times as long on a
-    640x480 FAST-9 frame at t=1, and 13 times at t=35."""
+    core with eight shifted views of it. The survivors come in raster order
+    from the flat indices of the core's mask (``np.nonzero`` on the 2-D
+    mask took 1.6 times as long on a 640x480 FAST-9 frame at t=1, and 13
+    times at t=35), and one stable sort of their negated scores ranks them:
+    every score is above 0, so the key, in the grid's signed or float
+    dtype, cannot overflow, and NumPy sorts the int16 key of a segment-test
+    or tree grid by radix."""
     m = RING_MARGIN
     h, w = grid.shape
     core = grid[m : h - m, m : w - m]
@@ -694,7 +696,9 @@ def suppressed_rows(grid: np.ndarray) -> np.ndarray:
     ys, xs = np.divmod(np.flatnonzero(keep), core.shape[1])
     ys += m
     xs += m
-    return keypoint_rows(xs, ys, grid[ys, xs])
+    scores = grid[ys, xs]
+    order = np.argsort(np.negative(scores), kind="stable")
+    return keypoint_rows(xs[order], ys[order], scores[order])
 
 
 def keypoint_rows(xs, ys, scores) -> np.ndarray:
@@ -706,34 +710,8 @@ def keypoint_rows(xs, ys, scores) -> np.ndarray:
     return rows
 
 
-def rank_by_score(rows: np.ndarray) -> np.ndarray:
-    """Keypoint rows ordered by descending score, raster order within ties,
-    whatever order the rows come in, as a new array.
-
-    Two stable sorts: the raster key, y * (max x + 1) + x, which is exact
-    in float64 for integer coordinates below 2^26 and sorts in linear time
-    when the rows already come in raster order (``scored_keypoints``), then
-    the score key. When every score is an integer in the int16 range, as
-    every segment-test and tree score (1..255) is, the score key is the
-    int16 bitwise complement ~score, descending in the score without the
-    overflow of -(-32768), and NumPy's stable sort of a 16-bit key is a
-    radix sort, ten times faster than a float64 one at 30k rows. Other
-    scores, such as Harris and Shi-Tomasi responses, sort on -score in
-    float64."""
-    if not len(rows):
-        return rows.copy()
-    xs, ys, scores = rows[:, 0], rows[:, 1], rows[:, 2]
-    order = np.argsort(ys * (xs.max() + 1) + xs, kind="stable")
-    key = -scores
-    if -2**15 <= scores.min() and scores.max() < 2**15:  # False on NaN
-        whole = scores.astype(np.int16)
-        if (whole == scores).all():
-            key = ~whole
-    return rows.take(order[np.argsort(key[order], kind="stable")], axis=0)
-
-
 def top_n_by_score(ranked: np.ndarray, n: int, split_ties: bool = False) -> np.ndarray:
-    """The n highest-score keypoints: a prefix of rows in ``rank_by_score``
+    """The n highest-score keypoints: a prefix of rows in ``ranked_rows``
     order.
 
     By default the cut never splits a score tie class: the returned count is

@@ -22,7 +22,11 @@ File format (line oriented, LF endings, single spaces):
     N <offset_index>            decision node, followed by its b, s, d subtrees
     L <0|1>                     leaf
 
-Nodes are written pre-order with children in b, s, d order.
+Nodes are written pre-order with children in b, s, d order. No path
+passes more than ``MAX_DEPTH`` decision nodes. Every consumer recurses in
+the depth, and a node's ``==`` and ``repr`` take three frames a level, so
+the bound keeps them all inside Python's default recursion limit of 1000.
+Learned trees nest at most 16 deep for FAST-n and 48 for ``distill``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .image import RING_OFFSETS
 
 class TreeFormatError(ValueError):
     """Malformed tree file."""
+
+
+MAX_DEPTH = 250
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,7 @@ def deserialize_tree(data: bytes) -> tuple[TernaryTree, OffsetTable]:
     else:
         raise TreeFormatError("line 2: offsets=48 needs its offset table rows")
 
-    def rec() -> TernaryTree:
+    def rec(depth: int) -> TernaryTree:
         nonlocal pos
         if pos >= len(lines):
             raise TreeFormatError(f"line {len(lines) + 1}: unexpected end of tree")
@@ -222,13 +229,16 @@ def deserialize_tree(data: bytes) -> tuple[TernaryTree, OffsetTable]:
                 table.xy(offset)
             except ValueError as exc:
                 raise TreeFormatError(f"line {lineno}: {exc}") from None
-            b = rec()
-            s = rec()
-            d = rec()
+            if depth == MAX_DEPTH:
+                raise TreeFormatError(
+                    f"line {lineno}: nodes nest deeper than {MAX_DEPTH}")
+            b = rec(depth + 1)
+            s = rec(depth + 1)
+            d = rec(depth + 1)
             return Node(offset, b, s, d)
         raise TreeFormatError(f"line {lineno}: unknown record {parts[0]!r}")
 
-    tree = rec()
+    tree = rec(0)
     for extra in range(pos, len(lines)):
         if lines[extra].strip():
             raise TreeFormatError(f"line {extra + 1}: trailing data after tree")

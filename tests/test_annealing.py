@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,13 @@ class TestCostWeights:
     def test_numpy_integers_accepted(self):
         weights = an.CostWeights(t=np.int64(20), i_max=np.int32(4))
         assert weights.t == 20 and weights.i_max == 4
+
+    @pytest.mark.parametrize("name", ["w_r", "w_n", "w_s", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_weights_are_finite_and_positive(self, name, value):
+        # an infinite alpha or beta would make the temperature NaN
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            an.CostWeights(**{name: value})
 
 
 class TestCostEvaluator:
@@ -416,6 +425,18 @@ class TestAnneal:
         assert res.best_cost == trace[-1, 2]
         ev = an.CostEvaluator(frames, warps, weights, default_offsets_48())
         assert ev.evaluate(res.best_tree)[0] == res.best_cost
+
+    def test_a_temperature_of_0_rejects_every_worse_candidate(self, dataset):
+        # alpha * I / I_max reaches 2e5: the temperature underflows to 0 after
+        # the first iterations, and from there the cost never rises
+        frames, warps = dataset
+        res = an.anneal(frames, warps, an.CostWeights(i_max=20, alpha=1e5),
+                        seed=3)
+        trace = res.trace
+        cold = trace[:, 3] == 0
+        assert cold[-1] and not cold[0]
+        steps = np.flatnonzero(cold[1:]) + 1
+        assert (trace[steps, 1] <= trace[steps - 1, 1]).all()
 
     def test_multi_run_same_for_any_jobs(self, dataset):
         frames, warps = dataset

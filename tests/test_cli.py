@@ -80,6 +80,17 @@ def test_detect_rejects_a_non_pgm_image(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_detect_rejects_a_tree_nested_too_deep(small_dataset, tmp_path,
+                                              capsys):
+    # 1500 nested nodes: a format error, not a recursion error
+    deep = tmp_path / "deep.tree"
+    deep.write_bytes(("FASTTREE v1 offsets=16\n" + "N 1\n" * 1500
+                      + "L 1\n" + "L 0\n" * 3000).encode())
+    assert main(["detect", str(small_dataset / "frame_000.pgm"), "--algo",
+                 "fast-tree", "--tree", str(deep)]) == EXIT_DATA
+    assert "nodes nest deeper than" in capsys.readouterr().err
+
+
 def test_eval_repeat_names_the_frame_that_is_not_pgm(small_dataset, tmp_path,
                                                      capsys):
     data = tmp_path / "data"
@@ -225,11 +236,12 @@ def test_fast_tree_runs_a_distilled_tree(small_dataset, tmp_path):
 @pytest.mark.parametrize("flags", [["--imax", "0"], ["--t", "0"],
                                    ["--epsilon", "-1"], ["--epsilon", "nan"],
                                    ["--epsilon", "inf"], ["--wr", "nan"],
+                                   ["--alpha", "inf"], ["--beta", "inf"],
                                    ["--runs", "0"], ["--jobs", "0"],
                                    ["--seed", "-1"]],
                          ids=["imax=0", "t=0", "epsilon=-1", "epsilon=nan",
-                              "epsilon=inf", "wr=nan", "runs=0", "jobs=0",
-                              "seed=-1"])
+                              "epsilon=inf", "wr=nan", "alpha=inf", "beta=inf",
+                              "runs=0", "jobs=0", "seed=-1"])
 def test_anneal_rejects_out_of_range_parameters(tmp_path, flags):
     # usage errors come before the dataset is read: it does not exist.
     # --jobs is a global flag, so it goes before the subcommand.
@@ -238,6 +250,16 @@ def test_anneal_rejects_out_of_range_parameters(tmp_path, flags):
                  *flags[len(before):], "--out",
                  str(tmp_path / "a_")]) == EXIT_USAGE
     assert not list(tmp_path.iterdir())
+
+
+def test_anneal_runs_on_after_the_temperature_underflows(small_dataset,
+                                                        tmp_path):
+    # alpha * I / I_max reaches 1e5, far past where exp underflows to 0
+    prefix = str(tmp_path / "a_")
+    assert main(["anneal", "--dataset", str(small_dataset), "--imax", "20",
+                 "--alpha", "100000", "--out", prefix]) == EXIT_OK
+    run = csv_rows(tmp_path / "a_run0.csv")
+    assert len(run) == 22 and float(run[-1][3]) == 0
 
 
 def test_eval_repeat_checks_every_spec_before_loading(tmp_path):
@@ -281,6 +303,22 @@ def test_one_frame_dataset_is_a_data_error(tmp_path, capsys, command):
     assert main([command[0], "--dataset", str(data), *command[1:],
                  str(out / "r_")]) == EXIT_DATA
     assert "no frame pairs" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_eval_repeat_rejects_mismatched_frame_sizes(small_dataset, tmp_path,
+                                                   capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in small_dataset.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    (data / "frame_001.pgm").write_bytes(
+        save_pgm(GrayImage(np.zeros((32, 40), dtype=np.uint8))))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["eval-repeat", "--dataset", str(data), "--algo", "fast-ref",
+                 "--out", str(out / "r_")]) == EXIT_DATA
+    assert "mismatched frame sizes" in capsys.readouterr().err
     assert not list(out.iterdir())
 
 

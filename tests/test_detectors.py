@@ -21,7 +21,7 @@ from cornerforge.detectors import (FastRefDetector, HarrisDetector,
                                    RandomDetector, ShiTomasiDetector,
                                    SixteenFoldDetector, TreeDetector)
 from cornerforge.image import RING_MARGIN, GrayImage, add_gaussian_noise
-from cornerforge.runtime import (keypoint_rows, needs_field, suppressed_rows,
+from cornerforge.runtime import (keypoint_rows, needs_field, ranked_rows,
                                  top_n_by_score)
 from cornerforge.segment import segment_score_field
 from cornerforge.trees import RING16, default_offsets_48
@@ -162,12 +162,12 @@ class TestRows:
                                        (20, 24)])
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float64])
     def test_rows_are_new_float64_arrays(self, shape, dtype):
-        # suppression and row building return C-contiguous float64 arrays
+        # ranking and row building return C-contiguous float64 arrays
         # that own their data, (0, 3) when nothing survives: a grid with no
         # cell RING_MARGIN from every edge, or a constant one, keeps none
         grid = np.random.default_rng(5).integers(0, 4, shape).astype(dtype)
-        kept = suppressed_rows(grid)
-        flat = suppressed_rows(np.ones(shape, dtype))
+        kept = ranked_rows(grid)
+        flat = ranked_rows(np.ones(shape, dtype))
         built = keypoint_rows(np.arange(3), np.arange(3) + 1, np.arange(3.0))
         empty = keypoint_rows([], [], 1)
         for rows in (kept, flat, built, empty):
@@ -192,9 +192,12 @@ class TestCountControl:
             assert det.detect(frame, n).tolist() == [list(r) for r in want]
 
     def test_tie_rule_follows_detector(self, frame):
-        tied = np.array([[x, 5, 2.5] for x in range(10)])
+        # ten cells of one score, two apart, all kept by suppression
+        tied = np.zeros((11, 26))
+        tied[5, 3:23:2] = 2.5
         for base, want in ((HarrisDetector, 4), (FastRefDetector, 0)):
-            det = type("Tied", (base,), {"scored_keypoints": lambda s, img: tied})()
+            det = type("Tied", (base,), {"score_grid": lambda s, img: tied})()
+            assert len(det.all_keypoints(frame)) == 10
             assert len(det.detect(frame, 4)) == want, base.__name__
 
     def test_fast_cut_keeps_tie_classes_whole(self, frame, scored_detectors):
@@ -214,8 +217,9 @@ class TestScoreGrid:
     def test_rows_are_the_interior_maxima_of_the_grid(
             self, scored_detectors, seed, size, contrast, corner, step):
         # every scored detector's rows are the oracle's 3x3 suppression of
-        # the positive cells of its score grid, less the border survivors;
-        # noise over a brighter quadrant, whose edges Harris scores below 0
+        # the positive cells of its score grid, less the border survivors,
+        # ranked by (-score, y, x); noise over a brighter quadrant, whose
+        # edges Harris scores below 0
         w, h = size
         x0, y0 = corner
         a = np.random.default_rng(seed).integers(0, contrast, (h, w))
@@ -227,9 +231,12 @@ class TestScoreGrid:
             assert grid.shape == (h, w) and (grid >= 0).all(), det.name
             ys, xs = np.nonzero(grid > 0)
             cells = zip(xs.tolist(), ys.tolist(), grid[ys, xs].tolist())
-            want = [(x, y, s) for x, y, s in nms_oracle(cells)
-                    if m <= x < w - m and m <= y < h - m]
-            got = det.scored_keypoints(img)
+            assert grid.dtype == (np.float64 if isinstance(det, HarrisDetector)
+                                  else np.int16), det.name
+            want = ranked_oracle(np.array(
+                [(x, y, s) for x, y, s in nms_oracle(cells)
+                 if m <= x < w - m and m <= y < h - m]).reshape(-1, 3))
+            got = det.all_keypoints(img)
             assert got.dtype == np.float64, det.name
             assert [tuple(r) for r in got.tolist()] == want, det.name
 
@@ -261,7 +268,7 @@ class TestScoreGrid:
             self, t, which, frame, annealed_trees):
         # a walked tree's untruncated field is ``needs_field`` over its
         # scoring paths, the exact score wherever it fires; the grid is that
-        # field cut at t on the cells the walk fires at t, in int32. The cut
+        # field cut at t on the cells the walk fires at t, in int16. The cut
         # also needs the walk: a learned tree is not monotone in t, so a cell
         # whose only path with hi >= t has lo >= t has field >= t and does
         # not fire
@@ -269,12 +276,12 @@ class TestScoreGrid:
         det = cls(tree, table, t_min=t)
         assert not det.walk.covered.all()
         field = needs_field(frame, det.walk.offsets, det.walk.paths,
-                            table.margin).astype(np.int32)
+                            table.margin)
         fired = np.zeros(frame.shape, dtype=bool)
         xs, ys = det.walk.detect(frame, t, table.margin).T
         fired[ys, xs] = True
         grid = det.score_grid(frame)
-        assert grid.dtype == np.int32
+        assert grid.dtype == field.dtype == np.int16
         assert np.array_equal(grid, np.where(fired & (field >= t), field, 0))
         assert (field[fired] >= t).all() and fired.any() == (t < 255)
 
@@ -299,10 +306,11 @@ class TestScoreGrid:
         h, w = field.shape
         m = RING_MARGIN
         ys, xs = np.nonzero(field > 0)
-        want = [(x, y, s) for x, y, s in nms_oracle(zip(
-                    xs.tolist(), ys.tolist(), field[ys, xs].tolist()))
-                if m <= x < w - m and m <= y < h - m]
-        assert [tuple(r) for r in det.scored_keypoints(img).tolist()] == want
+        want = ranked_oracle(np.array(
+            [(x, y, s) for x, y, s in nms_oracle(zip(
+                xs.tolist(), ys.tolist(), field[ys, xs].tolist()))
+             if m <= x < w - m and m <= y < h - m]).reshape(-1, 3))
+        assert [tuple(r) for r in det.all_keypoints(img).tolist()] == want
 
 
 class TestFastAgreement:
@@ -410,11 +418,12 @@ class TestBaselines:
         det = HarrisDetector(sigma=1.5)
         field = harris_response(StructureTensor(
             *structure_tensor(frame, gaussian_kernel(1.5))))
-        got = det.scored_keypoints(frame)
+        got = det.all_keypoints(frame)
         h, w = field.shape
         cells = [(x, y, float(field[y, x])) for y in range(h) for x in range(w)]
-        want = [(x, y, s) for x, y, s in nms_oracle(cells)
-                if s > 0 and 3 <= x < w - 3 and 3 <= y < h - 3]
+        want = ranked_oracle(np.array(
+            [(x, y, s) for x, y, s in nms_oracle(cells)
+             if s > 0 and 3 <= x < w - 3 and 3 <= y < h - 3]))
         assert len(want) > 10
         assert [tuple(r) for r in got.tolist()] == want
 

@@ -126,9 +126,10 @@ class TestNoise:
         assert noisy.pixels.size >= 100_000
         assert noisy.pixels.mean() > 50  # half-normal mean ~ 0.4*255 before clamp
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            add_gaussian_noise(make_test_square(16, 4), -1, 0)
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    def test_sigma_must_be_finite_and_at_least_0(self, sigma):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            add_gaussian_noise(make_test_square(16, 4), sigma, 0)
 
 
 class TestGrayImage:

@@ -1161,14 +1161,40 @@ def interior(points, shape):
     return [p for p in points if m <= p[0] < w - m and m <= p[1] < h - m]
 
 
+def ranked(points):
+    """(x, y, score) points in rank order: by (-score, y, x)."""
+    return sorted(points, key=lambda p: (-p[2], p[1], p[0]))
+
+
+def spread(points, dtype=np.int32):
+    """A score grid holding each (x, y, score) point at cell
+    (RING_MARGIN + 2x, RING_MARGIN + 2y): no two points are neighbors and
+    all lie in the interior, so suppression keeps every positive one, and
+    their raster order is that of the points."""
+    pts = [(int(x), int(y), s) for x, y, s in points]
+    m = RING_MARGIN
+    h, w = (1 + 2 * max((p[k] for p in pts), default=0) for k in (1, 0))
+    grid = np.zeros((h + 2 * m, w + 2 * m), dtype=dtype)
+    for x, y, score in pts:
+        grid[m + 2 * y, m + 2 * x] = score
+    return grid
+
+
+def rank(points, dtype=np.int32):
+    """``ranked_rows`` over ``spread(points)``, in the points' coordinates."""
+    got = rt.ranked_rows(spread(points, dtype))
+    got[:, :2] = (got[:, :2] - RING_MARGIN) / 2
+    return got
+
+
 class TestNonmaxSuppress:
     @staticmethod
     def nms(points, dtype=np.int32, shape=(13, 13)):
-        """suppressed_rows over a grid of (x, y, score) tuples, as tuples."""
+        """ranked_rows over a grid of (x, y, score) tuples, as tuples."""
         grid = np.zeros(shape, dtype=dtype)
         for x, y, score in points:
             grid[y, x] = score
-        rows = rt.suppressed_rows(grid)
+        rows = rt.ranked_rows(grid)
         assert rows.dtype == np.float64 and rows.shape[1:] == (3,)
         return [(int(x), int(y), s) for x, y, s in rows.tolist()]
 
@@ -1194,6 +1220,12 @@ class TestNonmaxSuppress:
         # as integers both would be 2 and the plateau rule would keep (5, 5)
         assert self.nms([(5, 5, 2.25), (6, 5, 2.5)], np.float64) == [(6, 5, 2.5)]
 
+    def test_survivors_are_ranked(self):
+        # three survivors two cells apart: by descending score, and a tie
+        # in raster order, whatever order the grid holds them in
+        got = self.nms([(9, 3, 5), (3, 7, 8), (5, 7, 5), (7, 5, 5)], np.int16)
+        assert got == [(3, 7, 8), (9, 3, 5), (7, 5, 5), (5, 7, 5)]
+
     @given(point_sets(st.integers(1, 5)))
     def test_matches_oracle_and_contract(self, raw):
         self.check_oracle_and_contract(raw, np.int32)
@@ -1204,7 +1236,7 @@ class TestNonmaxSuppress:
 
     def check_oracle_and_contract(self, raw, dtype):
         out = self.nms(raw, dtype)
-        assert out == interior(orc.nms_oracle(raw), (13, 13))
+        assert out == ranked(interior(orc.nms_oracle(raw), (13, 13)))
         # contract: no two survivors within Chebyshev distance 1
         for i, p in enumerate(out):
             for q in out[i + 1:]:
@@ -1224,7 +1256,7 @@ class TestNonmaxSuppress:
 
     @given(st.integers(1, 2 * RING_MARGIN + 2),
            st.integers(1, 2 * RING_MARGIN + 2),
-           st.sampled_from([np.int32, np.float64]), st.data())
+           st.sampled_from([np.int16, np.int32, np.float64]), st.data())
     def test_narrow_grids_match_oracle(self, h, w, dtype, data):
         # sides up to 2m + 2: the core is empty (a side of 2m or less, and
         # ``nms`` checks the rows are then a (0, 3) array), one cell wide or
@@ -1234,7 +1266,7 @@ class TestNonmaxSuppress:
                       st.integers(1, 4)),
             max_size=h * w, unique_by=lambda p: (p[0], p[1])))
         out = self.nms(raw, dtype, (h, w))
-        assert out == interior(orc.nms_oracle(raw), (h, w))
+        assert out == ranked(interior(orc.nms_oracle(raw), (h, w)))
 
     def test_array_path_equals_object_path(self):
         # 300 random points on a 50x40 grid, against the plain-Python oracle
@@ -1243,15 +1275,15 @@ class TestNonmaxSuppress:
         for x, y in zip(rng.integers(0, 50, 300), rng.integers(0, 40, 300)):
             seen.setdefault((int(x), int(y)), int(rng.integers(1, 200)))
         pts = [(x, y, s) for (x, y), s in seen.items()]
-        assert self.nms(pts, np.int32, (40, 50)) == interior(
-            orc.nms_oracle(pts), (40, 50))
+        assert self.nms(pts, np.int32, (40, 50)) == ranked(interior(
+            orc.nms_oracle(pts), (40, 50)))
 
 
 class TestTopN:
-    PTS = rows((0, 0, 9), (1, 0, 9), (2, 0, 5), (3, 0, 5), (4, 0, 5), (5, 0, 3))
+    PTS = [(0, 0, 9), (1, 0, 9), (2, 0, 5), (3, 0, 5), (4, 0, 5), (5, 0, 3)]
 
     def top(self, pts, n, split_ties=False):
-        return rt.top_n_by_score(rt.rank_by_score(pts), n, split_ties)
+        return rt.top_n_by_score(rank(pts), n, split_ties)
 
     def test_zero(self):
         got = self.top(self.PTS, 0)
@@ -1265,8 +1297,7 @@ class TestTopN:
         assert len(self.top(self.PTS, 4)) == 5
 
     def test_equidistant_tie_takes_smaller(self):
-        pts = rows((0, 0, 9), (1, 0, 9), (2, 0, 5), (3, 0, 5), (4, 0, 5),
-                   (5, 0, 5))
+        pts = [(0, 0, 9), (1, 0, 9), (2, 0, 5), (3, 0, 5), (4, 0, 5), (5, 0, 5)]
         # boundaries 0, 2, 6; n=4 is equidistant; smaller wins
         assert len(self.top(pts, 4)) == 2
 
@@ -1277,55 +1308,51 @@ class TestTopN:
 
     def test_descending_scores(self):
         got = self.top(self.PTS, 6)
-        assert got[:, 2].tolist() == sorted(self.PTS[:, 2].tolist(), reverse=True)
+        assert got[:, 2].tolist() == sorted((s for *_, s in self.PTS),
+                                            reverse=True)
 
     def test_ranking_breaks_ties_by_raster_order(self):
-        pts = rows((4, 1, 5), (9, 0, 5), (2, 1, 5), (7, 3, 8))
-        assert rt.rank_by_score(pts).tolist() == [
+        pts = [(4, 1, 5), (9, 0, 5), (2, 1, 5), (7, 3, 8)]
+        assert rank(pts).tolist() == [
             [7, 3, 8], [9, 0, 5], [2, 1, 5], [4, 1, 5]]
 
     @given(arrays(np.int8, st.tuples(st.integers(0, 6), st.integers(1, 6)),
                   elements=st.integers(0, 3)),
-           st.sampled_from([0, 2**26 - 6]), st.sampled_from([0, 2**26 - 6]),
-           st.randoms())
-    def test_ranking_matches_three_key_oracle(self, scores, x0, y0, rnd):
-        # rows on a grid in shuffled order: score 0 leaves a cell out, and
-        # three scores give many ties; coordinates reach 2^26 - 1
+           st.sampled_from([np.int16, np.int32, np.float64]), st.randoms())
+    def test_ranking_matches_three_key_oracle(self, scores, dtype, rnd):
+        # tied cells in shuffled places: the three scores give many ties,
+        # score 0 leaves a cell out, and the points come in shuffled order
         ys, xs = np.nonzero(scores)
-        pts = np.column_stack([xs + x0, ys + y0, scores[ys, xs]])
-        order = list(range(len(pts)))
-        rnd.shuffle(order)
-        pts = pts[order].astype(np.float64)
-        want = pts[np.lexsort((pts[:, 0], pts[:, 1], -pts[:, 2]))]
-        got = rt.rank_by_score(pts)
-        assert got.shape == pts.shape and np.array_equal(got, want)
+        pts = list(zip(xs.tolist(), ys.tolist(), scores[ys, xs].tolist()))
+        rnd.shuffle(pts)
+        got = rank(pts, dtype)
+        assert got.shape == (len(pts), 3)
+        assert got.tolist() == [list(p) for p in ranked(pts)]
 
-    INT16_EDGE = (0, 1, 255, 32767, 32768.0, 40000.0, -1.0, -32768.0, 2.5, 2e5)
+    SCORES = {np.int16: (1, 2, 255, 32766, 32767),
+              np.float64: (1e-3, 1.0, 2.5, 255.0, 32768.0, 2e5)}
 
-    @given(st.lists(st.sampled_from(INT16_EDGE), min_size=1, max_size=40),
-           st.integers(0, 2**32 - 1))
-    @example([0, 1, 255, 32767, -1.0, -32768.0, 1, -32768.0, 32767], 0)
-    @example(list(INT16_EDGE) * 2, 1)
-    def test_ranking_at_the_int16_boundary(self, scores, seed):
-        # shuffled rows on a 7-wide grid: scores that are all integers in
-        # -32768..32767 sort on the int16 key (~score, which -32768 does not
-        # overflow), any other score puts every row on the float64 key
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_the_key_has_the_grids_dtype(self, dtype, data, seed):
+        # the sort key is the negated scores in the grid's dtype: int16 for
+        # segment-test and tree grids, whose largest score 32767 negates
+        # without overflow, and float64 for response grids
+        scores = data.draw(st.lists(st.sampled_from(self.SCORES[dtype]),
+                                    min_size=1, max_size=40))
         n = len(scores)
-        pts = np.column_stack([np.arange(n) % 7, np.arange(n) // 7, scores])
-        pts = pts[np.random.default_rng(seed).permutation(n)].astype(np.float64)
-        want = pts[np.lexsort((pts[:, 0], pts[:, 1], -pts[:, 2]))]
+        order = np.random.default_rng(seed).permutation(n)
+        pts = [(k % 7, k // 7, scores[k]) for k in order.tolist()]
         with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
-            got = rt.rank_by_score(pts)
-        assert np.array_equal(got, want)
-        small = all(-2**15 <= s < 2**15 and float(s).is_integer() for s in scores)
+            got = rank(pts, dtype)
+        assert got.tolist() == [list(p) for p in ranked(pts)]
         key = spy.call_args_list[-1].args[0]
-        assert key.dtype == (np.int16 if small else np.float64)
+        assert key.dtype == dtype
 
     @given(st.lists(st.integers(1, 6), max_size=30), st.integers(-2, 35),
            st.booleans())
     def test_cut_matches_oracle(self, scores, n, split_ties):
-        pts = rows(*[(x, 0, s) for x, s in enumerate(scores)])
-        ranked = rt.rank_by_score(pts)
+        ranked = rank([(x, 0, s) for x, s in enumerate(scores)])
         got = rt.top_n_by_score(ranked, n, split_ties)
         # oracle: every count at which no tie class is split, closest to n
         cuts = [b for b in range(len(scores) + 1)

@@ -20,11 +20,11 @@ callable (``_usage_checked``, a pool's ``submit``) has no call of its own.
 Nothing in the package keys state on object identity: no call of the
 builtin ``id`` is left in it.
 
-Suppression has one path: only ``FeatureDetector`` defines
-``scored_keypoints``, and ``suppressed_rows`` has exactly one call site in
-the package. Trees have one reader: outside ``trees``, only
-``runtime.PlaneWalk`` and ``runtime.leaf_paths`` read a compiled tree's
-``children``.
+Suppression and ranking have one path: ``ranked_rows`` has exactly one
+call site in the package, in ``FeatureDetector``, and only it and the
+random baseline define ``all_keypoints``. Trees have one reader: outside
+``trees``, only ``runtime.PlaneWalk`` and ``runtime.leaf_paths`` read a
+compiled tree's ``children``.
 """
 
 import ast
@@ -181,25 +181,29 @@ def test_no_identity_keys():
 
 def test_one_suppression_path():
     """Every scored detector supplies a score grid and inherits
-    ``scored_keypoints``, so all of them suppress through the one call of
-    ``suppressed_rows``."""
+    ``all_keypoints`` from ``FeatureDetector``, whose call of
+    ``ranked_rows`` is the only one in the package, so all of them
+    suppress and rank through it. Only the random baseline, which has no
+    grid, ranks its own rows."""
     defining, calls = [], []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef):
-                defining += [node.name for d in node.body
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                defining += [top.name for d in top.body
                              if isinstance(d, ast.FunctionDef)
-                             and d.name == "scored_keypoints"]
-            elif isinstance(node, ast.Call):
-                func = node.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute)
-                        else None)
-                if name == "suppressed_rows":
-                    calls.append(f"{path.name}:{node.lineno}")
-    assert defining == ["FeatureDetector"], (
-        f"classes defining scored_keypoints: {defining}")
-    assert len(calls) == 1, f"calls of suppressed_rows: {calls}"
+                             and d.name == "all_keypoints"]
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name)
+                            else func.attr if isinstance(func, ast.Attribute)
+                            else None)
+                    if name == "ranked_rows":
+                        calls.append(f"{path.name}:{getattr(top, 'name', '')}")
+    assert defining == ["FeatureDetector", "RandomDetector"], (
+        f"classes defining all_keypoints: {defining}")
+    assert calls == ["detectors.py:FeatureDetector"], (
+        f"calls of ranked_rows: {calls}")
 
 
 def test_one_tree_reader():

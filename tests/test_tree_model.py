@@ -6,8 +6,10 @@ from hypothesis.extra.numpy import arrays
 from _oracles import preorder_nodes, tree_depth
 from cornerforge import learn
 from cornerforge.annealing import mutate, random_depth1_tree
-from cornerforge.trees import (CompiledTree, LEAF0, LEAF1, Leaf, Node,
-                               OffsetTable, RING16, TreeFormatError,
+from cornerforge.datasets import synthetic_base_image
+from cornerforge.detectors import TreeDetector
+from cornerforge.trees import (CompiledTree, LEAF0, LEAF1, MAX_DEPTH, Leaf,
+                               Node, OffsetTable, RING16, TreeFormatError,
                                default_offsets_48, deserialize_tree,
                                serialize_tree, tree_size)
 
@@ -109,6 +111,46 @@ class TestSerialization:
     def test_48_offsets_need_their_table(self):
         with pytest.raises(TreeFormatError, match="offset table"):
             deserialize_tree(b"FASTTREE v1 offsets=48\nN 20\nL 1\nL 0\nL 1\n")
+
+
+def chain_file(depth):
+    """A 16-offset tree file whose decision nodes nest ``depth`` deep along
+    their b branches, to a corner leaf."""
+    lines = ([f"N {1 + k % 16}" for k in range(depth)] + ["L 1"]
+             + ["L 0"] * 2 * depth)
+    return ("FASTTREE v1 offsets=16\n" + "\n".join(lines) + "\n").encode()
+
+
+class TestDepthBound:
+    def test_every_consumer_takes_a_tree_at_the_bound(self):
+        # parsing, writing, sizing, compiling, comparing, hashing, mutating
+        # and detecting recurse in the depth; none reaches the recursion limit
+        tree, table = deserialize_tree(chain_file(MAX_DEPTH))
+        again = deserialize_tree(chain_file(MAX_DEPTH))[0]
+        assert tree is not again and tree == again and hash(tree) == hash(again)
+        assert repr(tree).count("Node(") == MAX_DEPTH
+        assert tree_depth(tree) == tree_size(tree) == MAX_DEPTH
+        assert serialize_tree(tree, table) == chain_file(MAX_DEPTH)
+        assert len(CompiledTree(tree, table).dx) == MAX_DEPTH
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            mutate(tree, rng, table)
+        # the tree fires where all 16 ring pixels are brighter, and scores
+        # the least of their differences from the centre
+        img = synthetic_base_image(24, 20, 1)
+        p = img.pixels.astype(np.int16)
+        diff = np.min([np.roll(p, (-dy, -dx), (0, 1)) - p
+                       for dx, dy in table.offsets], axis=0)
+        want = np.zeros_like(diff)
+        want[3:-3, 3:-3] = np.maximum(diff, 0)[3:-3, 3:-3]
+        grid = TreeDetector(tree, table).score_grid(img)
+        assert np.array_equal(grid, want) and grid.any()
+
+    def test_one_node_deeper_is_a_format_error(self):
+        # the node past the bound is on line MAX_DEPTH + 2, after the header
+        with pytest.raises(TreeFormatError,
+                           match=f"line {MAX_DEPTH + 2}: nodes nest deeper"):
+            deserialize_tree(chain_file(MAX_DEPTH + 1))
 
 
 class TestCompiledTree:
